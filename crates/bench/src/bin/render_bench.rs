@@ -14,6 +14,10 @@
 //! * **packet** — the 8-wide lockstep packet kernel with the default
 //!   bitwise termination gate.
 //!
+//! The same rounds time the per-block preparation a frame pays before
+//! the first ray — the macrocell build (`macrocell_build_mvox_per_s`)
+//! and the packet kernel's per-render skip bake (`skip_bake_ms`).
+//!
 //! All four must produce **bit-identical** images; the packet kernel's
 //! deterministic counters (packets launched, lane-utilization
 //! numerator/denominator, skips) are exact-gated. Timed comparisons are
@@ -37,6 +41,7 @@ use std::time::Instant;
 
 use pvr_bench::{check, write_trajectory, CsvOut};
 use pvr_core::{run_frame, FrameConfig};
+use pvr_formats::Subvolume;
 use pvr_obs::bench::Trajectory;
 use pvr_obs::Registry;
 use pvr_render::raycast::{RenderOpts, RenderStats, Termination};
@@ -66,10 +71,39 @@ struct Measured {
     image: Image,
 }
 
-/// Time every kernel interleaved round-robin: one render of each per
-/// round, best-of-`iters` per kernel. Interleaving shares any machine
-/// slowdown across all kernels, so the *ratios* stay meaningful even
-/// when the absolute clocks are noisy.
+/// Time every task interleaved round-robin: one run of each per round,
+/// best-of-`iters` per task. Interleaving shares any machine slowdown
+/// across all tasks, so the *ratios* stay meaningful even when the
+/// absolute clocks are noisy.
+fn best_of_interleaved(iters: usize, tasks: &mut [&mut dyn FnMut()]) -> Vec<f64> {
+    let mut best = vec![f64::INFINITY; tasks.len()];
+    for _ in 0..iters {
+        for (task, b) in tasks.iter_mut().zip(&mut best) {
+            let t = Instant::now();
+            task();
+            *b = b.min(t.elapsed().as_secs_f64());
+        }
+    }
+    best
+}
+
+/// Per-block preparation cost, in seconds.
+struct Prep {
+    /// `MacrocellGrid::build` of the block.
+    build: f64,
+    /// The packet kernel's per-render skip bake.
+    bake: f64,
+}
+
+/// Time every kernel, and the block preparation that precedes them in
+/// a frame, in the same interleaved rounds.
+///
+/// The skip bake has no entry point of its own, so it is measured as a
+/// difference: the packet kernel bakes its skip fields over the whole
+/// *stored* block before it casts a ray, the scalar kernel does not, and
+/// a block that *owns* only a 4³ sliver of what it stores casts a few
+/// dozen rays either way — at the real camera's ray density, so the
+/// bake sees the real lane spreads.
 fn bench_kernels(
     volume: &Volume,
     grid: &MacrocellGrid,
@@ -77,7 +111,7 @@ fn bench_kernels(
     tf: &TransferFunction,
     kernels: &[Kernel],
     iters: usize,
-) -> Vec<Measured> {
+) -> (Vec<Measured>, Prep) {
     let dom = BlockDomain::whole(volume.dims());
     let (w, h) = cam.image_size();
     let render = |k: &Kernel| {
@@ -87,27 +121,56 @@ fn bench_kernels(
         img.paste(&sub);
         (img, stats)
     };
+    let sliver = BlockDomain {
+        owned: Subvolume::new([BLOCK / 2; 3], [4; 3]),
+        ..dom
+    };
+    let render_sliver = |opts: &RenderOpts| {
+        std::hint::black_box(render_block_with_grid(
+            volume,
+            Some(grid),
+            &sliver,
+            cam,
+            tf,
+            opts,
+        ));
+    };
+    let (packet_opts, scalar_opts) = (RenderOpts::default(), RenderOpts::exact());
+
     // One warm-up render of each, kept as the reference image/stats.
-    let mut out: Vec<Measured> = kernels
+    let reference: Vec<(Image, RenderStats)> = kernels.iter().map(render).collect();
+
+    let mut time_build = || {
+        std::hint::black_box(MacrocellGrid::build(std::hint::black_box(volume)));
+    };
+    let mut time_baked = || render_sliver(&packet_opts);
+    let mut time_unbaked = || render_sliver(&scalar_opts);
+    let mut time_kernels: Vec<_> = kernels
         .iter()
         .map(|k| {
-            let (image, stats) = render(k);
-            Measured {
-                best: f64::INFINITY,
-                stats,
-                image,
+            move || {
+                std::hint::black_box(render(k));
             }
         })
         .collect();
-    for _ in 0..iters {
-        for (k, m) in kernels.iter().zip(&mut out) {
-            let t = Instant::now();
-            let (img, _) = render(k);
-            m.best = m.best.min(t.elapsed().as_secs_f64());
-            std::hint::black_box(img);
-        }
-    }
-    out
+    let mut tasks: Vec<&mut dyn FnMut()> =
+        vec![&mut time_build, &mut time_baked, &mut time_unbaked];
+    tasks.extend(time_kernels.iter_mut().map(|t| t as &mut dyn FnMut()));
+    let best = best_of_interleaved(iters, &mut tasks);
+    let [build, baked, unbaked, kernel_best @ ..] = &best[..] else {
+        unreachable!("three preparation tasks precede the kernels")
+    };
+
+    let measured = reference
+        .into_iter()
+        .zip(kernel_best)
+        .map(|((image, stats), &best)| Measured { best, stats, image })
+        .collect();
+    let prep = Prep {
+        build: *build,
+        bake: (baked - unbaked).max(0.0),
+    };
+    (measured, prep)
 }
 
 fn bits_equal(a: &Image, b: &Image) -> bool {
@@ -200,7 +263,7 @@ fn main() {
 
     println!("# render_bench: {BLOCK}^3 supernova block, 256^2 rays, best of {iters} interleaved");
     let grid = MacrocellGrid::build(&volume);
-    let m = bench_kernels(&volume, &grid, &cam, &tf, &kernels, iters);
+    let (m, prep) = bench_kernels(&volume, &grid, &cam, &tf, &kernels, iters);
     let (naive, fast, prev, packet) = (&m[0], &m[1], &m[2], &m[3]);
 
     let bit_identical_kernel = bits_equal(&naive.image, &fast.image);
@@ -226,6 +289,13 @@ fn main() {
         );
     }
     println!("  fast vs naive: {speedup:.2}x   packet vs prev-fast: {packet_speedup:.2}x");
+    let macrocell_build_mvox_per_s = (BLOCK * BLOCK * BLOCK) as f64 / 1e6 / prep.build;
+    let skip_bake_ms = prep.bake * 1e3;
+    println!(
+        "  block preparation: macrocell build {:.2} ms ({macrocell_build_mvox_per_s:.0} Mvox/s), \
+         skip bake {skip_bake_ms:.2} ms",
+        prep.build * 1e3
+    );
 
     if packets_detail {
         let s = &packet.stats;
@@ -361,6 +431,8 @@ fn main() {
         .info("naive_samples_per_sec", naive_rate)
         .info("fast_samples_per_sec", fast_rate)
         .info("speedup", speedup)
+        .info("macrocell_build_mvox_per_s", macrocell_build_mvox_per_s)
+        .info("skip_bake_ms", skip_bake_ms)
         .info("bounded_error_bound", bstats.error_bound as f64)
         .info("scaling_threads", scaling_threads as f64)
         .info("scaling_speedup", scaling_speedup)

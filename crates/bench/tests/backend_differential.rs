@@ -9,6 +9,9 @@
 //! and exchange statistics. `pvr-bench` always enables `thread-exec`,
 //! so this runs in every workspace-wide `cargo test`.
 
+#[path = "../../../tests/support/mod.rs"]
+mod support;
+
 use std::path::PathBuf;
 
 use pvr_core::pipeline::run_frame_mpi_sim;
@@ -16,13 +19,7 @@ use pvr_core::{write_dataset, FrameConfig};
 use pvr_mpisim::{Backend, RunOptions};
 
 fn dataset(cfg: &FrameConfig) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("pvr-backend-diff-{}", std::process::id()));
-    std::fs::create_dir_all(&d).unwrap();
-    let p = d.join("diff.raw");
-    if !p.exists() {
-        write_dataset(&p, cfg).unwrap();
-    }
-    p
+    support::fixture("pvr-backend-diff", "diff.raw", |p| write_dataset(p, cfg))
 }
 
 #[test]

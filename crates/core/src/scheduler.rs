@@ -970,10 +970,22 @@ impl<'a> RankExec<'a> {
                 return std::mem::take(buf);
             }
         }
-        let f = file.get_or_insert_with(|| File::open(self.path).expect("dataset file"));
+        // A failed or short read names itself: of 4096 ranks, which one,
+        // on which file, asking for which bytes.
+        let (rank, path) = (self.comm.rank(), self.path);
+        let fail = |op: &str, e: std::io::Error| -> ! {
+            panic!(
+                "rank {rank}: {op} of {} failed for the extent at offset {} of length {}: {e}",
+                path.display(),
+                w.offset,
+                w.len
+            )
+        };
+        let f = file.get_or_insert_with(|| File::open(path).unwrap_or_else(|e| fail("open", e)));
         let mut buf = vec![0u8; w.len as usize];
-        f.seek(SeekFrom::Start(w.offset)).unwrap();
-        f.read_exact(&mut buf).unwrap();
+        f.seek(SeekFrom::Start(w.offset))
+            .and_then(|_| f.read_exact(&mut buf))
+            .unwrap_or_else(|e| fail("read", e));
         *live_bytes += w.len;
         buf
     }

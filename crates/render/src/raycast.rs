@@ -477,37 +477,14 @@ impl PacketField {
         (n.max(1) - 1) / PACKET_CELL + 1
     }
 
-    /// Build in two stages. First, per-refined-cell emptiness verdicts:
-    /// a 2³ cell is empty when its min/max range classifies to zero
-    /// opacity (the parent macrocell's verdict short-circuits the LUT
-    /// query — a subrange of a transparent range is transparent).
-    /// Second, separable erosion: per axis, a field cell covers the
-    /// refined cells whose (clamped) support voxels any position in
-    /// `[r·2 − spread, r·2 + 2 + spread)` can resolve to; three sweeps
-    /// AND the emptiness over those ranges one axis at a time. Boundary
-    /// cells extend to infinity on their clamped side — clamping
-    /// resolves such positions to boundary voxels, which the finite
-    /// range already covers.
-    fn build(
-        g: &MacrocellGrid,
-        empty: &[bool],
-        lut: &OpacityLut,
-        vdims: [usize; 3],
-        spread: [f64; 3],
-    ) -> Self {
+    /// Per-refined-cell emptiness verdicts, computed once per render and
+    /// shared by every bake: a 2³ cell is empty when its min/max range
+    /// classifies to zero opacity (the parent macrocell's verdict
+    /// short-circuits the LUT query — a subrange of a transparent range
+    /// is transparent).
+    fn refined_verdicts(g: &MacrocellGrid, empty: &[bool], lut: &OpacityLut) -> Vec<bool> {
         let cells = g.cells();
-        // Source lattice: the grid's refined (2³-voxel) summary cells.
         let sc = g.refined_cells();
-        // Target lattice: the field's leap cells.
-        let rc = [
-            Self::cells_along(vdims[0]),
-            Self::cells_along(vdims[1]),
-            Self::cells_along(vdims[2]),
-        ];
-        debug_assert_eq!(
-            sc, rc,
-            "lane verdicts require the leap lattice to be the refined lattice"
-        );
         let fold = pvr_volume::MACROCELL_SIZE / pvr_volume::REFINED_SIZE;
         let rranges = g.refined_ranges();
         let mut rempty = vec![false; sc[0] * sc[1] * sc[2]];
@@ -526,63 +503,82 @@ impl PacketField {
                 }
             }
         }
-        // Per-axis refined-cell ranges covered by each field cell.
-        let range = |r: usize, n: usize, c: usize, spread: f64| -> (usize, usize) {
-            // A little slack on both ends so the f32 cast can never
-            // shrink the covered range.
-            let lo = r as f64 * PACKET_CELL as f64 - spread - 1e-3;
-            let hi = r as f64 * PACKET_CELL as f64 + PACKET_CELL as f64 + spread + 1e-3;
-            let v_lo = support_voxel(lo as f32, n);
-            let v_hi = support_voxel(hi as f32, n);
-            (
-                (v_lo / pvr_volume::REFINED_SIZE).min(c - 1),
-                (v_hi / pvr_volume::REFINED_SIZE).min(c - 1),
-            )
+        rempty
+    }
+
+    /// Inclusive range of refined cells (of `c` along an axis of `n`
+    /// voxels) covered by field cell `r` dilated by `spread` voxels.
+    fn covered(r: usize, n: usize, c: usize, spread: f64) -> (usize, usize) {
+        // A little slack on both ends so the f32 cast can never
+        // shrink the covered range.
+        let lo = r as f64 * PACKET_CELL as f64 - spread - 1e-3;
+        let hi = r as f64 * PACKET_CELL as f64 + PACKET_CELL as f64 + spread + 1e-3;
+        let v_lo = support_voxel(lo as f32, n);
+        let v_hi = support_voxel(hi as f32, n);
+        (
+            (v_lo / pvr_volume::REFINED_SIZE).min(c - 1),
+            (v_hi / pvr_volume::REFINED_SIZE).min(c - 1),
+        )
+    }
+
+    /// Bake one field from the render's [`PacketField::refined_verdicts`]
+    /// by separable erosion: per axis, a field cell covers the refined
+    /// cells whose (clamped) support voxels any position in
+    /// `[r·2 − spread, r·2 + 2 + spread)` can resolve to; three sweeps
+    /// AND the emptiness over those ranges one axis at a time. Boundary
+    /// cells extend to infinity on their clamped side — clamping
+    /// resolves such positions to boundary voxels, which the finite
+    /// range already covers.
+    fn build(rempty: &[bool], vdims: [usize; 3], spread: [f64; 3]) -> Self {
+        // The field's leap cells are the grid's refined cells.
+        let rc = vdims.map(Self::cells_along);
+        let plane = rc[0] * rc[1];
+        assert_eq!(
+            rempty.len(),
+            plane * rc[2],
+            "lane verdicts require the leap lattice to be the refined lattice"
+        );
+        // Refined-cell span each field cell covers, per axis.
+        let spans = |a: usize| -> Vec<(usize, usize)> {
+            (0..rc[a])
+                .map(|r| Self::covered(r, vdims[a], rc[a], spread[a]))
+                .collect()
         };
-        // Sweep x (refined -> field along x): per-row prefix counts of
-        // empty cells make each "all empty in [a, b]?" query O(1).
-        let mut t1 = vec![false; rc[0] * sc[1] * sc[2]];
-        let spans_x: Vec<(usize, usize)> = (0..rc[0])
-            .map(|rx| range(rx, vdims[0], sc[0], spread[0]))
-            .collect();
-        let mut pref = vec![0u32; sc[0] + 1];
-        for r in 0..sc[1] * sc[2] {
-            let srow = r * sc[0];
-            let trow = r * rc[0];
-            for sx in 0..sc[0] {
-                pref[sx + 1] = pref[sx] + rempty[srow + sx] as u32;
+        let (spans_x, spans_y, spans_z) = (spans(0), spans(1), spans(2));
+        // Sweep x: per-row prefix counts of empty cells make each "all
+        // empty in [a, b]?" query O(1).
+        let mut t1 = vec![false; rempty.len()];
+        let mut pref = vec![0u32; rc[0] + 1];
+        for (src, dst) in rempty.chunks_exact(rc[0]).zip(t1.chunks_exact_mut(rc[0])) {
+            for (sx, &e) in src.iter().enumerate() {
+                pref[sx + 1] = pref[sx] + e as u32;
             }
-            for rx in 0..rc[0] {
-                let (a, b) = spans_x[rx];
-                t1[trow + rx] = (pref[b + 1] - pref[a]) as usize == b + 1 - a;
+            for (d, &(a, b)) in dst.iter_mut().zip(&spans_x) {
+                *d = (pref[b + 1] - pref[a]) as usize == b + 1 - a;
             }
         }
-        // Sweeps y and z: AND whole contiguous x-rows so the compiler
-        // can vectorize the byte-wise conjunction.
-        let and_rows = |dst: &mut [bool], src: &[bool], rows: &[usize], row: usize, n: usize| {
-            let (first, rest) = rows.split_first().unwrap();
-            dst[row..row + n].copy_from_slice(&src[*first..*first + n]);
-            for &r in rest {
-                for rx in 0..n {
-                    dst[row + rx] &= src[r + rx];
+        // Sweeps y and z: AND whole contiguous runs — x-rows for y,
+        // xy-planes for z — so the compiler can vectorize the byte-wise
+        // conjunction. `src` is read as consecutive `dst.len()`-long
+        // runs, of which runs `a..=b` are conjoined into `dst`.
+        let and_runs = |dst: &mut [bool], src: &[bool], (a, b): (usize, usize)| {
+            let n = dst.len();
+            dst.copy_from_slice(&src[a * n..][..n]);
+            for run in a + 1..=b {
+                for (d, &s) in dst.iter_mut().zip(&src[run * n..][..n]) {
+                    *d &= s;
                 }
             }
         };
-        let mut t2 = vec![false; rc[0] * rc[1] * sc[2]];
-        for sz in 0..sc[2] {
-            for ry in 0..rc[1] {
-                let (a, b) = range(ry, vdims[1], sc[1], spread[1]);
-                let rows: Vec<usize> = (a..=b).map(|sy| (sz * sc[1] + sy) * rc[0]).collect();
-                and_rows(&mut t2, &t1, &rows, (sz * rc[1] + ry) * rc[0], rc[0]);
-            }
+        let mut t2 = vec![false; rempty.len()];
+        for (row, dst) in t2.chunks_exact_mut(rc[0]).enumerate() {
+            let (rz, ry) = (row / rc[1], row % rc[1]);
+            let (a, b) = spans_y[ry];
+            and_runs(dst, &t1, (rz * rc[1] + a, rz * rc[1] + b));
         }
-        let mut out = vec![false; rc[0] * rc[1] * rc[2]];
-        for rz in 0..rc[2] {
-            let (a, b) = range(rz, vdims[2], sc[2], spread[2]);
-            for ry in 0..rc[1] {
-                let rows: Vec<usize> = (a..=b).map(|sz| (sz * rc[1] + ry) * rc[0]).collect();
-                and_rows(&mut out, &t2, &rows, (rz * rc[1] + ry) * rc[0], rc[0]);
-            }
+        let mut out = vec![false; rempty.len()];
+        for (rz, dst) in out.chunks_exact_mut(plane).enumerate() {
+            and_runs(dst, &t2, spans_z[rz]);
         }
         PacketField {
             rc,
@@ -775,8 +771,11 @@ struct KernelCtx<'a> {
     vdims: [usize; 3],
 }
 
-/// [`render_block`] with a caller-supplied macrocell summary, so the
-/// O(voxels) build is paid once per block rather than once per frame.
+/// [`render_block`] with a caller-supplied macrocell summary, so a
+/// caller rendering the same data more than once (several views, or
+/// the kernels of a benchmark) pays the O(voxels) build once. Neither
+/// frame executor is such a caller: each frame is a new time step, and
+/// both go through [`render_block`], which builds per block per frame.
 /// `macrocells` must summarize `volume`; pass `None` (or set
 /// `opts.fast_path = false`) for the naive kernel.
 pub fn render_block_with_grid(
@@ -1442,12 +1441,13 @@ fn march_packets<const W: usize>(
         };
         let bt = bake(&tight);
         let bl = bake(&loose);
-        field = Some(PacketField::build(g, empty, lut, ctx.vdims, bt));
+        let rempty = PacketField::refined_verdicts(g, empty, lut);
+        field = Some(PacketField::build(&rempty, ctx.vdims, bt));
         // A second build only pays off when some probe tile genuinely
         // needs the looser dilation; otherwise shifted packets share
         // the tight field.
         if bl.iter().zip(&bt).any(|(l, t)| l > &(t + 0.25)) {
-            field_loose = Some(PacketField::build(g, empty, lut, ctx.vdims, bl));
+            field_loose = Some(PacketField::build(&rempty, ctx.vdims, bl));
         }
     }
 
@@ -2363,6 +2363,56 @@ mod tests {
                             b[c].to_bits(),
                             "pixels must be bit-identical"
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Tight and loose bakes built from one shared set of refined
+    /// verdicts must equal bakes that each compute their own, and both
+    /// must equal the field's definition: a cell is empty exactly when
+    /// every refined cell in its dilated box is.
+    #[test]
+    fn shared_verdict_bakes_equal_independent_bakes() {
+        // Odd, unequal dims: ragged last cells on every axis.
+        let f = SupernovaField::new(1530);
+        let v = Volume::from_field(&f.variable(2), [37, 30, 33]);
+        let vdims = v.dims();
+        let g = MacrocellGrid::build(&v);
+        let lut = tf().opacity_lut();
+        let empty: Vec<bool> = g
+            .ranges()
+            .iter()
+            .map(|&(lo, hi)| lut.range_is_transparent(lo, hi))
+            .collect();
+        let shared = PacketField::refined_verdicts(&g, &empty, &lut);
+        assert!(shared.contains(&true) && shared.contains(&false));
+        let rc = g.refined_cells();
+        for spread in [[0.12; 3], [0.9, 0.4, 2.55], [2.55, 1.3, 0.12]] {
+            let tight = PacketField::build(&shared, vdims, spread);
+            let loose = PacketField::build(&shared, vdims, spread.map(|s| s + 1.0));
+            for (field, spread) in [(&tight, spread), (&loose, spread.map(|s| s + 1.0))] {
+                let own = PacketField::refined_verdicts(&g, &empty, &lut);
+                let alone = PacketField::build(&own, vdims, spread);
+                assert_eq!(field.empty, alone.empty, "spread {spread:?}");
+                assert!(field.empty.contains(&true), "spread {spread:?} erodes all");
+                for rz in 0..rc[2] {
+                    let (z0, z1) = PacketField::covered(rz, vdims[2], rc[2], spread[2]);
+                    for ry in 0..rc[1] {
+                        let (y0, y1) = PacketField::covered(ry, vdims[1], rc[1], spread[1]);
+                        for rx in 0..rc[0] {
+                            let (x0, x1) = PacketField::covered(rx, vdims[0], rc[0], spread[0]);
+                            let all = (z0..=z1).all(|z| {
+                                (y0..=y1)
+                                    .all(|y| (x0..=x1).all(|x| shared[(z * rc[1] + y) * rc[0] + x]))
+                            });
+                            assert_eq!(
+                                field.empty[field.index([rx, ry, rz])],
+                                all,
+                                "cell ({rx},{ry},{rz}) spread {spread:?}"
+                            );
+                        }
                     }
                 }
             }

@@ -240,9 +240,17 @@ impl TransferFunction {
             self.table.iter().all(|c| !c[3].is_nan()),
             "NaN alpha entries make the opacity LUT's range bound unsound"
         );
+        let alphas: Vec<f32> = self.table.iter().map(|c| c[3]).collect();
+        let mut opaque_before = vec![0u32; alphas.len() + 1];
+        for (i, &a) in alphas.iter().enumerate() {
+            opaque_before[i + 1] = opaque_before[i] + (a > 0.0) as u32;
+        }
+        let (d0, d1) = self.domain;
         OpacityLut {
-            domain: self.domain,
-            alphas: self.table.iter().map(|c| c[3]).collect(),
+            d0,
+            scale: (alphas.len() - 1) as f32 / (d1 - d0),
+            alphas,
+            opaque_before,
         }
     }
 }
@@ -259,40 +267,56 @@ impl TransferFunction {
 /// bit-identical rather than approximate.
 #[derive(Debug, Clone)]
 pub struct OpacityLut {
-    domain: (f32, f32),
     alphas: Vec<f32>,
+    /// Value → table coordinate is `(v - d0) * scale`, with `d0` the
+    /// low end of the domain and `scale = (n - 1) / (d1 - d0)`.
+    d0: f32,
+    scale: f32,
+    /// `opaque_before[i]` counts the entries of `alphas[..i]` that are
+    /// `> 0.0` — exactly the entries that lift a `max`-fold from `0.0`
+    /// off zero — so a bin range is transparent when the count does not
+    /// move across it.
+    opaque_before: Vec<u32>,
 }
 
 impl OpacityLut {
-    /// Upper bound on `lookup(v)[3]` over all `v` in `[lo, hi]`.
-    pub fn max_alpha(&self, lo: f32, hi: f32) -> f32 {
-        let (d0, d1) = self.domain;
+    /// Inclusive table-entry range any value in `[lo, hi]` (given in
+    /// either order) can interpolate from.
+    #[inline]
+    fn bins(&self, lo: f32, hi: f32) -> (usize, usize) {
+        let d0 = self.d0;
         let n = self.alphas.len();
-        let scale = (n - 1) as f32 / (d1 - d0);
         // Same index mapping as `lookup`, rounded outward: a value `v`
         // interpolates entries `i` and `i+1` with `i = floor(x)`
         // clamped to `n-2`, so the range touches entries
         // `floor(x_lo) ..= floor(x_hi) + 1`.
-        let x_lo = ((lo.min(hi) - d0) * scale).clamp(0.0, (n - 1) as f32);
-        let x_hi = ((lo.max(hi) - d0) * scale).clamp(0.0, (n - 1) as f32);
-        let i_lo = (x_lo as usize).min(n - 2);
-        let i_hi = ((x_hi as usize) + 1).min(n - 1);
+        let x_lo = ((lo.min(hi) - d0) * self.scale).clamp(0.0, (n - 1) as f32);
+        let x_hi = ((lo.max(hi) - d0) * self.scale).clamp(0.0, (n - 1) as f32);
+        ((x_lo as usize).min(n - 2), ((x_hi as usize) + 1).min(n - 1))
+    }
+
+    /// Upper bound on `lookup(v)[3]` over all `v` in `[lo, hi]`.
+    pub fn max_alpha(&self, lo: f32, hi: f32) -> f32 {
+        let (i_lo, i_hi) = self.bins(lo, hi);
         self.alphas[i_lo..=i_hi]
             .iter()
             .fold(0.0f32, |m, &a| m.max(a))
     }
 
     /// True when every value in `[lo, hi]` provably classifies to
-    /// alpha exactly `0.0`.
+    /// alpha exactly `0.0`: `max_alpha(lo, hi) == 0.0`, answered in
+    /// O(1) from the prefix counts.
     #[inline]
     pub fn range_is_transparent(&self, lo: f32, hi: f32) -> bool {
-        self.max_alpha(lo, hi) == 0.0
+        let (i_lo, i_hi) = self.bins(lo, hi);
+        self.opaque_before[i_hi + 1] == self.opaque_before[i_lo]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn lookup_interpolates_linearly() {
@@ -463,6 +487,64 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn transparent_verdict_equals_max_alpha_fold(
+            seed in 0u64..u64::MAX,
+            npts in 2usize..8,
+        ) {
+            let mut rng = proptest::Rng::seeded(seed);
+            fn unit(rng: &mut proptest::Rng) -> f32 {
+                rng.below(1 << 16) as f32 / 65535.0
+            }
+            // Alpha is exactly zero (either sign) about half the time,
+            // so plateaus and isolated zero entries both occur; the odd
+            // negative alpha must read as transparent to both tests.
+            let pts: Vec<(f32, [f32; 4])> = (0..npts)
+                .map(|_| {
+                    let a = match rng.below(8) {
+                        0..=2 => 0.0,
+                        3 => -0.0,
+                        4 => -unit(&mut rng),
+                        _ => unit(&mut rng),
+                    };
+                    (unit(&mut rng), [0.5, 0.5, 0.5, a])
+                })
+                .collect();
+            let d0 = 4.0 * unit(&mut rng) - 2.0;
+            let span = 0.1 + 4.0 * unit(&mut rng);
+            let lut = TransferFunction::from_points((d0, d0 + span), &pts).opacity_lut();
+            for _ in 0..64 {
+                // Start anywhere from below the domain to above it.
+                let lo = d0 + span * (1.6 * unit(&mut rng) - 0.3);
+                let width = match rng.below(4) {
+                    0 => 0.0,
+                    1 => span / 1000.0, // within one bin, or straddling two
+                    2 => span * unit(&mut rng),
+                    _ => 2.0 * span,
+                };
+                let (a, b) = if rng.below(2) == 0 {
+                    (lo, lo + width)
+                } else {
+                    (lo + width, lo)
+                };
+                prop_assert_eq!(
+                    lut.range_is_transparent(a, b),
+                    lut.max_alpha(a, b) == 0.0,
+                    "range [{}, {}]", a, b
+                );
+            }
+            // Unbounded and empty ranges, as all-NaN cells produce.
+            for (a, b) in [
+                (f32::NEG_INFINITY, f32::INFINITY),
+                (f32::INFINITY, f32::NEG_INFINITY),
+                (f32::INFINITY, f32::INFINITY),
+            ] {
+                prop_assert_eq!(lut.range_is_transparent(a, b), lut.max_alpha(a, b) == 0.0);
             }
         }
     }

@@ -2,9 +2,10 @@
 //!
 //! A [`MacrocellGrid`] summarizes a volume at two granularities: one
 //! `(min, max)` pair per 8³-voxel macrocell, and one per 2³-voxel
-//! *refined* cell. Built once per block (O(voxels), like `min_max`), it
-//! is reusable across frames and views: the renderer consults the
-//! macrocell ranges per sample (scalar kernel) to prove that a
+//! *refined* cell. Built in one O(voxels) pass per block — per frame,
+//! when every frame is a new time step, so the build runs at close to
+//! the speed of reading the voxels — it is reusable across views of the
+//! same data: the renderer consults the macrocell ranges per sample (scalar kernel) to prove that a
 //! trilinear fetch *must* land in a value range the transfer function
 //! maps to exactly zero opacity, and skips the fetch, classification,
 //! and shading for that sample. The refined ranges serve the ray-packet
@@ -30,6 +31,31 @@ pub const MACROCELL_SIZE: usize = 8;
 /// refined cells.
 pub const REFINED_SIZE: usize = 2;
 
+/// The empty range: the identity of the min/max fold.
+const EMPTY: (f32, f32) = (f32::INFINITY, f32::NEG_INFINITY);
+
+/// `(lo, hi)` widened to cover `(a, b)`. Compare-and-select rather than
+/// `f32::min`/`max`: a NaN compares false and is ignored just the same
+/// (the range itself, grown from [`EMPTY`], is never NaN), but each
+/// select is a bare vector min/max with no NaN fix-up around it.
+#[inline]
+fn cover((lo, hi): (f32, f32), (a, b): (f32, f32)) -> (f32, f32) {
+    (if a < lo { a } else { lo }, if b > hi { b } else { hi })
+}
+
+/// Range of a run of voxels, NaNs ignored.
+#[inline]
+fn range_of(voxels: &[f32]) -> (f32, f32) {
+    voxels.iter().fold(EMPTY, |r, &v| cover(r, (v, v)))
+}
+
+/// Widen each range in `dst` to cover the matching range in `src`.
+fn widen(dst: &mut [(f32, f32)], src: &[(f32, f32)]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d = cover(*d, s);
+    }
+}
+
 /// Two-level per-cell min/max summary of a [`Volume`].
 #[derive(Debug, Clone)]
 pub struct MacrocellGrid {
@@ -43,11 +69,21 @@ pub struct MacrocellGrid {
 
 impl MacrocellGrid {
     /// Build both summaries in one pass over the volume: the refined
-    /// ranges directly, the macrocell ranges by folding the refined
-    /// cells they tile. The fold covers exactly the macrocell's
-    /// inclusive voxel range (the chained one-voxel overlaps line up),
-    /// and min/max is insensitive to the repeated boundary voxels, so
-    /// the macrocell ranges are bitwise identical to a direct pass.
+    /// ranges by three separable min/max reductions (below), the
+    /// macrocell ranges by folding the refined cells they tile. The fold
+    /// covers exactly the macrocell's inclusive voxel range (the chained
+    /// one-voxel overlaps line up), and min/max is insensitive to the
+    /// repeated boundary voxels, so the macrocell ranges are bitwise
+    /// identical to a direct pass.
+    ///
+    /// A refined cell's range is a min/max over a box of voxels, and
+    /// min/max (NaN ignored) does not care about order, so it splits per
+    /// axis: each voxel row is reduced along x to one range per refined
+    /// column, each reduced row is folded into the refined row(s) its
+    /// `y` belongs to, and each finished plane into the refined slab(s)
+    /// its `z` belongs to. The y and z folds are element-wise over
+    /// contiguous rows and planes, so they vectorise; the scratch is one
+    /// reduced row and one reduced plane.
     pub fn build(vol: &Volume) -> Self {
         let dims = vol.dims();
         let cells = [
@@ -60,33 +96,31 @@ impl MacrocellGrid {
             Self::cells_along_size(dims[1], REFINED_SIZE),
             Self::cells_along_size(dims[2], REFINED_SIZE),
         ];
-        let mut refined = vec![
-            (f32::INFINITY, f32::NEG_INFINITY);
-            refined_cells[0] * refined_cells[1] * refined_cells[2]
-        ];
-        for cz in 0..refined_cells[2] {
-            let (z0, z1) = Self::voxel_range_size(cz, dims[2], REFINED_SIZE);
-            for cy in 0..refined_cells[1] {
-                let (y0, y1) = Self::voxel_range_size(cy, dims[1], REFINED_SIZE);
-                for cx in 0..refined_cells[0] {
-                    let (x0, x1) = Self::voxel_range_size(cx, dims[0], REFINED_SIZE);
-                    let mut lo = f32::INFINITY;
-                    let mut hi = f32::NEG_INFINITY;
-                    for z in z0..=z1 {
-                        for y in y0..=y1 {
-                            let row = vol.index(x0, y, z);
-                            for &v in &vol.data()[row..row + (x1 - x0 + 1)] {
-                                lo = lo.min(v);
-                                hi = hi.max(v);
-                            }
-                        }
-                    }
-                    refined[(cz * refined_cells[1] + cy) * refined_cells[0] + cx] = (lo, hi);
+        let [rx, ry, rz] = refined_cells;
+        let mut refined = vec![EMPTY; rx * ry * rz];
+        let mut scratch = vec![EMPTY; rx + rx * ry];
+        let (row, plane) = scratch.split_at_mut(rx);
+        for z in 0..dims[2] {
+            plane.fill(EMPTY);
+            for y in 0..dims[1] {
+                let voxels = &vol.data()[vol.index(0, y, z)..][..dims[0]];
+                // Whole (overlap included) cells are fixed-length windows;
+                // the last cell is whatever voxels remain.
+                let whole = voxels.windows(REFINED_SIZE + 1).step_by(REFINED_SIZE);
+                for (out, cell) in row.iter_mut().zip(whole) {
+                    *out = range_of(cell);
                 }
+                row[rx - 1] = range_of(&voxels[(rx - 1) * REFINED_SIZE..]);
+                for cy in Self::refined_cells_of(y) {
+                    widen(&mut plane[cy * rx..][..rx], row);
+                }
+            }
+            for cz in Self::refined_cells_of(z) {
+                widen(&mut refined[cz * rx * ry..][..rx * ry], plane);
             }
         }
         let fold = MACROCELL_SIZE / REFINED_SIZE;
-        let mut minmax = vec![(f32::INFINITY, f32::NEG_INFINITY); cells[0] * cells[1] * cells[2]];
+        let mut minmax = vec![EMPTY; cells[0] * cells[1] * cells[2]];
         for cz in 0..cells[2] {
             for cy in 0..cells[1] {
                 for cx in 0..cells[0] {
@@ -115,6 +149,14 @@ impl MacrocellGrid {
         }
     }
 
+    /// Refined cells whose inclusive voxel range holds voxel index `i`
+    /// along an axis: `i / 2`, preceded by `i / 2 - 1` when `i` is that
+    /// cell's overlap voxel (even, and not the first).
+    fn refined_cells_of(i: usize) -> std::ops::RangeInclusive<usize> {
+        let c = i / REFINED_SIZE;
+        c.saturating_sub(i.is_multiple_of(REFINED_SIZE) as usize)..=c
+    }
+
     fn cells_along(n: usize) -> usize {
         Self::cells_along_size(n, MACROCELL_SIZE)
     }
@@ -124,19 +166,45 @@ impl MacrocellGrid {
         (n.max(1) - 1) / size + 1
     }
 
-    /// Inclusive voxel range summarized by cell `c` along an axis of `n`
-    /// voxels: `[8c, min(8c + 8, n-1)]` (one voxel of overlap).
-    #[cfg(test)]
-    fn voxel_range(c: usize, n: usize) -> (usize, usize) {
-        Self::voxel_range_size(c, n, MACROCELL_SIZE)
-    }
-
     /// Inclusive voxel range summarized by a size-`size` cell `c`:
     /// `[size·c, min(size·c + size, n-1)]` (one voxel of overlap).
+    #[cfg(test)]
     fn voxel_range_size(c: usize, n: usize, size: usize) -> (usize, usize) {
         let lo = c * size;
         let hi = (lo + size).min(n - 1);
         (lo, hi.max(lo))
+    }
+
+    /// The definition, as a test oracle: one serial min/max fold per
+    /// size-`size` cell over its inclusive voxel box (how `build`
+    /// computed the refined ranges before it went separable).
+    #[cfg(test)]
+    fn brute_force_ranges(vol: &Volume, size: usize) -> Vec<(f32, f32)> {
+        let dims = vol.dims();
+        let n = dims.map(|d| Self::cells_along_size(d, size));
+        let mut out = Vec::with_capacity(n[0] * n[1] * n[2]);
+        for cz in 0..n[2] {
+            let (z0, z1) = Self::voxel_range_size(cz, dims[2], size);
+            for cy in 0..n[1] {
+                let (y0, y1) = Self::voxel_range_size(cy, dims[1], size);
+                for cx in 0..n[0] {
+                    let (x0, x1) = Self::voxel_range_size(cx, dims[0], size);
+                    let mut lo = f32::INFINITY;
+                    let mut hi = f32::NEG_INFINITY;
+                    for z in z0..=z1 {
+                        for y in y0..=y1 {
+                            let row = vol.index(x0, y, z);
+                            for &v in &vol.data()[row..row + (x1 - x0 + 1)] {
+                                lo = lo.min(v);
+                                hi = hi.max(v);
+                            }
+                        }
+                    }
+                    out.push((lo, hi));
+                }
+            }
+        }
+        out
     }
 
     /// Cell counts per axis.
@@ -201,6 +269,7 @@ impl MacrocellGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ramp(dims: [usize; 3]) -> Volume {
         let mut v = Volume::zeros(dims);
@@ -291,34 +360,84 @@ mod tests {
         }
     }
 
-    #[test]
-    fn macrocell_ranges_match_direct_fold() {
-        // The macrocell ranges folded from refined cells must equal a
-        // direct min/max over the macrocell's inclusive voxel range.
-        let v = ramp([17, 9, 9]);
-        let g = MacrocellGrid::build(&v);
+    /// Voxels drawn from a small palette, so duplicates, signed zeros,
+    /// infinities and (ignored) NaNs all meet inside single cells.
+    fn palette_volume(dims: [usize; 3], seed: u64) -> Volume {
+        const PALETTE: [f32; 10] = [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            1.0,
+            1.0,
+            -2.5,
+            f32::MIN_POSITIVE,
+            7.25,
+        ];
+        let mut rng = proptest::Rng::seeded(seed);
+        let data = (0..dims[0] * dims[1] * dims[2])
+            .map(|_| match rng.below(3) {
+                0 => PALETTE[rng.below(PALETTE.len() as u64) as usize],
+                _ => rng.below(1 << 20) as f32 / 1024.0 - 512.0,
+            })
+            .collect();
+        Volume::from_data(dims, data)
+    }
+
+    fn assert_build_matches_brute_force(v: &Volume) {
+        let g = MacrocellGrid::build(v);
         let dims = v.dims();
-        let cells = g.cells();
-        for cz in 0..cells[2] {
-            let (z0, z1) = MacrocellGrid::voxel_range(cz, dims[2]);
-            for cy in 0..cells[1] {
-                let (y0, y1) = MacrocellGrid::voxel_range(cy, dims[1]);
-                for cx in 0..cells[0] {
-                    let (x0, x1) = MacrocellGrid::voxel_range(cx, dims[0]);
-                    let mut lo = f32::INFINITY;
-                    let mut hi = f32::NEG_INFINITY;
-                    for z in z0..=z1 {
-                        for y in y0..=y1 {
-                            for x in x0..=x1 {
-                                lo = lo.min(v.get(x, y, z));
-                                hi = hi.max(v.get(x, y, z));
-                            }
-                        }
-                    }
-                    let got = g.min_max((cz * cells[1] + cy) * cells[0] + cx);
-                    assert_eq!(got, (lo, hi), "cell ({cx},{cy},{cz})");
-                }
-            }
+        assert!(
+            g.refined_ranges() == MacrocellGrid::brute_force_ranges(v, REFINED_SIZE),
+            "refined ranges differ for dims {dims:?}"
+        );
+        assert!(
+            g.ranges() == MacrocellGrid::brute_force_ranges(v, MACROCELL_SIZE),
+            "macrocell ranges differ for dims {dims:?}"
+        );
+    }
+
+    #[test]
+    fn build_matches_brute_force_at_edge_dims() {
+        assert_build_matches_brute_force(&ramp([17, 9, 9]));
+        // 1, 2, 3, odd, even and 8k+1 extents on every axis.
+        for (i, dims) in [
+            [1, 1, 1],
+            [2, 1, 3],
+            [3, 2, 1],
+            [1, 3, 2],
+            [9, 17, 33],
+            [33, 9, 17],
+            [8, 16, 7],
+            [35, 34, 25],
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            assert_build_matches_brute_force(&palette_volume(dims, i as u64));
+        }
+    }
+
+    #[test]
+    fn all_nan_cells_stay_empty() {
+        let v = Volume::from_data([3, 3, 3], vec![f32::NAN; 27]);
+        let g = MacrocellGrid::build(&v);
+        assert!(g.refined_ranges().iter().all(|&r| r == EMPTY));
+        assert_eq!(g.ranges(), [EMPTY]);
+    }
+
+    proptest! {
+        // Miri interprets the build and both oracles; a handful of
+        // cases is what its CI job can afford.
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 128 }))]
+
+        #[test]
+        fn build_matches_brute_force(
+            nx in 1usize..=35, ny in 1usize..=35, nz in 1usize..=35,
+            seed in 0u64..u64::MAX,
+        ) {
+            assert_build_matches_brute_force(&palette_volume([nx, ny, nz], seed));
         }
     }
 

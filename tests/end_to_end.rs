@@ -143,6 +143,33 @@ fn message_passing_executor_is_bit_identical() {
     std::fs::remove_file(&p).ok();
 }
 
+/// A dataset cut short under the readers is a failure that must say
+/// where it happened: which rank, which file, which bytes.
+#[test]
+fn short_read_names_rank_path_and_extent() {
+    let mut cfg = FrameConfig::small(18, 26, 4);
+    cfg.io = IoMode::Raw;
+    let p = tmp("short-read.raw");
+    write_dataset(&p, &cfg).unwrap();
+    let full = std::fs::metadata(&p).unwrap().len();
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&p)
+        .unwrap()
+        .set_len(full / 2)
+        .unwrap();
+    let panic = std::panic::catch_unwind(|| run_frame_mpi(&cfg, &p)).unwrap_err();
+    let msg = panic
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default();
+    for needle in ["rank ", "short-read.raw", "offset ", "length "] {
+        assert!(msg.contains(needle), "{needle:?} missing from: {msg}");
+    }
+    std::fs::remove_file(&p).ok();
+}
+
 #[test]
 fn frame_time_instrumentation_sums() {
     let cfg = FrameConfig::small(16, 16, 4);

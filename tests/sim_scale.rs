@@ -15,6 +15,8 @@
 //! `cargo test --test sim_scale -- --ignored` (the acceptance bar is
 //! five wall-clock minutes in a release build).
 
+mod support;
+
 use std::path::PathBuf;
 
 use parallel_volume_rendering::core::pipeline::run_frame_mpi_sim;
@@ -32,13 +34,9 @@ fn cfg_at(n: usize) -> FrameConfig {
 }
 
 fn dataset() -> PathBuf {
-    let d = std::env::temp_dir().join(format!("pvr-sim-scale-{}", std::process::id()));
-    std::fs::create_dir_all(&d).unwrap();
-    let p = d.join("scale.raw");
-    if !p.exists() {
-        write_dataset(&p, &cfg_at(64)).unwrap();
-    }
-    p
+    support::fixture("pvr-sim-scale", "scale.raw", |p| {
+        write_dataset(p, &cfg_at(64))
+    })
 }
 
 fn frame_at(n: usize) -> (FrameResult, SimStats) {

@@ -3,6 +3,8 @@
 //! bit-identical under perturbed and replayed wildcard-match orders,
 //! and recorded frame traces pass the offline race/ordering audits.
 
+mod support;
+
 use std::sync::Arc;
 
 use parallel_volume_rendering::core::pipeline::run_frame_mpi_opts;
@@ -10,12 +12,6 @@ use parallel_volume_rendering::core::{write_dataset, FrameConfig, IoMode};
 use parallel_volume_rendering::mpisim::trace::ReplayLog;
 use parallel_volume_rendering::mpisim::{MatchPolicy, RunError, RunOptions, World};
 use parallel_volume_rendering::verify;
-
-fn tmp(name: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("pvr-verify-{}", std::process::id()));
-    std::fs::create_dir_all(&d).unwrap();
-    d.join(name)
-}
 
 fn frame_cfg() -> FrameConfig {
     let mut cfg = FrameConfig::small(16, 24, 8);
@@ -25,11 +21,7 @@ fn frame_cfg() -> FrameConfig {
 }
 
 fn frame_dataset(cfg: &FrameConfig) -> std::path::PathBuf {
-    let p = tmp("verify.nc");
-    if !p.exists() {
-        write_dataset(&p, cfg).unwrap();
-    }
-    p
+    support::fixture("pvr-verify", "verify.nc", |p| write_dataset(p, cfg))
 }
 
 #[test]
