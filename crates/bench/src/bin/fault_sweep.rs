@@ -1,6 +1,6 @@
 //! Fault-injection sweep over the fault-tolerant pipeline.
 //!
-//! Exercises `pvr_core::run_frame_mpi_ft` against seeded
+//! Exercises `pvr_core::drive_frame` with `Driver::faults` against seeded
 //! [`FaultPlan`]s on a laptop-scale frame (8 ranks, 16³ grid) and
 //! checks the recovery contract end to end:
 //!
@@ -21,10 +21,9 @@
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+use pvr_bench::{fault_frame as run, FaultFrame};
 use pvr_core::pipeline::{run_frame_mpi, tags, write_dataset};
-use pvr_core::{
-    laptop_store, run_frame_mpi_ft_obs, CompositorPolicy, FrameConfig, FtError, FtFrameResult,
-};
+use pvr_core::{CompositorPolicy, FrameConfig, FrameError};
 use pvr_faults::{
     FaultPlan, LinkAction, LinkFault, Pat, RankAction, RankFault, RecoveryPolicy, ServerAction,
     ServerFault, Stage,
@@ -77,25 +76,6 @@ fn transient_plan(seed: u64, depth: u32, stragglers: usize) -> FaultPlan {
         });
     }
     plan
-}
-
-fn run(
-    cfg: &FrameConfig,
-    path: &Path,
-    plan: &FaultPlan,
-    policy: &RecoveryPolicy,
-    flight: &FlightRecorder,
-) -> Result<FtFrameResult, FtError> {
-    run_frame_mpi_ft_obs(
-        cfg,
-        path,
-        plan,
-        policy,
-        &laptop_store(),
-        pvr_mpisim::RunOptions::default(),
-        flight,
-    )
-    .map(|(ft, _)| ft)
 }
 
 fn sweep(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy) {
@@ -209,7 +189,7 @@ fn bench_faults_trajectory(outcomes: &[Outcome]) -> Trajectory {
 }
 
 /// Record one scenario's recovery outcome into the CI metrics registry.
-fn record(reg: &pvr_obs::Registry, case: &str, ft: &FtFrameResult) {
+fn record(reg: &pvr_obs::Registry, case: &str, ft: &FaultFrame) {
     let label = format!("case={case}");
     let rec = ft.frame.timing.recovery;
     reg.gauge_set(
@@ -235,18 +215,13 @@ fn timed(
     plan: &FaultPlan,
     policy: &RecoveryPolicy,
     flight: &FlightRecorder,
-) -> (Result<FtFrameResult, FtError>, f64) {
+) -> (Result<FaultFrame, FrameError>, f64) {
     let t0 = Instant::now();
     let out = run(cfg, path, plan, policy, flight);
     (out, t0.elapsed().as_secs_f64() * 1e3)
 }
 
-fn outcome_of(
-    case: &'static str,
-    heal_expected: bool,
-    ft: &FtFrameResult,
-    wall_ms: f64,
-) -> Outcome {
+fn outcome_of(case: &'static str, heal_expected: bool, ft: &FaultFrame, wall_ms: f64) -> Outcome {
     Outcome {
         case,
         healed: ft.completeness.fully_complete(),

@@ -26,8 +26,9 @@
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+use pvr_bench::FaultFrame;
 use pvr_core::pipeline::{run_frame_mpi, tags, write_dataset};
-use pvr_core::{frame_block_costs, run_frame_mpi_ft, CompositorPolicy, FrameConfig, PerfModel};
+use pvr_core::{frame_block_costs, CompositorPolicy, FrameConfig, FrameError, PerfModel};
 use pvr_faults::{
     FaultPlan, LinkAction, LinkFault, Pat, RankAction, RankFault, RecoveryPolicy, ServerAction,
     ServerFault, Stage,
@@ -48,6 +49,21 @@ fn dataset(cfg: &FrameConfig) -> PathBuf {
     let p = d.join("sweep.raw");
     write_dataset(&p, cfg).unwrap();
     p
+}
+
+fn run_frame_mpi_ft(
+    cfg: &FrameConfig,
+    path: &Path,
+    plan: &FaultPlan,
+    policy: &RecoveryPolicy,
+) -> Result<FaultFrame, FrameError> {
+    pvr_bench::fault_frame(
+        cfg,
+        path,
+        plan,
+        policy,
+        &pvr_obs::FlightRecorder::disabled(),
+    )
 }
 
 fn check(name: &str, ok: bool, detail: String) -> bool {

@@ -26,6 +26,32 @@ pub fn out_dir() -> PathBuf {
     p
 }
 
+/// One fault frame of the sweep binaries, with the completeness map a
+/// fault frame always reports already unwrapped.
+pub struct FaultFrame {
+    pub frame: pvr_core::FrameResult,
+    pub completeness: pvr_compositing::completeness::CompletenessMap,
+}
+
+/// Run one frame on the message-passing executor under `plan`, mirrored
+/// onto `flight`.
+pub fn fault_frame(
+    cfg: &pvr_core::FrameConfig,
+    path: &std::path::Path,
+    plan: &pvr_faults::FaultPlan,
+    policy: &pvr_faults::RecoveryPolicy,
+    flight: &pvr_obs::FlightRecorder,
+) -> Result<FaultFrame, pvr_core::FrameError> {
+    let driver = pvr_core::Driver::mpi(pvr_mpisim::RunOptions::default())
+        .faults(plan, policy)
+        .flight(flight);
+    let out = pvr_core::drive_frame(cfg, Some(path), driver)?;
+    Ok(FaultFrame {
+        frame: out.frame,
+        completeness: out.completeness.expect("fault frames report completeness"),
+    })
+}
+
 /// A tiny CSV emitter that tees to stdout and `results/<name>.csv`.
 pub struct CsvOut {
     file: std::fs::File,
@@ -74,7 +100,7 @@ pub fn write_artifact(name: &str, bytes: &[u8]) -> PathBuf {
 
 /// Write a benchmark trajectory as `results/BENCH_<bench>.json` — the
 /// one artifact shape `perf_gate` knows how to compare. The file name
-/// is derived from [`Trajectory::bench`], so a bin cannot write its
+/// is derived from [`pvr_obs::bench::Trajectory::bench`], so a bin cannot write its
 /// trajectory under a name the gate will not find.
 pub fn write_trajectory(t: &pvr_obs::bench::Trajectory) -> PathBuf {
     write_artifact(&format!("BENCH_{}.json", t.bench), t.to_json().as_bytes())

@@ -13,6 +13,7 @@ use rayon::prelude::*;
 
 use pvr_render::image::{over, Image, PixelRect, SubImage};
 
+use crate::completeness::{CompletenessMap, TileCompleteness};
 use crate::region::ImagePartition;
 use crate::serial::visibility_order;
 use crate::{WIRE_BYTES_PER_PIXEL, WIRE_BYTES_PER_ROW, WIRE_BYTES_PER_SPAN};
@@ -74,26 +75,47 @@ pub fn composite_direct_send(
     subs: &[SubImage],
     partition: ImagePartition,
 ) -> (Image, DirectSendStats) {
-    composite_direct_send_traced(subs, partition, &pvr_obs::Tracer::disabled())
+    let present = vec![Some(1.0); subs.len()];
+    let (img, stats, _) = composite_direct_send_degraded(subs, partition, &present);
+    (img, stats)
 }
 
-/// [`composite_direct_send`] with span tracing: each compositor's blend
-/// becomes a `composite.tile` span on its own track (args: messages
-/// blended and wire bytes), making per-compositor load imbalance
-/// visible on the timeline. A disabled tracer makes this identical to
-/// the plain call.
+/// Deadline-mode direct-send: composite whatever fragments arrived.
+///
+/// `present[i]` is `Some(quality)` when renderer `i`'s fragment made it
+/// before the deadline (`quality` in [0, 1] is the sender's own data
+/// quality — degraded I/O propagates into the completeness accounting),
+/// `None` when it was lost or late. Absent fragments are skipped; the
+/// per-tile [`CompletenessMap`] reports the fraction of each tile's
+/// expected blended footprint that arrived. With every fragment present
+/// the image is bit-identical to [`composite_direct_send`] and every
+/// tile reports 1.0.
+pub fn composite_direct_send_degraded(
+    subs: &[SubImage],
+    partition: ImagePartition,
+    present: &[Option<f64>],
+) -> (Image, DirectSendStats, CompletenessMap) {
+    composite_direct_send_traced(subs, partition, present, &pvr_obs::Tracer::disabled())
+}
+
+/// [`composite_direct_send_degraded`] with span tracing — the one
+/// direct-send body. Each compositor's blend becomes a `composite.tile`
+/// span on its own track (args: messages blended and wire bytes), making
+/// per-compositor load imbalance visible on the timeline. A disabled
+/// tracer records nothing.
 pub fn composite_direct_send_traced(
     subs: &[SubImage],
     partition: ImagePartition,
+    present: &[Option<f64>],
     tracer: &pvr_obs::Tracer,
-) -> (Image, DirectSendStats) {
+) -> (Image, DirectSendStats, CompletenessMap) {
+    assert_eq!(subs.len(), present.len());
     let order = visibility_order(subs);
-    let width = partition.width;
-    let height = partition.height;
 
     // Each compositor independently: blend the overlapping fragment of
-    // every subimage, in visibility order, into its tile buffer.
-    let results: Vec<(SubImage, DirectSendStats)> = (0..partition.m())
+    // every subimage that arrived, in visibility order, into its tile
+    // buffer.
+    let results: Vec<(SubImage, DirectSendStats, TileCompleteness)> = (0..partition.m())
         .into_par_iter()
         .map(|c| {
             let track = c as pvr_obs::span::TrackId;
@@ -101,11 +123,19 @@ pub fn composite_direct_send_traced(
             let tile = partition.tile(c);
             let mut buf = SubImage::transparent(tile, 0.0);
             let mut st = DirectSendStats::default();
+            let mut expected = 0.0f64;
+            let mut arrived = 0.0f64;
             for &i in &order {
                 let sub = &subs[i];
                 let Some(ov) = sub.rect.intersect(&tile) else {
                     continue;
                 };
+                let area = ov.num_pixels() as f64;
+                expected += area;
+                let Some(quality) = present[i] else {
+                    continue;
+                };
+                arrived += area * quality.clamp(0.0, 1.0);
                 let (dense, sparse) = blend_piece(&mut buf, &tile, sub, &ov);
                 st.messages += 1;
                 st.dense_bytes += dense;
@@ -121,22 +151,30 @@ pub fn composite_direct_send_traced(
                 "composite.tile",
                 pvr_obs::Args::two("messages", st.messages as u64, "bytes", st.bytes),
             );
-            (buf, st)
+            let tc = TileCompleteness {
+                tile: c,
+                rect: Some(tile),
+                expected,
+                arrived,
+            };
+            (buf, st, tc)
         })
         .collect();
 
     // Gather compositor tiles into the final image.
-    let mut img = Image::new(width, height);
+    let mut img = Image::new(partition.width, partition.height);
     let mut stats = DirectSendStats::default();
-    for (buf, st) in results {
+    let mut map = CompletenessMap::default();
+    for (buf, st, tc) in results {
         img.paste(&buf);
         stats.messages += st.messages;
         stats.bytes += st.bytes;
         stats.dense_bytes += st.dense_bytes;
         stats.sparse_messages += st.sparse_messages;
         stats.per_compositor.push(st.messages);
+        map.tiles.push(tc);
     }
-    (img, stats)
+    (img, stats, map)
 }
 
 /// Blend received fragments into a compositor's tile buffer in the
@@ -164,79 +202,6 @@ pub fn blend_fragments(tile: PixelRect, mut frags: Vec<(usize, SubImage)>) -> Su
         }
     }
     buf
-}
-
-/// Deadline-mode direct-send: composite whatever fragments arrived.
-///
-/// `present[i]` is `Some(quality)` when renderer `i`'s fragment made it
-/// before the deadline (`quality` in [0, 1] is the sender's own data
-/// quality — degraded I/O propagates into the completeness accounting),
-/// `None` when it was lost or late. Absent fragments are skipped; the
-/// per-tile [`CompletenessMap`](crate::completeness::CompletenessMap)
-/// reports the fraction of each tile's expected blended footprint that
-/// arrived. With every fragment present the image is bit-identical to
-/// [`composite_direct_send`] and every tile reports 1.0.
-pub fn composite_direct_send_degraded(
-    subs: &[SubImage],
-    partition: ImagePartition,
-    present: &[Option<f64>],
-) -> (Image, DirectSendStats, crate::completeness::CompletenessMap) {
-    use crate::completeness::{CompletenessMap, TileCompleteness};
-    assert_eq!(subs.len(), present.len());
-    let order = visibility_order(subs);
-
-    let results: Vec<(SubImage, DirectSendStats, TileCompleteness)> = (0..partition.m())
-        .into_par_iter()
-        .map(|c| {
-            let tile = partition.tile(c);
-            let mut buf = SubImage::transparent(tile, 0.0);
-            let mut st = DirectSendStats::default();
-            let mut expected = 0.0f64;
-            let mut arrived = 0.0f64;
-            for &i in &order {
-                let sub = &subs[i];
-                let Some(ov) = sub.rect.intersect(&tile) else {
-                    continue;
-                };
-                let area = ov.num_pixels() as f64;
-                expected += area;
-                let Some(quality) = present[i] else {
-                    continue;
-                };
-                arrived += area * quality.clamp(0.0, 1.0);
-                let (dense, sparse) = blend_piece(&mut buf, &tile, sub, &ov);
-                st.messages += 1;
-                st.dense_bytes += dense;
-                if sparse < dense {
-                    st.sparse_messages += 1;
-                    st.bytes += sparse;
-                } else {
-                    st.bytes += dense;
-                }
-            }
-            let tc = TileCompleteness {
-                tile: c,
-                rect: Some(tile),
-                expected,
-                arrived,
-            };
-            (buf, st, tc)
-        })
-        .collect();
-
-    let mut img = Image::new(partition.width, partition.height);
-    let mut stats = DirectSendStats::default();
-    let mut map = CompletenessMap::default();
-    for (buf, st, tc) in results {
-        img.paste(&buf);
-        stats.messages += st.messages;
-        stats.bytes += st.bytes;
-        stats.dense_bytes += st.dense_bytes;
-        stats.sparse_messages += st.sparse_messages;
-        stats.per_compositor.push(st.messages);
-        map.tiles.push(tc);
-    }
-    (img, stats, map)
 }
 
 /// Convenience: footprint rectangles of a set of subimages (inputs to

@@ -16,7 +16,7 @@
 //!
 //! Wire cost is priced with the same paper-scale model as the dense
 //! format (4 bytes per RGBA pixel, see
-//! [`WIRE_BYTES_PER_PIXEL`](crate::WIRE_BYTES_PER_PIXEL)); the per-row
+//! [`WIRE_BYTES_PER_PIXEL`]); the per-row
 //! and per-span headers are charged honestly, so a fully lit piece is
 //! *more* expensive sparse than dense — which is why the exchange picks
 //! the cheaper encoding per piece (the occupancy threshold is exactly

@@ -10,9 +10,9 @@
 //! [`crate::scheduler::drive_frame`] unchanged:
 //!
 //! * **rayon** — one background [`Prefetch`] thread reads the next
-//!   time step's file through the same two-phase plan
-//!   ([`read_frame_bytes`]) while the current frame runs; the frame
-//!   then starts from [`FrameInput::Prefetched`] bytes.
+//!   time step's file through the same two-phase plan while the current
+//!   frame runs; the frame then starts from [`FrameInput::Prefetched`]
+//!   bytes.
 //! * **message passing** — *one* `pvr-mpisim` world spans the whole
 //!   animation. Each rank walks the frames in order; message tags move
 //!   up one [`crate::scheduler::EPOCH_STRIDE`] epoch per time step
@@ -27,8 +27,8 @@
 //! the animation holds at most **2×** one time step's subvolumes (the
 //! live frame plus the next frame's buffers).
 //!
-//! Fault plans compose per frame ([`AnimFaults`]): an [`EpochInjector`]
-//! routes each epoch's traffic to that frame's own `PlanInjector`, so a
+//! Fault plans compose per frame ([`AnimFaults`]): an injector keyed by
+//! tag epoch routes each frame's traffic to that frame's own plan, so a
 //! crash while frame `t+1` is already prefetched degrades frame `t`
 //! only — the prefetched bytes belong to a healthy later epoch.
 
@@ -40,13 +40,12 @@ use pvr_compositing::completeness::CompletenessMap;
 use pvr_faults::{FaultPlan, PlanInjector, RecoveryPolicy};
 use pvr_mpisim::fault::{FaultInjector, SendFate};
 use pvr_obs::{Args, Tracer};
-use pvr_pfs::{read_extents, IoThrottle, Prefetch, StripedStore};
+use pvr_pfs::{read_extents, IoThrottle, Prefetch};
 
 use crate::config::FrameConfig;
-use crate::ft::FtError;
-use crate::pipeline::{read_frame_bytes, write_dataset, FrameResult};
+use crate::pipeline::{geometry, read_frame_bytes, write_dataset, FrameError, FrameResult};
 use crate::scheduler::{
-    assemble_frame, execute, execute_with, FrameInput, FramePlan, FrameTags, LinkMode,
+    assemble_frame, execute, execute_with, FrameInput, FrameShared, FrameTags, LinkMode,
     PrefetchedWindows, RankExec, RankOut, RayonExec, StageId,
 };
 
@@ -62,12 +61,11 @@ pub enum AnimExecutor {
 
 /// Per-frame fault configuration for the message-passing executor.
 /// Frame `t` runs under `plans[t]`; missing entries mean a healthy
-/// frame. All frames share one recovery policy and storage model.
+/// frame. All frames share one recovery policy.
 #[derive(Debug, Clone)]
 pub struct AnimFaults {
     pub plans: Vec<FaultPlan>,
     pub policy: RecoveryPolicy,
-    pub store: StripedStore,
 }
 
 /// How to run an animation. Build with [`AnimOptions::rayon`] or
@@ -241,14 +239,14 @@ pub fn write_animation(
 }
 
 /// Render an animation: one frame per path, in order, bit-identical to
-/// running [`crate::pipeline::run_frame`] (or the mpi/ft variants) on
-/// each file independently — the animation tests pin this. Pipelining
-/// changes wall clock, never pixels.
+/// running [`crate::scheduler::drive_frame`] on each file independently
+/// with the same executor and fault plan — the animation tests pin
+/// this. Pipelining changes wall clock, never pixels.
 pub fn run_animation(
     cfg: &FrameConfig,
     paths: &[PathBuf],
     opts: &AnimOptions,
-) -> Result<AnimResult, FtError> {
+) -> Result<AnimResult, FrameError> {
     assert!(!paths.is_empty(), "animation needs at least one frame");
     match &opts.executor {
         AnimExecutor::Rayon => {
@@ -256,14 +254,17 @@ pub fn run_animation(
                 opts.faults.is_none(),
                 "fault plans need the message-passing executor"
             );
-            Ok(run_rayon(cfg, paths, opts))
+            run_rayon(cfg, paths, opts)
         }
         AnimExecutor::Mpi(run_opts) => run_mpi(cfg, paths, opts, run_opts.clone()),
     }
 }
 
-fn run_rayon(cfg: &FrameConfig, paths: &[PathBuf], opts: &AnimOptions) -> AnimResult {
-    let plan = FramePlan::standard();
+fn run_rayon(
+    cfg: &FrameConfig,
+    paths: &[PathBuf],
+    opts: &AnimOptions,
+) -> Result<AnimResult, FrameError> {
     let tracer = &opts.tracer;
     let mut frames = Vec::with_capacity(paths.len());
     let t0 = Instant::now();
@@ -285,78 +286,70 @@ fn run_rayon(cfg: &FrameConfig, paths: &[PathBuf], opts: &AnimOptions) -> AnimRe
             .build()
             .expect("prefetch pool"),
     );
-
-    // RayonExec::finish annotates the SLO verdict; the animation loop
-    // only mirrors it onto the flight recorder, one frame per tick.
-    let record = |result: &FrameResult| {
-        opts.flight.begin_frame();
-        if let Some(slo) = &result.timing.slo {
-            crate::slo::record_frame_flight(&opts.flight, slo, &[], &result.timing.recovery);
-        }
-    };
-
-    if !opts.pipelined {
-        for p in paths {
-            let exec = RayonExec::new(cfg, FrameInput::File(p), tracer, opts.throttle);
-            let result = render_pool.install(|| pvr_mpisim::block_on_ready(execute(&plan, exec)));
-            record(&result);
-            frames.push(AnimFrame {
-                result,
-                completeness: None,
-            });
-        }
-        return AnimResult {
-            frames,
-            wall: t0.elapsed().as_secs_f64(),
-        };
-    }
-
-    // The prefetch thread gets its own trace track, one past the rank
-    // tracks, so the overlap is visible in the Perfetto timeline.
-    let pf_track = cfg.nprocs as u32;
-    if tracer.enabled() {
-        tracer.name_track(pf_track, "prefetch");
-    }
-    let spawn = |t: usize| {
-        let cfg = *cfg;
-        let path = paths[t].clone();
-        let throttle = opts.throttle;
-        let tracer = tracer.clone();
-        let pool = Arc::clone(&prefetch_pool);
-        Prefetch::spawn(move || {
-            let started = Instant::now();
-            tracer.begin_args(pf_track, "io.read", Args::one("frame", t as u64));
-            let out = pool.install(|| read_frame_bytes(&cfg, &path, throttle));
-            tracer.end(pf_track, "io.read");
-            out.map(|(bytes, io)| (bytes, io, started.elapsed().as_secs_f64()))
-        })
-    };
-
-    let mut pending = Some(spawn(0));
-    for t in 0..paths.len() {
-        let (bytes, io, io_secs) = pending
-            .take()
-            .expect("one prefetch is always in flight")
-            .join()
-            .expect("animation frame read failed");
-        // Launch t+1's read before touching frame t: the whole frame
-        // (decode, render, composite) overlaps the next read.
-        if t + 1 < paths.len() {
-            pending = Some(spawn(t + 1));
-        }
-        let input = FrameInput::Prefetched { bytes, io, io_secs };
-        let exec = RayonExec::new(cfg, input, tracer, None);
-        let result = render_pool.install(|| pvr_mpisim::block_on_ready(execute(&plan, exec)));
-        record(&result);
+    // One frame on the render pool; the executor mirrors its verdict
+    // onto the flight recorder, one frame per tick.
+    let mut run = |input: FrameInput, throttle| {
+        let exec = RayonExec::new(cfg, input, tracer, throttle, None, &opts.flight);
+        let (result, _) = render_pool.install(|| pvr_mpisim::block_on_ready(execute(exec)))?;
         frames.push(AnimFrame {
             result,
             completeness: None,
         });
+        Ok::<(), FrameError>(())
+    };
+
+    if !opts.pipelined {
+        for p in paths {
+            run(FrameInput::File(p), opts.throttle)?;
+        }
+    } else {
+        // The prefetch thread gets its own trace track, one past the
+        // rank tracks, so the overlap is visible in the Perfetto
+        // timeline.
+        let pf_track = cfg.nprocs as u32;
+        if tracer.enabled() {
+            tracer.name_track(pf_track, "prefetch");
+        }
+        let spawn = |t: usize| {
+            let cfg = *cfg;
+            let path = paths[t].clone();
+            let throttle = opts.throttle;
+            let tracer = tracer.clone();
+            let pool = Arc::clone(&prefetch_pool);
+            Prefetch::spawn(move || {
+                let started = Instant::now();
+                tracer.begin_args(pf_track, "io.read", Args::one("frame", t as u64));
+                // Untraced: per-window spans would land on rank tracks
+                // whose ranks are mid-frame.
+                let (geo, off) = (geometry(&cfg), Tracer::disabled());
+                let out = pool.install(|| read_frame_bytes(&cfg, &geo, &path, &off, throttle));
+                tracer.end(pf_track, "io.read");
+                out.map(|(bytes, io)| (bytes, io, started.elapsed().as_secs_f64()))
+            })
+        };
+
+        let mut pending = Some(spawn(0));
+        for (t, path) in paths.iter().enumerate() {
+            let (bytes, io, io_secs) = pending
+                .take()
+                .expect("one prefetch is always in flight")
+                .join()
+                .map_err(|source| FrameError::Io {
+                    path: path.clone(),
+                    source,
+                })?;
+            // Launch t+1's read before touching frame t: the whole frame
+            // (decode, render, composite) overlaps the next read.
+            if t + 1 < paths.len() {
+                pending = Some(spawn(t + 1));
+            }
+            run(FrameInput::Prefetched { bytes, io, io_secs }, None)?;
+        }
     }
-    AnimResult {
+    Ok(AnimResult {
         frames,
         wall: t0.elapsed().as_secs_f64(),
-    }
+    })
 }
 
 /// Routes each tag epoch's traffic to that frame's own plan injector,
@@ -383,7 +376,7 @@ fn run_mpi(
     paths: &[PathBuf],
     opts: &AnimOptions,
     run_opts: pvr_mpisim::RunOptions,
-) -> Result<AnimResult, FtError> {
+) -> Result<AnimResult, FrameError> {
     let nf = paths.len();
     let reliable = opts.faults.is_some();
 
@@ -393,43 +386,25 @@ fn run_mpi(
         Some(f) => (0..nf)
             .map(|t| {
                 let plan = f.plans.get(t).cloned().unwrap_or_else(FaultPlan::none);
-                LinkMode::reliable(plan, f.policy, f.store)
+                LinkMode::reliable(plan, f.policy)
             })
             .collect(),
     };
-    let run_opts = match &opts.faults {
-        Some(f) => run_opts.with_injector(Arc::new(EpochInjector {
-            frames: f.plans.iter().cloned().map(PlanInjector::new).collect(),
-        })),
-        None => run_opts,
+    let run_opts = if reliable {
+        run_opts.with_injector(Arc::new(EpochInjector {
+            frames: links.iter().filter_map(LinkMode::injector).collect(),
+        }))
+    } else {
+        run_opts
     };
-    // Per-frame located incidents from the injected plans, extracted
-    // before the link modes move into the world closure.
-    let frame_incidents: Vec<Vec<crate::slo::Incident>> = links
-        .iter()
-        .map(|l| match l {
-            LinkMode::Reliable(rc) => {
-                crate::slo::incidents_from_plan(cfg.nprocs, &rc.plan, rc.policy.suspicion)
-            }
-            LinkMode::Direct => Vec::new(),
-        })
-        .collect();
 
-    let cfg = *cfg;
-    let paths = paths.to_vec();
-    let plan = FramePlan::standard();
-    let pipelined = opts.pipelined;
-    let throttle = opts.throttle;
+    let (pipelined, throttle) = (opts.pipelined, opts.throttle);
     let t0 = Instant::now();
 
     // Frame invariants (geometry, scatter plan, schedule) computed once
     // and shared by every rank across every frame of the animation.
-    let shared = Arc::new(crate::scheduler::FrameShared::new(&cfg));
-    let cfg_ref = &cfg;
-    let paths_ref = &paths;
-    let links_ref = &links;
-    let plan_ref = &plan;
-    let shared_ref = &shared;
+    let shared = Arc::new(FrameShared::new(cfg));
+    let (links_ref, shared_ref) = (&links, &shared);
     let out = pvr_mpisim::World::run_opts(cfg.nprocs, run_opts, move |mut comm| async move {
         let mut outs = Vec::with_capacity(nf);
         // This rank's one in-flight background read: the next frame's
@@ -442,20 +417,19 @@ fn run_mpi(
                 .map(|(bufs, io_secs)| PrefetchedWindows { bufs, io_secs });
             let exec = RankExec::new(
                 &mut comm,
-                cfg_ref,
-                &paths_ref[t],
+                cfg,
+                &paths[t],
                 &links_ref[t],
                 FrameTags::for_frame(t),
-                !reliable,
                 throttle,
                 windows,
                 Arc::clone(shared_ref),
             );
-            let rank_out = execute_with(plan_ref, exec, |e, s| {
+            let rank_out = execute_with(exec, |e, s| {
                 if pipelined && s == StageId::Read && t + 1 < nf {
                     let extents = e.my_window_extents().to_vec();
                     if !extents.is_empty() {
-                        let path = paths_ref[t + 1].clone();
+                        let path = paths[t + 1].clone();
                         pending = Some(Prefetch::spawn(move || {
                             let started = Instant::now();
                             let bufs = read_extents(&path, &extents, throttle)?;
@@ -481,27 +455,25 @@ fn run_mpi(
         }
         outs
     })
-    .map_err(FtError::Runtime)?;
+    .map_err(FrameError::Runtime)?;
 
     // Transpose [rank][frame] → per-frame columns and assemble each
     // frame exactly as the single-frame driver would.
     let mut per_rank: Vec<_> = out.results.into_iter().map(Vec::into_iter).collect();
-    let mut frames = Vec::with_capacity(nf);
-    for plan_incidents in frame_incidents.iter().take(nf) {
-        let col: Vec<RankOut> = per_rank
-            .iter_mut()
-            .map(|it| it.next().expect("every rank runs every frame"))
-            .collect();
-        let (result, completeness, incidents) = assemble_frame(&cfg, col, reliable, plan_incidents);
-        opts.flight.begin_frame();
-        if let Some(slo) = &result.timing.slo {
-            crate::slo::record_frame_flight(&opts.flight, slo, &incidents, &result.timing.recovery);
-        }
-        frames.push(AnimFrame {
-            result,
-            completeness: if reliable { completeness } else { None },
-        });
-    }
+    let frames = links
+        .iter()
+        .map(|links| {
+            let col: Vec<RankOut> = per_rank
+                .iter_mut()
+                .map(|it| it.next().expect("every rank runs every frame"))
+                .collect();
+            let (result, completeness) = assemble_frame(cfg, col, links, None, &opts.flight);
+            AnimFrame {
+                result,
+                completeness,
+            }
+        })
+        .collect();
     Ok(AnimResult {
         frames,
         wall: t0.elapsed().as_secs_f64(),
@@ -548,7 +520,6 @@ mod tests {
     #[test]
     fn mpi_animation_heals_a_mid_run_crash_bit_identically() {
         use crate::config::CompositorPolicy;
-        use crate::ft::laptop_store;
         use pvr_faults::{RankAction, RankFault, Stage};
 
         let mut cfg = FrameConfig::small(16, 24, 8);
@@ -572,7 +543,6 @@ mod tests {
         let faults = AnimFaults {
             plans: vec![FaultPlan::none(), crash, FaultPlan::none()],
             policy: RecoveryPolicy::fast_test(),
-            store: laptop_store(),
         };
         let healed = run_animation(&cfg, &paths, &AnimOptions::mpi().with_faults(faults)).unwrap();
 

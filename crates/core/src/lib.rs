@@ -9,6 +9,9 @@
 //!   engine, render their blocks, and composite. There is also a pure
 //!   message-passing variant on `pvr-mpisim` that exchanges real pixel
 //!   fragments rank-to-rank. Wall-clock timings and images come out.
+//!   Both are configurations of the one frame API,
+//!   [`scheduler::drive_frame`] with a [`Driver`] (executor × faults ×
+//!   tracer × flight recorder); [`anim`] runs it over time steps.
 //! * [`perfmodel`] — **simulated execution** at paper scale (64 … 32K
 //!   cores, 1120³ … 4480³ grids): the identical schedules (I/O access
 //!   plans, direct-send message lists) are generated and priced on the
@@ -20,7 +23,6 @@
 
 pub mod anim;
 pub mod config;
-pub mod ft;
 pub mod perfmodel;
 pub mod pipeline;
 pub mod recovery;
@@ -33,24 +35,16 @@ pub use anim::{
     run_animation, write_animation, AnimExecutor, AnimFaults, AnimFrame, AnimOptions, AnimResult,
 };
 pub use config::{CompositorPolicy, FrameConfig, IoMode};
-pub use ft::{
-    laptop_store, run_frame_mpi_ft, run_frame_mpi_ft_obs, run_frame_mpi_ft_opts,
-    run_frame_mpi_ft_strict, run_frame_rayon_ft, run_frame_rayon_ft_obs, DegradedFrame, FtError,
-    FtFrameResult,
-};
 pub use perfmodel::{simulate_frame, PerfModel, Placement, SimFrameResult};
 pub use pipeline::{
-    run_frame, run_frame_mpi, run_frame_mpi_opts, run_frame_mpi_profiled, run_frame_traced,
-    write_dataset, FrameResult, ProfiledFrame,
+    run_frame, run_frame_mpi, run_frame_mpi_profiled, run_frame_traced, write_dataset, FrameError,
+    FrameResult, ProfiledFrame,
 };
 pub use recovery::{
     adopter_of, block_cost, effective_policy, frame_block_costs, render_loads, HealDecision,
     RecoveryBudget,
 };
 pub use roles::{bgp_io_nodes, compositor_rank, laptop_aggregators};
-pub use scheduler::{
-    drive_frame, Driver, ExecChoice, FramePlan, FrameTags, LinkMode, PlanError, StageId,
-    EPOCH_STRIDE,
-};
+pub use scheduler::{drive_frame, DriveOutput, Driver, FrameTags, LinkMode, StageId, EPOCH_STRIDE};
 pub use slo::{stage_budgets, FrameSample, FrameSlo, SloPolicy, Verdict};
 pub use timing::FrameTiming;

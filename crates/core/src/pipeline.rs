@@ -11,15 +11,15 @@
 //!   image to [`run_frame`] (asserted by integration tests), because
 //!   both blend the same fragments in the same visibility order.
 //!
-//! Both entry points (and the fault-tolerant ones in [`crate::ft`]) are
-//! thin configurations of the one stage-graph driver in
-//! [`crate::scheduler`]; this module keeps the shared building blocks
-//! (geometry, dataset synthesis, fragment wire format, tags) and the
-//! legacy API surface.
+//! Both are one-line configurations of [`drive_frame`], the frame API
+//! in [`crate::scheduler`] (faults, tracing and the flight recorder are
+//! [`Driver`] modifiers); this module keeps the shared building blocks
+//! (geometry, dataset synthesis, the dataset reader, fragment wire
+//! format, tags).
 
 use std::fs::File;
 use std::io::{Read as _, Seek, SeekFrom};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use rayon::prelude::*;
@@ -39,7 +39,7 @@ use pvr_render::TransferFunction;
 use pvr_volume::{BlockDecomposition, SupernovaField, Volume};
 
 use crate::config::{FrameConfig, IoMode};
-use crate::scheduler::{drive_frame, Driver, ExecChoice, FramePlan, LinkMode};
+use crate::scheduler::{drive_frame, Driver};
 use crate::timing::FrameTiming;
 
 /// The default viewing direction for all experiments: a mildly oblique
@@ -120,6 +120,35 @@ impl FrameResult {
     }
 }
 
+/// Why [`drive_frame`] did not produce a frame. A frame that loses
+/// content to faults is not an error: it completes, and its
+/// [`crate::scheduler::DriveOutput::completeness`] says what is missing.
+#[derive(Debug)]
+pub enum FrameError {
+    /// The message-passing world itself failed (deadlock report or
+    /// watchdog stall) — under either link protocol this indicates a
+    /// bug, and the recovery proptests assert it never happens.
+    Runtime(pvr_mpisim::RunError),
+    /// The dataset could not be opened or read in full.
+    Io {
+        path: PathBuf,
+        source: std::io::Error,
+    },
+}
+
+impl std::fmt::Display for FrameError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FrameError::Runtime(e) => write!(f, "runtime failure: {e}"),
+            FrameError::Io { path, source } => {
+                write!(f, "reading dataset {}: {source}", path.display())
+            }
+        }
+    }
+}
+
+impl std::error::Error for FrameError {}
+
 /// Materialize the synthetic supernova dataset at `cfg.grid` resolution
 /// in the on-disk format of `cfg.io`. Returns bytes written.
 pub fn write_dataset(path: &Path, cfg: &FrameConfig) -> std::io::Result<u64> {
@@ -198,7 +227,8 @@ pub use crate::roles::laptop_aggregators;
 /// Run one frame for real (rayon executor). When `path` is `None`, the
 /// I/O stage synthesizes block data procedurally instead of reading a
 /// file (useful for render/composite-only experiments; I/O stats are
-/// then zero).
+/// then zero). Panics, naming the file, when the dataset cannot be read;
+/// [`drive_frame`] returns that as [`FrameError::Io`].
 pub fn run_frame(cfg: &FrameConfig, path: Option<&Path>) -> FrameResult {
     run_frame_traced(cfg, path, &Tracer::disabled())
 }
@@ -212,17 +242,10 @@ pub fn run_frame(cfg: &FrameConfig, path: Option<&Path>) -> FrameResult {
 /// [`pvr_obs::perfetto::to_json`]. A disabled tracer makes this
 /// identical to [`run_frame`].
 pub fn run_frame_traced(cfg: &FrameConfig, path: Option<&Path>, tracer: &Tracer) -> FrameResult {
-    drive_frame(
-        cfg,
-        path,
-        Driver {
-            plan: FramePlan::standard(),
-            exec: ExecChoice::Rayon { tracer },
-            flight: pvr_obs::FlightRecorder::disabled(),
-        },
-    )
-    .expect("rayon frames cannot fail")
-    .frame
+    match drive_frame(cfg, path, Driver::rayon().traced(tracer)) {
+        Ok(out) => out.frame,
+        Err(e) => panic!("{e}"),
+    }
 }
 
 /// Render options for a config.
@@ -252,91 +275,31 @@ pub(crate) fn synthesize_stage(cfg: &FrameConfig, geo: &RankGeometry) -> Vec<Vol
         .collect()
 }
 
-pub(crate) fn read_stage(
+/// Read one frame's per-rank byte buffers (on-disk order per placed
+/// runs) without decoding them into volumes — the one dataset reader of
+/// the data-parallel executor, in the form a prefetch thread can hand to
+/// a later frame. Collective layouts go through the two-phase engine
+/// (one `io.window` span per access on `tracer`); HDF5-style layouts
+/// read independently, every rank fetching its own runs with no
+/// coordination. An optional [`IoThrottle`] floors the read at a
+/// bandwidth, making I/O genuinely expensive for pipelining experiments.
+pub(crate) fn read_frame_bytes(
     cfg: &FrameConfig,
     geo: &RankGeometry,
     path: &Path,
     tracer: &Tracer,
-) -> (Vec<Volume>, IoRunStats) {
-    let layout = cfg.io.layout(cfg.grid);
-    let var = cfg.file_variable();
-    let requests = rank_requests(layout.as_ref(), var, &geo.stored);
-
-    if layout.collective() {
-        let hints = cfg.io.hints(cfg.grid);
-        let naggr = laptop_aggregators(cfg.nprocs);
-        let mut f = File::open(path).expect("dataset file");
-        let res = two_phase_execute_traced(&mut f, &requests, naggr, &hints, tracer)
-            .expect("collective read");
-        let stats = IoRunStats {
-            useful_bytes: res.plan.useful_bytes,
-            physical_bytes: res.plan.physical_bytes,
-            accesses: res.plan.accesses.len(),
-            exchange_bytes: res.exchange_bytes,
-            data_density: res.plan.data_density(),
-            ..Default::default()
-        };
-        let volumes: Vec<Volume> = res
-            .rank_bytes
-            .par_iter()
-            .zip(&geo.stored)
-            .map(|(bytes, sub)| decode_volume(bytes, sub, layout.endian()))
-            .collect();
-        (volumes, stats)
-    } else {
-        // HDF5-style independent chunk reads: every rank fetches the
-        // whole chunks its block overlaps (no coordination).
-        let per_process: Vec<Vec<pvr_formats::Extent>> = geo
-            .stored
-            .iter()
-            .map(|sub| layout.physical_extents(var, sub))
-            .collect();
-        let plan = per_extent_plan(&per_process);
-        let useful: u64 = requests.iter().map(|r| r.useful_bytes()).sum();
-        let volumes: Vec<Volume> = geo
-            .stored
-            .par_iter()
-            .map(|sub| {
-                let mut f = File::open(path).expect("dataset file");
-                let data = pvr_formats::read_subvolume(&mut f, layout.as_ref(), var, sub)
-                    .expect("independent read");
-                Volume::from_data(sub.shape, data)
-            })
-            .collect();
-        let stats = IoRunStats {
-            useful_bytes: useful,
-            physical_bytes: plan.physical_bytes,
-            accesses: plan.accesses.len(),
-            exchange_bytes: 0,
-            data_density: useful as f64 / plan.physical_bytes.max(1) as f64,
-            ..Default::default()
-        };
-        (volumes, stats)
-    }
-}
-
-/// Read one frame's per-rank byte buffers (on-disk order per placed
-/// runs) without decoding them into volumes — the form a prefetch
-/// thread hands to a later frame. An optional [`IoThrottle`] floors the
-/// read at a bandwidth, making I/O genuinely expensive for pipelining
-/// experiments.
-pub(crate) fn read_frame_bytes(
-    cfg: &FrameConfig,
-    path: &Path,
     throttle: Option<IoThrottle>,
 ) -> std::io::Result<(Vec<Vec<u8>>, IoRunStats)> {
     let layout = cfg.io.layout(cfg.grid);
     let var = cfg.file_variable();
-    let geo = geometry(cfg);
     let requests = rank_requests(layout.as_ref(), var, &geo.stored);
     let t0 = Instant::now();
 
-    if layout.collective() {
+    let (bytes, stats, throttled_bytes) = if layout.collective() {
         let hints = cfg.io.hints(cfg.grid);
         let naggr = laptop_aggregators(cfg.nprocs);
         let mut f = File::open(path)?;
-        let disabled = Tracer::disabled();
-        let res = two_phase_execute_traced(&mut f, &requests, naggr, &hints, &disabled)?;
+        let res = two_phase_execute_traced(&mut f, &requests, naggr, &hints, tracer)?;
         let stats = IoRunStats {
             useful_bytes: res.plan.useful_bytes,
             physical_bytes: res.plan.physical_bytes,
@@ -345,10 +308,7 @@ pub(crate) fn read_frame_bytes(
             data_density: res.plan.data_density(),
             ..Default::default()
         };
-        if let Some(t) = throttle {
-            t.pad(stats.physical_bytes, t0);
-        }
-        Ok((res.rank_bytes, stats))
+        (res.rank_bytes, stats, stats.physical_bytes)
     } else {
         let per_process: Vec<Vec<pvr_formats::Extent>> = geo
             .stored
@@ -357,17 +317,20 @@ pub(crate) fn read_frame_bytes(
             .collect();
         let plan = per_extent_plan(&per_process);
         let useful: u64 = requests.iter().map(|r| r.useful_bytes()).sum();
-        let mut f = File::open(path)?;
-        let mut bytes = Vec::with_capacity(requests.len());
-        for rq in &requests {
-            let mut out = vec![0u8; rq.out_elems * ELEM_SIZE as usize];
-            for run in &rq.runs {
-                let nb = run.elems * ELEM_SIZE as usize;
-                f.seek(SeekFrom::Start(run.file_offset))?;
-                f.read_exact(&mut out[run.out_start * 4..run.out_start * 4 + nb])?;
-            }
-            bytes.push(out);
-        }
+        let per_rank: Vec<std::io::Result<Vec<u8>>> = requests
+            .par_iter()
+            .map(|rq| {
+                let mut f = File::open(path)?;
+                let mut out = vec![0u8; rq.out_elems * ELEM_SIZE as usize];
+                for run in &rq.runs {
+                    let nb = run.elems * ELEM_SIZE as usize;
+                    f.seek(SeekFrom::Start(run.file_offset))?;
+                    f.read_exact(&mut out[run.out_start * 4..run.out_start * 4 + nb])?;
+                }
+                Ok(out)
+            })
+            .collect();
+        let bytes = per_rank.into_iter().collect::<std::io::Result<Vec<_>>>()?;
         let stats = IoRunStats {
             useful_bytes: useful,
             physical_bytes: plan.physical_bytes,
@@ -376,11 +339,12 @@ pub(crate) fn read_frame_bytes(
             data_density: useful as f64 / plan.physical_bytes.max(1) as f64,
             ..Default::default()
         };
-        if let Some(t) = throttle {
-            t.pad(useful, t0);
-        }
-        Ok((bytes, stats))
+        (bytes, stats, useful)
+    };
+    if let Some(t) = throttle {
+        t.pad(throttled_bytes, t0);
     }
+    Ok((bytes, stats))
 }
 
 // ---------------------------------------------------------------------
@@ -395,7 +359,7 @@ pub mod tags {
     pub const IO_SCATTER: u32 = 1;
     pub const FRAGMENT: u32 = 2;
     pub const TILE: u32 = 3;
-    /// Ack tags of the fault-tolerant executor (`crate::ft`): each data
+    /// Ack tags of the fault-tolerant link protocol: each data
     /// stage has a dedicated ack channel so wildcard receives on data
     /// tags can never match acknowledgement traffic.
     pub const IO_ACK: u32 = 4;
@@ -528,65 +492,22 @@ pub(crate) fn decode_fragment(data: &[u8]) -> (usize, SubImage) {
 /// Requires a dataset file. Returns rank 0's result; the image is
 /// identical to [`run_frame`]'s.
 pub fn run_frame_mpi(cfg: &FrameConfig, path: &Path) -> FrameResult {
-    run_frame_mpi_opts(cfg, path, pvr_mpisim::RunOptions::default())
-        .unwrap_or_else(|e| panic!("mpi frame failed: {e}"))
-        .0
-}
-
-/// [`run_frame_mpi`] with explicit runtime options — the entry point the
-/// verification tooling uses to trace a frame's messages, perturb its
-/// wildcard-match order, or replay a recorded order. Returns the frame
-/// and, when `opts.trace` is set, the message trace. The composited
-/// image is bit-identical across match policies because compositors
-/// sort fragments by (depth, renderer) before blending.
-pub fn run_frame_mpi_opts(
-    cfg: &FrameConfig,
-    path: &Path,
-    opts: pvr_mpisim::RunOptions,
-) -> Result<(FrameResult, Option<pvr_mpisim::trace::TraceLog>), pvr_mpisim::RunError> {
-    match drive_frame(
-        cfg,
-        Some(path),
-        Driver {
-            plan: FramePlan::standard(),
-            exec: ExecChoice::Mpi {
-                opts,
-                links: LinkMode::Direct,
-            },
-            flight: pvr_obs::FlightRecorder::disabled(),
-        },
-    ) {
-        Ok(out) => Ok((out.frame, out.trace)),
-        Err(crate::ft::FtError::Runtime(e)) => Err(e),
-        Err(crate::ft::FtError::Degraded(_)) => unreachable!("plain frames never degrade"),
+    match run_frame_mpi_sim(cfg, path, pvr_mpisim::RunOptions::default()) {
+        Ok((frame, _)) => frame,
+        Err(e) => panic!("mpi frame failed: {e}"),
     }
 }
 
-/// [`run_frame_mpi_opts`] that also surfaces the discrete-event
-/// scheduler's counters (polls, messages, timer fires, virtual time,
-/// peak resident tasks, wall time) — the scale sweeps and `bench_sim`
-/// read these to report events/sec at 32K ranks.
+/// [`run_frame_mpi`] with explicit runtime options, also surfacing the
+/// discrete-event scheduler's counters (polls, messages, timer fires,
+/// virtual time, peak resident tasks, wall time) — the scale sweeps and
+/// `bench_sim` read these to report events/sec at 32K ranks.
 pub fn run_frame_mpi_sim(
     cfg: &FrameConfig,
     path: &Path,
     opts: pvr_mpisim::RunOptions,
-) -> Result<(FrameResult, Option<pvr_mpisim::SimStats>), pvr_mpisim::RunError> {
-    match drive_frame(
-        cfg,
-        Some(path),
-        Driver {
-            plan: FramePlan::standard(),
-            exec: ExecChoice::Mpi {
-                opts,
-                links: LinkMode::Direct,
-            },
-            flight: pvr_obs::FlightRecorder::disabled(),
-        },
-    ) {
-        Ok(out) => Ok((out.frame, out.sim)),
-        Err(crate::ft::FtError::Runtime(e)) => Err(e),
-        Err(crate::ft::FtError::Degraded(_)) => unreachable!("plain frames never degrade"),
-    }
+) -> Result<(FrameResult, Option<pvr_mpisim::SimStats>), FrameError> {
+    drive_frame(cfg, Some(path), Driver::mpi(opts)).map(|out| (out.frame, out.sim))
 }
 
 /// One fully profiled message-passing frame: the rendered frame, the
@@ -604,23 +525,15 @@ pub struct ProfiledFrame {
 /// thread scheduling perturbs pass 1 but the canonical replay log maps
 /// every schedule in the same equivalence class to one representative,
 /// so exporters downstream are byte-for-byte reproducible.
-pub fn run_frame_mpi_profiled(
-    cfg: &FrameConfig,
-    path: &Path,
-) -> Result<ProfiledFrame, pvr_mpisim::RunError> {
-    use std::sync::Arc;
-    let (_, t1) = run_frame_mpi_opts(cfg, path, pvr_mpisim::RunOptions::default().traced())?;
-    let replay = Arc::new(pvr_mpisim::trace::ReplayLog::canonical(
-        &t1.expect("traced run yields a trace"),
-    ));
-    let (frame, trace) = run_frame_mpi_opts(
-        cfg,
-        path,
-        pvr_mpisim::RunOptions::default()
-            .traced()
-            .policy(pvr_mpisim::MatchPolicy::Replay(replay)),
-    )?;
-    let trace = trace.expect("traced run yields a trace");
+pub fn run_frame_mpi_profiled(cfg: &FrameConfig, path: &Path) -> Result<ProfiledFrame, FrameError> {
+    use pvr_mpisim::{trace::ReplayLog, MatchPolicy, RunOptions};
+    let traced = |opts: RunOptions| {
+        let out = drive_frame(cfg, Some(path), Driver::mpi(opts.traced()))?;
+        Ok((out.frame, out.trace.expect("traced run yields a trace")))
+    };
+    let (_, recorded) = traced(RunOptions::default())?;
+    let replay = std::sync::Arc::new(ReplayLog::canonical(&recorded));
+    let (frame, trace) = traced(RunOptions::default().policy(MatchPolicy::Replay(replay)))?;
     let profile = pvr_obs::profile_from_trace(&trace);
     Ok(ProfiledFrame {
         frame,

@@ -8,7 +8,7 @@
 //! * **Survivor assignment** ([`adopter_of`]) — when a rank is declared
 //!   dead, its block is reassigned to the least-loaded surviving
 //!   candidate, load measured by the calibrated
-//!   [`PerfModel`](crate::perfmodel::PerfModel) render estimate of each
+//!   [`PerfModel`] render estimate of each
 //!   rank's own block, ties broken by a seeded hash. Every requester
 //!   computes the same assignment from the same inputs.
 //! * **Degradation ladder** ([`RecoveryBudget`]) — every recovery
@@ -28,13 +28,14 @@
 
 use std::time::Duration;
 
-use pvr_faults::RecoveryPolicy;
-use pvr_formats::Subvolume;
+use pvr_faults::{FaultPlan, RankAction, RecoveryCounters, RecoveryPolicy, Stage};
+use pvr_formats::{Subvolume, ELEM_SIZE};
 use pvr_render::Camera;
 
 use crate::config::FrameConfig;
 use crate::perfmodel::PerfModel;
-use crate::pipeline::default_view;
+use crate::pipeline::{default_view, RankGeometry};
+use crate::slo::{Incident, IncidentKind};
 
 /// Which rung of the degradation ladder a heal runs at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -204,6 +205,129 @@ pub fn effective_policy(cfg: &FrameConfig, base: &RecoveryPolicy) -> RecoveryPol
         policy.frame_budget = Some(ms as f64 / 1e3);
     }
     policy
+}
+
+/// One frame's recovery plan on the data-parallel executor. The shared
+/// address space has no links to drop, so the fault plan's rank faults
+/// are what matters — a crashed rank loses its rendered block before
+/// compositing. The same orchestration heals it as on the
+/// message-passing executor: [`adopter_of`] picks a surviving adopter,
+/// the ladder ([`RecoveryBudget`]) charges the re-render's modeled cost
+/// and picks the rung (full heal → bit-identical pixels; coarse heal →
+/// approximate pixels with the error bound recorded in
+/// `FrameTiming::error_bound`; skip → the hole shows up in the
+/// completeness map). Stragglers past the suspicion window fire a hedged
+/// duplicate whose loss to first-wins dedup is a no-op — counted, never
+/// blended. Everything here is a pure function of `(seed, plan,
+/// config)` — planned ranks, stages and counts, never wall seconds — so
+/// the frame replays and its flight dump is byte-stable.
+pub(crate) struct HealPlan {
+    pub(crate) seed: u64,
+    /// Per block: `None` while its own rank is alive, else the adopter
+    /// (the orphan itself when nobody survives) and the rung it renders
+    /// the block at.
+    blocks: Vec<Option<(usize, HealDecision)>>,
+    coarse_step_factor: f64,
+    pub(crate) counters: RecoveryCounters,
+    /// Located SLO incidents: planned crashes and suspicious straggles,
+    /// then one ladder activation per heal below the full rung.
+    pub(crate) incidents: Vec<Incident>,
+    /// Image fraction re-rendered at the coarse rung.
+    pub(crate) error_bound: f64,
+}
+
+impl HealPlan {
+    /// Where and how block `rank` renders: the trace track of the rank
+    /// doing the work, and the factor on the sampling step (`None` =
+    /// the ladder skipped the block).
+    pub(crate) fn render_at(&self, rank: usize) -> (usize, Option<f64>) {
+        match self.blocks[rank] {
+            None => (rank, Some(1.0)),
+            Some((adopter, HealDecision::Full)) => (adopter, Some(1.0)),
+            Some((adopter, HealDecision::Coarse)) => (adopter, Some(self.coarse_step_factor)),
+            Some((adopter, HealDecision::Skip)) => (adopter, None),
+        }
+    }
+
+    pub(crate) fn new(
+        cfg: &FrameConfig,
+        geo: &RankGeometry,
+        camera: &Camera,
+        plan: &FaultPlan,
+        policy: &RecoveryPolicy,
+    ) -> HealPlan {
+        const STAGES: [Stage; 3] = [Stage::Io, Stage::Render, Stage::Composite];
+        let n = cfg.nprocs;
+        // A crash at any stage loses the rank's block before compositing.
+        let lost: Vec<usize> = (0..n)
+            .filter(|&r| {
+                STAGES
+                    .iter()
+                    .any(|&s| matches!(plan.rank_fault(r, s), Some(RankAction::Crash)))
+            })
+            .collect();
+        let mut counters = RecoveryCounters {
+            crashed_ranks: lost.len() as u64,
+            ..RecoveryCounters::default()
+        };
+        let mut incidents = crate::slo::incidents_from_plan(n, plan, policy.suspicion);
+        let ladder = |rank| Incident {
+            rank,
+            stage: 1,
+            kind: IncidentKind::DegradedLadder,
+        };
+
+        // Greedy-balanced adoption: each heal bumps the adopter's load
+        // before the next assignment.
+        let model = PerfModel::default();
+        let mut loads = render_loads(cfg, &model, &geo.owned);
+        let mut budget = RecoveryBudget::for_frame(cfg, policy);
+        let survivors: Vec<usize> = (0..n).filter(|r| !lost.contains(r)).collect();
+        let mut blocks = vec![None; n];
+        let mut error_bound = 0.0f64;
+        for &orphan in &lost {
+            let Some(adopter) = adopter_of(orphan, &lost, &survivors, plan.seed, &loads) else {
+                blocks[orphan] = Some((orphan, HealDecision::Skip));
+                incidents.push(ladder(orphan));
+                continue;
+            };
+            let est = block_cost(cfg, &model, &geo.owned[orphan]);
+            let rung = budget.charge(est, policy.coarse_step_factor);
+            if rung != HealDecision::Full {
+                incidents.push(ladder(orphan));
+            }
+            if rung != HealDecision::Skip {
+                counters.adopted_blocks += 1;
+                counters.recovery_bytes += geo.stored[orphan].num_elements() as u64 * ELEM_SIZE;
+                loads[adopter] += est;
+            }
+            if rung == HealDecision::Coarse {
+                counters.approx_blocks += 1;
+                let owned = &geo.owned[orphan];
+                let fp =
+                    pvr_render::raycast::footprint(camera, owned.offset, owned.end(), cfg.image);
+                error_bound += fp.num_pixels() as f64 / (cfg.image.0 * cfg.image.1) as f64;
+            }
+            blocks[orphan] = Some((adopter, rung));
+        }
+        for r in 0..n {
+            for s in STAGES {
+                if let Some(RankAction::StraggleMs(ms)) = plan.rank_fault(r, s) {
+                    if Duration::from_millis(ms) >= policy.suspicion {
+                        counters.hedged_renders += 1;
+                    }
+                }
+            }
+        }
+        HealPlan {
+            seed: plan.seed,
+            blocks,
+            coarse_step_factor: policy.coarse_step_factor,
+            counters,
+            incidents,
+            error_bound: error_bound.min(1.0),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,36 +1,39 @@
-//! The frame scheduler: one driver for every way a frame runs.
+//! The frame scheduler: [`drive_frame`] is the one way to run a frame.
 //!
-//! The pipeline is a small DAG of stages — read → render → composite →
-//! gather — with explicit data handoffs ([`FramePlan`]). What used to be
-//! six hand-rolled copies of that sequence (`run_frame`,
-//! `run_frame_traced`, `run_frame_mpi`, `run_frame_mpi_opts`,
-//! `run_frame_mpi_profiled`, `run_frame_mpi_ft`) is now one driver,
-//! [`drive_frame`], configured along independent axes:
+//! The pipeline is a fixed chain of stages — read → render → composite
+//! → gather ([`StageId`]) — sequenced by [`execute`] over a
+//! [`StageExec`] that owns the stage bodies and the data handoffs.
+//! A frame is configured along independent axes, all of them on
+//! [`Driver`]:
 //!
-//! * **Executor** ([`ExecChoice`]): data-parallel rayon
-//!   ([`RayonExec`]) or per-rank message passing ([`RankExec`] inside a
-//!   `pvr-mpisim` world).
-//! * **Link mode** ([`LinkMode`]): plain blocking messages, or the
-//!   fault-tolerant protocol (framed acked links, deadline receives,
-//!   per-tile completeness) driven by a `FaultPlan`.
-//! * **Tracing/profiling**: an [`pvr_obs::Tracer`] for the rayon
-//!   executor, `RunOptions::traced()` + replay for the simulator —
-//!   orthogonal to everything else.
-//! * **Tag epoch** ([`FrameTags`]): which time step's message tags the
-//!   frame uses, so the animation driver can keep several frames'
-//!   traffic disjoint in one world. Frame 0 equals the legacy
-//!   [`crate::pipeline::tags`] constants, which keeps the golden traces
-//!   stable.
+//! * **Executor**: data-parallel rayon ([`RayonExec`],
+//!   [`Driver::rayon`]) or per-rank message passing ([`RankExec`] inside
+//!   a `pvr-mpisim` world, [`Driver::mpi`]).
+//! * **Faults** ([`Driver::faults`]): a `FaultPlan` and the
+//!   `RecoveryPolicy` that answers it. The message-passing executor
+//!   turns them into the fault-tolerant link protocol
+//!   ([`LinkMode::Reliable`]: framed acked links, deadline receives,
+//!   orphan adoption); the rayon executor has no links to lose and
+//!   applies the plan's rank faults through the same adoption ladder
+//!   (`recovery::HealPlan`). Either way the frame reports
+//!   per-tile completeness.
+//! * **Tracing** ([`Driver::traced`]): a [`pvr_obs::Tracer`] for the
+//!   rayon executor; the simulator traces through
+//!   `RunOptions::traced()`.
+//! * **Flight recorder** ([`Driver::flight`]): verdict, incidents and
+//!   anomaly dumps of the frame.
 //!
-//! The legacy entry points survive as thin wrappers; the integration
-//! tests (bit-identity across executors, byte-golden profiles, fault
-//! recovery) pin that the collapse changed nothing observable.
+//! The animation driver ([`crate::anim`]) runs the same executors over
+//! many time steps and adds a **tag epoch** per step ([`FrameTags`]) so
+//! several frames' traffic stays disjoint in one world. Frame 0 equals
+//! the [`crate::pipeline::tags`] constants, which keeps the golden
+//! traces stable.
 
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{Read as _, Seek, SeekFrom};
 use std::ops::ControlFlow;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -46,7 +49,7 @@ use pvr_faults::{
 };
 use pvr_formats::extent::Extent;
 use pvr_formats::ELEM_SIZE;
-use pvr_obs::Tracer;
+use pvr_obs::{FlightRecorder, Tracer};
 use pvr_pfs::{
     window_fault_audit, IoRecovery, IoThrottle, ScatterPlan, ServerFaults, StripedStore,
 };
@@ -55,19 +58,20 @@ use pvr_render::raycast::{render_block, BlockDomain};
 use pvr_render::Camera;
 
 use crate::config::FrameConfig;
-use crate::ft::FtError;
 use crate::perfmodel::PerfModel;
 use crate::pipeline::{
     decode_fragment, decode_volume, default_view, encode_fragment, geometry, rank_requests,
-    read_frame_bytes, read_stage, render_opts, synthesize_stage, tags, transfer_for, FrameResult,
+    read_frame_bytes, render_opts, synthesize_stage, tags, transfer_for, FrameError, FrameResult,
     IoRunStats,
 };
-use crate::recovery::{adopter_of, block_cost, render_loads, HealDecision, RecoveryBudget};
+use crate::recovery::{
+    adopter_of, block_cost, effective_policy, render_loads, HealDecision, HealPlan, RecoveryBudget,
+};
 use crate::roles::laptop_aggregators;
 use crate::timing::{FrameTiming, Stopwatch};
 
 // ---------------------------------------------------------------------
-// Stage DAG
+// Stage chain
 // ---------------------------------------------------------------------
 
 /// One stage of the frame pipeline.
@@ -91,25 +95,6 @@ impl StageId {
         StageId::Gather,
     ];
 
-    /// Stages whose output this stage consumes.
-    pub fn deps(self) -> &'static [StageId] {
-        match self {
-            StageId::Read => &[],
-            StageId::Render => &[StageId::Read],
-            StageId::Composite => &[StageId::Render],
-            StageId::Gather => &[StageId::Composite],
-        }
-    }
-
-    pub fn name(self) -> &'static str {
-        match self {
-            StageId::Read => "read",
-            StageId::Render => "render",
-            StageId::Composite => "composite",
-            StageId::Gather => "gather",
-        }
-    }
-
     /// The `FaultPlan` stage a rank fault at this point belongs to.
     /// Gather rides on the composite deadline machinery and has no
     /// fault index of its own — plans written against the old
@@ -121,78 +106,6 @@ impl StageId {
             StageId::Composite => Some(Stage::Composite),
             StageId::Gather => None,
         }
-    }
-}
-
-/// A validation failure of a [`FramePlan`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanError {
-    Duplicate(StageId),
-    Missing(StageId),
-    /// `stage` is scheduled before a stage whose output it needs.
-    DependencyOrder {
-        stage: StageId,
-        needs: StageId,
-    },
-}
-
-impl std::fmt::Display for PlanError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PlanError::Duplicate(s) => write!(f, "stage {} appears twice", s.name()),
-            PlanError::Missing(s) => write!(f, "stage {} is missing", s.name()),
-            PlanError::DependencyOrder { stage, needs } => write!(
-                f,
-                "stage {} runs before its input stage {}",
-                stage.name(),
-                needs.name()
-            ),
-        }
-    }
-}
-
-impl std::error::Error for PlanError {}
-
-/// A topological order over the stage DAG: each stage appears exactly
-/// once, after every stage it consumes data from.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FramePlan {
-    order: Vec<StageId>,
-}
-
-impl FramePlan {
-    /// The full pipeline in its canonical order.
-    pub fn standard() -> FramePlan {
-        FramePlan {
-            order: StageId::ALL.to_vec(),
-        }
-    }
-
-    /// Build a plan from an explicit stage order, verifying it is a
-    /// topological order of the DAG covering every stage.
-    pub fn new(order: Vec<StageId>) -> Result<FramePlan, PlanError> {
-        let mut seen: Vec<StageId> = Vec::with_capacity(order.len());
-        for &s in &order {
-            if seen.contains(&s) {
-                return Err(PlanError::Duplicate(s));
-            }
-            for &d in s.deps() {
-                if !seen.contains(&d) {
-                    return Err(PlanError::DependencyOrder { stage: s, needs: d });
-                }
-            }
-            seen.push(s);
-        }
-        for s in StageId::ALL {
-            if !seen.contains(&s) {
-                return Err(PlanError::Missing(s));
-            }
-        }
-        Ok(FramePlan { order })
-    }
-
-    pub fn stages(&self) -> &[StageId] {
-        &self.order
     }
 }
 
@@ -215,23 +128,22 @@ pub trait StageExec: Sized {
     fn finish(self) -> Self::Out;
 }
 
-/// Drive an executor through a plan. Futures from executors that never
-/// suspend (rayon) resolve in one poll — `pvr_mpisim::block_on_ready`
-/// runs them from sync contexts.
-pub async fn execute<E: StageExec>(plan: &FramePlan, exec: E) -> E::Out {
-    execute_with(plan, exec, |_, _| {}).await
+/// Drive an executor through the stage chain. Futures from executors
+/// that never suspend (rayon) resolve in one poll —
+/// `pvr_mpisim::block_on_ready` runs them from sync contexts.
+pub async fn execute<E: StageExec>(exec: E) -> E::Out {
+    execute_with(exec, |_, _| {}).await
 }
 
 /// [`execute`] with a hook after each completed stage — the animation
 /// driver uses it to launch the next frame's I/O prefetch as soon as
 /// the current frame's read hands off, without owning the stage loop.
 pub async fn execute_with<E: StageExec>(
-    plan: &FramePlan,
     mut exec: E,
     mut after: impl FnMut(&mut E, StageId),
 ) -> E::Out {
     exec.begin();
-    for &s in plan.stages() {
+    for s in StageId::ALL {
         match exec.stage(s).await {
             ControlFlow::Continue(()) => after(&mut exec, s),
             ControlFlow::Break(()) => break,
@@ -339,13 +251,28 @@ impl FrameTags {
 // Link modes
 // ---------------------------------------------------------------------
 
+/// The striped-store description every fault frame audits its reads
+/// against, matched to laptop-scale test files: 8 servers with 64 KiB
+/// stripes, so even a few-megabyte dataset spreads across every server
+/// and per-server faults have distinct footprints. (The default
+/// [`StripedStore`] models ANL's 4 MiB stripes, which would put an
+/// entire small test file on server 0.)
+fn laptop_store() -> StripedStore {
+    StripedStore {
+        servers: 8,
+        stripe_unit: 64 << 10,
+        server_bw: 370.0e6,
+        request_overhead: 0.5e-3,
+    }
+}
+
 /// Everything the fault-tolerant link mode needs, with the derived
 /// fault state precomputed once.
 #[derive(Debug, Clone)]
 pub struct ReliableCfg {
     pub plan: FaultPlan,
     pub policy: RecoveryPolicy,
-    pub store: StripedStore,
+    store: StripedStore,
     faults: ServerFaults,
     rec: IoRecovery,
 }
@@ -361,7 +288,8 @@ pub enum LinkMode {
 }
 
 impl LinkMode {
-    pub fn reliable(plan: FaultPlan, policy: RecoveryPolicy, store: StripedStore) -> LinkMode {
+    pub fn reliable(plan: FaultPlan, policy: RecoveryPolicy) -> LinkMode {
+        let store = laptop_store();
         let faults = plan.server_faults(store.servers);
         let rec = policy.io_recovery();
         LinkMode::Reliable(Box::new(ReliableCfg {
@@ -371,6 +299,26 @@ impl LinkMode {
             faults,
             rec,
         }))
+    }
+
+    /// Located incidents of the injected plan: a crash or suspicious
+    /// straggle attributes to its injection site even when hedging kept
+    /// the frame fast. Empty on direct links.
+    fn plan_incidents(&self, n: usize) -> Vec<crate::slo::Incident> {
+        match self {
+            LinkMode::Reliable(rc) => {
+                crate::slo::incidents_from_plan(n, &rc.plan, rc.policy.suspicion)
+            }
+            LinkMode::Direct => Vec::new(),
+        }
+    }
+
+    /// The transport injector that plays the plan's link faults.
+    pub(crate) fn injector(&self) -> Option<PlanInjector> {
+        match self {
+            LinkMode::Reliable(rc) => Some(PlanInjector::new(rc.plan.clone())),
+            LinkMode::Direct => None,
+        }
     }
 }
 
@@ -400,8 +348,11 @@ pub enum FrameInput<'a> {
 pub struct RayonExec<'a> {
     cfg: &'a FrameConfig,
     tracer: &'a Tracer,
+    flight: &'a FlightRecorder,
     input: Option<FrameInput<'a>>,
     throttle: Option<IoThrottle>,
+    /// Rank faults and the rungs that heal them (fault frames only).
+    heal: Option<HealPlan>,
     geo: crate::pipeline::RankGeometry,
     camera: Camera,
     t0: Instant,
@@ -410,43 +361,85 @@ pub struct RayonExec<'a> {
     io: IoRunStats,
     volumes: Vec<pvr_volume::Volume>,
     subs: Vec<SubImage>,
+    /// Per block, the data quality of its subimage (`None` = skipped).
+    present: Vec<Option<f64>>,
     render_stats: pvr_render::raycast::RenderStats,
-    image: Option<Image>,
-    composite: Option<DirectSendStats>,
+    composited: Option<(Image, DirectSendStats, CompletenessMap)>,
+    error: Option<FrameError>,
 }
 
 impl<'a> RayonExec<'a> {
+    /// `faults` is the plan and the *effective* policy (see
+    /// [`effective_policy`]); `None` runs the fault-free frame.
     pub fn new(
         cfg: &'a FrameConfig,
         input: FrameInput<'a>,
         tracer: &'a Tracer,
         throttle: Option<IoThrottle>,
+        faults: Option<&(FaultPlan, RecoveryPolicy)>,
+        flight: &'a FlightRecorder,
     ) -> RayonExec<'a> {
+        let geo = geometry(cfg);
+        let camera = Camera::orthographic(cfg.grid, default_view(), cfg.image.0, cfg.image.1);
         RayonExec {
             cfg,
             tracer,
+            flight,
             input: Some(input),
             throttle,
-            geo: geometry(cfg),
-            camera: Camera::orthographic(cfg.grid, default_view(), cfg.image.0, cfg.image.1),
+            heal: faults.map(|(plan, policy)| HealPlan::new(cfg, &geo, &camera, plan, policy)),
+            geo,
+            camera,
             t0: Instant::now(),
             sw: Stopwatch::start(),
             timing: FrameTiming::default(),
             io: IoRunStats::default(),
             volumes: Vec::new(),
             subs: Vec::new(),
+            present: Vec::new(),
             render_stats: pvr_render::raycast::RenderStats::default(),
-            image: None,
-            composite: None,
+            composited: None,
+            error: None,
         }
     }
 }
 
+impl RayonExec<'_> {
+    /// Fill `volumes` and `io` from the frame's input. Returns the
+    /// seconds a background read already spent on it.
+    fn read_input(&mut self) -> Result<f64, FrameError> {
+        let cfg = self.cfg;
+        let (bytes, io, io_secs) = match self.input.take().expect("input consumed once") {
+            FrameInput::Synthetic => {
+                self.volumes = synthesize_stage(cfg, &self.geo);
+                return Ok(0.0);
+            }
+            FrameInput::File(p) => {
+                let read = read_frame_bytes(cfg, &self.geo, p, self.tracer, self.throttle);
+                let (bytes, io) = read.map_err(|source| FrameError::Io {
+                    path: p.to_path_buf(),
+                    source,
+                })?;
+                (bytes, io, 0.0)
+            }
+            FrameInput::Prefetched { bytes, io, io_secs } => (bytes, io, io_secs),
+        };
+        self.volumes = decode_rank_bytes(cfg, &self.geo, &bytes);
+        self.io = io;
+        Ok(io_secs)
+    }
+}
+
 impl StageExec for RayonExec<'_> {
-    type Out = FrameResult;
+    type Out = Result<(FrameResult, CompletenessMap), FrameError>;
 
     fn begin(&mut self) {
         let cfg = self.cfg;
+        self.flight.begin_frame();
+        if let Some(h) = &self.heal {
+            let args = pvr_obs::Args::two("ranks", cfg.nprocs as u64, "seed", h.seed);
+            self.flight.instant(0, "frame.begin", args);
+        }
         if self.tracer.enabled() {
             for r in 0..cfg.nprocs {
                 self.tracer.name_track(r as u32, &format!("rank {r}"));
@@ -464,29 +457,12 @@ impl StageExec for RayonExec<'_> {
             StageId::Read => {
                 self.timing.starts[0] = self.t0.elapsed().as_secs_f64();
                 self.tracer.begin(0, "io");
-                let mut io_secs = None;
-                (self.volumes, self.io) = match self.input.take().expect("input consumed once") {
-                    FrameInput::Synthetic => {
-                        (synthesize_stage(cfg, &self.geo), IoRunStats::default())
-                    }
-                    FrameInput::File(p) => match self.throttle {
-                        None => read_stage(cfg, &self.geo, p, self.tracer),
-                        Some(t) => {
-                            // Throttled reads bypass the per-window span
-                            // machinery: the bandwidth floor applies to
-                            // the stage as a whole.
-                            let (bytes, io) =
-                                read_frame_bytes(cfg, p, Some(t)).expect("dataset file");
-                            (decode_rank_bytes(cfg, &self.geo, &bytes), io)
-                        }
-                    },
-                    FrameInput::Prefetched {
-                        bytes,
-                        io,
-                        io_secs: s,
-                    } => {
-                        io_secs = Some(s);
-                        (decode_rank_bytes(cfg, &self.geo, &bytes), io)
+                let io_secs = match self.read_input() {
+                    Ok(secs) => secs,
+                    Err(e) => {
+                        self.tracer.end(0, "io");
+                        self.error = Some(e);
+                        return ControlFlow::Break(());
                     }
                 };
                 self.tracer.end_args(
@@ -494,43 +470,58 @@ impl StageExec for RayonExec<'_> {
                     "io",
                     pvr_obs::Args::one("useful_bytes", self.io.useful_bytes),
                 );
-                let lap = self.sw.lap();
                 // A prefetched frame charges the background read's real
                 // duration, not the (near-zero) in-frame decode wait.
-                self.timing.io = io_secs.map_or(lap, |s| s + lap);
+                self.timing.io = io_secs + self.sw.lap();
             }
             StageId::Render => {
                 self.timing.starts[1] = self.t0.elapsed().as_secs_f64();
                 self.tracer.begin(0, "render");
                 let tf = transfer_for(cfg);
                 let opts = render_opts(cfg);
-                let geo = &self.geo;
-                let camera = &self.camera;
-                let tracer = self.tracer;
-                let rendered: Vec<(SubImage, pvr_render::raycast::RenderStats)> = self
+                let (geo, camera, tracer, heal) =
+                    (&self.geo, &self.camera, self.tracer, self.heal.as_ref());
+                let rendered: Vec<Option<(SubImage, pvr_render::raycast::RenderStats)>> = self
                     .volumes
                     .par_iter()
                     .enumerate()
                     .map(|(rank, vol)| {
+                        // A crashed rank's block renders on its adopter,
+                        // at the rung the ladder chose.
+                        let (track, step_scale) =
+                            heal.map_or((rank, Some(1.0)), |h| h.render_at(rank));
+                        let mut opts = opts;
+                        opts.step *= step_scale?;
                         let dom = BlockDomain {
                             grid: cfg.grid,
                             owned: geo.owned[rank],
                             stored: geo.stored[rank],
                         };
-                        pvr_render::raycast::render_block_traced(
-                            vol,
-                            &dom,
-                            camera,
-                            &tf,
-                            &opts,
-                            tracer,
-                            rank as u32,
-                        )
+                        tracer.begin(track as u32, "render.block");
+                        let (sub, stats) = render_block(vol, &dom, camera, &tf, &opts);
+                        tracer.end_args(
+                            track as u32,
+                            "render.block",
+                            pvr_obs::Args::two("samples", stats.samples, "rays", stats.rays),
+                        );
+                        Some((sub, stats))
                     })
                     .collect();
                 self.timing.render = self.sw.lap();
-                for (_, s) in &rendered {
-                    self.render_stats.merge(s);
+                for (rank, r) in rendered.into_iter().enumerate() {
+                    self.present.push(r.as_ref().map(|_| 1.0));
+                    let (sub, stats) = r.unwrap_or_else(|| {
+                        let owned = &geo.owned[rank];
+                        let fp = pvr_render::raycast::footprint(
+                            camera,
+                            owned.offset,
+                            owned.end(),
+                            cfg.image,
+                        );
+                        (SubImage::transparent(fp, 0.0), Default::default())
+                    });
+                    self.render_stats.merge(&stats);
+                    self.subs.push(sub);
                 }
                 let rs = &self.render_stats;
                 self.tracer.end_args(
@@ -545,7 +536,6 @@ impl StageExec for RayonExec<'_> {
                         rs.terminated_rays,
                     ),
                 );
-                self.subs = rendered.into_iter().map(|(s, _)| s).collect();
                 self.volumes.clear();
             }
             StageId::Composite => {
@@ -553,19 +543,19 @@ impl StageExec for RayonExec<'_> {
                 self.tracer.begin(0, "composite");
                 let m = cfg.compositors();
                 let partition = ImagePartition::new(cfg.image.0, cfg.image.1, m);
-                let (image, composite) = pvr_compositing::composite_direct_send_traced(
+                let out = pvr_compositing::composite_direct_send_traced(
                     &self.subs,
                     partition,
+                    &self.present,
                     self.tracer,
                 );
                 self.tracer.end_args(
                     0,
                     "composite",
-                    pvr_obs::Args::one("messages", composite.messages as u64),
+                    pvr_obs::Args::one("messages", out.1.messages as u64),
                 );
                 self.timing.composite = self.sw.lap();
-                self.image = Some(image);
-                self.composite = Some(composite);
+                self.composited = Some(out);
             }
             // Direct-send already pastes tiles into the final image; the
             // shared-address-space gather is that paste.
@@ -574,23 +564,36 @@ impl StageExec for RayonExec<'_> {
         ControlFlow::Continue(())
     }
 
-    fn finish(self) -> FrameResult {
+    fn finish(self) -> Self::Out {
         self.tracer.end(0, "frame");
+        if let Some(e) = self.error {
+            return Err(e);
+        }
         let mut timing = self.timing;
         timing.wall = self.t0.elapsed().as_secs_f64();
-        // The shared address space has no per-rank stage decomposition
-        // and no fault plan: the frame-level stage times alone gate.
-        timing.slo = Some(crate::slo::annotate(
+        let incidents = self.heal.as_ref().map_or(&[][..], |h| &h.incidents);
+        if let Some(h) = &self.heal {
+            timing.recovery = h.counters;
+            timing.error_bound = h.error_bound;
+        }
+        // The shared address space has no per-rank stage decomposition:
+        // the frame-level stage times gate, and the located incidents
+        // carry the attribution (a hedged straggler never shows in the
+        // wall clock, but still violates).
+        let slo = crate::slo::annotate(
             self.cfg,
             &crate::slo::FrameSample {
                 stage_secs: [timing.io, timing.render, timing.composite],
                 per_rank: &[],
-                incidents: &[],
+                incidents,
             },
-        ));
+        );
+        crate::slo::record_frame_flight(self.flight, &slo, incidents, &timing.recovery);
+        timing.slo = Some(slo);
         let rs = self.render_stats;
-        FrameResult {
-            image: self.image.expect("composite stage ran"),
+        let (image, composite, completeness) = self.composited.expect("composite stage ran");
+        let frame = FrameResult {
+            image,
             timing,
             io: self.io,
             render_samples: rs.samples,
@@ -600,8 +603,9 @@ impl StageExec for RayonExec<'_> {
             render_eval_slots: rs.packet_eval_slots,
             render_terminated: rs.terminated_rays,
             render_error_bound: rs.error_bound as f64,
-            composite: self.composite.expect("composite stage ran"),
-        }
+            composite,
+        };
+        Ok((frame, completeness))
     }
 }
 
@@ -751,20 +755,15 @@ struct RankIo {
     prefetch_secs: f64,
 }
 
-/// One rank's frame on the message-passing executor: the unified body
-/// behind both the plain and the fault-tolerant entry points. Link mode
-/// selects the protocol per stage; the stage sequence itself lives only
-/// in [`execute`].
+/// One rank's frame on the message-passing executor. Link mode selects
+/// the protocol per stage; the stage sequence itself lives only in
+/// [`execute`].
 pub struct RankExec<'a> {
     comm: &'a mut pvr_mpisim::Comm,
     cfg: &'a FrameConfig,
     path: &'a Path,
     links: &'a LinkMode,
     tags: FrameTags,
-    /// Barrier between stages (the paper's bulk-synchronous frame).
-    /// Direct mode only; the reliable protocol never blocks on a
-    /// barrier a crashed rank might miss.
-    barriers: bool,
     throttle: Option<IoThrottle>,
     windows: Option<PrefetchedWindows>,
     m: usize,
@@ -814,7 +813,6 @@ impl<'a> RankExec<'a> {
         path: &'a Path,
         links: &'a LinkMode,
         tags: FrameTags,
-        barriers: bool,
         throttle: Option<IoThrottle>,
         windows: Option<PrefetchedWindows>,
         shared: Arc<FrameShared>,
@@ -829,7 +827,6 @@ impl<'a> RankExec<'a> {
             path,
             links,
             tags,
-            barriers,
             throttle,
             windows,
             m: cfg.compositors(),
@@ -937,13 +934,13 @@ impl<'a> RankExec<'a> {
         ));
         match self.links {
             LinkMode::Direct => {
-                // Close the stage before the barrier: the span then
-                // measures this rank's own progress; barrier wait time
-                // accrues to the parent span.
+                // Close the stage before the barrier (the paper's
+                // bulk-synchronous frame; the reliable protocol never
+                // blocks on one a crashed rank might miss): the span
+                // then measures this rank's own progress; barrier wait
+                // time accrues to the parent span.
                 self.comm.span_end("io");
-                if self.barriers {
-                    self.comm.barrier().await;
-                }
+                self.comm.barrier().await;
                 self.timing.io = self.sw.lap() + io.prefetch_secs;
             }
             LinkMode::Reliable(_) => {
@@ -1260,9 +1257,7 @@ impl<'a> RankExec<'a> {
         match self.links {
             LinkMode::Direct => {
                 self.comm.span_end("render");
-                if self.barriers {
-                    self.comm.barrier().await;
-                }
+                self.comm.barrier().await;
                 self.timing.render = self.sw.lap();
             }
             LinkMode::Reliable(_) => {
@@ -1647,9 +1642,7 @@ impl<'a> RankExec<'a> {
                     self.image = Some(img);
                 }
                 self.comm.span_end("composite");
-                if self.barriers {
-                    self.comm.barrier().await;
-                }
+                self.comm.barrier().await;
             }
             LinkMode::Reliable(rc) => {
                 let policy = rc.policy;
@@ -1896,33 +1889,90 @@ impl StageExec for RankExec<'_> {
 // The one driver
 // ---------------------------------------------------------------------
 
-/// Executor choice for [`drive_frame`].
-pub enum ExecChoice<'a> {
-    /// Data-parallel in one address space, optionally span-traced.
-    Rayon { tracer: &'a Tracer },
-    /// Message passing: one thread per rank, with the link mode
-    /// selecting plain or fault-tolerant transport.
-    Mpi {
-        opts: pvr_mpisim::RunOptions,
-        links: LinkMode,
-    },
+/// Which executor runs the frame.
+enum Exec {
+    Rayon,
+    Mpi(pvr_mpisim::RunOptions),
 }
 
-/// One frame, fully configured.
-pub struct Driver<'a> {
-    pub plan: FramePlan,
-    pub exec: ExecChoice<'a>,
-    /// Always-on flight recorder the frame's verdict, incidents, and
-    /// anomaly dumps are mirrored onto. The disabled recorder costs
-    /// nothing; callers that want dumps pass an enabled one and drain
-    /// it with [`pvr_obs::FlightRecorder::take_dumps`].
-    pub flight: pvr_obs::FlightRecorder,
+/// One frame, fully configured: start from [`Driver::rayon`] or
+/// [`Driver::mpi`] and chain the modifiers.
+pub struct Driver {
+    exec: Exec,
+    tracer: Tracer,
+    faults: Option<(FaultPlan, RecoveryPolicy)>,
+    flight: FlightRecorder,
+}
+
+impl Driver {
+    fn new(exec: Exec) -> Driver {
+        Driver {
+            exec,
+            tracer: Tracer::disabled(),
+            faults: None,
+            flight: FlightRecorder::disabled(),
+        }
+    }
+
+    /// Data-parallel in one address space. With `path = None` the read
+    /// stage synthesizes block data procedurally.
+    pub fn rayon() -> Driver {
+        Driver::new(Exec::Rayon)
+    }
+
+    /// Message passing, one simulated rank per process, under explicit
+    /// runtime options — tracing, wildcard-match policy, replay,
+    /// backend, watchdog. Needs a dataset file.
+    pub fn mpi(opts: pvr_mpisim::RunOptions) -> Driver {
+        Driver::new(Exec::Mpi(opts))
+    }
+
+    /// Wall-clock span tracing of the rayon executor: track `r` is
+    /// logical rank `r` (see [`crate::pipeline::run_frame_traced`]).
+    /// The message-passing executor traces through
+    /// `RunOptions::traced()` instead and ignores this.
+    pub fn traced(mut self, tracer: &Tracer) -> Driver {
+        self.tracer = tracer.clone();
+        self
+    }
+
+    /// Run the frame under a fault plan. Deadlines, the suspicion
+    /// threshold and the heal budget are derived from the calibrated
+    /// perf model with `policy` as the floor ([`effective_policy`]).
+    /// The contract, on either executor:
+    ///
+    /// * **Transient faults heal exactly.** If every injected fault is
+    ///   survivable (dropped attempts < retry budget, stragglers < stage
+    ///   deadline, down servers covered by replicas, crashed ranks
+    ///   adopted within budget), the frame is bit-identical to the
+    ///   fault-free run and completeness is 1.0.
+    /// * **Permanent faults degrade, never hang.** What is lost for good
+    ///   surfaces as completeness < 1.0 attributed to specific tiles,
+    ///   and the run terminates within its stage deadlines — no barrier
+    ///   is posted and no receive is untimed.
+    /// * **Everything replays.** All fault behaviour derives from
+    ///   `(seed, FaultPlan)`: the same plan and policy produce the same
+    ///   image and the same completeness map.
+    pub fn faults(mut self, plan: &FaultPlan, policy: &RecoveryPolicy) -> Driver {
+        self.faults = Some((plan.clone(), *policy));
+        self
+    }
+
+    /// Mirror the frame's SLO verdict, located incidents and — on a
+    /// violation, crash, or degradation-ladder activation — the anomaly
+    /// dump onto `flight`, for the caller to drain with
+    /// [`FlightRecorder::take_dumps`].
+    pub fn flight(mut self, flight: &FlightRecorder) -> Driver {
+        self.flight = flight.clone();
+        self
+    }
 }
 
 /// Everything [`drive_frame`] produces.
 pub struct DriveOutput {
     pub frame: FrameResult,
-    /// Per-tile completeness (reliable links only).
+    /// Per-tile fraction of expected composited area that arrived
+    /// (frames run with [`Driver::faults`] only).
     pub completeness: Option<CompletenessMap>,
     /// The message trace (message-passing executor with `opts.trace`).
     pub trace: Option<pvr_mpisim::trace::TraceLog>,
@@ -1956,24 +2006,23 @@ pub(crate) fn expected_tile_areas(cfg: &FrameConfig, n: usize, m: usize) -> Vec<
     areas
 }
 
-/// Assemble one frame's driver-side result from the per-rank outputs.
-/// `reliable` selects the fault-tolerant accounting (merged recovery
-/// counters, completeness, rank-0-crash degradation). `plan_incidents`
-/// are the caller's located fault-plan observations (crashes,
-/// suspicious straggles); per-rank counter incidents (ladder
-/// activations, I/O failovers) are derived here, and the frame's SLO
-/// verdict is evaluated against the perfmodel budgets and recorded in
-/// the returned timing.
+/// Assemble one frame's driver-side result from the per-rank outputs
+/// and mirror its verdict onto `flight`. Reliable links select the
+/// fault-tolerant accounting (merged recovery counters, completeness,
+/// rank-0-crash degradation) and contribute the plan's located
+/// incidents; per-rank counter incidents (ladder activations, I/O
+/// failovers) are derived here, and the frame's SLO verdict is
+/// evaluated against the perfmodel budgets and recorded in the returned
+/// timing. A message trace, when given, names the attributed rank from
+/// its critical path where time and incidents could not.
 pub(crate) fn assemble_frame(
     cfg: &FrameConfig,
     mut results: Vec<RankOut>,
-    reliable: bool,
-    plan_incidents: &[crate::slo::Incident],
-) -> (
-    FrameResult,
-    Option<CompletenessMap>,
-    Vec<crate::slo::Incident>,
-) {
+    links: &LinkMode,
+    trace: Option<&pvr_mpisim::trace::TraceLog>,
+    flight: &FlightRecorder,
+) -> (FrameResult, Option<CompletenessMap>) {
+    let reliable = matches!(links, LinkMode::Reliable(_));
     let m = cfg.compositors();
     let n = cfg.nprocs;
     // Per-rank stage times and located incidents, before rank 0's
@@ -1983,7 +2032,7 @@ pub(crate) fn assemble_frame(
         .iter()
         .map(|r| [r.timing.io, r.timing.render, r.timing.composite])
         .collect();
-    let mut incidents = plan_incidents.to_vec();
+    let mut incidents = links.plan_incidents(n);
     for (rank, r) in results.iter().enumerate() {
         crate::slo::counter_incidents(rank, &r.counters, &mut incidents);
     }
@@ -2010,14 +2059,20 @@ pub(crate) fn assemble_frame(
     // Coarse-rung heals may double-count overlapping footprints; the
     // bound stays a bound when clamped to the whole image.
     timing.error_bound = error_bound.min(1.0);
-    timing.slo = Some(crate::slo::annotate(
+    let mut slo = crate::slo::annotate(
         cfg,
         &crate::slo::FrameSample {
             stage_secs: [timing.io, timing.render, timing.composite],
             per_rank: &per_rank,
             incidents: &incidents,
         },
-    ));
+    );
+    if let Some(trace) = trace {
+        crate::slo::refine_summary_with_trace(&mut slo, trace);
+    }
+    flight.begin_frame();
+    crate::slo::record_frame_flight(flight, &slo, &incidents, &recovery);
+    timing.slo = Some(slo);
 
     let (image, completeness) = if reliable {
         // A crashed rank 0 cannot deliver an image: the frame degrades
@@ -2078,94 +2133,67 @@ pub(crate) fn assemble_frame(
             },
         },
         completeness,
-        incidents,
     )
 }
 
-/// Run one frame: the single implementation behind every legacy entry
-/// point. `path` is required by the message-passing executor; the rayon
-/// executor synthesizes block data procedurally when it is `None`.
+/// Run one frame. `path` is required by the message-passing executor;
+/// the rayon executor synthesizes block data procedurally when it is
+/// `None`.
 pub fn drive_frame(
     cfg: &FrameConfig,
     path: Option<&Path>,
-    driver: Driver<'_>,
-) -> Result<DriveOutput, FtError> {
-    let flight = driver.flight;
-    flight.begin_frame();
+    driver: Driver,
+) -> Result<DriveOutput, FrameError> {
+    let faults = driver
+        .faults
+        .map(|(plan, policy)| (plan, effective_policy(cfg, &policy)));
     match driver.exec {
-        ExecChoice::Rayon { tracer } => {
-            let input = match path {
-                Some(p) => FrameInput::File(p),
-                None => FrameInput::Synthetic,
-            };
-            let frame = pvr_mpisim::block_on_ready(execute(
-                &driver.plan,
-                RayonExec::new(cfg, input, tracer, None),
-            ));
-            if let Some(slo) = &frame.timing.slo {
-                crate::slo::record_frame_flight(&flight, slo, &[], &frame.timing.recovery);
-            }
+        Exec::Rayon => {
+            let input = path.map_or(FrameInput::Synthetic, FrameInput::File);
+            let (tracer, flight) = (&driver.tracer, &driver.flight);
+            let exec = RayonExec::new(cfg, input, tracer, None, faults.as_ref(), flight);
+            let (frame, completeness) = pvr_mpisim::block_on_ready(execute(exec))?;
             Ok(DriveOutput {
                 frame,
-                completeness: None,
+                completeness: faults.is_some().then_some(completeness),
                 trace: None,
                 sim: None,
             })
         }
-        ExecChoice::Mpi { opts, links } => {
-            let path = path
-                .expect("message-passing executor needs a dataset file")
-                .to_path_buf();
-            let cfg = *cfg;
-            let n = cfg.nprocs;
-            let reliable = matches!(links, LinkMode::Reliable(_));
-            // Located incidents from the injected plan: a crash or
-            // suspicious straggle attributes to its injection site
-            // even when hedging kept the frame fast.
-            let plan_incidents = match &links {
-                LinkMode::Reliable(rc) => {
-                    crate::slo::incidents_from_plan(n, &rc.plan, rc.policy.suspicion)
-                }
-                LinkMode::Direct => Vec::new(),
+        Exec::Mpi(opts) => {
+            let Some(path) = path else {
+                return Err(FrameError::Io {
+                    path: PathBuf::new(),
+                    source: std::io::Error::new(
+                        std::io::ErrorKind::InvalidInput,
+                        "the message-passing executor needs a dataset file",
+                    ),
+                });
             };
-            let opts = if let LinkMode::Reliable(rc) = &links {
-                opts.with_injector(PlanInjector::arc(rc.plan.clone()))
-            } else {
-                opts
+            let links = match faults {
+                Some((plan, policy)) => LinkMode::reliable(plan, policy),
+                None => LinkMode::Direct,
             };
-            let plan = driver.plan;
+            let opts = match links.injector() {
+                Some(inj) => opts.with_injector(Arc::new(inj)),
+                None => opts,
+            };
             // Frame invariants computed once, shared by all n ranks:
             // without this each rank re-derives O(n) geometry/schedule
             // state and the world is O(n²) — fatal at 32K ranks.
-            let shared = Arc::new(FrameShared::new(&cfg));
-            let cfg_ref = &cfg;
-            let path_ref = &path;
-            let links_ref = &links;
-            let plan_ref = &plan;
-            let shared_ref = &shared;
-            let out = pvr_mpisim::World::run_opts(n, opts, move |mut comm| async move {
-                let exec = RankExec::new(
-                    &mut comm,
-                    cfg_ref,
-                    path_ref,
-                    links_ref,
-                    FrameTags::for_frame(0),
-                    !reliable,
-                    None,
-                    None,
-                    Arc::clone(shared_ref),
-                );
-                execute(plan_ref, exec).await
+            let shared = Arc::new(FrameShared::new(cfg));
+            let (links_ref, shared_ref) = (&links, &shared);
+            let out = pvr_mpisim::World::run_opts(cfg.nprocs, opts, move |mut comm| async move {
+                let tags = FrameTags::for_frame(0);
+                let shared = Arc::clone(shared_ref);
+                execute(RankExec::new(
+                    &mut comm, cfg, path, links_ref, tags, None, None, shared,
+                ))
+                .await
             })
-            .map_err(FtError::Runtime)?;
-            let (mut frame, completeness, incidents) =
-                assemble_frame(&cfg, out.results, reliable, &plan_incidents);
-            if let (Some(slo), Some(trace)) = (&mut frame.timing.slo, &out.trace) {
-                crate::slo::refine_summary_with_trace(slo, trace);
-            }
-            if let Some(slo) = &frame.timing.slo {
-                crate::slo::record_frame_flight(&flight, slo, &incidents, &frame.timing.recovery);
-            }
+            .map_err(FrameError::Runtime)?;
+            let (frame, completeness) =
+                assemble_frame(cfg, out.results, &links, out.trace.as_ref(), &driver.flight);
             Ok(DriveOutput {
                 frame,
                 completeness,
@@ -2179,45 +2207,9 @@ pub fn drive_frame(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn standard_plan_is_valid_and_orders_stages() {
-        let p = FramePlan::standard();
-        assert_eq!(
-            p.stages(),
-            &[
-                StageId::Read,
-                StageId::Render,
-                StageId::Composite,
-                StageId::Gather
-            ]
-        );
-        assert_eq!(FramePlan::new(p.stages().to_vec()), Ok(p));
-    }
-
-    #[test]
-    fn plan_validation_rejects_bad_orders() {
-        assert_eq!(
-            FramePlan::new(vec![
-                StageId::Render,
-                StageId::Read,
-                StageId::Composite,
-                StageId::Gather
-            ]),
-            Err(PlanError::DependencyOrder {
-                stage: StageId::Render,
-                needs: StageId::Read
-            })
-        );
-        assert_eq!(
-            FramePlan::new(vec![StageId::Read, StageId::Read]),
-            Err(PlanError::Duplicate(StageId::Read))
-        );
-        assert_eq!(
-            FramePlan::new(vec![StageId::Read, StageId::Render, StageId::Composite]),
-            Err(PlanError::Missing(StageId::Gather))
-        );
-    }
+    use crate::config::CompositorPolicy;
+    use crate::pipeline::{run_frame_mpi, write_dataset};
+    use pvr_faults::{LinkAction, LinkFault, Pat, RankFault};
 
     #[test]
     fn frame_zero_tags_equal_the_legacy_constants() {
@@ -2286,5 +2278,322 @@ mod tests {
         assert_eq!(StageId::Render.fault_stage(), Some(Stage::Render));
         assert_eq!(StageId::Composite.fault_stage(), Some(Stage::Composite));
         assert_eq!(StageId::Gather.fault_stage(), None);
+    }
+
+    // --- fault frames: drive_frame + .faults(..) on either executor ---
+
+    fn mpi_ft(
+        cfg: &FrameConfig,
+        p: &Path,
+        plan: &FaultPlan,
+        policy: &RecoveryPolicy,
+    ) -> DriveOutput {
+        let driver = Driver::mpi(pvr_mpisim::RunOptions::default()).faults(plan, policy);
+        drive_frame(cfg, Some(p), driver).unwrap()
+    }
+
+    fn rayon_ft(
+        cfg: &FrameConfig,
+        p: &Path,
+        plan: &FaultPlan,
+        policy: &RecoveryPolicy,
+    ) -> DriveOutput {
+        drive_frame(cfg, Some(p), Driver::rayon().faults(plan, policy)).unwrap()
+    }
+
+    fn complete(out: &DriveOutput) -> bool {
+        let map = out.completeness.as_ref();
+        map.expect("fault frames report completeness")
+            .fully_complete()
+    }
+
+    fn tmp(name: &str) -> std::path::PathBuf {
+        let d = std::env::temp_dir().join(format!("pvr-sched-{}", std::process::id()));
+        std::fs::create_dir_all(&d).unwrap();
+        d.join(name)
+    }
+
+    fn test_cfg() -> FrameConfig {
+        let mut cfg = FrameConfig::small(16, 24, 8);
+        cfg.variable = 2;
+        cfg.policy = CompositorPolicy::Fixed(4);
+        cfg
+    }
+
+    #[test]
+    fn healthy_plan_matches_plain_mpi_bit_for_bit() {
+        let cfg = test_cfg();
+        let p = tmp("healthy.raw");
+        write_dataset(&p, &cfg).unwrap();
+        let plain = run_frame_mpi(&cfg, &p);
+        let ft = mpi_ft(&cfg, &p, &FaultPlan::none(), &RecoveryPolicy::fast_test());
+        assert_eq!(plain.image.pixels(), ft.frame.image.pixels());
+        assert!(complete(&ft));
+        // Spurious retransmits can happen under scheduler load (an ack
+        // arriving just after its timeout) and are harmless — but
+        // nothing may be lost, degraded, or crashed on a healthy plan.
+        let rec = ft.frame.timing.recovery;
+        assert_eq!(rec.timeouts, 0);
+        assert_eq!(rec.corrupt_dropped, 0);
+        assert_eq!(rec.degraded_tiles, 0);
+        assert_eq!(rec.crashed_ranks, 0);
+        assert_eq!(rec.io_retries, 0);
+        assert_eq!(rec.io_failovers, 0);
+        std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn transient_drops_recover_bit_identically_with_retries() {
+        let cfg = test_cfg();
+        let p = tmp("transient.raw");
+        write_dataset(&p, &cfg).unwrap();
+        let plain = run_frame_mpi(&cfg, &p);
+        let plan = FaultPlan {
+            seed: 5,
+            links: vec![
+                LinkFault {
+                    src: Pat::Is(1),
+                    dst: Pat::Any,
+                    tag: Some(tags::FRAGMENT),
+                    action: LinkAction::DropFirst(2),
+                },
+                LinkFault {
+                    src: Pat::Any,
+                    dst: Pat::Is(2),
+                    tag: Some(tags::IO_SCATTER),
+                    action: LinkAction::DropFirst(1),
+                },
+            ],
+            ranks: vec![RankFault {
+                rank: 3,
+                stage: Stage::Render,
+                action: RankAction::StraggleMs(30),
+            }],
+            ..FaultPlan::default()
+        };
+        let ft = mpi_ft(&cfg, &p, &plan, &RecoveryPolicy::fast_test());
+        assert_eq!(
+            plain.image.pixels(),
+            ft.frame.image.pixels(),
+            "transient faults must heal without a pixel trace"
+        );
+        assert!(complete(&ft));
+        assert!(ft.frame.timing.recovery.retries > 0, "recovery did work");
+        assert_eq!(ft.frame.timing.recovery.timeouts, 0);
+        std::fs::remove_file(&p).ok();
+    }
+
+    fn crash_plan(rank: usize, stage: Stage, seed: u64) -> FaultPlan {
+        FaultPlan {
+            seed,
+            ranks: vec![RankFault {
+                rank,
+                stage,
+                action: RankAction::Crash,
+            }],
+            ..FaultPlan::default()
+        }
+    }
+
+    #[test]
+    fn crashed_renderer_heals_bit_identically_via_adoption() {
+        let cfg = test_cfg();
+        let p = tmp("crash.raw");
+        write_dataset(&p, &cfg).unwrap();
+        let plain = run_frame_mpi(&cfg, &p);
+        let plan = crash_plan(5, Stage::Composite, 9);
+        let ft = mpi_ft(&cfg, &p, &plan, &RecoveryPolicy::fast_test());
+        assert_eq!(
+            plain.image.pixels(),
+            ft.frame.image.pixels(),
+            "a single crashed renderer must heal without a pixel trace"
+        );
+        assert!(complete(&ft));
+        let rec = ft.frame.timing.recovery;
+        assert_eq!(rec.crashed_ranks, 1);
+        assert!(rec.adopted_blocks >= 1, "a survivor adopted the block");
+        assert!(
+            rec.late_fragments >= 1,
+            "the heal travelled as late fragments"
+        );
+        assert!(rec.recovery_bytes > 0);
+        assert_eq!(rec.degraded_tiles, 0);
+        assert_eq!(ft.frame.timing.error_bound, 0.0, "full heal has no error");
+        std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn crashed_compositor_tile_is_rebuilt_by_rank0() {
+        let cfg = test_cfg();
+        let p = tmp("crash-comp.raw");
+        write_dataset(&p, &cfg).unwrap();
+        let plain = run_frame_mpi(&cfg, &p);
+        // Rank 6 owns a tile under Fixed(4) on 8 ranks (c*8/4 = 0,2,4,6).
+        let plan = crash_plan(6, Stage::Composite, 11);
+        let ft = mpi_ft(&cfg, &p, &plan, &RecoveryPolicy::fast_test());
+        assert_eq!(
+            plain.image.pixels(),
+            ft.frame.image.pixels(),
+            "a dead compositor's tile is rebuilt at the root, bit-identically"
+        );
+        assert!(complete(&ft));
+        let rec = ft.frame.timing.recovery;
+        assert_eq!(rec.crashed_ranks, 1);
+        assert!(rec.adopted_tiles >= 1, "rank 0 rebuilt the orphan tile");
+        assert!(rec.adopted_blocks >= 1);
+        std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn straggler_is_hedged_and_the_frame_does_not_wait_for_it() {
+        let cfg = test_cfg();
+        let p = tmp("straggle.raw");
+        write_dataset(&p, &cfg).unwrap();
+        let plain = run_frame_mpi(&cfg, &p);
+        let plan = FaultPlan {
+            seed: 4,
+            ranks: vec![RankFault {
+                rank: 3,
+                stage: Stage::Composite,
+                action: RankAction::StraggleMs(1200),
+            }],
+            ..FaultPlan::default()
+        };
+        let ft = mpi_ft(&cfg, &p, &plan, &RecoveryPolicy::fast_test());
+        assert_eq!(
+            plain.image.pixels(),
+            ft.frame.image.pixels(),
+            "hedged duplicate renders are deterministic: the race cannot show"
+        );
+        assert!(complete(&ft));
+        let rec = ft.frame.timing.recovery;
+        assert!(rec.hedged_renders >= 1, "suspicion fired a hedge");
+        assert!(
+            ft.frame.timing.wall < 1.2,
+            "the frame must not wait out the {}s straggle (wall {}s)",
+            1.2,
+            ft.frame.timing.wall
+        );
+        std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn degradation_ladder_steps_coarse_then_skip_on_a_shrinking_budget() {
+        let cfg = test_cfg();
+        let p = tmp("ladder.raw");
+        write_dataset(&p, &cfg).unwrap();
+        let plan = crash_plan(5, Stage::Composite, 9);
+        let model = crate::perfmodel::PerfModel::default();
+        let owned: Vec<_> = geometry(&cfg).owned;
+        let est = crate::recovery::block_cost(&cfg, &model, &owned[5]);
+        assert!(est > 0.0);
+
+        // Budget in (est/4, est): only the coarse rung fits. The frame
+        // stays complete but reports an explicit error bound.
+        let mut policy = RecoveryPolicy::fast_test();
+        policy.frame_budget = Some(est * 0.5);
+        let ft = mpi_ft(&cfg, &p, &plan, &policy);
+        assert!(complete(&ft));
+        let rec = ft.frame.timing.recovery;
+        assert!(rec.approx_blocks >= 1, "coarse rung taken");
+        assert!(
+            ft.frame.timing.error_bound > 0.0,
+            "coarse heal reports its error bound"
+        );
+
+        // Budget below est/4: the ladder refuses; the hole is explicit
+        // in the completeness map and the frame still terminates.
+        let mut policy = RecoveryPolicy::fast_test();
+        policy.frame_budget = Some(est * 0.1);
+        let ft = mpi_ft(&cfg, &p, &plan, &policy);
+        assert!(!complete(&ft));
+        assert_eq!(ft.frame.timing.recovery.approx_blocks, 0);
+        assert_eq!(ft.frame.timing.error_bound, 0.0);
+        std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn rayon_ft_heals_crashes_and_walks_the_same_ladder() {
+        let cfg = test_cfg();
+        let p = tmp("rayon-ft.raw");
+        write_dataset(&p, &cfg).unwrap();
+        let plain = run_frame_mpi(&cfg, &p);
+        let plan = crash_plan(5, Stage::Render, 13);
+
+        // Unbounded budget: full heal, bit-identical.
+        let ft = rayon_ft(&cfg, &p, &plan, &RecoveryPolicy::fast_test());
+        assert_eq!(plain.image.pixels(), ft.frame.image.pixels());
+        assert!(complete(&ft));
+        assert_eq!(ft.frame.timing.recovery.crashed_ranks, 1);
+        assert_eq!(ft.frame.timing.recovery.adopted_blocks, 1);
+
+        // Coarse budget: complete with an error bound.
+        let model = crate::perfmodel::PerfModel::default();
+        let owned: Vec<_> = geometry(&cfg).owned;
+        let est = crate::recovery::block_cost(&cfg, &model, &owned[5]);
+        let mut policy = RecoveryPolicy::fast_test();
+        policy.frame_budget = Some(est * 0.5);
+        let ft = rayon_ft(&cfg, &p, &plan, &policy);
+        assert!(complete(&ft));
+        assert_eq!(ft.frame.timing.recovery.approx_blocks, 1);
+        assert!(ft.frame.timing.error_bound > 0.0);
+
+        // No budget: the block is skipped and completeness says so.
+        policy.frame_budget = Some(0.0);
+        let ft = rayon_ft(&cfg, &p, &plan, &policy);
+        assert!(!complete(&ft));
+        assert_eq!(ft.frame.timing.recovery.adopted_blocks, 0);
+        std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn down_server_with_failover_is_invisible_down_without_is_not() {
+        let cfg = test_cfg();
+        let p = tmp("server.raw");
+        write_dataset(&p, &cfg).unwrap();
+        let plain = run_frame_mpi(&cfg, &p);
+        let plan = FaultPlan {
+            seed: 3,
+            servers: vec![pvr_faults::ServerFault {
+                server: 0,
+                action: pvr_faults::ServerAction::Down,
+            }],
+            ..FaultPlan::default()
+        };
+        // With failover: bit-identical, replica bytes accounted.
+        let ft = mpi_ft(&cfg, &p, &plan, &RecoveryPolicy::fast_test());
+        assert_eq!(plain.image.pixels(), ft.frame.image.pixels());
+        assert!(complete(&ft));
+        assert!(ft.frame.io.failover_bytes > 0);
+        assert!(ft.frame.io.retries > 0);
+        assert_eq!(ft.frame.io.unrecovered_bytes, 0);
+        // Without failover: data is lost, completeness drops, run ends.
+        let mut policy = RecoveryPolicy::fast_test();
+        policy.io_failover = false;
+        let ft = mpi_ft(&cfg, &p, &plan, &policy);
+        assert!(ft.frame.io.unrecovered_bytes > 0);
+        assert!(!complete(&ft));
+        std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn rank0_crash_yields_empty_frame_with_zero_completeness() {
+        let cfg = test_cfg();
+        let p = tmp("root.raw");
+        write_dataset(&p, &cfg).unwrap();
+        let plan = FaultPlan {
+            seed: 1,
+            ranks: vec![RankFault {
+                rank: 0,
+                stage: Stage::Io,
+                action: RankAction::Crash,
+            }],
+            ..FaultPlan::default()
+        };
+        let ft = mpi_ft(&cfg, &p, &plan, &RecoveryPolicy::fast_test());
+        assert!(ft.frame.image.pixels().iter().all(|px| *px == [0.0; 4]));
+        assert!(ft.completeness.unwrap().frame_fraction() < 1.0);
+        assert!(ft.frame.timing.recovery.crashed_ranks >= 1);
+        std::fs::remove_file(&p).ok();
     }
 }

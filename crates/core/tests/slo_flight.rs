@@ -7,12 +7,12 @@
 use std::path::PathBuf;
 
 use pvr_core::config::CompositorPolicy;
-use pvr_core::ft::{laptop_store, run_frame_mpi_ft_obs, run_frame_rayon_ft_obs};
-use pvr_core::pipeline::write_dataset;
+use pvr_core::pipeline::{run_frame, write_dataset};
 use pvr_core::slo::Cause;
-use pvr_core::{FrameConfig, Verdict};
+use pvr_core::{drive_frame, DriveOutput, Driver, FrameConfig, Verdict};
 use pvr_faults::{FaultPlan, RankAction, RankFault, RecoveryPolicy, Stage};
-use pvr_obs::FlightRecorder;
+use pvr_obs::span::EventKind;
+use pvr_obs::{perfetto, FlightRecorder, Tracer};
 
 fn tmp(name: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("pvr-slo-{}", std::process::id()));
@@ -51,6 +51,31 @@ fn crash_plan() -> FaultPlan {
     }
 }
 
+/// One fault frame on `driver`'s executor under the fast test policy,
+/// mirrored onto `flight`.
+fn fault_frame(
+    cfg: &FrameConfig,
+    p: &std::path::Path,
+    driver: Driver,
+    plan: &FaultPlan,
+    flight: &FlightRecorder,
+) -> DriveOutput {
+    let driver = driver
+        .faults(plan, &RecoveryPolicy::fast_test())
+        .flight(flight);
+    drive_frame(cfg, Some(p), driver).unwrap()
+}
+
+fn mpi() -> Driver {
+    Driver::mpi(pvr_mpisim::RunOptions::default())
+}
+
+fn complete(out: &DriveOutput) -> bool {
+    let map = out.completeness.as_ref();
+    map.expect("fault frames report completeness")
+        .fully_complete()
+}
+
 /// Compare `actual` against `tests/golden/<name>`; regenerate the file
 /// when `PVR_UPDATE_GOLDEN=1` is set.
 fn assert_golden(name: &str, actual: &str) {
@@ -81,16 +106,7 @@ fn mpi_straggler_violates_slo_at_the_injection_site() {
     let p = tmp("mpi-straggle.raw");
     write_dataset(&p, &cfg).unwrap();
     let flight = FlightRecorder::wall(256);
-    let (ft, _) = run_frame_mpi_ft_obs(
-        &cfg,
-        &p,
-        &straggle_plan(),
-        &RecoveryPolicy::fast_test(),
-        &laptop_store(),
-        pvr_mpisim::RunOptions::default(),
-        &flight,
-    )
-    .unwrap();
+    let ft = fault_frame(&cfg, &p, mpi(), &straggle_plan(), &flight);
     let slo = ft.frame.timing.slo.expect("ft frames carry a verdict");
     assert_eq!(slo.verdict, Verdict::Violated);
     assert_eq!(
@@ -114,16 +130,7 @@ fn mpi_crash_is_attributed_even_though_recovery_healed_it() {
     let p = tmp("mpi-crash.raw");
     write_dataset(&p, &cfg).unwrap();
     let flight = FlightRecorder::wall(256);
-    let (ft, _) = run_frame_mpi_ft_obs(
-        &cfg,
-        &p,
-        &crash_plan(),
-        &RecoveryPolicy::fast_test(),
-        &laptop_store(),
-        pvr_mpisim::RunOptions::default(),
-        &flight,
-    )
-    .unwrap();
+    let ft = fault_frame(&cfg, &p, mpi(), &crash_plan(), &flight);
     let slo = ft.frame.timing.slo.expect("ft frames carry a verdict");
     assert_eq!(slo.verdict, Verdict::Violated);
     assert_eq!((slo.stage, slo.rank), (Some(1), Some(5)));
@@ -143,14 +150,8 @@ fn rayon_ft_matches_the_mpi_attribution_for_the_same_plans() {
 
     // Straggler: hedged, so the wall clock never sees the 1.2 s — the
     // located incident must still violate and attribute.
-    let ft = run_frame_rayon_ft_obs(
-        &cfg,
-        &p,
-        &straggle_plan(),
-        &RecoveryPolicy::fast_test(),
-        &FlightRecorder::disabled(),
-    )
-    .unwrap();
+    let off = FlightRecorder::disabled();
+    let ft = fault_frame(&cfg, &p, Driver::rayon(), &straggle_plan(), &off);
     let slo = ft.frame.timing.slo.unwrap();
     assert_eq!(slo.verdict, Verdict::Violated);
     assert_eq!((slo.stage, slo.rank), (Some(2), Some(3)));
@@ -158,15 +159,8 @@ fn rayon_ft_matches_the_mpi_attribution_for_the_same_plans() {
 
     // Crash: healed bit-identically, still attributed to rank 5.
     let flight = FlightRecorder::wall(64);
-    let ft = run_frame_rayon_ft_obs(
-        &cfg,
-        &p,
-        &crash_plan(),
-        &RecoveryPolicy::fast_test(),
-        &flight,
-    )
-    .unwrap();
-    assert!(ft.completeness.fully_complete(), "crash healed");
+    let ft = fault_frame(&cfg, &p, Driver::rayon(), &crash_plan(), &flight);
+    assert!(complete(&ft), "crash healed");
     let slo = ft.frame.timing.slo.unwrap();
     assert_eq!(slo.verdict, Verdict::Violated);
     assert_eq!((slo.stage, slo.rank), (Some(1), Some(5)));
@@ -181,14 +175,7 @@ fn healthy_frames_are_not_anomalies() {
     let p = tmp("healthy.raw");
     write_dataset(&p, &cfg).unwrap();
     let flight = FlightRecorder::wall(64);
-    let ft = run_frame_rayon_ft_obs(
-        &cfg,
-        &p,
-        &FaultPlan::none(),
-        &RecoveryPolicy::fast_test(),
-        &flight,
-    )
-    .unwrap();
+    let ft = fault_frame(&cfg, &p, Driver::rayon(), &FaultPlan::none(), &flight);
     let slo = ft.frame.timing.slo.unwrap();
     // No incidents on a healthy plan; the cause can only be raw time.
     assert_ne!(slo.cause, Some(Cause::Crash));
@@ -196,6 +183,42 @@ fn healthy_frames_are_not_anomalies() {
     assert!(
         flight.events_recorded() > 0,
         "the recorder is always on: verdicts land in the ring"
+    );
+
+    // An empty plan is the fault-free frame: same pixels, every tile
+    // whole, nothing recovered.
+    assert_eq!(
+        ft.frame.image.pixels(),
+        run_frame(&cfg, Some(&p)).image.pixels()
+    );
+    let map = ft.completeness.as_ref().unwrap();
+    assert!(map.tiles.iter().all(|t| t.fraction() == 1.0));
+    assert_eq!(ft.frame.timing.recovery, Default::default());
+
+    // A faulted frame is traced like any other: the timeline validates
+    // and the adopter's track carries the orphan's re-render next to its
+    // own block.
+    let tracer = Tracer::wall();
+    let driver = Driver::rayon()
+        .faults(&crash_plan(), &RecoveryPolicy::fast_test())
+        .traced(&tracer);
+    let healed = drive_frame(&cfg, Some(&p), driver).unwrap();
+    assert!(complete(&healed));
+    let profile = tracer.finish();
+    perfetto::validate(&perfetto::to_json(&profile)).expect("faulted trace validates");
+    let blocks = |track| {
+        let on_track = profile.events_for(track);
+        on_track
+            .filter(|e| e.name == "render.block" && e.kind == EventKind::Begin)
+            .count()
+    };
+    assert_eq!(blocks(5), 0, "the crashed rank renders nothing");
+    let per_track: Vec<usize> = (0..cfg.nprocs as u32).map(blocks).collect();
+    assert_eq!(per_track.iter().sum::<usize>(), cfg.nprocs);
+    assert_eq!(
+        per_track.iter().filter(|&&n| n == 2).count(),
+        1,
+        "one adopter"
     );
     std::fs::remove_file(&p).ok();
 }
@@ -207,14 +230,7 @@ fn manual_clock_flight_dump_is_golden() {
     write_dataset(&p, &cfg).unwrap();
     let run = || {
         let flight = FlightRecorder::manual(64);
-        run_frame_rayon_ft_obs(
-            &cfg,
-            &p,
-            &straggle_plan(),
-            &RecoveryPolicy::fast_test(),
-            &flight,
-        )
-        .unwrap();
+        fault_frame(&cfg, &p, Driver::rayon(), &straggle_plan(), &flight);
         let dumps = flight.take_dumps();
         assert_eq!(dumps.len(), 1);
         assert_eq!(dumps[0].reason, "slo-violation");

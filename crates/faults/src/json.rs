@@ -4,7 +4,7 @@
 //! this is the small subset of JSON the fault plans need (objects,
 //! arrays, strings, finite numbers, booleans, null), hand-rolled. It is
 //! not a general-purpose parser — but it accepts everything
-//! [`Json::to_string`] emits, which is the contract plan round-tripping
+//! [`Json`]'s `Display` emits, which is the contract plan round-tripping
 //! needs, plus ordinary hand-written plan files.
 
 /// A parsed JSON value. Object fields keep their source order.

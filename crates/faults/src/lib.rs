@@ -27,8 +27,8 @@
 //! failover, degraded pricing) live in `pvr_pfs::fault`; the
 //! image-side counterpart (per-tile `CompletenessMap`) lives in
 //! `pvr_compositing::completeness`. This crate is the control plane
-//! that ties them to one plan, and `pvr_core::ft` is the pipeline that
-//! consumes all three.
+//! that ties them to one plan, and `pvr_core::drive_frame` with
+//! `Driver::faults` is the pipeline that consumes all three.
 
 pub mod injector;
 pub mod json;

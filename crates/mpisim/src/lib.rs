@@ -78,8 +78,8 @@ mod thread;
 pub mod fault {
     //! Fault-injection hook for the transport (feature `ft`, default on).
     //!
-    //! An injector installed via [`RunOptions::with_injector`]
-    //! (`crate::RunOptions`) is consulted on **every send** before the
+    //! An injector installed via [`crate::RunOptions::with_injector`]
+    //! is consulted on **every send** before the
     //! message enters the destination queue. It may pass the message
     //! through, silently drop it, delay it (the sender stalls before
     //! enqueueing, modelling link latency), or mutate the payload in

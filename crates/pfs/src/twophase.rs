@@ -377,13 +377,8 @@ pub fn two_phase_execute(
     num_aggregators: usize,
     hints: &CollectiveHints,
 ) -> std::io::Result<ExecResult> {
-    two_phase_execute_traced(
-        file,
-        requests,
-        num_aggregators,
-        hints,
-        &pvr_obs::Tracer::disabled(),
-    )
+    let tracer = pvr_obs::Tracer::disabled();
+    two_phase_execute_traced(file, requests, num_aggregators, hints, &tracer)
 }
 
 /// [`two_phase_execute`] with span tracing: each physical window access
@@ -399,42 +394,7 @@ pub fn two_phase_execute_traced(
     hints: &CollectiveHints,
     tracer: &pvr_obs::Tracer,
 ) -> std::io::Result<ExecResult> {
-    let nranks = requests.len();
-    let sp = ScatterPlan::build(requests, num_aggregators, hints);
-
-    let mut rank_bytes: Vec<Vec<u8>> = requests
-        .iter()
-        .map(|rq| vec![0u8; rq.out_elems * ELEM_SIZE as usize])
-        .collect();
-
-    let mut exchange_bytes = 0u64;
-    let mut buf: Vec<u8> = Vec::new();
-    for a in &sp.plan.accesses {
-        let w = a.extent;
-        let host = sp.aggregator_rank(a.aggregator, nranks);
-        let _span = tracer.span_args(
-            host as pvr_obs::span::TrackId,
-            "io.window",
-            pvr_obs::Args::two("offset", w.offset, "bytes", w.len),
-        );
-        buf.resize(w.len as usize, 0);
-        file.seek(SeekFrom::Start(w.offset))?;
-        file.read_exact(&mut buf)?;
-        // Scatter the window to every run overlapping it.
-        for p in sp.pieces_in(w) {
-            rank_bytes[p.rank][p.out_byte..p.out_byte + p.len()]
-                .copy_from_slice(&buf[p.src_lo..p.src_hi]);
-            if p.rank != host {
-                exchange_bytes += p.len() as u64;
-            }
-        }
-    }
-
-    Ok(ExecResult {
-        rank_bytes,
-        plan: sp.plan,
-        exchange_bytes,
-    })
+    execute_windows(file, requests, num_aggregators, hints, tracer, None).map(|r| r.exec)
 }
 
 /// Result of a fault-tolerant collective read (see
@@ -475,9 +435,10 @@ impl FtExecResult {
 /// a down primary holds are retried, then read from the stripe replica
 /// (the replica holds the same bytes, so the data still comes from the
 /// local file — failover shows up in the *accounting*), and pieces with
-/// no live replica are zero-filled and reported per rank. The plain
-/// path is `two_phase_execute_ft` with healthy faults: same plan, same
-/// bytes, empty audit.
+/// no live replica are zero-filled and reported per rank. With healthy
+/// faults this is the plain path: same plan, same bytes, empty audit.
+///
+/// [`StripedStore`]: crate::server::StripedStore
 pub fn two_phase_execute_ft(
     file: &mut File,
     requests: &[RankRequest],
@@ -487,8 +448,26 @@ pub fn two_phase_execute_ft(
     faults: &crate::fault::ServerFaults,
     rec: &crate::fault::IoRecovery,
 ) -> std::io::Result<FtExecResult> {
-    use crate::fault::{window_fault_audit, WindowAudit};
+    let tracer = pvr_obs::Tracer::disabled();
+    let audit = Some((store, faults, rec));
+    execute_windows(file, requests, num_aggregators, hints, &tracer, audit)
+}
 
+/// The one window loop behind every collective read: read each window,
+/// scatter it to the runs overlapping it, and — when a faulted store is
+/// given — audit the window first and zero-fill what no replica serves.
+fn execute_windows(
+    file: &mut File,
+    requests: &[RankRequest],
+    num_aggregators: usize,
+    hints: &CollectiveHints,
+    tracer: &pvr_obs::Tracer,
+    faulted: Option<(
+        &crate::server::StripedStore,
+        &crate::fault::ServerFaults,
+        &crate::fault::IoRecovery,
+    )>,
+) -> std::io::Result<FtExecResult> {
     let nranks = requests.len();
     let sp = ScatterPlan::build(requests, num_aggregators, hints);
 
@@ -497,23 +476,30 @@ pub fn two_phase_execute_ft(
         .map(|rq| vec![0u8; rq.out_elems * ELEM_SIZE as usize])
         .collect();
 
-    let mut audit = WindowAudit::default();
+    let mut audit = crate::fault::WindowAudit::default();
     let mut rank_unrecovered = vec![0u64; nranks];
     let mut exchange_bytes = 0u64;
     let mut buf: Vec<u8> = Vec::new();
     for a in &sp.plan.accesses {
         let w = a.extent;
         let host = sp.aggregator_rank(a.aggregator, nranks);
-        let wa = window_fault_audit(store, faults, rec, w);
+        let _span = tracer.span_args(
+            host as pvr_obs::span::TrackId,
+            "io.window",
+            pvr_obs::Args::two("offset", w.offset, "bytes", w.len),
+        );
+        let wa = faulted
+            .map(|(store, faults, rec)| crate::fault::window_fault_audit(store, faults, rec, w));
         buf.resize(w.len as usize, 0);
         file.seek(SeekFrom::Start(w.offset))?;
         file.read_exact(&mut buf)?;
         // Bytes with no live replica never arrive: zero-fill them.
-        for lost in &wa.unrecoverable {
-            let lo = (lost.offset - w.offset) as usize;
-            let hi = lo + lost.len as usize;
-            buf[lo..hi].fill(0);
+        let lost = wa.as_ref().map_or(&[][..], |wa| &wa.unrecoverable[..]);
+        for l in lost {
+            let lo = (l.offset - w.offset) as usize;
+            buf[lo..lo + l.len as usize].fill(0);
         }
+        // Scatter the window to every run overlapping it.
         for p in sp.pieces_in(w) {
             rank_bytes[p.rank][p.out_byte..p.out_byte + p.len()]
                 .copy_from_slice(&buf[p.src_lo..p.src_hi]);
@@ -521,13 +507,15 @@ pub fn two_phase_execute_ft(
                 exchange_bytes += p.len() as u64;
             }
             let piece = Extent::new(p.file_lo, p.file_hi - p.file_lo);
-            for lost in &wa.unrecoverable {
-                if let Some(x) = lost.intersect(&piece) {
+            for l in lost {
+                if let Some(x) = l.intersect(&piece) {
                     rank_unrecovered[p.rank] += x.len;
                 }
             }
         }
-        audit.merge(&wa);
+        if let Some(wa) = &wa {
+            audit.merge(wa);
+        }
     }
 
     Ok(FtExecResult {

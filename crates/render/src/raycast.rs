@@ -275,30 +275,6 @@ impl RenderStats {
     }
 }
 
-/// [`render_block`] with span tracing: the whole block cast becomes a
-/// `render.block` span on `track` (by convention the rank), closed with
-/// the sample and ray counts, so per-process render-time spread is
-/// readable straight off the timeline. A disabled tracer makes this
-/// identical to the plain call.
-pub fn render_block_traced(
-    volume: &Volume,
-    dom: &BlockDomain,
-    camera: &Camera,
-    tf: &TransferFunction,
-    opts: &RenderOpts,
-    tracer: &pvr_obs::Tracer,
-    track: pvr_obs::span::TrackId,
-) -> (SubImage, RenderStats) {
-    tracer.begin(track, "render.block");
-    let (sub, stats) = render_block(volume, dom, camera, tf, opts);
-    tracer.end_args(
-        track,
-        "render.block",
-        pvr_obs::Args::two("samples", stats.samples, "rays", stats.rays),
-    );
-    (sub, stats)
-}
-
 /// Render one block into its footprint subimage.
 ///
 /// `volume` holds the block's stored region (`dom.stored`), usually the

@@ -1,7 +1,7 @@
 //! Exhaustive interleaving exploration — the sound upgrade of the
 //! sampled checks.
 //!
-//! [`wildcard_races`](crate::race::wildcard_races) and
+//! [`wildcard_races`] and
 //! [`classify_races`](crate::race::classify_races) *detect* that one
 //! observed trace had scheduler-dependent matches;
 //! [`probe_order_independence`](crate::replay::probe_order_independence)

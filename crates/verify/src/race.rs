@@ -1,6 +1,6 @@
 //! Message-race and ordering checks over recorded traces.
 //!
-//! Consumes the [`TraceLog`](pvr_mpisim::trace::TraceLog) a traced
+//! Consumes the [`TraceLog`] a traced
 //! `pvr-mpisim` world produces and answers two questions post-hoc:
 //!
 //! * **Where are the wildcard races?** Two sends matched by the same

@@ -17,8 +17,7 @@
 use parallel_volume_rendering::core::pipeline::{run_frame, run_frame_mpi, tags};
 use parallel_volume_rendering::core::scheduler::{FrameTags, EPOCH_STRIDE};
 use parallel_volume_rendering::core::{
-    laptop_store, run_animation, write_animation, AnimFaults, AnimOptions, CompositorPolicy,
-    FrameConfig,
+    run_animation, write_animation, AnimFaults, AnimOptions, CompositorPolicy, FrameConfig,
 };
 use parallel_volume_rendering::faults::{FaultPlan, RankAction, RankFault, RecoveryPolicy, Stage};
 use parallel_volume_rendering::render::image::Image;
@@ -119,7 +118,6 @@ fn crash_during_prefetched_frame_heals_and_stays_contained() {
             FaultPlan::none(),
         ],
         policy: RecoveryPolicy::fast_test(),
-        store: laptop_store(),
     };
     let anim = run_animation(&cfg, &paths, &AnimOptions::mpi().with_faults(faults)).unwrap();
     assert_eq!(anim.frames.len(), 4);

@@ -9,7 +9,8 @@ use parallel_volume_rendering::compositing::binaryswap::composite_binary_swap;
 use parallel_volume_rendering::compositing::{composite_serial, ImagePartition};
 use parallel_volume_rendering::core::pipeline::{default_view, run_frame_mpi, transfer_for};
 use parallel_volume_rendering::core::{
-    run_frame, write_dataset, CompositorPolicy, FrameConfig, IoMode,
+    drive_frame, run_frame, write_dataset, CompositorPolicy, Driver, FrameConfig, FrameError,
+    IoMode,
 };
 use parallel_volume_rendering::render::raycast::{render_serial, RenderOpts};
 use parallel_volume_rendering::render::Camera;
@@ -168,6 +169,49 @@ fn short_read_names_rank_path_and_extent() {
         assert!(msg.contains(needle), "{needle:?} missing from: {msg}");
     }
     std::fs::remove_file(&p).ok();
+}
+
+/// A dataset that cannot be read is a typed error naming the file, not a
+/// panic: on both read paths of the data-parallel executor (two-phase
+/// collective, independent), and on the message-passing executor when
+/// no file is given at all.
+#[test]
+fn unreadable_dataset_is_a_typed_io_error() {
+    let io_error = |cfg: &FrameConfig, p: &std::path::Path, what: &str| match drive_frame(
+        cfg,
+        Some(p),
+        Driver::rayon(),
+    ) {
+        Err(FrameError::Io { path, source }) => {
+            assert_eq!(path, p, "{what}");
+            let shown = FrameError::Io { path, source }.to_string();
+            let name = p.file_name().unwrap().to_str().unwrap();
+            assert!(shown.contains(name), "{what}: {shown}");
+        }
+        Err(e) => panic!("{what}: expected FrameError::Io, got {e}"),
+        Ok(_) => panic!("{what}: expected FrameError::Io, got a frame"),
+    };
+    for io in [IoMode::Raw, IoMode::Hdf5] {
+        let mut cfg = FrameConfig::small(18, 26, 4);
+        cfg.io = io;
+        let p = tmp(&format!("unreadable.{}", io.name()));
+        std::fs::remove_file(&p).ok();
+        io_error(&cfg, &p, "missing file");
+        write_dataset(&p, &cfg).unwrap();
+        let full = std::fs::metadata(&p).unwrap().len();
+        let f = std::fs::OpenOptions::new().write(true).open(&p).unwrap();
+        // Short enough to cut into the first variable of a
+        // multivariate file.
+        f.set_len(full / 16).unwrap();
+        io_error(&cfg, &p, "truncated file");
+        std::fs::remove_file(&p).ok();
+    }
+    let cfg = FrameConfig::small(18, 26, 4);
+    let no_file = Driver::mpi(parallel_volume_rendering::mpisim::RunOptions::default());
+    assert!(matches!(
+        drive_frame(&cfg, None, no_file),
+        Err(FrameError::Io { .. })
+    ));
 }
 
 #[test]

@@ -12,22 +12,46 @@
 //!   compositors re-open tiles for the late fragments.
 //! * **Permanent faults beyond the healing contract degrade, never
 //!   hang**: unrecoverable loss terminates within its deadlines with
-//!   completeness < 1.0, and strict mode surfaces it as a typed
-//!   [`FtError::Degraded`].
+//!   completeness < 1.0 attributed to tiles, and replays exactly.
 //! * **No plan can hang the world**: random seeded `FaultPlan`s on
-//!   n ≤ 16 always complete or return a typed error — never a
-//!   deadlock report, never a watchdog stall (`FtError::Runtime`).
+//!   n ≤ 16 always complete — never a deadlock report, never a
+//!   watchdog stall (`FrameError::Runtime`).
 
+use parallel_volume_rendering::compositing::completeness::CompletenessMap;
 use parallel_volume_rendering::core::pipeline::{run_frame_mpi, tags, write_dataset};
 use parallel_volume_rendering::core::{
-    run_frame_mpi_ft, run_frame_mpi_ft_strict, run_frame_rayon_ft, CompositorPolicy, FrameConfig,
-    FtError,
+    drive_frame, CompositorPolicy, Driver, FrameConfig, FrameError, FrameResult,
 };
 use parallel_volume_rendering::faults::{
     FaultPlan, LinkAction, LinkFault, Pat, RankAction, RankFault, RecoveryPolicy, ServerAction,
     ServerFault, Stage,
 };
 use proptest::prelude::*;
+
+/// A fault frame: `drive_frame` + `.faults(..)`, which always reports
+/// per-tile completeness.
+struct FtFrame {
+    frame: FrameResult,
+    completeness: CompletenessMap,
+}
+
+fn fault_frame(
+    cfg: &FrameConfig,
+    path: &std::path::Path,
+    driver: Driver,
+    plan: &FaultPlan,
+    policy: &RecoveryPolicy,
+) -> Result<FtFrame, FrameError> {
+    let out = drive_frame(cfg, Some(path), driver.faults(plan, policy))?;
+    Ok(FtFrame {
+        frame: out.frame,
+        completeness: out.completeness.expect("fault frames report completeness"),
+    })
+}
+
+fn mpi_driver() -> Driver {
+    Driver::mpi(parallel_volume_rendering::mpisim::RunOptions::default())
+}
 
 fn tmp(name: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!("pvr-faultrec-{}", std::process::id()));
@@ -72,7 +96,7 @@ fn transient_faults_heal_bit_identically() {
         }],
         ..FaultPlan::default()
     };
-    let ft = run_frame_mpi_ft(&cfg, &p, &plan, &RecoveryPolicy::fast_test()).unwrap();
+    let ft = fault_frame(&cfg, &p, mpi_driver(), &plan, &RecoveryPolicy::fast_test()).unwrap();
     assert_eq!(plain.image.pixels(), ft.frame.image.pixels());
     assert!(ft.completeness.fully_complete());
     assert!(ft.frame.timing.recovery.retries > 0);
@@ -81,8 +105,8 @@ fn transient_faults_heal_bit_identically() {
 }
 
 /// A permanently-down server without replica failover loses data:
-/// the run still terminates, reports completeness < 1.0, and strict
-/// mode converts it into a typed degraded-frame error.
+/// the run still terminates, reports completeness < 1.0, and the
+/// degradation replays exactly.
 #[test]
 fn permanent_server_loss_degrades_and_is_typed() {
     let cfg = test_cfg(8);
@@ -99,24 +123,19 @@ fn permanent_server_loss_degrades_and_is_typed() {
     let mut policy = RecoveryPolicy::fast_test();
     policy.io_failover = false;
 
-    let ft = run_frame_mpi_ft(&cfg, &p, &plan, &policy).unwrap();
+    let ft = fault_frame(&cfg, &p, mpi_driver(), &plan, &policy).unwrap();
     assert!(!ft.completeness.fully_complete());
     assert!(ft.completeness.frame_fraction() < 1.0);
     assert!(ft.frame.io.unrecovered_bytes > 0);
 
-    match run_frame_mpi_ft_strict(&cfg, &p, &plan, &policy) {
-        Err(FtError::Degraded(d)) => {
-            assert!(d.completeness.frame_fraction() < 1.0);
-            assert_eq!(
-                d.completeness.frame_fraction(),
-                ft.completeness.frame_fraction(),
-                "degradation must replay exactly from (seed, plan)"
-            );
-        }
-        other => panic!("expected FtError::Degraded, got {other:?}"),
-    }
+    let again = fault_frame(&cfg, &p, mpi_driver(), &plan, &policy).unwrap();
+    assert_eq!(
+        again.completeness.frame_fraction(),
+        ft.completeness.frame_fraction(),
+        "degradation must replay exactly from (seed, plan)"
+    );
     // With failover restored the same plan is fully recoverable.
-    let healed = run_frame_mpi_ft(&cfg, &p, &plan, &RecoveryPolicy::fast_test()).unwrap();
+    let healed = fault_frame(&cfg, &p, mpi_driver(), &plan, &RecoveryPolicy::fast_test()).unwrap();
     assert!(healed.completeness.fully_complete());
     assert!(healed.frame.io.failover_bytes > 0);
     std::fs::remove_file(&p).ok();
@@ -158,8 +177,8 @@ proptest! {
             ..FaultPlan::default()
         };
         let policy = RecoveryPolicy::fast_test();
-        let mpi = run_frame_mpi_ft(&cfg, &p, &plan, &policy).unwrap();
-        let ray = run_frame_rayon_ft(&cfg, &p, &plan, &policy).unwrap();
+        let mpi = fault_frame(&cfg, &p, mpi_driver(), &plan, &policy).unwrap();
+        let ray = fault_frame(&cfg, &p, Driver::rayon(), &plan, &policy).unwrap();
         std::fs::remove_file(&p).ok();
         for (name, ft) in [("mpi", &mpi), ("rayon", &ray)] {
             prop_assert_eq!(
@@ -200,7 +219,7 @@ proptest! {
             ],
             ..FaultPlan::default()
         };
-        let res = run_frame_mpi_ft(&cfg, &p, &plan, &RecoveryPolicy::fast_test());
+        let res = fault_frame(&cfg, &p, mpi_driver(), &plan, &RecoveryPolicy::fast_test());
         std::fs::remove_file(&p).ok();
         match res {
             Ok(ft) => {
@@ -220,8 +239,8 @@ proptest! {
     }
 
     /// No random seeded plan may hang the world: every run returns a
-    /// frame (possibly degraded) or a typed error — never a deadlock
-    /// report or watchdog stall, and completeness is always a valid
+    /// frame (possibly degraded) — never a deadlock report or watchdog
+    /// stall — and completeness is always a valid
     /// fraction consistent with whether ranks crashed.
     #[test]
     fn random_plans_never_deadlock(seed in 0u64..1_000_000, nprocs in 2usize..=16) {
@@ -229,7 +248,7 @@ proptest! {
         let p = tmp(&format!("prop-{seed}-{nprocs}.raw"));
         write_dataset(&p, &cfg).unwrap();
         let plan = FaultPlan::sample(seed, nprocs, 8);
-        let res = run_frame_mpi_ft(&cfg, &p, &plan, &RecoveryPolicy::fast_test());
+        let res = fault_frame(&cfg, &p, mpi_driver(), &plan, &RecoveryPolicy::fast_test());
         std::fs::remove_file(&p).ok();
         match res {
             Ok(ft) => {
@@ -253,10 +272,7 @@ proptest! {
                     );
                 }
             }
-            Err(FtError::Degraded(_)) => {} // typed degradation is a valid outcome
-            Err(FtError::Runtime(e)) => {
-                prop_assert!(false, "plan {} deadlocked/stalled: {e}", plan.to_json());
-            }
+            Err(e) => prop_assert!(false, "plan {} deadlocked/stalled: {e}", plan.to_json()),
         }
     }
 }

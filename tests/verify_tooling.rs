@@ -7,9 +7,10 @@ mod support;
 
 use std::sync::Arc;
 
-use parallel_volume_rendering::core::pipeline::run_frame_mpi_opts;
-use parallel_volume_rendering::core::{write_dataset, FrameConfig, IoMode};
-use parallel_volume_rendering::mpisim::trace::ReplayLog;
+use parallel_volume_rendering::core::{
+    drive_frame, write_dataset, Driver, FrameConfig, FrameResult, IoMode,
+};
+use parallel_volume_rendering::mpisim::trace::{ReplayLog, TraceLog};
 use parallel_volume_rendering::mpisim::{MatchPolicy, RunError, RunOptions, World};
 use parallel_volume_rendering::verify;
 
@@ -22,6 +23,18 @@ fn frame_cfg() -> FrameConfig {
 
 fn frame_dataset(cfg: &FrameConfig) -> std::path::PathBuf {
     support::fixture("pvr-verify", "verify.nc", |p| write_dataset(p, cfg))
+}
+
+/// One message-passing frame under explicit runtime options — traced,
+/// with a perturbed wildcard-match order, or replaying a recorded one.
+/// Returns the frame and, when `opts.trace` is set, the message trace.
+fn mpi_frame(
+    cfg: &FrameConfig,
+    path: &std::path::Path,
+    opts: RunOptions,
+) -> (FrameResult, Option<TraceLog>) {
+    let out = drive_frame(cfg, Some(path), Driver::mpi(opts)).unwrap();
+    (out.frame, out.trace)
 }
 
 #[test]
@@ -64,15 +77,14 @@ fn stall_without_detection_is_reported_not_hung() {
 fn frame_is_bit_identical_under_perturbed_match_orders() {
     let cfg = frame_cfg();
     let path = frame_dataset(&cfg);
-    let (base, _) = run_frame_mpi_opts(&cfg, &path, RunOptions::default()).unwrap();
+    let (base, _) = mpi_frame(&cfg, &path, RunOptions::default());
     for policy in [
         MatchPolicy::Arrival,
         MatchPolicy::Perturb(1),
         MatchPolicy::Perturb(42),
         MatchPolicy::Perturb(0xDEAD_BEEF),
     ] {
-        let (frame, _) =
-            run_frame_mpi_opts(&cfg, &path, RunOptions::default().policy(policy.clone())).unwrap();
+        let (frame, _) = mpi_frame(&cfg, &path, RunOptions::default().policy(policy.clone()));
         assert_eq!(
             frame.image, base.image,
             "composited image must be bit-identical under {policy:?}"
@@ -84,7 +96,7 @@ fn frame_is_bit_identical_under_perturbed_match_orders() {
 fn recorded_frame_replays_bit_identically_with_injected_swaps() {
     let cfg = frame_cfg();
     let path = frame_dataset(&cfg);
-    let (base, trace) = run_frame_mpi_opts(&cfg, &path, RunOptions::default().traced()).unwrap();
+    let (base, trace) = mpi_frame(&cfg, &path, RunOptions::default().traced());
     let trace = trace.expect("traced run yields a trace");
 
     // The frame's fragment fan-in uses wildcard receives; the trace
@@ -99,12 +111,11 @@ fn recorded_frame_replays_bit_identically_with_injected_swaps() {
     // out-of-order wildcard matches: the image must never change
     // (compositors sort fragments before blending).
     let log = ReplayLog::from_trace(&trace);
-    let (replayed, _) = run_frame_mpi_opts(
+    let (replayed, _) = mpi_frame(
         &cfg,
         &path,
         RunOptions::default().policy(MatchPolicy::Replay(Arc::new(log.clone()))),
-    )
-    .unwrap();
+    );
     assert_eq!(
         replayed.image, base.image,
         "exact replay must reproduce the frame"
@@ -113,12 +124,11 @@ fn recorded_frame_replays_bit_identically_with_injected_swaps() {
     let mut swaps = 0;
     for (rank, i) in verify::swappable_wildcards(&trace).into_iter().take(3) {
         let swapped = log.swapped(rank, i).expect("racing pair must be swappable");
-        let (frame, _) = run_frame_mpi_opts(
+        let (frame, _) = mpi_frame(
             &cfg,
             &path,
             RunOptions::default().policy(MatchPolicy::Replay(Arc::new(swapped))),
-        )
-        .unwrap();
+        );
         assert_eq!(
             frame.image, base.image,
             "swap at rank {rank} wildcard #{i} changed the image"
