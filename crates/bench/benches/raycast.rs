@@ -24,12 +24,12 @@ fn bench_raycast(c: &mut Criterion) {
             b.iter(|| render_serial(&vol, &cam, &tf, &opts))
         });
 
-        let scalar = RenderOpts {
-            packet_width: 1,
+        let reference = RenderOpts {
+            fast_path: false,
             ..Default::default()
         };
-        group.bench_with_input(BenchmarkId::new("scalar", n), &n, |b, _| {
-            b.iter(|| render_serial(&vol, &cam, &tf, &scalar))
+        group.bench_with_input(BenchmarkId::new("reference", n), &n, |b, _| {
+            b.iter(|| render_serial(&vol, &cam, &tf, &reference))
         });
 
         let et = RenderOpts {

@@ -129,16 +129,12 @@ pub struct FrameConfig {
     /// Gradient (Phong) shading; needs a 2-cell ghost layer, which the
     /// pipeline provisions automatically.
     pub shading: bool,
-    /// Render/composite fast path: macrocell empty-space skipping plus
-    /// sparse subimage exchange. Bit-identical to the naive path (the
-    /// property tests pin it), so it defaults on; turn off to measure
-    /// the naive baseline.
+    /// Render/composite fast path: the eight-lane packet march with
+    /// macrocell empty-space skipping, plus sparse subimage exchange.
+    /// Bit-identical to the path it replaces (the property tests pin
+    /// it), so it defaults on; off renders with the plain per-sample
+    /// reference loop and exchanges dense subimages.
     pub fast_path: bool,
-    /// Rays marched in lockstep per packet (see
-    /// [`pvr_render::raycast::RenderOpts::packet_width`]): `8` is the
-    /// packet kernel default, `1` the scalar kernel. Bit-identical
-    /// either way.
-    pub packet_width: usize,
     /// Early-termination mode (see [`pvr_render::raycast::Termination`]).
     /// The default `Bitwise` gate is invisible in pixels and sample
     /// counts; `Bounded` trades a reported per-frame error bound for
@@ -169,7 +165,6 @@ impl FrameConfig {
             seed: 1530,
             shading: false,
             fast_path: true,
-            packet_width: 8,
             termination: Termination::Bitwise,
             stage_deadline_ms: None,
             frame_budget_ms: None,
@@ -189,7 +184,6 @@ impl FrameConfig {
             seed: 1530,
             shading: false,
             fast_path: true,
-            packet_width: 8,
             termination: Termination::Bitwise,
             stage_deadline_ms: None,
             frame_budget_ms: None,

@@ -95,7 +95,8 @@ pub struct FrameResult {
     /// skipped without evaluation (a subset of `render_samples`; 0 when
     /// `fast_path` is off).
     pub render_skipped: u64,
-    /// Ray packets launched across all ranks (0 on the scalar kernel).
+    /// Eight-wide ray packets marched across all ranks (0 when
+    /// `fast_path` is off; tiles marched one lane at a time do not count).
     pub render_packets: u64,
     /// Lockstep lane-utilization counters summed over ranks: lanes that
     /// evaluated a sample / lane slots in rounds with at least one
@@ -254,7 +255,6 @@ pub fn render_opts(cfg: &FrameConfig) -> RenderOpts {
         step: cfg.step,
         shading: cfg.shading.then(Shading::default),
         fast_path: cfg.fast_path,
-        packet_width: cfg.packet_width,
         termination: cfg.termination,
     }
 }

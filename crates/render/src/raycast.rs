@@ -87,8 +87,8 @@ impl Default for Shading {
 /// modes here are gated so the default is safe:
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Termination {
-    /// Never terminate. Together with [`RenderOpts::exact`] this is the
-    /// pre-packet behavior, kept for golden traces and model checking.
+    /// Never terminate: every owned sample a skip field cannot prove
+    /// empty is evaluated.
     Off,
     /// The bitwise gate (the default): a ray stops evaluating only once
     /// its accumulators provably cannot change again. Every future
@@ -128,19 +128,17 @@ pub struct RenderOpts {
     /// [`MacrocellGrid`] against the transfer function's opacity LUT and
     /// skip the fetch/classify/shade of samples that provably classify
     /// to alpha exactly `0.0`. A skipped sample contributes
-    /// `w = (1 - alpha) * 0.0 = 0.0` in the naive kernel, and
+    /// `w = (1 - alpha) * 0.0 = 0.0` in the reference loop, and
     /// `x + 0.0 == x` bitwise for the non-negative accumulators, so the
-    /// output is **bit-identical** to the naive kernel — only
-    /// [`RenderStats::skipped_samples`] tells them apart.
+    /// output is **bit-identical** to the reference loop — only the
+    /// perf-decision counters ([`RenderStats::skipped_samples`],
+    /// [`RenderStats::packets`], the lane counts) tell them apart.
+    ///
+    /// This is also the kernel selector: `true` with a macrocell summary
+    /// runs the 8-lane lockstep packet march; `false` (or no summary)
+    /// runs the plain per-sample reference loop, which shares no control
+    /// flow with the march and is what the tests compare it against.
     pub fast_path: bool,
-    /// Rays marched in lockstep per packet: `8` (the default) and `4`
-    /// run the hand-unrolled packet kernel with gathered trilinear
-    /// fetches; `1` (or any width below 4) runs the scalar kernel.
-    /// Other values round down to the nearest supported width. Packet
-    /// results are bit-identical to scalar for every width — lanes
-    /// carry independent accumulators and per-lane masks, so lockstep
-    /// marching only reorders work between rays, never within one.
-    pub packet_width: usize,
 }
 
 impl Default for RenderOpts {
@@ -150,21 +148,17 @@ impl Default for RenderOpts {
             termination: Termination::Bitwise,
             shading: None,
             fast_path: true,
-            packet_width: 8,
         }
     }
 }
 
 impl RenderOpts {
-    /// Today's defaults are already bit-identical to the historical
-    /// scalar/no-termination kernel; this preset additionally pins the
-    /// scalar kernel and [`Termination::Off`] for paths that want the
-    /// *machinery* of PR 5 unchanged (golden traces, model checking,
-    /// microbenchmark baselines).
+    /// The [`Termination::Off`] preset: the defaults are already
+    /// bit-identical to it in pixels and sample counts; this one also
+    /// evaluates every sample a saturated ray would have elided.
     pub fn exact() -> Self {
         RenderOpts {
             termination: Termination::Off,
-            packet_width: 1,
             ..Default::default()
         }
     }
@@ -225,17 +219,20 @@ pub struct RenderStats {
     /// the serial total regardless of which path ran.
     pub samples: u64,
     /// Of [`RenderStats::samples`], how many the macrocell fast path
-    /// proved transparent and skipped (0 on the naive path).
+    /// proved transparent and skipped (0 in the reference loop).
     pub skipped_samples: u64,
     /// Rays that intersected the block.
     pub rays: u64,
-    /// Ray packets launched (packets with at least one intersecting
-    /// lane; 0 on the scalar path).
+    /// Eight-wide ray packets marched (tiles with at least one
+    /// intersecting lane that fit the skip field; 0 in the reference
+    /// loop). A tile too divergent for the field is marched one lane at
+    /// a time and adds to `rays`, `samples` and `skipped_samples` only —
+    /// this and the two lane counters describe eight-wide rounds alone.
     pub packets: u64,
-    /// Lanes that evaluated a sample across all lockstep evaluation
+    /// Lanes that evaluated a sample across all eight-wide evaluation
     /// rounds — the numerator of lane utilization.
     pub packet_eval_lanes: u64,
-    /// Lane slots (rounds × width) across all lockstep evaluation
+    /// Lane slots (rounds × width) across all eight-wide evaluation
     /// rounds with at least one evaluating lane — the denominator of
     /// lane utilization. Rounds where every lane is masked off (leaping
     /// empty space, saturated, or exited) are skipped outright and do
@@ -308,109 +305,6 @@ fn support_voxel(c: f32, n: usize) -> usize {
     }
 }
 
-/// Conservative number of ladder steps beyond the current (exactly
-/// verified) sample whose positions provably stay (a) before the global
-/// exit `tg1`, (b) strictly inside the owned region, and (c) inside
-/// macrocells sharing the entry cell's verdict (`empty[cell] ==
-/// target`) — a 3D-DDA walk over the macrocell lattice that crosses
-/// whole runs of same-verdict cells in one bound. The returned count
-/// carries a one-full-step safety margin, so f64 rounding in this
-/// analytic bound (including the reciprocal-multiplies standing in for
-/// divisions) can never disagree with the exact per-sample tests it
-/// stands in for: the first sample *beyond* the bound is always
-/// re-examined exactly.
-///
-/// Boundary cells extend to infinity on their clamped side, mirroring
-/// [`support_voxel`], so the walk never leaves the lattice.
-/// `inv_step[a]` is the per-ray precomputed `1 / |dir[a] * dt|` (`inf`
-/// on zero axes — such axes contribute no crossing and no exit bound).
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn leap_run_steps(
-    p: Vec3,
-    t: f64,
-    local: [f64; 3],
-    cell: [usize; 3],
-    g: &MacrocellGrid,
-    empty: &[bool],
-    target: bool,
-    dir: Vec3,
-    inv_step: [f64; 3],
-    inv_dt: f64,
-    own_lo: Vec3,
-    own_hi: Vec3,
-    tg1: f64,
-) -> i64 {
-    const M: f64 = pvr_volume::MACROCELL_SIZE as f64;
-    let cells = g.cells();
-    // Ladder steps until the ray exits the owned region or passes tg1,
-    // and until the next lattice-plane crossing on each axis. All in
-    // step units measured from the current sample.
-    let mut limit = (tg1 - t) * inv_dt;
-    let mut next = [f64::INFINITY; 3];
-    let mut delta = [0.0f64; 3];
-    let mut dcell = [0isize; 3];
-    for a in 0..3 {
-        let s = dir.get(a);
-        if s == 0.0 {
-            continue;
-        }
-        let (own_dist, cell_dist) = if s > 0.0 {
-            let hi = if cell[a] + 1 == cells[a] {
-                f64::INFINITY
-            } else {
-                ((cell[a] + 1) * pvr_volume::MACROCELL_SIZE) as f64
-            };
-            (own_hi.get(a) - p.get(a), hi - local[a])
-        } else {
-            let lo = if cell[a] == 0 {
-                f64::NEG_INFINITY
-            } else {
-                (cell[a] * pvr_volume::MACROCELL_SIZE) as f64
-            };
-            (p.get(a) - own_lo.get(a), local[a] - lo)
-        };
-        limit = limit.min(own_dist * inv_step[a]);
-        next[a] = cell_dist * inv_step[a];
-        delta[a] = M * inv_step[a];
-        dcell[a] = if s > 0.0 { 1 } else { -1 };
-    }
-    let mut cell = cell;
-    let steps = loop {
-        // Nearest lattice crossing; `limit` is finite, so the walk
-        // always terminates even with every `next` infinite.
-        let a = if next[0] <= next[1] && next[0] <= next[2] {
-            0
-        } else if next[1] <= next[2] {
-            1
-        } else {
-            2
-        };
-        if next[a] >= limit {
-            break limit;
-        }
-        // A finite crossing only exists on unclamped faces, so the
-        // neighbor index stays on the lattice.
-        cell[a] = cell[a].wrapping_add_signed(dcell[a]);
-        if empty[g.index_of_cell(cell)] != target {
-            break next[a];
-        }
-        // An edge cell extends to infinity on its clamped side — no
-        // further crossing on this axis.
-        let clamped = if dcell[a] > 0 {
-            cell[a] + 1 == cells[a]
-        } else {
-            cell[a] == 0
-        };
-        next[a] = if clamped {
-            f64::INFINITY
-        } else {
-            next[a] + delta[a]
-        };
-    };
-    (steps.floor() as i64).saturating_sub(1).max(0)
-}
-
 /// Edge length, in voxels, of the refined lattice the packet kernel
 /// leaps over — the [`MacrocellGrid`] refined summary's cell size, so
 /// dilating by a couple of voxels of lane spread erodes far less
@@ -419,42 +313,91 @@ fn leap_run_steps(
 /// parent macrocell's.
 const PACKET_CELL: usize = pvr_volume::REFINED_SIZE;
 
-/// Per-render, per-packet-geometry skip field: the [`MacrocellGrid`]
-/// refined (2³-voxel) lattice over the same local (voxel-center)
-/// coordinates, in which a cell is marked empty only when **every**
-/// refined cell reachable from anywhere in the cell dilated by `spread`
-/// voxels has a min/max range the transfer function maps to zero
-/// opacity. One Amanatides–Woo walk of the *packet centroid* over this
-/// field then proves whole runs of samples empty for **all** lanes at
-/// once — the emptiness verdict is computed once per packet instead of
-/// once per ray, and lanes never need their own run bookkeeping.
-/// Because the verdicts come from the refined summary, the field can
-/// prove samples empty that the scalar kernel's 8³ macrocells cannot;
-/// the packet path may therefore *skip more* than the scalar path while
-/// still evaluating the identical sample set bitwise (skipping is only
-/// ever applied to provably-zero-contribution samples).
+/// The per-render skip field: the [`MacrocellGrid`] refined (2³-voxel)
+/// lattice over the same local (voxel-center) coordinates, in which a
+/// cell is marked empty only when **every** refined cell reachable from
+/// anywhere in the cell dilated by `spread` voxels has a min/max range
+/// the transfer function maps to zero opacity. One Amanatides–Woo walk
+/// of the *packet centroid* over this field then proves whole runs of
+/// samples empty for **all** lanes at once — the emptiness verdict is
+/// computed once per packet instead of once per ray, and lanes never
+/// need their own run bookkeeping. Skipping is only ever applied to
+/// provably-zero-contribution samples, so the march evaluates the
+/// reference loop's sample set bitwise.
 struct PacketField {
     rc: [usize; 3],
     /// Row-major (x fastest): true = provably empty for any position
     /// within `spread` voxels of this refined cell.
     empty: Vec<bool>,
     /// Baked per-axis dilation radius in voxels; packets whose lanes
-    /// stray further than this from their centroid (on any axis, after
-    /// removing each lane's along-direction shift) must not use the
-    /// field. Per-axis radii matter: the residual lane spread is
-    /// lateral to the view direction, and dilating the marching axis by
-    /// the lateral spread would erode skippable space for nothing.
+    /// stray further than this from their centroid on any axis must not
+    /// use the field ([`PacketField::fits`]). Per-axis radii matter: the
+    /// lane spread is lateral to the view direction, and dilating the
+    /// marching axis by the lateral spread would erode skippable space
+    /// for nothing.
     spread: [f64; 3],
 }
 
 impl PacketField {
+    /// The render's one skip field, or `None` when the transfer function
+    /// leaves no macrocell transparent — a block with nothing to skip
+    /// marches with zero per-sample skip overhead.
+    ///
+    /// The dilation is probed, not assumed: the largest lane spread over
+    /// a 4×4 grid of full tiles across the rect, plus a margin. A probe
+    /// tile spread wider than `MAX_PROBE_SPREAD` voxels (one straddling
+    /// a box silhouette, whose lanes enter through different faces) is
+    /// left out — it would erode the field for the interior tiles that
+    /// carry the render — and with no well-behaved tile at all (tiny
+    /// rect, extreme zoom-out) only the margin is baked: eight-wide
+    /// tiles then never fit and every pixel marches alone.
+    fn bake(ctx: &KernelCtx, g: &MacrocellGrid, camera: &Camera, rect: PixelRect) -> Option<Self> {
+        const MAX_PROBE_SPREAD: f64 = 2.25;
+        let lut = ctx.tf.opacity_lut();
+        let empty: Vec<bool> = g
+            .ranges()
+            .iter()
+            .map(|&(lo, hi)| lut.range_is_transparent(lo, hi))
+            .collect();
+        if !empty.contains(&true) {
+            return None;
+        }
+        let (tw, th) = tile_dims(PACKET_WIDTH);
+        let tiles_x = rect.w.div_ceil(tw);
+        let tiles_y = rect.h.div_ceil(th);
+        let mut top = [0.0f64; 3];
+        for iy in 0..4usize {
+            for ix in 0..4usize {
+                let px0 = rect.x0 + (tiles_x * (2 * ix + 1) / 8).min(tiles_x - 1) * tw;
+                let py0 = rect.y0 + (tiles_y * (2 * iy + 1) / 8).min(tiles_y - 1) * th;
+                let Some(pk) = Packet::<PACKET_WIDTH>::setup(ctx, camera, rect, px0, py0) else {
+                    continue;
+                };
+                let s = pk.spread;
+                if pk.n_act == PACKET_WIDTH as u64 && s[0].max(s[1]).max(s[2]) <= MAX_PROBE_SPREAD {
+                    for a in 0..3 {
+                        top[a] = top[a].max(s[a]);
+                    }
+                }
+            }
+        }
+        let rempty = Self::refined_verdicts(g, &empty, &lut);
+        let spread = top.map(|s| s * 1.08 + 0.12);
+        Some(Self::build(&rempty, ctx.volume.dims(), spread))
+    }
+
+    /// Whether the baked dilation covers a packet's lane spread.
+    fn fits(&self, spread: &[f64; 3]) -> bool {
+        spread.iter().zip(&self.spread).all(|(s, f)| s <= f)
+    }
+
     /// Refined cells covering voxel indices `0..n` along one axis.
     fn cells_along(n: usize) -> usize {
         (n.max(1) - 1) / PACKET_CELL + 1
     }
 
-    /// Per-refined-cell emptiness verdicts, computed once per render and
-    /// shared by every bake: a 2³ cell is empty when its min/max range
+    /// Per-refined-cell emptiness verdicts, computed once per render for
+    /// the bake to erode: a 2³ cell is empty when its min/max range
     /// classifies to zero opacity (the parent macrocell's verdict
     /// short-circuits the LUT query — a subrange of a transparent range
     /// is transparent).
@@ -585,10 +528,19 @@ impl PacketField {
     }
 
     /// The packet-shared run: verdict of the refined cell under the
-    /// centroid, plus a conservative count of further ladder steps the
-    /// verdict provably holds for — the same 3D-DDA walk and
-    /// one-full-step safety margin as [`leap_run_steps`], on the
-    /// refined lattice. Returns `(empty, steps)`.
+    /// centroid at `local`, plus a conservative count of further ladder
+    /// steps — at most `limit` — the verdict provably holds for: a
+    /// 3D-DDA walk over the refined lattice that crosses whole runs of
+    /// same-verdict cells in one bound. `inv_step[a]` is the precomputed
+    /// `1 / |dir[a]·dt|` (`inf` on zero axes — such axes contribute no
+    /// crossing). The count carries a one-full-step safety margin, so
+    /// f64 rounding in this analytic bound (including the
+    /// reciprocal-multiplies standing in for divisions) can never
+    /// disagree with the exact per-sample positions it stands in for:
+    /// the first sample *beyond* the bound is always re-examined.
+    /// Boundary cells extend to infinity on their clamped side,
+    /// mirroring [`support_voxel`], so the walk never leaves the
+    /// lattice. Returns `(empty, steps)`.
     #[inline]
     fn leap(&self, local: [f64; 3], dir: Vec3, inv_step: [f64; 3], limit: f64) -> (bool, i64) {
         const M: f64 = PACKET_CELL as f64;
@@ -618,6 +570,8 @@ impl PacketField {
             dcell[a] = if s > 0.0 { 1 } else { -1 };
         }
         let steps = loop {
+            // Nearest lattice crossing; `limit` is finite, so the walk
+            // always terminates even with every `next` infinite.
             let a = if next[0] <= next[1] && next[0] <= next[2] {
                 0
             } else if next[1] <= next[2] {
@@ -628,10 +582,14 @@ impl PacketField {
             if next[a] >= limit {
                 break limit;
             }
+            // A finite crossing only exists on unclamped faces, so the
+            // neighbor index stays on the lattice.
             cell[a] = cell[a].wrapping_add_signed(dcell[a]);
             if self.empty[self.index(cell)] != target {
                 break next[a];
             }
+            // An edge cell extends to infinity on its clamped side — no
+            // further crossing on this axis.
             let clamped = if dcell[a] > 0 {
                 cell[a] + 1 == self.rc[a]
             } else {
@@ -648,8 +606,8 @@ impl PacketField {
 }
 
 /// Accumulated-opacity level below which the bitwise saturation test is
-/// not even attempted — a cheap, deterministic pretest identical on the
-/// scalar and packet paths.
+/// not even attempted — a cheap, deterministic pretest identical in the
+/// reference loop and the packet march.
 const SATURATION_PRETEST: f32 = 0.999;
 
 /// Loop-invariant caps the termination gates compare against.
@@ -725,13 +683,12 @@ fn record_bounded_termination(alpha: f32, caps: &TermCaps, stats: &mut RenderSta
     stats.terminated_rays += 1;
 }
 
-/// Loop-invariant state shared by the scalar and packet kernels; both
-/// perform the identical per-sample computation over it, which is what
-/// makes packet width a pure performance knob.
+/// Loop-invariant state shared by the reference loop and the packet
+/// march; both perform the identical per-sample computation over it,
+/// which is what makes the choice between them invisible in the pixels.
 struct KernelCtx<'a> {
     volume: &'a Volume,
     tf: &'a TransferFunction,
-    skip: Option<(&'a MacrocellGrid, Vec<bool>, OpacityLut)>,
     shading: Option<(Shading, f32)>,
     term: Termination,
     caps: TermCaps,
@@ -744,7 +701,6 @@ struct KernelCtx<'a> {
     own_lo: Vec3,
     own_hi: Vec3,
     st_off: [usize; 3],
-    vdims: [usize; 3],
 }
 
 /// [`render_block`] with a caller-supplied macrocell summary, so a
@@ -753,7 +709,11 @@ struct KernelCtx<'a> {
 /// frame executor is such a caller: each frame is a new time step, and
 /// both go through [`render_block`], which builds per block per frame.
 /// `macrocells` must summarize `volume`; pass `None` (or set
-/// `opts.fast_path = false`) for the naive kernel.
+/// `opts.fast_path = false`) for the reference loop.
+///
+/// # Panics
+/// If `volume` does not have the stored region's dims, or `opts.step`
+/// is not a finite positive number (the sample ladder divides by it).
 pub fn render_block_with_grid(
     volume: &Volume,
     macrocells: Option<&MacrocellGrid>,
@@ -767,6 +727,11 @@ pub fn render_block_with_grid(
         dom.stored.shape,
         "volume dims must match the stored region"
     );
+    assert!(
+        opts.step.is_finite() && opts.step > 0.0,
+        "ray step must be finite and positive, got {}",
+        opts.step
+    );
     let (iw, ih) = camera.image_size();
     let rect = footprint(camera, dom.owned.offset, dom.owned.end(), (iw, ih));
     let mut sub = SubImage::transparent(rect, camera.depth(dom.centroid()));
@@ -774,23 +739,6 @@ pub fn render_block_with_grid(
     if rect.is_empty() {
         return (sub, stats);
     }
-
-    // Per-render macrocell verdicts: one LUT range query per cell up
-    // front buys a single bool load per sample in the loop. A block
-    // with nothing to skip (every cell can classify to nonzero alpha)
-    // degrades to the naive kernel with zero per-sample overhead.
-    let skip = macrocells
-        .filter(|_| opts.fast_path)
-        .map(|g| {
-            let lut = tf.opacity_lut();
-            let empty: Vec<bool> = g
-                .ranges()
-                .iter()
-                .map(|&(lo, hi)| lut.range_is_transparent(lo, hi))
-                .collect();
-            (g, empty, lut)
-        })
-        .filter(|(_, empty, _)| empty.iter().any(|&e| e));
 
     // Light-vector normalization is loop-invariant; hoist it out of the
     // per-sample shading branch.
@@ -807,7 +755,6 @@ pub fn render_block_with_grid(
     let ctx = KernelCtx {
         volume,
         tf,
-        skip,
         shading,
         term: opts.termination,
         caps: TermCaps::new(tf, dt as f32, opts.shading.as_ref()),
@@ -822,26 +769,28 @@ pub fn render_block_with_grid(
         ),
         own_hi: Vec3::new(oe[0] as f64, oe[1] as f64, oe[2] as f64),
         st_off: dom.stored.offset,
-        vdims: volume.dims(),
     };
 
-    // Width rounds down to the nearest supported kernel; every width
-    // produces bit-identical pixels and (samples, rays) stats. Skip
-    // counts are conservative on the packet path (shared, spread-
-    // dilated runs) — never larger than the scalar kernel's.
-    if opts.packet_width >= 8 {
-        march_packets::<8>(&ctx, camera, rect, &mut sub, &mut stats);
-    } else if opts.packet_width >= 4 {
-        march_packets::<4>(&ctx, camera, rect, &mut sub, &mut stats);
-    } else {
-        march_scalar(&ctx, camera, rect, &mut sub, &mut stats);
+    // Kernel selection, from what the call can observe: no macrocell
+    // summary (or the fast path switched off) is the reference loop;
+    // with one it is the lockstep march, leaping through a baked skip
+    // field when the transfer function leaves anything transparent and
+    // marching every sample, still eight wide, when it does not.
+    match macrocells.filter(|_| opts.fast_path) {
+        None => march_reference(&ctx, camera, rect, &mut sub, &mut stats),
+        Some(g) => {
+            let field = PacketField::bake(&ctx, g, camera, rect);
+            march_packets(&ctx, field.as_ref(), camera, rect, &mut sub, &mut stats);
+        }
     }
     (sub, stats)
 }
 
-/// The scalar kernel: one ray at a time, exactly the PR 5 loop plus the
-/// termination gates.
-fn march_scalar(
+/// The reference kernel: one ray at a time, every owned sample of the
+/// ladder evaluated — no macrocells, no leaps, no lanes. It shares the
+/// per-sample arithmetic with the packet march and none of its control
+/// flow, which is what makes it the oracle the march is tested against.
+fn march_reference(
     ctx: &KernelCtx,
     camera: &Camera,
     rect: PixelRect,
@@ -850,44 +799,15 @@ fn march_scalar(
 ) {
     for py in rect.y0..rect.y1() {
         for px in rect.x0..rect.x1() {
-            march_one_ray(ctx, camera, px, py, rect, sub, stats);
-        }
-    }
-}
-
-/// One scalar ray: the shared per-pixel body of [`march_scalar`], also
-/// the exact fallback for packets too divergent for the shared-run
-/// machinery (pixels are bit-identical either way).
-fn march_one_ray(
-    ctx: &KernelCtx,
-    camera: &Camera,
-    px: usize,
-    py: usize,
-    rect: PixelRect,
-    sub: &mut SubImage,
-    stats: &mut RenderStats,
-) {
-    let [vnx, vny, vnz] = ctx.vdims;
-    {
-        {
             let ray = camera.ray(px, py);
             // Global entry defines the sample ladder shared by all blocks.
             let Some((tg0, tg1)) = ray.intersect_box(Vec3::ZERO, ctx.grid_hi, 0.0) else {
-                return;
+                continue;
             };
             let Some((tb0, tb1)) = ray.intersect_box(ctx.own_lo, ctx.own_hi, tg0) else {
-                return;
+                continue;
             };
             stats.rays += 1;
-
-            // Per-ray reciprocals for the leap bounds: the hot loop
-            // multiplies instead of divides.
-            let inv_step = [
-                (ray.dir.x * ctx.dt).abs().recip(),
-                (ray.dir.y * ctx.dt).abs().recip(),
-                (ray.dir.z * ctx.dt).abs().recip(),
-            ];
-
             // Candidate sample indices overlapping the block interval,
             // padded by one to absorb floating-point edge effects; each
             // candidate is then tested against the owned region, which
@@ -898,16 +818,7 @@ fn march_one_ray(
             let mut color = [0.0f32; 3];
             let mut alpha = 0.0f32;
             let mut sat = false;
-            // Samples with `k < skip_until` were already accounted by an
-            // empty-space leap below; samples with `k < lit_until` are
-            // known to share a non-empty macrocell with an earlier
-            // sample, so the verdict lookup is elided.
-            let mut skip_until = k_lo;
-            let mut lit_until = k_lo;
             for k in k_lo..=k_hi {
-                if k < skip_until {
-                    continue;
-                }
                 let t = tg0 + (k as f64 + 0.5) * ctx.dt;
                 if t >= tg1 {
                     break;
@@ -924,75 +835,20 @@ fn march_one_ray(
                 {
                     continue;
                 }
-                // Cell-space position -> voxel-center lattice of the
-                // stored volume.
-                let lf = [
-                    p.x - ctx.st_off[0] as f64 - 0.5,
-                    p.y - ctx.st_off[1] as f64 - 0.5,
-                    p.z - ctx.st_off[2] as f64 - 0.5,
-                ];
-                let local = [lf[0] as f32, lf[1] as f32, lf[2] as f32];
                 stats.samples += 1;
-                if k >= lit_until {
-                    if let Some((g, empty, _)) = &ctx.skip {
-                        let cell = g.cell_of_voxel(
-                            support_voxel(local[0], vnx),
-                            support_voxel(local[1], vny),
-                            support_voxel(local[2], vnz),
-                        );
-                        if !empty[g.index_of_cell(cell)] {
-                            // Lit cell: the lookup's outcome is the same
-                            // until the ray provably leaves the run of
-                            // lit cells, so elide it until then.
-                            // (Evaluating a sample is always exact —
-                            // eliding a lookup can only cost a missed
-                            // skip, never correctness.)
-                            lit_until = (k + 1).saturating_add(leap_run_steps(
-                                p, t, lf, cell, g, empty, false, ray.dir, inv_step, ctx.inv_dt,
-                                ctx.own_lo, ctx.own_hi, tg1,
-                            ));
-                        } else {
-                            // Provably alpha == 0.0: the naive kernel would
-                            // accumulate w = (1 - alpha) * 0.0 = 0.0 into
-                            // every channel, a bitwise no-op. Re-check the
-                            // bounded-termination condition exactly as it
-                            // would.
-                            stats.skipped_samples += 1;
-                            if let Termination::Bounded { alpha: th } = ctx.term {
-                                if alpha >= th {
-                                    record_bounded_termination(alpha, &ctx.caps, stats);
-                                    break;
-                                }
-                            }
-                            // Empty-space leap: account the whole run of
-                            // provably-empty samples without touching
-                            // them. Run interiors are covered by the
-                            // conservative bound; the first sample beyond
-                            // it re-enters the exact per-sample
-                            // computation (and may start another leap),
-                            // so ownership and sample counts stay exact.
-                            // (Alpha is unchanged across the run, so the
-                            // termination re-check above covers it.)
-                            let m = leap_run_steps(
-                                p, t, lf, cell, g, empty, true, ray.dir, inv_step, ctx.inv_dt,
-                                ctx.own_lo, ctx.own_hi, tg1,
-                            )
-                            .min(k_hi - k);
-                            if m > 0 {
-                                stats.samples += m as u64;
-                                stats.skipped_samples += m as u64;
-                                skip_until = k + m + 1;
-                            }
-                            continue;
-                        }
-                    }
-                }
-                // A provably-saturated ray keeps marching (ownership and
-                // macrocell accounting above stay exact) but skips the
-                // evaluation it cannot be changed by.
+                // A provably-saturated ray keeps marching (ownership
+                // accounting stays exact) but skips the evaluation it
+                // cannot be changed by.
                 if sat {
                     continue;
                 }
+                // Cell-space position -> voxel-center lattice of the
+                // stored volume.
+                let local = [
+                    (p.x - ctx.st_off[0] as f64 - 0.5) as f32,
+                    (p.y - ctx.st_off[1] as f64 - 0.5) as f32,
+                    (p.z - ctx.st_off[2] as f64 - 0.5) as f32,
+                ];
                 let v = ctx.volume.sample_trilinear(local);
                 let (mut rgb, a) = if ctx.dt_one {
                     ctx.tf.classify_unit_step(v)
@@ -1001,23 +857,13 @@ fn march_one_ray(
                 };
                 if let Some((sh, ll)) = &ctx.shading {
                     // Central-difference gradient in cell units.
-                    let g = [
-                        ctx.volume
-                            .sample_trilinear([local[0] + 1.0, local[1], local[2]])
-                            - ctx
-                                .volume
-                                .sample_trilinear([local[0] - 1.0, local[1], local[2]]),
-                        ctx.volume
-                            .sample_trilinear([local[0], local[1] + 1.0, local[2]])
-                            - ctx
-                                .volume
-                                .sample_trilinear([local[0], local[1] - 1.0, local[2]]),
-                        ctx.volume
-                            .sample_trilinear([local[0], local[1], local[2] + 1.0])
-                            - ctx
-                                .volume
-                                .sample_trilinear([local[0], local[1], local[2] - 1.0]),
-                    ];
+                    let mut g = [0.0f32; 3];
+                    for (axis, ga) in g.iter_mut().enumerate() {
+                        let (mut hi, mut lo) = (local, local);
+                        hi[axis] += 1.0;
+                        lo[axis] -= 1.0;
+                        *ga = ctx.volume.sample_trilinear(hi) - ctx.volume.sample_trilinear(lo);
+                    }
                     let mag = (g[0] * g[0] + g[1] * g[1] + g[2] * g[2]).sqrt();
                     if mag > sh.gradient_floor {
                         let ndotl =
@@ -1059,10 +905,11 @@ fn march_one_ray(
 
 /// One packet evaluation round: gathered trilinear fetch for the
 /// enabled lanes, optional gradient shading, classification, and
-/// front-to-back blending — each lane performing exactly the scalar
-/// kernel's arithmetic in the scalar kernel's order. Lanes that prove
+/// front-to-back blending — each lane performing exactly the reference
+/// loop's arithmetic in the reference loop's order. Lanes that prove
 /// saturated (`Bitwise`) flip `sat`; lanes crossing a `Bounded`
-/// threshold flip `done`.
+/// threshold flip `done`. One-lane rounds leave the lane-utilization
+/// counters alone: those describe how full the eight-wide rounds were.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn eval_lanes<const W: usize>(
@@ -1083,13 +930,15 @@ fn eval_lanes<const W: usize>(
     if n_eval == 0 {
         return;
     }
-    stats.packet_eval_slots += W as u64;
-    stats.packet_eval_lanes += n_eval;
+    if W > 1 {
+        stats.packet_eval_slots += W as u64;
+        stats.packet_eval_lanes += n_eval;
+    }
     let vals = ctx.volume.sample_trilinear_packet::<W>(lx, ly, lz, eval);
     let mut grad = [[0.0f32; 3]; W];
     if ctx.shading.is_some() {
         // Central differences, one gathered packet per face: same
-        // per-lane fetches as the scalar kernel, in the same order per
+        // per-lane fetches as the reference loop, in the same order per
         // axis.
         #[allow(clippy::needless_range_loop)]
         for axis in 0..3 {
@@ -1226,7 +1075,7 @@ fn first_true(mut lo: i64, mut hi_excl: i64, pred: impl Fn(i64) -> bool) -> i64 
 /// bracket edges are validated against the predicate and the search
 /// falls back to full bisection when the guess was off. With a good
 /// guess this costs ~5 predicate evaluations instead of ~9, which
-/// matters because the packet setup runs seven of these per lane.
+/// matters because the march runs seven of these per lane.
 fn first_true_near(lo: i64, hi_excl: i64, guess: i64, pred: impl Fn(i64) -> bool) -> i64 {
     let g = guess.clamp(lo, hi_excl);
     let a = (g - 1).max(lo);
@@ -1240,695 +1089,391 @@ fn first_true_near(lo: i64, hi_excl: i64, guess: i64, pred: impl Fn(i64) -> bool
     first_true(a, b, pred)
 }
 
-/// Active-lane count and per-axis lane-to-centroid spread of the packet
-/// tile anchored at `(px0, py0)`. Mirrors the packet-setup geometry in
-/// `march_packets`: with `u = (k + 1/2)*dt`, lane i sits at `e_i + d_i*u`
-/// (`e_i = o_i + d_i*tg0_i`), so the offset from the centroid is affine
-/// in `u` and maximal at an endpoint of the packet's k-range. Used to
-/// probe a representative dilation radius before baking the shared skip
-/// field.
-fn tile_spread<const W: usize>(
-    ctx: &KernelCtx,
-    camera: &Camera,
-    rect: PixelRect,
-    px0: usize,
-    py0: usize,
-    tw: usize,
-) -> (u64, [f64; 3], [f64; 3]) {
-    let mut e = [[0.0f64; 3]; W];
-    let mut d = [[0.0f64; 3]; W];
-    let mut act = [false; W];
-    let mut n_act = 0u64;
-    let mut k = i64::MAX;
-    let mut kmax = i64::MIN;
-    for i in 0..W {
-        let px = px0 + i % tw;
-        let py = py0 + i / tw;
-        if px >= rect.x1() || py >= rect.y1() {
-            continue;
-        }
-        let ray = camera.ray(px, py);
-        let Some((tg0, tg1)) = ray.intersect_box(Vec3::ZERO, ctx.grid_hi, 0.0) else {
-            continue;
-        };
-        let Some((tb0, tb1)) = ray.intersect_box(ctx.own_lo, ctx.own_hi, tg0) else {
-            continue;
-        };
-        let k_lo = (((tb0 - tg0) / ctx.dt - 0.5).floor() as i64 - 1).max(0);
-        let k_hi = ((tb1.min(tg1) - tg0) / ctx.dt - 0.5).ceil() as i64 + 1;
-        e[i] = [
-            ray.origin.x + ray.dir.x * tg0,
-            ray.origin.y + ray.dir.y * tg0,
-            ray.origin.z + ray.dir.z * tg0,
-        ];
-        d[i] = [ray.dir.x, ray.dir.y, ray.dir.z];
-        act[i] = true;
-        n_act += 1;
-        k = k.min(k_lo);
-        kmax = kmax.max(k_hi);
-    }
-    if n_act == 0 {
-        return (0, [0.0; 3], [0.0; 3]);
-    }
-    let inv_n = 1.0 / n_act as f64;
-    let mut ec = [0.0f64; 3];
-    let mut dc = [0.0f64; 3];
-    for i in 0..W {
-        if act[i] {
-            for a in 0..3 {
-                ec[a] += e[i][a];
-                dc[a] += d[i][a];
-            }
-        }
-    }
-    for a in 0..3 {
-        ec[a] *= inv_n;
-        dc[a] *= inv_n;
-    }
-    let u_lo = (k as f64 + 0.5) * ctx.dt;
-    let u_hi = (kmax as f64 + 0.5) * ctx.dt;
-    let um = 0.5 * (u_lo + u_hi);
-    let dcn = dc[0] * dc[0] + dc[1] * dc[1] + dc[2] * dc[2];
-    let mut s_shift = [0.0f64; 3];
-    let mut s_raw = [0.0f64; 3];
-    for i in 0..W {
-        if !act[i] {
-            continue;
-        }
-        let de = [e[i][0] - ec[0], e[i][1] - ec[1], e[i][2] - ec[2]];
-        let dd = [d[i][0] - dc[0], d[i][1] - dc[1], d[i][2] - dc[2]];
-        // Along-direction shift: the marching loop absorbs it exactly
-        // by sliding the lane's covered ladder window, so only the
-        // perpendicular residual needs field dilation.
-        let sig = if dcn > 1e-12 {
-            ((de[0] + dd[0] * um) * dc[0]
-                + (de[1] + dd[1] * um) * dc[1]
-                + (de[2] + dd[2] * um) * dc[2])
-                / dcn
-        } else {
-            0.0
-        };
-        for u in [u_lo, u_hi] {
-            for a in 0..3 {
-                let r = de[a] + dd[a] * u;
-                s_raw[a] = s_raw[a].max(r.abs());
-                s_shift[a] = s_shift[a].max((r - sig * dc[a]).abs());
-            }
-        }
-    }
-    for v in &mut s_shift {
-        *v = *v * (1.0 + 1e-9) + 1e-6;
-    }
-    for v in &mut s_raw {
-        *v = *v * (1.0 + 1e-9) + 1e-6;
-    }
-    (n_act, s_shift, s_raw)
+/// Lanes of the lockstep march.
+const PACKET_WIDTH: usize = 8;
+
+/// Pixel tile `(width, height)` of a `W`-lane packet: two pixels wide
+/// (2×4 at 8 lanes; the lone pixel at one) rather than a scanline run.
+/// Tiles beat runs because they shrink the lane-to-centroid spread;
+/// *tall* tiles beat wide ones because the along-direction stagger of
+/// lanes entering a non-facing box side grows with the tile's extent
+/// along the image x axis.
+const fn tile_dims(w: usize) -> (usize, usize) {
+    let tw = if w < 2 { 1 } else { 2 };
+    (tw, w / tw)
 }
 
-fn march_packets<const W: usize>(
+/// The rays of one pixel tile, set up once for the skip-field probe and
+/// for the march: structure-of-arrays ray components (so the per-`k`
+/// ladder arithmetic runs as `W`-wide branch-free loops), per-lane
+/// candidate ladder ranges, and the tile's geometry against the shared
+/// skip field.
+struct Packet<const W: usize> {
+    /// Lane has a pixel inside the rect whose ray meets the block.
+    act: [bool; W],
+    n_act: u64,
+    ox: [f64; W],
+    oy: [f64; W],
+    oz: [f64; W],
+    dx: [f64; W],
+    dy: [f64; W],
+    dz: [f64; W],
+    tg0: [f64; W],
+    tg1: [f64; W],
+    /// Per-lane candidate ladder indices (padded; ownership decides).
+    klo: [i64; W],
+    khi: [i64; W],
+    /// Their union over the active lanes.
+    k0: i64,
+    k1: i64,
+    /// Centroid line `ec + dc·u`, `u = (k + 1/2)·dt`: the mean of the
+    /// active lanes' `e_i + d_i·u` with `e_i = o_i + d_i·tg0_i`.
+    ec: [f64; 3],
+    dc: [f64; 3],
+    /// Longest global chord among the lanes, in ladder parameter.
+    u_max: f64,
+    /// Per-axis bound on any lane's distance from the centroid line over
+    /// `[k0, k1]` — what the field's dilation must cover.
+    spread: [f64; 3],
+}
+
+impl<const W: usize> Packet<W> {
+    /// The packet of the tile anchored at `(px0, py0)`; lanes are masked
+    /// off where the rect ends (ragged edge) or the ray misses. `None`
+    /// when no lane is left.
+    #[inline]
+    fn setup(
+        ctx: &KernelCtx,
+        camera: &Camera,
+        rect: PixelRect,
+        px0: usize,
+        py0: usize,
+    ) -> Option<Self> {
+        let (tw, _) = tile_dims(W);
+        let mut p = Packet {
+            act: [false; W],
+            n_act: 0,
+            ox: [0.0; W],
+            oy: [0.0; W],
+            oz: [0.0; W],
+            dx: [0.0; W],
+            dy: [0.0; W],
+            dz: [0.0; W],
+            tg0: [0.0; W],
+            tg1: [0.0; W],
+            klo: [0; W],
+            khi: [0; W],
+            k0: i64::MAX,
+            k1: i64::MIN,
+            ec: [0.0; 3],
+            dc: [0.0; 3],
+            u_max: 0.0,
+            spread: [0.0; 3],
+        };
+        for i in 0..W {
+            let px = px0 + i % tw;
+            let py = py0 + i / tw;
+            if px >= rect.x1() || py >= rect.y1() {
+                continue;
+            }
+            let ray = camera.ray(px, py);
+            // Global entry defines the sample ladder shared by all blocks.
+            let Some((tg0, tg1)) = ray.intersect_box(Vec3::ZERO, ctx.grid_hi, 0.0) else {
+                continue;
+            };
+            let Some((tb0, tb1)) = ray.intersect_box(ctx.own_lo, ctx.own_hi, tg0) else {
+                continue;
+            };
+            // Candidate sample indices overlapping the block interval,
+            // padded by one to absorb floating-point edge effects.
+            p.klo[i] = (((tb0 - tg0) / ctx.dt - 0.5).floor() as i64 - 1).max(0);
+            p.khi[i] = ((tb1.min(tg1) - tg0) / ctx.dt - 0.5).ceil() as i64 + 1;
+            p.ox[i] = ray.origin.x;
+            p.oy[i] = ray.origin.y;
+            p.oz[i] = ray.origin.z;
+            p.dx[i] = ray.dir.x;
+            p.dy[i] = ray.dir.y;
+            p.dz[i] = ray.dir.z;
+            p.tg0[i] = tg0;
+            p.tg1[i] = tg1;
+            p.act[i] = true;
+            p.n_act += 1;
+            p.k0 = p.k0.min(p.klo[i]);
+            p.k1 = p.k1.max(p.khi[i]);
+        }
+        if p.n_act == 0 {
+            return None;
+        }
+
+        let entry = |p: &Self, i: usize| {
+            [
+                p.ox[i] + p.dx[i] * p.tg0[i],
+                p.oy[i] + p.dy[i] * p.tg0[i],
+                p.oz[i] + p.dz[i] * p.tg0[i],
+            ]
+        };
+        for i in (0..W).filter(|&i| p.act[i]) {
+            let (e, d) = (entry(&p, i), [p.dx[i], p.dy[i], p.dz[i]]);
+            for a in 0..3 {
+                p.ec[a] += e[a];
+                p.dc[a] += d[a];
+            }
+            p.u_max = p.u_max.max(p.tg1[i] - p.tg0[i]);
+        }
+        let inv_n = 1.0 / p.n_act as f64;
+        for a in 0..3 {
+            p.ec[a] *= inv_n;
+            p.dc[a] *= inv_n;
+        }
+        // A lane's offset from the centroid line is affine in `u`, so
+        // its maximum over the packet's k-range sits at an endpoint.
+        let u_ends = [(p.k0 as f64 + 0.5) * ctx.dt, (p.k1 as f64 + 0.5) * ctx.dt];
+        for i in (0..W).filter(|&i| p.act[i]) {
+            let (e, d) = (entry(&p, i), [p.dx[i], p.dy[i], p.dz[i]]);
+            for u in u_ends {
+                for a in 0..3 {
+                    let r = (e[a] - p.ec[a]) + (d[a] - p.dc[a]) * u;
+                    p.spread[a] = p.spread[a].max(r.abs());
+                }
+            }
+        }
+        // Absorb the few ULP by which rounded per-lane positions can
+        // exceed the affine bound.
+        for s in &mut p.spread {
+            *s = *s * (1.0 + 1e-9) + 1e-6;
+        }
+        Some(p)
+    }
+
+    /// Lane `i`'s exact owned ladder interval `[a, b]` (empty when
+    /// `a > b`). Every ownership predicate — the six half-open box
+    /// tests and the `t < tg1` guard — is monotone in `k`: the ladder
+    /// position is re-derived from the ray equation each round (not
+    /// accumulated), so it advances strictly along the ray and each
+    /// predicate flips at most once. The owned `k`s therefore form one
+    /// contiguous interval. Locating its endpoints by binary search
+    /// over the *same* float expressions the reference loop evaluates
+    /// per step keeps the accounting bitwise-exact, lets lit rounds
+    /// test ownership with two integer compares, and lets a provably
+    /// empty run account a whole lane overlap in O(1).
+    fn owned_range(&self, ctx: &KernelCtx, i: usize) -> (i64, i64) {
+        let (tg0, tg1) = (self.tg0[i], self.tg1[i]);
+        let t_of = |k: i64| tg0 + (k as f64 + 0.5) * ctx.dt;
+        let lo0 = self.klo[i];
+        let hi1 = self.khi[i] + 1;
+        let mut a = lo0;
+        let g = ((tg1 - tg0) * ctx.inv_dt - 0.5).ceil().clamp(-1e18, 1e18) as i64;
+        let mut b = self.khi[i].min(first_true_near(lo0, hi1, g, |k| t_of(k) >= tg1) - 1);
+        let axes = [
+            (self.ox[i], self.dx[i], ctx.own_lo.x, ctx.own_hi.x),
+            (self.oy[i], self.dy[i], ctx.own_lo.y, ctx.own_hi.y),
+            (self.oz[i], self.dz[i], ctx.own_lo.z, ctx.own_hi.z),
+        ];
+        for (o, d, blo, bhi) in axes {
+            let p = |k: i64| o + d * t_of(k);
+            if d != 0.0 {
+                // First integer k past the real-arithmetic crossing of
+                // plane `x`; ±1-2 of the float flip point, which the
+                // bracket absorbs.
+                let kc = |x: f64| {
+                    let g = (((x - o) / d - tg0) * ctx.inv_dt - 0.5).ceil();
+                    g.clamp(-1e18, 1e18) as i64
+                };
+                if d > 0.0 {
+                    a = a.max(first_true_near(lo0, hi1, kc(blo), |k| p(k) >= blo));
+                    b = b.min(first_true_near(lo0, hi1, kc(bhi), |k| p(k) >= bhi) - 1);
+                } else {
+                    a = a.max(first_true_near(lo0, hi1, kc(bhi), |k| p(k) < bhi));
+                    b = b.min(first_true_near(lo0, hi1, kc(blo), |k| p(k) < blo) - 1);
+                }
+            } else {
+                // Constant coordinate: the lane owns nothing unless it
+                // sits inside `[blo, bhi)` (NaN counts as outside).
+                let x = o + d * t_of(lo0);
+                if !(x >= blo && x < bhi) {
+                    b = i64::MIN;
+                }
+            }
+        }
+        (a, b)
+    }
+}
+
+/// The packet kernel: the rect cut into 2×4 tiles, each marched eight
+/// lanes wide. A tile whose lanes stray further from their centroid than
+/// the skip field was dilated for (box silhouettes, extreme zoom-out,
+/// strongly divergent perspective) is marched pixel by pixel by the same
+/// [`march_tile`] at one lane, against the same field — a lone lane *is*
+/// its centroid, so it always fits. Only eight-wide tiles count as
+/// [`RenderStats::packets`].
+fn march_packets(
     ctx: &KernelCtx,
+    field: Option<&PacketField>,
     camera: &Camera,
     rect: PixelRect,
     sub: &mut SubImage,
     stats: &mut RenderStats,
 ) {
-    // Residual (perpendicular) lane-to-centroid spread, in voxels, the
-    // shared skip field will at most be baked for. A probe tile
-    // exceeding this (extreme zoom-out, strongly divergent perspective
-    // lanes) is excluded from the bake; packets whose residual exceeds
-    // the bake fall back to the scalar ray loop — bit-identical
-    // pixels, just without packet batching.
-    const MAX_PROBE_SPREAD: f64 = 2.25;
-    // Packets are two-pixel-wide tiles (2x4 at W=8, 2x2 at W=4) rather
-    // than scanline runs. Tiles beat runs because they shrink the
-    // lane-to-centroid spread; *tall* tiles beat wide ones because the
-    // along-direction stagger of lanes entering a non-facing box side
-    // grows with the tile's extent along the image x axis — a narrow
-    // tile keeps the per-lane ladder shifts (and with them the
-    // staggered head/tail rounds of every empty run) small.
-    let tw: usize = 2;
-    let th: usize = W / tw;
-    // Two bakes from a 4x4 probe grid of tiles across the rect: a
-    // *tight* one from tiles whose raw lane spread is already small
-    // (interior tiles — the ones that carry the render — keep minimal
-    // erosion and need no per-lane ladder shifts), and a *loose* one
-    // from every tile whose shift-removed residual is small (adds
-    // box-silhouette tiles whose lanes enter through different faces;
-    // their residual is modest but would erode the tight field for
-    // everyone). Each packet later picks the tightest field it fits.
-    let mut field: Option<PacketField> = None;
-    let mut field_loose: Option<PacketField> = None;
-    if let Some((g, empty, lut)) = &ctx.skip {
-        let mut tight: [Vec<f64>; 3] = Default::default();
-        let mut loose: [Vec<f64>; 3] = Default::default();
-        let tiles_x = rect.w.div_ceil(tw);
-        let tiles_y = rect.h.div_ceil(th);
-        for iy in 0..4usize {
-            for ix in 0..4usize {
-                let px0 = rect.x0 + (tiles_x * (2 * ix + 1) / 8).min(tiles_x - 1) * tw;
-                let py0 = rect.y0 + (tiles_y * (2 * iy + 1) / 8).min(tiles_y - 1) * th;
-                let (n, s_shift, s_raw) = tile_spread::<W>(ctx, camera, rect, px0, py0, tw);
-                if n != W as u64 {
-                    continue;
-                }
-                if s_raw[0].max(s_raw[1]).max(s_raw[2]) <= MAX_PROBE_SPREAD {
-                    for a in 0..3 {
-                        tight[a].push(s_raw[a]);
-                    }
-                }
-                if s_shift[0].max(s_shift[1]).max(s_shift[2]) <= MAX_PROBE_SPREAD {
-                    for a in 0..3 {
-                        loose[a].push(s_shift[a]);
+    let (tw, th) = tile_dims(PACKET_WIDTH);
+    for py0 in (rect.y0..rect.y1()).step_by(th) {
+        for px0 in (rect.x0..rect.x1()).step_by(tw) {
+            let Some(pk) = Packet::<PACKET_WIDTH>::setup(ctx, camera, rect, px0, py0) else {
+                continue;
+            };
+            if field.is_none_or(|f| f.fits(&pk.spread)) {
+                stats.packets += 1;
+                march_tile(ctx, field, &pk, rect, (px0, py0), sub, stats);
+                continue;
+            }
+            for py in py0..(py0 + th).min(rect.y1()) {
+                for px in px0..(px0 + tw).min(rect.x1()) {
+                    if let Some(one) = Packet::<1>::setup(ctx, camera, rect, px, py) {
+                        march_tile(ctx, field, &one, rect, (px, py), sub, stats);
                     }
                 }
             }
         }
-        // No well-behaved probe tile (tiny rect, or every tile
-        // straddles a silhouette): bake zero spread — the shared walk
-        // then never engages for unshifted packets, and shifted ones
-        // still have the loose field.
-        let top = |v: &Vec<f64>| v.iter().copied().fold(0.0f64, f64::max);
-        let bake = |s: &[Vec<f64>; 3]| {
-            [
-                top(&s[0]) * 1.08 + 0.12,
-                top(&s[1]) * 1.08 + 0.12,
-                top(&s[2]) * 1.08 + 0.12,
-            ]
-        };
-        let bt = bake(&tight);
-        let bl = bake(&loose);
-        let rempty = PacketField::refined_verdicts(g, empty, lut);
-        field = Some(PacketField::build(&rempty, ctx.vdims, bt));
-        // A second build only pays off when some probe tile genuinely
-        // needs the looser dilation; otherwise shifted packets share
-        // the tight field.
-        if bl.iter().zip(&bt).any(|(l, t)| l > &(t + 0.25)) {
-            field_loose = Some(PacketField::build(&rempty, ctx.vdims, bl));
+    }
+}
+
+/// The lockstep march of one tile over the shared ladder index.
+///
+/// One Amanatides–Woo walk of the packet centroid over the dilated skip
+/// field yields a shared verdict run. An empty run proves every lane's
+/// samples in it transparent, so the whole run is accounted per lane in
+/// one move; a lit run (every run, without a field) is straight-line
+/// lane-parallel rounds: ownership mask, ladder position, gathered
+/// fetch, blend. Either way there is exactly one verdict per packet per
+/// run.
+///
+/// Every per-lane float expression matches the reference loop exactly —
+/// same operations, same order — so owned lanes accumulate bitwise
+/// identically to it (skipped samples are provably exact-zero
+/// contributions, i.e. bitwise no-ops, for both).
+#[allow(clippy::too_many_arguments)]
+fn march_tile<const W: usize>(
+    ctx: &KernelCtx,
+    field: Option<&PacketField>,
+    pk: &Packet<W>,
+    rect: PixelRect,
+    (px0, py0): (usize, usize),
+    sub: &mut SubImage,
+    stats: &mut RenderStats,
+) {
+    debug_assert!(field.is_none_or(|f| f.fits(&pk.spread)));
+    stats.rays += pk.n_act;
+    let st = ctx.st_off.map(|o| o as f64);
+    let mut koa = [i64::MAX; W];
+    let mut kob = [i64::MIN; W];
+    let mut done = [true; W];
+    for i in (0..W).filter(|&i| pk.act[i]) {
+        (koa[i], kob[i]) = pk.owned_range(ctx, i);
+        done[i] = false;
+    }
+    let mut sat = [false; W];
+    let mut colr = [0.0f32; W];
+    let mut colg = [0.0f32; W];
+    let mut colb = [0.0f32; W];
+    let mut alpha = [0.0f32; W];
+    let dir = Vec3::new(pk.dc[0], pk.dc[1], pk.dc[2]);
+    let inv_step = pk.dc.map(|d| (d * ctx.dt).abs().recip());
+
+    let mut k = pk.k0;
+    let mut run_until = k;
+    let mut run_lit = true;
+    loop {
+        // Retire the lanes whose candidate range is behind the march.
+        for (d, &khi) in done.iter_mut().zip(&pk.khi) {
+            *d |= k > khi;
+        }
+        if done.iter().all(|&d| d) {
+            break;
+        }
+        if k >= run_until {
+            match field {
+                Some(f) => {
+                    let u = (k as f64 + 0.5) * ctx.dt;
+                    let lc = [
+                        pk.ec[0] + pk.dc[0] * u - st[0] - 0.5,
+                        pk.ec[1] + pk.dc[1] * u - st[1] - 0.5,
+                        pk.ec[2] + pk.dc[2] * u - st[2] - 0.5,
+                    ];
+                    let limit = (pk.u_max - u) * ctx.inv_dt;
+                    let (is_empty, steps) = f.leap(lc, dir, inv_step, limit);
+                    run_lit = !is_empty;
+                    run_until = (k + 1).saturating_add(steps);
+                }
+                None => run_until = i64::MAX,
+            }
+        }
+        let end = run_until.min(pk.k1 + 1);
+
+        if !run_lit {
+            // Every owned sample in `[k, end)` is provably a bitwise
+            // no-op for every live lane — no fetch, no classify, one
+            // interval count per lane.
+            for i in 0..W {
+                let lo = koa[i].max(k);
+                let hi = kob[i].min(end - 1);
+                if done[i] || lo > hi {
+                    continue;
+                }
+                let mut n = (hi - lo + 1) as u64;
+                if let Termination::Bounded { alpha: th } = ctx.term {
+                    // Mirror the reference loop's gate, which would
+                    // count the terminating sample, then stop.
+                    if alpha[i] >= th {
+                        n = 1;
+                        record_bounded_termination(alpha[i], &ctx.caps, stats);
+                        done[i] = true;
+                    }
+                }
+                stats.samples += n;
+                stats.skipped_samples += n;
+            }
+            k = end;
+            continue;
+        }
+        while k < end {
+            // Masks first — all integer compares — so rounds with
+            // nothing to evaluate cost no ladder arithmetic.
+            let mut eval = [false; W];
+            let mut n_own = 0u64;
+            let mut any = false;
+            for i in 0..W {
+                let own = !done[i] & (k >= koa[i]) & (k <= kob[i]);
+                n_own += own as u64;
+                eval[i] = own & !sat[i];
+                any |= eval[i];
+            }
+            stats.samples += n_own;
+            if any {
+                let kf = k as f64 + 0.5;
+                let mut lx = [0.0f32; W];
+                let mut ly = [0.0f32; W];
+                let mut lz = [0.0f32; W];
+                for i in 0..W {
+                    let t = pk.tg0[i] + kf * ctx.dt;
+                    lx[i] = (pk.ox[i] + pk.dx[i] * t - st[0] - 0.5) as f32;
+                    ly[i] = (pk.oy[i] + pk.dy[i] * t - st[1] - 0.5) as f32;
+                    lz[i] = (pk.oz[i] + pk.dz[i] * t - st[2] - 0.5) as f32;
+                }
+                eval_lanes::<W>(
+                    ctx, &lx, &ly, &lz, &eval, &mut colr, &mut colg, &mut colb, &mut alpha,
+                    &mut sat, &mut done, stats,
+                );
+            }
+            k += 1;
         }
     }
 
-    let stx = ctx.st_off[0] as f64;
-    let sty = ctx.st_off[1] as f64;
-    let stz = ctx.st_off[2] as f64;
-
-    let mut py0 = rect.y0;
-    while py0 < rect.y1() {
-        let mut px0 = rect.x0;
-        while px0 < rect.x1() {
-            // ---- Packet setup: one lane per pixel, masked off where
-            // the scanline ends (ragged edge) or the ray misses. Ray
-            // components in structure-of-arrays form so the per-k
-            // ladder arithmetic below runs as W-wide branch-free loops.
-            let mut act = [false; W];
-            let mut done = [true; W];
-            let mut sat = [false; W];
-            let mut oxa = [0.0f64; W];
-            let mut oya = [0.0f64; W];
-            let mut oza = [0.0f64; W];
-            let mut dxa = [0.0f64; W];
-            let mut dya = [0.0f64; W];
-            let mut dza = [0.0f64; W];
-            let mut tg0a = [0.0f64; W];
-            let mut tg1a = [0.0f64; W];
-            let mut kloa = [0i64; W];
-            let mut khia = [0i64; W];
-            let mut colr = [0.0f32; W];
-            let mut colg = [0.0f32; W];
-            let mut colb = [0.0f32; W];
-            let mut alpha = [0.0f32; W];
-            let mut k = i64::MAX;
-            let mut kmax = i64::MIN;
-            let mut n_act = 0u64;
-            for i in 0..W {
-                let px = px0 + i % tw;
-                let py = py0 + i / tw;
-                if px >= rect.x1() || py >= rect.y1() {
-                    continue;
-                }
-                let ray = camera.ray(px, py);
-                let Some((tg0, tg1)) = ray.intersect_box(Vec3::ZERO, ctx.grid_hi, 0.0) else {
-                    continue;
-                };
-                let Some((tb0, tb1)) = ray.intersect_box(ctx.own_lo, ctx.own_hi, tg0) else {
-                    continue;
-                };
-                let k_lo = (((tb0 - tg0) / ctx.dt - 0.5).floor() as i64 - 1).max(0);
-                let k_hi = ((tb1.min(tg1) - tg0) / ctx.dt - 0.5).ceil() as i64 + 1;
-                oxa[i] = ray.origin.x;
-                oya[i] = ray.origin.y;
-                oza[i] = ray.origin.z;
-                dxa[i] = ray.dir.x;
-                dya[i] = ray.dir.y;
-                dza[i] = ray.dir.z;
-                tg0a[i] = tg0;
-                tg1a[i] = tg1;
-                kloa[i] = k_lo;
-                khia[i] = k_hi;
-                act[i] = true;
-                done[i] = false;
-                n_act += 1;
-                k = k.min(k_lo);
-                kmax = kmax.max(k_hi);
-            }
-            if k == i64::MAX {
-                px0 += tw;
-                continue;
-            }
-
-            // ---- Exact per-lane owned k-interval. Every ownership
-            // predicate — the six half-open box tests and the `t < tg1`
-            // guard — is monotone in k: the ladder position is
-            // re-derived from the ray equation each round (not
-            // accumulated), so it advances strictly along the ray and
-            // each predicate flips at most once. The owned ks therefore
-            // form one contiguous interval. Locating its endpoints by
-            // binary search over the *same* float expressions the
-            // scalar kernel evaluates per step keeps the accounting
-            // bitwise-exact, lets lit rounds test ownership with two
-            // integer compares, and lets provably-empty runs account a
-            // whole lane overlap in O(1).
-            let mut koa = [i64::MAX; W];
-            let mut kob = [i64::MIN; W];
-            for i in 0..W {
-                if !act[i] {
-                    continue;
-                }
-                let t_of = |k: i64| tg0a[i] + (k as f64 + 0.5) * ctx.dt;
-                let lo0 = kloa[i];
-                let hi1 = khia[i] + 1;
-                let mut a = lo0;
-                let mut b = khia[i];
-                {
-                    let g = ((tg1a[i] - tg0a[i]) * ctx.inv_dt - 0.5).ceil();
-                    let g = g.clamp(-1e18, 1e18) as i64;
-                    b = b.min(first_true_near(lo0, hi1, g, |k| t_of(k) >= tg1a[i]) - 1);
-                }
-                let axes = [
-                    (oxa[i], dxa[i], ctx.own_lo.x, ctx.own_hi.x),
-                    (oya[i], dya[i], ctx.own_lo.y, ctx.own_hi.y),
-                    (oza[i], dza[i], ctx.own_lo.z, ctx.own_hi.z),
-                ];
-                for (o, d, blo, bhi) in axes {
-                    let p = |k: i64| o + d * t_of(k);
-                    if d != 0.0 {
-                        // First integer k past the real-arithmetic
-                        // crossing of plane `x`; ±1-2 of the float
-                        // flip point, which the bracket absorbs.
-                        let kc = |x: f64| {
-                            let g = (((x - o) / d - tg0a[i]) * ctx.inv_dt - 0.5).ceil();
-                            g.clamp(-1e18, 1e18) as i64
-                        };
-                        if d > 0.0 {
-                            a = a.max(first_true_near(lo0, hi1, kc(blo), |k| p(k) >= blo));
-                            b = b.min(first_true_near(lo0, hi1, kc(bhi), |k| p(k) >= bhi) - 1);
-                        } else {
-                            a = a.max(first_true_near(lo0, hi1, kc(bhi), |k| p(k) < bhi));
-                            b = b.min(first_true_near(lo0, hi1, kc(blo), |k| p(k) < blo) - 1);
-                        }
-                    } else {
-                        // Constant coordinate: the lane owns nothing
-                        // unless it sits inside `[blo, bhi)` (NaN
-                        // counts as outside).
-                        let x = o + d * t_of(lo0);
-                        if !(x >= blo && x < bhi) {
-                            b = i64::MIN;
-                        }
-                    }
-                }
-                koa[i] = a;
-                kob[i] = b;
-            }
-
-            // ---- Packet geometry for the shared skip field. With
-            // `u = (k + 1/2)·dt`, lane i sits at `e_i + d_i·u` where
-            // `e_i = o_i + d_i·tg0_i`, so the lane-to-centroid offset
-            // is affine in `u` and its maximum over the packet's whole
-            // k-range is attained at an endpoint.
-            let mut ecx = 0.0f64;
-            let mut ecy = 0.0f64;
-            let mut ecz = 0.0f64;
-            let mut dcx = 0.0f64;
-            let mut dcy = 0.0f64;
-            let mut dcz = 0.0f64;
-            let mut u_max = 0.0f64;
-            for i in 0..W {
-                if !act[i] {
-                    continue;
-                }
-                ecx += oxa[i] + dxa[i] * tg0a[i];
-                ecy += oya[i] + dya[i] * tg0a[i];
-                ecz += oza[i] + dza[i] * tg0a[i];
-                dcx += dxa[i];
-                dcy += dya[i];
-                dcz += dza[i];
-                u_max = u_max.max(tg1a[i] - tg0a[i]);
-            }
-            let inv_n = 1.0 / n_act as f64;
-            ecx *= inv_n;
-            ecy *= inv_n;
-            ecz *= inv_n;
-            dcx *= inv_n;
-            dcy *= inv_n;
-            dcz *= inv_n;
-            let u_lo = (k as f64 + 0.5) * ctx.dt;
-            let u_hi = (kmax as f64 + 0.5) * ctx.dt;
-            // Decompose each lane's centroid offset into an
-            // along-direction shift `sig` (lane i at ladder u sits
-            // where the centroid sits at `u + sig_i`, to within the
-            // residual) plus a perpendicular residual. Only the
-            // residual needs field dilation; the shift is absorbed
-            // exactly in the empty-run accounting by sliding the
-            // lane's covered ladder window — this is what makes tiles
-            // whose lanes enter through different box faces (staggered
-            // entry depths, offsets almost purely along the ray)
-            // eligible for the shared walk at all.
-            let um = 0.5 * (u_lo + u_hi);
-            let dca = [dcx, dcy, dcz];
-            let dcn = dcx * dcx + dcy * dcy + dcz * dcz;
-            let mut sha = [0.0f64; W];
-            let mut s_raw = [0.0f64; 3];
-            let mut s_shift = [0.0f64; 3];
-            for i in 0..W {
-                if !act[i] {
-                    continue;
-                }
-                let de = [
-                    (oxa[i] + dxa[i] * tg0a[i]) - ecx,
-                    (oya[i] + dya[i] * tg0a[i]) - ecy,
-                    (oza[i] + dza[i] * tg0a[i]) - ecz,
-                ];
-                let dd = [dxa[i] - dcx, dya[i] - dcy, dza[i] - dcz];
-                let sig = if dcn > 1e-12 {
-                    ((de[0] + dd[0] * um) * dca[0]
-                        + (de[1] + dd[1] * um) * dca[1]
-                        + (de[2] + dd[2] * um) * dca[2])
-                        / dcn
-                } else {
-                    0.0
-                };
-                sha[i] = sig;
-                for u in [u_lo, u_hi] {
-                    for a in 0..3 {
-                        let r = de[a] + dd[a] * u;
-                        s_raw[a] = s_raw[a].max(r.abs());
-                        s_shift[a] = s_shift[a].max((r - sig * dca[a]).abs());
-                    }
-                }
-            }
-            // Absorb the few ULP by which rounded per-lane positions
-            // can exceed the affine bound.
-            for s in &mut s_raw {
-                *s = *s * (1.0 + 1e-9) + 1e-6;
-            }
-            for s in &mut s_shift {
-                *s = *s * (1.0 + 1e-9) + 1e-6;
-            }
-
-            // Shared-walk eligibility: the baked dilation must cover
-            // this packet's lane spread. Prefer the raw (unshifted)
-            // geometry on the tight field when it already fits — zero
-            // shifts mean empty runs need no per-lane head/tail rounds
-            // at all — then shifted on the tight field, then shifted
-            // on the loose one.
-            let fits = |s: &[f64; 3], f: &Option<PacketField>| {
-                f.as_ref().is_some_and(|f| {
-                    s[0] <= f.spread[0] && s[1] <= f.spread[1] && s[2] <= f.spread[2]
-                })
-            };
-            let (use_shared, shifted, fld) = if fits(&s_raw, &field) {
-                (true, false, field.as_ref())
-            } else if fits(&s_shift, &field) {
-                (true, true, field.as_ref())
-            } else if fits(&s_shift, &field_loose) {
-                (true, true, field_loose.as_ref())
-            } else {
-                (false, false, None)
-            };
-            if !shifted {
-                sha = [0.0f64; W];
-            }
-            if ctx.skip.is_some() && !use_shared {
-                // Too divergent for the baked dilation even after
-                // removing the along-direction shifts (extreme
-                // zoom-out or perspective divergence): scalar fallback
-                // — it keeps per-ray empty-space leaping, and pixels
-                // are bit-identical either way.
-                for py in py0..(py0 + th).min(rect.y1()) {
-                    for px in px0..(px0 + tw).min(rect.x1()) {
-                        march_one_ray(ctx, camera, px, py, rect, sub, stats);
-                    }
-                }
-                px0 += tw;
-                continue;
-            }
-            stats.rays += n_act;
-            stats.packets += 1;
-
-            // Per-round coverage windows: the ladder indices at which
-            // lane i's sample is proven empty by the current run.
-            // Rewritten at every run boundary; lit runs leave every
-            // window empty (lo > hi).
-            let mut cov_lo = [1i64; W];
-            let mut cov_hi = [0i64; W];
-            // One marching round at ladder index `k`: ladder position
-            // and ownership per lane, coverage-skip accounting, then
-            // the gathered fetch/classify/blend for the rest. A macro
-            // rather than a function so the W-wide working arrays stay
-            // borrowed in place.
-            macro_rules! round {
-                () => {{
-                    // Masks first — all integer compares — so rounds
-                    // with nothing to evaluate (coverage-staggered
-                    // edges of empty runs) cost no ladder arithmetic.
-                    let mut own = [false; W];
-                    let mut covd = [false; W];
-                    let mut n_own = 0u64;
-                    let mut n_skip = 0u64;
-                    let mut eval = [false; W];
-                    let mut any = false;
-                    for i in 0..W {
-                        own[i] = act[i] & !done[i] & (k >= koa[i]) & (k <= kob[i]);
-                        covd[i] = (k >= cov_lo[i]) & (k <= cov_hi[i]);
-                        n_own += own[i] as u64;
-                        n_skip += (own[i] & covd[i]) as u64;
-                        let e = own[i] & !sat[i] & !covd[i];
-                        eval[i] = e;
-                        any |= e;
-                    }
-                    stats.samples += n_own;
-                    stats.skipped_samples += n_skip;
-                    if n_skip > 0 {
-                        if let Termination::Bounded { alpha: th } = ctx.term {
-                            // Mirror the scalar kernel's re-check of the
-                            // bounded gate on provably-empty samples.
-                            for i in 0..W {
-                                if own[i] && covd[i] && alpha[i] >= th {
-                                    record_bounded_termination(alpha[i], &ctx.caps, stats);
-                                    done[i] = true;
-                                }
-                            }
-                        }
-                    }
-                    if any {
-                        let kf = k as f64 + 0.5;
-                        let mut lx = [0.0f32; W];
-                        let mut ly = [0.0f32; W];
-                        let mut lz = [0.0f32; W];
-                        for i in 0..W {
-                            let t = tg0a[i] + kf * ctx.dt;
-                            let px = oxa[i] + dxa[i] * t;
-                            let py = oya[i] + dya[i] * t;
-                            let pz = oza[i] + dza[i] * t;
-                            lx[i] = (px - stx - 0.5) as f32;
-                            ly[i] = (py - sty - 0.5) as f32;
-                            lz[i] = (pz - stz - 0.5) as f32;
-                        }
-                        eval_lanes::<W>(
-                            ctx, &lx, &ly, &lz, &eval, &mut colr, &mut colg, &mut colb, &mut alpha,
-                            &mut sat, &mut done, stats,
-                        );
-                    }
-                }};
-            }
-
-            // ---- Lockstep march over the shared ladder index.
-            //
-            // One Amanatides–Woo walk of the packet centroid over the
-            // dilated skip field yields a shared verdict run: either
-            // the run is empty — the walked centroid segment, slid by
-            // each lane's along-direction shift, proves whole per-lane
-            // ladder windows empty, so the interior of the run is
-            // accounted in O(W) and only the shift-staggered head and
-            // tail indices (none at all when shifts are zero) take
-            // normal rounds — or the run is lit and every round is
-            // straight-line lane-parallel arithmetic: ladder position,
-            // ownership mask, gathered fetch, blend. Either way there
-            // is exactly one verdict per packet per run.
-            //
-            // Every per-lane float expression matches the scalar kernel
-            // exactly — same operations, same order — so owned lanes
-            // accumulate bitwise identically to the scalar march
-            // (skipped samples are provably exact-zero contributions,
-            // i.e. bitwise no-ops, for both kernels).
-            // Largest lagging (positive) shift, in ladder units: how
-            // far past its own exit the centroid walk must extend so
-            // trailing lanes' windows reach their final owned indices.
-            let lag_ext = sha.iter().copied().fold(0.0f64, f64::max).max(0.0) * ctx.inv_dt;
-            let mut run_until = k;
-            let mut run_lit = true;
-            loop {
-                // Retire scan.
-                let mut alive = false;
-                for i in 0..W {
-                    if act[i] && !done[i] {
-                        if k > khia[i] {
-                            done[i] = true;
-                        } else {
-                            alive = true;
-                        }
-                    }
-                }
-                if !alive {
-                    break;
-                }
-                if k >= run_until {
-                    match fld {
-                        Some(f) => {
-                            let u = (k as f64 + 0.5) * ctx.dt;
-                            let lc = [
-                                ecx + dcx * u - stx - 0.5,
-                                ecy + dcy * u - sty - 0.5,
-                                ecz + dcz * u - stz - 0.5,
-                            ];
-                            let dir = Vec3::new(dcx, dcy, dcz);
-                            let inv_step = [
-                                (dcx * ctx.dt).abs().recip(),
-                                (dcy * ctx.dt).abs().recip(),
-                                (dcz * ctx.dt).abs().recip(),
-                            ];
-                            // Walk past the centroid's own exit by the
-                            // largest lagging shift, so lanes whose
-                            // windows trail the segment stay covered
-                            // through their final owned indices.
-                            let limit = (u_max - u) * ctx.inv_dt + lag_ext;
-                            let (is_empty, steps) = f.leap(lc, dir, inv_step, limit);
-                            run_lit = !is_empty;
-                            run_until = (k + 1).saturating_add(steps);
-                        }
-                        None => {
-                            run_lit = true;
-                            run_until = i64::MAX;
-                        }
-                    }
-                }
-                let end = run_until.min(kmax + 1);
-
-                // ---- Per-lane coverage windows and the bulk interval
-                // for this run. An empty run means the walk proved the
-                // centroid segment `[u_k, u_k + (S+1)·dt)` lies in
-                // empty (residual-dilated) field cells; lane i tracks
-                // the centroid at parameter `u + sig_i`, so its proven
-                // ladder indices are the segment's, slid by `-sig_i/dt`
-                // and rounded inward. `[bulk_lo, bulk_hi)` is the
-                // intersection of every live lane's window: accounted
-                // per lane in one move. The staggered edges take
-                // normal rounds, where uncovered lanes evaluate and
-                // covered lanes are skip-counted — with zero shifts
-                // the edges are empty and the whole run is bulk.
-                let (bulk_lo, bulk_hi) = if run_lit {
-                    for i in 0..W {
-                        cov_lo[i] = 1;
-                        cov_hi[i] = 0;
-                    }
-                    (end, end)
-                } else {
-                    // Proven segment length comes from the walk itself
-                    // (`run_until`), not the march bound `end`: the
-                    // extended walk may prove lagging lanes' windows
-                    // well past `kmax`.
-                    let s_run = run_until - k - 1;
-                    let mut head_end = k;
-                    let mut tail_start = end;
-                    for i in 0..W {
-                        cov_lo[i] = 1;
-                        cov_hi[i] = 0;
-                        if !act[i] | done[i] {
-                            continue;
-                        }
-                        let sh = sha[i] * ctx.inv_dt;
-                        // Covered iff `(k'-k)·dt + sig` lands in the
-                        // proven segment `[0, (S+1)·dt)`; the 1e-9
-                        // bias keeps the strict upper bound strict at
-                        // exact-integer shifts, and sub-ULP overshoot
-                        // is absorbed by the bake margin.
-                        let lo = k + (-sh).ceil() as i64;
-                        let hi = k + ((s_run + 1) as f64 - sh - 1e-9).ceil() as i64 - 1;
-                        cov_lo[i] = lo;
-                        cov_hi[i] = hi;
-                        if lo > hi {
-                            head_end = end;
-                        } else {
-                            head_end = head_end.max(lo);
-                            tail_start = tail_start.min(hi + 1);
-                        }
-                    }
-                    let b_lo = head_end.min(end);
-                    (b_lo, tail_start.max(b_lo).min(end))
-                };
-
-                // Head rounds (all rounds, for a lit run).
-                while k < bulk_lo {
-                    round!();
-                    k += 1;
-                }
-                // Bulk: every owned sample here is provably a bitwise
-                // no-op for every live lane — no fetch, no classify,
-                // one interval count per lane.
-                if bulk_lo < bulk_hi {
-                    for i in 0..W {
-                        if !act[i] | done[i] {
-                            continue;
-                        }
-                        let lo = koa[i].max(bulk_lo);
-                        let hi = kob[i].min(bulk_hi - 1);
-                        if lo > hi {
-                            continue;
-                        }
-                        let mut n = (hi - lo + 1) as u64;
-                        if let Termination::Bounded { alpha: th } = ctx.term {
-                            // Mirror the scalar kernel's re-check of the
-                            // bounded gate on provably-empty samples: it
-                            // counts the terminating sample, then stops.
-                            if alpha[i] >= th {
-                                n = 1;
-                                record_bounded_termination(alpha[i], &ctx.caps, stats);
-                                done[i] = true;
-                            }
-                        }
-                        stats.samples += n;
-                        stats.skipped_samples += n;
-                    }
-                    k = bulk_hi;
-                }
-                // Tail rounds: lanes whose window leads the segment.
-                while k < end {
-                    round!();
-                    k += 1;
-                }
-            }
-
-            // ---- Write-out, identical to the scalar kernel's.
-            for i in 0..W {
-                let px = px0 + i % tw;
-                let py = py0 + i / tw;
-                if act[i] && alpha[i] > 0.0 {
-                    let idx = (py - rect.y0) * rect.w + (px - rect.x0);
-                    sub.pixels[idx] = [colr[i], colg[i], colb[i], alpha[i]];
-                }
-            }
-            px0 += tw;
+    // Write-out, identical to the reference loop's.
+    let (tw, _) = tile_dims(W);
+    for i in 0..W {
+        if pk.act[i] && alpha[i] > 0.0 {
+            let idx = (py0 + i / tw - rect.y0) * rect.w + (px0 + i % tw - rect.x0);
+            sub.pixels[idx] = [colr[i], colg[i], colb[i], alpha[i]];
         }
-        py0 += th;
     }
 }
 
@@ -1972,6 +1517,29 @@ mod tests {
             (-1.0, 1.0),
             &[(0.0, [0.2, 0.3, 0.4, 0.9]), (1.0, [1.0, 0.9, 0.8, 0.98])],
         )
+    }
+
+    fn assert_bits_eq(a: &crate::image::Image, b: &crate::image::Image, tag: &str) {
+        for (p, q) in a.pixels().iter().zip(b.pixels()) {
+            assert_eq!(
+                p.map(f32::to_bits),
+                q.map(f32::to_bits),
+                "{tag}: pixel bits"
+            );
+        }
+    }
+
+    /// The counters every kernel must agree on (the perf-decision ones —
+    /// skips, packets, lane counts — are free to differ).
+    fn assert_same_ladder(a: &RenderStats, b: &RenderStats, tag: &str) {
+        assert_eq!(a.samples, b.samples, "{tag}: samples");
+        assert_eq!(a.rays, b.rays, "{tag}: rays");
+        assert_eq!(a.terminated_rays, b.terminated_rays, "{tag}: terminated");
+        assert_eq!(
+            a.error_bound.to_bits(),
+            b.error_bound.to_bits(),
+            "{tag}: error bound"
+        );
     }
 
     #[test]
@@ -2086,17 +1654,18 @@ mod tests {
 
     /// The default-on bitwise gate must be invisible everywhere except
     /// `terminated_rays`: pixels AND legacy sample stats match
-    /// `Termination::Off` bit for bit, on both the scalar and packet
-    /// kernels, while the saturated rays stop paying for evaluation.
+    /// `Termination::Off` bit for bit, in both the reference loop and
+    /// the packet march, while the saturated rays stop paying for
+    /// evaluation.
     #[test]
     fn bitwise_termination_is_invisible_and_fires() {
         let v = test_volume(32);
         let cam = Camera::axis_aligned([32, 32, 32], 40, 40);
         for (tfn, must_fire) in [(tf(), false), (opaque_tf(), true)] {
-            for packet_width in [1, 8] {
+            for fast_path in [false, true] {
                 let off = RenderOpts {
                     termination: Termination::Off,
-                    packet_width,
+                    fast_path,
                     ..Default::default()
                 };
                 let on = RenderOpts {
@@ -2112,33 +1681,26 @@ mod tests {
                 if must_fire {
                     assert!(
                         s1.terminated_rays > 0,
-                        "width {packet_width}: near-opaque rays should saturate"
+                        "fast_path {fast_path}: near-opaque rays should saturate"
                     );
                     // Saturation shows up as evaluation work saved on
                     // the packet path.
-                    if packet_width > 1 {
+                    if fast_path {
                         assert!(s1.packet_eval_lanes < s0.packet_eval_lanes);
                     }
                 }
                 assert_eq!(s1.error_bound, 0.0, "bitwise mode is lossless");
-                for (a, b) in img0.pixels().iter().zip(img1.pixels()) {
-                    for c in 0..4 {
-                        assert_eq!(a[c].to_bits(), b[c].to_bits());
-                    }
-                }
+                assert_bits_eq(&img0, &img1, &format!("fast_path {fast_path}"));
             }
         }
     }
 
-    /// Packet widths are a pure performance knob: every width produces
-    /// the scalar kernel's pixels and (samples, rays) stats bit for
-    /// bit, across shading and termination modes. `skipped_samples`
-    /// may differ in either direction: the packet path's skip field is
-    /// dilated by the residual lane spread (proving fewer samples than
-    /// the scalar walk can), but it is built on the refined 2³-voxel
-    /// summary (proving samples the scalar kernel's 8³ macrocells
-    /// cannot). Both only ever skip provably-exact-zero contributions,
-    /// so the pixels and the evaluated results stay bitwise equal.
+    /// The packet march is a pure performance decision: it produces the
+    /// reference loop's pixels and (samples, rays, terminated_rays,
+    /// error_bound) stats bit for bit, across transfer functions,
+    /// shading and termination modes. It only ever skips
+    /// provably-exact-zero contributions, so the evaluated results stay
+    /// bitwise equal.
     #[test]
     fn packet_kernel_is_bit_identical_to_scalar() {
         let v = test_volume(32);
@@ -2150,43 +1712,121 @@ mod tests {
                     Termination::Bitwise,
                     Termination::Bounded { alpha: 0.99 },
                 ] {
-                    let scalar = RenderOpts {
-                        packet_width: 1,
+                    let reference = RenderOpts {
+                        fast_path: false,
                         shading,
                         termination: term,
                         ..Default::default()
                     };
-                    let (img0, s0) = render_serial(&v, &cam, &tfn, &scalar);
-                    for packet_width in [4, 8] {
-                        let packet = RenderOpts {
-                            packet_width,
-                            ..scalar
-                        };
-                        let (img1, s1) = render_serial(&v, &cam, &tfn, &packet);
-                        let tag = format!("width {packet_width}, term {term:?}");
-                        assert_eq!(s0.samples, s1.samples, "{tag}: samples");
-                        assert_eq!(s0.rays, s1.rays, "{tag}: rays");
-                        assert_eq!(s0.terminated_rays, s1.terminated_rays, "{tag}: terminated");
-                        assert_eq!(
-                            s0.error_bound.to_bits(),
-                            s1.error_bound.to_bits(),
-                            "{tag}: error bound"
-                        );
-                        assert_eq!(s0.packets, 0);
-                        assert!(s1.packets > 0, "{tag}: packet kernel did not run");
-                        assert!(
-                            s1.lane_utilization().unwrap_or(0.0) > 0.2,
-                            "{tag}: implausibly low lane utilization"
-                        );
-                        for (a, b) in img0.pixels().iter().zip(img1.pixels()) {
-                            for c in 0..4 {
-                                assert_eq!(a[c].to_bits(), b[c].to_bits(), "{tag}: pixel bits");
-                            }
-                        }
-                    }
+                    let packet = RenderOpts {
+                        fast_path: true,
+                        ..reference
+                    };
+                    let (img0, s0) = render_serial(&v, &cam, &tfn, &reference);
+                    let (img1, s1) = render_serial(&v, &cam, &tfn, &packet);
+                    let tag = format!("term {term:?}");
+                    assert_same_ladder(&s0, &s1, &tag);
+                    assert_eq!(s0.packets, 0);
+                    assert!(s1.packets > 0, "{tag}: packet kernel did not run");
+                    assert!(
+                        s1.lane_utilization().unwrap_or(0.0) > 0.2,
+                        "{tag}: implausibly low lane utilization"
+                    );
+                    assert_bits_eq(&img0, &img1, &tag);
                 }
             }
         }
+    }
+
+    /// Tiles too divergent for the baked dilation are marched by the
+    /// same tile function one lane at a time, against the same field:
+    /// still skipping, still bit-identical to the reference loop. Four
+    /// voxels between neighbouring rays (the `io-record` shape) leaves
+    /// at most the odd 2×4 tile inside the probe limit, orthographic or
+    /// perspective.
+    #[test]
+    fn divergent_tiles_march_one_lane_and_still_skip() {
+        let n = 128;
+        let v = test_volume(n);
+        let grid = MacrocellGrid::build(&v);
+        let dom = BlockDomain::whole([n; 3]);
+        let cams = [
+            Camera::orthographic([n; 3], Vec3::new(0.25, -0.2, -0.95), 32, 32),
+            Camera::perspective([n; 3], Vec3::new(40.0, 90.0, 420.0), 24.0, 32, 32),
+        ];
+        for (c, cam) in cams.iter().enumerate() {
+            for term in [
+                Termination::Off,
+                Termination::Bitwise,
+                Termination::Bounded { alpha: 0.4 },
+            ] {
+                let packet = RenderOpts {
+                    termination: term,
+                    ..Default::default()
+                };
+                let reference = RenderOpts {
+                    fast_path: false,
+                    ..packet
+                };
+                let (sub0, s0) = render_block_with_grid(&v, None, &dom, cam, &tf(), &reference);
+                let (sub1, s1) = render_block_with_grid(&v, Some(&grid), &dom, cam, &tf(), &packet);
+                let tag = format!("camera {c}, term {term:?}");
+                assert!(s1.rays > 100, "{tag}: {} rays", s1.rays);
+                assert!(s1.packets <= 1, "{tag}: {} eight-wide tiles", s1.packets);
+                assert!(s1.skipped_samples > 0, "{tag}: one-lane tiles must skip");
+                assert_same_ladder(&s0, &s1, &tag);
+                assert_eq!(sub0.rect, sub1.rect);
+                for (a, b) in sub0.pixels.iter().zip(&sub1.pixels) {
+                    assert_eq!(a.map(f32::to_bits), b.map(f32::to_bits), "{tag}");
+                }
+            }
+        }
+    }
+
+    /// `fast_path: false` selects the reference loop whatever else the
+    /// caller hands over.
+    #[test]
+    fn fast_path_false_is_the_reference_even_with_a_grid() {
+        let v = test_volume(32);
+        let grid = MacrocellGrid::build(&v);
+        let dom = BlockDomain::whole([32; 3]);
+        let cam = Camera::axis_aligned([32, 32, 32], 40, 40);
+        let opts = RenderOpts {
+            fast_path: false,
+            ..Default::default()
+        };
+        let (_, s) = render_block_with_grid(&v, Some(&grid), &dom, &cam, &tf(), &opts);
+        assert!(s.samples > 0);
+        assert_eq!((s.packets, s.skipped_samples), (0, 0));
+        assert_eq!(s.lane_utilization(), None);
+    }
+
+    fn render_with_step(step: f64) {
+        let v = test_volume(8);
+        let cam = Camera::axis_aligned([8, 8, 8], 8, 8);
+        let opts = RenderOpts {
+            step,
+            ..Default::default()
+        };
+        render_serial(&v, &cam, &tf(), &opts);
+    }
+
+    #[test]
+    #[should_panic(expected = "ray step must be finite and positive, got 0")]
+    fn zero_step_is_rejected() {
+        render_with_step(0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "ray step must be finite and positive, got -1")]
+    fn negative_step_is_rejected() {
+        render_with_step(-1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "ray step must be finite and positive, got NaN")]
+    fn nan_step_is_rejected() {
+        render_with_step(f64::NAN);
     }
 
     #[test]
@@ -2332,20 +1972,12 @@ mod tests {
                     s1.skipped_samples > 0,
                     "supernova TF plateau should cull the far field"
                 );
-                for (a, b) in img0.pixels().iter().zip(img1.pixels()) {
-                    for c in 0..4 {
-                        assert_eq!(
-                            a[c].to_bits(),
-                            b[c].to_bits(),
-                            "pixels must be bit-identical"
-                        );
-                    }
-                }
+                assert_bits_eq(&img0, &img1, "fast path");
             }
         }
     }
 
-    /// Tight and loose bakes built from one shared set of refined
+    /// Bakes at two dilations built from one shared set of refined
     /// verdicts must equal bakes that each compute their own, and both
     /// must equal the field's definition: a cell is empty exactly when
     /// every refined cell in its dilated box is.

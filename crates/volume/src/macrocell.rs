@@ -5,10 +5,11 @@
 //! *refined* cell. Built in one O(voxels) pass per block — per frame,
 //! when every frame is a new time step, so the build runs at close to
 //! the speed of reading the voxels — it is reusable across views of the
-//! same data: the renderer consults the macrocell ranges per sample (scalar kernel) to prove that a
-//! trilinear fetch *must* land in a value range the transfer function
-//! maps to exactly zero opacity, and skips the fetch, classification,
-//! and shading for that sample. The refined ranges serve the ray-packet
+//! same data: the renderer uses the ranges to prove that a trilinear
+//! fetch *must* land in a value range the transfer function maps to
+//! exactly zero opacity, and skips the fetch, classification, and
+//! shading for that sample. The macrocell ranges say whether a block
+//! has anything to skip at all; the refined ranges make the ray-packet
 //! kernel's shared skip field, whose dilation by the packet's lane
 //! spread would be drowned out by 8-voxel quantization.
 //!

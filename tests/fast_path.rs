@@ -172,10 +172,10 @@ proptest! {
 
     /// Packet kernel: for random decompositions, ghost widths, views,
     /// and transfer functions (including exact zero-opacity bands),
-    /// marching 4 or 8 rays in lockstep — under both the `Off` and the
+    /// marching 8 rays in lockstep — under both the `Off` and the
     /// bitwise termination gate — produces the same pixels, the same
-    /// sample-ladder length, and the same ray count as the scalar
-    /// kernel, bit for bit. Random dims make the per-block pixel
+    /// sample-ladder length, and the same ray count as the per-sample
+    /// reference loop, bit for bit. Random dims make the per-block pixel
     /// footprints ragged, so partially-filled packets (masked lanes)
     /// are exercised on every case.
     #[test]
@@ -197,12 +197,11 @@ proptest! {
         );
         let tf = random_tf(&mut rng);
         let cam = Camera::orthographic(dims, view, 48, 48);
-        let scalar = RenderOpts {
+        let reference = RenderOpts {
             step: uniform(&mut rng, 0.6, 1.4),
             shading: shading.then(Shading::default),
-            packet_width: 1,
+            fast_path: false,
             termination: Termination::Off,
-            ..Default::default()
         };
 
         let decomp = BlockDecomposition::new(dims, nprocs);
@@ -211,21 +210,19 @@ proptest! {
             let stored = decomp.with_ghost(&b, ghost);
             let vol = Volume::from_field_window(&field, dims, stored.offset, stored.shape);
             let dom = BlockDomain { grid: dims, owned: b.sub, stored };
-            let (sub_s, st_s) = render_block(&vol, &dom, &cam, &tf, &scalar);
-            for width in [4usize, 8] {
-                for term in [Termination::Off, Termination::Bitwise] {
-                    let popts = RenderOpts { packet_width: width, termination: term, ..scalar };
-                    let (sub_p, st_p) = render_block(&vol, &dom, &cam, &tf, &popts);
-                    prop_assert_eq!(st_s.samples, st_p.samples, "sample ladders differ");
-                    prop_assert_eq!(st_s.rays, st_p.rays, "ray counts differ");
-                    prop_assert_eq!(st_p.error_bound, 0.0, "lossless modes report zero error");
-                    assert_subs_bitwise(
-                        &sub_s,
-                        &sub_p,
-                        &format!("seed {seed} block {:?} width {width} {term:?}", b.sub.offset),
-                    );
-                    total_packets += st_p.packets;
-                }
+            let (sub_s, st_s) = render_block(&vol, &dom, &cam, &tf, &reference);
+            for term in [Termination::Off, Termination::Bitwise] {
+                let popts = RenderOpts { fast_path: true, termination: term, ..reference };
+                let (sub_p, st_p) = render_block(&vol, &dom, &cam, &tf, &popts);
+                prop_assert_eq!(st_s.samples, st_p.samples, "sample ladders differ");
+                prop_assert_eq!(st_s.rays, st_p.rays, "ray counts differ");
+                prop_assert_eq!(st_p.error_bound, 0.0, "lossless modes report zero error");
+                assert_subs_bitwise(
+                    &sub_s,
+                    &sub_p,
+                    &format!("seed {seed} block {:?} {term:?}", b.sub.offset),
+                );
+                total_packets += st_p.packets;
             }
         }
         // Ragged 48x48 footprints over random blocks always leave some
@@ -255,14 +252,9 @@ proptest! {
         let cam = Camera::orthographic(dims, view, 48, 48);
         let vol = Volume::from_field(&field, dims);
         let dom = BlockDomain::whole(dims);
-        let width = if rng.below(2) == 0 { 4 } else { 8 };
         let alpha = uniform(&mut rng, 0.2, 0.95) as f32;
-        let exact = RenderOpts::exact();
-        let bounded = RenderOpts {
-            termination: Termination::Bounded { alpha },
-            packet_width: width,
-            ..Default::default()
-        };
+        let exact = RenderOpts { fast_path: false, ..RenderOpts::exact() };
+        let bounded = RenderOpts::bounded(alpha);
         let (sub_e, st_e) = render_block(&vol, &dom, &cam, &tf, &exact);
         let (sub_b, st_b) = render_block(&vol, &dom, &cam, &tf, &bounded);
         prop_assert_eq!(st_e.error_bound, 0.0);
@@ -275,8 +267,8 @@ proptest! {
         }
         prop_assert!(
             dev <= st_b.error_bound,
-            "deviation {} exceeds reported bound {} (alpha {}, width {}, terminated {})",
-            dev, st_b.error_bound, alpha, width, st_b.terminated_rays
+            "deviation {} exceeds reported bound {} (alpha {}, terminated {})",
+            dev, st_b.error_bound, alpha, st_b.terminated_rays
         );
         // No cut, no error: the bound is zero exactly when nothing
         // terminated at the threshold.
