@@ -1,11 +1,14 @@
 //! Criterion bench: the flow-level network simulator.
 //!
-//! Water-filling cost on contended schedules and an end-to-end
-//! direct-send phase simulation at mid scale.
+//! Water-filling cost on contended synthetic incasts, and the phase the
+//! frame ledger's `model-512` workload spends its time in: the real
+//! direct-send schedule of the 1120^3 frame on 512 ranks, priced the
+//! way the model prices it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pvr_bgp::flowsim::{FlowSim, FlowSpec, SimParams};
 use pvr_bgp::Torus;
+use pvr_core::{CompositorPolicy, FrameConfig, PerfModel};
 
 /// An incast: many senders, few receivers (compositor-like).
 fn incast(nodes: usize, senders_per_recv: usize, bytes: u64) -> Vec<FlowSpec> {
@@ -47,6 +50,17 @@ fn bench_flowsim(c: &mut Criterion) {
             b.iter(|| sim.max_link_time(s))
         });
     }
+
+    // 1 974 messages from 512 renderers to 128 compositors: sizes on the
+    // model's 10 % grid, `batch_tolerance` 0.03, one link-sharing
+    // component — hundreds of events of a few hundred active flows each.
+    let mut cfg = FrameConfig::paper_1120(512);
+    cfg.policy = CompositorPolicy::Fixed(128);
+    let model = PerfModel::default();
+    let schedule = model.schedule_for(&cfg);
+    group.bench_with_input(BenchmarkId::new("direct-send", 512), &schedule, |b, s| {
+        b.iter(|| model.simulate_composite(&cfg, s))
+    });
     group.finish();
 }
 

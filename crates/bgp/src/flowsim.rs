@@ -134,7 +134,13 @@ struct FlowState {
     /// Max-min weight: number of member messages (k identical parallel
     /// flows claim k fair shares).
     weight: f64,
-    done: bool,
+}
+
+impl FlowState {
+    /// The directed links of this flow's route.
+    fn path<'p>(&self, path_arena: &'p [u32]) -> &'p [u32] {
+        &path_arena[self.path_start as usize..(self.path_start + self.path_len) as usize]
+    }
 }
 
 /// Flow-level simulator bound to a torus topology.
@@ -159,11 +165,34 @@ impl<'a> FlowSim<'a> {
         &self.params
     }
 
-    /// A lower bound on the fluid makespan in one cheap pass: the most
-    /// heavily loaded link's bytes at full link rate, and the busiest
-    /// endpoint's injection/ejection load. The exact fluid makespan of a
-    /// schedule starting at t=0 is never below this.
+    /// Reject specs the event loop cannot survive: a NaN start never
+    /// compares `<= now` (the loop would spin), a negative or infinite
+    /// one breaks the clock, and an endpoint outside the torus would
+    /// index the per-node and per-link arrays out of range far from
+    /// the cause.
+    fn check_specs(&self, specs: &[FlowSpec]) {
+        let nodes = self.torus.num_nodes();
+        for (i, s) in specs.iter().enumerate() {
+            assert!(
+                s.start.is_finite() && s.start >= 0.0,
+                "flow spec {i}: start {} is not a finite, non-negative time",
+                s.start
+            );
+            for (end, node) in [("src", s.src), ("dst", s.dst)] {
+                assert!(
+                    node < nodes,
+                    "flow spec {i}: {end} node {node} out of range (torus has {nodes} nodes)"
+                );
+            }
+        }
+    }
+
+    /// A lower bound on the fluid makespan in one cheap pass: the bytes
+    /// crossing the most heavily loaded link, at full link rate. The
+    /// exact fluid makespan of a schedule starting at t=0 is never below
+    /// this. (Endpoint injection/ejection load is not part of it.)
     pub fn max_link_time(&self, specs: &[FlowSpec]) -> f64 {
+        self.check_specs(specs);
         let mut load = vec![0u64; self.torus.num_links()];
         let mut path = Vec::new();
         for s in specs {
@@ -187,29 +216,56 @@ impl<'a> FlowSim<'a> {
     /// serially spends [`SimParams::msg_overhead`] per message it sends
     /// or receives; this overlaps with the fluid network transfer, so the
     /// phase completes at `max(net, cpu)`.
+    ///
+    /// # Panics
+    /// If a spec's start is not a finite, non-negative time or an
+    /// endpoint is not a node of the torus.
     pub fn run(&self, specs: &[FlowSpec]) -> SimReport {
+        self.check_specs(specs);
         let messages = specs.len();
-        let mut total_bytes = 0u64;
-        let mut network_bytes = 0u64;
 
         // --- Endpoint CPU serialization (per original message). ---
-        let mut per_node_msgs = std::collections::HashMap::<usize, u64>::new();
+        let mut total_bytes = 0u64;
+        let mut per_node_msgs = vec![0u64; self.torus.num_nodes()];
         for s in specs {
             total_bytes += s.bytes;
-            *per_node_msgs.entry(s.src).or_insert(0) += 1;
-            *per_node_msgs.entry(s.dst).or_insert(0) += 1;
+            per_node_msgs[s.src] += 1;
+            per_node_msgs[s.dst] += 1;
         }
-        let busiest = per_node_msgs.values().copied().max().unwrap_or(0);
+        let busiest = per_node_msgs.iter().copied().max().unwrap_or(0);
         let cpu_makespan = busiest as f64 * self.params.msg_overhead;
 
-        // --- Aggregate identical-(src,dst,start) flows. ---
-        // k identical parallel flows behave exactly like one flow of k x
-        // bytes with max-min weight k; aggregation keeps 32K-rank
-        // direct-send schedules tractable.
+        let mut completion = vec![0.0f64; specs.len()];
+        let (mut flows, path_arena, network_bytes) = self.aggregate(specs, &mut completion);
+        let net_makespan = self.run_fluid(&mut flows, &path_arena, &mut completion);
+        let makespan = net_makespan.max(cpu_makespan);
+
+        SimReport {
+            completion,
+            net_makespan,
+            cpu_makespan,
+            makespan,
+            network_bytes,
+            total_bytes,
+            messages,
+        }
+    }
+
+    /// Aggregate identical-(src,dst,start) messages into weighted flows
+    /// and route them: k identical parallel flows behave exactly like
+    /// one flow of k x bytes with max-min weight k, which keeps 32K-rank
+    /// direct-send schedules tractable. Intra-node messages complete
+    /// here. Returns the flows, their routes in one arena, and the
+    /// payload bytes that cross the network.
+    fn aggregate(
+        &self,
+        specs: &[FlowSpec],
+        completion: &mut [f64],
+    ) -> (Vec<FlowState>, Vec<u32>, u64) {
         let mut groups = std::collections::HashMap::<(usize, usize, u64), usize>::new();
         let mut flows: Vec<FlowState> = Vec::new();
         let mut path_arena: Vec<u32> = Vec::new();
-        let mut completion = vec![0.0f64; specs.len()];
+        let mut network_bytes = 0u64;
 
         for (i, s) in specs.iter().enumerate() {
             if s.src == s.dst {
@@ -233,7 +289,6 @@ impl<'a> FlowSim<'a> {
                     start: s.start,
                     hops: path_len as usize,
                     weight: 0.0,
-                    done: false,
                 });
                 flows.len() - 1
             });
@@ -241,19 +296,7 @@ impl<'a> FlowSim<'a> {
             flows[idx].remaining += s.bytes as f64;
             flows[idx].weight += 1.0;
         }
-
-        let net_makespan = self.run_fluid(&mut flows, &path_arena, &mut completion);
-        let makespan = net_makespan.max(cpu_makespan);
-
-        SimReport {
-            completion,
-            net_makespan,
-            cpu_makespan,
-            makespan,
-            network_bytes,
-            total_bytes,
-            messages,
-        }
+        (flows, path_arena, network_bytes)
     }
 
     /// [`run`](Self::run) with span tracing in **simulated time**: every
@@ -317,7 +360,6 @@ impl<'a> FlowSim<'a> {
         if flows.is_empty() {
             return 0.0;
         }
-        let num_links = self.torus.num_links();
 
         // Flows not yet started, in start order.
         let mut pending: Vec<usize> = (0..flows.len()).collect();
@@ -325,9 +367,12 @@ impl<'a> FlowSim<'a> {
         let mut next_pending = 0usize;
         let mut active: Vec<usize> = Vec::new();
 
-        // Scratch for water-filling.
-        let mut rem_cap = vec![0.0f64; num_links];
-        let mut unfrozen_weight = vec![0.0f64; num_links];
+        let mut fill = Fill::new(
+            self.params.link_bw,
+            self.torus.num_links(),
+            flows,
+            path_arena,
+        );
 
         let mut now = flows[pending[0]].start;
         let mut makespan = 0.0f64;
@@ -336,7 +381,9 @@ impl<'a> FlowSim<'a> {
         loop {
             // Admit flows that start now.
             while next_pending < pending.len() && flows[pending[next_pending]].start <= now + eps {
-                active.push(pending[next_pending]);
+                let f = pending[next_pending];
+                active.push(f);
+                fill.admit(f, &flows[f], path_arena);
                 next_pending += 1;
             }
             if active.is_empty() {
@@ -348,13 +395,7 @@ impl<'a> FlowSim<'a> {
             }
 
             // --- Water-fill: recompute max-min fair rates. ---
-            self.water_fill(
-                flows,
-                path_arena,
-                &active,
-                &mut rem_cap,
-                &mut unfrozen_weight,
-            );
+            fill.solve(flows, path_arena, &active);
 
             // Time to the next event: earliest completion among active
             // flows, or the next flow start.
@@ -383,9 +424,323 @@ impl<'a> FlowSim<'a> {
                 // tolerance) flows within `tol * dt` of completing.
                 let retire_slack = self.params.batch_tolerance * dt * flows[f].rate;
                 if flows[f].remaining <= eps * flows[f].rate.max(1.0) + 1e-6 + retire_slack {
-                    let fl = &mut flows[f];
-                    fl.done = true;
+                    let fl = &flows[f];
                     let t_done = now + fl.hops as f64 * self.params.hop_latency;
+                    for &m in &fl.members {
+                        completion[m as usize] = t_done;
+                    }
+                    makespan = makespan.max(t_done);
+                    fill.retire(f, fl, path_arena);
+                    active.swap_remove(i);
+                } else {
+                    i += 1;
+                }
+            }
+            if active.is_empty() && next_pending >= pending.len() {
+                break;
+            }
+        }
+        debug_assert!(
+            fill.is_drained(),
+            "a finished phase left active weight on a link or a flow marked active"
+        );
+        makespan
+    }
+}
+
+/// The water-filling workspace of one [`FlowSim::run_fluid`] call.
+///
+/// Progressive filling: every active flow's rate rises uniformly
+/// (weighted) until a link saturates; flows crossing saturated links
+/// freeze; repeat until all flows are frozen. The allocation is
+/// recomputed at every event, so what an event costs is the run's cost.
+/// Nothing here is rebuilt per event: the link→flow incidence is laid
+/// out once, each link's active weight is kept current by
+/// [`admit`](Self::admit) / [`retire`](Self::retire), and every list
+/// keeps its capacity. One [`solve`](Self::solve) costs the links that
+/// carry active weight, plus `rounds × live links` (a link is live while
+/// it still carries an unfrozen flow), plus the flow lists of the links
+/// that saturate — never a pass over all of the torus' links. The round
+/// sweeps are the cost (DESIGN.md §18: 13.2 M live-link visits per pass
+/// against a 1.0 M-entry freeze walk on the ledger's `model-512` frame).
+///
+/// **Same seconds as a fill built from nothing** (the `#[cfg(test)]`
+/// oracle `reference_water_fill` is that fill, and the proptest
+/// `workspace_fill_equals_reference_bitwise` compares bits):
+///
+/// * Weights are message counts — integers far below 2⁵³ — so every
+///   `+=`/`-=` on `active_weight` and `w` is exact in any order;
+///   `active_weight[l]` always equals the sum over the active flows
+///   crossing `l`, and `w[l]` the sum over the unfrozen ones.
+/// * The set of links with `w > 0` in a round does not depend on the
+///   order links are visited in, so `delta` — a `min` over that set of
+///   positive finite quotients, order-free — is the same, and every
+///   link's `rem` goes through the same sequence
+///   `link_bw − δ₁w₁ − δ₂w₂ − …`.
+/// * All flows frozen in one round get the same `fill * weight`, so the
+///   order in which saturated links, or the flows on them, are visited
+///   cannot show.
+struct Fill {
+    /// [`SimParams::link_bw`]: what every link starts a solve with.
+    link_bw: f64,
+
+    /// CSR link → aggregated flows whose route crosses it, built once.
+    /// Retired flows stay listed and are skipped by `is_active`: on the
+    /// `fig3_scaling` sweep the freeze walk, skipped entries included,
+    /// is 4 % of the live-link visits, so unlisting them buys nothing.
+    link_start: Vec<u32>,
+    link_flows: Vec<u32>,
+
+    // Per flow.
+    is_active: Vec<bool>,
+    /// The `epoch` of the solve that last froze the flow.
+    frozen_at: Vec<u32>,
+    /// Solve counter; a flow with `frozen_at == epoch` is frozen in the
+    /// current solve (a stamp instead of a flag array cleared per event).
+    epoch: u32,
+
+    // Per link.
+    /// Sum of the weights of the active flows crossing the link.
+    active_weight: Vec<f64>,
+    /// Whether the link is in `loaded`.
+    listed: Vec<bool>,
+    /// Remaining capacity in the current solve.
+    rem: Vec<f64>,
+    /// Weight of the still-unfrozen flows in the current solve.
+    w: Vec<f64>,
+
+    /// Links that may carry active weight: pushed by `admit` on first
+    /// use, dropped by the next `solve` that finds the weight back at 0.
+    loaded: Vec<u32>,
+    /// Links with `w > 0` in the current solve.
+    live: Vec<u32>,
+    /// Links that saturated in the current round.
+    saturated: Vec<u32>,
+}
+
+impl Fill {
+    fn new(link_bw: f64, num_links: usize, flows: &[FlowState], path_arena: &[u32]) -> Self {
+        // Counting sort of the (link, flow) incidence by link: link ids
+        // are dense in 0..num_links.
+        let mut link_start = vec![0u32; num_links + 1];
+        for &l in path_arena {
+            link_start[l as usize + 1] += 1;
+        }
+        for l in 0..num_links {
+            link_start[l + 1] += link_start[l];
+        }
+        let mut cursor = link_start.clone();
+        let mut link_flows = vec![0u32; path_arena.len()];
+        for (f, fl) in flows.iter().enumerate() {
+            for &l in fl.path(path_arena) {
+                link_flows[cursor[l as usize] as usize] = f as u32;
+                cursor[l as usize] += 1;
+            }
+        }
+        Fill {
+            link_bw,
+            link_start,
+            link_flows,
+            is_active: vec![false; flows.len()],
+            frozen_at: vec![0; flows.len()],
+            epoch: 0,
+            active_weight: vec![0.0; num_links],
+            listed: vec![false; num_links],
+            rem: vec![0.0; num_links],
+            w: vec![0.0; num_links],
+            loaded: Vec::new(),
+            live: Vec::new(),
+            saturated: Vec::new(),
+        }
+    }
+
+    /// Flow `f` starts: its weight joins every link of its route.
+    fn admit(&mut self, f: usize, fl: &FlowState, path_arena: &[u32]) {
+        self.is_active[f] = true;
+        for &l in fl.path(path_arena) {
+            let l = l as usize;
+            if !self.listed[l] {
+                self.listed[l] = true;
+                self.loaded.push(l as u32);
+            }
+            self.active_weight[l] += fl.weight;
+        }
+    }
+
+    /// Flow `f` completed: its weight leaves every link of its route.
+    fn retire(&mut self, f: usize, fl: &FlowState, path_arena: &[u32]) {
+        self.is_active[f] = false;
+        for &l in fl.path(path_arena) {
+            self.active_weight[l as usize] -= fl.weight;
+        }
+    }
+
+    /// True when no flow is active and no link carries active weight —
+    /// the state every finished phase must leave behind.
+    fn is_drained(&self) -> bool {
+        !self.is_active.contains(&true) && self.active_weight.iter().all(|&w| w == 0.0)
+    }
+
+    /// Set `rate` of every flow in `active` to its max-min fair share.
+    fn solve(&mut self, flows: &mut [FlowState], path_arena: &[u32], active: &[usize]) {
+        self.epoch = self
+            .epoch
+            .checked_add(1)
+            .expect("fewer than 2^32 events in one phase");
+        let epoch = self.epoch;
+        let sat_eps = self.link_bw * 1e-9;
+
+        // Start from the maintained weights; forget links that emptied.
+        self.live.clear();
+        self.loaded.retain(|&l| {
+            let weight = self.active_weight[l as usize];
+            if weight > 0.0 {
+                self.w[l as usize] = weight;
+                self.rem[l as usize] = self.link_bw;
+                self.live.push(l);
+            } else {
+                self.listed[l as usize] = false;
+            }
+            weight > 0.0
+        });
+
+        let mut unfrozen = active.len();
+        let mut fill = 0.0f64;
+        while unfrozen > 0 {
+            // Smallest per-weight headroom over links with unfrozen
+            // flows; links that lost their last one leave the list.
+            // Compare-and-select, not `f64::min`: the same value for
+            // every input (`delta` is never NaN, and a NaN headroom is
+            // passed over by both), without `min`'s NaN handling in the
+            // loop-carried dependency — the sweep runs a third faster.
+            let mut delta = f64::INFINITY;
+            self.live.retain(|&l| {
+                let w = self.w[l as usize];
+                if w > 0.0 {
+                    let headroom = self.rem[l as usize] / w;
+                    if headroom < delta {
+                        delta = headroom;
+                    }
+                }
+                w > 0.0
+            });
+            if !delta.is_finite() {
+                // No constraining link left; remaining flows are only
+                // limited by links that already saturated (degenerate) —
+                // freeze them at the current fill.
+                for &f in active {
+                    if self.frozen_at[f] != epoch {
+                        self.frozen_at[f] = epoch;
+                        flows[f].rate = fill * flows[f].weight;
+                    }
+                }
+                break;
+            }
+            fill += delta;
+            // Drain every link with round-start weights first, then
+            // freeze — freezing mutates weights, which must only affect
+            // the next round.
+            self.saturated.clear();
+            for &l in &self.live {
+                let rem = &mut self.rem[l as usize];
+                *rem -= delta * self.w[l as usize];
+                if *rem <= sat_eps {
+                    self.saturated.push(l);
+                }
+            }
+            for &l in &self.saturated {
+                let on_link =
+                    self.link_start[l as usize] as usize..self.link_start[l as usize + 1] as usize;
+                for &f in &self.link_flows[on_link] {
+                    let f = f as usize;
+                    if !self.is_active[f] || self.frozen_at[f] == epoch {
+                        continue;
+                    }
+                    self.frozen_at[f] = epoch;
+                    unfrozen -= 1;
+                    let fl = &mut flows[f];
+                    fl.rate = fill * fl.weight;
+                    for &pl in fl.path(path_arena) {
+                        self.w[pl as usize] -= fl.weight;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The fluid loop and water-fill as they were before the run-scoped
+/// [`Fill`] workspace, kept as the oracle: every event builds its
+/// link→flow index, weights and scratch from nothing, straight from the
+/// list of active flows. Shares only [`FlowSim::aggregate`] with the
+/// code under test.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    /// `(net_makespan, completion)` of the phase, by the from-scratch loop.
+    pub(super) fn run(sim: &FlowSim, specs: &[FlowSpec]) -> (f64, Vec<f64>) {
+        let mut completion = vec![0.0f64; specs.len()];
+        let (mut flows, path_arena, _) = sim.aggregate(specs, &mut completion);
+        let net = run_fluid(sim, &mut flows, &path_arena, &mut completion);
+        (net, completion)
+    }
+
+    fn run_fluid(
+        sim: &FlowSim,
+        flows: &mut [FlowState],
+        path_arena: &[u32],
+        completion: &mut [f64],
+    ) -> f64 {
+        if flows.is_empty() {
+            return 0.0;
+        }
+        let params = sim.params;
+        let mut pending: Vec<usize> = (0..flows.len()).collect();
+        pending.sort_by(|&a, &b| flows[a].start.total_cmp(&flows[b].start));
+        let mut next_pending = 0usize;
+        let mut active: Vec<usize> = Vec::new();
+
+        let mut now = flows[pending[0]].start;
+        let mut makespan = 0.0f64;
+        let eps = 1e-12;
+
+        loop {
+            while next_pending < pending.len() && flows[pending[next_pending]].start <= now + eps {
+                active.push(pending[next_pending]);
+                next_pending += 1;
+            }
+            if active.is_empty() {
+                if next_pending >= pending.len() {
+                    break;
+                }
+                now = flows[pending[next_pending]].start;
+                continue;
+            }
+
+            reference_water_fill(&params, sim.torus.num_links(), flows, path_arena, &active);
+
+            let mut dt = f64::INFINITY;
+            for &f in &active {
+                let fl = &flows[f];
+                if fl.rate > 0.0 {
+                    dt = dt.min(fl.remaining / fl.rate);
+                }
+            }
+            if next_pending < pending.len() {
+                dt = dt.min(flows[pending[next_pending]].start - now);
+            }
+            assert!(dt.is_finite(), "flow simulation stalled (all rates zero)");
+
+            now += dt;
+            let mut i = 0;
+            while i < active.len() {
+                let f = active[i];
+                flows[f].remaining -= flows[f].rate * dt;
+                let retire_slack = params.batch_tolerance * dt * flows[f].rate;
+                if flows[f].remaining <= eps * flows[f].rate.max(1.0) + 1e-6 + retire_slack {
+                    let fl = &flows[f];
+                    let t_done = now + fl.hops as f64 * params.hop_latency;
                     for &m in &fl.members {
                         completion[m as usize] = t_done;
                     }
@@ -402,47 +757,37 @@ impl<'a> FlowSim<'a> {
         makespan
     }
 
-    /// Progressive filling: every active flow's rate rises uniformly
-    /// (weighted) until a link saturates; flows crossing saturated links
-    /// freeze; repeat until all flows are frozen.
-    ///
-    /// Implementation: a link→flow reverse index makes the total freeze
-    /// work linear in the flow-link incidence, and each filling round
-    /// costs one pass over the touched links — O(incidence + rounds x
-    /// touched links) overall.
-    fn water_fill(
-        &self,
+    /// Progressive filling from nothing: weights summed from the active
+    /// flows, a hashed link→slot map, a fresh reverse index, and every
+    /// round a pass over all touched links.
+    fn reference_water_fill(
+        params: &SimParams,
+        num_links: usize,
         flows: &mut [FlowState],
         path_arena: &[u32],
         active: &[usize],
-        rem_cap: &mut [f64],
-        unfrozen_weight: &mut [f64],
     ) {
-        // Touch only links used by active flows.
+        let mut rem_cap = vec![0.0f64; num_links];
+        let mut unfrozen_weight = vec![0.0f64; num_links];
         let mut touched: Vec<u32> = Vec::new();
         for &f in active {
             let fl = &flows[f];
-            let path = &path_arena[fl.path_start as usize..(fl.path_start + fl.path_len) as usize];
-            for &l in path {
+            for &l in fl.path(path_arena) {
                 if unfrozen_weight[l as usize] == 0.0 && rem_cap[l as usize] == 0.0 {
                     touched.push(l);
-                    rem_cap[l as usize] = self.params.link_bw;
+                    rem_cap[l as usize] = params.link_bw;
                 }
                 unfrozen_weight[l as usize] += fl.weight;
             }
         }
 
-        // Reverse index: for each touched link, the active-flow indices
-        // crossing it (dense per-link slices in one flat arena).
         let mut link_slot = std::collections::HashMap::<u32, u32>::with_capacity(touched.len());
         for (i, &l) in touched.iter().enumerate() {
             link_slot.insert(l, i as u32);
         }
         let mut counts = vec![0u32; touched.len()];
         for &f in active {
-            let fl = &flows[f];
-            let path = &path_arena[fl.path_start as usize..(fl.path_start + fl.path_len) as usize];
-            for &l in path {
+            for &l in flows[f].path(path_arena) {
                 counts[link_slot[&l] as usize] += 1;
             }
         }
@@ -453,9 +798,7 @@ impl<'a> FlowSim<'a> {
         let mut index = vec![0u32; offsets[touched.len()] as usize];
         let mut cursor = offsets.clone();
         for (ai, &f) in active.iter().enumerate() {
-            let fl = &flows[f];
-            let path = &path_arena[fl.path_start as usize..(fl.path_start + fl.path_len) as usize];
-            for &l in path {
+            for &l in flows[f].path(path_arena) {
                 let s = link_slot[&l] as usize;
                 index[cursor[s] as usize] = ai as u32;
                 cursor[s] += 1;
@@ -465,10 +808,9 @@ impl<'a> FlowSim<'a> {
         let mut frozen = vec![false; active.len()];
         let mut num_frozen = 0usize;
         let mut fill = 0.0f64;
-        let sat_eps = self.params.link_bw * 1e-9;
+        let sat_eps = params.link_bw * 1e-9;
 
         while num_frozen < active.len() {
-            // Smallest per-weight headroom over links with unfrozen flows.
             let mut delta = f64::INFINITY;
             for &l in &touched {
                 let w = unfrozen_weight[l as usize];
@@ -477,9 +819,6 @@ impl<'a> FlowSim<'a> {
                 }
             }
             if !delta.is_finite() {
-                // No constraining link left; remaining flows are only
-                // limited by links that already saturated (degenerate) —
-                // freeze them at the current fill.
                 for (ai, &f) in active.iter().enumerate() {
                     if !frozen[ai] {
                         frozen[ai] = true;
@@ -489,9 +828,6 @@ impl<'a> FlowSim<'a> {
                 break;
             }
             fill += delta;
-            // Drain every link with round-start weights first, then
-            // freeze — freezing mutates weights, which must only affect
-            // the next round.
             let mut saturated: Vec<usize> = Vec::new();
             for (slot, &l) in touched.iter().enumerate() {
                 let w = unfrozen_weight[l as usize];
@@ -514,19 +850,11 @@ impl<'a> FlowSim<'a> {
                     let f = active[ai];
                     flows[f].rate = fill * flows[f].weight;
                     let fl = &flows[f];
-                    let path =
-                        &path_arena[fl.path_start as usize..(fl.path_start + fl.path_len) as usize];
-                    for &pl in path {
+                    for &pl in fl.path(path_arena) {
                         unfrozen_weight[pl as usize] -= fl.weight;
                     }
                 }
             }
-        }
-
-        // Reset scratch state for the next invocation.
-        for &l in &touched {
-            rem_cap[l as usize] = 0.0;
-            unfrozen_weight[l as usize] = 0.0;
         }
     }
 }
@@ -758,6 +1086,80 @@ mod tests {
             assert!(*c > 0.0, "flow {i} never completed");
         }
     }
+    fn spec_starting_at(start: f64) -> FlowSpec {
+        FlowSpec {
+            start,
+            ..FlowSpec::new(0, 1, 1000)
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "flow spec 1: start NaN")]
+    fn nan_start_is_rejected() {
+        let t = torus8();
+        FlowSim::new(&t).run(&[FlowSpec::new(0, 1, 1000), spec_starting_at(f64::NAN)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "flow spec 0: start -1")]
+    fn negative_start_is_rejected() {
+        let t = torus8();
+        FlowSim::new(&t).run(&[spec_starting_at(-1.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "flow spec 0: start inf")]
+    fn infinite_start_is_rejected() {
+        let t = torus8();
+        FlowSim::new(&t).max_link_time(&[spec_starting_at(f64::INFINITY)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "flow spec 2: dst node 512 out of range")]
+    fn out_of_range_node_is_rejected() {
+        let t = torus8();
+        FlowSim::new(&t).run(&[
+            FlowSpec::new(0, 1, 1000),
+            FlowSpec::new(511, 0, 1000),
+            FlowSpec::new(3, 512, 1000),
+        ]);
+    }
+
+    /// A staggered schedule — links gain weight, lose all of it, and gain
+    /// it again mid-phase — leaves the workspace drained. `run_fluid`
+    /// asserts that on exit in debug builds; this runs it there and also
+    /// checks the bookkeeping directly after admitting and retiring.
+    #[test]
+    fn staggered_phase_leaves_the_workspace_drained() {
+        let t = Torus::new(4, 4, 4);
+        let sim = FlowSim::new(&t);
+        let specs: Vec<FlowSpec> = (0..96)
+            .map(|i| FlowSpec {
+                src: (i * 5) % 64,
+                dst: if i % 3 == 0 { 7 } else { (i * 11 + 3) % 64 },
+                bytes: 2_000 + 37 * i as u64,
+                start: (i % 4) as f64 * 1e-3,
+            })
+            .collect();
+        let r = sim.run(&specs);
+        assert!(r.completion.iter().all(|&c| c > 0.0));
+
+        let mut completion = vec![0.0; specs.len()];
+        let (flows, arena, _) = sim.aggregate(&specs, &mut completion);
+        let mut fill = Fill::new(sim.params().link_bw, t.num_links(), &flows, &arena);
+        assert!(fill.is_drained());
+        for (f, fl) in flows.iter().enumerate() {
+            fill.admit(f, fl, &arena);
+        }
+        assert!(!fill.is_drained());
+        let carried: f64 = fill.active_weight.iter().sum();
+        let expected: f64 = flows.iter().map(|fl| fl.weight * fl.path_len as f64).sum();
+        assert_eq!(carried, expected);
+        for (f, fl) in flows.iter().enumerate().rev() {
+            fill.retire(f, fl, &arena);
+        }
+        assert!(fill.is_drained());
+    }
 }
 
 #[cfg(test)]
@@ -829,6 +1231,65 @@ mod proptests {
             more.push(FlowSpec::new(extra.0, extra.1, extra.2));
             let bigger = sim.run(&more).net_makespan;
             prop_assert!(bigger >= base * 0.999, "makespan shrank: {base} -> {bigger}");
+        }
+    }
+    /// Phases that exercise the workspace's bookkeeping: incast hot
+    /// spots, zero-byte, sub-64-byte and 10 %-grid sizes, intra-node
+    /// flows, and starts staggered far enough apart that links go
+    /// 0 → positive → 0 → positive while the phase runs.
+    fn arb_phase() -> impl Strategy<Value = ((u16, u16, u16), f64, Vec<FlowSpec>)> {
+        (
+            0usize..3,
+            0usize..2,
+            proptest::collection::vec(
+                (
+                    0usize..512,
+                    0usize..512,
+                    0usize..4,
+                    0u64..1_000_000,
+                    0u64..4,
+                ),
+                1..160,
+            ),
+        )
+            .prop_map(|(shape, tol, draws)| {
+                let dims = [(2, 2, 2), (4, 4, 4), (8, 4, 4)][shape];
+                let nodes = dims.0 as usize * dims.1 as usize * dims.2 as usize;
+                let specs = draws
+                    .into_iter()
+                    .map(|(a, b, kind, size, slot)| FlowSpec {
+                        src: a % nodes,
+                        // One draw in four aims at the hot receiver.
+                        dst: if b % 4 == 0 { 1 } else { b % nodes },
+                        bytes: match kind {
+                            0 => 0,
+                            1 => size % 64,
+                            2 => 1.1f64.powi((size % 150) as i32) as u64,
+                            _ => size,
+                        },
+                        start: slot as f64 * 1e-3,
+                    })
+                    .collect();
+                (dims, [0.0, 0.03][tol], specs)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The run-scoped workspace and the from-scratch fill give the
+        /// same simulated seconds, to the bit.
+        #[test]
+        fn workspace_fill_equals_reference_bitwise(phase in arb_phase()) {
+            let ((nx, ny, nz), batch_tolerance, specs) = phase;
+            let t = Torus::new(nx, ny, nz);
+            let sim = FlowSim::with_params(&t, SimParams { batch_tolerance, ..Default::default() });
+            let r = sim.run(&specs);
+            let (net, completion) = reference::run(&sim, &specs);
+            prop_assert_eq!(r.net_makespan.to_bits(), net.to_bits());
+            for (i, (a, b)) in r.completion.iter().zip(&completion).enumerate() {
+                prop_assert_eq!(a.to_bits(), b.to_bits(), "completion[{}]: {} vs {}", i, a, b);
+            }
         }
     }
 }

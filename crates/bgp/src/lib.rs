@@ -20,9 +20,14 @@
 //!
 //! The simulator is exact event-driven fluid simulation: at every flow
 //! start or completion the max-min fair rate allocation is recomputed by
-//! progressive (water-filling) filling. Symmetric communication patterns
-//! complete in large batches, which keeps even 32K-rank direct-send
-//! schedules tractable.
+//! progressive (water-filling) filling. The fill works on one workspace
+//! per phase — link→flow incidence laid out once, per-link active weight
+//! maintained as flows start and finish, every buffer reused — so an
+//! event costs `rounds × live links` plus the incidence of the flows it
+//! freezes, where a link is live while it still carries an unfrozen
+//! flow; nothing is hashed, allocated or scanned over the whole torus
+//! per event. Symmetric communication patterns complete in large
+//! batches, which keeps even 32K-rank direct-send schedules tractable.
 
 pub mod flowsim;
 pub mod machine;

@@ -448,6 +448,18 @@ mod tests {
         assert!(vis > 0.2 && vis < 1.2, "vis-only {vis}");
     }
 
+    /// The ledger's `model-512` frame, pinned to the bit: bookkeeping
+    /// changes in `FlowSim` or `FileLayout::extents` must leave every
+    /// simulated second exactly where it was.
+    #[test]
+    fn model_512_seconds_are_pinned() {
+        let mut cfg = FrameConfig::paper_1120(512);
+        cfg.policy = CompositorPolicy::Fixed(128);
+        let r = PerfModel::default().simulate(&cfg);
+        assert_eq!(r.timing.total().to_bits(), 0x403d0d0aebcbb354);
+        assert_eq!(r.composite.fluid_seconds.to_bits(), 0x3f5f0bee040e3bbd);
+    }
+
     #[test]
     fn render_scales_linearly() {
         let m = PerfModel::default();

@@ -70,11 +70,20 @@ pub trait FileLayout: Send + Sync {
     }
 
     /// The *useful* byte extents of the request: sorted, disjoint,
-    /// coalesced.
+    /// coalesced. A run that starts where the previous one ended extends
+    /// it instead of being stored, so memory is the number of extents
+    /// returned plus the file-order breaks in the run sequence — one
+    /// extent, not 1120² rows, for a whole contiguous variable — and the
+    /// final [`coalesce`] sorts and merges what is left (HDF5's chunk
+    /// runs arrive out of file order).
     fn extents(&self, var: usize, sub: &Subvolume) -> Vec<Extent> {
-        let mut v = Vec::new();
+        let mut v: Vec<Extent> = Vec::new();
         self.placed_runs(var, sub, &mut |r| {
-            v.push(Extent::new(r.file_offset, r.elems as u64 * ELEM_SIZE));
+            let len = r.elems as u64 * ELEM_SIZE;
+            match v.last_mut() {
+                Some(last) if last.end() == r.file_offset => last.len += len,
+                _ => v.push(Extent::new(r.file_offset, len)),
+            }
         });
         coalesce(&mut v);
         v
@@ -591,6 +600,32 @@ mod tests {
     }
 
     #[test]
+    fn whole_paper_volume_is_one_extent() {
+        // 1.25 M row runs streamed into a single extent.
+        let l = RawLayout::new([1120; 3]);
+        let e = l.extents(0, &Subvolume::whole([1120; 3]));
+        assert_eq!(e, vec![Extent::new(0, 1120 * 1120 * 1120 * 4)]);
+    }
+
+    #[test]
+    fn hdf5_runs_out_of_file_order_still_coalesce() {
+        // Two rows of a 2-chunk-wide request: the second row's first run
+        // lies *before* the first row's second run in the file.
+        let l = Hdf5LikeLayout::with_chunk([8, 4, 4], 1, [4, 4, 4]);
+        let s = Subvolume::new([0, 0, 0], [8, 2, 1]);
+        let mut offsets = Vec::new();
+        l.placed_runs(0, &s, &mut |r| offsets.push(r.file_offset));
+        assert!(offsets.windows(2).any(|w| w[1] < w[0]), "{offsets:?}");
+        let row = 4 * ELEM_SIZE;
+        let (c0, c1) = (l.header_bytes(), l.header_bytes() + l.chunk_bytes());
+        // Each chunk's two 4-element rows are adjacent in the file.
+        assert_eq!(
+            l.extents(0, &s),
+            vec![Extent::new(c0, 2 * row), Extent::new(c1, 2 * row)]
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "outside grid")]
     fn out_of_bounds_request_panics() {
         let l = RawLayout::new([8, 8, 8]);
@@ -634,6 +669,27 @@ mod proptests {
                 // Physical extents always cover the useful ones.
                 let phys = l.physical_extents(v, &s);
                 prop_assert!(union_bytes(&phys) >= s.bytes());
+            }
+        }
+
+        /// Merging runs as they are produced gives the same canonical
+        /// list as collecting every run and coalescing afterwards.
+        #[test]
+        fn streamed_extents_equal_collected_then_coalesced(s in arb_sub([24, 20, 12]), var in 0usize..3) {
+            let layouts: Vec<Box<dyn FileLayout>> = vec![
+                Box::new(RawLayout::new([24, 20, 12])),
+                Box::new(NetCdfClassicLayout::new([24, 20, 12], 3)),
+                Box::new(NetCdf64Layout::new([24, 20, 12], 3)),
+                Box::new(Hdf5LikeLayout::with_chunk([24, 20, 12], 3, [5, 7, 4])),
+            ];
+            for l in &layouts {
+                let v = if l.num_vars() == 1 { 0 } else { var };
+                let mut collected = Vec::new();
+                l.placed_runs(v, &s, &mut |r| {
+                    collected.push(Extent::new(r.file_offset, r.elems as u64 * ELEM_SIZE));
+                });
+                coalesce(&mut collected);
+                prop_assert_eq!(l.extents(v, &s), collected, "{}", l.kind().name());
             }
         }
 
