@@ -28,7 +28,7 @@ use std::time::Instant;
 
 use pvr_bench::FaultFrame;
 use pvr_core::pipeline::{run_frame_mpi, tags, write_dataset};
-use pvr_core::{frame_block_costs, CompositorPolicy, FrameConfig, FrameError, PerfModel};
+use pvr_core::{CompositorPolicy, FrameConfig, FrameError, FrameShared};
 use pvr_faults::{
     FaultPlan, LinkAction, LinkFault, Pat, RankAction, RankFault, RecoveryPolicy, ServerAction,
     ServerFault, Stage,
@@ -254,8 +254,7 @@ fn straggle_bounded(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy, bas
 /// carry an error bound; exhausted budgets degrade explicitly.
 fn ladder_accounting(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy) -> bool {
     let mut ok = true;
-    let model = PerfModel::default();
-    let est = frame_block_costs(cfg, &model)[5];
+    let est = FrameShared::new(cfg).heal_costs()[5];
     let plan = FaultPlan {
         seed: 9,
         ranks: vec![RankFault {

@@ -2,10 +2,11 @@
 //!
 //! Runs the `pvr-verify` linter over paper-scale configurations:
 //!
-//! * **Direct-send** schedules built from *real* raycast footprints
-//!   (near-cubic block decomposition of a 64³ grid, oblique
-//!   orthographic camera) for n ∈ {2..256} renderers and compositor
-//!   counts m ∈ {1..n} (sampled; exhaustive for small n) — checking
+//! * **Direct-send** schedules as the executors derive them —
+//!   `pvr_core::FrameShared`'s footprints and schedule for a 64³ grid
+//!   under the pipeline's oblique orthographic camera — for
+//!   n ∈ {2..1024} renderers and compositor counts m ∈ {1..n}
+//!   (sampled; exhaustive for small n) — checking
 //!   image-partition exactness, overlap conservation (every
 //!   footprint ∩ tile intersection sent exactly once, exactly sized),
 //!   and the paper's bounded per-compositor fan-in.
@@ -20,12 +21,11 @@
 //! Exits nonzero on any violation (or any uncaught mutation).
 
 use pvr_compositing::radixk::{default_radices, radix_k_schedule};
-use pvr_compositing::{build_schedule, ImagePartition};
-use pvr_render::camera::Camera;
+use pvr_compositing::{build_schedule, ImagePartition, Schedule};
+use pvr_core::{CompositorPolicy, FrameConfig, FrameShared};
 use pvr_render::image::PixelRect;
 use pvr_verify::lint::{expected_fanin, mutate_rounds, mutate_schedule};
 use pvr_verify::{lint_direct_send, lint_radix_k, lint_tags, m_samples, LintOptions, Mutation};
-use pvr_volume::BlockDecomposition;
 
 const IMAGE: (usize, usize) = (128, 128);
 const GRID: [usize; 3] = [64, 64, 64];
@@ -39,10 +39,10 @@ const N_SWEEP: [usize; 16] = [
     2, 3, 4, 6, 8, 12, 16, 27, 32, 64, 101, 128, 192, 256, 512, 1024,
 ];
 
-/// Screen footprints of a near-cubic block decomposition under the
-/// pipeline's slightly-oblique default view — the real geometry the
-/// mpi pipeline derives its schedules from.
-fn real_footprints(n: usize) -> Vec<PixelRect> {
+/// Footprints and direct-send schedule of `n` renderers and `m`
+/// compositors, exactly as both executors derive them: the sweep lints
+/// the shipped derivation, not a copy of it.
+fn frame_schedule(n: usize, m: usize) -> (Vec<PixelRect>, Schedule) {
     // A prime factor larger than a grid axis cannot be placed (e.g.
     // n = 101 on a 64³ grid); those n get the synthetic lattice.
     let mut rem = n;
@@ -52,15 +52,14 @@ fn real_footprints(n: usize) -> Vec<PixelRect> {
         }
     }
     if rem > 1 {
-        return pvr_verify::synthetic_footprints(n, IMAGE.0, IMAGE.1);
+        let fps = pvr_verify::synthetic_footprints(n, IMAGE.0, IMAGE.1);
+        let schedule = build_schedule(&fps, ImagePartition::new(IMAGE.0, IMAGE.1, m));
+        return (fps, schedule);
     }
-    let decomp = BlockDecomposition::new(GRID, n);
-    let camera = Camera::orthographic(GRID, pvr_core::pipeline::default_view(), IMAGE.0, IMAGE.1);
-    decomp
-        .blocks()
-        .iter()
-        .map(|b| pvr_render::raycast::footprint(&camera, b.sub.offset, b.sub.end(), IMAGE))
-        .collect()
+    let mut cfg = FrameConfig::small(GRID[0], IMAGE.0, n);
+    cfg.policy = CompositorPolicy::Fixed(m);
+    let shared = FrameShared::new(&cfg);
+    (shared.footprints().to_vec(), shared.schedule().clone())
 }
 
 fn main() {
@@ -76,10 +75,8 @@ fn main() {
 
     // --- Direct-send sweep: real footprints, sampled m. ---
     for n in N_SWEEP {
-        let fps = real_footprints(n);
         for m in m_samples(n) {
-            let part = ImagePartition::new(IMAGE.0, IMAGE.1, m);
-            let schedule = build_schedule(&fps, part);
+            let (fps, schedule) = frame_schedule(n, m);
             // Real oblique footprints are conservative bounding boxes
             // (larger than the ideal lattice cell), so give the
             // fan-in cap headroom over the synthetic bound.
@@ -100,8 +97,8 @@ fn main() {
             );
         }
         // Fan-in summary at m = n for the paper's scaling curve.
-        let part = ImagePartition::new(IMAGE.0, IMAGE.1, n.min(IMAGE.0));
-        let schedule = build_schedule(&fps, part);
+        let (_, schedule) = frame_schedule(n, n.min(IMAGE.0));
+        let part = schedule.partition;
         let mean = schedule.messages.len() as f64 / part.m() as f64;
         println!(
             "direct-send n={n:>3}: {} msgs, mean fan-in {mean:.2} (expected O(n^1/3) ≈ {:.2})",
@@ -154,10 +151,7 @@ fn main() {
     );
 
     // --- Mutation kill check: every injected fault must be caught. ---
-    let n = 27;
-    let fps = real_footprints(n);
-    let part = ImagePartition::new(IMAGE.0, IMAGE.1, 9);
-    let schedule = build_schedule(&fps, part);
+    let (fps, schedule) = frame_schedule(27, 9);
     for (i, mutation) in [
         Mutation::Drop(3),
         Mutation::Drop(17),

@@ -1,24 +1,23 @@
 //! Per-tile completeness of a degraded composite.
 //!
-//! When fragments are lost or arrive past the deadline, the deadline
-//! compositors ([`crate::directsend::composite_direct_send_degraded`],
-//! [`crate::radixk::composite_radix_k_degraded`]) blend whatever is
-//! there and quantify the damage instead of hanging: each compositor
-//! tile reports the fraction of its *expected* blended footprint area
-//! that actually arrived (weighted by the sender's own data quality, so
-//! an I/O-degraded renderer counts fractionally). A fully healthy run
-//! reports 1.0 everywhere — and, by construction, the degraded
-//! compositors then produce exactly the fault-free image.
+//! When fragments are lost or arrive past the deadline, direct-send
+//! ([`crate::directsend::composite_direct_send_traced`] with absent
+//! inputs, and the message-passing executor's [`crate::TileAssembly`])
+//! blends whatever is there and quantifies the damage instead of
+//! hanging: each compositor tile reports the fraction of its *expected*
+//! blended footprint area that actually arrived (weighted by the
+//! sender's own data quality, so an I/O-degraded renderer counts
+//! fractionally). A fully healthy run reports 1.0 everywhere — and, by
+//! construction, the image is then exactly the fault-free one.
 
 use pvr_render::image::PixelRect;
 
-/// Completeness of one compositor tile (or radix-k final span).
+/// Completeness of one compositor tile.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TileCompleteness {
-    /// Tile index (direct-send: partition cell; radix-k: process).
+    /// Tile index (the partition cell).
     pub tile: usize,
-    /// The tile's pixel rectangle, when it is one (direct-send tiles;
-    /// radix-k spans are row-major pixel ranges, reported as `None`).
+    /// The tile's pixel rectangle, when the producer knows it.
     pub rect: Option<PixelRect>,
     /// Expected blended footprint area: the sum over *all* scheduled
     /// senders of their overlap with this tile, in pixels.
@@ -78,24 +77,6 @@ impl CompletenessMap {
     }
 }
 
-/// Overlap, in pixels, of a footprint rectangle with the row-major
-/// pixel span `[s, e)` of a `width`-wide image — the tile geometry of
-/// radix-k.
-pub fn span_overlap(rect: &PixelRect, span: (usize, usize), width: usize) -> usize {
-    let (s, e) = span;
-    let mut n = 0usize;
-    for y in rect.y0..rect.y1() {
-        let row_s = y * width + rect.x0;
-        let row_e = row_s + rect.w;
-        let lo = row_s.max(s);
-        let hi = row_e.min(e);
-        if lo < hi {
-            n += hi - lo;
-        }
-    }
-    n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,15 +114,5 @@ mod tests {
         assert_eq!(map.degraded().len(), 1);
         assert!(!map.fully_complete());
         assert!(CompletenessMap::default().fully_complete());
-    }
-
-    #[test]
-    fn span_overlap_counts_row_pieces() {
-        // A 2x2 rect at (1,1) in a 4-wide image: pixels 5, 6, 9, 10.
-        let r = PixelRect::new(1, 1, 2, 2);
-        assert_eq!(span_overlap(&r, (0, 16), 4), 4);
-        assert_eq!(span_overlap(&r, (0, 6), 4), 1);
-        assert_eq!(span_overlap(&r, (6, 10), 4), 2);
-        assert_eq!(span_overlap(&r, (11, 16), 4), 0);
     }
 }

@@ -76,11 +76,12 @@ pub fn composite_direct_send(
     partition: ImagePartition,
 ) -> (Image, DirectSendStats) {
     let present = vec![Some(1.0); subs.len()];
-    let (img, stats, _) = composite_direct_send_degraded(subs, partition, &present);
+    let tracer = pvr_obs::Tracer::disabled();
+    let (img, stats, _) = composite_direct_send_traced(subs, partition, &present, &tracer);
     (img, stats)
 }
 
-/// Deadline-mode direct-send: composite whatever fragments arrived.
+/// The one direct-send body: composite whatever fragments arrived.
 ///
 /// `present[i]` is `Some(quality)` when renderer `i`'s fragment made it
 /// before the deadline (`quality` in [0, 1] is the sender's own data
@@ -90,19 +91,11 @@ pub fn composite_direct_send(
 /// expected blended footprint that arrived. With every fragment present
 /// the image is bit-identical to [`composite_direct_send`] and every
 /// tile reports 1.0.
-pub fn composite_direct_send_degraded(
-    subs: &[SubImage],
-    partition: ImagePartition,
-    present: &[Option<f64>],
-) -> (Image, DirectSendStats, CompletenessMap) {
-    composite_direct_send_traced(subs, partition, present, &pvr_obs::Tracer::disabled())
-}
-
-/// [`composite_direct_send_degraded`] with span tracing — the one
-/// direct-send body. Each compositor's blend becomes a `composite.tile`
-/// span on its own track (args: messages blended and wire bytes), making
-/// per-compositor load imbalance visible on the timeline. A disabled
-/// tracer records nothing.
+///
+/// Each compositor's blend becomes a `composite.tile` span on its own
+/// track (args: messages blended and wire bytes), making per-compositor
+/// load imbalance visible on the timeline. A disabled tracer records
+/// nothing.
 pub fn composite_direct_send_traced(
     subs: &[SubImage],
     partition: ImagePartition,
@@ -214,6 +207,7 @@ pub fn footprints(subs: &[SubImage]) -> Vec<PixelRect> {
 mod tests {
     use super::*;
     use crate::composite_serial;
+    use pvr_obs::Tracer;
 
     fn solid(rect: PixelRect, rgba: [f32; 4], depth: f64) -> SubImage {
         let mut s = SubImage::transparent(rect, depth);
@@ -324,7 +318,8 @@ mod tests {
         let part = ImagePartition::new(32, 32, 6);
         let (img, stats) = composite_direct_send(&subs, part);
         let present = vec![Some(1.0); subs.len()];
-        let (img_d, stats_d, map) = composite_direct_send_degraded(&subs, part, &present);
+        let (img_d, stats_d, map) =
+            composite_direct_send_traced(&subs, part, &present, &Tracer::disabled());
         assert_eq!(img.pixels(), img_d.pixels(), "must be bit-identical");
         assert_eq!(stats, stats_d);
         assert!(map.fully_complete());
@@ -338,7 +333,8 @@ mod tests {
         let back = solid(PixelRect::new(0, 4, 8, 4), [1.0, 0.0, 0.0, 1.0], 9.0);
         let part = ImagePartition::new(8, 8, 2); // tile 0 = top, tile 1 = bottom
         let present = vec![Some(1.0), None]; // lose the bottom fragment
-        let (img, _, map) = composite_direct_send_degraded(&[front, back], part, &present);
+        let (img, _, map) =
+            composite_direct_send_traced(&[front, back], part, &present, &Tracer::disabled());
         assert_eq!(map.tiles[0].fraction(), 1.0);
         assert_eq!(map.tiles[1].fraction(), 0.0);
         assert!(map.frame_fraction() < 1.0);
@@ -350,8 +346,9 @@ mod tests {
     #[test]
     fn sender_quality_weights_completeness() {
         let subs = vec![solid(PixelRect::new(0, 0, 4, 4), [0.5; 4], 1.0)];
+        let part = ImagePartition::new(4, 4, 1);
         let (_, _, map) =
-            composite_direct_send_degraded(&subs, ImagePartition::new(4, 4, 1), &[Some(0.25)]);
+            composite_direct_send_traced(&subs, part, &[Some(0.25)], &Tracer::disabled());
         assert!((map.frame_fraction() - 0.25).abs() < 1e-12);
         assert!(!map.fully_complete());
     }

@@ -118,6 +118,11 @@ impl TileAssembly {
         self.expected.iter().map(|(_, px)| *px).sum()
     }
 
+    /// Fragments that arrived (first copies only).
+    pub fn arrived(&self) -> usize {
+        self.frags.len()
+    }
+
     /// Blended area that actually arrived, quality-weighted.
     pub fn arrived_area(&self) -> f64 {
         self.frags

@@ -39,12 +39,9 @@ pub mod serial;
 pub mod sparse;
 
 pub use completeness::{CompletenessMap, TileCompleteness};
-pub use directsend::{
-    blend_fragments, composite_direct_send, composite_direct_send_degraded,
-    composite_direct_send_traced,
-};
+pub use directsend::{blend_fragments, composite_direct_send, composite_direct_send_traced};
 pub use late::{InsertOutcome, TileAssembly};
-pub use radixk::{composite_radix_k, composite_radix_k_degraded};
+pub use radixk::composite_radix_k;
 pub use region::ImagePartition;
 pub use schedule::{build_schedule, CompositeMessage, Schedule};
 pub use serial::composite_serial;

@@ -287,91 +287,6 @@ pub fn composite_radix_k(
     (img, stats)
 }
 
-/// The final row-major pixel span each process owns after all rounds —
-/// the "tiles" of radix-k, derived with the same span arithmetic the
-/// compositor and [`radix_k_schedule`] use.
-pub fn final_spans(n: usize, image_pixels: usize, radices: &[usize]) -> Vec<(usize, usize)> {
-    check_radices(n, radices).unwrap_or_else(|e| panic!("{e}"));
-    let mut spans: Vec<(usize, usize)> = vec![(0, image_pixels); n];
-    let mut g_prev = 1usize;
-    for &k in radices {
-        let g = g_prev * k;
-        for (rank, span) in spans.iter_mut().enumerate() {
-            let member = (rank % g) / g_prev;
-            let (s, e) = *span;
-            let len = e - s;
-            *span = (s + len * member / k, s + len * (member + 1) / k);
-        }
-        g_prev = g;
-    }
-    spans
-}
-
-/// Deadline-mode radix-k: composite with absent processes' fragments
-/// treated as fully transparent (a lost input contributes nothing at
-/// any round, so every downstream exchange still lines up and the run
-/// terminates), reporting per-final-span completeness. `present[i]`
-/// refers to renderer `i`'s input subimage, `quality`-weighted as in
-/// [`crate::directsend::composite_direct_send_degraded`]. With all
-/// inputs present at quality 1.0 the image is bit-identical to
-/// [`composite_radix_k`].
-pub fn composite_radix_k_degraded(
-    subs: &[SubImage],
-    width: usize,
-    height: usize,
-    radices: Option<&[usize]>,
-    present: &[Option<f64>],
-) -> (Image, RadixKStats, crate::completeness::CompletenessMap) {
-    use crate::completeness::{span_overlap, CompletenessMap, TileCompleteness};
-    assert_eq!(subs.len(), present.len());
-    let n = subs.len();
-    assert!(n >= 1);
-    let radices_v: Vec<usize> = match radices {
-        Some(r) => r.to_vec(),
-        None => default_radices(n),
-    };
-
-    // Absent inputs become transparent placeholders with the same
-    // footprint and depth, so the visibility relabeling — and with it
-    // the whole round structure — is unchanged from the healthy run.
-    let effective: Vec<SubImage> = subs
-        .iter()
-        .zip(present)
-        .map(|(s, p)| {
-            if p.is_some() {
-                s.clone()
-            } else {
-                SubImage::transparent(s.rect, s.depth)
-            }
-        })
-        .collect();
-    let (img, stats) = composite_radix_k(&effective, width, height, Some(&radices_v));
-
-    // Completeness per final span: every input's footprint overlap with
-    // the span is expected; present inputs contribute quality-weighted.
-    let spans = final_spans(n, width * height, &radices_v);
-    let order = visibility_order(subs);
-    let mut map = CompletenessMap::default();
-    for (proc_idx, &span) in spans.iter().enumerate() {
-        let mut expected = 0.0f64;
-        let mut arrived = 0.0f64;
-        for &i in &order {
-            let area = span_overlap(&subs[i].rect, span, width) as f64;
-            expected += area;
-            if let Some(q) = present[i] {
-                arrived += area * q.clamp(0.0, 1.0);
-            }
-        }
-        map.tiles.push(TileCompleteness {
-            tile: proc_idx,
-            rect: None,
-            expected,
-            arrived,
-        });
-    }
-    (img, stats, map)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -523,37 +438,6 @@ mod tests {
             let expect: usize = radices.iter().map(|k| k - 1).sum::<usize>() * n;
             assert_eq!(stats.messages, expect, "radices {radices:?}");
         }
-    }
-
-    #[test]
-    fn degraded_with_everything_present_is_bit_identical() {
-        let subs = random_subs(17, 12, 24, 24);
-        let present = vec![Some(1.0); 12];
-        let (img, stats) = composite_radix_k(&subs, 24, 24, Some(&[3, 4]));
-        let (img_d, stats_d, map) =
-            composite_radix_k_degraded(&subs, 24, 24, Some(&[3, 4]), &present);
-        assert_eq!(img.pixels(), img_d.pixels(), "must be bit-identical");
-        assert_eq!(stats, stats_d);
-        assert!(map.fully_complete());
-        assert_eq!(map.tiles.len(), 12);
-    }
-
-    #[test]
-    fn absent_process_reduces_span_completeness_but_terminates() {
-        let subs = random_subs(23, 8, 16, 16);
-        let mut present = vec![Some(1.0); 8];
-        present[3] = None;
-        let (img, _, map) = composite_radix_k_degraded(&subs, 16, 16, None, &present);
-        assert!(map.frame_fraction() < 1.0);
-        assert!(!map.fully_complete());
-        // The composite still differs from serial only where the lost
-        // input contributed.
-        let reference = composite_serial(&subs, 16, 16);
-        assert!(img.max_abs_diff(&reference) > 0.0);
-        // And spans partition the image.
-        let spans = final_spans(8, 256, &default_radices(8));
-        let covered: usize = spans.iter().map(|(s, e)| e - s).sum();
-        assert_eq!(covered, 256);
     }
 
     #[test]

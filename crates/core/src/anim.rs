@@ -14,14 +14,14 @@
 //!   frame runs; the frame then starts from [`FrameInput::Prefetched`]
 //!   bytes.
 //! * **message passing** — *one* `pvr-mpisim` world spans the whole
-//!   animation. Each rank walks the frames in order; message tags move
-//!   up one [`crate::scheduler::EPOCH_STRIDE`] epoch per time step
-//!   ([`FrameTags`]), so in-flight traffic of adjacent frames can never
-//!   collide. The [`execute_with`] after-`Read` hook launches the next
-//!   frame's window prefetch ([`read_extents`] over
-//!   [`RankExec::my_window_extents`]) the moment the current read hands
-//!   off — file reads only, no communication, so the protocol is
-//!   untouched.
+//!   animation (`scheduler::run_world`, the launcher a single
+//!   frame also goes through). Each rank walks the frames in order;
+//!   message tags move up one [`crate::scheduler::EPOCH_STRIDE`] epoch
+//!   per time step ([`FrameTags`]), so in-flight traffic of adjacent
+//!   frames can never collide. An after-`Read` hook launches the next
+//!   frame's window prefetch (`pvr_pfs::read_extents` over the rank's
+//!   window extents) the moment the current read hands off — file reads
+//!   only, no communication, so the protocol is untouched.
 //!
 //! Memory stays bounded: at most one prefetch is in flight per rank, so
 //! the animation holds at most **2×** one time step's subvolumes (the
@@ -40,13 +40,12 @@ use pvr_compositing::completeness::CompletenessMap;
 use pvr_faults::{FaultPlan, PlanInjector, RecoveryPolicy};
 use pvr_mpisim::fault::{FaultInjector, SendFate};
 use pvr_obs::{Args, Tracer};
-use pvr_pfs::{read_extents, IoThrottle, Prefetch};
+use pvr_pfs::{IoThrottle, Prefetch};
 
 use crate::config::FrameConfig;
-use crate::pipeline::{geometry, read_frame_bytes, write_dataset, FrameError, FrameResult};
+use crate::pipeline::{read_frame_bytes, write_dataset, FrameError, FrameResult};
 use crate::scheduler::{
-    assemble_frame, execute, execute_with, FrameInput, FrameShared, FrameTags, LinkMode,
-    PrefetchedWindows, RankExec, RankOut, RayonExec, StageId,
+    assemble_frame, execute, run_world, FrameInput, FrameShared, FrameTags, LinkMode, RayonExec,
 };
 
 /// Which executor runs the animation.
@@ -286,10 +285,11 @@ fn run_rayon(
             .build()
             .expect("prefetch pool"),
     );
+    let shared = Arc::new(FrameShared::new(cfg));
     // One frame on the render pool; the executor mirrors its verdict
     // onto the flight recorder, one frame per tick.
     let mut run = |input: FrameInput, throttle| {
-        let exec = RayonExec::new(cfg, input, tracer, throttle, None, &opts.flight);
+        let exec = RayonExec::new(cfg, &shared, input, tracer, throttle, None, &opts.flight);
         let (result, _) = render_pool.install(|| pvr_mpisim::block_on_ready(execute(exec)))?;
         frames.push(AnimFrame {
             result,
@@ -316,13 +316,14 @@ fn run_rayon(
             let throttle = opts.throttle;
             let tracer = tracer.clone();
             let pool = Arc::clone(&prefetch_pool);
+            let shared = Arc::clone(&shared);
             Prefetch::spawn(move || {
                 let started = Instant::now();
                 tracer.begin_args(pf_track, "io.read", Args::one("frame", t as u64));
                 // Untraced: per-window spans would land on rank tracks
                 // whose ranks are mid-frame.
-                let (geo, off) = (geometry(&cfg), Tracer::disabled());
-                let out = pool.install(|| read_frame_bytes(&cfg, &geo, &path, &off, throttle));
+                let (stored, off) = (&shared.stored, Tracer::disabled());
+                let out = pool.install(|| read_frame_bytes(&cfg, stored, &path, &off, throttle));
                 tracer.end(pf_track, "io.read");
                 out.map(|(bytes, io)| (bytes, io, started.elapsed().as_secs_f64()))
             })
@@ -378,7 +379,6 @@ fn run_mpi(
     run_opts: pvr_mpisim::RunOptions,
 ) -> Result<AnimResult, FrameError> {
     let nf = paths.len();
-    let reliable = opts.faults.is_some();
 
     // One link mode per frame, fault state derived up front.
     let links: Vec<LinkMode> = match &opts.faults {
@@ -390,7 +390,7 @@ fn run_mpi(
             })
             .collect(),
     };
-    let run_opts = if reliable {
+    let run_opts = if opts.faults.is_some() {
         run_opts.with_injector(Arc::new(EpochInjector {
             frames: links.iter().filter_map(LinkMode::injector).collect(),
         }))
@@ -398,76 +398,18 @@ fn run_mpi(
         run_opts
     };
 
-    let (pipelined, throttle) = (opts.pipelined, opts.throttle);
     let t0 = Instant::now();
-
-    // Frame invariants (geometry, scatter plan, schedule) computed once
-    // and shared by every rank across every frame of the animation.
-    let shared = Arc::new(FrameShared::new(cfg));
-    let (links_ref, shared_ref) = (&links, &shared);
-    let out = pvr_mpisim::World::run_opts(cfg.nprocs, run_opts, move |mut comm| async move {
-        let mut outs = Vec::with_capacity(nf);
-        // This rank's one in-flight background read: the next frame's
-        // window extents (the scatter geometry is frame-invariant).
-        let mut pending: Option<Prefetch<(Vec<Vec<u8>>, f64)>> = None;
-        for t in 0..nf {
-            let windows = pending
-                .take()
-                .and_then(|pf| pf.join().ok())
-                .map(|(bufs, io_secs)| PrefetchedWindows { bufs, io_secs });
-            let exec = RankExec::new(
-                &mut comm,
-                cfg,
-                &paths[t],
-                &links_ref[t],
-                FrameTags::for_frame(t),
-                throttle,
-                windows,
-                Arc::clone(shared_ref),
-            );
-            let rank_out = execute_with(exec, |e, s| {
-                if pipelined && s == StageId::Read && t + 1 < nf {
-                    let extents = e.my_window_extents().to_vec();
-                    if !extents.is_empty() {
-                        let path = paths[t + 1].clone();
-                        pending = Some(Prefetch::spawn(move || {
-                            let started = Instant::now();
-                            let bufs = read_extents(&path, &extents, throttle)?;
-                            Ok((bufs, started.elapsed().as_secs_f64()))
-                        }));
-                    }
-                }
-            })
-            .await;
-            // A crashed rank skips its remaining stages (and never
-            // spawns a prefetch), then rejoins at the next epoch's
-            // tags with a live read — only its own frame degrades.
-            outs.push(rank_out);
-            // Reliable frames have no in-frame barriers (a crashed
-            // rank might miss one), but between frames every rank —
-            // crashed or not — reaches this point, so a resync here is
-            // safe. Without it a crashed rank races ahead while its
-            // peers wait out frame `t`'s deadlines, and the skew eats
-            // into frame `t+1`'s deadline budget.
-            if reliable && t + 1 < nf {
-                comm.barrier().await;
-            }
-        }
-        outs
-    })
-    .map_err(FrameError::Runtime)?;
-
-    // Transpose [rank][frame] → per-frame columns and assemble each
-    // frame exactly as the single-frame driver would.
-    let mut per_rank: Vec<_> = out.results.into_iter().map(Vec::into_iter).collect();
-    let frames = links
-        .iter()
-        .map(|links| {
-            let col: Vec<RankOut> = per_rank
-                .iter_mut()
-                .map(|it| it.next().expect("every rank runs every frame"))
-                .collect();
-            let (result, completeness) = assemble_frame(cfg, col, links, None, &opts.flight);
+    let shared = FrameShared::new(cfg);
+    let (throttle, pipelined) = (opts.throttle, opts.pipelined);
+    let out = run_world(cfg, &shared, paths, &links, run_opts, throttle, pipelined)?;
+    // Assemble each frame exactly as the single-frame driver would.
+    let frames = out
+        .frames
+        .into_iter()
+        .zip(&links)
+        .map(|(col, links)| {
+            let (result, completeness) =
+                assemble_frame(cfg, &shared, col, links, None, &opts.flight);
             AnimFrame {
                 result,
                 completeness,

@@ -40,11 +40,10 @@ pub use pipeline::{
     run_frame, run_frame_mpi, run_frame_mpi_profiled, run_frame_traced, write_dataset, FrameError,
     FrameResult, ProfiledFrame,
 };
-pub use recovery::{
-    adopter_of, block_cost, effective_policy, frame_block_costs, render_loads, HealDecision,
-    RecoveryBudget,
-};
+pub use recovery::{adopter_of, effective_policy, HealDecision, RecoveryBudget};
 pub use roles::{bgp_io_nodes, compositor_rank, laptop_aggregators};
-pub use scheduler::{drive_frame, DriveOutput, Driver, FrameTags, LinkMode, StageId, EPOCH_STRIDE};
+pub use scheduler::{
+    drive_frame, DriveOutput, Driver, FrameShared, FrameTags, LinkMode, StageId, EPOCH_STRIDE,
+};
 pub use slo::{stage_budgets, FrameSample, FrameSlo, SloPolicy, Verdict};
 pub use timing::FrameTiming;

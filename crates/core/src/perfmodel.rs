@@ -29,17 +29,14 @@
 
 use pvr_bgp::flowsim::{FlowSim, FlowSpec, SimParams};
 use pvr_bgp::machine::{Machine, MachineConfig};
-use pvr_compositing::{build_schedule, ImagePartition, Schedule};
+use pvr_compositing::Schedule;
 use pvr_formats::Subvolume;
 use pvr_pfs::model::StorageModel;
 use pvr_pfs::sieve::per_extent_plan;
 use pvr_pfs::twophase::two_phase_plan;
-use pvr_render::raycast::footprint;
-use pvr_render::Camera;
-use pvr_volume::BlockDecomposition;
 
 use crate::config::FrameConfig;
-use crate::pipeline::default_view;
+use crate::scheduler::FrameShared;
 use crate::timing::FrameTiming;
 
 /// All calibrated constants of the simulated executor.
@@ -169,19 +166,15 @@ impl PerfModel {
                 naggr,
             )
         } else {
-            // Independent chunked reads: every rank is a client.
-            let decomp = BlockDecomposition::new(cfg.grid, cfg.nprocs);
-            let per_process: Vec<Vec<pvr_formats::Extent>> = decomp
-                .blocks()
+            // Independent chunked reads: every rank is a client of its
+            // own ghost-extended block.
+            let stored = FrameShared::new(cfg).stored;
+            let per_process: Vec<Vec<pvr_formats::Extent>> = stored
                 .iter()
-                .map(|b| layout.physical_extents(var, &decomp.with_ghost(b, 1)))
+                .map(|sub| layout.physical_extents(var, sub))
                 .collect();
             let plan = per_extent_plan(&per_process);
-            let useful: u64 = decomp
-                .blocks()
-                .iter()
-                .map(|b| decomp.with_ghost(b, 1).bytes())
-                .sum();
+            let useful: u64 = stored.iter().map(|sub| sub.bytes()).sum();
             // 11 tiny metadata reads per process on open (from the
             // paper's HDF5 logs).
             let accesses = plan.accesses.len() + 11 * cfg.nprocs;
@@ -216,20 +209,10 @@ impl PerfModel {
         (per_core / self.render_rate, samples)
     }
 
-    /// Build the real direct-send schedule for a frame configuration.
+    /// The real direct-send schedule of a frame configuration — the
+    /// one the executors run ([`FrameShared`]).
     pub fn schedule_for(&self, cfg: &FrameConfig) -> Schedule {
-        let decomp = BlockDecomposition::new(cfg.grid, cfg.nprocs);
-        let camera = Camera::orthographic(cfg.grid, default_view(), cfg.image.0, cfg.image.1);
-        let footprints: Vec<_> = decomp
-            .blocks()
-            .iter()
-            .map(|b| footprint(&camera, b.sub.offset, b.sub.end(), cfg.image))
-            .collect();
-        let m = cfg.policy.compositors(cfg.nprocs);
-        build_schedule(
-            &footprints,
-            ImagePartition::new(cfg.image.0, cfg.image.1, m),
-        )
+        FrameShared::new(cfg).schedule
     }
 
     /// Price one bulk-synchronous message phase (rank-level messages)

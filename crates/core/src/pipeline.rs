@@ -14,8 +14,8 @@
 //! Both are one-line configurations of [`drive_frame`], the frame API
 //! in [`crate::scheduler`] (faults, tracing and the flight recorder are
 //! [`Driver`] modifiers); this module keeps the shared building blocks
-//! (geometry, dataset synthesis, the dataset reader, fragment wire
-//! format, tags).
+//! (dataset synthesis, the dataset reader, fragment wire format, tags).
+//! The frame's geometry lives in [`crate::scheduler::FrameShared`].
 
 use std::fs::File;
 use std::io::{Read as _, Seek, SeekFrom};
@@ -34,9 +34,9 @@ use pvr_pfs::twophase::{two_phase_execute_traced, RankRequest};
 use pvr_pfs::IoThrottle;
 use pvr_render::image::{Image, SubImage};
 use pvr_render::math::Vec3;
-use pvr_render::raycast::{RenderOpts, Shading};
+use pvr_render::raycast::{RenderOpts, RenderStats, Shading};
 use pvr_render::TransferFunction;
-use pvr_volume::{BlockDecomposition, SupernovaField, Volume};
+use pvr_volume::{SupernovaField, Volume};
 
 use crate::config::{FrameConfig, IoMode};
 use crate::scheduler::{drive_frame, Driver};
@@ -113,6 +113,30 @@ pub struct FrameResult {
 }
 
 impl FrameResult {
+    /// A frame from its parts; the render counters come from the
+    /// kernel statistics merged over all ranks.
+    pub(crate) fn new(
+        image: Image,
+        timing: FrameTiming,
+        io: IoRunStats,
+        render: &RenderStats,
+        composite: DirectSendStats,
+    ) -> FrameResult {
+        FrameResult {
+            image,
+            timing,
+            io,
+            render_samples: render.samples,
+            render_skipped: render.skipped_samples,
+            render_packets: render.packets,
+            render_eval_lanes: render.packet_eval_lanes,
+            render_eval_slots: render.packet_eval_slots,
+            render_terminated: render.terminated_rays,
+            render_error_bound: render.error_bound as f64,
+            composite,
+        }
+    }
+
     /// Fraction of lockstep lane slots that evaluated a sample, over
     /// the whole frame (`None` when the packet kernel never ran).
     pub fn lane_utilization(&self) -> Option<f64> {
@@ -172,25 +196,6 @@ pub fn write_dataset(path: &Path, cfg: &FrameConfig) -> std::io::Result<u64> {
             (z as f32 + 0.5) / nz as f32,
         )
     })
-}
-
-/// Per-rank read geometry for one frame.
-pub(crate) struct RankGeometry {
-    /// Stored (ghost-extended) region per rank.
-    pub(crate) stored: Vec<Subvolume>,
-    /// Owned region per rank.
-    pub(crate) owned: Vec<Subvolume>,
-}
-
-pub(crate) fn geometry(cfg: &FrameConfig) -> RankGeometry {
-    let decomp = BlockDecomposition::new(cfg.grid, cfg.nprocs);
-    let blocks = decomp.blocks();
-    // Gradient shading probes one cell around each sample, so it needs
-    // a second ghost layer for exact serial equivalence.
-    let ghost = if cfg.shading { 2 } else { 1 };
-    let stored = blocks.iter().map(|b| decomp.with_ghost(b, ghost)).collect();
-    let owned = blocks.iter().map(|b| b.sub).collect();
-    RankGeometry { stored, owned }
 }
 
 pub(crate) fn rank_requests(
@@ -267,16 +272,16 @@ pub fn transfer_for(cfg: &FrameConfig) -> TransferFunction {
     }
 }
 
-pub(crate) fn synthesize_stage(cfg: &FrameConfig, geo: &RankGeometry) -> Vec<Volume> {
+pub(crate) fn synthesize_stage(cfg: &FrameConfig, stored: &[Subvolume]) -> Vec<Volume> {
     let field = SupernovaField::new(cfg.seed).variable(cfg.variable);
-    geo.stored
+    stored
         .par_iter()
         .map(|sub| Volume::from_field_window(&field, cfg.grid, sub.offset, sub.shape))
         .collect()
 }
 
-/// Read one frame's per-rank byte buffers (on-disk order per placed
-/// runs) without decoding them into volumes — the one dataset reader of
+/// Read the per-rank byte buffers of the `stored` regions (on-disk
+/// order per placed runs) without decoding them into volumes — the one dataset reader of
 /// the data-parallel executor, in the form a prefetch thread can hand to
 /// a later frame. Collective layouts go through the two-phase engine
 /// (one `io.window` span per access on `tracer`); HDF5-style layouts
@@ -285,14 +290,14 @@ pub(crate) fn synthesize_stage(cfg: &FrameConfig, geo: &RankGeometry) -> Vec<Vol
 /// bandwidth, making I/O genuinely expensive for pipelining experiments.
 pub(crate) fn read_frame_bytes(
     cfg: &FrameConfig,
-    geo: &RankGeometry,
+    stored: &[Subvolume],
     path: &Path,
     tracer: &Tracer,
     throttle: Option<IoThrottle>,
 ) -> std::io::Result<(Vec<Vec<u8>>, IoRunStats)> {
     let layout = cfg.io.layout(cfg.grid);
     let var = cfg.file_variable();
-    let requests = rank_requests(layout.as_ref(), var, &geo.stored);
+    let requests = rank_requests(layout.as_ref(), var, stored);
     let t0 = Instant::now();
 
     let (bytes, stats, throttled_bytes) = if layout.collective() {
@@ -310,8 +315,7 @@ pub(crate) fn read_frame_bytes(
         };
         (res.rank_bytes, stats, stats.physical_bytes)
     } else {
-        let per_process: Vec<Vec<pvr_formats::Extent>> = geo
-            .stored
+        let per_process: Vec<Vec<pvr_formats::Extent>> = stored
             .iter()
             .map(|sub| layout.physical_extents(var, sub))
             .collect();

@@ -30,11 +30,11 @@ use std::time::Duration;
 
 use pvr_faults::{FaultPlan, RankAction, RecoveryCounters, RecoveryPolicy, Stage};
 use pvr_formats::{Subvolume, ELEM_SIZE};
-use pvr_render::Camera;
+use pvr_render::image::PixelRect;
 
 use crate::config::FrameConfig;
 use crate::perfmodel::PerfModel;
-use crate::pipeline::{default_view, RankGeometry};
+use crate::scheduler::FrameShared;
 use crate::slo::{Incident, IncidentKind};
 
 /// Which rung of the degradation ladder a heal runs at.
@@ -107,27 +107,25 @@ impl RecoveryBudget {
     }
 }
 
-/// Estimated seconds to re-render one block: the perf model's render
-/// pricing applied to the block's own screen footprint and depth.
-pub fn block_cost(cfg: &FrameConfig, model: &PerfModel, owned: &Subvolume) -> f64 {
-    let camera = Camera::orthographic(cfg.grid, default_view(), cfg.image.0, cfg.image.1);
-    let fp = pvr_render::raycast::footprint(&camera, owned.offset, owned.end(), cfg.image);
-    let samples =
-        model.sample_coeff * fp.num_pixels() as f64 * owned.shape[2] as f64 / cfg.step.max(1e-9);
-    samples * model.render_imbalance / model.render_rate
-}
-
-/// Per-rank render-load estimates for survivor assignment: what each
-/// rank's own block costs under the calibrated model.
-pub fn render_loads(cfg: &FrameConfig, model: &PerfModel, owned: &[Subvolume]) -> Vec<f64> {
-    owned.iter().map(|s| block_cost(cfg, model, s)).collect()
-}
-
-/// [`render_loads`] over the frame's own block decomposition — the
-/// per-rank heal-cost vector external tools (the recovery sweep, budget
-/// pickers) need without re-deriving the scatter geometry.
-pub fn frame_block_costs(cfg: &FrameConfig, model: &PerfModel) -> Vec<f64> {
-    render_loads(cfg, model, &crate::pipeline::geometry(cfg).owned)
+/// Estimated seconds to re-render each block: the calibrated perf
+/// model's render pricing applied to the block's own screen footprint
+/// and depth. Both the ladder's charges and the survivor assignment's
+/// loads; read it through [`FrameShared::heal_costs`].
+pub(crate) fn heal_costs(
+    cfg: &FrameConfig,
+    footprints: &[PixelRect],
+    owned: &[Subvolume],
+) -> Vec<f64> {
+    let model = PerfModel::default();
+    footprints
+        .iter()
+        .zip(owned)
+        .map(|(fp, owned)| {
+            let samples = model.sample_coeff * fp.num_pixels() as f64 * owned.shape[2] as f64
+                / cfg.step.max(1e-9);
+            samples * model.render_imbalance / model.render_rate
+        })
+        .collect()
 }
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -251,8 +249,7 @@ impl HealPlan {
 
     pub(crate) fn new(
         cfg: &FrameConfig,
-        geo: &RankGeometry,
-        camera: &Camera,
+        shared: &FrameShared,
         plan: &FaultPlan,
         policy: &RecoveryPolicy,
     ) -> HealPlan {
@@ -279,8 +276,7 @@ impl HealPlan {
 
         // Greedy-balanced adoption: each heal bumps the adopter's load
         // before the next assignment.
-        let model = PerfModel::default();
-        let mut loads = render_loads(cfg, &model, &geo.owned);
+        let mut loads = shared.heal_costs().to_vec();
         let mut budget = RecoveryBudget::for_frame(cfg, policy);
         let survivors: Vec<usize> = (0..n).filter(|r| !lost.contains(r)).collect();
         let mut blocks = vec![None; n];
@@ -291,22 +287,20 @@ impl HealPlan {
                 incidents.push(ladder(orphan));
                 continue;
             };
-            let est = block_cost(cfg, &model, &geo.owned[orphan]);
+            let est = shared.heal_costs()[orphan];
             let rung = budget.charge(est, policy.coarse_step_factor);
             if rung != HealDecision::Full {
                 incidents.push(ladder(orphan));
             }
             if rung != HealDecision::Skip {
                 counters.adopted_blocks += 1;
-                counters.recovery_bytes += geo.stored[orphan].num_elements() as u64 * ELEM_SIZE;
+                counters.recovery_bytes += shared.stored[orphan].num_elements() as u64 * ELEM_SIZE;
                 loads[adopter] += est;
             }
             if rung == HealDecision::Coarse {
                 counters.approx_blocks += 1;
-                let owned = &geo.owned[orphan];
-                let fp =
-                    pvr_render::raycast::footprint(camera, owned.offset, owned.end(), cfg.image);
-                error_bound += fp.num_pixels() as f64 / (cfg.image.0 * cfg.image.1) as f64;
+                error_bound += shared.footprints[orphan].num_pixels() as f64
+                    / (cfg.image.0 * cfg.image.1) as f64;
             }
             blocks[orphan] = Some((adopter, rung));
         }
@@ -333,15 +327,6 @@ impl HealPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pvr_volume::BlockDecomposition;
-
-    fn owned_blocks(cfg: &FrameConfig) -> Vec<Subvolume> {
-        BlockDecomposition::new(cfg.grid, cfg.nprocs)
-            .blocks()
-            .iter()
-            .map(|b| b.sub)
-            .collect()
-    }
 
     #[test]
     fn ladder_steps_full_coarse_skip_deterministically() {
@@ -383,9 +368,7 @@ mod tests {
     #[test]
     fn adopter_assignment_is_deterministic_load_aware_and_avoids_suspects() {
         let cfg = FrameConfig::small(16, 24, 8);
-        let model = PerfModel::default();
-        let owned = owned_blocks(&cfg);
-        let mut loads = render_loads(&cfg, &model, &owned);
+        let mut loads = FrameShared::new(&cfg).heal_costs().to_vec();
         assert_eq!(loads.len(), 8);
         assert!(loads.iter().all(|l| *l > 0.0));
 
@@ -409,8 +392,7 @@ mod tests {
     fn block_costs_sum_close_to_frame_render_estimate() {
         let cfg = FrameConfig::small(32, 48, 8);
         let model = PerfModel::default();
-        let owned = owned_blocks(&cfg);
-        let total: f64 = render_loads(&cfg, &model, &owned).iter().sum();
+        let total: f64 = FrameShared::new(&cfg).heal_costs().iter().sum();
         let (frame_s, _) = model.simulate_render(&cfg);
         // Per-block footprints overlap and over-cover edges, so the sum
         // brackets the whole-frame estimate loosely.

@@ -42,32 +42,33 @@ use rayon::prelude::*;
 use pvr_compositing::completeness::{CompletenessMap, TileCompleteness};
 use pvr_compositing::directsend::DirectSendStats;
 use pvr_compositing::{
-    blend_fragments, build_schedule, ImagePartition, InsertOutcome, Schedule, TileAssembly,
+    blend_fragments, build_schedule, CompositeMessage, ImagePartition, InsertOutcome, Schedule,
+    TileAssembly,
 };
 use pvr_faults::{
     FaultPlan, InBox, OutBox, PlanInjector, RankAction, RecoveryCounters, RecoveryPolicy, Stage,
 };
 use pvr_formats::extent::Extent;
-use pvr_formats::ELEM_SIZE;
+use pvr_formats::{Endian, Subvolume, ELEM_SIZE};
 use pvr_obs::{FlightRecorder, Tracer};
 use pvr_pfs::{
-    window_fault_audit, IoRecovery, IoThrottle, ScatterPlan, ServerFaults, StripedStore,
+    read_extents, window_fault_audit, IoRecovery, IoThrottle, Prefetch, RankRequest, ScatterPlan,
+    ServerFaults, StripedStore,
 };
-use pvr_render::image::{Image, SubImage};
-use pvr_render::raycast::{render_block, BlockDomain};
-use pvr_render::Camera;
+use pvr_render::image::{Image, PixelRect, SubImage};
+use pvr_render::raycast::{footprint, render_block, BlockDomain, RenderOpts};
+use pvr_render::{Camera, TransferFunction};
+use pvr_volume::BlockDecomposition;
 
 use crate::config::FrameConfig;
-use crate::perfmodel::PerfModel;
 use crate::pipeline::{
-    decode_fragment, decode_volume, default_view, encode_fragment, geometry, rank_requests,
-    read_frame_bytes, render_opts, synthesize_stage, tags, transfer_for, FrameError, FrameResult,
-    IoRunStats,
+    decode_fragment, decode_volume, default_view, encode_fragment, rank_requests, read_frame_bytes,
+    render_opts, synthesize_stage, tags, transfer_for, FrameError, FrameResult, IoRunStats,
 };
 use crate::recovery::{
-    adopter_of, block_cost, effective_policy, render_loads, HealDecision, HealPlan, RecoveryBudget,
+    adopter_of, effective_policy, heal_costs, HealDecision, HealPlan, RecoveryBudget,
 };
-use crate::roles::laptop_aggregators;
+use crate::roles::{compositor_rank, laptop_aggregators};
 use crate::timing::{FrameTiming, Stopwatch};
 
 // ---------------------------------------------------------------------
@@ -347,14 +348,13 @@ pub enum FrameInput<'a> {
 /// rayon inside each stage. One instance runs one frame.
 pub struct RayonExec<'a> {
     cfg: &'a FrameConfig,
+    shared: &'a FrameShared,
     tracer: &'a Tracer,
     flight: &'a FlightRecorder,
     input: Option<FrameInput<'a>>,
     throttle: Option<IoThrottle>,
     /// Rank faults and the rungs that heal them (fault frames only).
     heal: Option<HealPlan>,
-    geo: crate::pipeline::RankGeometry,
-    camera: Camera,
     t0: Instant,
     sw: Stopwatch,
     timing: FrameTiming,
@@ -373,23 +373,21 @@ impl<'a> RayonExec<'a> {
     /// [`effective_policy`]); `None` runs the fault-free frame.
     pub fn new(
         cfg: &'a FrameConfig,
+        shared: &'a FrameShared,
         input: FrameInput<'a>,
         tracer: &'a Tracer,
         throttle: Option<IoThrottle>,
         faults: Option<&(FaultPlan, RecoveryPolicy)>,
         flight: &'a FlightRecorder,
     ) -> RayonExec<'a> {
-        let geo = geometry(cfg);
-        let camera = Camera::orthographic(cfg.grid, default_view(), cfg.image.0, cfg.image.1);
         RayonExec {
             cfg,
+            shared,
             tracer,
             flight,
             input: Some(input),
             throttle,
-            heal: faults.map(|(plan, policy)| HealPlan::new(cfg, &geo, &camera, plan, policy)),
-            geo,
-            camera,
+            heal: faults.map(|(plan, policy)| HealPlan::new(cfg, shared, plan, policy)),
             t0: Instant::now(),
             sw: Stopwatch::start(),
             timing: FrameTiming::default(),
@@ -408,14 +406,14 @@ impl RayonExec<'_> {
     /// Fill `volumes` and `io` from the frame's input. Returns the
     /// seconds a background read already spent on it.
     fn read_input(&mut self) -> Result<f64, FrameError> {
-        let cfg = self.cfg;
+        let (cfg, stored) = (self.cfg, &self.shared.stored);
         let (bytes, io, io_secs) = match self.input.take().expect("input consumed once") {
             FrameInput::Synthetic => {
-                self.volumes = synthesize_stage(cfg, &self.geo);
+                self.volumes = synthesize_stage(cfg, stored);
                 return Ok(0.0);
             }
             FrameInput::File(p) => {
-                let read = read_frame_bytes(cfg, &self.geo, p, self.tracer, self.throttle);
+                let read = read_frame_bytes(cfg, stored, p, self.tracer, self.throttle);
                 let (bytes, io) = read.map_err(|source| FrameError::Io {
                     path: p.to_path_buf(),
                     source,
@@ -424,7 +422,7 @@ impl RayonExec<'_> {
             }
             FrameInput::Prefetched { bytes, io, io_secs } => (bytes, io, io_secs),
         };
-        self.volumes = decode_rank_bytes(cfg, &self.geo, &bytes);
+        self.volumes = decode_rank_bytes(cfg, stored, &bytes);
         self.io = io;
         Ok(io_secs)
     }
@@ -477,10 +475,8 @@ impl StageExec for RayonExec<'_> {
             StageId::Render => {
                 self.timing.starts[1] = self.t0.elapsed().as_secs_f64();
                 self.tracer.begin(0, "render");
-                let tf = transfer_for(cfg);
-                let opts = render_opts(cfg);
-                let (geo, camera, tracer, heal) =
-                    (&self.geo, &self.camera, self.tracer, self.heal.as_ref());
+                let shared = self.shared;
+                let (tracer, heal) = (self.tracer, self.heal.as_ref());
                 let rendered: Vec<Option<(SubImage, pvr_render::raycast::RenderStats)>> = self
                     .volumes
                     .par_iter()
@@ -490,15 +486,12 @@ impl StageExec for RayonExec<'_> {
                         // at the rung the ladder chose.
                         let (track, step_scale) =
                             heal.map_or((rank, Some(1.0)), |h| h.render_at(rank));
-                        let mut opts = opts;
+                        let mut opts = shared.ropts;
                         opts.step *= step_scale?;
-                        let dom = BlockDomain {
-                            grid: cfg.grid,
-                            owned: geo.owned[rank],
-                            stored: geo.stored[rank],
-                        };
+                        let dom = shared.domain(cfg, rank);
                         tracer.begin(track as u32, "render.block");
-                        let (sub, stats) = render_block(vol, &dom, camera, &tf, &opts);
+                        let (sub, stats) =
+                            render_block(vol, &dom, &shared.camera, &shared.tf, &opts);
                         tracer.end_args(
                             track as u32,
                             "render.block",
@@ -511,13 +504,7 @@ impl StageExec for RayonExec<'_> {
                 for (rank, r) in rendered.into_iter().enumerate() {
                     self.present.push(r.as_ref().map(|_| 1.0));
                     let (sub, stats) = r.unwrap_or_else(|| {
-                        let owned = &geo.owned[rank];
-                        let fp = pvr_render::raycast::footprint(
-                            camera,
-                            owned.offset,
-                            owned.end(),
-                            cfg.image,
-                        );
+                        let fp = shared.footprints[rank];
                         (SubImage::transparent(fp, 0.0), Default::default())
                     });
                     self.render_stats.merge(&stats);
@@ -541,11 +528,9 @@ impl StageExec for RayonExec<'_> {
             StageId::Composite => {
                 self.timing.starts[2] = self.t0.elapsed().as_secs_f64();
                 self.tracer.begin(0, "composite");
-                let m = cfg.compositors();
-                let partition = ImagePartition::new(cfg.image.0, cfg.image.1, m);
                 let out = pvr_compositing::composite_direct_send_traced(
                     &self.subs,
-                    partition,
+                    self.shared.partition,
                     &self.present,
                     self.tracer,
                 );
@@ -582,6 +567,7 @@ impl StageExec for RayonExec<'_> {
         // wall clock, but still violates).
         let slo = crate::slo::annotate(
             self.cfg,
+            &self.shared.schedule,
             &crate::slo::FrameSample {
                 stage_secs: [timing.io, timing.render, timing.composite],
                 per_rank: &[],
@@ -590,21 +576,8 @@ impl StageExec for RayonExec<'_> {
         );
         crate::slo::record_frame_flight(self.flight, &slo, incidents, &timing.recovery);
         timing.slo = Some(slo);
-        let rs = self.render_stats;
         let (image, composite, completeness) = self.composited.expect("composite stage ran");
-        let frame = FrameResult {
-            image,
-            timing,
-            io: self.io,
-            render_samples: rs.samples,
-            render_skipped: rs.skipped_samples,
-            render_packets: rs.packets,
-            render_eval_lanes: rs.packet_eval_lanes,
-            render_eval_slots: rs.packet_eval_slots,
-            render_terminated: rs.terminated_rays,
-            render_error_bound: rs.error_bound as f64,
-            composite,
-        };
+        let frame = FrameResult::new(image, timing, self.io, &self.render_stats, composite);
         Ok((frame, completeness))
     }
 }
@@ -612,13 +585,13 @@ impl StageExec for RayonExec<'_> {
 /// Decode per-rank on-disk-order byte buffers into volumes.
 fn decode_rank_bytes(
     cfg: &FrameConfig,
-    geo: &crate::pipeline::RankGeometry,
+    stored: &[Subvolume],
     bytes: &[Vec<u8>],
 ) -> Vec<pvr_volume::Volume> {
     let layout = cfg.io.layout(cfg.grid);
     bytes
         .par_iter()
-        .zip(&geo.stored)
+        .zip(stored)
         .map(|(b, sub)| decode_volume(b, sub, layout.endian()))
         .collect()
 }
@@ -628,55 +601,168 @@ fn decode_rank_bytes(
 // ---------------------------------------------------------------------
 
 /// Everything about a frame that is a pure function of the
-/// configuration, computed once by the driver and shared read-only by
-/// every rank. Each rank used to re-derive the full geometry, the
-/// per-rank request table, the two-phase scatter plan, and the
-/// direct-send schedule — O(n) work and memory per rank, O(n²) for the
-/// world — which is what kept the simulated executor from reaching the
-/// paper's 32K-rank scale.
+/// configuration, derived once per [`drive_frame`] /
+/// [`crate::anim::run_animation`] and read by every consumer: both
+/// executors, the recovery ladder, the SLO budgets, the perf model's
+/// schedule, the schedule linter. No other code in this crate turns a
+/// [`FrameConfig`] into blocks, footprints or a schedule, and no rank
+/// scans the global schedule for its own rows — who sends what and who
+/// owns which tile are slices of this one description.
 pub struct FrameShared {
-    pub(crate) stored: Vec<pvr_formats::Subvolume>,
-    pub(crate) owned: Vec<pvr_formats::Subvolume>,
+    /// Stored (ghost-extended) and owned region per rank.
+    pub(crate) stored: Vec<Subvolume>,
+    pub(crate) owned: Vec<Subvolume>,
     pub(crate) camera: Camera,
-    /// Per-rank placed-run read requests (index = rank).
-    pub(crate) requests: Vec<pvr_pfs::RankRequest>,
-    /// Two-phase scatter plan (collective layouts only).
-    pub(crate) scatter: Option<ScatterPlan>,
-    /// The direct-send schedule every rank derives identically.
-    pub(crate) schedule: Schedule,
+    /// Screen footprint of each rank's owned block.
+    pub(crate) footprints: Vec<PixelRect>,
     pub(crate) partition: ImagePartition,
+    /// The direct-send schedule, rows grouped by ascending renderer.
+    pub(crate) schedule: Schedule,
+    pub(crate) tf: TransferFunction,
+    pub(crate) ropts: RenderOpts,
+    /// Modeled seconds to re-render each block: the heal ladder's
+    /// currency and the survivor assignment's load measure.
+    heal_costs: Vec<f64>,
+    /// Rank of each compositor, ascending (`m <= n` makes `c -> c*n/m`
+    /// injective). Also the ranks guaranteed to be polling the recovery
+    /// channel: compositors serve adoption while they wait for fragments
+    /// and linger until the frame-complete broadcast, and rank 0 — always
+    /// compositor 0 — serves through the gather.
+    pub(crate) compositor_ranks: Vec<usize>,
+    /// `schedule.messages[send_start[r]..send_start[r + 1]]` are the
+    /// rows rank `r` sends.
+    send_start: Vec<usize>,
+    /// Per tile, `(renderer, pixels)` of every row, in schedule order.
+    sources: Vec<Vec<(usize, f64)>>,
 }
 
 impl FrameShared {
     pub fn new(cfg: &FrameConfig) -> FrameShared {
-        let geo = geometry(cfg);
+        let (n, m) = (cfg.nprocs, cfg.compositors());
+        let decomp = BlockDecomposition::new(cfg.grid, n);
+        let blocks = decomp.blocks();
+        // Gradient shading probes one cell around each sample, so it needs
+        // a second ghost layer for exact serial equivalence.
+        let ghost = if cfg.shading { 2 } else { 1 };
+        let stored = blocks.iter().map(|b| decomp.with_ghost(b, ghost)).collect();
+        let owned: Vec<Subvolume> = blocks.iter().map(|b| b.sub).collect();
         let camera = Camera::orthographic(cfg.grid, default_view(), cfg.image.0, cfg.image.1);
+        let footprints: Vec<PixelRect> = owned
+            .iter()
+            .map(|o| footprint(&camera, o.offset, o.end(), cfg.image))
+            .collect();
+        let partition = ImagePartition::new(cfg.image.0, cfg.image.1, m);
+        let schedule = build_schedule(&footprints, partition);
+
+        // The send ranges rely on the order `build_schedule` emits.
+        let rows = &schedule.messages;
+        debug_assert!(rows.windows(2).all(|w| w[0].renderer <= w[1].renderer));
+        let send_start = (0..=n)
+            .map(|r| rows.partition_point(|msg| msg.renderer < r))
+            .collect();
+        let mut sources: Vec<Vec<(usize, f64)>> = schedule
+            .per_compositor_counts()
+            .into_iter()
+            .map(Vec::with_capacity)
+            .collect();
+        for msg in rows {
+            sources[msg.compositor].push((msg.renderer, msg.pixels as f64));
+        }
+        FrameShared {
+            heal_costs: heal_costs(cfg, &footprints, &owned),
+            compositor_ranks: (0..m).map(|c| compositor_rank(c, n, m)).collect(),
+            stored,
+            owned,
+            camera,
+            footprints,
+            partition,
+            schedule,
+            tf: transfer_for(cfg),
+            ropts: render_opts(cfg),
+            send_start,
+            sources,
+        }
+    }
+
+    /// Screen footprint of each rank's owned block.
+    pub fn footprints(&self) -> &[PixelRect] {
+        &self.footprints
+    }
+
+    /// The direct-send schedule both executors run.
+    pub fn schedule(&self) -> &Schedule {
+        &self.schedule
+    }
+
+    /// Modeled seconds to re-render each block, index = rank.
+    pub fn heal_costs(&self) -> &[f64] {
+        &self.heal_costs
+    }
+
+    /// The schedule rows `rank` sends, in schedule order.
+    pub fn sends_of(&self, rank: usize) -> &[CompositeMessage] {
+        &self.schedule.messages[self.send_start[rank]..self.send_start[rank + 1]]
+    }
+
+    /// The tile `rank` composites, if it is a compositor.
+    pub fn tile_of(&self, rank: usize) -> Option<usize> {
+        self.compositor_ranks.binary_search(&rank).ok()
+    }
+
+    /// `(renderer, pixels)` of every fragment `tile` expects.
+    pub fn sources_of(&self, tile: usize) -> &[(usize, f64)] {
+        &self.sources[tile]
+    }
+
+    /// Expected blended area of `tile` — fault-independent.
+    fn expected_area(&self, tile: usize) -> f64 {
+        self.sources[tile].iter().map(|(_, px)| *px).sum()
+    }
+
+    fn domain(&self, cfg: &FrameConfig, rank: usize) -> BlockDomain {
+        BlockDomain {
+            grid: cfg.grid,
+            owned: self.owned[rank],
+            stored: self.stored[rank],
+        }
+    }
+}
+
+/// The file half of a frame description: how the ranks of a
+/// message-passing world read their blocks out of one dataset file.
+/// Built only where ranks read through it — the data-parallel read goes
+/// through `two_phase_execute`, which plans for itself.
+struct FilePlan {
+    /// Per-rank placed-run read requests.
+    requests: Vec<RankRequest>,
+    /// Two-phase scatter plan (collective layouts only).
+    scatter: Option<ScatterPlan>,
+    endian: Endian,
+    /// Per rank, the extents of the window accesses it hosts as an
+    /// aggregator, in plan order.
+    windows: Vec<Vec<Extent>>,
+}
+
+impl FilePlan {
+    fn new(cfg: &FrameConfig, stored: &[Subvolume]) -> FilePlan {
+        let n = cfg.nprocs;
         let layout = cfg.io.layout(cfg.grid);
-        let requests = rank_requests(layout.as_ref(), cfg.file_variable(), &geo.stored);
+        let requests = rank_requests(layout.as_ref(), cfg.file_variable(), stored);
         let scatter = layout.collective().then(|| {
-            let naggr = laptop_aggregators(cfg.nprocs);
+            let naggr = laptop_aggregators(n);
             ScatterPlan::build(&requests, naggr, &cfg.io.hints(cfg.grid))
         });
-        let partition = ImagePartition::new(cfg.image.0, cfg.image.1, cfg.compositors());
-        let footprints: Vec<pvr_render::image::PixelRect> = (0..cfg.nprocs)
-            .map(|r| {
-                pvr_render::raycast::footprint(
-                    &camera,
-                    geo.owned[r].offset,
-                    geo.owned[r].end(),
-                    cfg.image,
-                )
-            })
-            .collect();
-        let schedule = build_schedule(&footprints, partition);
-        FrameShared {
-            stored: geo.stored,
-            owned: geo.owned,
-            camera,
+        let mut windows = vec![Vec::new(); n];
+        if let Some(sp) = &scatter {
+            for a in &sp.plan.accesses {
+                windows[sp.aggregator_rank(a.aggregator, n)].push(a.extent);
+            }
+        }
+        FilePlan {
             requests,
             scatter,
-            schedule,
-            partition,
+            endian: layout.endian(),
+            windows,
         }
     }
 }
@@ -696,7 +782,7 @@ pub struct PrefetchedWindows {
 }
 
 /// What each rank hands back to the driver.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct RankOut {
     pub image: Option<Image>,
     pub completeness: Option<CompletenessMap>,
@@ -712,47 +798,23 @@ pub struct RankOut {
     pub sent_dense_bytes: u64,
     /// Fragments that went out sparse-encoded.
     pub sparse_messages: usize,
+    /// Fragments this rank sent to compositors.
+    pub sent_messages: usize,
+    /// `(tile, fragments received)` when this rank composited a tile.
+    pub tile_messages: Option<(usize, usize)>,
     pub counters: RecoveryCounters,
     pub io_failover_bytes: u64,
     pub io_unrecovered_bytes: u64,
 }
 
-impl RankOut {
-    pub(crate) fn crashed(timing: FrameTiming) -> Self {
-        RankOut {
-            image: None,
-            completeness: None,
-            timing,
-            render: pvr_render::raycast::RenderStats::default(),
-            sent_bytes: 0,
-            sent_dense_bytes: 0,
-            sparse_messages: 0,
-            counters: RecoveryCounters {
-                crashed_ranks: 1,
-                ..RecoveryCounters::default()
-            },
-            io_failover_bytes: 0,
-            io_unrecovered_bytes: 0,
-        }
+/// Fraction of `of` requested bytes that arrived intact when `lost`
+/// did not.
+fn served_fraction(lost: u64, of: u64) -> f64 {
+    if of == 0 {
+        1.0
+    } else {
+        1.0 - lost as f64 / of as f64
     }
-}
-
-/// One adopted orphan block: the survivor's re-render (`None` when the
-/// budget only allowed a skip) and the I/O quality of the re-read.
-struct AdoptedBlock {
-    sub: Option<SubImage>,
-    quality: f64,
-}
-
-/// What the I/O stage hands the rest of the rank's frame.
-struct RankIo {
-    bytes: Vec<u8>,
-    /// Fraction of this rank's requested bytes that arrived intact.
-    quality: f64,
-    failover_bytes: u64,
-    unrecovered_bytes: u64,
-    /// Background-read seconds of a prefetched frame (0 when live).
-    prefetch_secs: f64,
 }
 
 /// One rank's frame on the message-passing executor. Link mode selects
@@ -766,23 +828,19 @@ pub struct RankExec<'a> {
     tags: FrameTags,
     throttle: Option<IoThrottle>,
     windows: Option<PrefetchedWindows>,
-    m: usize,
     // --- per-frame state, built up stage by stage ---
     sw: Stopwatch,
     t0: Instant,
-    timing: FrameTiming,
-    counters: RecoveryCounters,
+    /// What this rank hands back, filled in as the stages run.
+    out: RankOut,
     crashed: bool,
-    /// Frame-invariant derived state shared by every rank.
-    shared: Arc<FrameShared>,
-    window_extents: Vec<Extent>,
+    /// The frame description every rank reads its slices from.
+    shared: &'a FrameShared,
+    file: &'a FilePlan,
     volume: Option<pvr_volume::Volume>,
-    io: Option<RankIo>,
+    /// Fraction of this rank's requested bytes that arrived intact.
+    io_quality: f64,
     sub: Option<SubImage>,
-    rstats: pvr_render::raycast::RenderStats,
-    sent: u64,
-    sent_dense: u64,
-    sparse_msgs: usize,
     frag_out: Option<OutBox>,
     frag_in: Option<InBox>,
     /// Direct mode: finished tiles awaiting the gather.
@@ -797,17 +855,15 @@ pub struct RankExec<'a> {
     /// Degradation-ladder ledger for this rank's heals.
     budget: RecoveryBudget,
     /// Orphan blocks this rank adopted this frame, keyed by the dead
-    /// renderer: one re-render serves every tile that needs a piece.
-    adopted: HashMap<usize, AdoptedBlock>,
-    /// Image fraction this rank re-rendered at the coarse rung.
-    error_bound: f64,
-    image: Option<Image>,
-    completeness: Option<CompletenessMap>,
+    /// renderer: the re-render (`None` when the budget only allowed a
+    /// skip) and the I/O quality of the re-read. One re-render serves
+    /// every tile that needs a piece.
+    adopted: HashMap<usize, (Option<SubImage>, f64)>,
 }
 
 impl<'a> RankExec<'a> {
     #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    fn new(
         comm: &'a mut pvr_mpisim::Comm,
         cfg: &'a FrameConfig,
         path: &'a Path,
@@ -815,7 +871,8 @@ impl<'a> RankExec<'a> {
         tags: FrameTags,
         throttle: Option<IoThrottle>,
         windows: Option<PrefetchedWindows>,
-        shared: Arc<FrameShared>,
+        shared: &'a FrameShared,
+        file: &'a FilePlan,
     ) -> RankExec<'a> {
         let budget = match links {
             LinkMode::Reliable(rc) => RecoveryBudget::for_frame(cfg, &rc.policy),
@@ -829,21 +886,15 @@ impl<'a> RankExec<'a> {
             tags,
             throttle,
             windows,
-            m: cfg.compositors(),
             sw: Stopwatch::start(),
             t0: Instant::now(),
-            timing: FrameTiming::default(),
-            counters: RecoveryCounters::default(),
+            out: RankOut::default(),
             crashed: false,
             shared,
-            window_extents: Vec::new(),
+            file,
             volume: None,
-            io: None,
+            io_quality: 1.0,
             sub: None,
-            rstats: pvr_render::raycast::RenderStats::default(),
-            sent: 0,
-            sent_dense: 0,
-            sparse_msgs: 0,
             frag_out: None,
             frag_in: None,
             tiles_direct: Vec::new(),
@@ -852,23 +903,15 @@ impl<'a> RankExec<'a> {
             rec_in: None,
             budget,
             adopted: HashMap::new(),
-            error_bound: 0.0,
-            image: None,
-            completeness: None,
         }
     }
 
     /// File extents of the window accesses this rank hosts as an
     /// aggregator — what a prefetch thread should read for the next
-    /// frame (the scatter geometry is frame-invariant). Populated by
-    /// the Read stage; empty for non-aggregators and independent I/O.
-    pub fn my_window_extents(&self) -> &[Extent] {
-        &self.window_extents
-    }
-
-    /// The compositor→rank placement both executors share.
-    fn compositor_rank(&self, c: usize) -> usize {
-        crate::roles::compositor_rank(c, self.comm.size(), self.m)
+    /// frame (the scatter geometry is frame-invariant). Empty for
+    /// non-aggregators and independent I/O.
+    fn my_window_extents(&self) -> &'a [Extent] {
+        &self.file.windows[self.comm.rank()]
     }
 
     /// Fault-plan crash/straggle check at a stage boundary (reliable
@@ -888,7 +931,7 @@ impl<'a> RankExec<'a> {
                 self.comm.span_end(span);
                 self.comm.span_end("frame");
                 if stage == StageId::Read {
-                    self.timing.io = self.sw.lap();
+                    self.out.timing.io = self.sw.lap();
                 }
                 self.crashed = true;
                 true
@@ -907,31 +950,24 @@ impl<'a> RankExec<'a> {
     // --- Read stage ------------------------------------------------
 
     async fn stage_read(&mut self) -> ControlFlow<()> {
-        self.timing.starts[0] = self.t0.elapsed().as_secs_f64();
+        self.out.timing.starts[0] = self.t0.elapsed().as_secs_f64();
         self.comm.span_begin("io");
         if self.crash_check(StageId::Read, "io", 0).await {
             return ControlFlow::Break(());
         }
-        let layout = self.cfg.io.layout(self.cfg.grid);
-        let shared = Arc::clone(&self.shared);
-        let io = if let Some(sp) = &shared.scatter {
-            self.window_extents = sp
-                .accesses_of(self.comm.rank(), self.comm.size())
-                .map(|a| a.extent)
-                .collect();
+        let file = self.file;
+        let bytes = if let Some(sp) = &file.scatter {
             match self.links {
-                LinkMode::Direct => self.scatter_direct(sp, &shared.requests).await,
-                LinkMode::Reliable(_) => self.scatter_reliable(sp, &shared.requests).await,
+                LinkMode::Direct => self.scatter_direct(sp, &file.requests).await,
+                LinkMode::Reliable(_) => self.scatter_reliable(sp, &file.requests).await,
             }
         } else {
-            self.read_independent(&shared.requests).await
+            self.read_independent(&file.requests).await
         };
-        let rank = self.comm.rank();
-        self.volume = Some(decode_volume(
-            &io.bytes,
-            &shared.stored[rank],
-            layout.endian(),
-        ));
+        let stored = &self.shared.stored[self.comm.rank()];
+        self.volume = Some(decode_volume(&bytes, stored, file.endian));
+        // Background-read seconds of a prefetched frame (0 when live).
+        let prefetch_secs = self.windows.as_ref().map_or(0.0, |w| w.io_secs);
         match self.links {
             LinkMode::Direct => {
                 // Close the stage before the barrier (the paper's
@@ -941,15 +977,25 @@ impl<'a> RankExec<'a> {
                 // time accrues to the parent span.
                 self.comm.span_end("io");
                 self.comm.barrier().await;
-                self.timing.io = self.sw.lap() + io.prefetch_secs;
+                self.out.timing.io = self.sw.lap() + prefetch_secs;
             }
             LinkMode::Reliable(_) => {
-                self.timing.io = self.sw.lap() + io.prefetch_secs;
+                self.out.timing.io = self.sw.lap() + prefetch_secs;
                 self.comm.span_end("io");
             }
         }
-        self.io = Some(io);
         ControlFlow::Continue(())
+    }
+
+    /// Sleep out what the throttle still owes for `bytes` read since
+    /// `since`.
+    async fn pad_throttle(&mut self, bytes: u64, since: Instant) {
+        if let Some(t) = self.throttle {
+            let rem = t.remaining(bytes, since.elapsed());
+            if rem > Duration::ZERO {
+                self.comm.sleep(rem).await;
+            }
+        }
     }
 
     /// One window's bytes: the prefetched buffer when the animation
@@ -990,17 +1036,12 @@ impl<'a> RankExec<'a> {
     /// Plain two-phase scatter: blocking sends, counted receives. The
     /// per-rank operation order reproduces the original executor
     /// exactly — the byte-golden logical profile depends on it.
-    async fn scatter_direct(
-        &mut self,
-        sp: &ScatterPlan,
-        requests: &[pvr_pfs::RankRequest],
-    ) -> RankIo {
+    async fn scatter_direct(&mut self, sp: &ScatterPlan, requests: &[RankRequest]) -> Vec<u8> {
         let rank = self.comm.rank();
         let t_read = Instant::now();
         let mut live_bytes = 0u64;
         let mut file: Option<File> = None;
-        let my = self.window_extents.clone();
-        for (i, w) in my.iter().enumerate() {
+        for (i, w) in self.my_window_extents().iter().enumerate() {
             self.comm.span_begin_v("io.window", w.len);
             let buf = self.window_bytes(i, *w, &mut file, &mut live_bytes);
             for p in sp.pieces_in(*w) {
@@ -1012,12 +1053,7 @@ impl<'a> RankExec<'a> {
             }
             self.comm.span_end("io.window");
         }
-        if let Some(t) = self.throttle {
-            let rem = t.remaining(live_bytes, t_read.elapsed());
-            if rem > Duration::ZERO {
-                self.comm.sleep(rem).await;
-            }
-        }
+        self.pad_throttle(live_bytes, t_read).await;
 
         let mut out = vec![0u8; requests[rank].out_elems * ELEM_SIZE as usize];
         for _ in 0..sp.piece_counts[rank] {
@@ -1026,23 +1062,13 @@ impl<'a> RankExec<'a> {
             let nb = u64::from_le_bytes(msg[8..16].try_into().unwrap()) as usize;
             out[dst..dst + nb].copy_from_slice(&msg[16..16 + nb]);
         }
-        RankIo {
-            bytes: out,
-            quality: 1.0,
-            failover_bytes: 0,
-            unrecovered_bytes: 0,
-            prefetch_secs: self.windows.as_ref().map_or(0.0, |w| w.io_secs),
-        }
+        out
     }
 
     /// Fault-tolerant two-phase scatter: framed acked sends, deadline
     /// receives, storage faults audited per window, holes zero-filled
     /// and reported in each piece's header.
-    async fn scatter_reliable(
-        &mut self,
-        sp: &ScatterPlan,
-        requests: &[pvr_pfs::RankRequest],
-    ) -> RankIo {
+    async fn scatter_reliable(&mut self, sp: &ScatterPlan, requests: &[RankRequest]) -> Vec<u8> {
         let LinkMode::Reliable(rc) = self.links else {
             unreachable!("reliable scatter needs reliable links")
         };
@@ -1053,11 +1079,10 @@ impl<'a> RankExec<'a> {
         let t_read = Instant::now();
         let mut live_bytes = 0u64;
         let mut file: Option<File> = None;
-        let my = self.window_extents.clone();
-        for (i, w) in my.iter().enumerate() {
+        for (i, w) in self.my_window_extents().iter().enumerate() {
             let audit = window_fault_audit(&rc.store, &rc.faults, &rc.rec, *w);
-            self.counters.io_retries += audit.retries;
-            self.counters.io_failovers += audit.failovers;
+            self.out.counters.io_retries += audit.retries;
+            self.out.counters.io_failovers += audit.failovers;
             failover_bytes += audit.failover_bytes;
             let mut buf = self.window_bytes(i, *w, &mut file, &mut live_bytes);
             for lost in &audit.unrecoverable {
@@ -1087,12 +1112,7 @@ impl<'a> RankExec<'a> {
                     .await;
             }
         }
-        if let Some(t) = self.throttle {
-            let rem = t.remaining(live_bytes, t_read.elapsed());
-            if rem > Duration::ZERO {
-                self.comm.sleep(rem).await;
-            }
-        }
+        self.pad_throttle(live_bytes, t_read).await;
 
         // Receive my pieces until complete or the stage deadline.
         let mut io_in = InBox::new();
@@ -1131,31 +1151,23 @@ impl<'a> RankExec<'a> {
                 arrived = useful;
                 holes = unrec;
                 failover_bytes += fo;
-                self.counters.selfheal_bytes += useful;
-                self.counters.recovery_bytes += useful;
+                self.out.counters.selfheal_bytes += useful;
+                self.out.counters.recovery_bytes += useful;
                 self.comm.mark_instant("recover.io_selfheal", useful);
                 break;
             }
         }
         let drain_deadline = self.comm.now() + rc.policy.drain;
         io_out.drain(self.comm, drain_deadline).await;
-        self.counters.merge(&io_out.counters);
-        self.counters.merge(&io_in.counters);
+        self.out.counters.merge(&io_out.counters);
+        self.out.counters.merge(&io_in.counters);
 
         let expected = sp.piece_bytes[rank];
-        let missing = expected.saturating_sub(arrived);
-        let quality = if expected == 0 {
-            1.0
-        } else {
-            1.0 - (missing + holes) as f64 / expected as f64
-        };
-        RankIo {
-            bytes: out,
-            quality,
-            failover_bytes,
-            unrecovered_bytes: missing + holes,
-            prefetch_secs: self.windows.as_ref().map_or(0.0, |w| w.io_secs),
-        }
+        let lost = expected.saturating_sub(arrived) + holes;
+        self.io_quality = served_fraction(lost, expected);
+        self.out.io_failover_bytes = failover_bytes;
+        self.out.io_unrecovered_bytes = lost;
+        out
     }
 
     /// Read one rank's runs straight from the file; reliable links
@@ -1164,7 +1176,7 @@ impl<'a> RankExec<'a> {
     /// unrecovered, failover)` byte counts. Shared between independent
     /// I/O, the scatter self-heal, and orphan-block adoption — all
     /// three produce bit-identical bytes to a fault-free scatter.
-    fn read_runs_audited(&mut self, req: &pvr_pfs::RankRequest) -> (Vec<u8>, u64, u64, u64) {
+    fn read_runs_audited(&mut self, req: &RankRequest) -> (Vec<u8>, u64, u64, u64) {
         let mut out = vec![0u8; req.out_elems * ELEM_SIZE as usize];
         let mut unrecovered = 0u64;
         let mut failover_bytes = 0u64;
@@ -1180,8 +1192,8 @@ impl<'a> RankExec<'a> {
                     &rc.rec,
                     Extent::new(run.file_offset, nb as u64),
                 );
-                self.counters.io_retries += a.retries;
-                self.counters.io_failovers += a.failovers;
+                self.out.counters.io_retries += a.retries;
+                self.out.counters.io_failovers += a.failovers;
                 failover_bytes += a.failover_bytes;
                 Some(a)
             } else {
@@ -1206,62 +1218,43 @@ impl<'a> RankExec<'a> {
 
     /// Independent (HDF5-like) path: every rank reads its own runs
     /// directly.
-    async fn read_independent(&mut self, requests: &[pvr_pfs::RankRequest]) -> RankIo {
+    async fn read_independent(&mut self, requests: &[RankRequest]) -> Vec<u8> {
         let rank = self.comm.rank();
         let t_read = Instant::now();
         let (out, useful, unrecovered, failover_bytes) = self.read_runs_audited(&requests[rank]);
-        if let Some(t) = self.throttle {
-            let rem = t.remaining(useful, t_read.elapsed());
-            if rem > Duration::ZERO {
-                self.comm.sleep(rem).await;
-            }
-        }
-        let quality = if useful == 0 {
-            1.0
-        } else {
-            1.0 - unrecovered as f64 / useful as f64
-        };
-        RankIo {
-            bytes: out,
-            quality,
-            failover_bytes,
-            unrecovered_bytes: unrecovered,
-            prefetch_secs: 0.0,
-        }
+        self.pad_throttle(useful, t_read).await;
+        self.io_quality = served_fraction(unrecovered, useful);
+        self.out.io_failover_bytes = failover_bytes;
+        self.out.io_unrecovered_bytes = unrecovered;
+        out
     }
 
     // --- Render stage ----------------------------------------------
 
     async fn stage_render(&mut self) -> ControlFlow<()> {
-        self.timing.starts[1] = self.t0.elapsed().as_secs_f64();
+        self.out.timing.starts[1] = self.t0.elapsed().as_secs_f64();
         self.comm.span_begin("render");
         if self.crash_check(StageId::Render, "render", 1).await {
             return ControlFlow::Break(());
         }
-        let rank = self.comm.rank();
-        let dom = BlockDomain {
-            grid: self.cfg.grid,
-            owned: self.shared.owned[rank],
-            stored: self.shared.stored[rank],
-        };
-        let tf = transfer_for(self.cfg);
-        let ropts = render_opts(self.cfg);
+        let shared = self.shared;
+        let dom = shared.domain(self.cfg, self.comm.rank());
         let volume = self.volume.take().expect("read stage ran");
-        let (sub, rstats) = render_block(&volume, &dom, &self.shared.camera, &tf, &ropts);
+        let (sub, rstats) = render_block(&volume, &dom, &shared.camera, &shared.tf, &shared.ropts);
         self.comm.mark_instant("render.samples", rstats.samples);
         if rstats.packets > 0 {
             self.comm.mark_instant("render.packets", rstats.packets);
         }
-        self.rstats = rstats;
+        self.out.render = rstats;
         self.sub = Some(sub);
         match self.links {
             LinkMode::Direct => {
                 self.comm.span_end("render");
                 self.comm.barrier().await;
-                self.timing.render = self.sw.lap();
+                self.out.timing.render = self.sw.lap();
             }
             LinkMode::Reliable(_) => {
-                self.timing.render = self.sw.lap();
+                self.out.timing.render = self.sw.lap();
                 self.comm.span_end("render");
             }
         }
@@ -1276,76 +1269,38 @@ impl<'a> RankExec<'a> {
     /// serves every tile that needs a piece of the block.
     fn adopt_block(&mut self, orphan: usize) -> (Option<SubImage>, f64) {
         if let Some(ab) = self.adopted.get(&orphan) {
-            return (ab.sub.clone(), ab.quality);
+            return ab.clone();
         }
         let LinkMode::Reliable(rc) = self.links else {
             unreachable!("adoption needs reliable links")
         };
         let policy = rc.policy;
-        let cfg = self.cfg;
-        let shared = Arc::clone(&self.shared);
-        let model = PerfModel::default();
-        let est = block_cost(cfg, &model, &shared.owned[orphan]);
+        let (cfg, shared, file) = (self.cfg, self.shared, self.file);
+        let est = shared.heal_costs()[orphan];
         let ab = match self.budget.charge(est, policy.coarse_step_factor) {
-            HealDecision::Skip => AdoptedBlock {
-                sub: None,
-                quality: 0.0,
-            },
+            HealDecision::Skip => (None, 0.0),
             rung => {
-                let layout = cfg.io.layout(cfg.grid);
                 let (bytes, useful, unrecovered, _) =
-                    self.read_runs_audited(&shared.requests[orphan]);
-                self.counters.recovery_bytes += useful;
-                let vol = decode_volume(&bytes, &shared.stored[orphan], layout.endian());
-                let dom = BlockDomain {
-                    grid: cfg.grid,
-                    owned: shared.owned[orphan],
-                    stored: shared.stored[orphan],
-                };
-                let tf = transfer_for(cfg);
-                let mut ropts = render_opts(cfg);
+                    self.read_runs_audited(&file.requests[orphan]);
+                self.out.counters.recovery_bytes += useful;
+                let vol = decode_volume(&bytes, &shared.stored[orphan], file.endian);
+                let dom = shared.domain(cfg, orphan);
+                let mut ropts = shared.ropts;
                 if rung == HealDecision::Coarse {
                     ropts.step *= policy.coarse_step_factor;
-                    self.counters.approx_blocks += 1;
-                    let fp = pvr_render::raycast::footprint(
-                        &shared.camera,
-                        shared.owned[orphan].offset,
-                        shared.owned[orphan].end(),
-                        cfg.image,
-                    );
-                    self.error_bound +=
-                        fp.num_pixels() as f64 / (cfg.image.0 as f64 * cfg.image.1 as f64);
+                    self.out.counters.approx_blocks += 1;
+                    self.out.timing.error_bound += shared.footprints[orphan].num_pixels() as f64
+                        / (cfg.image.0 as f64 * cfg.image.1 as f64);
                 }
-                let (sub, _) = render_block(&vol, &dom, &shared.camera, &tf, &ropts);
-                self.counters.adopted_blocks += 1;
+                let (sub, _) = render_block(&vol, &dom, &shared.camera, &shared.tf, &ropts);
+                self.out.counters.adopted_blocks += 1;
                 self.comm
                     .mark_instant("recover.adopted_block", orphan as u64);
-                let quality = if useful == 0 {
-                    1.0
-                } else {
-                    1.0 - unrecovered as f64 / useful as f64
-                };
-                AdoptedBlock {
-                    sub: Some(sub),
-                    quality,
-                }
+                (Some(sub), served_fraction(unrecovered, useful))
             }
         };
-        let out = (ab.sub.clone(), ab.quality);
-        self.adopted.insert(orphan, ab);
-        out
-    }
-
-    /// Ranks guaranteed to be polling the recovery channel: the
-    /// compositor ranks (they serve adoption while waiting for their
-    /// own fragments and linger until the frame-complete broadcast)
-    /// plus rank 0 (it serves through the gather).
-    fn adopter_candidates(&self) -> Vec<usize> {
-        let mut c: Vec<usize> = (0..self.m).map(|i| self.compositor_rank(i)).collect();
-        if !c.contains(&0) {
-            c.push(0);
-        }
-        c
+        self.adopted.insert(orphan, ab.clone());
+        ab
     }
 
     /// Serve one adoption request `[orphan, tile]`: reply with a late
@@ -1385,7 +1340,7 @@ impl<'a> RankExec<'a> {
         let quality = f64::from_le_bytes(body[24..32].try_into().unwrap());
         let (renderer, frag) = decode_fragment(&body[32..]);
         if asm.insert(renderer, quality, frag) == InsertOutcome::Fresh {
-            self.counters.late_fragments += 1;
+            self.out.counters.late_fragments += 1;
             self.comm
                 .mark_instant("recover.late_fragment", renderer as u64);
         }
@@ -1438,15 +1393,18 @@ impl<'a> RankExec<'a> {
         let LinkMode::Reliable(rc) = self.links else {
             return;
         };
-        let seed = rc.plan.seed;
-        let model = PerfModel::default();
-        let loads = render_loads(self.cfg, &model, &self.shared.owned);
+        let shared = self.shared;
         let suspects = asm.missing();
-        let candidates = self.adopter_candidates();
-        let Some(a) = adopter_of(orphan, &suspects, &candidates, seed, &loads) else {
+        let Some(a) = adopter_of(
+            orphan,
+            &suspects,
+            &shared.compositor_ranks,
+            rc.plan.seed,
+            shared.heal_costs(),
+        ) else {
             return;
         };
-        self.counters.hedged_renders += 1;
+        self.out.counters.hedged_renders += 1;
         self.comm
             .mark_instant("recover.adopt_request", orphan as u64);
         if a == self.comm.rank() {
@@ -1454,7 +1412,7 @@ impl<'a> RankExec<'a> {
             match sub.and_then(|s| s.crop(&partition.tile(tile))) {
                 Some(f) => {
                     if asm.insert(orphan, quality, f) == InsertOutcome::Fresh {
-                        self.counters.late_fragments += 1;
+                        self.out.counters.late_fragments += 1;
                     }
                 }
                 None => asm.refuse(orphan),
@@ -1476,52 +1434,44 @@ impl<'a> RankExec<'a> {
     /// schedule predicts.
     fn account_fragment(&mut self, frag: &SubImage) {
         let (dense, sparse) = pvr_compositing::piece_wire_bytes(frag, &frag.rect);
-        self.sent_dense += dense;
+        self.out.sent_messages += 1;
+        self.out.sent_dense_bytes += dense;
         if sparse < dense {
-            self.sparse_msgs += 1;
-            self.sent += sparse;
+            self.out.sparse_messages += 1;
+            self.out.sent_bytes += sparse;
         } else {
-            self.sent += dense;
+            self.out.sent_bytes += dense;
         }
     }
 
     async fn stage_composite(&mut self) -> ControlFlow<()> {
-        self.timing.starts[2] = self.t0.elapsed().as_secs_f64();
+        self.out.timing.starts[2] = self.t0.elapsed().as_secs_f64();
         self.comm.span_begin("composite");
         if self.crash_check(StageId::Composite, "composite", 2).await {
             return ControlFlow::Break(());
         }
         let rank = self.comm.rank();
-        // The schedule and partition are frame invariants computed once
-        // by the driver — no per-rank rebuild.
-        let shared = Arc::clone(&self.shared);
+        let shared = self.shared;
         let partition = shared.partition;
-        let schedule = &shared.schedule;
         let sub = self.sub.take().expect("render stage ran");
-        let quality = self.io.as_ref().map_or(1.0, |io| io.quality);
+        let quality = self.io_quality;
 
         match self.links {
             LinkMode::Direct => {
                 // Send my fragments.
-                for msg in schedule.messages.iter().filter(|m| m.renderer == rank) {
+                for msg in shared.sends_of(rank) {
                     let tile = partition.tile(msg.compositor);
                     if let Some(frag) = sub.crop(&tile) {
-                        let dst = self.compositor_rank(msg.compositor);
+                        let dst = shared.compositor_ranks[msg.compositor];
                         self.account_fragment(&frag);
                         self.comm
                             .send(dst, self.tags.fragment, encode_fragment(rank, &frag))
                             .await;
                     }
                 }
-                // Composite the tile I own, if any. With m <= n the map
-                // c -> c*n/m is injective, so a rank owns at most one tile.
-                let my_tile = (0..self.m).find(|&c| self.compositor_rank(c) == rank);
-                if let Some(c) = my_tile {
-                    let expected = schedule
-                        .messages
-                        .iter()
-                        .filter(|mm| mm.compositor == c)
-                        .count();
+                // Composite the tile I own, if any.
+                if let Some(c) = shared.tile_of(rank) {
+                    let expected = shared.sources_of(c).len();
                     let tile = partition.tile(c);
                     let mut frags: Vec<(usize, SubImage)> = Vec::with_capacity(expected);
                     while frags.len() < expected {
@@ -1530,6 +1480,7 @@ impl<'a> RankExec<'a> {
                         debug_assert_eq!(frag.rect.intersect(&tile), Some(frag.rect));
                         frags.push((renderer, frag));
                     }
+                    self.out.tile_messages = Some((c, expected));
                     let buf = blend_fragments(tile, frags);
                     self.tiles_direct.push((c, buf));
                 }
@@ -1543,10 +1494,10 @@ impl<'a> RankExec<'a> {
                 self.rec_in = Some(InBox::new());
                 // Send my fragments through the reliable link, quality
                 // attached.
-                for msg in schedule.messages.iter().filter(|mm| mm.renderer == rank) {
+                for msg in shared.sends_of(rank) {
                     let tile = partition.tile(msg.compositor);
                     if let Some(frag) = sub.crop(&tile) {
-                        let dst = self.compositor_rank(msg.compositor);
+                        let dst = shared.compositor_ranks[msg.compositor];
                         self.account_fragment(&frag);
                         let mut body = Vec::with_capacity(8 + 48 + frag.pixels.len() * 16);
                         body.extend(quality.to_le_bytes());
@@ -1556,16 +1507,9 @@ impl<'a> RankExec<'a> {
                             .await;
                     }
                 }
-                let my_tile = (0..self.m).find(|&c| self.compositor_rank(c) == rank);
-                if let Some(c) = my_tile {
-                    let expected: Vec<(usize, f64)> = schedule
-                        .messages
-                        .iter()
-                        .filter(|mm| mm.compositor == c)
-                        .map(|mm| (mm.renderer, mm.pixels as f64))
-                        .collect();
+                if let Some(c) = shared.tile_of(rank) {
                     let tile = partition.tile(c);
-                    let mut asm = TileAssembly::new(c, tile, expected);
+                    let mut asm = TileAssembly::new(c, tile, shared.sources_of(c).to_vec());
                     let deadline = self.comm.now() + policy.stage_deadline;
                     let suspect_at = self.comm.now() + policy.suspicion;
                     let mut requested: Vec<usize> = Vec::new();
@@ -1604,6 +1548,7 @@ impl<'a> RankExec<'a> {
                     }
                     let expected_area = asm.expected_area();
                     let arrived_area = asm.arrived_area();
+                    self.out.tile_messages = Some((c, asm.arrived()));
                     // Canonical blend order keeps recovered runs
                     // bit-identical: a late-adopted fragment re-blends
                     // exactly as the original would have.
@@ -1621,9 +1566,8 @@ impl<'a> RankExec<'a> {
 
     async fn stage_gather(&mut self) -> ControlFlow<()> {
         let rank = self.comm.rank();
-        let cfg = self.cfg;
-        let shared = Arc::clone(&self.shared);
-        let partition = shared.partition;
+        let (cfg, shared) = (self.cfg, self.shared);
+        let (partition, m) = (shared.partition, shared.partition.m());
         match self.links {
             LinkMode::Direct => {
                 // Ship finished tiles to rank 0.
@@ -1634,12 +1578,12 @@ impl<'a> RankExec<'a> {
                 }
                 if rank == 0 {
                     let mut img = Image::new(cfg.image.0, cfg.image.1);
-                    for _ in 0..self.m {
+                    for _ in 0..m {
                         let (_, data) = self.comm.recv_any(self.tags.tile).await;
                         let (_, tile_img) = decode_fragment(&data);
                         img.paste(&tile_img);
                     }
-                    self.image = Some(img);
+                    self.out.image = Some(img);
                 }
                 self.comm.span_end("composite");
                 self.comm.barrier().await;
@@ -1664,21 +1608,11 @@ impl<'a> RankExec<'a> {
                 // rebuilt locally from adopted re-renders rather than
                 // written off.
                 if rank == 0 {
-                    let tile_sources: Vec<Vec<(usize, f64)>> = {
-                        let schedule = &shared.schedule;
-                        let mut v = vec![Vec::new(); self.m];
-                        for msg in &schedule.messages {
-                            v[msg.compositor].push((msg.renderer, msg.pixels as f64));
-                        }
-                        v
-                    };
-                    let expected_areas: Vec<f64> = tile_sources
-                        .iter()
-                        .map(|s| s.iter().map(|(_, px)| *px).sum())
-                        .collect();
+                    let expected_areas: Vec<f64> =
+                        (0..m).map(|c| shared.expected_area(c)).collect();
                     let mut tile_in = InBox::new();
                     let mut img = Image::new(cfg.image.0, cfg.image.1);
-                    let mut got: Vec<Option<(f64, f64)>> = vec![None; self.m];
+                    let mut got: Vec<Option<(f64, f64)>> = vec![None; m];
                     let mut received = 0usize;
                     let deadline = self.comm.now() + policy.stage_deadline;
                     // The local rebuild waits two suspicion windows: a
@@ -1687,7 +1621,7 @@ impl<'a> RankExec<'a> {
                     // re-render to finish.
                     let rebuild_at = self.comm.now() + policy.suspicion * 2;
                     let mut rebuilt = false;
-                    while received < self.m && self.comm.now() < deadline {
+                    while received < m && self.comm.now() < deadline {
                         frag_out.poll(self.comm).await;
                         tile_out.poll(self.comm).await;
                         if let Some(ro) = self.rec_out.as_mut() {
@@ -1717,15 +1651,16 @@ impl<'a> RankExec<'a> {
                             }
                         }
                         self.pump_recovery(partition, None).await;
-                        if !rebuilt && self.comm.now() >= rebuild_at && received < self.m {
+                        if !rebuilt && self.comm.now() >= rebuild_at && received < m {
                             rebuilt = true;
-                            for c in 0..self.m {
+                            for c in 0..m {
                                 if got[c].is_some() || expected_areas[c] == 0.0 {
                                     continue;
                                 }
                                 let tile = partition.tile(c);
-                                let mut asm = TileAssembly::new(c, tile, tile_sources[c].clone());
-                                for (r, _) in &tile_sources[c] {
+                                let sources = shared.sources_of(c);
+                                let mut asm = TileAssembly::new(c, tile, sources.to_vec());
+                                for (r, _) in sources {
                                     let (sub, quality) = self.adopt_block(*r);
                                     match sub.and_then(|s| s.crop(&tile)) {
                                         Some(f) => {
@@ -1738,16 +1673,16 @@ impl<'a> RankExec<'a> {
                                 img.paste(asm.seal());
                                 got[c] = Some((ea, aa));
                                 received += 1;
-                                self.counters.adopted_tiles += 1;
+                                self.out.counters.adopted_tiles += 1;
                                 self.comm.mark_instant("recover.tile_rebuilt", c as u64);
                             }
                         }
                     }
-                    let tiles = (0..self.m)
+                    let tiles = (0..m)
                         .map(|c| {
                             let (expected, arrived) = got[c].unwrap_or_else(|| {
                                 if expected_areas[c] > 0.0 {
-                                    self.counters.degraded_tiles += 1;
+                                    self.out.counters.degraded_tiles += 1;
                                 }
                                 (expected_areas[c], 0.0)
                             });
@@ -1759,20 +1694,17 @@ impl<'a> RankExec<'a> {
                             }
                         })
                         .collect();
-                    self.counters.merge(&tile_in.counters);
-                    if self.counters.degraded_tiles > 0 {
-                        self.comm
-                            .mark_instant("composite.degraded_tiles", self.counters.degraded_tiles);
+                    self.out.counters.merge(&tile_in.counters);
+                    if self.out.counters.degraded_tiles > 0 {
+                        self.comm.mark_instant(
+                            "composite.degraded_tiles",
+                            self.out.counters.degraded_tiles,
+                        );
                     }
-                    self.image = Some(img);
-                    self.completeness = Some(CompletenessMap { tiles });
+                    self.out.image = Some(img);
+                    self.out.completeness = Some(CompletenessMap { tiles });
                     // Frame complete: release the lingering compositors.
-                    let helpers: Vec<usize> = self
-                        .adopter_candidates()
-                        .into_iter()
-                        .filter(|r| *r != 0)
-                        .collect();
-                    for h in helpers {
+                    for &h in &shared.compositor_ranks[1..] {
                         let rec_out = self.rec_out.as_mut().expect("recovery channel open");
                         rec_out.send(self.comm, h, self.tags.done, Vec::new()).await;
                     }
@@ -1813,19 +1745,19 @@ impl<'a> RankExec<'a> {
                 let drain_deadline = self.comm.now() + policy.drain;
                 frag_out.drain(self.comm, drain_deadline).await;
                 tile_out.drain(self.comm, drain_deadline).await;
-                self.counters.merge(&frag_out.counters);
+                self.out.counters.merge(&frag_out.counters);
                 if let Some(frag_in) = &self.frag_in {
-                    self.counters.merge(&frag_in.counters);
+                    self.out.counters.merge(&frag_in.counters);
                 }
-                self.counters.merge(&tile_out.counters);
+                self.out.counters.merge(&tile_out.counters);
                 if let Some(mut ro) = self.rec_out.take() {
                     ro.drain(self.comm, drain_deadline).await;
-                    self.counters.merge(&ro.counters);
+                    self.out.counters.merge(&ro.counters);
                 }
                 if let Some(ri) = self.rec_in.take() {
-                    self.counters.merge(&ri.counters);
+                    self.out.counters.merge(&ri.counters);
                 }
-                self.timing.composite = self.sw.lap();
+                self.out.timing.composite = self.sw.lap();
                 self.comm.span_end("composite");
             }
         }
@@ -1853,35 +1785,15 @@ impl StageExec for RankExec<'_> {
 
     fn finish(mut self) -> RankOut {
         if self.crashed {
-            let mut out = RankOut::crashed(self.timing);
-            out.counters.merge(&self.counters);
-            out.render = self.rstats;
-            if let Some(io) = &self.io {
-                out.io_failover_bytes = io.failover_bytes;
-                out.io_unrecovered_bytes = io.unrecovered_bytes;
-            }
-            return out;
+            self.out.counters.crashed_ranks += 1;
+            return self.out;
         }
+        self.comm.span_end("frame");
         if matches!(self.links, LinkMode::Direct) {
-            self.comm.span_end("frame");
-            self.timing.composite = self.sw.lap();
-        } else {
-            self.comm.span_end("frame");
+            self.out.timing.composite = self.sw.lap();
         }
-        self.timing.error_bound = self.error_bound;
-        self.timing.wall = self.t0.elapsed().as_secs_f64();
-        RankOut {
-            image: self.image,
-            completeness: self.completeness,
-            timing: self.timing,
-            render: self.rstats,
-            sent_bytes: self.sent,
-            sent_dense_bytes: self.sent_dense,
-            sparse_messages: self.sparse_msgs,
-            counters: self.counters,
-            io_failover_bytes: self.io.as_ref().map_or(0, |io| io.failover_bytes),
-            io_unrecovered_bytes: self.io.as_ref().map_or(0, |io| io.unrecovered_bytes),
-        }
+        self.out.timing.wall = self.t0.elapsed().as_secs_f64();
+        self.out
     }
 }
 
@@ -1981,31 +1893,6 @@ pub struct DriveOutput {
     pub sim: Option<pvr_mpisim::SimStats>,
 }
 
-/// Expected blended area per tile, derivable by any rank (and the
-/// driver) from the configuration alone — fault-independent.
-pub(crate) fn expected_tile_areas(cfg: &FrameConfig, n: usize, m: usize) -> Vec<f64> {
-    let partition = ImagePartition::new(cfg.image.0, cfg.image.1, m);
-    let camera = Camera::orthographic(cfg.grid, default_view(), cfg.image.0, cfg.image.1);
-    let decomp = pvr_volume::BlockDecomposition::new(cfg.grid, n);
-    let blocks = decomp.blocks();
-    let footprints: Vec<pvr_render::image::PixelRect> = (0..n)
-        .map(|r| {
-            pvr_render::raycast::footprint(
-                &camera,
-                blocks[r].sub.offset,
-                blocks[r].sub.end(),
-                cfg.image,
-            )
-        })
-        .collect();
-    let schedule = build_schedule(&footprints, partition);
-    let mut areas = vec![0.0f64; m];
-    for msg in &schedule.messages {
-        areas[msg.compositor] += msg.pixels as f64;
-    }
-    areas
-}
-
 /// Assemble one frame's driver-side result from the per-rank outputs
 /// and mirror its verdict onto `flight`. Reliable links select the
 /// fault-tolerant accounting (merged recovery counters, completeness,
@@ -2017,13 +1904,14 @@ pub(crate) fn expected_tile_areas(cfg: &FrameConfig, n: usize, m: usize) -> Vec<
 /// its critical path where time and incidents could not.
 pub(crate) fn assemble_frame(
     cfg: &FrameConfig,
+    shared: &FrameShared,
     mut results: Vec<RankOut>,
     links: &LinkMode,
     trace: Option<&pvr_mpisim::trace::TraceLog>,
     flight: &FlightRecorder,
 ) -> (FrameResult, Option<CompletenessMap>) {
     let reliable = matches!(links, LinkMode::Reliable(_));
-    let m = cfg.compositors();
+    let m = shared.partition.m();
     let n = cfg.nprocs;
     // Per-rank stage times and located incidents, before rank 0's
     // output is consumed: the SLO gate judges the slowest rank of each
@@ -2043,6 +1931,11 @@ pub(crate) fn assemble_frame(
     let sent_bytes: u64 = results.iter().map(|r| r.sent_bytes).sum();
     let sent_dense_bytes: u64 = results.iter().map(|r| r.sent_dense_bytes).sum();
     let sparse_messages: usize = results.iter().map(|r| r.sparse_messages).sum();
+    let messages: usize = results.iter().map(|r| r.sent_messages).sum();
+    let mut per_compositor = vec![0usize; m];
+    for (c, received) in results.iter().filter_map(|r| r.tile_messages) {
+        per_compositor[c] = received;
+    }
     let mut recovery = RecoveryCounters::default();
     let mut failover_bytes = 0u64;
     let mut unrecovered_bytes = 0u64;
@@ -2061,6 +1954,7 @@ pub(crate) fn assemble_frame(
     timing.error_bound = error_bound.min(1.0);
     let mut slo = crate::slo::annotate(
         cfg,
+        &shared.schedule,
         &crate::slo::FrameSample {
             stage_secs: [timing.io, timing.render, timing.composite],
             per_rank: &per_rank,
@@ -2081,13 +1975,11 @@ pub(crate) fn assemble_frame(
         match (root.image, root.completeness) {
             (Some(img), Some(map)) => (img, Some(map)),
             _ => {
-                let partition = ImagePartition::new(cfg.image.0, cfg.image.1, m);
-                let expected = expected_tile_areas(cfg, n, m);
                 let tiles = (0..m)
                     .map(|c| TileCompleteness {
                         tile: c,
-                        rect: Some(partition.tile(c)),
-                        expected: expected[c],
+                        rect: Some(shared.partition.tile(c)),
+                        expected: shared.expected_area(c),
                         arrived: 0.0,
                     })
                     .collect();
@@ -2112,28 +2004,111 @@ pub(crate) fn assemble_frame(
         IoRunStats::default()
     };
 
-    (
-        FrameResult {
-            image,
-            timing,
-            io,
-            render_samples: render.samples,
-            render_skipped: render.skipped_samples,
-            render_packets: render.packets,
-            render_eval_lanes: render.packet_eval_lanes,
-            render_eval_slots: render.packet_eval_slots,
-            render_terminated: render.terminated_rays,
-            render_error_bound: render.error_bound as f64,
-            composite: DirectSendStats {
-                messages: 0,
-                bytes: sent_bytes,
-                dense_bytes: sent_dense_bytes,
-                sparse_messages,
-                per_compositor: Vec::new(),
-            },
-        },
-        completeness,
-    )
+    let composite = DirectSendStats {
+        messages,
+        bytes: sent_bytes,
+        dense_bytes: sent_dense_bytes,
+        sparse_messages,
+        per_compositor,
+    };
+    let frame = FrameResult::new(image, timing, io, &render, composite);
+    (frame, completeness)
+}
+
+/// What one message-passing world produced.
+pub(crate) struct WorldOutput {
+    /// Per frame, every rank's output (index = rank).
+    pub(crate) frames: Vec<Vec<RankOut>>,
+    pub(crate) trace: Option<pvr_mpisim::trace::TraceLog>,
+    pub(crate) sim: Option<pvr_mpisim::SimStats>,
+}
+
+/// Launch one message-passing world and walk every rank through the
+/// frames of `paths` in order — a single frame is an animation of
+/// length one. Frame `t` runs under `links[t]` in tag epoch `t`; with
+/// `pipelined`, each aggregator starts reading frame `t + 1`'s windows
+/// the moment frame `t`'s read hands off (file reads only, no
+/// communication). The caller installs its fault injector on `opts`.
+pub(crate) fn run_world<P: AsRef<Path> + Sync>(
+    cfg: &FrameConfig,
+    shared: &FrameShared,
+    paths: &[P],
+    links: &[LinkMode],
+    opts: pvr_mpisim::RunOptions,
+    throttle: Option<IoThrottle>,
+    pipelined: bool,
+) -> Result<WorldOutput, FrameError> {
+    let nf = paths.len();
+    let file = FilePlan::new(cfg, &shared.stored);
+    let file = &file;
+    let out = pvr_mpisim::World::run_opts(cfg.nprocs, opts, move |mut comm| async move {
+        let mut outs = Vec::with_capacity(nf);
+        // This rank's one in-flight background read: the next frame's
+        // window extents (the scatter geometry is frame-invariant).
+        let mut pending: Option<Prefetch<(Vec<Vec<u8>>, f64)>> = None;
+        for t in 0..nf {
+            let windows = pending
+                .take()
+                .and_then(|pf| pf.join().ok())
+                .map(|(bufs, io_secs)| PrefetchedWindows { bufs, io_secs });
+            let exec = RankExec::new(
+                &mut comm,
+                cfg,
+                paths[t].as_ref(),
+                &links[t],
+                FrameTags::for_frame(t),
+                throttle,
+                windows,
+                shared,
+                file,
+            );
+            let rank_out = execute_with(exec, |e, s| {
+                if pipelined && s == StageId::Read && t + 1 < nf {
+                    let extents = e.my_window_extents().to_vec();
+                    if !extents.is_empty() {
+                        let path = paths[t + 1].as_ref().to_path_buf();
+                        pending = Some(Prefetch::spawn(move || {
+                            let started = Instant::now();
+                            let bufs = read_extents(&path, &extents, throttle)?;
+                            Ok((bufs, started.elapsed().as_secs_f64()))
+                        }));
+                    }
+                }
+            })
+            .await;
+            // A crashed rank skips its remaining stages (and never
+            // spawns a prefetch), then rejoins at the next epoch's
+            // tags with a live read — only its own frame degrades.
+            outs.push(rank_out);
+            // Reliable frames have no in-frame barriers (a crashed
+            // rank might miss one), but between frames every rank —
+            // crashed or not — reaches this point, so a resync here is
+            // safe. Without it a crashed rank races ahead while its
+            // peers wait out frame `t`'s deadlines, and the skew eats
+            // into frame `t+1`'s deadline budget.
+            if matches!(links[t], LinkMode::Reliable(_)) && t + 1 < nf {
+                comm.barrier().await;
+            }
+        }
+        outs
+    })
+    .map_err(FrameError::Runtime)?;
+
+    // Transpose [rank][frame] → per-frame columns.
+    let mut per_rank: Vec<_> = out.results.into_iter().map(Vec::into_iter).collect();
+    let frames = (0..nf)
+        .map(|_| {
+            per_rank
+                .iter_mut()
+                .map(|it| it.next().expect("every rank runs every frame"))
+                .collect()
+        })
+        .collect();
+    Ok(WorldOutput {
+        frames,
+        trace: out.trace,
+        sim: out.sim,
+    })
 }
 
 /// Run one frame. `path` is required by the message-passing executor;
@@ -2147,11 +2122,12 @@ pub fn drive_frame(
     let faults = driver
         .faults
         .map(|(plan, policy)| (plan, effective_policy(cfg, &policy)));
+    let shared = FrameShared::new(cfg);
     match driver.exec {
         Exec::Rayon => {
             let input = path.map_or(FrameInput::Synthetic, FrameInput::File);
             let (tracer, flight) = (&driver.tracer, &driver.flight);
-            let exec = RayonExec::new(cfg, input, tracer, None, faults.as_ref(), flight);
+            let exec = RayonExec::new(cfg, &shared, input, tracer, None, faults.as_ref(), flight);
             let (frame, completeness) = pvr_mpisim::block_on_ready(execute(exec))?;
             Ok(DriveOutput {
                 frame,
@@ -2178,22 +2154,12 @@ pub fn drive_frame(
                 Some(inj) => opts.with_injector(Arc::new(inj)),
                 None => opts,
             };
-            // Frame invariants computed once, shared by all n ranks:
-            // without this each rank re-derives O(n) geometry/schedule
-            // state and the world is O(n²) — fatal at 32K ranks.
-            let shared = Arc::new(FrameShared::new(cfg));
-            let (links_ref, shared_ref) = (&links, &shared);
-            let out = pvr_mpisim::World::run_opts(cfg.nprocs, opts, move |mut comm| async move {
-                let tags = FrameTags::for_frame(0);
-                let shared = Arc::clone(shared_ref);
-                execute(RankExec::new(
-                    &mut comm, cfg, path, links_ref, tags, None, None, shared,
-                ))
-                .await
-            })
-            .map_err(FrameError::Runtime)?;
+            let links = std::slice::from_ref(&links);
+            let mut out = run_world(cfg, &shared, &[path], links, opts, None, false)?;
+            let results = out.frames.pop().expect("one path, one frame");
+            let trace = out.trace.as_ref();
             let (frame, completeness) =
-                assemble_frame(cfg, out.results, &links, out.trace.as_ref(), &driver.flight);
+                assemble_frame(cfg, &shared, results, &links[0], trace, &driver.flight);
             Ok(DriveOutput {
                 frame,
                 completeness,
@@ -2270,6 +2236,79 @@ mod tests {
             let b = FrameTags::base_of(*tag);
             b == tags::IO_SCATTER || b == tags::FRAGMENT || b == tags::TILE
         }));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Every index of [`FrameShared`] is the slice the ranks used to
+        /// scan the global schedule for, and every heal cost is what the
+        /// per-call pricing computed.
+        #[test]
+        fn frame_shared_slices_equal_the_filters(
+            gx in 8usize..40, gy in 8usize..40, gz in 8usize..40,
+            w in 48usize..96, h in 48usize..96,
+            n in 1usize..=48, policy_pick in 0usize..3, fixed in 1usize..=48,
+        ) {
+            proptest::prop_assume!([2usize, 3, 5, 7].iter().fold(n, |mut r, p| {
+                while r % p == 0 {
+                    r /= p;
+                }
+                r
+            }) == 1);
+            let cfg = FrameConfig {
+                grid: [gx, gy, gz],
+                image: (w, h),
+                policy: match policy_pick {
+                    0 => CompositorPolicy::Original,
+                    1 => CompositorPolicy::Improved,
+                    _ => CompositorPolicy::Fixed(fixed),
+                },
+                ..FrameConfig::small(gx, w, n)
+            };
+            let m = cfg.compositors();
+            let shared = FrameShared::new(&cfg);
+            let rows = &shared.schedule().messages;
+            let model = crate::perfmodel::PerfModel::default();
+            let camera = Camera::orthographic(cfg.grid, default_view(), w, h);
+            for r in 0..n {
+                let mine: Vec<_> = rows.iter().filter(|msg| msg.renderer == r).copied().collect();
+                assert_eq!(shared.sends_of(r), &mine[..]);
+                let tile = (0..m).find(|&c| compositor_rank(c, n, m) == r);
+                assert_eq!(shared.tile_of(r), tile);
+                let owned = &shared.owned[r];
+                let fp = footprint(&camera, owned.offset, owned.end(), cfg.image);
+                let samples = model.sample_coeff * fp.num_pixels() as f64 * owned.shape[2] as f64
+                    / cfg.step.max(1e-9);
+                let cost = samples * model.render_imbalance / model.render_rate;
+                assert_eq!(shared.heal_costs()[r].to_bits(), cost.to_bits());
+            }
+            for c in 0..m {
+                let sources: Vec<(usize, f64)> = rows
+                    .iter()
+                    .filter(|msg| msg.compositor == c)
+                    .map(|msg| (msg.renderer, msg.pixels as f64))
+                    .collect();
+                assert_eq!(shared.sources_of(c), &sources[..]);
+            }
+        }
+    }
+
+    #[test]
+    fn both_executors_report_the_schedules_message_counts() {
+        let cfg = test_cfg();
+        let p = tmp("counts.raw");
+        write_dataset(&p, &cfg).unwrap();
+        let rayon = crate::pipeline::run_frame(&cfg, Some(&p)).composite;
+        let mpi = run_frame_mpi(&cfg, &p).composite;
+        let schedule = FrameShared::new(&cfg).schedule;
+        assert_eq!(mpi.messages, schedule.num_messages());
+        assert_eq!(mpi.per_compositor, schedule.per_compositor_counts());
+        assert_eq!(
+            (mpi.messages, &mpi.per_compositor),
+            (rayon.messages, &rayon.per_compositor)
+        );
+        std::fs::remove_file(&p).ok();
     }
 
     #[test]
@@ -2483,9 +2522,7 @@ mod tests {
         let p = tmp("ladder.raw");
         write_dataset(&p, &cfg).unwrap();
         let plan = crash_plan(5, Stage::Composite, 9);
-        let model = crate::perfmodel::PerfModel::default();
-        let owned: Vec<_> = geometry(&cfg).owned;
-        let est = crate::recovery::block_cost(&cfg, &model, &owned[5]);
+        let est = FrameShared::new(&cfg).heal_costs()[5];
         assert!(est > 0.0);
 
         // Budget in (est/4, est): only the coarse rung fits. The frame
@@ -2528,9 +2565,7 @@ mod tests {
         assert_eq!(ft.frame.timing.recovery.adopted_blocks, 1);
 
         // Coarse budget: complete with an error bound.
-        let model = crate::perfmodel::PerfModel::default();
-        let owned: Vec<_> = geometry(&cfg).owned;
-        let est = crate::recovery::block_cost(&cfg, &model, &owned[5]);
+        let est = FrameShared::new(&cfg).heal_costs()[5];
         let mut policy = RecoveryPolicy::fast_test();
         policy.frame_budget = Some(est * 0.5);
         let ft = rayon_ft(&cfg, &p, &plan, &policy);

@@ -8,7 +8,8 @@
 //! * [`stage_budgets`] derives per-stage budgets from the same
 //!   calibrated perf-model predictions that already size the recovery
 //!   deadlines ([`crate::recovery::effective_policy`]): the modeled
-//!   I/O, render, and composite seconds times a headroom factor, with
+//!   I/O, render, and composite seconds (the composite term prices the
+//!   frame's own schedule, handed in) times a headroom factor, with
 //!   a floor so laptop-scale frames are judged against sane
 //!   sub-second budgets, and a [`FrameConfig::stage_deadline_ms`]
 //!   override winning outright.
@@ -25,6 +26,7 @@
 
 use std::time::Duration;
 
+use pvr_compositing::Schedule;
 use pvr_faults::{FaultPlan, RankAction, RecoveryCounters, Stage};
 use pvr_obs::flight::FlightRecorder;
 use pvr_obs::slo::SloInput;
@@ -69,16 +71,16 @@ impl Default for SloPolicy {
 /// calibrated perf model exactly like the recovery deadlines: modeled
 /// stage seconds × headroom, floored per stage; a
 /// [`FrameConfig::stage_deadline_ms`] override wins outright.
-pub fn stage_budgets(cfg: &FrameConfig, policy: &SloPolicy) -> [f64; 3] {
+/// `schedule` is the frame's direct-send schedule
+/// ([`crate::scheduler::FrameShared::schedule`]).
+pub fn stage_budgets(cfg: &FrameConfig, schedule: &Schedule, policy: &SloPolicy) -> [f64; 3] {
     if let Some(ms) = cfg.stage_deadline_ms {
         return [ms as f64 / 1e3; 3];
     }
     let model = PerfModel::default();
     let io_est = cfg.variable_bytes() as f64 / NOMINAL_IO_BW;
     let (render_est, _) = model.simulate_render(cfg);
-    let comp_est = model
-        .simulate_composite(cfg, &model.schedule_for(cfg))
-        .seconds;
+    let comp_est = model.simulate_composite(cfg, schedule).seconds;
     let mut budgets = [io_est, render_est, comp_est];
     for (b, floor) in budgets.iter_mut().zip(policy.floor) {
         *b = (*b * policy.headroom).max(floor);
@@ -98,9 +100,14 @@ pub struct FrameSample<'a> {
 }
 
 /// Evaluate one frame against its derived budgets.
-pub fn evaluate_frame(cfg: &FrameConfig, policy: &SloPolicy, sample: &FrameSample) -> SloReport {
+pub fn evaluate_frame(
+    cfg: &FrameConfig,
+    schedule: &Schedule,
+    policy: &SloPolicy,
+    sample: &FrameSample,
+) -> SloReport {
     evaluate(&SloInput {
-        budgets: stage_budgets(cfg, policy),
+        budgets: stage_budgets(cfg, schedule, policy),
         at_risk_frac: policy.at_risk_frac,
         stage_secs: sample.stage_secs,
         per_rank: sample.per_rank,
@@ -110,8 +117,8 @@ pub fn evaluate_frame(cfg: &FrameConfig, policy: &SloPolicy, sample: &FrameSampl
 
 /// [`evaluate_frame`] under the default policy, reduced to the compact
 /// summary the executors embed in [`crate::timing::FrameTiming`].
-pub fn annotate(cfg: &FrameConfig, sample: &FrameSample) -> FrameSlo {
-    evaluate_frame(cfg, &SloPolicy::default(), sample).summary()
+pub fn annotate(cfg: &FrameConfig, schedule: &Schedule, sample: &FrameSample) -> FrameSlo {
+    evaluate_frame(cfg, schedule, &SloPolicy::default(), sample).summary()
 }
 
 /// Fill the attributed rank from a message trace's happens-before
@@ -258,26 +265,48 @@ pub fn record_frame_flight(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::FrameShared;
+
+    fn budgets(cfg: &FrameConfig) -> [f64; 3] {
+        let shared = FrameShared::new(cfg);
+        stage_budgets(cfg, shared.schedule(), &SloPolicy::default())
+    }
 
     #[test]
     fn budgets_scale_with_frame_and_respect_floors() {
         // A tiny test frame predicts microsecond stages: every budget
         // sits at its floor.
         let cfg = FrameConfig::small(16, 24, 8);
-        let small = stage_budgets(&cfg, &SloPolicy::default());
-        assert_eq!(small, [0.25; 3]);
+        assert_eq!(budgets(&cfg), [0.25; 3]);
 
         // The paper-scale frame predicts long stages: budgets grow
         // with the prediction, with headroom applied.
-        let big = FrameConfig::paper_1120(4096);
-        let b = stage_budgets(&big, &SloPolicy::default());
+        let b = budgets(&FrameConfig::paper_1120(4096));
         assert!(b[0] > 1.0, "io budget {}", b[0]);
         assert!(b[1] > 0.25, "render budget {}", b[1]);
 
         // The config deadline override wins outright.
         let mut cfg = FrameConfig::small(16, 24, 8);
         cfg.stage_deadline_ms = Some(2000);
-        assert_eq!(stage_budgets(&cfg, &SloPolicy::default()), [2.0; 3]);
+        assert_eq!(budgets(&cfg), [2.0; 3]);
+    }
+
+    /// The `sim-2048` frame's budgets, pinned to the bit: pricing the
+    /// schedule the frame already holds must give what re-deriving it
+    /// per call gave.
+    #[test]
+    fn budgets_from_the_shared_schedule_are_pinned() {
+        let mut cfg = FrameConfig::small(64, 128, 2048);
+        cfg.policy = crate::config::CompositorPolicy::Improved;
+        let policy = SloPolicy {
+            floor: [0.0; 3],
+            ..SloPolicy::default()
+        };
+        let b = stage_budgets(&cfg, FrameShared::new(&cfg).schedule(), &policy);
+        assert_eq!(
+            b.map(f64::to_bits),
+            [0x3f69c511dc3a41e0, 0x3f692f8c3dea38c2, 0x3ff33e655d84721d]
+        );
     }
 
     #[test]
@@ -345,6 +374,7 @@ mod tests {
         }];
         let slo = annotate(
             &cfg,
+            FrameShared::new(&cfg).schedule(),
             &FrameSample {
                 stage_secs: [0.0; 3],
                 per_rank: &[],

@@ -74,9 +74,8 @@ mod event;
 #[cfg(feature = "thread-exec")]
 mod thread;
 
-#[cfg(feature = "ft")]
 pub mod fault {
-    //! Fault-injection hook for the transport (feature `ft`, default on).
+    //! Fault-injection hook for the transport.
     //!
     //! An injector installed via [`crate::RunOptions::with_injector`]
     //! is consulted on **every send** before the
@@ -325,8 +324,7 @@ pub struct RunOptions {
     pub on_choice: Option<ChoiceHook>,
     /// Which executor runs the ranks (see [`Backend`]).
     pub backend: Backend,
-    /// Fault injector consulted on every send (feature `ft`).
-    #[cfg(feature = "ft")]
+    /// Fault injector consulted on every send.
     pub injector: Option<Arc<dyn fault::FaultInjector>>,
 }
 
@@ -339,7 +337,6 @@ impl Default for RunOptions {
             trace: false,
             on_choice: None,
             backend: Backend::Event,
-            #[cfg(feature = "ft")]
             injector: None,
         }
     }
@@ -351,8 +348,7 @@ impl RunOptions {
         self
     }
 
-    /// Install a fault injector (feature `ft`).
-    #[cfg(feature = "ft")]
+    /// Install a fault injector.
     pub fn with_injector(mut self, inj: Arc<dyn fault::FaultInjector>) -> Self {
         self.injector = Some(inj);
         self
@@ -486,7 +482,6 @@ pub(crate) enum Want {
 }
 
 /// How long a receive may block.
-#[cfg_attr(not(feature = "ft"), allow(dead_code))]
 pub(crate) enum Until {
     /// Forever: classic blocking receive, visible to the deadlock
     /// detector.
@@ -633,7 +628,6 @@ impl Comm {
     /// receiver; queues are unbounded).
     pub async fn send(&self, to: usize, tag: u32, data: Vec<u8>) {
         assert!(to < self.size, "send to rank {to} of {}", self.size);
-        #[cfg(feature = "ft")]
         let data = {
             let mut data = data;
             if let Some(inj) = &self.opts.injector {
@@ -792,9 +786,8 @@ impl Comm {
     /// Receive with `tag` from any source, giving up after `timeout`.
     /// Returns `None` on expiry. The wait is invisible to the deadlock
     /// detector — the rank wakes by itself — so a lost message becomes a
-    /// timeout at the caller instead of a detector report (feature
-    /// `ft`). The wildcard replay index only advances on success.
-    #[cfg(feature = "ft")]
+    /// timeout at the caller instead of a detector report. The wildcard
+    /// replay index only advances on success.
     pub async fn recv_any_timeout(
         &mut self,
         tag: u32,
@@ -821,8 +814,7 @@ impl Comm {
     }
 
     /// Receive with `tag` from `src`, giving up after `timeout` (see
-    /// [`Comm::recv_any_timeout`]; feature `ft`).
-    #[cfg(feature = "ft")]
+    /// [`Comm::recv_any_timeout`]).
     pub async fn recv_from_timeout(
         &mut self,
         src: usize,
@@ -837,7 +829,7 @@ impl Comm {
     }
 
     /// Non-blocking poll: take a pending message with `tag` from any
-    /// source, or return `None` immediately (feature `ft`).
+    /// source, or return `None` immediately.
     pub fn try_recv_any(&mut self, tag: u32) -> Option<(usize, Vec<u8>)> {
         self.drain_incoming();
         // Same index contract as `recv_any_timeout`: an empty poll

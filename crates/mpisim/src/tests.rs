@@ -532,9 +532,8 @@ fn nested_recv_from_cycle_names_full_cycle_at_n3() {
     assert!(report.contains("rank 0 (recv_from src=1 tag=9) waits on rank 1"));
 }
 
-// ---- fault-tolerance surface (feature `ft`) ----
+// ---- fault-tolerance surface ----
 
-#[cfg(feature = "ft")]
 mod ft_tests {
     use super::*;
     use fault::{FaultInjector, SendFate};
@@ -991,7 +990,6 @@ mod differential {
         }
     }
 
-    #[cfg(feature = "ft")]
     mod with_faults {
         use super::*;
         use fault::{FaultInjector, SendFate};

@@ -14,8 +14,9 @@
 //!   accounted rather than hidden.
 //! * [`window_fault_audit`] — the shared per-window verdict both the
 //!   priced path ([`StripedStore::service_faulty`]) and the executing
-//!   path (`two_phase_execute_ft`) derive their behaviour from, so the
-//!   model and the byte path cannot drift apart.
+//!   path (the fault-tolerant scatter of `pvr-core`'s message-passing
+//!   executor) derive their behaviour from, so the model and the byte
+//!   path cannot drift apart.
 //!
 //! Everything here advances a *virtual* clock (seconds in the returned
 //! accounting); nothing sleeps.

@@ -39,6 +39,6 @@ pub use model::StorageModel;
 pub use prefetch::{read_extents, IoThrottle, Prefetch};
 pub use server::{StoreReport, StripedStore};
 pub use twophase::{
-    two_phase_execute, two_phase_execute_ft, two_phase_plan, two_phase_write, CollectiveHints,
-    FtExecResult, IoPlan, Piece, RankRequest, ScatterPlan,
+    two_phase_execute, two_phase_plan, two_phase_write, CollectiveHints, IoPlan, Piece,
+    RankRequest, ScatterPlan,
 };

@@ -104,33 +104,6 @@ impl StorageModel {
             + per_aggr_accesses as f64 * self.access_overhead
     }
 
-    /// [`StorageModel::read_time`] against a degraded fabric: only
-    /// `avail_frac` of the storage servers are healthy (the aggregate
-    /// bandwidth scales with the surviving fraction) and recovery spent
-    /// `extra_delay` seconds of serial retry/backoff on the critical
-    /// path. `avail_frac = 1.0, extra_delay = 0.0` reproduces
-    /// `read_time` exactly.
-    pub fn read_time_degraded(
-        &self,
-        physical_bytes: u64,
-        accesses: usize,
-        io_nodes: usize,
-        aggregators: usize,
-        avail_frac: f64,
-        extra_delay: f64,
-    ) -> f64 {
-        if physical_bytes == 0 {
-            return self.open_cost + extra_delay;
-        }
-        let bw = self.aggregate_bandwidth(physical_bytes, io_nodes, aggregators)
-            * avail_frac.clamp(1e-3, 1.0);
-        let per_aggr_accesses = accesses.div_ceil(aggregators.max(1));
-        self.open_cost
-            + physical_bytes as f64 / bw
-            + per_aggr_accesses as f64 * self.access_overhead
-            + extra_delay
-    }
-
     /// Seconds for the exchange phase that redistributes `bytes` from
     /// aggregators to the ranks that own them. The traffic is spread
     /// over the partition's torus; at the paper's scales it is a small
@@ -211,16 +184,6 @@ mod tests {
         let fast = m.read_time(1 << 30, 10, 8, 8);
         let slow = m.read_time(1 << 30, 100_000, 8, 8);
         assert!(slow > fast + 1.0, "fast {fast} slow {slow}");
-    }
-
-    #[test]
-    fn degraded_read_time_reduces_to_plain_when_healthy() {
-        let m = StorageModel::default();
-        let plain = m.read_time(1 << 30, 500, 16, 128);
-        let healthy = m.read_time_degraded(1 << 30, 500, 16, 128, 1.0, 0.0);
-        assert!((plain - healthy).abs() < 1e-12);
-        let degraded = m.read_time_degraded(1 << 30, 500, 16, 128, 0.5, 0.25);
-        assert!(degraded > plain + 0.25);
     }
 
     #[test]

@@ -317,15 +317,6 @@ impl ScatterPlan {
         j * nranks / self.plan.num_aggregators
     }
 
-    /// The window accesses hosted by `rank` (of `nranks`), in plan
-    /// order.
-    pub fn accesses_of(&self, rank: usize, nranks: usize) -> impl Iterator<Item = &Access> {
-        self.plan
-            .accesses
-            .iter()
-            .filter(move |a| self.aggregator_rank(a.aggregator, nranks) == rank)
-    }
-
     /// The exchange pieces of one window, in ascending-run order — the
     /// fan-out every scatter implementation walks. Runs can span
     /// adjacent windows, so each piece is the (nonempty) window∩run
@@ -394,80 +385,6 @@ pub fn two_phase_execute_traced(
     hints: &CollectiveHints,
     tracer: &pvr_obs::Tracer,
 ) -> std::io::Result<ExecResult> {
-    execute_windows(file, requests, num_aggregators, hints, tracer, None).map(|r| r.exec)
-}
-
-/// Result of a fault-tolerant collective read (see
-/// [`two_phase_execute_ft`]).
-#[derive(Debug)]
-pub struct FtExecResult {
-    /// The plain execution result; bytes a down server could not serve
-    /// read as zero in `rank_bytes`.
-    pub exec: ExecResult,
-    /// Merged recovery accounting over all windows: retries, failovers,
-    /// failover bytes, unrecoverable ranges, virtual backoff delay.
-    pub audit: crate::fault::WindowAudit,
-    /// Per-rank bytes that stayed unrecoverable (overlap of the rank's
-    /// runs with the lost ranges).
-    pub rank_unrecovered: Vec<u64>,
-}
-
-impl FtExecResult {
-    /// Fraction of each rank's useful bytes that were actually served.
-    pub fn rank_quality(&self, requests: &[RankRequest]) -> Vec<f64> {
-        requests
-            .iter()
-            .zip(&self.rank_unrecovered)
-            .map(|(rq, &lost)| {
-                let useful = rq.useful_bytes();
-                if useful == 0 {
-                    1.0
-                } else {
-                    1.0 - lost as f64 / useful as f64
-                }
-            })
-            .collect()
-    }
-}
-
-/// [`two_phase_execute`] against a faulted [`StripedStore`]: every
-/// window is audited with [`crate::fault::window_fault_audit`]; pieces
-/// a down primary holds are retried, then read from the stripe replica
-/// (the replica holds the same bytes, so the data still comes from the
-/// local file — failover shows up in the *accounting*), and pieces with
-/// no live replica are zero-filled and reported per rank. With healthy
-/// faults this is the plain path: same plan, same bytes, empty audit.
-///
-/// [`StripedStore`]: crate::server::StripedStore
-pub fn two_phase_execute_ft(
-    file: &mut File,
-    requests: &[RankRequest],
-    num_aggregators: usize,
-    hints: &CollectiveHints,
-    store: &crate::server::StripedStore,
-    faults: &crate::fault::ServerFaults,
-    rec: &crate::fault::IoRecovery,
-) -> std::io::Result<FtExecResult> {
-    let tracer = pvr_obs::Tracer::disabled();
-    let audit = Some((store, faults, rec));
-    execute_windows(file, requests, num_aggregators, hints, &tracer, audit)
-}
-
-/// The one window loop behind every collective read: read each window,
-/// scatter it to the runs overlapping it, and — when a faulted store is
-/// given — audit the window first and zero-fill what no replica serves.
-fn execute_windows(
-    file: &mut File,
-    requests: &[RankRequest],
-    num_aggregators: usize,
-    hints: &CollectiveHints,
-    tracer: &pvr_obs::Tracer,
-    faulted: Option<(
-        &crate::server::StripedStore,
-        &crate::fault::ServerFaults,
-        &crate::fault::IoRecovery,
-    )>,
-) -> std::io::Result<FtExecResult> {
     let nranks = requests.len();
     let sp = ScatterPlan::build(requests, num_aggregators, hints);
 
@@ -476,8 +393,6 @@ fn execute_windows(
         .map(|rq| vec![0u8; rq.out_elems * ELEM_SIZE as usize])
         .collect();
 
-    let mut audit = crate::fault::WindowAudit::default();
-    let mut rank_unrecovered = vec![0u64; nranks];
     let mut exchange_bytes = 0u64;
     let mut buf: Vec<u8> = Vec::new();
     for a in &sp.plan.accesses {
@@ -488,17 +403,9 @@ fn execute_windows(
             "io.window",
             pvr_obs::Args::two("offset", w.offset, "bytes", w.len),
         );
-        let wa = faulted
-            .map(|(store, faults, rec)| crate::fault::window_fault_audit(store, faults, rec, w));
         buf.resize(w.len as usize, 0);
         file.seek(SeekFrom::Start(w.offset))?;
         file.read_exact(&mut buf)?;
-        // Bytes with no live replica never arrive: zero-fill them.
-        let lost = wa.as_ref().map_or(&[][..], |wa| &wa.unrecoverable[..]);
-        for l in lost {
-            let lo = (l.offset - w.offset) as usize;
-            buf[lo..lo + l.len as usize].fill(0);
-        }
         // Scatter the window to every run overlapping it.
         for p in sp.pieces_in(w) {
             rank_bytes[p.rank][p.out_byte..p.out_byte + p.len()]
@@ -506,26 +413,13 @@ fn execute_windows(
             if p.rank != host {
                 exchange_bytes += p.len() as u64;
             }
-            let piece = Extent::new(p.file_lo, p.file_hi - p.file_lo);
-            for l in lost {
-                if let Some(x) = l.intersect(&piece) {
-                    rank_unrecovered[p.rank] += x.len;
-                }
-            }
-        }
-        if let Some(wa) = &wa {
-            audit.merge(wa);
         }
     }
 
-    Ok(FtExecResult {
-        exec: ExecResult {
-            rank_bytes,
-            plan: sp.plan,
-            exchange_bytes,
-        },
-        audit,
-        rank_unrecovered,
+    Ok(ExecResult {
+        rank_bytes,
+        plan: sp.plan,
+        exchange_bytes,
     })
 }
 
@@ -924,102 +818,6 @@ mod tests {
         let file = std::fs::read(&path).unwrap();
         assert!(file[..2048].iter().all(|&b| b == 7));
         assert!(file[2048..].iter().all(|&b| b == 9));
-    }
-
-    #[test]
-    fn ft_execute_matches_plain_on_healthy_store_and_degrades_cleanly() {
-        use crate::fault::{IoRecovery, ServerFaults};
-        use crate::server::StripedStore;
-
-        let dir = std::env::temp_dir().join(format!("pvr-pfs-ft-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ft.bin");
-        let data: Vec<u8> = (0..65536u32).map(|i| (i % 251).max(1) as u8).collect();
-        std::fs::write(&path, &data).unwrap();
-
-        let mk = |off: u64, elems: usize, out: usize| PlacedRun {
-            file_offset: off,
-            elems,
-            out_start: out,
-        };
-        let requests = vec![
-            RankRequest {
-                runs: vec![mk(0, 1024, 0)],
-                out_elems: 1024,
-            },
-            RankRequest {
-                runs: vec![mk(8192, 1024, 0)],
-                out_elems: 1024,
-            },
-        ];
-        let hints = CollectiveHints {
-            cb_buffer_size: 4096,
-            cb_nodes: None,
-        };
-        let store = StripedStore {
-            servers: 4,
-            stripe_unit: 1024,
-            server_bw: 100e6,
-            request_overhead: 1e-3,
-        };
-
-        // Healthy: byte-for-byte the plain path, empty audit.
-        let mut f = File::open(&path).unwrap();
-        let plain = two_phase_execute(&mut f, &requests, 2, &hints).unwrap();
-        let mut f = File::open(&path).unwrap();
-        let healthy = two_phase_execute_ft(
-            &mut f,
-            &requests,
-            2,
-            &hints,
-            &store,
-            &ServerFaults::none(4),
-            &IoRecovery::default(),
-        )
-        .unwrap();
-        assert_eq!(healthy.exec.rank_bytes, plain.rank_bytes);
-        assert_eq!(healthy.audit.retries, 0);
-        assert_eq!(healthy.rank_unrecovered, vec![0, 0]);
-
-        // Server 0 down, failover on: replica serves the same bytes.
-        let mut faults = ServerFaults::none(4);
-        faults.set_down(0);
-        let mut f = File::open(&path).unwrap();
-        let failed_over = two_phase_execute_ft(
-            &mut f,
-            &requests,
-            2,
-            &hints,
-            &store,
-            &faults,
-            &IoRecovery::default(),
-        )
-        .unwrap();
-        assert_eq!(failed_over.exec.rank_bytes, plain.rank_bytes);
-        assert!(failed_over.audit.failover_bytes > 0);
-        assert!(failed_over.audit.retries > 0);
-        assert_eq!(failed_over.rank_unrecovered, vec![0, 0]);
-
-        // Server 0 down, no recovery: its stripes read as zero and the
-        // loss is attributed to the requesting ranks.
-        let mut f = File::open(&path).unwrap();
-        let lost = two_phase_execute_ft(
-            &mut f,
-            &requests,
-            2,
-            &hints,
-            &store,
-            &faults,
-            &IoRecovery::none(),
-        )
-        .unwrap();
-        assert!(lost.audit.unrecovered_bytes() > 0);
-        let q = lost.rank_quality(&requests);
-        assert!(q.iter().any(|&x| x < 1.0));
-        // Rank 0's first stripe (offsets [0, 1024)) lives on server 0.
-        assert!(lost.exec.rank_bytes[0][..1024].iter().all(|&b| b == 0));
-        assert_eq!(lost.rank_unrecovered[0] % 1024, 0);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
