@@ -171,10 +171,11 @@ pub fn composite_direct_send_traced(
 }
 
 /// Blend received fragments into a compositor's tile buffer in the
-/// canonical `(depth, renderer)` order. Both message-passing link modes
-/// (plain and fault-tolerant) blend through this one function, so a
-/// frame's pixels cannot depend on message arrival order — the property
-/// the bit-identity and recovery tests pin.
+/// canonical `(depth, renderer)` order. Every message-passing tile,
+/// with or without a fault plan, seals through this one function
+/// ([`crate::TileAssembly`]), so a frame's pixels cannot depend on
+/// message arrival order — the property the bit-identity and recovery
+/// tests pin.
 ///
 /// Every fragment must already be cropped to `tile`.
 pub fn blend_fragments(tile: PixelRect, mut frags: Vec<(usize, SubImage)>) -> SubImage {

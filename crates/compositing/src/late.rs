@@ -34,30 +34,43 @@ pub enum InsertOutcome {
     Unexpected,
 }
 
+/// What became of one expected fragment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    Missing,
+    /// Its adopter ran out of budget: stop waiting, count it absent.
+    Refused,
+    Arrived,
+}
+
 /// One compositor tile's open late-arrival epoch.
 #[derive(Debug)]
-pub struct TileAssembly {
+pub struct TileAssembly<'a> {
     tile: usize,
     rect: PixelRect,
-    /// `(renderer, expected_pixels)` per scheduled fragment.
-    expected: Vec<(usize, f64)>,
-    /// Arrived fragments: `(renderer, quality, pixels)`.
+    /// `(renderer, expected_pixels)` per scheduled fragment, ascending
+    /// by renderer (the order of `FrameShared::sources_of`).
+    expected: &'a [(usize, f64)],
+    /// Per expected fragment, in the same order.
+    slots: Vec<Slot>,
+    /// How many slots are still `Missing`.
+    outstanding: usize,
+    /// Arrived fragments, in arrival order: `(renderer, quality, pixels)`.
     frags: Vec<(usize, f64, SubImage)>,
-    /// Renderers that explicitly refused (budget-exhausted adopter):
-    /// stop waiting for them, count them absent.
-    refused: Vec<usize>,
     sealed: Option<SubImage>,
     pub duplicates: u64,
 }
 
-impl TileAssembly {
-    pub fn new(tile: usize, rect: PixelRect, expected: Vec<(usize, f64)>) -> TileAssembly {
+impl<'a> TileAssembly<'a> {
+    pub fn new(tile: usize, rect: PixelRect, expected: &'a [(usize, f64)]) -> TileAssembly<'a> {
+        debug_assert!(expected.windows(2).all(|w| w[0].0 < w[1].0));
         TileAssembly {
             tile,
             rect,
             expected,
-            frags: Vec::new(),
-            refused: Vec::new(),
+            slots: vec![Slot::Missing; expected.len()],
+            outstanding: expected.len(),
+            frags: Vec::with_capacity(expected.len()),
             sealed: None,
             duplicates: 0,
         }
@@ -71,17 +84,28 @@ impl TileAssembly {
         self.rect
     }
 
+    /// Index of `renderer` among the expected fragments.
+    fn slot_of(&self, renderer: usize) -> Option<usize> {
+        self.expected
+            .binary_search_by_key(&renderer, |(r, _)| *r)
+            .ok()
+    }
+
     /// Offer a fragment (already cropped to the tile rect). Re-opens a
     /// sealed tile when the fragment is fresh.
     pub fn insert(&mut self, renderer: usize, quality: f64, frag: SubImage) -> InsertOutcome {
-        if !self.expected.iter().any(|(r, _)| *r == renderer) {
+        let Some(i) = self.slot_of(renderer) else {
             return InsertOutcome::Unexpected;
+        };
+        match self.slots[i] {
+            Slot::Arrived => {
+                self.duplicates += 1;
+                return InsertOutcome::Duplicate;
+            }
+            Slot::Missing => self.outstanding -= 1,
+            Slot::Refused => {}
         }
-        if self.frags.iter().any(|(r, _, _)| *r == renderer) {
-            self.duplicates += 1;
-            return InsertOutcome::Duplicate;
-        }
-        self.refused.retain(|r| *r != renderer);
+        self.slots[i] = Slot::Arrived;
         self.frags.push((renderer, quality, frag));
         self.sealed = None;
         InsertOutcome::Fresh
@@ -90,27 +114,27 @@ impl TileAssembly {
     /// Record that `renderer`'s fragment will never arrive (its adopter
     /// ran out of budget): the tile stops waiting for it.
     pub fn refuse(&mut self, renderer: usize) {
-        if self.frags.iter().any(|(r, _, _)| *r == renderer) {
-            return;
-        }
-        if !self.refused.contains(&renderer) {
-            self.refused.push(renderer);
+        if let Some(i) = self.slot_of(renderer) {
+            if self.slots[i] == Slot::Missing {
+                self.slots[i] = Slot::Refused;
+                self.outstanding -= 1;
+            }
         }
     }
 
     /// Renderers still outstanding: expected, not arrived, not refused.
     pub fn missing(&self) -> Vec<usize> {
-        self.expected
-            .iter()
-            .map(|(r, _)| *r)
-            .filter(|r| !self.frags.iter().any(|(fr, _, _)| fr == r) && !self.refused.contains(r))
+        let slots = self.expected.iter().zip(&self.slots);
+        slots
+            .filter(|(_, s)| **s == Slot::Missing)
+            .map(|((r, _), _)| *r)
             .collect()
     }
 
     /// True when nothing is outstanding (every expected fragment either
     /// arrived or was refused).
     pub fn settled(&self) -> bool {
-        self.missing().is_empty()
+        self.outstanding == 0
     }
 
     /// Expected blended area of the tile.
@@ -125,17 +149,10 @@ impl TileAssembly {
 
     /// Blended area that actually arrived, quality-weighted.
     pub fn arrived_area(&self) -> f64 {
+        let px = |r: &usize| self.slot_of(*r).map_or(0.0, |i| self.expected[i].1);
         self.frags
             .iter()
-            .map(|(r, q, _)| {
-                let px = self
-                    .expected
-                    .iter()
-                    .find(|(er, _)| er == r)
-                    .map(|(_, px)| *px)
-                    .unwrap_or(0.0);
-                px * q.clamp(0.0, 1.0)
-            })
+            .map(|(r, q, _)| px(r) * q.clamp(0.0, 1.0))
             .sum()
     }
 
@@ -148,6 +165,15 @@ impl TileAssembly {
             self.sealed = Some(blend_fragments(self.rect, frags));
         }
         self.sealed.as_ref().expect("just sealed")
+    }
+
+    /// Seal for the last time: the blend itself, with the fragments
+    /// moved into it rather than cloned.
+    pub fn into_blend(self) -> SubImage {
+        self.sealed.unwrap_or_else(|| {
+            let frags = self.frags.into_iter().map(|(r, _, f)| (r, f)).collect();
+            blend_fragments(self.rect, frags)
+        })
     }
 }
 
@@ -172,14 +198,14 @@ mod tests {
     fn seal_reopen_late_equals_one_shot_blend() {
         let expected = vec![(0usize, 8.0f64), (1, 8.0), (2, 8.0)];
         // One-shot: all three fragments up front.
-        let mut oneshot = TileAssembly::new(0, rect(), expected.clone());
+        let mut oneshot = TileAssembly::new(0, rect(), &expected);
         for r in 0..3usize {
             oneshot.insert(r, 1.0, frag(r, rect(), r as f64, 0.1 + r as f32 * 0.2));
         }
-        let want = oneshot.seal().pixels.clone();
+        let want = oneshot.into_blend().pixels;
 
         // Incremental: seal early, then a late arrival re-opens.
-        let mut inc = TileAssembly::new(0, rect(), expected);
+        let mut inc = TileAssembly::new(0, rect(), &expected);
         inc.insert(0, 1.0, frag(0, rect(), 0.0, 0.1));
         inc.insert(2, 1.0, frag(2, rect(), 2.0, 0.5));
         let early = inc.seal().pixels.clone();
@@ -193,11 +219,12 @@ mod tests {
         );
         assert!(inc.settled());
         assert_eq!(inc.seal().pixels, want);
+        assert_eq!(inc.into_blend().pixels, want);
     }
 
     #[test]
     fn first_wins_dedup_and_unexpected_rejection() {
-        let mut t = TileAssembly::new(3, rect(), vec![(5, 8.0), (7, 8.0)]);
+        let mut t = TileAssembly::new(3, rect(), &[(5, 8.0), (7, 8.0)]);
         assert_eq!(
             t.insert(5, 1.0, frag(5, rect(), 0.0, 0.2)),
             InsertOutcome::Fresh
@@ -214,11 +241,20 @@ mod tests {
         );
         assert_eq!(t.missing(), vec![7]);
         assert!(!t.settled());
+        // Refusals by a stranger or for an arrived fragment count for
+        // nothing; a repeated one counts once.
+        t.refuse(9);
+        t.refuse(5);
+        assert!(!t.settled());
+        t.refuse(7);
+        t.refuse(7);
+        assert!(t.settled());
+        assert!(t.missing().is_empty());
     }
 
     #[test]
     fn refusal_settles_without_content_and_loses_to_a_real_fragment() {
-        let mut t = TileAssembly::new(0, rect(), vec![(1, 8.0), (2, 8.0)]);
+        let mut t = TileAssembly::new(0, rect(), &[(1, 8.0), (2, 8.0)]);
         t.insert(1, 1.0, frag(1, rect(), 0.0, 0.2));
         t.refuse(2);
         assert!(t.settled());
@@ -234,7 +270,7 @@ mod tests {
 
     #[test]
     fn quality_weights_arrived_area() {
-        let mut t = TileAssembly::new(0, rect(), vec![(1, 10.0)]);
+        let mut t = TileAssembly::new(0, rect(), &[(1, 10.0)]);
         t.insert(1, 0.5, frag(1, rect(), 0.0, 0.2));
         assert_eq!(t.arrived_area(), 5.0);
     }

@@ -17,8 +17,9 @@
 //!   animation (`scheduler::run_world`, the launcher a single
 //!   frame also goes through). Each rank walks the frames in order;
 //!   message tags move up one [`crate::scheduler::EPOCH_STRIDE`] epoch
-//!   per time step ([`FrameTags`]), so in-flight traffic of adjacent
-//!   frames can never collide. An after-`Read` hook launches the next
+//!   per time step ([`crate::scheduler::FrameTags`]), so in-flight
+//!   traffic of adjacent frames can never collide. An after-`Read` hook
+//!   launches the next
 //!   frame's window prefetch (`pvr_pfs::read_extents` over the rank's
 //!   window extents) the moment the current read hands off — file reads
 //!   only, no communication, so the protocol is untouched.
@@ -27,25 +28,25 @@
 //! the animation holds at most **2×** one time step's subvolumes (the
 //! live frame plus the next frame's buffers).
 //!
-//! Fault plans compose per frame ([`AnimFaults`]): an injector keyed by
-//! tag epoch routes each frame's traffic to that frame's own plan, so a
-//! crash while frame `t+1` is already prefetched degrades frame `t`
-//! only — the prefetched bytes belong to a healthy later epoch.
+//! Fault plans compose per frame ([`AnimFaults`]): the launcher's
+//! injector, keyed by tag epoch, routes each frame's traffic to that
+//! frame's own plan, so a crash while frame `t+1` is already prefetched
+//! degrades frame `t` only — the prefetched bytes belong to a healthy
+//! later epoch.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
 use pvr_compositing::completeness::CompletenessMap;
-use pvr_faults::{FaultPlan, PlanInjector, RecoveryPolicy};
-use pvr_mpisim::fault::{FaultInjector, SendFate};
+use pvr_faults::{FaultPlan, RecoveryPolicy};
 use pvr_obs::{Args, Tracer};
 use pvr_pfs::{IoThrottle, Prefetch};
 
 use crate::config::FrameConfig;
 use crate::pipeline::{read_frame_bytes, write_dataset, FrameError, FrameResult};
 use crate::scheduler::{
-    assemble_frame, execute, run_world, FrameInput, FrameShared, FrameTags, LinkMode, RayonExec,
+    assemble_frame, execute, run_world, FrameFaults, FrameInput, FrameShared, RayonExec,
 };
 
 /// Which executor runs the animation.
@@ -335,10 +336,7 @@ fn run_rayon(
                 .take()
                 .expect("one prefetch is always in flight")
                 .join()
-                .map_err(|source| FrameError::Io {
-                    path: path.clone(),
-                    source,
-                })?;
+                .map_err(|e| FrameError::io(path, e))?;
             // Launch t+1's read before touching frame t: the whole frame
             // (decode, render, composite) overlaps the next read.
             if t + 1 < paths.len() {
@@ -353,63 +351,36 @@ fn run_rayon(
     })
 }
 
-/// Routes each tag epoch's traffic to that frame's own plan injector,
-/// so one long-lived world runs per-frame fault plans. Tags outside
-/// every configured epoch (later healthy frames) are delivered as-is.
-struct EpochInjector {
-    frames: Vec<PlanInjector>,
-}
-
-impl FaultInjector for EpochInjector {
-    fn on_send(&self, src: usize, dst: usize, tag: u32, seq: u64, data: &mut Vec<u8>) -> SendFate {
-        if tag == 0 {
-            return SendFate::Deliver;
-        }
-        match self.frames.get(FrameTags::frame_of(tag)) {
-            Some(inj) => inj.on_send(src, dst, FrameTags::base_of(tag), seq, data),
-            None => SendFate::Deliver,
-        }
-    }
-}
-
 fn run_mpi(
     cfg: &FrameConfig,
     paths: &[PathBuf],
     opts: &AnimOptions,
     run_opts: pvr_mpisim::RunOptions,
 ) -> Result<AnimResult, FrameError> {
-    let nf = paths.len();
-
-    // One link mode per frame, fault state derived up front.
-    let links: Vec<LinkMode> = match &opts.faults {
-        None => (0..nf).map(|_| LinkMode::Direct).collect(),
-        Some(f) => (0..nf)
+    // One fault state per frame, derived up front; frames past the last
+    // plan run healthy under the same policy.
+    let faults: Option<Vec<FrameFaults>> = opts.faults.as_ref().map(|f| {
+        (0..paths.len())
             .map(|t| {
                 let plan = f.plans.get(t).cloned().unwrap_or_else(FaultPlan::none);
-                LinkMode::reliable(plan, f.policy)
+                FrameFaults::new(plan, f.policy)
             })
-            .collect(),
-    };
-    let run_opts = if opts.faults.is_some() {
-        run_opts.with_injector(Arc::new(EpochInjector {
-            frames: links.iter().filter_map(LinkMode::injector).collect(),
-        }))
-    } else {
-        run_opts
-    };
+            .collect()
+    });
+    let faults = faults.as_deref();
 
     let t0 = Instant::now();
     let shared = FrameShared::new(cfg);
     let (throttle, pipelined) = (opts.throttle, opts.pipelined);
-    let out = run_world(cfg, &shared, paths, &links, run_opts, throttle, pipelined)?;
+    let out = run_world(cfg, &shared, paths, faults, run_opts, throttle, pipelined)?;
     // Assemble each frame exactly as the single-frame driver would.
     let frames = out
         .frames
         .into_iter()
-        .zip(&links)
-        .map(|(col, links)| {
+        .enumerate()
+        .map(|(t, col)| {
             let (result, completeness) =
-                assemble_frame(cfg, &shared, col, links, None, &opts.flight);
+                assemble_frame(cfg, &shared, col, faults.map(|f| &f[t]), None, &opts.flight);
             AnimFrame {
                 result,
                 completeness,

@@ -151,7 +151,7 @@ impl FrameResult {
 #[derive(Debug)]
 pub enum FrameError {
     /// The message-passing world itself failed (deadlock report or
-    /// watchdog stall) — under either link protocol this indicates a
+    /// watchdog stall) — with or without a fault plan this indicates a
     /// bug, and the recovery proptests assert it never happens.
     Runtime(pvr_mpisim::RunError),
     /// The dataset could not be opened or read in full.
@@ -159,6 +159,15 @@ pub enum FrameError {
         path: PathBuf,
         source: std::io::Error,
     },
+}
+
+impl FrameError {
+    pub(crate) fn io(path: &Path, source: std::io::Error) -> FrameError {
+        FrameError::Io {
+            path: path.to_path_buf(),
+            source,
+        }
+    }
 }
 
 impl std::fmt::Display for FrameError {
@@ -394,24 +403,56 @@ pub mod tags {
     ];
 }
 
-/// Serialize a subimage fragment: renderer id, rect, depth, pixels.
 /// Fragment wire format tags: dense rows vs run-length sparse spans.
 const FRAG_DENSE: u64 = 0;
 const FRAG_SPARSE: u64 = 1;
 
-/// Encode a fragment for the message-passing exchange, choosing dense
-/// or sparse (run-length spans of non-transparent pixels, see
-/// [`pvr_compositing::sparse`]) per fragment by actual encoded size.
-/// The sparse body round-trips bit-identically: elided pixels decode to
-/// `[0.0; 4]`, which is what they were.
-pub(crate) fn encode_fragment(renderer: usize, s: &SubImage) -> Vec<u8> {
+/// A message that starts with `header`'s little-endian words, with room
+/// for `payload` more bytes. Every message of the frame protocol is
+/// such a header and a payload; [`Words`] reads the header back.
+fn with_header(header: &[u64], payload: usize) -> Vec<u8> {
+    let mut msg = Vec::with_capacity(header.len() * 8 + payload);
+    for word in header {
+        msg.extend_from_slice(&word.to_le_bytes());
+    }
+    msg
+}
+
+/// Reader of the header words at the front of a message body.
+struct Words<'a>(&'a [u8]);
+
+impl Words<'_> {
+    fn u64(&mut self) -> u64 {
+        let (word, rest) = self
+            .0
+            .split_first_chunk()
+            .expect("message header cut short");
+        self.0 = rest;
+        u64::from_le_bytes(*word)
+    }
+
+    fn index(&mut self) -> usize {
+        self.u64() as usize
+    }
+
+    fn f64(&mut self) -> f64 {
+        f64::from_bits(self.u64())
+    }
+}
+
+/// Encode a fragment behind `header`: renderer id, rect, depth, then
+/// the pixels dense or sparse (run-length spans of non-transparent
+/// pixels, see [`pvr_compositing::sparse`]), chosen per fragment by
+/// actual encoded size. The sparse body round-trips bit-identically:
+/// elided pixels decode to `[0.0; 4]`, which is what they were.
+fn encode_fragment(header: &[u64], renderer: usize, s: &SubImage) -> Vec<u8> {
     let sparse = pvr_compositing::SparseSubImage::encode(s);
     let dense_body = s.pixels.len() * 16;
     // Real encoded body sizes: per row a span count, per span a start
     // offset + length, per kept pixel four f32s.
     let sparse_body = s.rect.h * 8 + sparse.num_spans() * 16 + sparse.payload_pixels() * 16;
 
-    let mut out = Vec::with_capacity(56 + dense_body.min(sparse_body));
+    let mut out = with_header(header, 56 + dense_body.min(sparse_body));
     out.extend((renderer as u64).to_le_bytes());
     out.extend((s.rect.x0 as u64).to_le_bytes());
     out.extend((s.rect.y0 as u64).to_le_bytes());
@@ -443,58 +484,121 @@ pub(crate) fn encode_fragment(renderer: usize, s: &SubImage) -> Vec<u8> {
     out
 }
 
-pub(crate) fn decode_fragment(data: &[u8]) -> (usize, SubImage) {
-    let u = |i: usize| u64::from_le_bytes(data[i * 8..i * 8 + 8].try_into().unwrap()) as usize;
-    let renderer = u(0);
-    let rect = pvr_render::image::PixelRect::new(u(1), u(2), u(3), u(4));
-    let depth = f64::from_le_bytes(data[40..48].try_into().unwrap());
-    let tag = u(6) as u64;
-    let body = &data[56..];
+fn decode_fragment(data: &[u8]) -> (usize, SubImage) {
+    let mut h = Words(data);
+    let renderer = h.index();
+    let rect = pvr_render::image::PixelRect::new(h.index(), h.index(), h.index(), h.index());
+    let (depth, tag) = (h.f64(), h.u64());
     let pix = |q: &[u8]| -> [f32; 4] {
-        [
-            f32::from_le_bytes(q[0..4].try_into().unwrap()),
-            f32::from_le_bytes(q[4..8].try_into().unwrap()),
-            f32::from_le_bytes(q[8..12].try_into().unwrap()),
-            f32::from_le_bytes(q[12..16].try_into().unwrap()),
-        ]
+        std::array::from_fn(|c| {
+            f32::from_le_bytes([q[4 * c], q[4 * c + 1], q[4 * c + 2], q[4 * c + 3]])
+        })
     };
     let pixels = match tag {
-        FRAG_DENSE => body.chunks_exact(16).map(pix).collect(),
+        FRAG_DENSE => h.0.chunks_exact(16).map(pix).collect(),
         FRAG_SPARSE => {
             let mut pixels = vec![[0.0f32; 4]; rect.num_pixels()];
-            let mut off = 0usize;
-            let word =
-                |off: usize| u64::from_le_bytes(body[off..off + 8].try_into().unwrap()) as usize;
             for y in 0..rect.h {
-                let nspans = word(off);
-                off += 8;
-                for _ in 0..nspans {
-                    let x0 = word(off);
-                    let len = word(off + 8);
-                    off += 16;
-                    for k in 0..len {
-                        pixels[y * rect.w + x0 + k] = pix(&body[off..off + 16]);
-                        off += 16;
+                for _ in 0..h.index() {
+                    let (x0, len) = (h.index(), h.index());
+                    let (span, rest) = h.0.split_at(len * 16);
+                    let row = &mut pixels[y * rect.w + x0..][..len];
+                    for (p, q) in row.iter_mut().zip(span.chunks_exact(16)) {
+                        *p = pix(q);
                     }
+                    h.0 = rest;
                 }
             }
             pixels
         }
         t => panic!("unknown fragment format tag {t}"),
     };
-    (
-        renderer,
-        SubImage {
-            rect,
-            pixels,
-            depth,
-        },
-    )
+    let sub = SubImage {
+        rect,
+        pixels,
+        depth,
+    };
+    (renderer, sub)
+}
+
+// The five message kinds of the frame protocol, one encode/decode pair
+// each. Fault-free and faulted frames exchange the same bodies (a
+// fault-free one reports `hole = 0`, `quality = 1`, `arrived =
+// expected`); the reliable link adds its own frame around them.
+
+/// Scatter piece: `[dst, len, hole]`, then `len` bytes bound for byte
+/// `dst` of the receiver's buffer, `hole` of which no retry or replica
+/// could serve (they travel as zeros).
+pub(crate) fn encode_piece(dst: usize, hole: u64, bytes: &[u8]) -> Vec<u8> {
+    let mut msg = with_header(&[dst as u64, bytes.len() as u64, hole], bytes.len());
+    msg.extend(bytes);
+    msg
+}
+
+pub(crate) fn decode_piece(body: &[u8]) -> (usize, u64, &[u8]) {
+    let mut h = Words(body);
+    let (dst, len, hole) = (h.index(), h.index(), h.u64());
+    (dst, hole, &h.0[..len])
+}
+
+/// Fragment: `[quality]` — the fraction of the renderer's input bytes
+/// that arrived intact — then the fragment.
+pub(crate) fn encode_fragment_msg(quality: f64, renderer: usize, frag: &SubImage) -> Vec<u8> {
+    encode_fragment(&[quality.to_bits()], renderer, frag)
+}
+
+pub(crate) fn decode_fragment_msg(body: &[u8]) -> (f64, usize, SubImage) {
+    let mut h = Words(body);
+    let quality = h.f64();
+    let (renderer, frag) = decode_fragment(h.0);
+    (quality, renderer, frag)
+}
+
+/// Finished tile: `[tile, expected, arrived]` — its quality-weighted
+/// arrived area out of the expected one — then the blend.
+pub(crate) fn encode_tile(tile: usize, expected: f64, arrived: f64, blend: &SubImage) -> Vec<u8> {
+    let header = [tile as u64, expected.to_bits(), arrived.to_bits()];
+    encode_fragment(&header, tile, blend)
+}
+
+pub(crate) fn decode_tile(body: &[u8]) -> (usize, f64, f64, SubImage) {
+    let mut h = Words(body);
+    let (tile, expected, arrived) = (h.index(), h.f64(), h.f64());
+    (tile, expected, arrived, decode_fragment(h.0).1)
+}
+
+/// Adoption request: `[orphan, tile]`.
+pub(crate) fn encode_adopt(orphan: usize, tile: usize) -> Vec<u8> {
+    with_header(&[orphan as u64, tile as u64], 0)
+}
+
+pub(crate) fn decode_adopt(body: &[u8]) -> (usize, usize) {
+    let mut h = Words(body);
+    (h.index(), h.index())
+}
+
+/// Late reply: `[orphan, tile, 0, quality]` and the adopted block's
+/// fragment of the tile, or the refusal `[orphan, tile, 1]`.
+pub(crate) fn encode_late(orphan: usize, tile: usize, frag: Option<(f64, &SubImage)>) -> Vec<u8> {
+    let (orphan_w, tile_w) = (orphan as u64, tile as u64);
+    match frag {
+        Some((quality, f)) => encode_fragment(&[orphan_w, tile_w, 0, quality.to_bits()], orphan, f),
+        None => with_header(&[orphan_w, tile_w, 1], 0),
+    }
+}
+
+pub(crate) fn decode_late(body: &[u8]) -> (usize, usize, Option<(f64, SubImage)>) {
+    let mut h = Words(body);
+    let (orphan, tile, refused) = (h.index(), h.index(), h.u64() != 0);
+    let frag = (!refused).then(|| (h.f64(), decode_fragment(h.0).1));
+    (orphan, tile, frag)
 }
 
 /// Run one frame over real message passing (one thread per rank).
 /// Requires a dataset file. Returns rank 0's result; the image is
-/// identical to [`run_frame`]'s.
+/// identical to [`run_frame`]'s. Panics, naming the file, when the
+/// dataset is missing or shorter than its layout; [`drive_frame`]
+/// returns that as [`FrameError::Io`].
 pub fn run_frame_mpi(cfg: &FrameConfig, path: &Path) -> FrameResult {
     match run_frame_mpi_sim(cfg, path, pvr_mpisim::RunOptions::default()) {
         Ok((frame, _)) => frame,
@@ -555,6 +659,53 @@ mod tests {
         let d = std::env::temp_dir().join(format!("pvr-core-{}", std::process::id()));
         std::fs::create_dir_all(&d).unwrap();
         d.join(name)
+    }
+
+    /// Every message kind decodes to what was encoded, behind a header
+    /// of the documented length — on a mostly transparent fragment (ships
+    /// sparse) and on a full one (ships dense).
+    #[test]
+    fn wire_messages_round_trip() {
+        let same = |a: &SubImage, b: &SubImage| {
+            (a.rect, a.depth.to_bits(), &a.pixels) == (b.rect, b.depth.to_bits(), &b.pixels)
+        };
+        let piece = encode_piece(40, 7, &[1, 2, 3, 4, 5]);
+        assert_eq!(piece.len(), 24 + 5);
+        assert_eq!(decode_piece(&piece), (40, 7, &[1u8, 2, 3, 4, 5][..]));
+        assert_eq!(encode_adopt(5, 2).len(), 16);
+        assert_eq!(decode_adopt(&encode_adopt(5, 2)), (5, 2));
+        let refusal = encode_late(5, 2, None);
+        assert_eq!(refusal.len(), 24);
+        assert!(matches!(decode_late(&refusal), (5, 2, None)));
+
+        let rect = pvr_render::image::PixelRect::new(3, 5, 6, 4);
+        let mut sparse = SubImage::transparent(rect, 1.25);
+        sparse.pixels[8] = [0.1, 0.2, 0.3, 0.4];
+        sparse.pixels[9] = [0.5, 0.6, 0.7, 0.8];
+        let mut dense = SubImage::transparent(rect, -2.5);
+        for (i, p) in dense.pixels.iter_mut().enumerate() {
+            *p = [i as f32, 0.5, 0.25, 1.0];
+        }
+        let plain = encode_fragment(&[], 9, &dense).len();
+        assert!(encode_fragment(&[], 9, &sparse).len() < plain);
+        for frag in [&sparse, &dense] {
+            let msg = encode_fragment_msg(0.75, 9, frag);
+            assert_eq!(msg.len(), 8 + encode_fragment(&[], 9, frag).len());
+            let (quality, renderer, got) = decode_fragment_msg(&msg);
+            assert_eq!((quality, renderer), (0.75, 9));
+            assert!(same(&got, frag));
+
+            let msg = encode_tile(3, 24.0, 12.5, frag);
+            assert_eq!(msg.len(), 24 + encode_fragment(&[], 3, frag).len());
+            let (tile, expected, arrived, got) = decode_tile(&msg);
+            assert_eq!((tile, expected, arrived), (3, 24.0, 12.5));
+            assert!(same(&got, frag));
+
+            let (orphan, tile, got) = decode_late(&encode_late(5, 2, Some((0.5, frag))));
+            let (quality, got) = got.expect("a fragment, not a refusal");
+            assert_eq!((orphan, tile, quality), (5, 2, 0.5));
+            assert!(same(&got, frag));
+        }
     }
 
     #[test]

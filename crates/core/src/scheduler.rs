@@ -11,12 +11,10 @@
 //!   a `pvr-mpisim` world, [`Driver::mpi`]).
 //! * **Faults** ([`Driver::faults`]): a `FaultPlan` and the
 //!   `RecoveryPolicy` that answers it. The message-passing executor
-//!   turns them into the fault-tolerant link protocol
-//!   ([`LinkMode::Reliable`]: framed acked links, deadline receives,
-//!   orphan adoption); the rayon executor has no links to lose and
-//!   applies the plan's rank faults through the same adoption ladder
-//!   (`recovery::HealPlan`). Either way the frame reports
-//!   per-tile completeness.
+//!   runs its one protocol (below) over acked links; the rayon executor
+//!   has no links to lose and heals the plan's rank faults through the
+//!   same adoption ladder (`recovery::HealPlan`). Either way the frame
+//!   reports per-tile completeness.
 //! * **Tracing** ([`Driver::traced`]): a [`pvr_obs::Tracer`] for the
 //!   rayon executor; the simulator traces through
 //!   `RunOptions::traced()`.
@@ -28,12 +26,34 @@
 //! several frames' traffic stays disjoint in one world. Frame 0 equals
 //! the [`crate::pipeline::tags`] constants, which keeps the golden
 //! traces stable.
+//!
+//! ## One rank protocol
+//!
+//! [`RankExec`] has one body per stage: scatter pieces into the block,
+//! render, send fragments to tiles that seal order-independently
+//! (`TileAssembly`), ship tiles to rank 0 — the wire messages are the
+//! `encode_*`/`decode_*` pairs of [`crate::pipeline`]. A frame carries
+//! a fault state (`FrameFaults`: plan + effective policy) or nothing,
+//! and with nothing it runs the same bodies over pass-through links
+//! (`pvr_faults::link`). Eight places ask which, and nothing else may
+//! (DESIGN §11 has the measurements behind a and b):
+//!
+//! | | where | with a plan | without | why it may ask |
+//! |---|---|---|---|---|
+//! | a | `RankExec::link` | acked `OutBox`/`InBox` | pass-through pair | no loss to repair; acks double the messages |
+//! | b | `Limits` (`RankExec::new`), read by `recv`/`after`/`past` | timed receives under stage deadline, suspicion, drain | blocking receives, every limit "never" | a timer per receive is pure cost; a blocking wait stays visible to the deadlock detector |
+//! | c | `RankExec::stage_end` | no barrier | the paper's stage barrier | a crashed rank can never reach one |
+//! | d | `RankExec::planned` | the plan's rank fault or storage verdict | nothing | no plan, no fault |
+//! | e | `RankExec::open_recovery` | recovery channel, ladder budget, adoption cache | closed: no pump, adoption, `done` broadcast, lingering | only a dead rank needs healing around |
+//! | f | `assemble_frame` | plan incidents, completeness reported | neither | the [`DriveOutput`] contract |
+//! | g | `run_world` | epoch-routed `PlanInjector`s on the transport | none | an injector costs every send a lookup |
+//! | h | `run_world` | resync barrier between frames | none: each frame ends in one | deadline skew must not leak into the next frame |
 
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{Read as _, Seek, SeekFrom};
 use std::ops::ControlFlow;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -42,18 +62,19 @@ use rayon::prelude::*;
 use pvr_compositing::completeness::{CompletenessMap, TileCompleteness};
 use pvr_compositing::directsend::DirectSendStats;
 use pvr_compositing::{
-    blend_fragments, build_schedule, CompositeMessage, ImagePartition, InsertOutcome, Schedule,
-    TileAssembly,
+    build_schedule, CompositeMessage, ImagePartition, InsertOutcome, Schedule, TileAssembly,
 };
 use pvr_faults::{
-    FaultPlan, InBox, OutBox, PlanInjector, RankAction, RecoveryCounters, RecoveryPolicy, Stage,
+    link, FaultPlan, InBox, OutBox, PlanInjector, RankAction, RecoveryCounters, RecoveryPolicy,
+    Stage,
 };
 use pvr_formats::extent::Extent;
 use pvr_formats::{Endian, Subvolume, ELEM_SIZE};
+use pvr_mpisim::fault::{FaultInjector, SendFate};
 use pvr_obs::{FlightRecorder, Tracer};
 use pvr_pfs::{
-    read_extents, window_fault_audit, IoRecovery, IoThrottle, Prefetch, RankRequest, ScatterPlan,
-    ServerFaults, StripedStore,
+    read_extents, window_fault_audit, IoThrottle, Prefetch, RankRequest, ScatterPlan, ServerFaults,
+    StripedStore, WindowAudit,
 };
 use pvr_render::image::{Image, PixelRect, SubImage};
 use pvr_render::raycast::{footprint, render_block, BlockDomain, RenderOpts};
@@ -62,8 +83,10 @@ use pvr_volume::BlockDecomposition;
 
 use crate::config::FrameConfig;
 use crate::pipeline::{
-    decode_fragment, decode_volume, default_view, encode_fragment, rank_requests, read_frame_bytes,
-    render_opts, synthesize_stage, tags, transfer_for, FrameError, FrameResult, IoRunStats,
+    decode_adopt, decode_fragment_msg, decode_late, decode_piece, decode_tile, decode_volume,
+    default_view, encode_adopt, encode_fragment_msg, encode_late, encode_piece, encode_tile,
+    rank_requests, read_frame_bytes, render_opts, synthesize_stage, tags, transfer_for, FrameError,
+    FrameResult, IoRunStats,
 };
 use crate::recovery::{
     adopter_of, effective_policy, heal_costs, HealDecision, HealPlan, RecoveryBudget,
@@ -249,7 +272,7 @@ impl FrameTags {
 }
 
 // ---------------------------------------------------------------------
-// Link modes
+// Fault state
 // ---------------------------------------------------------------------
 
 /// The striped-store description every fault frame audits its reads
@@ -267,58 +290,44 @@ fn laptop_store() -> StripedStore {
     }
 }
 
-/// Everything the fault-tolerant link mode needs, with the derived
-/// fault state precomputed once.
-#[derive(Debug, Clone)]
-pub struct ReliableCfg {
-    pub plan: FaultPlan,
-    pub policy: RecoveryPolicy,
+/// The fault state of one message-passing frame: the plan, the
+/// effective policy that answers it, and the storage fault set derived
+/// from the two. A frame carries one of these or nothing; only the
+/// decision points of the module docs ask which.
+pub(crate) struct FrameFaults {
+    pub(crate) plan: FaultPlan,
+    pub(crate) policy: RecoveryPolicy,
     store: StripedStore,
-    faults: ServerFaults,
-    rec: IoRecovery,
+    servers: ServerFaults,
 }
 
-/// How the message-passing executor moves data: plain blocking sends
-/// and receives with barriers between stages (the paper's
-/// bulk-synchronous frame), or the fault-tolerant protocol — framed
-/// acked links, deadline receives, no barriers, per-tile completeness.
-#[derive(Debug, Clone)]
-pub enum LinkMode {
-    Direct,
-    Reliable(Box<ReliableCfg>),
-}
-
-impl LinkMode {
-    pub fn reliable(plan: FaultPlan, policy: RecoveryPolicy) -> LinkMode {
+impl FrameFaults {
+    pub(crate) fn new(plan: FaultPlan, policy: RecoveryPolicy) -> FrameFaults {
         let store = laptop_store();
-        let faults = plan.server_faults(store.servers);
-        let rec = policy.io_recovery();
-        LinkMode::Reliable(Box::new(ReliableCfg {
+        FrameFaults {
+            servers: plan.server_faults(store.servers),
             plan,
             policy,
             store,
-            faults,
-            rec,
-        }))
-    }
-
-    /// Located incidents of the injected plan: a crash or suspicious
-    /// straggle attributes to its injection site even when hedging kept
-    /// the frame fast. Empty on direct links.
-    fn plan_incidents(&self, n: usize) -> Vec<crate::slo::Incident> {
-        match self {
-            LinkMode::Reliable(rc) => {
-                crate::slo::incidents_from_plan(n, &rc.plan, rc.policy.suspicion)
-            }
-            LinkMode::Direct => Vec::new(),
         }
     }
+}
 
-    /// The transport injector that plays the plan's link faults.
-    pub(crate) fn injector(&self) -> Option<PlanInjector> {
-        match self {
-            LinkMode::Reliable(rc) => Some(PlanInjector::new(rc.plan.clone())),
-            LinkMode::Direct => None,
+/// Routes each tag epoch's traffic to that frame's own plan, so one
+/// long-lived world runs per-frame fault plans (a single frame is
+/// epoch 0). Tags outside every epoch are delivered as they are.
+struct EpochInjector {
+    frames: Vec<PlanInjector>,
+}
+
+impl FaultInjector for EpochInjector {
+    fn on_send(&self, src: usize, dst: usize, tag: u32, seq: u64, data: &mut Vec<u8>) -> SendFate {
+        if tag == 0 {
+            return SendFate::Deliver;
+        }
+        match self.frames.get(FrameTags::frame_of(tag)) {
+            Some(inj) => inj.on_send(src, dst, FrameTags::base_of(tag), seq, data),
+            None => SendFate::Deliver,
         }
     }
 }
@@ -414,10 +423,7 @@ impl RayonExec<'_> {
             }
             FrameInput::File(p) => {
                 let read = read_frame_bytes(cfg, stored, p, self.tracer, self.throttle);
-                let (bytes, io) = read.map_err(|source| FrameError::Io {
-                    path: p.to_path_buf(),
-                    source,
-                })?;
+                let (bytes, io) = read.map_err(|e| FrameError::io(p, e))?;
                 (bytes, io, 0.0)
             }
             FrameInput::Prefetched { bytes, io, io_secs } => (bytes, io, io_secs),
@@ -817,14 +823,65 @@ fn served_fraction(lost: u64, of: u64) -> f64 {
     }
 }
 
-/// One rank's frame on the message-passing executor. Link mode selects
-/// the protocol per stage; the stage sequence itself lives only in
-/// [`execute`].
+/// The part of `lost` that falls inside `within`, as a byte range
+/// relative to `within`'s start.
+fn clip(lost: &Extent, within: Extent) -> std::ops::Range<usize> {
+    let rel = |at: u64| (at.clamp(within.offset, within.end()) - within.offset) as usize;
+    rel(lost.offset)..rel(lost.end())
+}
+
+/// What a failed in-world dataset read says: of 4096 ranks, which one,
+/// on which file, asking for which bytes. The launcher checks every
+/// file's length before the world starts, so this is a file that changed
+/// under a running frame — and a rank cannot return an error its peers
+/// are blocked waiting on.
+fn read_failure(rank: usize, op: &str, path: &Path, at: Extent, e: &std::io::Error) -> String {
+    format!(
+        "rank {rank}: {op} of {} failed for the extent at offset {} of length {}: {e}",
+        path.display(),
+        at.offset,
+        at.len
+    )
+}
+
+/// How long a rank waits for its peers. Under a fault plan every wait
+/// is a slice of the effective policy's deadlines; without one nothing
+/// can be lost, so receives block and no limit ever passes.
+#[derive(Debug, Clone, Copy)]
+struct Limits {
+    /// Length of one timed receive; `None` blocks.
+    poll: Option<Duration>,
+    stage: Duration,
+    suspicion: Duration,
+    drain: Duration,
+}
+
+/// What a faulted frame opens at its composite stage to heal around
+/// dead ranks.
+struct Recovery<'a> {
+    faults: &'a FrameFaults,
+    /// Control channel — adoption requests, the late fragments they
+    /// produce, the frame-complete broadcast — acked on one shared tag.
+    out: OutBox,
+    inb: InBox,
+    /// Degradation-ladder ledger for this rank's heals.
+    budget: RecoveryBudget,
+    /// Orphan blocks this rank adopted this frame, keyed by the dead
+    /// renderer: the re-render (`None` when the budget only allowed a
+    /// skip) and the I/O quality of the re-read. One re-render serves
+    /// every tile that needs a piece.
+    adopted: HashMap<usize, (Option<SubImage>, f64)>,
+}
+
+/// One rank's frame on the message-passing executor: one body per
+/// stage, whether or not the frame carries a fault plan (module docs);
+/// the stage sequence itself lives only in [`execute`].
 pub struct RankExec<'a> {
     comm: &'a mut pvr_mpisim::Comm,
     cfg: &'a FrameConfig,
     path: &'a Path,
-    links: &'a LinkMode,
+    faults: Option<&'a FrameFaults>,
+    limits: Limits,
     tags: FrameTags,
     throttle: Option<IoThrottle>,
     windows: Option<PrefetchedWindows>,
@@ -841,24 +898,11 @@ pub struct RankExec<'a> {
     /// Fraction of this rank's requested bytes that arrived intact.
     io_quality: f64,
     sub: Option<SubImage>,
+    /// The fragment sender, polled on through the gather.
     frag_out: Option<OutBox>,
-    frag_in: Option<InBox>,
-    /// Direct mode: finished tiles awaiting the gather.
-    tiles_direct: Vec<(usize, SubImage)>,
-    /// Reliable mode: `(tile, expected_area, arrived_area, pixels)`.
-    tile_reliable: Option<(usize, f64, f64, SubImage)>,
-    /// Reliable mode: recovery control channel — adoption requests,
-    /// the late fragments they produce, the frame-complete broadcast —
-    /// all acked on one shared tag.
-    rec_out: Option<OutBox>,
-    rec_in: Option<InBox>,
-    /// Degradation-ladder ledger for this rank's heals.
-    budget: RecoveryBudget,
-    /// Orphan blocks this rank adopted this frame, keyed by the dead
-    /// renderer: the re-render (`None` when the budget only allowed a
-    /// skip) and the I/O quality of the re-read. One re-render serves
-    /// every tile that needs a piece.
-    adopted: HashMap<usize, (Option<SubImage>, f64)>,
+    /// My finished tile as its wire message, awaiting the gather.
+    tile_msg: Option<Vec<u8>>,
+    rec: Option<Recovery<'a>>,
 }
 
 impl<'a> RankExec<'a> {
@@ -867,22 +911,34 @@ impl<'a> RankExec<'a> {
         comm: &'a mut pvr_mpisim::Comm,
         cfg: &'a FrameConfig,
         path: &'a Path,
-        links: &'a LinkMode,
+        faults: Option<&'a FrameFaults>,
         tags: FrameTags,
         throttle: Option<IoThrottle>,
         windows: Option<PrefetchedWindows>,
         shared: &'a FrameShared,
         file: &'a FilePlan,
     ) -> RankExec<'a> {
-        let budget = match links {
-            LinkMode::Reliable(rc) => RecoveryBudget::for_frame(cfg, &rc.policy),
-            LinkMode::Direct => RecoveryBudget::new(None),
+        // Decision point (b).
+        let limits = match faults {
+            Some(f) => Limits {
+                poll: Some(f.policy.poll),
+                stage: f.policy.stage_deadline,
+                suspicion: f.policy.suspicion,
+                drain: f.policy.drain,
+            },
+            None => Limits {
+                poll: None,
+                stage: Duration::MAX,
+                suspicion: Duration::MAX,
+                drain: Duration::MAX,
+            },
         };
         RankExec {
             comm,
             cfg,
             path,
-            links,
+            faults,
+            limits,
             tags,
             throttle,
             windows,
@@ -896,13 +952,8 @@ impl<'a> RankExec<'a> {
             io_quality: 1.0,
             sub: None,
             frag_out: None,
-            frag_in: None,
-            tiles_direct: Vec::new(),
-            tile_reliable: None,
-            rec_out: None,
-            rec_in: None,
-            budget,
-            adopted: HashMap::new(),
+            tile_msg: None,
+            rec: None,
         }
     }
 
@@ -914,53 +965,126 @@ impl<'a> RankExec<'a> {
         &self.file.windows[self.comm.rank()]
     }
 
-    /// Fault-plan crash/straggle check at a stage boundary (reliable
-    /// links only). Returns true when this rank crashes here; the span
+    // --- What a fault plan changes: the decision points -------------
+
+    /// (a) Both halves of a link: acked under a plan, pass-through
+    /// without.
+    fn link(&self, ack_tag: u32) -> (OutBox, InBox) {
+        let policy = self.faults.map(|f| f.policy.link_policy());
+        link::pair(self.comm.rank(), ack_tag, policy)
+    }
+
+    /// (b) One receive of a stage's loop: a `poll`-long slice of the
+    /// stage deadline (`None` = nothing yet), or a blocking receive.
+    async fn recv(&mut self, tag: u32) -> Option<(usize, Vec<u8>)> {
+        match self.limits.poll {
+            Some(poll) => self.comm.recv_any_timeout(tag, poll).await,
+            None => Some(self.comm.recv_any(tag).await),
+        }
+    }
+
+    /// The instant `limit` from now; `Duration::MAX` — never — for an
+    /// unbounded limit.
+    fn after(&self, limit: Duration) -> Duration {
+        self.comm.now().saturating_add(limit)
+    }
+
+    /// Whether `instant` has come.
+    fn past(&self, instant: Duration) -> bool {
+        self.comm.now() >= instant
+    }
+
+    /// (c) Close a stage and return its seconds. The span ends before
+    /// the barrier of the paper's bulk-synchronous frame, so it measures
+    /// this rank's own progress and the wait accrues to the parent span.
+    /// A faulted frame posts no barrier — a crashed rank could never
+    /// reach it.
+    async fn stage_end(&mut self, span: &'static str) -> f64 {
+        self.comm.span_end(span);
+        if self.faults.is_none() {
+            self.comm.barrier().await;
+        }
+        self.sw.lap()
+    }
+
+    /// (d) What the plan injects here; nothing without a plan.
+    fn planned<T: Default>(&self, ask: impl FnOnce(&FrameFaults) -> T) -> T {
+        self.faults.map(ask).unwrap_or_default()
+    }
+
+    /// (e) Open the recovery channel (faulted frames only): without it
+    /// nothing below pumps, adopts, broadcasts or lingers.
+    fn open_recovery(&mut self) {
+        let (rank, rec_ack) = (self.comm.rank(), self.tags.rec_ack);
+        self.rec = self.faults.map(|faults| {
+            let (out, inb) = link::pair(rank, rec_ack, Some(faults.policy.link_policy()));
+            Recovery {
+                faults,
+                out,
+                inb,
+                budget: RecoveryBudget::for_frame(self.cfg, &faults.policy),
+                adopted: HashMap::new(),
+            }
+        });
+    }
+
+    /// Open a stage: its start offset, its span, and the rank fault the
+    /// plan pins here. `Break` when this rank crashes; the span
     /// bookkeeping of the abandoned frame is already done.
-    async fn crash_check(&mut self, stage: StageId, span: &'static str, mark: u64) -> bool {
-        let LinkMode::Reliable(rc) = self.links else {
-            return false;
-        };
-        let Some(fs) = stage.fault_stage() else {
-            return false;
-        };
-        let action = rc.plan.rank_fault(self.comm.rank(), fs);
+    async fn stage_begin(&mut self, stage: StageId, span: &'static str) -> ControlFlow<()> {
+        self.out.timing.starts[stage as usize] = self.t0.elapsed().as_secs_f64();
+        self.comm.span_begin(span);
+        let rank = self.comm.rank();
+        let action = stage
+            .fault_stage()
+            .and_then(|fs| self.planned(|f| f.plan.rank_fault(rank, fs)));
         match action {
             Some(RankAction::Crash) => {
-                self.comm.mark_instant("rank.crash", mark);
+                self.comm.mark_instant("rank.crash", stage as u64);
                 self.comm.span_end(span);
                 self.comm.span_end("frame");
                 if stage == StageId::Read {
                     self.out.timing.io = self.sw.lap();
                 }
                 self.crashed = true;
-                true
+                return ControlFlow::Break(());
             }
-            Some(RankAction::StraggleMs(ms)) => {
-                // Straggles cost simulated seconds, not wall clock: the
-                // world's virtual timer parks this rank while everyone
-                // else runs on.
-                self.comm.sleep(Duration::from_millis(ms)).await;
-                false
-            }
-            None => false,
+            // Straggles cost simulated seconds, not wall clock: the
+            // world's virtual timer parks this rank while everyone else
+            // runs on.
+            Some(RankAction::StraggleMs(ms)) => self.comm.sleep(Duration::from_millis(ms)).await,
+            None => {}
+        }
+        ControlFlow::Continue(())
+    }
+
+    /// The storage-fault verdict on one read, its retries and failovers
+    /// counted.
+    fn audit(&mut self, read: Extent) -> WindowAudit {
+        let audit = self
+            .planned(|f| window_fault_audit(&f.store, &f.servers, &f.policy.io_recovery(), read));
+        self.out.counters.io_retries += audit.retries;
+        self.out.counters.io_failovers += audit.failovers;
+        audit
+    }
+
+    /// Drive every open sender: take acks, retransmit what is overdue.
+    async fn poll_links(&mut self, outs: &mut [&mut OutBox]) {
+        for out in outs {
+            out.poll(self.comm).await;
+        }
+        if let Some(rec) = self.rec.as_mut() {
+            rec.out.poll(self.comm).await;
         }
     }
 
     // --- Read stage ------------------------------------------------
 
     async fn stage_read(&mut self) -> ControlFlow<()> {
-        self.out.timing.starts[0] = self.t0.elapsed().as_secs_f64();
-        self.comm.span_begin("io");
-        if self.crash_check(StageId::Read, "io", 0).await {
-            return ControlFlow::Break(());
-        }
+        self.stage_begin(StageId::Read, "io").await?;
         let file = self.file;
         let bytes = if let Some(sp) = &file.scatter {
-            match self.links {
-                LinkMode::Direct => self.scatter_direct(sp, &file.requests).await,
-                LinkMode::Reliable(_) => self.scatter_reliable(sp, &file.requests).await,
-            }
+            self.scatter(sp, &file.requests).await
         } else {
             self.read_independent(&file.requests).await
         };
@@ -968,22 +1092,7 @@ impl<'a> RankExec<'a> {
         self.volume = Some(decode_volume(&bytes, stored, file.endian));
         // Background-read seconds of a prefetched frame (0 when live).
         let prefetch_secs = self.windows.as_ref().map_or(0.0, |w| w.io_secs);
-        match self.links {
-            LinkMode::Direct => {
-                // Close the stage before the barrier (the paper's
-                // bulk-synchronous frame; the reliable protocol never
-                // blocks on one a crashed rank might miss): the span
-                // then measures this rank's own progress; barrier wait
-                // time accrues to the parent span.
-                self.comm.span_end("io");
-                self.comm.barrier().await;
-                self.out.timing.io = self.sw.lap() + prefetch_secs;
-            }
-            LinkMode::Reliable(_) => {
-                self.out.timing.io = self.sw.lap() + prefetch_secs;
-                self.comm.span_end("io");
-            }
-        }
+        self.out.timing.io = self.stage_end("io").await + prefetch_secs;
         ControlFlow::Continue(())
     }
 
@@ -998,6 +1107,18 @@ impl<'a> RankExec<'a> {
         }
     }
 
+    /// Fill `buf` from byte `offset` of the dataset, opening it on first
+    /// use; a failure panics with [`read_failure`].
+    fn read_at(&self, file: &mut Option<File>, offset: u64, buf: &mut [u8]) {
+        let (rank, path) = (self.comm.rank(), self.path);
+        let at = Extent::new(offset, buf.len() as u64);
+        let fail = |op, e| -> ! { panic!("{}", read_failure(rank, op, path, at, &e)) };
+        let f = file.get_or_insert_with(|| File::open(path).unwrap_or_else(|e| fail("open", e)));
+        f.seek(SeekFrom::Start(offset))
+            .and_then(|_| f.read_exact(buf))
+            .unwrap_or_else(|e| fail("read", e));
+    }
+
     /// One window's bytes: the prefetched buffer when the animation
     /// driver fetched it ahead of time, a live (optionally throttled)
     /// file read otherwise.
@@ -1008,133 +1129,58 @@ impl<'a> RankExec<'a> {
         file: &mut Option<File>,
         live_bytes: &mut u64,
     ) -> Vec<u8> {
-        if let Some(pw) = &mut self.windows {
-            if let Some(buf) = pw.bufs.get_mut(idx) {
-                return std::mem::take(buf);
-            }
+        if let Some(buf) = self.windows.as_mut().and_then(|pw| pw.bufs.get_mut(idx)) {
+            return std::mem::take(buf);
         }
-        // A failed or short read names itself: of 4096 ranks, which one,
-        // on which file, asking for which bytes.
-        let (rank, path) = (self.comm.rank(), self.path);
-        let fail = |op: &str, e: std::io::Error| -> ! {
-            panic!(
-                "rank {rank}: {op} of {} failed for the extent at offset {} of length {}: {e}",
-                path.display(),
-                w.offset,
-                w.len
-            )
-        };
-        let f = file.get_or_insert_with(|| File::open(path).unwrap_or_else(|e| fail("open", e)));
         let mut buf = vec![0u8; w.len as usize];
-        f.seek(SeekFrom::Start(w.offset))
-            .and_then(|_| f.read_exact(&mut buf))
-            .unwrap_or_else(|e| fail("read", e));
+        self.read_at(file, w.offset, &mut buf);
         *live_bytes += w.len;
         buf
     }
 
-    /// Plain two-phase scatter: blocking sends, counted receives. The
-    /// per-rank operation order reproduces the original executor
-    /// exactly — the byte-golden logical profile depends on it.
-    async fn scatter_direct(&mut self, sp: &ScatterPlan, requests: &[RankRequest]) -> Vec<u8> {
+    /// Two-phase scatter: each aggregator reads its windows — storage
+    /// faults audited per window, holes zero-filled and reported in each
+    /// piece's header — and sends every rank its pieces; then every rank
+    /// receives its own until complete or the stage deadline.
+    async fn scatter(&mut self, sp: &ScatterPlan, requests: &[RankRequest]) -> Vec<u8> {
         let rank = self.comm.rank();
+        let (mut io_out, mut io_in) = self.link(self.tags.io_ack);
+        let mut failover_bytes = 0u64;
         let t_read = Instant::now();
         let mut live_bytes = 0u64;
         let mut file: Option<File> = None;
         for (i, w) in self.my_window_extents().iter().enumerate() {
             self.comm.span_begin_v("io.window", w.len);
-            let buf = self.window_bytes(i, *w, &mut file, &mut live_bytes);
+            let audit = self.audit(*w);
+            failover_bytes += audit.failover_bytes;
+            let mut buf = self.window_bytes(i, *w, &mut file, &mut live_bytes);
+            for lost in &audit.unrecoverable {
+                buf[clip(lost, *w)].fill(0);
+            }
             for p in sp.pieces_in(*w) {
-                let mut msg = Vec::with_capacity(16 + p.len());
-                msg.extend((p.out_byte as u64).to_le_bytes());
-                msg.extend((p.len() as u64).to_le_bytes());
-                msg.extend(&buf[p.src_lo..p.src_hi]);
-                self.comm.send(p.rank, self.tags.io_scatter, msg).await;
+                let piece = Extent::new(p.file_lo, p.file_hi - p.file_lo);
+                let lost = audit.unrecoverable.iter().map(|e| clip(e, piece).len());
+                let hole = lost.sum::<usize>() as u64;
+                let msg = encode_piece(p.out_byte, hole, &buf[p.src_lo..p.src_hi]);
+                io_out
+                    .send(self.comm, p.rank, self.tags.io_scatter, msg)
+                    .await;
             }
             self.comm.span_end("io.window");
         }
         self.pad_throttle(live_bytes, t_read).await;
 
         let mut out = vec![0u8; requests[rank].out_elems * ELEM_SIZE as usize];
-        for _ in 0..sp.piece_counts[rank] {
-            let (_, msg) = self.comm.recv_any(self.tags.io_scatter).await;
-            let dst = u64::from_le_bytes(msg[0..8].try_into().unwrap()) as usize;
-            let nb = u64::from_le_bytes(msg[8..16].try_into().unwrap()) as usize;
-            out[dst..dst + nb].copy_from_slice(&msg[16..16 + nb]);
-        }
-        out
-    }
-
-    /// Fault-tolerant two-phase scatter: framed acked sends, deadline
-    /// receives, storage faults audited per window, holes zero-filled
-    /// and reported in each piece's header.
-    async fn scatter_reliable(&mut self, sp: &ScatterPlan, requests: &[RankRequest]) -> Vec<u8> {
-        let LinkMode::Reliable(rc) = self.links else {
-            unreachable!("reliable scatter needs reliable links")
-        };
-        let rank = self.comm.rank();
-        let lp = rc.policy.link_policy();
-        let mut io_out = OutBox::new(rank, self.tags.io_ack, lp);
-        let mut failover_bytes = 0u64;
-        let t_read = Instant::now();
-        let mut live_bytes = 0u64;
-        let mut file: Option<File> = None;
-        for (i, w) in self.my_window_extents().iter().enumerate() {
-            let audit = window_fault_audit(&rc.store, &rc.faults, &rc.rec, *w);
-            self.out.counters.io_retries += audit.retries;
-            self.out.counters.io_failovers += audit.failovers;
-            failover_bytes += audit.failover_bytes;
-            let mut buf = self.window_bytes(i, *w, &mut file, &mut live_bytes);
-            for lost in &audit.unrecoverable {
-                let lo = (lost.offset.max(w.offset) - w.offset) as usize;
-                let hi = (lost.end().min(w.end()) - w.offset) as usize;
-                if lo < hi {
-                    buf[lo..hi].fill(0);
-                }
-            }
-            for p in sp.pieces_in(*w) {
-                let hole: u64 = audit
-                    .unrecoverable
-                    .iter()
-                    .map(|e| {
-                        let l = e.offset.max(p.file_lo);
-                        let h = e.end().min(p.file_hi);
-                        h.saturating_sub(l)
-                    })
-                    .sum();
-                let mut msg = Vec::with_capacity(24 + p.len());
-                msg.extend((p.out_byte as u64).to_le_bytes());
-                msg.extend((p.len() as u64).to_le_bytes());
-                msg.extend(hole.to_le_bytes());
-                msg.extend(&buf[p.src_lo..p.src_hi]);
-                io_out
-                    .send(self.comm, p.rank, self.tags.io_scatter, msg)
-                    .await;
-            }
-        }
-        self.pad_throttle(live_bytes, t_read).await;
-
-        // Receive my pieces until complete or the stage deadline.
-        let mut io_in = InBox::new();
-        let mut out = vec![0u8; requests[rank].out_elems * ELEM_SIZE as usize];
-        let mut arrived = 0u64;
-        let mut holes = 0u64;
-        let mut got = 0usize;
-        let deadline = self.comm.now() + rc.policy.stage_deadline;
-        let suspect_at = self.comm.now() + rc.policy.suspicion;
-        while got < sp.piece_counts[rank] && self.comm.now() < deadline {
+        let (mut arrived, mut holes, mut got) = (0u64, 0u64, 0usize);
+        let deadline = self.after(self.limits.stage);
+        let suspect_at = self.after(self.limits.suspicion);
+        while got < sp.piece_counts[rank] && !self.past(deadline) {
             io_out.poll(self.comm).await;
-            if let Some((src, frame)) = self
-                .comm
-                .recv_any_timeout(self.tags.io_scatter, rc.policy.poll)
-                .await
-            {
-                if let Some(body) = io_in.accept(self.comm, src, self.tags.io_ack, &frame).await {
-                    let dst = u64::from_le_bytes(body[0..8].try_into().unwrap()) as usize;
-                    let nb = u64::from_le_bytes(body[8..16].try_into().unwrap()) as usize;
-                    let hole = u64::from_le_bytes(body[16..24].try_into().unwrap());
-                    out[dst..dst + nb].copy_from_slice(&body[24..24 + nb]);
-                    arrived += nb as u64;
+            if let Some((src, frame)) = self.recv(self.tags.io_scatter).await {
+                if let Some(body) = io_in.accept(self.comm, src, frame).await {
+                    let (dst, hole, bytes) = decode_piece(&body);
+                    out[dst..dst + bytes.len()].copy_from_slice(bytes);
+                    arrived += bytes.len() as u64;
                     holes += hole;
                     got += 1;
                 }
@@ -1145,7 +1191,7 @@ impl<'a> RankExec<'a> {
             // rank needs straight from the file through the same
             // storage-failover audit the aggregators use — bit-identical
             // bytes, a full stage deadline earlier.
-            if got < sp.piece_counts[rank] && self.comm.now() >= suspect_at {
+            if got < sp.piece_counts[rank] && self.past(suspect_at) {
                 let (bytes, useful, unrec, fo) = self.read_runs_audited(&requests[rank]);
                 out = bytes;
                 arrived = useful;
@@ -1157,7 +1203,7 @@ impl<'a> RankExec<'a> {
                 break;
             }
         }
-        let drain_deadline = self.comm.now() + rc.policy.drain;
+        let drain_deadline = self.after(self.limits.drain);
         io_out.drain(self.comm, drain_deadline).await;
         self.out.counters.merge(&io_out.counters);
         self.out.counters.merge(&io_in.counters);
@@ -1170,47 +1216,29 @@ impl<'a> RankExec<'a> {
         out
     }
 
-    /// Read one rank's runs straight from the file; reliable links
-    /// additionally audit storage faults and zero-fill unrecoverable
-    /// ranges. Returns the subvolume byte buffer plus `(useful,
-    /// unrecovered, failover)` byte counts. Shared between independent
-    /// I/O, the scatter self-heal, and orphan-block adoption — all
-    /// three produce bit-identical bytes to a fault-free scatter.
+    /// Read one rank's runs straight from the file, auditing storage
+    /// faults and zero-filling unrecoverable ranges. Returns the
+    /// subvolume byte buffer plus `(useful, unrecovered, failover)` byte
+    /// counts. Shared between independent I/O, the scatter self-heal,
+    /// and orphan-block adoption — all three produce bit-identical bytes
+    /// to a fault-free scatter.
     fn read_runs_audited(&mut self, req: &RankRequest) -> (Vec<u8>, u64, u64, u64) {
-        let mut out = vec![0u8; req.out_elems * ELEM_SIZE as usize];
-        let mut unrecovered = 0u64;
-        let mut failover_bytes = 0u64;
-        let mut useful = 0u64;
-        let mut file = File::open(self.path).expect("dataset file");
+        let elem = ELEM_SIZE as usize;
+        let mut out = vec![0u8; req.out_elems * elem];
+        let (mut useful, mut unrecovered, mut failover_bytes) = (0u64, 0u64, 0u64);
+        let mut file: Option<File> = None;
         for run in &req.runs {
-            let nb = run.elems * ELEM_SIZE as usize;
+            let nb = run.elems * elem;
             useful += nb as u64;
-            let audit = if let LinkMode::Reliable(rc) = self.links {
-                let a = window_fault_audit(
-                    &rc.store,
-                    &rc.faults,
-                    &rc.rec,
-                    Extent::new(run.file_offset, nb as u64),
-                );
-                self.out.counters.io_retries += a.retries;
-                self.out.counters.io_failovers += a.failovers;
-                failover_bytes += a.failover_bytes;
-                Some(a)
-            } else {
-                None
-            };
-            file.seek(SeekFrom::Start(run.file_offset)).unwrap();
-            let dst = &mut out[run.out_start * 4..run.out_start * 4 + nb];
-            file.read_exact(dst).unwrap();
-            if let Some(audit) = audit {
-                for lost in &audit.unrecoverable {
-                    let lo = lost.offset.max(run.file_offset) - run.file_offset;
-                    let hi = lost.end().min(run.file_offset + nb as u64) - run.file_offset;
-                    if lo < hi {
-                        dst[lo as usize..hi as usize].fill(0);
-                        unrecovered += hi - lo;
-                    }
-                }
+            let on_disk = Extent::new(run.file_offset, nb as u64);
+            let audit = self.audit(on_disk);
+            failover_bytes += audit.failover_bytes;
+            let dst = &mut out[run.out_start * elem..run.out_start * elem + nb];
+            self.read_at(&mut file, run.file_offset, dst);
+            for lost in &audit.unrecoverable {
+                let hole = clip(lost, on_disk);
+                unrecovered += hole.len() as u64;
+                dst[hole].fill(0);
             }
         }
         (out, useful, unrecovered, failover_bytes)
@@ -1232,11 +1260,7 @@ impl<'a> RankExec<'a> {
     // --- Render stage ----------------------------------------------
 
     async fn stage_render(&mut self) -> ControlFlow<()> {
-        self.out.timing.starts[1] = self.t0.elapsed().as_secs_f64();
-        self.comm.span_begin("render");
-        if self.crash_check(StageId::Render, "render", 1).await {
-            return ControlFlow::Break(());
-        }
+        self.stage_begin(StageId::Render, "render").await?;
         let shared = self.shared;
         let dom = shared.domain(self.cfg, self.comm.rank());
         let volume = self.volume.take().expect("read stage ran");
@@ -1247,17 +1271,7 @@ impl<'a> RankExec<'a> {
         }
         self.out.render = rstats;
         self.sub = Some(sub);
-        match self.links {
-            LinkMode::Direct => {
-                self.comm.span_end("render");
-                self.comm.barrier().await;
-                self.out.timing.render = self.sw.lap();
-            }
-            LinkMode::Reliable(_) => {
-                self.out.timing.render = self.sw.lap();
-                self.comm.span_end("render");
-            }
-        }
+        self.out.timing.render = self.stage_end("render").await;
         ControlFlow::Continue(())
     }
 
@@ -1268,81 +1282,79 @@ impl<'a> RankExec<'a> {
     /// re-render it at the rung the budget allows. Cached — one render
     /// serves every tile that needs a piece of the block.
     fn adopt_block(&mut self, orphan: usize) -> (Option<SubImage>, f64) {
-        if let Some(ab) = self.adopted.get(&orphan) {
+        let (cfg, shared, file) = (self.cfg, self.shared, self.file);
+        let rec = self.rec.as_mut().expect("recovery channel open");
+        if let Some(ab) = rec.adopted.get(&orphan) {
             return ab.clone();
         }
-        let LinkMode::Reliable(rc) = self.links else {
-            unreachable!("adoption needs reliable links")
-        };
-        let policy = rc.policy;
-        let (cfg, shared, file) = (self.cfg, self.shared, self.file);
-        let est = shared.heal_costs()[orphan];
-        let ab = match self.budget.charge(est, policy.coarse_step_factor) {
-            HealDecision::Skip => (None, 0.0),
-            rung => {
-                let (bytes, useful, unrecovered, _) =
-                    self.read_runs_audited(&file.requests[orphan]);
-                self.out.counters.recovery_bytes += useful;
-                let vol = decode_volume(&bytes, &shared.stored[orphan], file.endian);
-                let dom = shared.domain(cfg, orphan);
-                let mut ropts = shared.ropts;
-                if rung == HealDecision::Coarse {
-                    ropts.step *= policy.coarse_step_factor;
-                    self.out.counters.approx_blocks += 1;
-                    self.out.timing.error_bound += shared.footprints[orphan].num_pixels() as f64
-                        / (cfg.image.0 as f64 * cfg.image.1 as f64);
-                }
-                let (sub, _) = render_block(&vol, &dom, &shared.camera, &shared.tf, &ropts);
-                self.out.counters.adopted_blocks += 1;
-                self.comm
-                    .mark_instant("recover.adopted_block", orphan as u64);
-                (Some(sub), served_fraction(unrecovered, useful))
+        let coarse_step = rec.faults.policy.coarse_step_factor;
+        let rung = rec.budget.charge(shared.heal_costs()[orphan], coarse_step);
+        let mut ab = (None, 0.0);
+        if rung != HealDecision::Skip {
+            let (bytes, useful, unrecovered, _) = self.read_runs_audited(&file.requests[orphan]);
+            self.out.counters.recovery_bytes += useful;
+            let vol = decode_volume(&bytes, &shared.stored[orphan], file.endian);
+            let dom = shared.domain(cfg, orphan);
+            let mut ropts = shared.ropts;
+            if rung == HealDecision::Coarse {
+                ropts.step *= coarse_step;
+                self.out.counters.approx_blocks += 1;
+                self.out.timing.error_bound += shared.footprints[orphan].num_pixels() as f64
+                    / (cfg.image.0 as f64 * cfg.image.1 as f64);
             }
-        };
-        self.adopted.insert(orphan, ab.clone());
+            let (sub, _) = render_block(&vol, &dom, &shared.camera, &shared.tf, &ropts);
+            self.out.counters.adopted_blocks += 1;
+            self.comm
+                .mark_instant("recover.adopted_block", orphan as u64);
+            ab = (Some(sub), served_fraction(unrecovered, useful));
+        }
+        if let Some(rec) = self.rec.as_mut() {
+            rec.adopted.insert(orphan, ab.clone());
+        }
         ab
     }
 
-    /// Serve one adoption request `[orphan, tile]`: reply with a late
-    /// fragment of the adopted re-render cropped to the requested tile,
-    /// or an explicit refusal when the ladder is out of budget.
-    async fn serve_adopt(&mut self, src: usize, body: &[u8], partition: ImagePartition) {
-        let orphan = u64::from_le_bytes(body[0..8].try_into().unwrap()) as usize;
-        let c = u64::from_le_bytes(body[8..16].try_into().unwrap()) as usize;
+    /// Adopt `orphan`'s block myself and offer its piece of `asm`'s tile
+    /// (a refusal when the ladder is out of budget); true when it landed
+    /// as the first copy.
+    fn adopt_into(&mut self, orphan: usize, asm: &mut TileAssembly<'_>) -> bool {
         let (sub, quality) = self.adopt_block(orphan);
-        let frag = sub.and_then(|s| s.crop(&partition.tile(c)));
-        let mut reply = Vec::new();
-        reply.extend((orphan as u64).to_le_bytes());
-        reply.extend((c as u64).to_le_bytes());
-        match frag {
-            Some(f) => {
-                reply.extend(0u64.to_le_bytes());
-                reply.extend(quality.to_le_bytes());
-                reply.extend(encode_fragment(orphan, &f));
+        match sub.and_then(|s| s.crop(&asm.rect())) {
+            Some(f) => asm.insert(orphan, quality, f) == InsertOutcome::Fresh,
+            None => {
+                asm.refuse(orphan);
+                false
             }
-            None => reply.extend(1u64.to_le_bytes()),
         }
-        let rec_out = self.rec_out.as_mut().expect("recovery channel open");
-        rec_out.send(self.comm, src, self.tags.late, reply).await;
+    }
+
+    /// Serve one adoption request: reply with a late fragment of the
+    /// adopted re-render cropped to the requested tile, or an explicit
+    /// refusal when the ladder is out of budget.
+    async fn serve_adopt(&mut self, src: usize, body: &[u8]) {
+        let (orphan, c) = decode_adopt(body);
+        let (sub, quality) = self.adopt_block(orphan);
+        let frag = sub.and_then(|s| s.crop(&self.shared.partition.tile(c)));
+        let reply = encode_late(orphan, c, frag.as_ref().map(|f| (quality, f)));
+        if let Some(rec) = self.rec.as_mut() {
+            rec.out.send(self.comm, src, self.tags.late, reply).await;
+        }
     }
 
     /// Absorb one late-arrival reply into my open tile.
-    fn accept_late(&mut self, body: &[u8], asm: &mut TileAssembly) {
-        let orphan = u64::from_le_bytes(body[0..8].try_into().unwrap()) as usize;
-        let c = u64::from_le_bytes(body[8..16].try_into().unwrap()) as usize;
+    fn accept_late(&mut self, body: &[u8], asm: &mut TileAssembly<'_>) {
+        let (orphan, c, frag) = decode_late(body);
         if c != asm.tile() {
             return;
         }
-        if u64::from_le_bytes(body[16..24].try_into().unwrap()) != 0 {
+        let Some((quality, frag)) = frag else {
             asm.refuse(orphan);
             return;
-        }
-        let quality = f64::from_le_bytes(body[24..32].try_into().unwrap());
-        let (renderer, frag) = decode_fragment(&body[32..]);
-        if asm.insert(renderer, quality, frag) == InsertOutcome::Fresh {
+        };
+        if asm.insert(orphan, quality, frag) == InsertOutcome::Fresh {
             self.out.counters.late_fragments += 1;
             self.comm
-                .mark_instant("recover.late_fragment", renderer as u64);
+                .mark_instant("recover.late_fragment", orphan as u64);
         }
     }
 
@@ -1350,26 +1362,20 @@ impl<'a> RankExec<'a> {
     /// me, absorb late replies into my open tile. Stray replies after
     /// the tile sealed are still acked (so the sender stops
     /// retransmitting) and dropped.
-    async fn pump_recovery(
-        &mut self,
-        partition: ImagePartition,
-        mut asm: Option<&mut TileAssembly>,
-    ) {
-        while let Some((src, frame)) = self.comm.try_recv_any(self.tags.adopt) {
-            let rec_in = self.rec_in.as_mut().expect("recovery channel open");
-            if let Some(body) = rec_in
-                .accept(self.comm, src, self.tags.rec_ack, &frame)
-                .await
-            {
-                self.serve_adopt(src, &body, partition).await;
+    async fn pump_recovery(&mut self, mut asm: Option<&mut TileAssembly<'_>>) {
+        while let Some(rec) = self.rec.as_mut() {
+            let Some((src, frame)) = self.comm.try_recv_any(self.tags.adopt) else {
+                break;
+            };
+            if let Some(body) = rec.inb.accept(self.comm, src, frame).await {
+                self.serve_adopt(src, &body).await;
             }
         }
-        while let Some((src, frame)) = self.comm.try_recv_any(self.tags.late) {
-            let rec_in = self.rec_in.as_mut().expect("recovery channel open");
-            if let Some(body) = rec_in
-                .accept(self.comm, src, self.tags.rec_ack, &frame)
-                .await
-            {
+        while let Some(rec) = self.rec.as_mut() {
+            let Some((src, frame)) = self.comm.try_recv_any(self.tags.late) else {
+                break;
+            };
+            if let Some(body) = rec.inb.accept(self.comm, src, frame).await {
                 if let Some(asm) = asm.as_deref_mut() {
                     self.accept_late(&body, asm);
                 }
@@ -1383,23 +1389,17 @@ impl<'a> RankExec<'a> {
     /// locally. A merely-straggling original that arrives later loses
     /// the race harmlessly: first-wins dedup keeps one copy and the
     /// re-render is deterministic, so either copy is the same pixels.
-    async fn request_adoption(
-        &mut self,
-        orphan: usize,
-        tile: usize,
-        partition: ImagePartition,
-        asm: &mut TileAssembly,
-    ) {
-        let LinkMode::Reliable(rc) = self.links else {
+    async fn request_adoption(&mut self, orphan: usize, asm: &mut TileAssembly<'_>) {
+        let Some(seed) = self.rec.as_ref().map(|rec| rec.faults.plan.seed) else {
             return;
         };
-        let shared = self.shared;
+        let (shared, tile) = (self.shared, asm.tile());
         let suspects = asm.missing();
         let Some(a) = adopter_of(
             orphan,
             &suspects,
             &shared.compositor_ranks,
-            rc.plan.seed,
+            seed,
             shared.heal_costs(),
         ) else {
             return;
@@ -1408,21 +1408,12 @@ impl<'a> RankExec<'a> {
         self.comm
             .mark_instant("recover.adopt_request", orphan as u64);
         if a == self.comm.rank() {
-            let (sub, quality) = self.adopt_block(orphan);
-            match sub.and_then(|s| s.crop(&partition.tile(tile))) {
-                Some(f) => {
-                    if asm.insert(orphan, quality, f) == InsertOutcome::Fresh {
-                        self.out.counters.late_fragments += 1;
-                    }
-                }
-                None => asm.refuse(orphan),
+            if self.adopt_into(orphan, asm) {
+                self.out.counters.late_fragments += 1;
             }
-        } else {
-            let mut body = Vec::with_capacity(16);
-            body.extend((orphan as u64).to_le_bytes());
-            body.extend((tile as u64).to_le_bytes());
-            let rec_out = self.rec_out.as_mut().expect("recovery channel open");
-            rec_out.send(self.comm, a, self.tags.adopt, body).await;
+        } else if let Some(rec) = self.rec.as_mut() {
+            let request = encode_adopt(orphan, tile);
+            rec.out.send(self.comm, a, self.tags.adopt, request).await;
         }
     }
 
@@ -1445,323 +1436,194 @@ impl<'a> RankExec<'a> {
     }
 
     async fn stage_composite(&mut self) -> ControlFlow<()> {
-        self.out.timing.starts[2] = self.t0.elapsed().as_secs_f64();
-        self.comm.span_begin("composite");
-        if self.crash_check(StageId::Composite, "composite", 2).await {
-            return ControlFlow::Break(());
-        }
+        self.stage_begin(StageId::Composite, "composite").await?;
         let rank = self.comm.rank();
         let shared = self.shared;
         let partition = shared.partition;
         let sub = self.sub.take().expect("render stage ran");
-        let quality = self.io_quality;
-
-        match self.links {
-            LinkMode::Direct => {
-                // Send my fragments.
-                for msg in shared.sends_of(rank) {
-                    let tile = partition.tile(msg.compositor);
-                    if let Some(frag) = sub.crop(&tile) {
-                        let dst = shared.compositor_ranks[msg.compositor];
-                        self.account_fragment(&frag);
-                        self.comm
-                            .send(dst, self.tags.fragment, encode_fragment(rank, &frag))
-                            .await;
-                    }
-                }
-                // Composite the tile I own, if any.
-                if let Some(c) = shared.tile_of(rank) {
-                    let expected = shared.sources_of(c).len();
-                    let tile = partition.tile(c);
-                    let mut frags: Vec<(usize, SubImage)> = Vec::with_capacity(expected);
-                    while frags.len() < expected {
-                        let (_, data) = self.comm.recv_any(self.tags.fragment).await;
-                        let (renderer, frag) = decode_fragment(&data);
-                        debug_assert_eq!(frag.rect.intersect(&tile), Some(frag.rect));
-                        frags.push((renderer, frag));
-                    }
-                    self.out.tile_messages = Some((c, expected));
-                    let buf = blend_fragments(tile, frags);
-                    self.tiles_direct.push((c, buf));
-                }
-            }
-            LinkMode::Reliable(rc) => {
-                let policy = rc.policy;
-                let lp = policy.link_policy();
-                let mut frag_out = OutBox::new(rank, self.tags.frag_ack, lp);
-                let mut frag_in = InBox::new();
-                self.rec_out = Some(OutBox::new(rank, self.tags.rec_ack, lp));
-                self.rec_in = Some(InBox::new());
-                // Send my fragments through the reliable link, quality
-                // attached.
-                for msg in shared.sends_of(rank) {
-                    let tile = partition.tile(msg.compositor);
-                    if let Some(frag) = sub.crop(&tile) {
-                        let dst = shared.compositor_ranks[msg.compositor];
-                        self.account_fragment(&frag);
-                        let mut body = Vec::with_capacity(8 + 48 + frag.pixels.len() * 16);
-                        body.extend(quality.to_le_bytes());
-                        body.extend(encode_fragment(rank, &frag));
-                        frag_out
-                            .send(self.comm, dst, self.tags.fragment, body)
-                            .await;
-                    }
-                }
-                if let Some(c) = shared.tile_of(rank) {
-                    let tile = partition.tile(c);
-                    let mut asm = TileAssembly::new(c, tile, shared.sources_of(c).to_vec());
-                    let deadline = self.comm.now() + policy.stage_deadline;
-                    let suspect_at = self.comm.now() + policy.suspicion;
-                    let mut requested: Vec<usize> = Vec::new();
-                    while !asm.settled() && self.comm.now() < deadline {
-                        frag_out.poll(self.comm).await;
-                        if let Some(ro) = self.rec_out.as_mut() {
-                            ro.poll(self.comm).await;
-                        }
-                        if let Some((src, frame)) = self
-                            .comm
-                            .recv_any_timeout(self.tags.fragment, policy.poll)
-                            .await
-                        {
-                            if let Some(body) = frag_in
-                                .accept(self.comm, src, self.tags.frag_ack, &frame)
-                                .await
-                            {
-                                let q = f64::from_le_bytes(body[0..8].try_into().unwrap());
-                                let (renderer, frag) = decode_fragment(&body[8..]);
-                                asm.insert(renderer, q, frag);
-                            }
-                        }
-                        self.pump_recovery(partition, Some(&mut asm)).await;
-                        // Past the suspicion window every renderer still
-                        // missing gets one adoption request — a hedge if
-                        // it is merely straggling (first-wins dedup makes
-                        // the race harmless), a heal if it is dead.
-                        if self.comm.now() >= suspect_at {
-                            for r in asm.missing() {
-                                if !requested.contains(&r) {
-                                    requested.push(r);
-                                    self.request_adoption(r, c, partition, &mut asm).await;
-                                }
-                            }
-                        }
-                    }
-                    let expected_area = asm.expected_area();
-                    let arrived_area = asm.arrived_area();
-                    self.out.tile_messages = Some((c, asm.arrived()));
-                    // Canonical blend order keeps recovered runs
-                    // bit-identical: a late-adopted fragment re-blends
-                    // exactly as the original would have.
-                    let buf = asm.seal().clone();
-                    self.tile_reliable = Some((c, expected_area, arrived_area, buf));
-                }
-                self.frag_out = Some(frag_out);
-                self.frag_in = Some(frag_in);
+        let (mut frag_out, mut frag_in) = self.link(self.tags.frag_ack);
+        self.open_recovery();
+        // One fragment per schedule row, in schedule order, the quality
+        // of my input attached.
+        for msg in shared.sends_of(rank) {
+            if let Some(frag) = sub.crop(&partition.tile(msg.compositor)) {
+                let dst = shared.compositor_ranks[msg.compositor];
+                self.account_fragment(&frag);
+                let body = encode_fragment_msg(self.io_quality, rank, &frag);
+                frag_out
+                    .send(self.comm, dst, self.tags.fragment, body)
+                    .await;
             }
         }
+        // Assemble the tile I own, if any: fragments are consumed as
+        // they arrive and the tile seals order-independently.
+        if let Some(c) = shared.tile_of(rank) {
+            let mut asm = TileAssembly::new(c, partition.tile(c), shared.sources_of(c));
+            let deadline = self.after(self.limits.stage);
+            let suspect_at = self.after(self.limits.suspicion);
+            let mut requested: Vec<usize> = Vec::new();
+            while !asm.settled() && !self.past(deadline) {
+                self.poll_links(&mut [&mut frag_out]).await;
+                if let Some((src, frame)) = self.recv(self.tags.fragment).await {
+                    if let Some(body) = frag_in.accept(self.comm, src, frame).await {
+                        let (quality, renderer, frag) = decode_fragment_msg(&body);
+                        asm.insert(renderer, quality, frag);
+                    }
+                }
+                self.pump_recovery(Some(&mut asm)).await;
+                // Past the suspicion window every renderer still
+                // missing gets one adoption request — a hedge if it is
+                // merely straggling (first-wins dedup makes the race
+                // harmless), a heal if it is dead.
+                if self.past(suspect_at) {
+                    for r in asm.missing() {
+                        if !requested.contains(&r) {
+                            requested.push(r);
+                            self.request_adoption(r, &mut asm).await;
+                        }
+                    }
+                }
+            }
+            self.out.tile_messages = Some((c, asm.arrived()));
+            let (expected, arrived) = (asm.expected_area(), asm.arrived_area());
+            // Canonical blend order keeps recovered runs bit-identical:
+            // a late-adopted fragment blends exactly as the original
+            // would have.
+            self.tile_msg = Some(encode_tile(c, expected, arrived, &asm.into_blend()));
+        }
+        self.out.counters.merge(&frag_in.counters);
+        self.frag_out = Some(frag_out);
         ControlFlow::Continue(())
     }
 
     // --- Gather stage ----------------------------------------------
 
     async fn stage_gather(&mut self) -> ControlFlow<()> {
-        let rank = self.comm.rank();
-        let (cfg, shared) = (self.cfg, self.shared);
-        let (partition, m) = (shared.partition, shared.partition.m());
-        match self.links {
-            LinkMode::Direct => {
-                // Ship finished tiles to rank 0.
-                for (c, buf) in &self.tiles_direct {
-                    self.comm
-                        .send(0, self.tags.tile, encode_fragment(*c, buf))
-                        .await;
-                }
-                if rank == 0 {
-                    let mut img = Image::new(cfg.image.0, cfg.image.1);
-                    for _ in 0..m {
-                        let (_, data) = self.comm.recv_any(self.tags.tile).await;
-                        let (_, tile_img) = decode_fragment(&data);
-                        img.paste(&tile_img);
-                    }
-                    self.out.image = Some(img);
-                }
-                self.comm.span_end("composite");
-                self.comm.barrier().await;
-            }
-            LinkMode::Reliable(rc) => {
-                let policy = rc.policy;
-                let lp = policy.link_policy();
-                let mut tile_out = OutBox::new(rank, self.tags.tile_ack, lp);
-                let mut frag_out = self.frag_out.take().expect("composite stage ran");
-                // Ship my finished tile to rank 0 over the reliable link.
-                if let Some((c, expected_area, arrived_area, buf)) = &self.tile_reliable {
-                    let mut body = Vec::with_capacity(24 + 48 + buf.pixels.len() * 16);
-                    body.extend((*c as u64).to_le_bytes());
-                    body.extend(expected_area.to_le_bytes());
-                    body.extend(arrived_area.to_le_bytes());
-                    body.extend(encode_fragment(*c, buf));
-                    tile_out.send(self.comm, 0, self.tags.tile, body).await;
-                }
-
-                // Rank 0 gathers tiles until the deadline, serving
-                // adoption on the side; a tile whose compositor died is
-                // rebuilt locally from adopted re-renders rather than
-                // written off.
-                if rank == 0 {
-                    let expected_areas: Vec<f64> =
-                        (0..m).map(|c| shared.expected_area(c)).collect();
-                    let mut tile_in = InBox::new();
-                    let mut img = Image::new(cfg.image.0, cfg.image.1);
-                    let mut got: Vec<Option<(f64, f64)>> = vec![None; m];
-                    let mut received = 0usize;
-                    let deadline = self.comm.now() + policy.stage_deadline;
-                    // The local rebuild waits two suspicion windows: a
-                    // missing tile's compositor may itself be mid-
-                    // adoption, which needs one suspicion round plus a
-                    // re-render to finish.
-                    let rebuild_at = self.comm.now() + policy.suspicion * 2;
-                    let mut rebuilt = false;
-                    while received < m && self.comm.now() < deadline {
-                        frag_out.poll(self.comm).await;
-                        tile_out.poll(self.comm).await;
-                        if let Some(ro) = self.rec_out.as_mut() {
-                            ro.poll(self.comm).await;
-                        }
-                        if let Some((src, frame)) = self
-                            .comm
-                            .recv_any_timeout(self.tags.tile, policy.poll)
-                            .await
-                        {
-                            if let Some(body) = tile_in
-                                .accept(self.comm, src, self.tags.tile_ack, &frame)
-                                .await
-                            {
-                                let c = u64::from_le_bytes(body[0..8].try_into().unwrap()) as usize;
-                                let expected = f64::from_le_bytes(body[8..16].try_into().unwrap());
-                                let arrived = f64::from_le_bytes(body[16..24].try_into().unwrap());
-                                let (_, tile_img) = decode_fragment(&body[24..]);
-                                // First-wins: a locally rebuilt tile is
-                                // already pasted and bit-identical to the
-                                // real one; a late real tile is dropped.
-                                if got[c].is_none() {
-                                    img.paste(&tile_img);
-                                    got[c] = Some((expected, arrived));
-                                    received += 1;
-                                }
-                            }
-                        }
-                        self.pump_recovery(partition, None).await;
-                        if !rebuilt && self.comm.now() >= rebuild_at && received < m {
-                            rebuilt = true;
-                            for c in 0..m {
-                                if got[c].is_some() || expected_areas[c] == 0.0 {
-                                    continue;
-                                }
-                                let tile = partition.tile(c);
-                                let sources = shared.sources_of(c);
-                                let mut asm = TileAssembly::new(c, tile, sources.to_vec());
-                                for (r, _) in sources {
-                                    let (sub, quality) = self.adopt_block(*r);
-                                    match sub.and_then(|s| s.crop(&tile)) {
-                                        Some(f) => {
-                                            asm.insert(*r, quality, f);
-                                        }
-                                        None => asm.refuse(*r),
-                                    }
-                                }
-                                let (ea, aa) = (asm.expected_area(), asm.arrived_area());
-                                img.paste(asm.seal());
-                                got[c] = Some((ea, aa));
-                                received += 1;
-                                self.out.counters.adopted_tiles += 1;
-                                self.comm.mark_instant("recover.tile_rebuilt", c as u64);
-                            }
-                        }
-                    }
-                    let tiles = (0..m)
-                        .map(|c| {
-                            let (expected, arrived) = got[c].unwrap_or_else(|| {
-                                if expected_areas[c] > 0.0 {
-                                    self.out.counters.degraded_tiles += 1;
-                                }
-                                (expected_areas[c], 0.0)
-                            });
-                            TileCompleteness {
-                                tile: c,
-                                rect: Some(partition.tile(c)),
-                                expected,
-                                arrived,
-                            }
-                        })
-                        .collect();
-                    self.out.counters.merge(&tile_in.counters);
-                    if self.out.counters.degraded_tiles > 0 {
-                        self.comm.mark_instant(
-                            "composite.degraded_tiles",
-                            self.out.counters.degraded_tiles,
-                        );
-                    }
-                    self.out.image = Some(img);
-                    self.out.completeness = Some(CompletenessMap { tiles });
-                    // Frame complete: release the lingering compositors.
-                    for &h in &shared.compositor_ranks[1..] {
-                        let rec_out = self.rec_out.as_mut().expect("recovery channel open");
-                        rec_out.send(self.comm, h, self.tags.done, Vec::new()).await;
-                    }
-                } else if self.tile_reliable.is_some() {
-                    // Lingering compositor: my tile is shipped, but
-                    // another compositor may still need me to adopt an
-                    // orphan. Keep serving the recovery channel until
-                    // rank 0 declares the frame complete (or the stage
-                    // deadline passes — rank 0 may itself be dead).
-                    let deadline = self.comm.now() + policy.stage_deadline;
-                    let mut done = false;
-                    while !done && self.comm.now() < deadline {
-                        frag_out.poll(self.comm).await;
-                        tile_out.poll(self.comm).await;
-                        if let Some(ro) = self.rec_out.as_mut() {
-                            ro.poll(self.comm).await;
-                        }
-                        if let Some((src, frame)) = self
-                            .comm
-                            .recv_any_timeout(self.tags.done, policy.poll)
-                            .await
-                        {
-                            let rec_in = self.rec_in.as_mut().expect("recovery channel open");
-                            if rec_in
-                                .accept(self.comm, src, self.tags.rec_ack, &frame)
-                                .await
-                                .is_some()
-                            {
-                                done = true;
-                            }
-                        }
-                        self.pump_recovery(partition, None).await;
+        let (mut tile_out, mut tile_in) = self.link(self.tags.tile_ack);
+        let mut frag_out = self.frag_out.take().expect("composite stage ran");
+        // Ship my finished tile to rank 0.
+        let composited = self.tile_msg.is_some();
+        if let Some(msg) = self.tile_msg.take() {
+            tile_out.send(self.comm, 0, self.tags.tile, msg).await;
+        }
+        let outs = &mut [&mut frag_out, &mut tile_out];
+        if self.comm.rank() == 0 {
+            self.gather_tiles(outs, &mut tile_in).await;
+        } else if composited && self.rec.is_some() {
+            // Lingering compositor: my tile is shipped, but another
+            // compositor may still need me to adopt an orphan. Keep
+            // serving the recovery channel until rank 0 declares the
+            // frame complete (or the stage deadline passes — rank 0 may
+            // itself be dead).
+            let deadline = self.after(self.limits.stage);
+            let mut done = false;
+            while !done && !self.past(deadline) {
+                self.poll_links(outs).await;
+                if let Some((src, frame)) = self.recv(self.tags.done).await {
+                    if let Some(rec) = self.rec.as_mut() {
+                        done = rec.inb.accept(self.comm, src, frame).await.is_some();
                     }
                 }
-
-                // Grace period: finish delivering whatever is still in
-                // flight, then account the casualties.
-                let drain_deadline = self.comm.now() + policy.drain;
-                frag_out.drain(self.comm, drain_deadline).await;
-                tile_out.drain(self.comm, drain_deadline).await;
-                self.out.counters.merge(&frag_out.counters);
-                if let Some(frag_in) = &self.frag_in {
-                    self.out.counters.merge(&frag_in.counters);
-                }
-                self.out.counters.merge(&tile_out.counters);
-                if let Some(mut ro) = self.rec_out.take() {
-                    ro.drain(self.comm, drain_deadline).await;
-                    self.out.counters.merge(&ro.counters);
-                }
-                if let Some(ri) = self.rec_in.take() {
-                    self.out.counters.merge(&ri.counters);
-                }
-                self.out.timing.composite = self.sw.lap();
-                self.comm.span_end("composite");
+                self.pump_recovery(None).await;
             }
         }
+
+        // Grace period: finish delivering whatever is still in flight,
+        // then account the casualties.
+        let drain_deadline = self.after(self.limits.drain);
+        for out in [&mut frag_out, &mut tile_out] {
+            out.drain(self.comm, drain_deadline).await;
+            self.out.counters.merge(&out.counters);
+        }
+        self.out.counters.merge(&tile_in.counters);
+        if let Some(mut rec) = self.rec.take() {
+            rec.out.drain(self.comm, drain_deadline).await;
+            self.out.counters.merge(&rec.out.counters);
+            self.out.counters.merge(&rec.inb.counters);
+        }
+        self.out.timing.composite = self.stage_end("composite").await;
         ControlFlow::Continue(())
+    }
+
+    /// Rank 0 gathers tiles until all `m` are in or the stage deadline,
+    /// serving adoption on the side; a tile whose compositor died is
+    /// rebuilt locally from adopted re-renders rather than written off.
+    async fn gather_tiles(&mut self, outs: &mut [&mut OutBox], tile_in: &mut InBox) {
+        let (cfg, shared) = (self.cfg, self.shared);
+        let (partition, m) = (shared.partition, shared.partition.m());
+        let expected_areas: Vec<f64> = (0..m).map(|c| shared.expected_area(c)).collect();
+        let mut img = Image::new(cfg.image.0, cfg.image.1);
+        let mut got: Vec<Option<(f64, f64)>> = vec![None; m];
+        let mut received = 0usize;
+        let deadline = self.after(self.limits.stage);
+        // The local rebuild waits two suspicion windows: a missing
+        // tile's compositor may itself be mid-adoption, which needs one
+        // suspicion round plus a re-render to finish.
+        let rebuild_at = self.after(self.limits.suspicion.saturating_mul(2));
+        let mut rebuilt = false;
+        while received < m && !self.past(deadline) {
+            self.poll_links(outs).await;
+            if let Some((src, frame)) = self.recv(self.tags.tile).await {
+                if let Some(body) = tile_in.accept(self.comm, src, frame).await {
+                    let (c, expected, arrived, tile_img) = decode_tile(&body);
+                    // First-wins: a locally rebuilt tile is already
+                    // pasted and bit-identical to the real one; a late
+                    // real tile is dropped.
+                    if got[c].is_none() {
+                        img.paste(&tile_img);
+                        got[c] = Some((expected, arrived));
+                        received += 1;
+                    }
+                }
+            }
+            self.pump_recovery(None).await;
+            if !rebuilt && self.past(rebuild_at) && received < m {
+                rebuilt = true;
+                for c in 0..m {
+                    if got[c].is_some() || expected_areas[c] == 0.0 {
+                        continue;
+                    }
+                    let sources = shared.sources_of(c);
+                    let mut asm = TileAssembly::new(c, partition.tile(c), sources);
+                    for (r, _) in sources {
+                        self.adopt_into(*r, &mut asm);
+                    }
+                    got[c] = Some((asm.expected_area(), asm.arrived_area()));
+                    img.paste(&asm.into_blend());
+                    received += 1;
+                    self.out.counters.adopted_tiles += 1;
+                    self.comm.mark_instant("recover.tile_rebuilt", c as u64);
+                }
+            }
+        }
+        let tiles = (0..m)
+            .map(|c| {
+                let (expected, arrived) = got[c].unwrap_or_else(|| {
+                    if expected_areas[c] > 0.0 {
+                        self.out.counters.degraded_tiles += 1;
+                    }
+                    (expected_areas[c], 0.0)
+                });
+                TileCompleteness {
+                    tile: c,
+                    rect: Some(partition.tile(c)),
+                    expected,
+                    arrived,
+                }
+            })
+            .collect();
+        if self.out.counters.degraded_tiles > 0 {
+            self.comm
+                .mark_instant("composite.degraded_tiles", self.out.counters.degraded_tiles);
+        }
+        self.out.image = Some(img);
+        self.out.completeness = Some(CompletenessMap { tiles });
+        // Frame complete: release the lingering compositors.
+        if let Some(rec) = self.rec.as_mut() {
+            for &h in &shared.compositor_ranks[1..] {
+                rec.out.send(self.comm, h, self.tags.done, Vec::new()).await;
+            }
+        }
     }
 }
 
@@ -1789,9 +1651,6 @@ impl StageExec for RankExec<'_> {
             return self.out;
         }
         self.comm.span_end("frame");
-        if matches!(self.links, LinkMode::Direct) {
-            self.out.timing.composite = self.sw.lap();
-        }
         self.out.timing.wall = self.t0.elapsed().as_secs_f64();
         self.out
     }
@@ -1894,25 +1753,31 @@ pub struct DriveOutput {
 }
 
 /// Assemble one frame's driver-side result from the per-rank outputs
-/// and mirror its verdict onto `flight`. Reliable links select the
-/// fault-tolerant accounting (merged recovery counters, completeness,
-/// rank-0-crash degradation) and contribute the plan's located
-/// incidents; per-rank counter incidents (ladder activations, I/O
-/// failovers) are derived here, and the frame's SLO verdict is
-/// evaluated against the perfmodel budgets and recorded in the returned
-/// timing. A message trace, when given, names the attributed rank from
-/// its critical path where time and incidents could not.
+/// and mirror its verdict onto `flight`: merged recovery counters,
+/// completeness (a crashed rank 0 degrades the frame to an empty image)
+/// and the per-rank counter incidents (ladder activations, I/O
+/// failovers) come out of every frame; a fault plan adds its located
+/// incidents and turns the completeness report on. The frame's SLO
+/// verdict is evaluated against the perfmodel budgets and recorded in
+/// the returned timing. A message trace, when given, names the
+/// attributed rank from its critical path where time and incidents
+/// could not.
 pub(crate) fn assemble_frame(
     cfg: &FrameConfig,
     shared: &FrameShared,
     mut results: Vec<RankOut>,
-    links: &LinkMode,
+    faults: Option<&FrameFaults>,
     trace: Option<&pvr_mpisim::trace::TraceLog>,
     flight: &FlightRecorder,
 ) -> (FrameResult, Option<CompletenessMap>) {
-    let reliable = matches!(links, LinkMode::Reliable(_));
     let m = shared.partition.m();
     let n = cfg.nprocs;
+    // Decision point (f). Located incidents of the injected plan: a
+    // crash or suspicious straggle attributes to its injection site even
+    // when hedging kept the frame fast.
+    let planned = faults.map(|f| crate::slo::incidents_from_plan(n, &f.plan, f.policy.suspicion));
+    let reports_completeness = planned.is_some();
+    let mut incidents = planned.unwrap_or_default();
     // Per-rank stage times and located incidents, before rank 0's
     // output is consumed: the SLO gate judges the slowest rank of each
     // stage, not just the root's stopwatch.
@@ -1920,7 +1785,6 @@ pub(crate) fn assemble_frame(
         .iter()
         .map(|r| [r.timing.io, r.timing.render, r.timing.composite])
         .collect();
-    let mut incidents = links.plan_incidents(n);
     for (rank, r) in results.iter().enumerate() {
         crate::slo::counter_incidents(rank, &r.counters, &mut incidents);
     }
@@ -1968,42 +1832,29 @@ pub(crate) fn assemble_frame(
     crate::slo::record_frame_flight(flight, &slo, &incidents, &recovery);
     timing.slo = Some(slo);
 
-    let (image, completeness) = if reliable {
-        // A crashed rank 0 cannot deliver an image: the frame degrades
-        // to an empty image with zero completeness on every populated
-        // tile.
-        match (root.image, root.completeness) {
-            (Some(img), Some(map)) => (img, Some(map)),
-            _ => {
-                let tiles = (0..m)
-                    .map(|c| TileCompleteness {
-                        tile: c,
-                        rect: Some(shared.partition.tile(c)),
-                        expected: shared.expected_area(c),
-                        arrived: 0.0,
-                    })
-                    .collect();
-                (
-                    Image::new(cfg.image.0, cfg.image.1),
-                    Some(CompletenessMap { tiles }),
-                )
-            }
+    // A crashed rank 0 cannot deliver an image: the frame degrades to
+    // an empty image with zero completeness on every populated tile.
+    let (image, completeness) = match (root.image, root.completeness) {
+        (Some(img), Some(map)) => (img, map),
+        _ => {
+            let tiles = (0..m)
+                .map(|c| TileCompleteness {
+                    tile: c,
+                    rect: Some(shared.partition.tile(c)),
+                    expected: shared.expected_area(c),
+                    arrived: 0.0,
+                })
+                .collect();
+            let empty = Image::new(cfg.image.0, cfg.image.1);
+            (empty, CompletenessMap { tiles })
         }
-    } else {
-        (root.image.expect("rank 0 holds the image"), None)
     };
-
-    let io = if reliable {
-        IoRunStats {
-            retries: recovery.io_retries,
-            failover_bytes,
-            unrecovered_bytes,
-            ..IoRunStats::default()
-        }
-    } else {
-        IoRunStats::default()
+    let io = IoRunStats {
+        retries: recovery.io_retries,
+        failover_bytes,
+        unrecovered_bytes,
+        ..IoRunStats::default()
     };
-
     let composite = DirectSendStats {
         messages,
         bytes: sent_bytes,
@@ -2012,7 +1863,7 @@ pub(crate) fn assemble_frame(
         per_compositor,
     };
     let frame = FrameResult::new(image, timing, io, &render, composite);
-    (frame, completeness)
+    (frame, reports_completeness.then_some(completeness))
 }
 
 /// What one message-passing world produced.
@@ -2023,21 +1874,47 @@ pub(crate) struct WorldOutput {
     pub(crate) sim: Option<pvr_mpisim::SimStats>,
 }
 
+/// A dataset the ranks could not read in full is an error of the frame,
+/// not of a rank: a rank that failed mid-world would leave its peers in
+/// blocking receives and the world would report a deadlock instead. So
+/// every file is checked against the layout's size before launch.
+fn check_datasets<P: AsRef<Path>>(cfg: &FrameConfig, paths: &[P]) -> Result<(), FrameError> {
+    let need = cfg.io.layout(cfg.grid).file_size();
+    for path in paths.iter().map(AsRef::as_ref) {
+        let md = std::fs::metadata(path).map_err(|e| FrameError::io(path, e))?;
+        if md.len() < need {
+            let what = format!("dataset holds {} bytes, the layout needs {need}", md.len());
+            let short = std::io::Error::new(std::io::ErrorKind::UnexpectedEof, what);
+            return Err(FrameError::io(path, short));
+        }
+    }
+    Ok(())
+}
+
 /// Launch one message-passing world and walk every rank through the
 /// frames of `paths` in order — a single frame is an animation of
-/// length one. Frame `t` runs under `links[t]` in tag epoch `t`; with
-/// `pipelined`, each aggregator starts reading frame `t + 1`'s windows
-/// the moment frame `t`'s read hands off (file reads only, no
-/// communication). The caller installs its fault injector on `opts`.
+/// length one. Frame `t` runs in tag epoch `t`, under `faults[t]` when
+/// the world is faulted (its plans' link faults injected per epoch);
+/// with `pipelined`, each aggregator starts reading frame `t + 1`'s
+/// windows the moment frame `t`'s read hands off (file reads only, no
+/// communication).
 pub(crate) fn run_world<P: AsRef<Path> + Sync>(
     cfg: &FrameConfig,
     shared: &FrameShared,
     paths: &[P],
-    links: &[LinkMode],
-    opts: pvr_mpisim::RunOptions,
+    faults: Option<&[FrameFaults]>,
+    mut opts: pvr_mpisim::RunOptions,
     throttle: Option<IoThrottle>,
     pipelined: bool,
 ) -> Result<WorldOutput, FrameError> {
+    check_datasets(cfg, paths)?;
+    // Decision point (g): the transport plays the plans' link faults.
+    if let Some(faults) = faults {
+        let frames = faults.iter().map(|f| PlanInjector::new(f.plan.clone()));
+        opts = opts.with_injector(Arc::new(EpochInjector {
+            frames: frames.collect(),
+        }));
+    }
     let nf = paths.len();
     let file = FilePlan::new(cfg, &shared.stored);
     let file = &file;
@@ -2055,7 +1932,7 @@ pub(crate) fn run_world<P: AsRef<Path> + Sync>(
                 &mut comm,
                 cfg,
                 paths[t].as_ref(),
-                &links[t],
+                faults.map(|f| &f[t]),
                 FrameTags::for_frame(t),
                 throttle,
                 windows,
@@ -2080,13 +1957,13 @@ pub(crate) fn run_world<P: AsRef<Path> + Sync>(
             // spawns a prefetch), then rejoins at the next epoch's
             // tags with a live read — only its own frame degrades.
             outs.push(rank_out);
-            // Reliable frames have no in-frame barriers (a crashed
-            // rank might miss one), but between frames every rank —
-            // crashed or not — reaches this point, so a resync here is
-            // safe. Without it a crashed rank races ahead while its
-            // peers wait out frame `t`'s deadlines, and the skew eats
-            // into frame `t+1`'s deadline budget.
-            if matches!(links[t], LinkMode::Reliable(_)) && t + 1 < nf {
+            // Decision point (h). Faulted frames have no in-frame
+            // barriers (a crashed rank might miss one), but between
+            // frames every rank — crashed or not — reaches this point,
+            // so a resync here is safe. Without it a crashed rank races
+            // ahead while its peers wait out frame `t`'s deadlines, and
+            // the skew eats into frame `t+1`'s deadline budget.
+            if faults.is_some() && t + 1 < nf {
                 comm.barrier().await;
             }
         }
@@ -2138,28 +2015,23 @@ pub fn drive_frame(
         }
         Exec::Mpi(opts) => {
             let Some(path) = path else {
-                return Err(FrameError::Io {
-                    path: PathBuf::new(),
-                    source: std::io::Error::new(
-                        std::io::ErrorKind::InvalidInput,
-                        "the message-passing executor needs a dataset file",
-                    ),
-                });
+                let what = "the message-passing executor needs a dataset file";
+                let source = std::io::Error::new(std::io::ErrorKind::InvalidInput, what);
+                return Err(FrameError::io(Path::new(""), source));
             };
-            let links = match faults {
-                Some((plan, policy)) => LinkMode::reliable(plan, policy),
-                None => LinkMode::Direct,
-            };
-            let opts = match links.injector() {
-                Some(inj) => opts.with_injector(Arc::new(inj)),
-                None => opts,
-            };
-            let links = std::slice::from_ref(&links);
-            let mut out = run_world(cfg, &shared, &[path], links, opts, None, false)?;
+            let faults = faults.map(|(plan, policy)| FrameFaults::new(plan, policy));
+            let world_faults = faults.as_ref().map(std::slice::from_ref);
+            let mut out = run_world(cfg, &shared, &[path], world_faults, opts, None, false)?;
             let results = out.frames.pop().expect("one path, one frame");
             let trace = out.trace.as_ref();
-            let (frame, completeness) =
-                assemble_frame(cfg, &shared, results, &links[0], trace, &driver.flight);
+            let (frame, completeness) = assemble_frame(
+                cfg,
+                &shared,
+                results,
+                faults.as_ref(),
+                trace,
+                &driver.flight,
+            );
             Ok(DriveOutput {
                 frame,
                 completeness,
@@ -2311,6 +2183,39 @@ mod tests {
         std::fs::remove_file(&p).ok();
     }
 
+    /// A fault-free frame sends what the scatter plan and the schedule
+    /// name and nothing else: no ack, no `done`, no timer armed.
+    #[test]
+    fn fault_free_frame_sends_the_scheduled_messages_and_nothing_else() {
+        let p = tmp("counts-sim.raw");
+        for (n, messages) in [(8, 8_768), (64, 20_078)] {
+            let mut cfg = FrameConfig::small(64, 128, n);
+            cfg.policy = CompositorPolicy::Improved;
+            write_dataset(&p, &cfg).unwrap();
+            let driver = Driver::mpi(pvr_mpisim::RunOptions::default());
+            let sim = drive_frame(&cfg, Some(&p), driver).unwrap().sim.unwrap();
+            assert_eq!((sim.messages, sim.timer_fires), (messages, 0), "n = {n}");
+        }
+        std::fs::remove_file(&p).ok();
+    }
+
+    /// A read that fails inside a running world names its rank, the
+    /// file and the bytes it asked for.
+    #[test]
+    fn in_world_read_failure_names_rank_file_and_extent() {
+        let e = std::io::Error::from(std::io::ErrorKind::UnexpectedEof);
+        let at = Extent::new(4096, 512);
+        let msg = read_failure(3, "read", Path::new("/data/step0007.raw"), at, &e);
+        for needle in [
+            "rank 3",
+            "read of /data/step0007.raw",
+            "offset 4096",
+            "length 512",
+        ] {
+            assert!(msg.contains(needle), "{needle:?} missing from: {msg}");
+        }
+    }
+
     #[test]
     fn fault_stage_mapping_preserves_plan_indices() {
         assert_eq!(StageId::Read.fault_stage(), Some(Stage::Io));
@@ -2364,10 +2269,17 @@ mod tests {
         let cfg = test_cfg();
         let p = tmp("healthy.raw");
         write_dataset(&p, &cfg).unwrap();
-        let plain = run_frame_mpi(&cfg, &p);
+        let driver = Driver::mpi(pvr_mpisim::RunOptions::default());
+        let plain = drive_frame(&cfg, Some(&p), driver).unwrap();
+        // Without a plan: nothing to recover from, nothing reported.
+        assert_eq!(plain.frame.timing.recovery, RecoveryCounters::default());
+        assert!(plain.completeness.is_none());
+        let plain = plain.frame;
         let ft = mpi_ft(&cfg, &p, &FaultPlan::none(), &RecoveryPolicy::fast_test());
         assert_eq!(plain.image.pixels(), ft.frame.image.pixels());
         assert!(complete(&ft));
+        let map = ft.completeness.as_ref().unwrap();
+        assert!(map.tiles.iter().all(|t| t.arrived == t.expected));
         // Spurious retransmits can happen under scheduler load (an ack
         // arriving just after its timeout) and are harmless — but
         // nothing may be lost, degraded, or crashed on a healthy plan.

@@ -22,6 +22,17 @@
 //! recovers from transient loss produces bit-identical data to the
 //! fault-free run; only the `attempt` field (not covered by the crc)
 //! differs on the wire.
+//!
+//! **Pass-through.** A frame that runs without a fault plan sends the
+//! same messages through the same two types, built without a
+//! [`LinkPolicy`] / ack tag: nothing on such a link can be lost, so it
+//! skips everything above. [`OutBox::send`] puts the body on the wire
+//! as it is (no frame header, no checksum) and retains nothing;
+//! [`OutBox::poll`] and [`OutBox::drain`] return without receiving or
+//! arming a timer, and [`OutBox::pending`] stays 0; [`InBox::accept`]
+//! hands the received bytes back untouched — no ack is sent and no
+//! `(src, msg_id)` is remembered. The choice is made once, in the
+//! constructor; callers run one code path over either kind of link.
 
 use std::collections::HashSet;
 use std::time::Duration;
@@ -115,7 +126,8 @@ struct Pending {
 /// Sender half: frames payloads, retransmits unacked frames with
 /// exponential backoff, gives up after `max_retries`.
 pub struct OutBox {
-    policy: LinkPolicy,
+    /// `None` makes this a pass-through sender (module docs).
+    policy: Option<LinkPolicy>,
     /// Tag acks for this outbox arrive on.
     ack_tag: u32,
     next_id: u64,
@@ -127,7 +139,8 @@ impl OutBox {
     /// `rank` salts the message-id space so ids are globally unique
     /// (receivers dedupe on `(src, msg_id)`, so per-sender uniqueness is
     /// what actually matters; the salt just makes traces readable).
-    pub fn new(rank: usize, ack_tag: u32, policy: LinkPolicy) -> Self {
+    /// Without a `policy` the sender is a pass-through.
+    pub fn new(rank: usize, ack_tag: u32, policy: Option<LinkPolicy>) -> Self {
         OutBox {
             policy,
             ack_tag,
@@ -137,8 +150,12 @@ impl OutBox {
         }
     }
 
-    /// Frame and send `body` to `to` on `tag`; returns the message id.
-    pub async fn send(&mut self, comm: &Comm, to: usize, tag: u32, body: Vec<u8>) -> u64 {
+    /// Frame and send `body` to `to` on `tag`, keeping it for
+    /// retransmission until acked.
+    pub async fn send(&mut self, comm: &Comm, to: usize, tag: u32, body: Vec<u8>) {
+        let Some(policy) = self.policy else {
+            return comm.send(to, tag, body).await;
+        };
         let msg_id = self.next_id;
         self.next_id += 1;
         comm.send(to, tag, encode_frame(KIND_DATA, msg_id, 0, &body))
@@ -149,10 +166,9 @@ impl OutBox {
             msg_id,
             attempt: 0,
             body,
-            wait: self.policy.ack_timeout,
-            next_retry: comm.now() + self.policy.ack_timeout,
+            wait: policy.ack_timeout,
+            next_retry: comm.now() + policy.ack_timeout,
         });
-        msg_id
     }
 
     /// Messages still awaiting an ack.
@@ -164,6 +180,9 @@ impl OutBox {
     /// inside every receive loop so sends make progress while the rank
     /// is busy receiving.
     pub async fn poll(&mut self, comm: &mut Comm) {
+        let Some(policy) = self.policy else {
+            return;
+        };
         while let Some((src, frame)) = comm.try_recv_any(self.ack_tag) {
             let Some((kind, msg_id, _, _)) = decode_frame(&frame) else {
                 self.counters.corrupt_dropped += 1;
@@ -181,7 +200,7 @@ impl OutBox {
                 i += 1;
                 continue;
             }
-            if self.outstanding[i].attempt >= self.policy.max_retries {
+            if self.outstanding[i].attempt >= policy.max_retries {
                 self.counters.timeouts += 1;
                 comm.mark_instant("link.timeout", self.outstanding[i].msg_id);
                 self.outstanding.swap_remove(i);
@@ -189,7 +208,7 @@ impl OutBox {
             }
             let p = &mut self.outstanding[i];
             p.attempt += 1;
-            p.wait = Duration::from_secs_f64(p.wait.as_secs_f64() * self.policy.backoff.max(1.0));
+            p.wait = Duration::from_secs_f64(p.wait.as_secs_f64() * policy.backoff.max(1.0));
             p.next_retry = now + p.wait;
             self.counters.retries += 1;
             comm.mark_instant("link.retransmit", p.msg_id);
@@ -205,6 +224,9 @@ impl OutBox {
     /// timeout. Returns the number of messages confirmed delivered is
     /// not knowable (acks can be lost), so callers read the counters.
     pub async fn drain(&mut self, comm: &mut Comm, deadline: Duration) {
+        let Some(policy) = self.policy else {
+            return;
+        };
         loop {
             self.poll(comm).await;
             if self.outstanding.is_empty() {
@@ -221,7 +243,7 @@ impl OutBox {
             }
             // Sleep-free wait: block on the ack tag itself so a late ack
             // wakes us immediately.
-            let step = self.policy.poll.min(deadline - now);
+            let step = policy.poll.min(deadline - now);
             if let Some((src, frame)) = comm.recv_any_timeout(self.ack_tag, step).await {
                 if let Some((kind, msg_id, _, _)) = decode_frame(&frame) {
                     if kind == KIND_ACK {
@@ -237,29 +259,32 @@ impl OutBox {
 }
 
 /// Receiver half: verifies, acks, and dedupes incoming frames.
-#[derive(Default)]
 pub struct InBox {
+    /// Tag the acks go out on; `None` makes this a pass-through
+    /// receiver (module docs).
+    ack_tag: Option<u32>,
     seen: HashSet<(usize, u64)>,
     pub counters: RecoveryCounters,
 }
 
 impl InBox {
-    pub fn new() -> Self {
-        InBox::default()
+    pub fn new(ack_tag: Option<u32>) -> Self {
+        InBox {
+            ack_tag,
+            seen: HashSet::new(),
+            counters: RecoveryCounters::default(),
+        }
     }
 
     /// Process one raw frame received from `src`. Returns the body for
     /// a fresh, intact data frame; `None` for corrupt frames (no ack —
     /// the sender must retransmit) and duplicates (acked again, since
     /// the previous ack may have been lost).
-    pub async fn accept(
-        &mut self,
-        comm: &Comm,
-        src: usize,
-        ack_tag: u32,
-        frame: &[u8],
-    ) -> Option<Vec<u8>> {
-        let Some((kind, msg_id, attempt, body)) = decode_frame(frame) else {
+    pub async fn accept(&mut self, comm: &Comm, src: usize, mut frame: Vec<u8>) -> Option<Vec<u8>> {
+        let Some(ack_tag) = self.ack_tag else {
+            return Some(frame);
+        };
+        let Some((kind, msg_id, attempt, _)) = decode_frame(&frame) else {
             self.counters.corrupt_dropped += 1;
             comm.mark_instant("link.corrupt", src as u64);
             return None;
@@ -270,12 +295,23 @@ impl InBox {
         comm.send(src, ack_tag, encode_frame(KIND_ACK, msg_id, attempt, &[]))
             .await;
         if self.seen.insert((src, msg_id)) {
-            Some(body.to_vec())
+            // The body, shifted down over the header in place.
+            frame.drain(..HEADER_LEN);
+            Some(frame)
         } else {
             self.counters.duplicate_dropped += 1;
             None
         }
     }
+}
+
+/// Both halves of one link on `rank`: acked under `policy`, acks on
+/// `ack_tag`; a pass-through pair without one.
+pub fn pair(rank: usize, ack_tag: u32, policy: Option<LinkPolicy>) -> (OutBox, InBox) {
+    (
+        OutBox::new(rank, ack_tag, policy),
+        InBox::new(policy.map(|_| ack_tag)),
+    )
 }
 
 #[cfg(test)]
@@ -353,7 +389,7 @@ mod tests {
         let opts = RunOptions::default().with_injector(inj.clone());
         let out = World::run_opts(2, opts, |mut comm| async move {
             if comm.rank() == 0 {
-                let mut ob = OutBox::new(0, ACK, policy());
+                let mut ob = OutBox::new(0, ACK, Some(policy()));
                 for i in 0..4u8 {
                     ob.send(&comm, 1, DATA, vec![i, i, i]).await;
                 }
@@ -363,14 +399,14 @@ mod tests {
                 assert!(ob.counters.retries >= 8, "each message needed 2 retries");
                 (ob.counters, Vec::new())
             } else {
-                let mut ib = InBox::new();
+                let mut ib = InBox::new(Some(ACK));
                 let mut got = Vec::new();
                 let deadline = comm.now() + Duration::from_secs(5);
                 while got.len() < 4 && comm.now() < deadline {
                     if let Some((src, frame)) =
                         comm.recv_any_timeout(DATA, Duration::from_millis(2)).await
                     {
-                        if let Some(body) = ib.accept(&comm, src, ACK, &frame).await {
+                        if let Some(body) = ib.accept(&comm, src, frame).await {
                             got.push(body);
                         }
                     }
@@ -378,7 +414,7 @@ mod tests {
                 // Absorb stray retransmissions so late frames don't
                 // linger (harmless either way — the world is ending).
                 while let Some((src, frame)) = comm.try_recv_any(DATA) {
-                    ib.accept(&comm, src, ACK, &frame).await;
+                    ib.accept(&comm, src, frame).await;
                 }
                 (ib.counters, got)
             }
@@ -410,18 +446,18 @@ mod tests {
         let opts = RunOptions::default().with_injector(Arc::new(DropAll));
         let out = World::run_opts(2, opts, |mut comm| async move {
             if comm.rank() == 0 {
-                let mut ob = OutBox::new(0, ACK, policy());
+                let mut ob = OutBox::new(0, ACK, Some(policy()));
                 ob.send(&comm, 1, DATA, vec![42]).await;
                 let deadline = comm.now() + Duration::from_millis(400);
                 ob.drain(&mut comm, deadline).await;
                 ob.counters
             } else {
-                let mut ib = InBox::new();
+                let mut ib = InBox::new(Some(ACK));
                 let mut counters = RecoveryCounters::default();
                 while let Some((src, frame)) =
                     comm.recv_any_timeout(DATA, Duration::from_millis(60)).await
                 {
-                    ib.accept(&comm, src, ACK, &frame).await;
+                    ib.accept(&comm, src, frame).await;
                 }
                 counters.merge(&ib.counters);
                 counters
@@ -464,25 +500,25 @@ mod tests {
         let opts = RunOptions::default().with_injector(inj.clone());
         let out = World::run_opts(2, opts, |mut comm| async move {
             if comm.rank() == 0 {
-                let mut ob = OutBox::new(0, ACK, policy());
+                let mut ob = OutBox::new(0, ACK, Some(policy()));
                 ob.send(&comm, 1, DATA, vec![7; 32]).await;
                 let deadline = comm.now() + Duration::from_secs(5);
                 ob.drain(&mut comm, deadline).await;
                 assert_eq!(ob.counters.timeouts, 0);
                 (ob.counters, None)
             } else {
-                let mut ib = InBox::new();
+                let mut ib = InBox::new(Some(ACK));
                 let deadline = comm.now() + Duration::from_secs(5);
                 let mut body = None;
                 while body.is_none() && comm.now() < deadline {
                     if let Some((src, frame)) =
                         comm.recv_any_timeout(DATA, Duration::from_millis(2)).await
                     {
-                        body = ib.accept(&comm, src, ACK, &frame).await;
+                        body = ib.accept(&comm, src, frame).await;
                     }
                 }
                 while let Some((src, frame)) = comm.try_recv_any(DATA) {
-                    ib.accept(&comm, src, ACK, &frame).await;
+                    ib.accept(&comm, src, frame).await;
                 }
                 (ib.counters, body)
             }
@@ -496,5 +532,85 @@ mod tests {
         );
         assert!(rx_counters.corrupt_dropped >= 1, "corruption was detected");
         assert_eq!(inj.hits.load(Ordering::Relaxed), 1);
+    }
+
+    /// Counts every send on the ack tag and records what travels on the
+    /// data tag.
+    struct Wiretap {
+        acks: AtomicU64,
+        data: std::sync::Mutex<Vec<Vec<u8>>>,
+    }
+    impl FaultInjector for Wiretap {
+        fn on_send(&self, _s: usize, _d: usize, tag: u32, _q: u64, b: &mut Vec<u8>) -> SendFate {
+            if tag == ACK {
+                self.acks.fetch_add(1, Ordering::Relaxed);
+            } else if tag == DATA {
+                self.data.lock().unwrap().push(b.clone());
+            }
+            SendFate::Deliver
+        }
+    }
+
+    #[test]
+    fn pass_through_pair_moves_the_body_and_nothing_else() {
+        let tap = Arc::new(Wiretap {
+            acks: AtomicU64::new(0),
+            data: std::sync::Mutex::new(Vec::new()),
+        });
+        let opts = RunOptions::default().with_injector(tap.clone());
+        let out = World::run_opts(2, opts, |mut comm| async move {
+            let (mut ob, mut ib) = pair(comm.rank(), ACK, None);
+            if comm.rank() == 0 {
+                ob.send(&comm, 1, DATA, vec![9, 8, 7]).await;
+                assert_eq!(ob.pending(), 0, "nothing is retained");
+                // Neither may receive: a blocking wait on the ack tag
+                // would be reported as a deadlock, a timed one would
+                // fire a timer.
+                ob.poll(&mut comm).await;
+                ob.drain(&mut comm, Duration::MAX).await;
+                assert_eq!(ob.counters, RecoveryCounters::default());
+                None
+            } else {
+                let (src, frame) = comm.recv_any(DATA).await;
+                let body = ib.accept(&comm, src, frame).await;
+                assert_eq!(ib.counters, RecoveryCounters::default());
+                body
+            }
+        })
+        .unwrap();
+        assert_eq!(out.results[1].as_deref(), Some(&[9u8, 8, 7][..]));
+        assert_eq!(*tap.data.lock().unwrap(), vec![vec![9u8, 8, 7]]);
+        assert_eq!(tap.acks.load(Ordering::Relaxed), 0, "no ack is ever sent");
+        assert_eq!(out.sim.expect("event core").timer_fires, 0);
+    }
+}
+#[cfg(test)]
+mod sizes {
+    use super::*;
+    #[test]
+    fn print_sizes() {
+        fn sz<F: std::future::Future>(_: &F) -> usize {
+            std::mem::size_of::<F>()
+        }
+        let out = pvr_mpisim::World::run_opts(
+            1,
+            pvr_mpisim::RunOptions::default(),
+            |mut comm| async move {
+                let (mut ob, mut ib) = pair(0, 1, None);
+                let a = sz(&ib.accept(&comm, 0, Vec::new()));
+                let s = sz(&ob.send(&comm, 0, 1, Vec::new()));
+                let c = sz(&comm.send(0, 1, Vec::new()));
+                let r = sz(&comm.recv_any(1));
+                let rt = sz(&comm.recv_any_timeout(1, Duration::ZERO));
+                let p = sz(&ob.poll(&mut comm));
+                let d = sz(&ob.drain(&mut comm, Duration::ZERO));
+                (a, s, c, r, rt, p, d)
+            },
+        )
+        .unwrap();
+        eprintln!(
+            "accept, ob.send, comm.send, recv_any, recv_any_timeout, poll, drain = {:?}",
+            out.results[0]
+        );
     }
 }

@@ -238,8 +238,8 @@ impl Piece {
 /// exchange phase.
 ///
 /// Every real executor — the in-process scatter below, the
-/// message-passing scatter in `pvr-core`'s frame scheduler (plain and
-/// fault-tolerant link modes), and the per-rank prefetch of the
+/// message-passing scatter in `pvr-core`'s frame scheduler (with or
+/// without a fault plan), and the per-rank prefetch of the
 /// animation driver — builds on this one computation, so their expected
 /// message sets can never drift apart.
 #[derive(Debug, Clone)]

@@ -144,8 +144,9 @@ fn message_passing_executor_is_bit_identical() {
     std::fs::remove_file(&p).ok();
 }
 
-/// A dataset cut short under the readers is a failure that must say
-/// where it happened: which rank, which file, which bytes.
+/// A dataset shorter than its layout is caught before the world starts
+/// and comes back typed, naming the file and both lengths — not as a
+/// panic inside a rank whose peers would be left in blocking receives.
 #[test]
 fn short_read_names_rank_path_and_extent() {
     let mut cfg = FrameConfig::small(18, 26, 4);
@@ -159,37 +160,39 @@ fn short_read_names_rank_path_and_extent() {
         .unwrap()
         .set_len(full / 2)
         .unwrap();
-    let panic = std::panic::catch_unwind(|| run_frame_mpi(&cfg, &p)).unwrap_err();
-    let msg = panic
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
-        .unwrap_or_default();
-    for needle in ["rank ", "short-read.raw", "offset ", "length "] {
-        assert!(msg.contains(needle), "{needle:?} missing from: {msg}");
+    let mpi = Driver::mpi(parallel_volume_rendering::mpisim::RunOptions::default());
+    let Err(FrameError::Io { path, source }) = drive_frame(&cfg, Some(&p), mpi) else {
+        panic!("expected FrameError::Io");
+    };
+    assert_eq!(path, p);
+    assert_eq!(source.kind(), std::io::ErrorKind::UnexpectedEof);
+    let msg = source.to_string();
+    for needle in [(full / 2).to_string(), full.to_string()] {
+        assert!(msg.contains(&needle), "{needle:?} missing from: {msg}");
     }
     std::fs::remove_file(&p).ok();
 }
 
 /// A dataset that cannot be read is a typed error naming the file, not a
-/// panic: on both read paths of the data-parallel executor (two-phase
-/// collective, independent), and on the message-passing executor when
-/// no file is given at all.
+/// panic: on both read paths (two-phase collective, independent) of
+/// both executors, and on the message-passing executor when no file is
+/// given at all.
 #[test]
 fn unreadable_dataset_is_a_typed_io_error() {
-    let io_error = |cfg: &FrameConfig, p: &std::path::Path, what: &str| match drive_frame(
-        cfg,
-        Some(p),
-        Driver::rayon(),
-    ) {
-        Err(FrameError::Io { path, source }) => {
-            assert_eq!(path, p, "{what}");
-            let shown = FrameError::Io { path, source }.to_string();
-            let name = p.file_name().unwrap().to_str().unwrap();
-            assert!(shown.contains(name), "{what}: {shown}");
+    let mpi = || Driver::mpi(parallel_volume_rendering::mpisim::RunOptions::default());
+    let io_error = |cfg: &FrameConfig, p: &std::path::Path, what: &str| {
+        for (exec, driver) in [("rayon", Driver::rayon()), ("mpi", mpi())] {
+            match drive_frame(cfg, Some(p), driver) {
+                Err(FrameError::Io { path, source }) => {
+                    assert_eq!(path, p, "{exec}, {what}");
+                    let shown = FrameError::Io { path, source }.to_string();
+                    let name = p.file_name().unwrap().to_str().unwrap();
+                    assert!(shown.contains(name), "{exec}, {what}: {shown}");
+                }
+                Err(e) => panic!("{exec}, {what}: expected FrameError::Io, got {e}"),
+                Ok(_) => panic!("{exec}, {what}: expected FrameError::Io, got a frame"),
+            }
         }
-        Err(e) => panic!("{what}: expected FrameError::Io, got {e}"),
-        Ok(_) => panic!("{what}: expected FrameError::Io, got a frame"),
     };
     for io in [IoMode::Raw, IoMode::Hdf5] {
         let mut cfg = FrameConfig::small(18, 26, 4);
@@ -207,9 +210,8 @@ fn unreadable_dataset_is_a_typed_io_error() {
         std::fs::remove_file(&p).ok();
     }
     let cfg = FrameConfig::small(18, 26, 4);
-    let no_file = Driver::mpi(parallel_volume_rendering::mpisim::RunOptions::default());
     assert!(matches!(
-        drive_frame(&cfg, None, no_file),
+        drive_frame(&cfg, None, mpi()),
         Err(FrameError::Io { .. })
     ));
 }

@@ -74,9 +74,9 @@ fn check_scale_invariants(n: usize, frame: &FrameResult, sim: &SimStats, referen
     // and no task was polled without progress pathologically often.
     assert_eq!(sim.peak_resident, n, "n={n}: all ranks resident at once");
     assert!(sim.messages > 0, "n={n}: no messages through the core");
-    // A healthy direct-link frame has no timed waits, so the virtual
-    // clock only moves when timers fire (throttles, straggles,
-    // reliable-protocol deadlines).
+    // A frame without a fault plan has no timed waits, so the virtual
+    // clock only moves when timers fire (throttles, straggles, a
+    // faulted frame's deadlines).
     if sim.timer_fires > 0 {
         assert!(
             sim.virtual_time > std::time::Duration::ZERO,
@@ -97,6 +97,10 @@ fn sim_scale_1024_matches_the_reference_frame() {
     let (reference, _) = frame_at(64);
     let (frame, sim) = frame_at(1024);
     check_scale_invariants(1024, &frame, &sim, &reference);
+    // A fault-free frame sends what the scatter plan and the schedule
+    // name — pieces, fragments, tiles — and nothing else, and arms no
+    // timer: its links are pass-through and its receives block.
+    assert_eq!((sim.messages, sim.timer_fires), (110_698, 0));
 }
 
 /// The CI gate: the paper's mid-scale configuration must stay
