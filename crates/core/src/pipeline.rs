@@ -526,19 +526,44 @@ fn decode_fragment(data: &[u8]) -> (usize, SubImage) {
 // fault-free one reports `hole = 0`, `quality = 1`, `arrived =
 // expected`); the reliable link adds its own frame around them.
 
-/// Scatter piece: `[dst, len, hole]`, then `len` bytes bound for byte
-/// `dst` of the receiver's buffer, `hole` of which no retry or replica
-/// could serve (they travel as zeros).
-pub(crate) fn encode_piece(dst: usize, hole: u64, bytes: &[u8]) -> Vec<u8> {
-    let mut msg = with_header(&[dst as u64, bytes.len() as u64, hole], bytes.len());
-    msg.extend(bytes);
-    msg
+/// Bytes of a scatter record's `[dst, len, hole]` header.
+pub(crate) const PIECE_HEADER: usize = 24;
+
+/// Scatter body: every piece of one window bound for one rank, each a
+/// record `[dst, len, hole]` and `len` bytes bound for byte `dst` of the
+/// receiver's buffer, `hole` of which no retry or replica could serve
+/// (they travel as zeros). This appends one record.
+pub(crate) fn push_piece(body: &mut Vec<u8>, dst: usize, hole: u64, bytes: &[u8]) {
+    for word in [dst as u64, bytes.len() as u64, hole] {
+        body.extend_from_slice(&word.to_le_bytes());
+    }
+    body.extend_from_slice(bytes);
 }
 
-pub(crate) fn decode_piece(body: &[u8]) -> (usize, u64, &[u8]) {
+/// Copy every record of rank `src`'s scatter body into `out`; returns
+/// the `(pieces, bytes, hole bytes)` it carried. A record that runs past
+/// the body or past `out` is a bug in the sender's plan: it panics,
+/// naming the record.
+pub(crate) fn unpack_pieces(body: &[u8], src: usize, out: &mut [u8]) -> (usize, u64, u64) {
     let mut h = Words(body);
-    let (dst, len, hole) = (h.index(), h.index(), h.u64());
-    (dst, hole, &h.0[..len])
+    let (mut pieces, mut bytes, mut holes) = (0, 0, 0);
+    while !h.0.is_empty() {
+        let (dst, len, hole) = (h.index(), h.index(), h.u64());
+        assert!(
+            len <= h.0.len() && dst.checked_add(len).is_some_and(|end| end <= out.len()),
+            "scatter record from rank {src}: dst {dst} + len {len} does not fit the {} bytes \
+             left of its body and the receiver's buffer of {}",
+            h.0.len(),
+            out.len()
+        );
+        let (piece, rest) = h.0.split_at(len);
+        out[dst..dst + len].copy_from_slice(piece);
+        h.0 = rest;
+        pieces += 1;
+        bytes += len as u64;
+        holes += hole;
+    }
+    (pieces, bytes, holes)
 }
 
 /// Fragment: `[quality]` — the fraction of the renderer's input bytes
@@ -669,9 +694,6 @@ mod tests {
         let same = |a: &SubImage, b: &SubImage| {
             (a.rect, a.depth.to_bits(), &a.pixels) == (b.rect, b.depth.to_bits(), &b.pixels)
         };
-        let piece = encode_piece(40, 7, &[1, 2, 3, 4, 5]);
-        assert_eq!(piece.len(), 24 + 5);
-        assert_eq!(decode_piece(&piece), (40, 7, &[1u8, 2, 3, 4, 5][..]));
         assert_eq!(encode_adopt(5, 2).len(), 16);
         assert_eq!(decode_adopt(&encode_adopt(5, 2)), (5, 2));
         let refusal = encode_late(5, 2, None);
@@ -706,6 +728,42 @@ mod tests {
             assert_eq!((orphan, tile, quality), (5, 2, 0.5));
             assert!(same(&got, frag));
         }
+    }
+
+    /// A scatter body carries one, many or no records, empty ones
+    /// included; each lands at its `dst` and is tallied on its own.
+    #[test]
+    fn scatter_bodies_round_trip_record_by_record() {
+        let mut body = Vec::new();
+        let mut out = [9u8; 12];
+        assert_eq!(unpack_pieces(&body, 3, &mut out), (0, 0, 0));
+        push_piece(&mut body, 8, 7, &[1, 2, 3]);
+        assert_eq!(body.len(), PIECE_HEADER + 3);
+        assert_eq!(unpack_pieces(&body, 3, &mut out), (1, 3, 7));
+        assert_eq!(out, [9, 9, 9, 9, 9, 9, 9, 9, 1, 2, 3, 9]);
+        push_piece(&mut body, 12, 0, &[]);
+        push_piece(&mut body, 0, 2, &[4, 5, 6, 7]);
+        assert_eq!(body.len(), 3 * PIECE_HEADER + 7);
+        assert_eq!(unpack_pieces(&body, 3, &mut out), (3, 7, 9));
+        assert_eq!(out, [4, 5, 6, 7, 9, 9, 9, 9, 1, 2, 3, 9]);
+    }
+
+    #[test]
+    #[should_panic(expected = "from rank 5: dst 0 + len 4 does not fit the 3 bytes")]
+    fn scatter_record_longer_than_its_body_panics() {
+        let mut body = Vec::new();
+        push_piece(&mut body, 0, 0, &[1, 2, 3, 4]);
+        body.pop();
+        unpack_pieces(&body, 5, &mut [0u8; 16]);
+    }
+
+    #[test]
+    #[should_panic(expected = "from rank 5: dst 14 + len 4 does not fit the 4 bytes \
+                               left of its body and the receiver's buffer of 16")]
+    fn scatter_record_past_the_receivers_buffer_panics() {
+        let mut body = Vec::new();
+        push_piece(&mut body, 14, 0, &[1, 2, 3, 4]);
+        unpack_pieces(&body, 5, &mut [0u8; 16]);
     }
 
     #[test]

@@ -29,14 +29,17 @@
 //!
 //! ## One rank protocol
 //!
-//! [`RankExec`] has one body per stage: scatter pieces into the block,
-//! render, send fragments to tiles that seal order-independently
-//! (`TileAssembly`), ship tiles to rank 0 — the wire messages are the
-//! `encode_*`/`decode_*` pairs of [`crate::pipeline`]. A frame carries
-//! a fault state (`FrameFaults`: plan + effective policy) or nothing,
-//! and with nothing it runs the same bodies over pass-through links
-//! (`pvr_faults::link`). Eight places ask which, and nothing else may
-//! (DESIGN §11 has the measurements behind a and b):
+//! [`RankExec`] has one body per stage: scatter each window read to
+//! the ranks that asked for part of it (one message per window and
+//! destination, as ROMIO's exchange phase sends; [`planned_messages`]
+//! counts a frame's messages from its plans), render, send fragments to
+//! tiles that seal order-independently (`TileAssembly`), ship tiles to
+//! rank 0 — the wire messages are the codec pairs of
+//! [`crate::pipeline`]. A frame carries a fault state (`FrameFaults`:
+//! plan + effective policy) or nothing, and with nothing it runs the
+//! same bodies over pass-through links (`pvr_faults::link`). Eight
+//! places ask which, and nothing else may (DESIGN §11 has the
+//! measurements behind a and b):
 //!
 //! | | where | with a plan | without | why it may ask |
 //! |---|---|---|---|---|
@@ -83,10 +86,10 @@ use pvr_volume::BlockDecomposition;
 
 use crate::config::FrameConfig;
 use crate::pipeline::{
-    decode_adopt, decode_fragment_msg, decode_late, decode_piece, decode_tile, decode_volume,
-    default_view, encode_adopt, encode_fragment_msg, encode_late, encode_piece, encode_tile,
-    rank_requests, read_frame_bytes, render_opts, synthesize_stage, tags, transfer_for, FrameError,
-    FrameResult, IoRunStats,
+    decode_adopt, decode_fragment_msg, decode_late, decode_tile, decode_volume, default_view,
+    encode_adopt, encode_fragment_msg, encode_late, encode_tile, push_piece, rank_requests,
+    read_frame_bytes, render_opts, synthesize_stage, tags, transfer_for, unpack_pieces, FrameError,
+    FrameResult, IoRunStats, PIECE_HEADER,
 };
 use crate::recovery::{
     adopter_of, effective_policy, heal_costs, HealDecision, HealPlan, RecoveryBudget,
@@ -773,6 +776,24 @@ impl FilePlan {
     }
 }
 
+/// Messages a fault-free message-passing frame of `cfg` sends, counted
+/// from its plans alone: one scatter body per (window, destination), one
+/// fragment per schedule row, one tile per compositor. The executed
+/// count (`SimStats::messages`) is pinned to this in `scheduler::tests`
+/// and `tests/sim_scale.rs`.
+pub fn planned_messages(cfg: &FrameConfig) -> usize {
+    let shared = FrameShared::new(cfg);
+    let file = FilePlan::new(cfg, &shared.stored);
+    let mut messages = shared.schedule.num_messages() + cfg.compositors();
+    if let Some(sp) = &file.scatter {
+        for a in &sp.plan.accesses {
+            let sends = sp.sends_in(a.extent);
+            messages += sends.chunk_by(|a, b| a.rank == b.rank).count();
+        }
+    }
+    messages
+}
+
 // ---------------------------------------------------------------------
 // Message-passing executor (one rank's frame)
 // ---------------------------------------------------------------------
@@ -1140,8 +1161,9 @@ impl<'a> RankExec<'a> {
 
     /// Two-phase scatter: each aggregator reads its windows — storage
     /// faults audited per window, holes zero-filled and reported in each
-    /// piece's header — and sends every rank its pieces; then every rank
-    /// receives its own until complete or the stage deadline.
+    /// piece's header — and sends every rank one message per window, all
+    /// its pieces of it; then every rank receives until its pieces are
+    /// complete or the stage deadline.
     async fn scatter(&mut self, sp: &ScatterPlan, requests: &[RankRequest]) -> Vec<u8> {
         let rank = self.comm.rank();
         let (mut io_out, mut io_in) = self.link(self.tags.io_ack);
@@ -1157,13 +1179,17 @@ impl<'a> RankExec<'a> {
             for lost in &audit.unrecoverable {
                 buf[clip(lost, *w)].fill(0);
             }
-            for p in sp.pieces_in(*w) {
-                let piece = Extent::new(p.file_lo, p.file_hi - p.file_lo);
-                let lost = audit.unrecoverable.iter().map(|e| clip(e, piece).len());
-                let hole = lost.sum::<usize>() as u64;
-                let msg = encode_piece(p.out_byte, hole, &buf[p.src_lo..p.src_hi]);
+            for group in sp.sends_in(*w).chunk_by(|a, b| a.rank == b.rank) {
+                let mut body =
+                    Vec::with_capacity(group.iter().map(|p| PIECE_HEADER + p.len()).sum());
+                for p in group {
+                    let piece = Extent::new(p.file_lo, p.file_hi - p.file_lo);
+                    let lost = audit.unrecoverable.iter().map(|e| clip(e, piece).len());
+                    let hole = lost.sum::<usize>() as u64;
+                    push_piece(&mut body, p.out_byte, hole, &buf[p.src_lo..p.src_hi]);
+                }
                 io_out
-                    .send(self.comm, p.rank, self.tags.io_scatter, msg)
+                    .send(self.comm, group[0].rank, self.tags.io_scatter, body)
                     .await;
             }
             self.comm.span_end("io.window");
@@ -1178,11 +1204,10 @@ impl<'a> RankExec<'a> {
             io_out.poll(self.comm).await;
             if let Some((src, frame)) = self.recv(self.tags.io_scatter).await {
                 if let Some(body) = io_in.accept(self.comm, src, frame).await {
-                    let (dst, hole, bytes) = decode_piece(&body);
-                    out[dst..dst + bytes.len()].copy_from_slice(bytes);
-                    arrived += bytes.len() as u64;
+                    let (pieces, bytes, hole) = unpack_pieces(&body, src, &mut out);
+                    got += pieces;
+                    arrived += bytes;
                     holes += hole;
-                    got += 1;
                 }
             }
             // A silent aggregator (crashed mid-scatter) starves this
@@ -2184,17 +2209,21 @@ mod tests {
     }
 
     /// A fault-free frame sends what the scatter plan and the schedule
-    /// name and nothing else: no ack, no `done`, no timer armed.
+    /// name and nothing else: no ack, no `done`, no timer armed. The
+    /// plans name one scatter body per (window, destination), one
+    /// fragment per schedule row and one tile per compositor: 72
+    /// messages at n = 8 (16 + 48 + 8), 830 at n = 64 (352 + 414 + 64).
     #[test]
     fn fault_free_frame_sends_the_scheduled_messages_and_nothing_else() {
         let p = tmp("counts-sim.raw");
-        for (n, messages) in [(8, 8_768), (64, 20_078)] {
+        for n in [8, 64] {
             let mut cfg = FrameConfig::small(64, 128, n);
             cfg.policy = CompositorPolicy::Improved;
             write_dataset(&p, &cfg).unwrap();
             let driver = Driver::mpi(pvr_mpisim::RunOptions::default());
             let sim = drive_frame(&cfg, Some(&p), driver).unwrap().sim.unwrap();
-            assert_eq!((sim.messages, sim.timer_fires), (messages, 0), "n = {n}");
+            let planned = planned_messages(&cfg) as u64;
+            assert_eq!((sim.messages, sim.timer_fires), (planned, 0), "n = {n}");
         }
         std::fs::remove_file(&p).ok();
     }
@@ -2520,6 +2549,76 @@ mod tests {
         let ft = mpi_ft(&cfg, &p, &plan, &policy);
         assert!(ft.frame.io.unrecovered_bytes > 0);
         assert!(!complete(&ft));
+        std::fs::remove_file(&p).ok();
+    }
+
+    /// One message per (window, destination) leaves the fault accounting
+    /// per piece. With a server down and no failover the frame loses, of
+    /// every rank's own runs, exactly the bytes that server holds, and
+    /// each tile arrives weighted by its renderers' served fractions;
+    /// dropped scatter bodies are retransmitted whole and heal without a
+    /// trace.
+    #[test]
+    fn grouped_scatter_keeps_holes_per_piece_and_heals_dropped_bodies() {
+        let mut cfg = FrameConfig::small(32, 24, 8);
+        cfg.variable = 2;
+        cfg.policy = CompositorPolicy::Fixed(4);
+        let p = tmp("grouped.raw");
+        write_dataset(&p, &cfg).unwrap();
+
+        let mut policy = RecoveryPolicy::fast_test();
+        policy.io_failover = false;
+        let plan = FaultPlan {
+            seed: 3,
+            servers: vec![pvr_faults::ServerFault {
+                server: 0,
+                action: pvr_faults::ServerAction::Down,
+            }],
+            ..FaultPlan::default()
+        };
+        let ft = mpi_ft(&cfg, &p, &plan, &policy);
+        let shared = FrameShared::new(&cfg);
+        let layout = cfg.io.layout(cfg.grid);
+        let requests = rank_requests(layout.as_ref(), cfg.file_variable(), &shared.stored);
+        let f = FrameFaults::new(plan, policy);
+        let (mut lost_total, mut served) = (0, Vec::new());
+        for rq in &requests {
+            let lost: u64 = rq
+                .runs
+                .iter()
+                .map(|r| Extent::new(r.file_offset, r.elems as u64 * ELEM_SIZE))
+                .map(|run| window_fault_audit(&f.store, &f.servers, &f.policy.io_recovery(), run))
+                .map(|audit| audit.unrecovered_bytes())
+                .sum();
+            lost_total += lost;
+            served.push(served_fraction(lost, rq.useful_bytes()));
+        }
+        // Server 0 holds the low-z half of the file.
+        assert!(served.iter().any(|&q| q < 0.5) && served.iter().any(|&q| q > 0.5));
+        assert_eq!(ft.frame.io.unrecovered_bytes, lost_total);
+        for tile in &ft.completeness.as_ref().unwrap().tiles {
+            let sources = shared.sources_of(tile.tile);
+            let arrived: f64 = sources.iter().map(|&(r, px)| served[r] * px).sum();
+            assert!((tile.arrived - arrived).abs() < 1e-9 * tile.expected);
+        }
+        assert!(!complete(&ft));
+
+        let plain = run_frame_mpi(&cfg, &p);
+        let plan = FaultPlan {
+            seed: 5,
+            links: vec![LinkFault {
+                src: Pat::Any,
+                dst: Pat::Any,
+                tag: Some(tags::IO_SCATTER),
+                action: LinkAction::DropFirst(1),
+            }],
+            ..FaultPlan::default()
+        };
+        let ft = mpi_ft(&cfg, &p, &plan, &RecoveryPolicy::fast_test());
+        assert_eq!(plain.image.pixels(), ft.frame.image.pixels());
+        assert!(complete(&ft));
+        assert!(ft.frame.timing.recovery.retries > 0);
+        assert_eq!(ft.frame.timing.recovery.selfheal_bytes, 0);
         std::fs::remove_file(&p).ok();
     }
 

@@ -43,11 +43,17 @@ pub fn total_bytes(extents: &[Extent]) -> u64 {
 /// disjoint runs. The result is sorted and disjoint; overlapping input
 /// bytes are counted once.
 pub fn coalesce(extents: &mut Vec<Extent>) {
+    extents.sort_by_key(|e| e.offset);
+    merge_sorted(extents);
+}
+
+/// The merge of [`coalesce`] alone, for extents already sorted by
+/// offset.
+pub fn merge_sorted(extents: &mut Vec<Extent>) {
     extents.retain(|e| !e.is_empty());
     if extents.len() <= 1 {
         return;
     }
-    extents.sort_by_key(|e| e.offset);
     let mut out = 0usize;
     for i in 1..extents.len() {
         let cur = extents[i];

@@ -2,7 +2,10 @@
 //!
 //! Phase 1 (read): aggregator ranks read contiguous windows of their
 //! file domains into collective buffers. Phase 2 (exchange): each
-//! aggregator scatters the bytes each rank asked for.
+//! aggregator scatters the bytes each rank asked for — as ROMIO does,
+//! one message per (window, destination) carrying every piece of that
+//! window the destination asked for ([`ScatterPlan::sends_in`]), not one
+//! per piece.
 //!
 //! The planner is pure and cheap — it needs only the *aggregate* extent
 //! list, which coalesces to a handful of runs even for a 4480³ variable,
@@ -11,7 +14,7 @@
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 
-use pvr_formats::extent::{clip, coalesce, total_bytes, union_bytes, Extent};
+use pvr_formats::extent::{clip, merge_sorted, total_bytes, union_bytes, Extent};
 use pvr_formats::layout::PlacedRun;
 use pvr_formats::ELEM_SIZE;
 
@@ -231,6 +234,32 @@ impl Piece {
     }
 }
 
+/// `(file_offset, len_bytes, rank, buffer_byte)` of every placed run of
+/// every request, sorted by file offset.
+fn sorted_runs(requests: &[RankRequest]) -> Vec<(u64, usize, usize, usize)> {
+    let mut runs = Vec::with_capacity(requests.iter().map(|rq| rq.runs.len()).sum());
+    for (rank, rq) in requests.iter().enumerate() {
+        for r in &rq.runs {
+            runs.push((
+                r.file_offset,
+                r.elems * ELEM_SIZE as usize,
+                rank,
+                r.out_start * ELEM_SIZE as usize,
+            ));
+        }
+    }
+    runs.sort_unstable_by_key(|t| t.0);
+    runs
+}
+
+/// The coalesced aggregate request of `runs` (sorted by file offset),
+/// without sorting them a second time.
+fn aggregate_of(runs: &[(u64, usize, usize, usize)]) -> Vec<Extent> {
+    let mut aggregate = Vec::from_iter(runs.iter().map(|t| Extent::new(t.0, t.1 as u64)));
+    merge_sorted(&mut aggregate);
+    aggregate
+}
+
 /// The shared scatter geometry of a collective read, derived
 /// identically by every participant from the request list alone: the
 /// window access plan, all ranks' placed runs sorted by file offset,
@@ -241,7 +270,9 @@ impl Piece {
 /// message-passing scatter in `pvr-core`'s frame scheduler (with or
 /// without a fault plan), and the per-rank prefetch of the
 /// animation driver — builds on this one computation, so their expected
-/// message sets can never drift apart.
+/// piece sets can never drift apart: [`pieces_in`](Self::pieces_in) is
+/// a window's fan-out, [`sends_in`](Self::sends_in) the same pieces
+/// grouped into the messages that carry them.
 #[derive(Debug, Clone)]
 pub struct ScatterPlan {
     pub plan: IoPlan,
@@ -255,9 +286,10 @@ pub struct ScatterPlan {
 }
 
 impl ScatterPlan {
-    /// Plan the scatter of a collective read: aggregate and coalesce
-    /// the extents, lay the window accesses, and precompute each
-    /// rank's expected piece count and bytes.
+    /// Plan the scatter of a collective read: sort the placed runs,
+    /// coalesce them into the aggregate request, lay the window
+    /// accesses, and precompute each rank's expected piece count and
+    /// bytes.
     pub fn build(
         requests: &[RankRequest],
         num_aggregators: usize,
@@ -266,29 +298,8 @@ impl ScatterPlan {
         let nranks = requests.len();
         let naggr = num_aggregators.clamp(1, nranks.max(1));
 
-        let mut aggregate: Vec<Extent> = requests
-            .iter()
-            .flat_map(|rq| {
-                rq.runs
-                    .iter()
-                    .map(|r| Extent::new(r.file_offset, r.elems as u64 * ELEM_SIZE))
-            })
-            .collect();
-        coalesce(&mut aggregate);
-        let plan = two_phase_plan(&aggregate, naggr, hints);
-
-        let mut runs: Vec<(u64, usize, usize, usize)> = Vec::new();
-        for (rank, rq) in requests.iter().enumerate() {
-            for r in &rq.runs {
-                runs.push((
-                    r.file_offset,
-                    r.elems * ELEM_SIZE as usize,
-                    rank,
-                    r.out_start * ELEM_SIZE as usize,
-                ));
-            }
-        }
-        runs.sort_unstable_by_key(|t| t.0);
+        let runs = sorted_runs(requests);
+        let plan = two_phase_plan(&aggregate_of(&runs), naggr, hints);
 
         let mut piece_counts = vec![0usize; nranks];
         let mut piece_bytes = vec![0u64; nranks];
@@ -343,6 +354,17 @@ impl ScatterPlan {
                     file_hi: hi,
                 })
             })
+    }
+
+    /// The exchange messages of one window: its pieces sorted by
+    /// destination rank, file order kept within a destination. Every
+    /// maximal run of one `rank` (`chunk_by`) is one message — what an
+    /// aggregator sends that rank out of this window read. Grouped here,
+    /// as the window is sent, so planning pays nothing for it.
+    pub fn sends_in(&self, w: Extent) -> Vec<Piece> {
+        let mut pieces: Vec<Piece> = self.pieces_in(w).collect();
+        pieces.sort_by_key(|p| p.rank);
+        pieces
     }
 }
 
@@ -457,30 +479,10 @@ pub fn two_phase_write(
     let nranks = requests.len();
     let naggr = num_aggregators.clamp(1, nranks.max(1));
 
-    let mut aggregate: Vec<Extent> = requests
-        .iter()
-        .flat_map(|rq| {
-            rq.runs
-                .iter()
-                .map(|r| Extent::new(r.file_offset, r.elems as u64 * ELEM_SIZE))
-        })
-        .collect();
-    coalesce(&mut aggregate);
+    // `.3` of a run is its byte offset in the rank's source data here.
+    let sorted_runs = sorted_runs(requests);
+    let aggregate = aggregate_of(&sorted_runs);
     let plan = two_phase_plan(&aggregate, naggr, hints);
-
-    // (offset, len_bytes, rank, src_byte) sorted by file offset.
-    let mut sorted_runs: Vec<(u64, usize, usize, usize)> = Vec::new();
-    for (rank, rq) in requests.iter().enumerate() {
-        for r in &rq.runs {
-            sorted_runs.push((
-                r.file_offset,
-                r.elems * ELEM_SIZE as usize,
-                rank,
-                r.out_start * ELEM_SIZE as usize,
-            ));
-        }
-    }
-    sorted_runs.sort_unstable_by_key(|t| t.0);
 
     let aggr_rank = |j: usize| j * nranks / naggr;
     let mut rmw_windows = 0usize;
@@ -913,6 +915,35 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Up to 5 ranks of up to 7 `(file_offset, elems)` runs each: empty
+    /// runs, and runs that touch or overlap within and across ranks.
+    fn ranks_of_runs() -> impl Strategy<Value = Vec<Vec<(u64, usize)>>> {
+        proptest::collection::vec(
+            proptest::collection::vec((0u64..20_000, 0usize..300), 0..8),
+            1..6,
+        )
+    }
+
+    fn requests_of(ranks: Vec<Vec<(u64, usize)>>) -> Vec<RankRequest> {
+        let request = |runs: Vec<(u64, usize)>| {
+            let mut out_elems = 0;
+            let place = |(file_offset, elems)| {
+                let out_start = out_elems;
+                out_elems += elems;
+                PlacedRun {
+                    file_offset,
+                    elems,
+                    out_start,
+                }
+            };
+            RankRequest {
+                runs: runs.into_iter().map(place).collect(),
+                out_elems,
+            }
+        };
+        ranks.into_iter().map(request).collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -939,6 +970,67 @@ mod proptests {
             for a in &plan.accesses {
                 prop_assert!(a.extent.len <= cb);
             }
+        }
+
+        /// The one-pass aggregate of the sorted runs is what sorting and
+        /// coalescing the same extents a second time gave, so the access
+        /// plan is the same plan.
+        #[test]
+        fn aggregate_of_sorted_runs_equals_coalesce(
+            ranks in ranks_of_runs(),
+            naggr in 1usize..8,
+            cb in 1u64..8_000,
+        ) {
+            let requests = requests_of(ranks);
+            let mut coalesced: Vec<Extent> = requests
+                .iter()
+                .flat_map(|rq| &rq.runs)
+                .map(|r| Extent::new(r.file_offset, r.elems as u64 * ELEM_SIZE))
+                .collect();
+            pvr_formats::extent::coalesce(&mut coalesced);
+            prop_assert_eq!(&aggregate_of(&sorted_runs(&requests)), &coalesced);
+
+            let hints = CollectiveHints { cb_buffer_size: cb, cb_nodes: None };
+            let naggr = naggr.min(requests.len());
+            let (got, want) = (
+                ScatterPlan::build(&requests, naggr, &hints).plan,
+                two_phase_plan(&coalesced, naggr, &hints),
+            );
+            prop_assert_eq!(got.accesses, want.accesses);
+            prop_assert_eq!(
+                (got.useful_bytes, got.physical_bytes, got.unique_bytes),
+                (want.useful_bytes, want.physical_bytes, want.unique_bytes)
+            );
+        }
+
+        /// Per window, the grouped sends are exactly `pieces_in`'s
+        /// pieces: each destination once, destinations ascending, and a
+        /// destination's pieces in the order `pieces_in` walks them.
+        #[test]
+        fn grouped_sends_equal_pieces_in(
+            ranks in ranks_of_runs(),
+            naggr in 1usize..8,
+            cb in 1u64..8_000,
+        ) {
+            let requests = requests_of(ranks);
+            let hints = CollectiveHints { cb_buffer_size: cb, cb_nodes: None };
+            let sp = ScatterPlan::build(&requests, naggr, &hints);
+            let mut counts = vec![0usize; requests.len()];
+            for a in &sp.plan.accesses {
+                let sends = sp.sends_in(a.extent);
+                let groups: Vec<&[Piece]> = sends.chunk_by(|a, b| a.rank == b.rank).collect();
+                prop_assert!(groups.windows(2).all(|g| g[0][0].rank < g[1][0].rank));
+                for group in groups {
+                    let rank = group[0].rank;
+                    let want: Vec<Piece> =
+                        sp.pieces_in(a.extent).filter(|p| p.rank == rank).collect();
+                    prop_assert_eq!(group, &want[..]);
+                    counts[rank] += group.len();
+                }
+                prop_assert_eq!(sends.len(), sp.pieces_in(a.extent).count());
+            }
+            // What the receivers count is still pieces.
+            prop_assert_eq!(counts, sp.piece_counts);
         }
     }
 }

@@ -20,6 +20,7 @@ mod support;
 use std::path::PathBuf;
 
 use parallel_volume_rendering::core::pipeline::run_frame_mpi_sim;
+use parallel_volume_rendering::core::scheduler::planned_messages;
 use parallel_volume_rendering::core::{write_dataset, CompositorPolicy, FrameConfig, FrameResult};
 use parallel_volume_rendering::mpisim::{RunOptions, SimStats};
 
@@ -98,9 +99,12 @@ fn sim_scale_1024_matches_the_reference_frame() {
     let (frame, sim) = frame_at(1024);
     check_scale_invariants(1024, &frame, &sim, &reference);
     // A fault-free frame sends what the scatter plan and the schedule
-    // name — pieces, fragments, tiles — and nothing else, and arms no
-    // timer: its links are pass-through and its receives block.
-    assert_eq!((sim.messages, sim.timer_fires), (110_698, 0));
+    // name — one scatter body per (window, destination), fragments,
+    // tiles: 9 984 + 12 330 + 1 024 = 23 338 here — and nothing else,
+    // and arms no timer: its links are pass-through and its receives
+    // block.
+    let planned = planned_messages(&cfg_at(1024)) as u64;
+    assert_eq!((sim.messages, sim.timer_fires), (planned, 0));
 }
 
 /// The CI gate: the paper's mid-scale configuration must stay
@@ -113,7 +117,9 @@ fn sim_scale_4096_is_the_ci_gate() {
 }
 
 /// The paper's largest world. Ignored by default (minutes in debug);
-/// the acceptance bar is < 5 min wall in release.
+/// the acceptance bar is < 5 min wall in release (recorded in release
+/// on a 2-vCPU box: 3.0–4.4 s for the frame's 360 804 messages; the
+/// test prints both).
 #[test]
 #[ignore = "32K ranks: run explicitly with --ignored (release recommended)"]
 fn sim_scale_32768_renders_the_paper_scale() {
@@ -122,6 +128,9 @@ fn sim_scale_32768_renders_the_paper_scale() {
     let (frame, sim) = frame_at(32768);
     let wall = t0.elapsed();
     check_scale_invariants(32768, &frame, &sim, &reference);
+    let planned = planned_messages(&cfg_at(32768)) as u64;
+    assert_eq!((sim.messages, sim.timer_fires), (planned, 0));
+    println!("32K-rank frame: {wall:?} wall, {planned} messages");
     assert!(
         wall < std::time::Duration::from_secs(300),
         "32K-rank frame took {wall:?} (budget 5 min)"
