@@ -22,11 +22,18 @@
 //!    in wall time (exactly what capped the old CI sweeps). The ≥5×
 //!    wall-ratio gate applies here.
 //!
+//! The event-core frame also runs under the counting allocator of the
+//! allocation-budget tests: `allocs_per_message` and `bytes_per_frame`
+//! say what the host pays per message beyond its body.
+//!
 //! Writes `results/BENCH_sim.json`. Gates (hard failures, any mode):
 //! bit-identical frames, full task residency, and event core ≥5×
 //! faster than threads on the sweep-shaped workload. `--ci` is
 //! accepted for symmetry with the other regenerators; the run is
 //! identical.
+
+#[path = "../../../../tests/support/alloc.rs"]
+mod alloc;
 
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -197,7 +204,8 @@ fn main() {
     let io = Duration::from_millis(IO_MS);
 
     // --- The oracle check: one frame per backend, bit-compared. ------
-    let (event_frame, event_sim, frame_event_secs) = timed_frame(&path, Backend::Event);
+    let ((event_frame, event_sim, frame_event_secs), frame_allocs, frame_bytes) =
+        alloc::counting(|| timed_frame(&path, Backend::Event));
     let frame_sim = event_sim.expect("event backend reports scheduler stats");
     let (thread_frame, thread_sim, frame_thread_secs) = timed_frame(&path, Backend::Thread);
     assert!(thread_sim.is_none(), "thread oracle has no event counters");
@@ -249,6 +257,11 @@ fn main() {
         .exact("io_virtual_time_charged", virtual_ok as u8 as f64)
         .info("exchange_polls", ex_sim.polls as f64)
         .info("events_per_sec", events_per_sec)
+        .info(
+            "allocs_per_message",
+            frame_allocs as f64 / frame_sim.messages as f64,
+        )
+        .info("bytes_per_frame", frame_bytes as f64)
         .info("wall_exchange_event_secs", ex_event_secs)
         .info("wall_exchange_thread_secs", ex_thread_secs)
         .info("wall_sweep_shape_event_secs", io_event_secs)

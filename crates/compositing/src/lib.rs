@@ -45,7 +45,7 @@ pub use radixk::composite_radix_k;
 pub use region::ImagePartition;
 pub use schedule::{build_schedule, CompositeMessage, Schedule};
 pub use serial::composite_serial;
-pub use sparse::{piece_wire_bytes, SparseSubImage};
+pub use sparse::PieceScan;
 
 /// Bytes per pixel on the compositing wire (RGBA8, as in the paper:
 /// a 1600² image over 256 compositors is 40 KB per region message).

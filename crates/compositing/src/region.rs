@@ -114,24 +114,22 @@ impl ImagePartition {
 
     /// The distinct compositors whose tiles overlap `rect`, with the
     /// overlap size in pixels, in compositor order.
-    pub fn overlaps(&self, rect: &PixelRect) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        if rect.is_empty() {
-            return out;
-        }
-        let c0 = self.owner_of(rect.x0, rect.y0);
-        let c1 = self.owner_of(rect.x1() - 1, rect.y1() - 1);
-        let (ix0, iy0) = (c0 % self.mx, c0 / self.mx);
-        let (ix1, iy1) = (c1 % self.mx, c1 / self.mx);
-        for iy in iy0..=iy1 {
-            for ix in ix0..=ix1 {
-                let c = iy * self.mx + ix;
-                if let Some(ov) = self.tile(c).intersect(rect) {
-                    out.push((c, ov.num_pixels()));
-                }
-            }
-        }
-        out
+    pub fn overlaps<'a>(
+        &'a self,
+        rect: &'a PixelRect,
+    ) -> impl Iterator<Item = (usize, usize)> + 'a {
+        // Tile-grid cells of the rect's corners; an empty rect spans the
+        // empty range `1..=0` on both axes.
+        let ((ix0, iy0), (ix1, iy1)) = if rect.is_empty() {
+            ((1, 1), (0, 0))
+        } else {
+            let c0 = self.owner_of(rect.x0, rect.y0);
+            let c1 = self.owner_of(rect.x1() - 1, rect.y1() - 1);
+            ((c0 % self.mx, c0 / self.mx), (c1 % self.mx, c1 / self.mx))
+        };
+        (iy0..=iy1)
+            .flat_map(move |iy| (ix0..=ix1).map(move |ix| iy * self.mx + ix))
+            .filter_map(move |c| Some((c, self.tile(c).intersect(rect)?.num_pixels())))
     }
 }
 
@@ -169,7 +167,7 @@ mod tests {
     fn overlaps_count_every_rect_pixel_once() {
         let p = ImagePartition::new(64, 64, 36);
         let rect = PixelRect::new(5, 10, 40, 30);
-        let ov = p.overlaps(&rect);
+        let ov: Vec<_> = p.overlaps(&rect).collect();
         let total: usize = ov.iter().map(|(_, n)| n).sum();
         assert_eq!(total, rect.num_pixels());
         let mut cs: Vec<usize> = ov.iter().map(|(c, _)| *c).collect();
@@ -181,7 +179,7 @@ mod tests {
     #[test]
     fn full_image_rect_touches_all_compositors() {
         let p = ImagePartition::new(16, 16, 8);
-        let ov = p.overlaps(&PixelRect::new(0, 0, 16, 16));
+        let ov: Vec<_> = p.overlaps(&PixelRect::new(0, 0, 16, 16)).collect();
         assert_eq!(ov.len(), 8);
         for (c, n) in ov {
             assert_eq!(n, p.tile(c).num_pixels());
@@ -193,8 +191,8 @@ mod tests {
         // m = n = 4096 on 1600^2: tiles 25x25 px; a 1600/16=100 px
         // square footprint overlaps ~(100/25+1)^2 = 25 tiles ~ n^{1/3}.
         let p = ImagePartition::new(1600, 1600, 4096);
-        let ov = p.overlaps(&PixelRect::new(703, 703, 100, 100));
-        assert!(ov.len() >= 16 && ov.len() <= 36, "overlaps {}", ov.len());
+        let ov = p.overlaps(&PixelRect::new(703, 703, 100, 100)).count();
+        assert!((16..=36).contains(&ov), "overlaps {ov}");
     }
 
     #[test]
@@ -222,14 +220,13 @@ mod proptests {
             prop_assume!(m <= h || m <= w);
             let p = ImagePartition::new(w, h, m);
             let rect = PixelRect::new(rx, ry, rw, rh);
-            let ov = p.overlaps(&rect);
             let mut brute = std::collections::BTreeMap::new();
             for y in ry..ry + rh {
                 for x in rx..rx + rw {
                     *brute.entry(p.owner_of(x, y)).or_insert(0usize) += 1;
                 }
             }
-            let got: std::collections::BTreeMap<usize, usize> = ov.into_iter().collect();
+            let got: std::collections::BTreeMap<usize, usize> = p.overlaps(&rect).collect();
             prop_assert_eq!(got, brute);
         }
 

@@ -30,118 +30,60 @@ use pvr_render::image::{PixelRect, Rgba, SubImage};
 
 use crate::{WIRE_BYTES_PER_PIXEL, WIRE_BYTES_PER_ROW, WIRE_BYTES_PER_SPAN};
 
-/// One horizontal run of non-transparent pixels.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Span {
-    /// Start offset within the row, relative to `rect.x0`.
-    pub x0: u32,
-    /// The run's pixels (premultiplied RGBA).
-    pub pixels: Vec<Rgba>,
+/// What one pass over a piece of a subimage finds — everything either
+/// encoding's size depends on, so a sender scans a piece once to price
+/// it, to choose its encoding and to size its wire body, and never
+/// materializes an intermediate form.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PieceScan {
+    /// Rows and pixels of the piece.
+    pub rows: usize,
+    pub pixels: usize,
+    /// Maximal horizontal runs of non-transparent pixels.
+    pub spans: usize,
+    /// Non-transparent pixels: the sparse encoding's payload.
+    pub lit: usize,
 }
 
-/// A [`SubImage`] with its transparent pixels elided.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SparseSubImage {
-    pub rect: PixelRect,
-    pub depth: f64,
-    /// `rect.h` rows of spans, top to bottom, spans left to right.
-    pub rows: Vec<Vec<Span>>,
-}
-
-impl SparseSubImage {
-    /// Encode a subimage (lossless: [`SparseSubImage::decode`] returns
-    /// a bit-identical pixel buffer).
-    pub fn encode(sub: &SubImage) -> Self {
-        let rect = sub.rect;
-        let mut rows = Vec::with_capacity(rect.h);
-        for y in 0..rect.h {
-            let row = &sub.pixels[y * rect.w..(y + 1) * rect.w];
-            let mut spans: Vec<Span> = Vec::new();
-            let mut open = false;
-            for (x, &p) in row.iter().enumerate() {
-                if p == [0.0; 4] {
-                    open = false;
-                    continue;
-                }
-                if !open {
-                    spans.push(Span {
-                        x0: x as u32,
-                        pixels: Vec::new(),
-                    });
-                    open = true;
-                }
-                spans.last_mut().unwrap().pixels.push(p);
-            }
-            rows.push(spans);
-        }
-        SparseSubImage {
-            rect,
-            depth: sub.depth,
-            rows,
-        }
-    }
-
-    /// Reconstruct the dense subimage (elided pixels become `[0.0; 4]`,
-    /// which is what they were).
-    pub fn decode(&self) -> SubImage {
-        let mut sub = SubImage::transparent(self.rect, self.depth);
-        for (y, spans) in self.rows.iter().enumerate() {
-            for span in spans {
-                let base = y * self.rect.w + span.x0 as usize;
-                sub.pixels[base..base + span.pixels.len()].copy_from_slice(&span.pixels);
-            }
-        }
-        sub
-    }
-
-    pub fn num_spans(&self) -> usize {
-        self.rows.iter().map(|r| r.len()).sum()
-    }
-
-    pub fn payload_pixels(&self) -> usize {
-        self.rows
-            .iter()
-            .flat_map(|r| r.iter().map(|s| s.pixels.len()))
-            .sum()
-    }
-
-    /// Honest wire cost of this encoding under the paper's pricing.
-    pub fn wire_bytes(&self) -> u64 {
-        sparse_cost(self.rect.h, self.num_spans(), self.payload_pixels())
-    }
-}
-
-/// Sparse wire cost formula shared by the encoder and the in-place
-/// accounting scans.
-#[inline]
-pub fn sparse_cost(rows: usize, spans: usize, payload_pixels: usize) -> u64 {
-    rows as u64 * WIRE_BYTES_PER_ROW
-        + spans as u64 * WIRE_BYTES_PER_SPAN
-        + payload_pixels as u64 * WIRE_BYTES_PER_PIXEL
-}
-
-/// Wire cost of shipping the `region` piece of `sub`, without
-/// materializing an encoding: `(dense, sparse)` bytes. `region` must be
-/// contained in `sub.rect`.
-pub fn piece_wire_bytes(sub: &SubImage, region: &PixelRect) -> (u64, u64) {
-    let dense = region.num_pixels() as u64 * WIRE_BYTES_PER_PIXEL;
-    let mut spans = 0usize;
-    let mut payload = 0usize;
-    for y in region.y0..region.y1() {
-        let mut open = false;
-        for x in region.x0..region.x1() {
-            if sub.get(x, y) == [0.0; 4] {
-                open = false;
-                continue;
-            }
-            if !open {
+impl PieceScan {
+    /// Scan the `region` piece of `sub` (`region` within `sub.rect`).
+    pub fn of(sub: &SubImage, region: &PixelRect) -> PieceScan {
+        let (mut spans, mut lit) = (0, 0);
+        for row in sub.rows(region) {
+            for run in lit_runs(row) {
                 spans += 1;
-                open = true;
+                lit += run.1.len();
             }
-            payload += 1;
+        }
+        PieceScan {
+            rows: region.h,
+            pixels: region.num_pixels(),
+            spans,
+            lit,
         }
     }
-    (dense, sparse_cost(region.h, spans, payload))
+
+    /// Wire cost of the piece under the paper's pricing: `(dense,
+    /// sparse)` bytes.
+    pub fn wire_bytes(&self) -> (u64, u64) {
+        let dense = self.pixels as u64 * WIRE_BYTES_PER_PIXEL;
+        let sparse = self.rows as u64 * WIRE_BYTES_PER_ROW
+            + self.spans as u64 * WIRE_BYTES_PER_SPAN
+            + self.lit as u64 * WIRE_BYTES_PER_PIXEL;
+        (dense, sparse)
+    }
+}
+
+/// The maximal runs of non-transparent pixels of one row, left to right:
+/// `(start offset, pixels)` — the spans of the sparse encoding.
+pub fn lit_runs(row: &[Rgba]) -> impl Iterator<Item = (usize, &[Rgba])> + '_ {
+    let mut at = 0;
+    std::iter::from_fn(move || {
+        let x0 = at + row[at..].iter().position(|p| *p != [0.0; 4])?;
+        let len = row[x0..].iter().take_while(|p| **p != [0.0; 4]).count();
+        at = x0 + len;
+        Some((x0, &row[x0..at]))
+    })
 }
 
 #[cfg(test)]
@@ -160,56 +102,76 @@ mod tests {
         s
     }
 
-    #[test]
-    fn roundtrip_is_bit_identical() {
-        for sub in [
-            checkerboard(PixelRect::new(3, 5, 7, 4)),
-            SubImage::transparent(PixelRect::new(0, 0, 6, 6), 1.0),
-            {
-                let mut s = SubImage::transparent(PixelRect::new(1, 1, 5, 3), 2.0);
-                s.pixels.fill([0.2, 0.3, 0.4, 0.9]);
-                s
-            },
-        ] {
-            let enc = SparseSubImage::encode(&sub);
-            let dec = enc.decode();
-            assert_eq!(dec.rect, sub.rect);
-            assert_eq!(dec.depth, sub.depth);
-            assert_eq!(dec.pixels, sub.pixels);
+    /// The accounting scan as it was before [`PieceScan`]: pixel by
+    /// pixel through `SubImage::get`. Kept as the oracle.
+    fn piece_wire_bytes(sub: &SubImage, region: &PixelRect) -> (u64, u64) {
+        let dense = region.num_pixels() as u64 * WIRE_BYTES_PER_PIXEL;
+        let mut sparse = region.h as u64 * WIRE_BYTES_PER_ROW;
+        for y in region.y0..region.y1() {
+            let mut open = false;
+            for x in region.x0..region.x1() {
+                if sub.get(x, y) == [0.0; 4] {
+                    open = false;
+                    continue;
+                }
+                if !open {
+                    sparse += WIRE_BYTES_PER_SPAN;
+                    open = true;
+                }
+                sparse += WIRE_BYTES_PER_PIXEL;
+            }
         }
+        (dense, sparse)
     }
 
     #[test]
     fn transparent_subimage_costs_only_row_headers() {
         let sub = SubImage::transparent(PixelRect::new(0, 0, 100, 10), 0.0);
-        let enc = SparseSubImage::encode(&sub);
-        assert_eq!(enc.num_spans(), 0);
-        assert_eq!(enc.wire_bytes(), 10 * WIRE_BYTES_PER_ROW);
-        assert!(enc.wire_bytes() < sub.wire_bytes());
+        let scan = PieceScan::of(&sub, &sub.rect);
+        assert_eq!((scan.spans, scan.lit), (0, 0));
+        assert_eq!(
+            scan.wire_bytes(),
+            (sub.wire_bytes(), 10 * WIRE_BYTES_PER_ROW)
+        );
     }
 
     #[test]
     fn fully_lit_subimage_costs_more_sparse_than_dense() {
         let mut sub = SubImage::transparent(PixelRect::new(0, 0, 16, 16), 0.0);
         sub.pixels.fill([0.5; 4]);
-        let enc = SparseSubImage::encode(&sub);
-        assert_eq!(enc.payload_pixels(), 256);
-        assert_eq!(enc.num_spans(), 16);
-        assert!(enc.wire_bytes() > sub.wire_bytes());
+        let scan = PieceScan::of(&sub, &sub.rect);
+        assert_eq!(
+            (scan.rows, scan.pixels, scan.spans, scan.lit),
+            (16, 256, 16, 256)
+        );
+        let (dense, sparse) = scan.wire_bytes();
+        assert!(sparse > dense);
     }
 
     #[test]
-    fn piece_scan_matches_encoder_on_crops() {
+    fn runs_are_the_maximal_lit_stretches_of_a_row() {
+        let (o, x) = ([0.0f32; 4], [0.0f32, 0.0, 0.0, 0.25]);
+        let row = [o, x, x, o, o, x, o, x];
+        let runs: Vec<(usize, usize)> = lit_runs(&row).map(|(x0, px)| (x0, px.len())).collect();
+        assert_eq!(runs, [(1, 2), (5, 1), (7, 1)]);
+        assert_eq!(lit_runs(&[o, o]).count(), 0);
+        assert_eq!(lit_runs(&[]).count(), 0);
+        assert_eq!(lit_runs(&[x, x]).map(|r| r.0).collect::<Vec<_>>(), [0]);
+    }
+
+    #[test]
+    fn scan_prices_a_piece_like_the_pixel_by_pixel_walk() {
         let sub = checkerboard(PixelRect::new(2, 2, 9, 7));
         for region in [
             sub.rect,
             PixelRect::new(3, 3, 4, 4),
             PixelRect::new(2, 2, 1, 7),
+            PixelRect::new(10, 8, 1, 1),
         ] {
-            let (dense, sparse) = piece_wire_bytes(&sub, &region);
+            let scan = PieceScan::of(&sub, &region);
+            assert_eq!(scan.wire_bytes(), piece_wire_bytes(&sub, &region));
             let crop = sub.crop(&region).unwrap();
-            assert_eq!(dense, crop.wire_bytes());
-            assert_eq!(sparse, SparseSubImage::encode(&crop).wire_bytes());
+            assert_eq!(scan, PieceScan::of(&crop, &crop.rect));
         }
     }
 }

@@ -25,6 +25,7 @@ use std::time::Instant;
 use rayon::prelude::*;
 
 use pvr_compositing::directsend::DirectSendStats;
+use pvr_compositing::sparse::{lit_runs, PieceScan};
 use pvr_formats::layout::FileLayout;
 use pvr_formats::rw::write_file;
 use pvr_formats::{Subvolume, ELEM_SIZE};
@@ -32,7 +33,7 @@ use pvr_obs::Tracer;
 use pvr_pfs::sieve::per_extent_plan;
 use pvr_pfs::twophase::{two_phase_execute_traced, RankRequest};
 use pvr_pfs::IoThrottle;
-use pvr_render::image::{Image, SubImage};
+use pvr_render::image::{Image, PixelRect, Rgba, SubImage};
 use pvr_render::math::Vec3;
 use pvr_render::raycast::{RenderOpts, RenderStats, Shading};
 use pvr_render::TransferFunction;
@@ -215,7 +216,8 @@ pub(crate) fn rank_requests(
     stored
         .iter()
         .map(|sub| {
-            let mut runs = Vec::new();
+            // One run per row of the block, unless chunking splits rows.
+            let mut runs = Vec::with_capacity(sub.shape[1] * sub.shape[2]);
             layout.placed_runs(var, sub, &mut |r| runs.push(r));
             RankRequest {
                 runs,
@@ -407,14 +409,18 @@ pub mod tags {
 const FRAG_DENSE: u64 = 0;
 const FRAG_SPARSE: u64 = 1;
 
+fn push_words(msg: &mut Vec<u8>, words: &[u64]) {
+    for word in words {
+        msg.extend_from_slice(&word.to_le_bytes());
+    }
+}
+
 /// A message that starts with `header`'s little-endian words, with room
 /// for `payload` more bytes. Every message of the frame protocol is
 /// such a header and a payload; [`Words`] reads the header back.
 fn with_header(header: &[u64], payload: usize) -> Vec<u8> {
     let mut msg = Vec::with_capacity(header.len() * 8 + payload);
-    for word in header {
-        msg.extend_from_slice(&word.to_le_bytes());
-    }
+    push_words(&mut msg, header);
     msg
 }
 
@@ -440,54 +446,58 @@ impl Words<'_> {
     }
 }
 
-/// Encode a fragment behind `header`: renderer id, rect, depth, then
-/// the pixels dense or sparse (run-length spans of non-transparent
-/// pixels, see [`pvr_compositing::sparse`]), chosen per fragment by
-/// actual encoded size. The sparse body round-trips bit-identically:
+/// Encode the `piece` of `s` (a rect within `s.rect`) as a fragment
+/// behind `header`: renderer id, rect, depth, then the pixels dense or
+/// sparse (run-length spans of non-transparent pixels, see
+/// [`pvr_compositing::sparse`]), chosen per fragment by actual encoded
+/// size. One scan of the piece sizes both bodies — and is returned, so
+/// the sender prices the fragment from the same pass — and the chosen
+/// one is written straight from `s`' rows: no cropped copy, no span
+/// tree, one allocation. The sparse body round-trips bit-identically:
 /// elided pixels decode to `[0.0; 4]`, which is what they were.
-fn encode_fragment(header: &[u64], renderer: usize, s: &SubImage) -> Vec<u8> {
-    let sparse = pvr_compositing::SparseSubImage::encode(s);
-    let dense_body = s.pixels.len() * 16;
+fn encode_fragment(
+    header: &[u64],
+    renderer: usize,
+    s: &SubImage,
+    piece: &PixelRect,
+) -> (Vec<u8>, PieceScan) {
+    let scan = PieceScan::of(s, piece);
+    let dense_body = scan.pixels * 16;
     // Real encoded body sizes: per row a span count, per span a start
     // offset + length, per kept pixel four f32s.
-    let sparse_body = s.rect.h * 8 + sparse.num_spans() * 16 + sparse.payload_pixels() * 16;
+    let sparse_body = scan.rows * 8 + scan.spans * 16 + scan.lit * 16;
+    let sparse = sparse_body < dense_body;
 
     let mut out = with_header(header, 56 + dense_body.min(sparse_body));
-    out.extend((renderer as u64).to_le_bytes());
-    out.extend((s.rect.x0 as u64).to_le_bytes());
-    out.extend((s.rect.y0 as u64).to_le_bytes());
-    out.extend((s.rect.w as u64).to_le_bytes());
-    out.extend((s.rect.h as u64).to_le_bytes());
-    out.extend(s.depth.to_le_bytes());
-    if sparse_body < dense_body {
-        out.extend(FRAG_SPARSE.to_le_bytes());
-        for row in &sparse.rows {
-            out.extend((row.len() as u64).to_le_bytes());
-            for span in row {
-                out.extend((span.x0 as u64).to_le_bytes());
-                out.extend((span.pixels.len() as u64).to_le_bytes());
-                for p in &span.pixels {
-                    for c in p {
-                        out.extend(c.to_le_bytes());
-                    }
-                }
-            }
+    push_words(
+        &mut out,
+        &[renderer, piece.x0, piece.y0, piece.w, piece.h].map(|v| v as u64),
+    );
+    let tag = if sparse { FRAG_SPARSE } else { FRAG_DENSE };
+    push_words(&mut out, &[s.depth.to_bits(), tag]);
+    let push_pixels = |out: &mut Vec<u8>, pixels: &[Rgba]| {
+        for c in pixels.iter().flatten() {
+            out.extend_from_slice(&c.to_le_bytes());
         }
-    } else {
-        out.extend(FRAG_DENSE.to_le_bytes());
-        for p in &s.pixels {
-            for c in p {
-                out.extend(c.to_le_bytes());
+    };
+    for row in s.rows(piece) {
+        if sparse {
+            push_words(&mut out, &[lit_runs(row).count() as u64]);
+            for (x0, run) in lit_runs(row) {
+                push_words(&mut out, &[x0 as u64, run.len() as u64]);
+                push_pixels(&mut out, run);
             }
+        } else {
+            push_pixels(&mut out, row);
         }
     }
-    out
+    (out, scan)
 }
 
 fn decode_fragment(data: &[u8]) -> (usize, SubImage) {
     let mut h = Words(data);
     let renderer = h.index();
-    let rect = pvr_render::image::PixelRect::new(h.index(), h.index(), h.index(), h.index());
+    let rect = PixelRect::new(h.index(), h.index(), h.index(), h.index());
     let (depth, tag) = (h.f64(), h.u64());
     let pix = |q: &[u8]| -> [f32; 4] {
         std::array::from_fn(|c| {
@@ -534,9 +544,7 @@ pub(crate) const PIECE_HEADER: usize = 24;
 /// receiver's buffer, `hole` of which no retry or replica could serve
 /// (they travel as zeros). This appends one record.
 pub(crate) fn push_piece(body: &mut Vec<u8>, dst: usize, hole: u64, bytes: &[u8]) {
-    for word in [dst as u64, bytes.len() as u64, hole] {
-        body.extend_from_slice(&word.to_le_bytes());
-    }
+    push_words(body, &[dst as u64, bytes.len() as u64, hole]);
     body.extend_from_slice(bytes);
 }
 
@@ -567,12 +575,20 @@ pub(crate) fn unpack_pieces(body: &[u8], src: usize, out: &mut [u8]) -> (usize, 
 }
 
 /// Fragment: `[quality]` — the fraction of the renderer's input bytes
-/// that arrived intact — then the fragment.
-pub(crate) fn encode_fragment_msg(quality: f64, renderer: usize, frag: &SubImage) -> Vec<u8> {
-    encode_fragment(&[quality.to_bits()], renderer, frag)
+/// that arrived intact — then the `piece` of the renderer's subimage
+/// `sub` (a rect within `sub.rect`: its overlap with the destination
+/// tile). Also returns the scan that sized it, which prices it.
+pub fn encode_fragment_msg(
+    quality: f64,
+    renderer: usize,
+    sub: &SubImage,
+    piece: &PixelRect,
+) -> (Vec<u8>, PieceScan) {
+    encode_fragment(&[quality.to_bits()], renderer, sub, piece)
 }
 
-pub(crate) fn decode_fragment_msg(body: &[u8]) -> (f64, usize, SubImage) {
+/// `(quality, renderer, fragment)` of a fragment message.
+pub fn decode_fragment_msg(body: &[u8]) -> (f64, usize, SubImage) {
     let mut h = Words(body);
     let quality = h.f64();
     let (renderer, frag) = decode_fragment(h.0);
@@ -583,7 +599,7 @@ pub(crate) fn decode_fragment_msg(body: &[u8]) -> (f64, usize, SubImage) {
 /// arrived area out of the expected one — then the blend.
 pub(crate) fn encode_tile(tile: usize, expected: f64, arrived: f64, blend: &SubImage) -> Vec<u8> {
     let header = [tile as u64, expected.to_bits(), arrived.to_bits()];
-    encode_fragment(&header, tile, blend)
+    encode_fragment(&header, tile, blend, &blend.rect).0
 }
 
 pub(crate) fn decode_tile(body: &[u8]) -> (usize, f64, f64, SubImage) {
@@ -603,11 +619,19 @@ pub(crate) fn decode_adopt(body: &[u8]) -> (usize, usize) {
 }
 
 /// Late reply: `[orphan, tile, 0, quality]` and the adopted block's
-/// fragment of the tile, or the refusal `[orphan, tile, 1]`.
-pub(crate) fn encode_late(orphan: usize, tile: usize, frag: Option<(f64, &SubImage)>) -> Vec<u8> {
+/// fragment of the tile — `(quality, re-render, its piece inside the
+/// tile)` — or the refusal `[orphan, tile, 1]`.
+pub(crate) fn encode_late(
+    orphan: usize,
+    tile: usize,
+    frag: Option<(f64, &SubImage, PixelRect)>,
+) -> Vec<u8> {
     let (orphan_w, tile_w) = (orphan as u64, tile as u64);
     match frag {
-        Some((quality, f)) => encode_fragment(&[orphan_w, tile_w, 0, quality.to_bits()], orphan, f),
+        Some((quality, sub, piece)) => {
+            let header = [orphan_w, tile_w, 0, quality.to_bits()];
+            encode_fragment(&header, orphan, sub, &piece).0
+        }
         None => with_header(&[orphan_w, tile_w, 1], 0),
     }
 }
@@ -708,25 +732,169 @@ mod tests {
         for (i, p) in dense.pixels.iter_mut().enumerate() {
             *p = [i as f32, 0.5, 0.25, 1.0];
         }
-        let plain = encode_fragment(&[], 9, &dense).len();
-        assert!(encode_fragment(&[], 9, &sparse).len() < plain);
+        let plain = encode_fragment(&[], 9, &dense, &rect).0.len();
+        assert!(encode_fragment(&[], 9, &sparse, &rect).0.len() < plain);
         for frag in [&sparse, &dense] {
-            let msg = encode_fragment_msg(0.75, 9, frag);
-            assert_eq!(msg.len(), 8 + encode_fragment(&[], 9, frag).len());
+            let bare = encode_fragment(&[], 9, frag, &rect).0.len();
+            let (msg, scan) = encode_fragment_msg(0.75, 9, frag, &rect);
+            assert_eq!(msg.len(), 8 + bare);
+            assert_eq!(scan, PieceScan::of(frag, &rect));
             let (quality, renderer, got) = decode_fragment_msg(&msg);
             assert_eq!((quality, renderer), (0.75, 9));
             assert!(same(&got, frag));
 
             let msg = encode_tile(3, 24.0, 12.5, frag);
-            assert_eq!(msg.len(), 24 + encode_fragment(&[], 3, frag).len());
+            assert_eq!(msg.len(), 24 + bare);
             let (tile, expected, arrived, got) = decode_tile(&msg);
             assert_eq!((tile, expected, arrived), (3, 24.0, 12.5));
             assert!(same(&got, frag));
 
-            let (orphan, tile, got) = decode_late(&encode_late(5, 2, Some((0.5, frag))));
+            let late = encode_late(5, 2, Some((0.5, frag, rect)));
+            let (orphan, tile, got) = decode_late(&late);
             let (quality, got) = got.expect("a fragment, not a refusal");
             assert_eq!((orphan, tile, quality), (5, 2, 0.5));
             assert!(same(&got, frag));
+        }
+    }
+
+    /// The fragment encoder as it was before it wrote the body in one
+    /// pass: crop the piece out, build the span tree, then serialize
+    /// whichever body is shorter. Kept as the oracle.
+    mod oracle {
+        use super::*;
+
+        struct Span {
+            x0: usize,
+            pixels: Vec<Rgba>,
+        }
+
+        /// Per row, the spans of non-transparent pixels.
+        fn sparse_rows(sub: &SubImage) -> Vec<Vec<Span>> {
+            let mut rows = Vec::with_capacity(sub.rect.h);
+            for row in sub.pixels.chunks_exact(sub.rect.w.max(1)) {
+                let mut spans: Vec<Span> = Vec::new();
+                let mut open = false;
+                for (x, &p) in row.iter().enumerate() {
+                    if p == [0.0; 4] {
+                        open = false;
+                        continue;
+                    }
+                    if !open {
+                        let pixels = Vec::new();
+                        spans.push(Span { x0: x, pixels });
+                        open = true;
+                    }
+                    spans.last_mut().unwrap().pixels.push(p);
+                }
+                rows.push(spans);
+            }
+            rows
+        }
+
+        pub fn encode_fragment(header: &[u64], renderer: usize, s: &SubImage) -> Vec<u8> {
+            let rows = sparse_rows(s);
+            let spans: usize = rows.iter().map(Vec::len).sum();
+            let payload: usize = rows.iter().flatten().map(|sp| sp.pixels.len()).sum();
+            let dense_body = s.pixels.len() * 16;
+            let sparse_body = s.rect.h * 8 + spans * 16 + payload * 16;
+
+            let mut out = with_header(header, 56 + dense_body.min(sparse_body));
+            out.extend((renderer as u64).to_le_bytes());
+            out.extend((s.rect.x0 as u64).to_le_bytes());
+            out.extend((s.rect.y0 as u64).to_le_bytes());
+            out.extend((s.rect.w as u64).to_le_bytes());
+            out.extend((s.rect.h as u64).to_le_bytes());
+            out.extend(s.depth.to_le_bytes());
+            if sparse_body < dense_body {
+                out.extend(FRAG_SPARSE.to_le_bytes());
+                for row in &rows {
+                    out.extend((row.len() as u64).to_le_bytes());
+                    for span in row {
+                        out.extend((span.x0 as u64).to_le_bytes());
+                        out.extend((span.pixels.len() as u64).to_le_bytes());
+                        for p in &span.pixels {
+                            for c in p {
+                                out.extend(c.to_le_bytes());
+                            }
+                        }
+                    }
+                }
+            } else {
+                out.extend(FRAG_DENSE.to_le_bytes());
+                for p in &s.pixels {
+                    for c in p {
+                        out.extend(c.to_le_bytes());
+                    }
+                }
+            }
+            out
+        }
+    }
+
+    /// A subimage over `rect` lit by `pattern`: 0 transparent, 1 full,
+    /// 2 checkerboard, 3 one lit column, 4 one lit row, else random at
+    /// `density` percent.
+    fn patterned(rect: PixelRect, pattern: u8, density: u64, seed: u64) -> SubImage {
+        let mut rng = proptest::Rng::seeded(seed | 1);
+        let mut sub = SubImage::transparent(rect, -1.5 + seed as f64);
+        for (i, p) in sub.pixels.iter_mut().enumerate() {
+            let (x, y) = (i % rect.w, i / rect.w);
+            let roll = rng.below(100);
+            let lit = match pattern {
+                0 => false,
+                1 => true,
+                2 => (x + y) % 2 == 0,
+                3 => x == rect.w / 2,
+                4 => y == rect.h / 2,
+                _ => roll < density,
+            };
+            if lit {
+                // Premultiplied, with exact-zero channels: a pixel is
+                // transparent only when all four are zero.
+                *p = [rng.below(1 << 20) as f32 / 1e6, 0.0, 0.0, 0.5];
+            }
+        }
+        sub
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// For random subimages (every lighting pattern, 1-pixel-wide
+        /// ones included) and random tile clips (touching each edge,
+        /// covering everything, missing entirely), the one-pass encoder
+        /// writes the bytes the crop-and-span-tree encoder wrote, they
+        /// decode to the crop bit for bit, and the scan that sized them
+        /// is the crop's.
+        #[test]
+        fn one_pass_encoder_writes_the_oracles_bytes(
+            shape in (0usize..6, 0usize..6, 1usize..24, 1usize..16),
+            clip in (0usize..30, 0usize..24, 1usize..30, 1usize..24),
+            pattern in 0u8..7,
+            density in 0u64..101,
+            seed in 0u64..1_000_000,
+        ) {
+            let rect = PixelRect::new(shape.0, shape.1, shape.2, shape.3);
+            let sub = patterned(rect, pattern, density, seed);
+            let clip = PixelRect::new(clip.0, clip.1, clip.2, clip.3);
+            for clip in [clip, sub.rect, PixelRect::new(0, 0, 64, 64)] {
+                let crop = sub.crop(&clip);
+                proptest::prop_assert_eq!(crop.as_ref().map(|c| c.rect), sub.rect.intersect(&clip));
+                let Some(crop) = crop else { continue };
+                let header = [seed, 7];
+                let (body, scan) = encode_fragment(&header, 11, &sub, &crop.rect);
+                proptest::prop_assert_eq!(&body, &oracle::encode_fragment(&header, 11, &crop));
+                proptest::prop_assert_eq!(body.capacity(), body.len());
+                proptest::prop_assert_eq!(scan, PieceScan::of(&crop, &crop.rect));
+                let (renderer, back) = decode_fragment(&body[16..]);
+                proptest::prop_assert_eq!(renderer, 11);
+                proptest::prop_assert_eq!(back.rect, crop.rect);
+                proptest::prop_assert_eq!(back.depth.to_bits(), crop.depth.to_bits());
+                let bits = |s: &SubImage| -> Vec<[u32; 4]> {
+                    s.pixels.iter().map(|p| p.map(f32::to_bits)).collect()
+                };
+                proptest::prop_assert_eq!(bits(&back), bits(&crop));
+            }
         }
     }
 

@@ -65,7 +65,8 @@ use rayon::prelude::*;
 use pvr_compositing::completeness::{CompletenessMap, TileCompleteness};
 use pvr_compositing::directsend::DirectSendStats;
 use pvr_compositing::{
-    build_schedule, CompositeMessage, ImagePartition, InsertOutcome, Schedule, TileAssembly,
+    build_schedule, CompositeMessage, ImagePartition, InsertOutcome, PieceScan, Schedule,
+    TileAssembly,
 };
 use pvr_faults::{
     link, FaultPlan, InBox, OutBox, PlanInjector, RankAction, RecoveryCounters, RecoveryPolicy,
@@ -1359,8 +1360,11 @@ impl<'a> RankExec<'a> {
     async fn serve_adopt(&mut self, src: usize, body: &[u8]) {
         let (orphan, c) = decode_adopt(body);
         let (sub, quality) = self.adopt_block(orphan);
-        let frag = sub.and_then(|s| s.crop(&self.shared.partition.tile(c)));
-        let reply = encode_late(orphan, c, frag.as_ref().map(|f| (quality, f)));
+        let tile = self.shared.partition.tile(c);
+        let frag = sub
+            .as_ref()
+            .and_then(|s| Some((quality, s, s.rect.intersect(&tile)?)));
+        let reply = encode_late(orphan, c, frag);
         if let Some(rec) = self.rec.as_mut() {
             rec.out.send(self.comm, src, self.tags.late, reply).await;
         }
@@ -1444,12 +1448,11 @@ impl<'a> RankExec<'a> {
 
     // --- Composite stage -------------------------------------------
 
-    /// Account one outgoing fragment under the paper's wire pricing:
-    /// the cheaper of the dense and sparse encodings (mirroring what
-    /// `encode_fragment` actually ships), plus the dense cost the
-    /// schedule predicts.
-    fn account_fragment(&mut self, frag: &SubImage) {
-        let (dense, sparse) = pvr_compositing::piece_wire_bytes(frag, &frag.rect);
+    /// Account one outgoing fragment under the paper's wire pricing,
+    /// from the scan that encoded it: the cheaper of the dense and
+    /// sparse encodings, plus the dense cost the schedule predicts.
+    fn account_fragment(&mut self, scan: &PieceScan) {
+        let (dense, sparse) = scan.wire_bytes();
         self.out.sent_messages += 1;
         self.out.sent_dense_bytes += dense;
         if sparse < dense {
@@ -1471,10 +1474,10 @@ impl<'a> RankExec<'a> {
         // One fragment per schedule row, in schedule order, the quality
         // of my input attached.
         for msg in shared.sends_of(rank) {
-            if let Some(frag) = sub.crop(&partition.tile(msg.compositor)) {
+            if let Some(piece) = sub.rect.intersect(&partition.tile(msg.compositor)) {
                 let dst = shared.compositor_ranks[msg.compositor];
-                self.account_fragment(&frag);
-                let body = encode_fragment_msg(self.io_quality, rank, &frag);
+                let (body, scan) = encode_fragment_msg(self.io_quality, rank, &sub, &piece);
+                self.account_fragment(&scan);
                 frag_out
                     .send(self.comm, dst, self.tags.fragment, body)
                     .await;

@@ -30,13 +30,17 @@
 //! Because this runtime exists to *validate* communication schedules,
 //! it is instrumented for the `pvr-verify` tooling:
 //!
-//! * **Vector clocks.** Every rank maintains a vector clock; sends
-//!   carry a snapshot, receives join it. With
-//!   [`RunOptions::trace`] the run yields a [`trace::TraceLog`] whose
+//! * **Vector clocks.** Under [`RunOptions::trace`] every rank
+//!   maintains a vector clock: sends carry a snapshot, receives and
+//!   barriers join it, and the run yields a [`trace::TraceLog`] whose
 //!   clocks let a post-hoc checker find *message races*: wildcard
-//!   (`recv_any`) matches whose candidate sends were concurrent.
-//!   (Untraced runs skip clock maintenance entirely — an `O(n)` copy
-//!   per send that would dominate at 32K ranks.)
+//!   (`recv_any`) matches whose candidate sends were concurrent. An
+//!   untraced run has no clocks at all — every clock in the world (the
+//!   ranks', the envelopes', the barrier's two) is an empty vector that
+//!   is never written, cloned or allocated, so a send, a receive and a
+//!   barrier cost nothing that grows with the world (an `O(n)` copy per
+//!   event would dominate at 32K ranks; `tests/barrier_alloc.rs` pins
+//!   the barrier at zero bytes).
 //! * **Non-overtaking assertions.** Each message carries a per
 //!   (source, destination, tag) sequence number; delivery asserts the
 //!   numbers arrive in order, so an overtaking bug in the runtime (or
@@ -123,7 +127,7 @@ pub mod fault {
 use std::cell::RefCell;
 #[cfg(feature = "thread-exec")]
 use std::cell::{Ref, RefMut};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::future::Future;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -434,9 +438,13 @@ pub(crate) struct State {
     pub(crate) barrier_gen: u64,
     pub(crate) barrier_count: usize,
     /// Elementwise max of the clocks of ranks arrived at the current
-    /// barrier generation.
+    /// barrier generation: `n` words in a traced run, empty — and never
+    /// touched — in an untraced one.
     pub(crate) barrier_clock: Clock,
-    /// Merged clock of the last completed barrier generation.
+    /// Merged clock of the last completed barrier generation, which its
+    /// participants join on their way out (nobody can complete the next
+    /// generation before all of them have). Traced runs only, like
+    /// `barrier_clock`; the two buffers swap at each release.
     pub(crate) release_clock: Clock,
     pub(crate) poison: Option<RunError>,
     pub(crate) arrival: u64,
@@ -451,13 +459,48 @@ impl State {
             status: vec![Status::Running; n],
             barrier_gen: 0,
             barrier_count: 0,
-            barrier_clock: vec![0; n],
-            release_clock: vec![0; n],
+            barrier_clock: new_clock(n, trace),
+            release_clock: new_clock(n, trace),
             poison: None,
             arrival: 0,
             done_count: 0,
             trace_sink: if trace { Some(Vec::new()) } else { None },
         }
+    }
+
+    /// A rank whose clock is `clock` arrives at the barrier: returns the
+    /// generation it waits for and whether it was the last one in — in
+    /// which case the generation has advanced, `release_clock` holds the
+    /// merged clock, and the caller wakes everyone.
+    pub(crate) fn barrier_arrive(&mut self, clock: &Clock) -> (u64, bool) {
+        let gen = self.barrier_gen;
+        join_clock(&mut self.barrier_clock, clock);
+        self.barrier_count += 1;
+        let last = self.barrier_count == self.status.len();
+        if last {
+            self.barrier_count = 0;
+            self.barrier_gen += 1;
+            std::mem::swap(&mut self.release_clock, &mut self.barrier_clock);
+            self.barrier_clock.fill(0);
+        }
+        (gen, last)
+    }
+}
+
+/// A zeroed `n`-rank clock in a traced run; the empty clock otherwise.
+fn new_clock(n: usize, trace: bool) -> Clock {
+    if trace {
+        vec![0; n]
+    } else {
+        Clock::new()
+    }
+}
+
+/// Elementwise max of `from` into `into` (a no-op on untraced runs'
+/// empty clocks).
+pub(crate) fn join_clock(into: &mut Clock, from: &Clock) {
+    for (c, s) in into.iter_mut().zip(from) {
+        *c = (*c).max(*s);
     }
 }
 
@@ -467,10 +510,12 @@ pub(crate) struct RankLocal {
     /// Empty when the run is untraced (clock upkeep is `O(n)` per
     /// event and only the trace observes it).
     pub(crate) clock: Clock,
-    /// Next sequence number per (destination, tag).
-    send_seq: HashMap<(usize, u32), u64>,
+    /// Next sequence number per (destination, tag). Ordered maps: a
+    /// rank talks to few peers per tag, and a lookup must not cost a
+    /// SipHash per message.
+    send_seq: BTreeMap<(usize, u32), u64>,
     /// Next expected sequence number per (source, tag).
-    expect_seq: HashMap<(usize, u32), u64>,
+    expect_seq: BTreeMap<(usize, u32), u64>,
     /// Wildcard receives completed so far (the replay index).
     wildcards: u64,
     pub(crate) trace: Vec<TraceEvent>,
@@ -492,55 +537,50 @@ pub(crate) enum Until {
     Timeout(Duration),
 }
 
-/// Messages delivered but not yet matched, keyed by (src, tag) with
-/// FIFO per key (non-overtaking order), plus a sorted (tag, src) index
-/// so wildcard matching is `O(log n)` instead of a full-map scan —
-/// the difference between `O(n)` and `O(n²)` for a 32K-rank gather.
+/// Messages delivered but not yet matched, in one map ordered by
+/// `(tag, src, seq)`: the first entry of a tag is the min-source match,
+/// the first entry of a `(tag, src)` is the next message of that stream
+/// (FIFO per key — non-overtaking order), and the sources of a tag are
+/// a range walk, so wildcard matching is `O(log n)` instead of a
+/// full-map scan — the difference between `O(n)` and `O(n²)` for a
+/// 32K-rank gather. A matched message leaves nothing behind.
 #[derive(Default)]
 struct PendingSet {
-    map: HashMap<(usize, u32), VecDeque<Envelope>>,
-    index: BTreeSet<(u32, usize)>,
+    map: BTreeMap<(u32, usize, u64), Envelope>,
 }
 
 impl PendingSet {
     fn push(&mut self, env: Envelope) {
-        let key = (env.src, env.tag);
-        let q = self.map.entry(key).or_default();
-        if q.is_empty() {
-            self.index.insert((env.tag, env.src));
-        }
-        q.push_back(env);
+        self.map.insert((env.tag, env.src, env.seq), env);
+    }
+
+    /// The pending messages of `tag` from sources `from..`, in key order.
+    fn of_tag(&self, tag: u32, from: usize) -> impl Iterator<Item = &Envelope> + '_ {
+        let range = (tag, from, 0)..=(tag, usize::MAX, u64::MAX);
+        self.map.range(range).map(|(_, env)| env)
     }
 
     fn pop(&mut self, src: usize, tag: u32) -> Option<Envelope> {
-        let q = self.map.get_mut(&(src, tag))?;
-        let env = q.pop_front()?;
-        if q.is_empty() {
-            self.index.remove(&(tag, src));
-        }
-        Some(env)
+        let seq = self.of_tag(tag, src).next().filter(|e| e.src == src)?.seq;
+        self.map.remove(&(tag, src, seq))
     }
 
     /// Lowest source with a pending message of `tag`.
     fn first_src(&self, tag: u32) -> Option<usize> {
-        self.index
-            .range((tag, 0)..=(tag, usize::MAX))
-            .next()
-            .map(|&(_, s)| s)
+        self.of_tag(tag, 0).next().map(|e| e.src)
+    }
+
+    /// The oldest pending message of each source of `tag`, ascending by
+    /// source.
+    fn fronts(&self, tag: u32) -> impl Iterator<Item = &Envelope> + '_ {
+        let mut last = None;
+        self.of_tag(tag, 0)
+            .filter(move |e| last.replace(e.src) != Some(e.src))
     }
 
     /// All sources with a pending message of `tag`, ascending.
     fn sources(&self, tag: u32) -> impl Iterator<Item = usize> + '_ {
-        self.index
-            .range((tag, 0)..=(tag, usize::MAX))
-            .map(|&(_, s)| s)
-    }
-
-    fn front_arrival(&self, src: usize, tag: u32) -> u64 {
-        self.map[&(src, tag)]
-            .front()
-            .expect("indexed queue")
-            .arrival
+        self.fronts(tag).map(|e| e.src)
     }
 }
 
@@ -566,11 +606,7 @@ pub struct Comm {
 
 impl Comm {
     pub(crate) fn new(rank: usize, size: usize, world: WorldLink, opts: Arc<RunOptions>) -> Comm {
-        let clock = if opts.trace {
-            vec![0; size]
-        } else {
-            Clock::new()
-        };
+        let clock = new_clock(size, opts.trace);
         Comm {
             rank,
             size,
@@ -579,8 +615,8 @@ impl Comm {
             pending: PendingSet::default(),
             local: RefCell::new(RankLocal {
                 clock,
-                send_seq: HashMap::new(),
-                expect_seq: HashMap::new(),
+                send_seq: BTreeMap::new(),
+                expect_seq: BTreeMap::new(),
                 wildcards: 0,
                 trace: Vec::new(),
             }),
@@ -946,10 +982,7 @@ impl Comm {
                     MatchPolicy::MinSource | MatchPolicy::Replay(_) | MatchPolicy::Guided(_) => {
                         self.pending.first_src(tag)?
                     }
-                    MatchPolicy::Arrival => self
-                        .pending
-                        .sources(tag)
-                        .min_by_key(|&s| self.pending.front_arrival(s, tag))?,
+                    MatchPolicy::Arrival => self.pending.fronts(tag).min_by_key(|e| e.arrival)?.src,
                     MatchPolicy::Perturb(seed) => {
                         let candidates: Vec<usize> = self.pending.sources(tag).collect();
                         if candidates.is_empty() {
@@ -982,9 +1015,7 @@ impl Comm {
         );
         *expect += 1;
         if self.opts.trace {
-            for (c, s) in local.clock.iter_mut().zip(&env.clock) {
-                *c = (*c).max(*s);
-            }
+            join_clock(&mut local.clock, &env.clock);
             local.clock[me] += 1;
             let recv_clock = local.clock.clone();
             local.trace.push(TraceEvent::Recv {
@@ -1001,24 +1032,21 @@ impl Comm {
         env.data
     }
 
-    /// Synchronize all ranks. Also a vector-clock join point: every
-    /// participant leaves with the elementwise max of all clocks.
+    /// Synchronize all ranks. In a traced run also a vector-clock join
+    /// point: every participant leaves with the elementwise max of all
+    /// clocks. An untraced barrier touches no clock and no heap.
     pub async fn barrier(&self) {
         let me = self.rank;
         if self.opts.trace {
             self.local.borrow_mut().clock[me] += 1;
         }
-        let (gen, release) = match self.world.clone() {
+        let gen = match self.world.clone() {
             WorldLink::Event(core) => self.event_barrier(core).await,
             #[cfg(feature = "thread-exec")]
             WorldLink::Thread(sh) => self.thread_barrier(&sh),
         };
-        let mut local = self.local.borrow_mut();
-        for (c, r) in local.clock.iter_mut().zip(&release) {
-            *c = (*c).max(*r);
-        }
         if self.opts.trace {
-            local.trace.push(TraceEvent::Barrier {
+            self.local.borrow_mut().trace.push(TraceEvent::Barrier {
                 rank: me,
                 generation: gen,
             });
@@ -1027,49 +1055,39 @@ impl Comm {
 
     /// Event-core barrier: the last arriver advances the generation and
     /// wakes everyone; earlier arrivers park until the generation
-    /// moves.
-    async fn event_barrier(&self, core: Rc<RefCell<event::EventCore>>) -> (u64, Clock) {
+    /// moves. Everyone joins the release clock on the way out.
+    async fn event_barrier(&self, core: Rc<RefCell<event::EventCore>>) -> u64 {
         let me = self.rank;
-        let size = self.size;
-        let gen = {
+        let (gen, last) = {
             let mut c = core.borrow_mut();
-            let gen = c.st.barrier_gen;
-            {
-                let local = self.local.borrow();
-                for (b, cl) in c.st.barrier_clock.iter_mut().zip(&local.clock) {
-                    *b = (*b).max(*cl);
+            let (gen, last) = c.st.barrier_arrive(&self.local.borrow().clock);
+            if last {
+                for r in (0..self.size).filter(|&r| r != me) {
+                    c.wake(r);
                 }
-            }
-            c.st.barrier_count += 1;
-            if c.st.barrier_count == size {
-                c.st.barrier_count = 0;
-                c.st.barrier_gen += 1;
-                c.st.release_clock = std::mem::replace(&mut c.st.barrier_clock, vec![0; size]);
-                for r in 0..size {
-                    if r != me {
-                        c.wake(r);
-                    }
-                }
-                let release = c.st.release_clock.clone();
-                return (gen, release);
-            }
-            c.st.status[me] = Status::Barrier { gen };
-            gen
-        };
-        let wait_core = Rc::clone(&core);
-        std::future::poll_fn(move |_cx| {
-            let mut c = wait_core.borrow_mut();
-            if c.st.barrier_gen > gen {
-                c.st.status[me] = Status::Running;
-                Poll::Ready(())
             } else {
                 c.st.status[me] = Status::Barrier { gen };
-                Poll::Pending
             }
-        })
-        .await;
-        let release = core.borrow().st.release_clock.clone();
-        (gen, release)
+            (gen, last)
+        };
+        if !last {
+            std::future::poll_fn(|_cx| {
+                let mut c = core.borrow_mut();
+                if c.st.barrier_gen > gen {
+                    c.st.status[me] = Status::Running;
+                    Poll::Ready(())
+                } else {
+                    c.st.status[me] = Status::Barrier { gen };
+                    Poll::Pending
+                }
+            })
+            .await;
+        }
+        join_clock(
+            &mut self.local.borrow_mut().clock,
+            &core.borrow().st.release_clock,
+        );
+        gen
     }
 
     /// Gather byte buffers from all ranks to `root`; returns `Some(all)`

@@ -1072,7 +1072,7 @@ mod differential {
         fn delivered_counts(seed: u64, plan: &[(usize, u32, u8)]) -> [usize; 2] {
             let inj = HashPlan { seed };
             let mut delivered = [0usize; 2];
-            let mut seqs: HashMap<(usize, u32), u64> = HashMap::new();
+            let mut seqs: BTreeMap<(usize, u32), u64> = BTreeMap::new();
             for &(src, tag, _) in plan {
                 let d = seqs.entry((src, tag)).or_insert(0);
                 if inj.fate_code(src, 0, tag, *d) != 0 {
@@ -1210,5 +1210,173 @@ mod differential {
                 assert_eq!(a, b, "rank {r} trace diverges across backends");
             }
         }
+    }
+}
+
+/// The mailbox (`PendingSet`) against the three-container structure it
+/// replaced, and the match policies against the sources that structure
+/// picked.
+mod mailbox {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::{BTreeSet, HashMap};
+    use std::sync::Mutex;
+
+    /// The mailbox as it was before it became one ordered map: a FIFO
+    /// per (src, tag) in a hash map, plus a sorted (tag, src) index of
+    /// the non-empty ones. Kept as the oracle.
+    #[derive(Default)]
+    struct OraclePendingSet {
+        map: HashMap<(usize, u32), VecDeque<Envelope>>,
+        index: BTreeSet<(u32, usize)>,
+    }
+
+    impl OraclePendingSet {
+        fn push(&mut self, env: Envelope) {
+            let q = self.map.entry((env.src, env.tag)).or_default();
+            if q.is_empty() {
+                self.index.insert((env.tag, env.src));
+            }
+            q.push_back(env);
+        }
+
+        fn pop(&mut self, src: usize, tag: u32) -> Option<Envelope> {
+            let q = self.map.get_mut(&(src, tag))?;
+            let env = q.pop_front()?;
+            if q.is_empty() {
+                self.index.remove(&(tag, src));
+            }
+            Some(env)
+        }
+
+        fn sources(&self, tag: u32) -> Vec<usize> {
+            let range = self.index.range((tag, 0)..=(tag, usize::MAX));
+            range.map(|&(_, s)| s).collect()
+        }
+
+        fn front_arrival(&self, src: usize, tag: u32) -> u64 {
+            self.map[&(src, tag)].front().expect("indexed").arrival
+        }
+    }
+
+    fn envelope(src: usize, tag: u32, seq: u64, arrival: u64) -> Envelope {
+        Envelope {
+            src,
+            tag,
+            seq,
+            arrival,
+            clock: Clock::new(),
+            data: vec![src as u8, tag as u8, seq as u8],
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random pushes (several tags, repeated sources, per-stream
+        /// sequence numbers in send order, streams interleaved) and
+        /// pops: after every step both mailboxes name the same first
+        /// source, sources and front arrivals for every tag, and every
+        /// pop hands out the same envelope.
+        #[test]
+        fn one_ordered_map_answers_like_the_three_containers(
+            ops in proptest::collection::vec((0u8..3, 0usize..5, 0u32..3), 1..120),
+        ) {
+            let (mut new, mut old) = (PendingSet::default(), OraclePendingSet::default());
+            let mut next_seq: HashMap<(usize, u32), u64> = HashMap::new();
+            for (arrival, (op, src, tag)) in ops.into_iter().enumerate() {
+                if op < 2 {
+                    let seq = next_seq.entry((src, tag)).or_insert(0);
+                    new.push(envelope(src, tag, *seq, arrival as u64));
+                    old.push(envelope(src, tag, *seq, arrival as u64));
+                    *seq += 1;
+                } else {
+                    let (a, b) = (new.pop(src, tag), old.pop(src, tag));
+                    let id = |e: &Envelope| (e.src, e.tag, e.seq, e.arrival, e.data.clone());
+                    prop_assert_eq!(a.as_ref().map(id), b.as_ref().map(id));
+                }
+                for tag in 0..3 {
+                    let sources = old.sources(tag);
+                    prop_assert_eq!(new.first_src(tag), sources.first().copied());
+                    prop_assert_eq!(&new.sources(tag).collect::<Vec<_>>(), &sources);
+                    let fronts: Vec<u64> = new.fronts(tag).map(|e| e.arrival).collect();
+                    let arrivals: Vec<u64> =
+                        sources.iter().map(|&s| old.front_arrival(s, tag)).collect();
+                    prop_assert_eq!(fronts, arrivals);
+                }
+            }
+        }
+    }
+
+    /// Sources rank 0 matched, in match order, on a 16-rank gather whose
+    /// 45 messages (two tags, two messages a sender on one of them,
+    /// arriving in an order unlike the rank order) are all pending
+    /// before the first wildcard.
+    fn gather_picks(policy: MatchPolicy) -> Vec<usize> {
+        let picks = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&picks);
+        let opts =
+            RunOptions::default()
+                .policy(policy)
+                .on_choice(Arc::new(move |cp: &ChoicePoint| {
+                    assert_eq!(cp.rank, 0);
+                    sink.lock().unwrap().push(cp.chosen);
+                }));
+        let ms = Duration::from_millis;
+        World::run_opts(16, opts, move |mut comm| async move {
+            let r = comm.rank();
+            if r == 0 {
+                comm.sleep(ms(100)).await;
+                for _ in 0..30 {
+                    comm.recv_any(7).await;
+                }
+                for _ in 0..15 {
+                    comm.recv_any(9).await;
+                }
+            } else {
+                comm.sleep(ms(16 - r as u64)).await;
+                comm.send(0, 7, vec![r as u8]).await;
+                comm.send(0, 9, vec![r as u8]).await;
+                comm.sleep(ms(r as u64 % 5)).await;
+                comm.send(0, 7, vec![r as u8 + 100]).await;
+            }
+        })
+        .unwrap();
+        let picks = picks.lock().unwrap().clone();
+        picks
+    }
+
+    /// Recorded on the three-container mailbox (the commit before the
+    /// ordered map): what each policy matched on [`gather_picks`].
+    #[test]
+    fn match_policies_pick_the_sources_they_always_picked() {
+        let twice = |r: usize| [r, r];
+        let by_rank: Vec<usize> = (1..16).collect();
+        let min_source = [(1..16).flat_map(twice).collect(), by_rank.clone()].concat();
+        assert_eq!(gather_picks(MatchPolicy::MinSource), min_source);
+
+        let arrival = [
+            vec![15, 15, 14, 13, 12, 11, 10, 10, 14, 13, 12, 11, 9, 8, 7],
+            vec![6, 5, 5, 9, 8, 7, 6, 4, 3, 2, 1, 4, 3, 2, 1],
+            (1..16).rev().collect(),
+        ]
+        .concat();
+        assert_eq!(gather_picks(MatchPolicy::Arrival), arrival);
+
+        let perturbed = vec![
+            14, 1, 8, 7, 7, 10, 12, 11, 12, 6, 9, 15, 13, 1, 9, 13, 14, 6, 11, 3, 4, 2, 5, 10, 3,
+            5, 8, 2, 15, 4, 14, 6, 7, 10, 1, 12, 8, 9, 2, 11, 4, 3, 13, 15, 5,
+        ];
+        assert_eq!(gather_picks(MatchPolicy::Perturb(42)), perturbed);
+        // Replaying the perturbed run pins every wildcard to it.
+        let log = Arc::new(ReplayLog::from_choices(vec![perturbed.clone()]));
+        assert_eq!(gather_picks(MatchPolicy::Replay(log)), perturbed);
+
+        // A forced prefix, then min-source over what it left.
+        let guided = Arc::new(GuidedSchedule::new(vec![vec![5, 3, 9, 5]]));
+        let rest = [1, 1, 2, 2, 3, 4, 4, 6, 6, 7, 7, 8, 8, 9];
+        let tail: Vec<usize> = (10..16).flat_map(twice).collect();
+        let picks = [vec![5, 3, 9, 5], rest.to_vec(), tail, by_rank].concat();
+        assert_eq!(gather_picks(MatchPolicy::Guided(guided)), picks);
     }
 }

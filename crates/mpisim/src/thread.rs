@@ -284,28 +284,17 @@ impl Comm {
         }
     }
 
-    /// Blocking barrier body; returns the crossed generation and the
-    /// merged release clock.
-    pub(crate) fn thread_barrier(&self, shared: &Arc<Shared>) -> (u64, crate::trace::Clock) {
+    /// Blocking barrier body; joins the merged release clock into this
+    /// rank's and returns the crossed generation.
+    pub(crate) fn thread_barrier(&self, shared: &Arc<Shared>) -> u64 {
         let me = self.rank();
-        let size = self.size();
         let mut st = shared.lock_state();
         if st.poison.is_some() {
             drop(st);
             self.poison_unwind();
         }
-        let gen = st.barrier_gen;
-        {
-            let local = self.local_ref();
-            for (b, c) in st.barrier_clock.iter_mut().zip(&local.clock) {
-                *b = (*b).max(*c);
-            }
-        }
-        st.barrier_count += 1;
-        if st.barrier_count == size {
-            st.barrier_count = 0;
-            st.barrier_gen += 1;
-            st.release_clock = std::mem::replace(&mut st.barrier_clock, vec![0; size]);
+        let (gen, last) = st.barrier_arrive(&self.local_ref().clock);
+        if last {
             for cv in &shared.rank_cv {
                 cv.notify_all();
             }
@@ -329,8 +318,8 @@ impl Comm {
                 self.poison_unwind();
             }
         }
-        let release = st.release_clock.clone();
-        (gen, release)
+        crate::join_clock(&mut self.local_mut().clock, &st.release_clock);
+        gen
     }
 
     /// Drop-time bookkeeping: mark the rank done, flush its trace, and

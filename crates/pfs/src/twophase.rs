@@ -360,10 +360,13 @@ impl ScatterPlan {
     /// destination rank, file order kept within a destination. Every
     /// maximal run of one `rank` (`chunk_by`) is one message — what an
     /// aggregator sends that rank out of this window read. Grouped here,
-    /// as the window is sent, so planning pays nothing for it.
+    /// as the window is sent, so planning pays nothing for it. One rank's
+    /// pieces of a window start at distinct file offsets (its placed runs
+    /// do not overlap), so `(rank, file_lo)` is a total order — the one a
+    /// stable sort by rank gives — and the sort needs no scratch buffer.
     pub fn sends_in(&self, w: Extent) -> Vec<Piece> {
         let mut pieces: Vec<Piece> = self.pieces_in(w).collect();
-        pieces.sort_by_key(|p| p.rank);
+        pieces.sort_unstable_by_key(|p| (p.rank, p.file_lo));
         pieces
     }
 }

@@ -100,14 +100,21 @@ impl SubImage {
         self.rect.num_pixels() as u64 * 4
     }
 
+    /// The rows of the part of this subimage inside `region` (which
+    /// must lie within `rect`), top to bottom, borrowed in place.
+    pub fn rows(&self, region: &PixelRect) -> impl Iterator<Item = &[Rgba]> + '_ {
+        debug_assert!(region.is_empty() || self.rect.intersect(region) == Some(*region));
+        let (x, w) = (region.x0 - self.rect.x0, region.w);
+        let (y, stride) = (region.y0 - self.rect.y0, self.rect.w);
+        (y..y + region.h).map(move |y| &self.pixels[y * stride + x..][..w])
+    }
+
     /// Extract the part of this subimage inside `r` as a new subimage.
     pub fn crop(&self, r: &PixelRect) -> Option<SubImage> {
         let rect = self.rect.intersect(r)?;
         let mut pixels = Vec::with_capacity(rect.num_pixels());
-        for y in rect.y0..rect.y1() {
-            for x in rect.x0..rect.x1() {
-                pixels.push(self.get(x, y));
-            }
+        for row in self.rows(&rect) {
+            pixels.extend_from_slice(row);
         }
         Some(SubImage {
             rect,

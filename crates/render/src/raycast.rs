@@ -381,7 +381,7 @@ impl PacketField {
                 }
             }
         }
-        let rempty = Self::refined_verdicts(g, &empty, &lut);
+        let rempty = Self::refined_verdicts(g, &empty, lut);
         let spread = top.map(|s| s * 1.08 + 0.12);
         Some(Self::build(&rempty, ctx.volume.dims(), spread))
     }
@@ -1988,20 +1988,21 @@ mod tests {
         let v = Volume::from_field(&f.variable(2), [37, 30, 33]);
         let vdims = v.dims();
         let g = MacrocellGrid::build(&v);
-        let lut = tf().opacity_lut();
+        let tf = tf();
+        let lut = tf.opacity_lut();
         let empty: Vec<bool> = g
             .ranges()
             .iter()
             .map(|&(lo, hi)| lut.range_is_transparent(lo, hi))
             .collect();
-        let shared = PacketField::refined_verdicts(&g, &empty, &lut);
+        let shared = PacketField::refined_verdicts(&g, &empty, lut);
         assert!(shared.contains(&true) && shared.contains(&false));
         let rc = g.refined_cells();
         for spread in [[0.12; 3], [0.9, 0.4, 2.55], [2.55, 1.3, 0.12]] {
             let tight = PacketField::build(&shared, vdims, spread);
             let loose = PacketField::build(&shared, vdims, spread.map(|s| s + 1.0));
             for (field, spread) in [(&tight, spread), (&loose, spread.map(|s| s + 1.0))] {
-                let own = PacketField::refined_verdicts(&g, &empty, &lut);
+                let own = PacketField::refined_verdicts(&g, &empty, lut);
                 let alone = PacketField::build(&own, vdims, spread);
                 assert_eq!(field.empty, alone.empty, "spread {spread:?}");
                 assert!(field.empty.contains(&true), "spread {spread:?} erodes all");

@@ -12,6 +12,9 @@ pub struct TransferFunction {
     domain: (f32, f32),
     /// RGBA entries; alpha is opacity per unit length.
     table: Vec<[f32; 4]>,
+    /// The table's opacity bins, derived once here rather than once per
+    /// rendered block.
+    lut: OpacityLut,
 }
 
 impl TransferFunction {
@@ -44,7 +47,8 @@ impl TransferFunction {
                 c0[3] + (c1[3] - c0[3]) * f,
             ]);
         }
-        TransferFunction { domain, table }
+        let lut = OpacityLut::of(domain, &table);
+        TransferFunction { domain, table, lut }
     }
 
     /// A gray ramp with linearly increasing opacity — the simplest
@@ -217,41 +221,11 @@ impl TransferFunction {
         })
     }
 
-    /// Build the opacity lookup table for conservative empty-space
-    /// skipping: per-unit-length alpha of each table entry, queryable
-    /// by value range.
-    ///
-    /// Exact-`0.0` bins are **load-bearing**: the bitwise skip proof
-    /// (and with it the fast path's pixel identity) rests on
-    /// `range_is_transparent` returning true only when every lookup in
-    /// the range yields alpha exactly `0.0`, which in turn requires the
-    /// transparent plateau's table entries to be exactly `0.0` — a value
-    /// of `1e-9` would still look transparent but would break
-    /// `x + (1-α)·a == x` and silently turn "bit-identical" into
-    /// "approximately equal". Transfer functions meant to benefit from
-    /// skipping (e.g. [`TransferFunction::supernova_velocity`]) must
-    /// build their plateaus from exactly-zero control points. The
-    /// debug_assert below catches the one construction bug this type can
-    /// detect itself: NaN entries, which the `max`-fold in
-    /// [`OpacityLut::max_alpha`] would silently drop, making the
-    /// "conservative" bound unsound.
-    pub fn opacity_lut(&self) -> OpacityLut {
-        debug_assert!(
-            self.table.iter().all(|c| !c[3].is_nan()),
-            "NaN alpha entries make the opacity LUT's range bound unsound"
-        );
-        let alphas: Vec<f32> = self.table.iter().map(|c| c[3]).collect();
-        let mut opaque_before = vec![0u32; alphas.len() + 1];
-        for (i, &a) in alphas.iter().enumerate() {
-            opaque_before[i + 1] = opaque_before[i] + (a > 0.0) as u32;
-        }
-        let (d0, d1) = self.domain;
-        OpacityLut {
-            d0,
-            scale: (alphas.len() - 1) as f32 / (d1 - d0),
-            alphas,
-            opaque_before,
-        }
+    /// The opacity lookup table for conservative empty-space skipping:
+    /// per-unit-length alpha of each table entry, queryable by value
+    /// range.
+    pub fn opacity_lut(&self) -> &OpacityLut {
+        &self.lut
     }
 }
 
@@ -280,6 +254,40 @@ pub struct OpacityLut {
 }
 
 impl OpacityLut {
+    /// The bins of a transfer function's `table` over `domain`.
+    ///
+    /// Exact-`0.0` bins are **load-bearing**: the bitwise skip proof
+    /// (and with it the fast path's pixel identity) rests on
+    /// `range_is_transparent` returning true only when every lookup in
+    /// the range yields alpha exactly `0.0`, which in turn requires the
+    /// transparent plateau's table entries to be exactly `0.0` — a value
+    /// of `1e-9` would still look transparent but would break
+    /// `x + (1-α)·a == x` and silently turn "bit-identical" into
+    /// "approximately equal". Transfer functions meant to benefit from
+    /// skipping (e.g. [`TransferFunction::supernova_velocity`]) must
+    /// build their plateaus from exactly-zero control points. The
+    /// debug_assert below catches the one construction bug this type can
+    /// detect itself: NaN entries, which the `max`-fold in
+    /// [`OpacityLut::max_alpha`] would silently drop, making the
+    /// "conservative" bound unsound.
+    fn of((d0, d1): (f32, f32), table: &[[f32; 4]]) -> OpacityLut {
+        debug_assert!(
+            table.iter().all(|c| !c[3].is_nan()),
+            "NaN alpha entries make the opacity LUT's range bound unsound"
+        );
+        let alphas: Vec<f32> = table.iter().map(|c| c[3]).collect();
+        let mut opaque_before = vec![0u32; alphas.len() + 1];
+        for (i, &a) in alphas.iter().enumerate() {
+            opaque_before[i + 1] = opaque_before[i] + (a > 0.0) as u32;
+        }
+        OpacityLut {
+            d0,
+            scale: (alphas.len() - 1) as f32 / (d1 - d0),
+            alphas,
+            opaque_before,
+        }
+    }
+
     /// Inclusive table-entry range any value in `[lo, hi]` (given in
     /// either order) can interpolate from.
     #[inline]
@@ -517,7 +525,8 @@ mod tests {
                 .collect();
             let d0 = 4.0 * unit(&mut rng) - 2.0;
             let span = 0.1 + 4.0 * unit(&mut rng);
-            let lut = TransferFunction::from_points((d0, d0 + span), &pts).opacity_lut();
+            let tf = TransferFunction::from_points((d0, d0 + span), &pts);
+            let lut = tf.opacity_lut();
             for _ in 0..64 {
                 // Start anywhere from below the domain to above it.
                 let lo = d0 + span * (1.6 * unit(&mut rng) - 0.3);

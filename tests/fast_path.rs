@@ -8,8 +8,10 @@
 //! decompositions, and both frame executors, the fast path produces the
 //! same pixels as the naive dense kernel, bit for bit.
 
-use parallel_volume_rendering::compositing::sparse::SparseSubImage;
-use parallel_volume_rendering::core::pipeline::run_frame_mpi;
+use parallel_volume_rendering::compositing::PieceScan;
+use parallel_volume_rendering::core::pipeline::{
+    decode_fragment_msg, encode_fragment_msg, run_frame_mpi,
+};
 use parallel_volume_rendering::core::{run_frame, write_dataset, FrameConfig, IoMode};
 use parallel_volume_rendering::render::raycast::{
     render_block, BlockDomain, RenderOpts, Shading, Termination,
@@ -278,9 +280,11 @@ proptest! {
         }
     }
 
-    /// The sparse wire encoding is lossless: encode → decode returns a
+    /// The fragment wire encoding is lossless: encode → decode returns a
     /// bit-identical pixel buffer for random subimages with random
-    /// transparency structure, and its priced cost matches its content.
+    /// transparency structure — whichever of the sparse and dense bodies
+    /// the encoder picked — and the scan that sized it matches its
+    /// content.
     #[test]
     fn sparse_encoding_roundtrips_bitwise(seed in 0u64..1_000_000) {
         let mut rng = Rng::seeded(seed | 1);
@@ -301,12 +305,16 @@ proptest! {
                 ];
             }
         }
-        let enc = SparseSubImage::encode(&sub);
-        let dec = enc.decode();
+        let (msg, scan) = encode_fragment_msg(0.5, 3, &sub, &sub.rect);
+        let (quality, renderer, dec) = decode_fragment_msg(&msg);
+        prop_assert_eq!((quality, renderer), (0.5, 3));
         assert_subs_bitwise(&sub, &dec, &format!("roundtrip seed {seed}"));
         prop_assert_eq!(dec.depth.to_bits(), sub.depth.to_bits());
         let payload = sub.pixels.iter().filter(|p| **p != [0.0; 4]).count();
-        prop_assert_eq!(enc.payload_pixels(), payload);
-        prop_assert!(enc.num_spans() <= payload);
+        prop_assert_eq!(scan, PieceScan::of(&sub, &sub.rect));
+        prop_assert_eq!((scan.rows, scan.pixels, scan.lit), (h, w * h, payload));
+        prop_assert!(scan.spans <= payload);
+        // The shorter body went out: at most the dense one.
+        prop_assert!(msg.len() <= 8 + 56 + 16 * w * h);
     }
 }

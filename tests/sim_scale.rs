@@ -9,12 +9,16 @@
 //! gather — at n = 1024 and 4096 against an n = 64 reference, checking
 //! frame and scheduler invariants at every size.
 //!
-//! The n = 4096 test is the CI gate. The full 32,768-rank frame (the
-//! paper's largest configuration) runs the same checks but takes
-//! minutes in debug builds, so it is `#[ignore]`d; run it with
-//! `cargo test --test sim_scale -- --ignored` (the acceptance bar is
-//! five wall-clock minutes in a release build).
+//! The n = 4096 test is the CI gate; in optimized builds it also bounds
+//! how what a frame allocates grows with the world. The full
+//! 32,768-rank frame (the paper's largest configuration) runs the same
+//! checks but takes minutes in debug builds, so it is `#[ignore]`d; run
+//! it with `cargo test --release --test sim_scale -- --ignored
+//! --nocapture` — it prints its wall time, messages, allocations and
+//! bytes, and holds the wall to a stated budget in a release build.
 
+#[path = "support/alloc.rs"]
+mod alloc;
 mod support;
 
 use std::path::PathBuf;
@@ -40,15 +44,27 @@ fn dataset() -> PathBuf {
     })
 }
 
-fn frame_at(n: usize) -> (FrameResult, SimStats) {
+/// What one frame asked of the allocator (the event core runs every
+/// rank on the calling thread, which is the one counted).
+struct Allocated {
+    calls: u64,
+    bytes: u64,
+}
+
+fn counted_frame_at(n: usize) -> (FrameResult, SimStats, Allocated) {
     let cfg = cfg_at(n);
     let path = dataset();
     // Large worlds legitimately exceed the default 120 s watchdog in
     // debug builds; the harness timeout is the backstop here.
     let opts = RunOptions::default().with_timeout(None);
-    let (frame, sim) =
-        run_frame_mpi_sim(&cfg, &path, opts).unwrap_or_else(|e| panic!("n={n} frame failed: {e}"));
+    let (out, calls, bytes) = alloc::counting(|| run_frame_mpi_sim(&cfg, &path, opts));
+    let (frame, sim) = out.unwrap_or_else(|e| panic!("n={n} frame failed: {e}"));
     let sim = sim.expect("event backend reports scheduler stats");
+    (frame, sim, Allocated { calls, bytes })
+}
+
+fn frame_at(n: usize) -> (FrameResult, SimStats) {
+    let (frame, sim, _) = counted_frame_at(n);
     (frame, sim)
 }
 
@@ -112,27 +128,54 @@ fn sim_scale_1024_matches_the_reference_frame() {
 #[test]
 fn sim_scale_4096_is_the_ci_gate() {
     let (reference, _) = frame_at(64);
-    let (frame, sim) = frame_at(4096);
+    let (frame, sim, at_4096) = counted_frame_at(4096);
     check_scale_invariants(4096, &frame, &sim, &reference);
+    // Doubling the ranks over a fixed volume may not more than double
+    // what a frame allocates: nothing in it may cost ranks² (an untraced
+    // barrier once cloned an n-word clock per rank: 222 → 584 MB, 2.63×).
+    // Measured: 81 → 122 MB, 1.50×. Optimized builds only — the CI job's
+    // — so the debug tier pays for one large frame, not two.
+    if !cfg!(debug_assertions) {
+        let (_, _, at_2048) = counted_frame_at(2048);
+        assert!(
+            at_4096.bytes <= 2 * at_2048.bytes,
+            "a 4096-rank frame allocates {} bytes, a 2048-rank one {}",
+            at_4096.bytes,
+            at_2048.bytes
+        );
+    }
 }
 
-/// The paper's largest world. Ignored by default (minutes in debug);
-/// the acceptance bar is < 5 min wall in release (recorded in release
-/// on a 2-vCPU box: 3.0–4.4 s for the frame's 360 804 messages; the
-/// test prints both).
+/// Wall budget of the 32K-rank frame in a release build. On record
+/// (2-vCPU box, release): 1.3–1.4 s, and 2.1–2.3 s before an executed
+/// frame stopped paying per rank² — room for a slower, loaded runner,
+/// none for a return of anything quadratic.
+const RELEASE_BUDGET_32K: std::time::Duration = std::time::Duration::from_secs(10);
+
+/// The paper's largest world. Ignored by default (minutes in debug,
+/// where only the old five-minute bar applies).
 #[test]
 #[ignore = "32K ranks: run explicitly with --ignored (release recommended)"]
 fn sim_scale_32768_renders_the_paper_scale() {
     let (reference, _) = frame_at(64);
     let t0 = std::time::Instant::now();
-    let (frame, sim) = frame_at(32768);
+    let (frame, sim, allocated) = counted_frame_at(32768);
     let wall = t0.elapsed();
     check_scale_invariants(32768, &frame, &sim, &reference);
     let planned = planned_messages(&cfg_at(32768)) as u64;
     assert_eq!((sim.messages, sim.timer_fires), (planned, 0));
-    println!("32K-rank frame: {wall:?} wall, {planned} messages");
+    println!(
+        "32K-rank frame: {wall:?} wall, {planned} messages, {} allocations, {:.1} MB allocated",
+        allocated.calls,
+        allocated.bytes as f64 / 1e6
+    );
+    let budget = if cfg!(debug_assertions) {
+        std::time::Duration::from_secs(300)
+    } else {
+        RELEASE_BUDGET_32K
+    };
     assert!(
-        wall < std::time::Duration::from_secs(300),
-        "32K-rank frame took {wall:?} (budget 5 min)"
+        wall < budget,
+        "32K-rank frame took {wall:?} (budget {budget:?})"
     );
 }
