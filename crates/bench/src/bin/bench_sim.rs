@@ -28,9 +28,7 @@
 //!
 //! Writes `results/BENCH_sim.json`. Gates (hard failures, any mode):
 //! bit-identical frames, full task residency, and event core ≥5×
-//! faster than threads on the sweep-shaped workload. `--ci` is
-//! accepted for symmetry with the other regenerators; the run is
-//! identical.
+//! faster than threads on the sweep-shaped workload.
 
 #[path = "../../../../tests/support/alloc.rs"]
 mod alloc;
@@ -199,7 +197,6 @@ fn best_of<F: FnMut() -> (f64, Option<SimStats>)>(
 }
 
 fn main() {
-    let _ci = std::env::args().any(|a| a == "--ci");
     let path = dataset();
     let io = Duration::from_millis(IO_MS);
 

@@ -7,8 +7,6 @@
 //!
 //! * [`topology`] — the 3D torus interconnect: node coordinates, link
 //!   identifiers and deterministic dimension-ordered (DOR) routing.
-//! * [`tree`] — the collective (tree) network used for broadcasts,
-//!   reductions and as the bridge to the I/O nodes.
 //! * [`machine`] — the machine configuration: racks, psets (one I/O node
 //!   per 64 compute nodes), core-to-node mapping, and the published BG/P
 //!   performance constants.
@@ -32,12 +30,10 @@
 pub mod flowsim;
 pub mod machine;
 pub mod topology;
-pub mod tree;
 
 pub use flowsim::{FlowSim, FlowSpec, SimReport};
 pub use machine::{Machine, MachineConfig, Pset};
 pub use topology::{NodeCoord, Torus};
-pub use tree::TreeNetwork;
 
 /// Published Blue Gene/P performance constants used throughout the
 /// simulator. Sources: the paper (Section III-A) and the cited BG/P

@@ -16,7 +16,7 @@ use pvr_render::image::{over, Image, PixelRect, SubImage};
 use crate::completeness::{CompletenessMap, TileCompleteness};
 use crate::region::ImagePartition;
 use crate::serial::visibility_order;
-use crate::{WIRE_BYTES_PER_PIXEL, WIRE_BYTES_PER_ROW, WIRE_BYTES_PER_SPAN};
+use crate::sparse::PieceScan;
 
 /// Message-level statistics of one direct-send execution (what actually
 /// got exchanged, cross-checkable against the precomputed
@@ -41,32 +41,34 @@ pub struct DirectSendStats {
     pub per_compositor: Vec<usize>,
 }
 
-/// Blend the `ov` piece of `sub` into a compositor tile buffer, using
-/// the sparse row spans both to skip the (bitwise no-op) transparent
-/// pixels and to price the piece's wire cost in the same pass.
-///
-/// Returns `(dense_bytes, sparse_bytes)` for the piece.
-fn blend_piece(buf: &mut SubImage, tile: &PixelRect, sub: &SubImage, ov: &PixelRect) -> (u64, u64) {
-    let dense = ov.num_pixels() as u64 * WIRE_BYTES_PER_PIXEL;
-    let mut sparse = ov.h as u64 * WIRE_BYTES_PER_ROW;
-    for y in ov.y0..ov.y1() {
+/// Blend the `ov` piece of `sub` behind what `buf` (a compositor's tile
+/// buffer, `ov` within `buf.rect`) already holds, skipping the (bitwise
+/// no-op) transparent pixels and counting the lit runs in the same pass:
+/// the returned scan is the one a sender's [`PieceScan::of`] finds, so
+/// the piece is priced without walking it twice.
+fn blend_piece(buf: &mut SubImage, sub: &SubImage, ov: &PixelRect) -> PieceScan {
+    let tile = buf.rect;
+    let (mut spans, mut lit) = (0, 0);
+    for (y, row) in (ov.y0..).zip(sub.rows(ov)) {
+        let row_at = (y - tile.y0) * tile.w + (ov.x0 - tile.x0);
         let mut open = false;
-        for x in ov.x0..ov.x1() {
-            let p = sub.get(x, y);
+        for (acc, &p) in buf.pixels[row_at..][..row.len()].iter_mut().zip(row) {
             if p == [0.0; 4] {
                 open = false;
                 continue;
             }
-            if !open {
-                sparse += WIRE_BYTES_PER_SPAN;
-                open = true;
-            }
-            sparse += WIRE_BYTES_PER_PIXEL;
-            let idx = (y - tile.y0) * tile.w + (x - tile.x0);
-            buf.pixels[idx] = over(buf.pixels[idx], p);
+            spans += usize::from(!open);
+            open = true;
+            lit += 1;
+            *acc = over(*acc, p);
         }
     }
-    (dense, sparse)
+    PieceScan {
+        rows: ov.h,
+        pixels: ov.num_pixels(),
+        spans,
+        lit,
+    }
 }
 
 /// Composite `subs` into the final image using `m = partition.m`
@@ -129,7 +131,7 @@ pub fn composite_direct_send_traced(
                     continue;
                 };
                 arrived += area * quality.clamp(0.0, 1.0);
-                let (dense, sparse) = blend_piece(&mut buf, &tile, sub, &ov);
+                let (dense, sparse) = blend_piece(&mut buf, sub, &ov).wire_bytes();
                 st.messages += 1;
                 st.dense_bytes += dense;
                 if sparse < dense {
@@ -182,18 +184,7 @@ pub fn blend_fragments(tile: PixelRect, mut frags: Vec<(usize, SubImage)>) -> Su
     frags.sort_by(|a, b| a.1.depth.total_cmp(&b.1.depth).then(a.0.cmp(&b.0)));
     let mut buf = SubImage::transparent(tile, 0.0);
     for (_, frag) in &frags {
-        for y in frag.rect.y0..frag.rect.y1() {
-            for x in frag.rect.x0..frag.rect.x1() {
-                let p = frag.get(x, y);
-                // Blending an exactly transparent pixel is a bitwise
-                // no-op; skip it.
-                if p == [0.0; 4] {
-                    continue;
-                }
-                let idx = (y - tile.y0) * tile.w + (x - tile.x0);
-                buf.pixels[idx] = over(buf.pixels[idx], p);
-            }
-        }
+        blend_piece(&mut buf, frag, &frag.rect);
     }
     buf
 }

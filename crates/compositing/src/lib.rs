@@ -17,18 +17,16 @@
 //! * [`directsend`] — the real direct-send compositor (any `m ≤ n`).
 //! * [`late`] — late-arrival tile assembly: first-wins dedup and
 //!   re-open/re-blend semantics for fragments adopted after a fault.
-//! * [`binaryswap`] — the classic binary-swap compositor (power-of-two
-//!   `n`), the standard alternative the paper cites (Ma et al.).
 //! * [`radixk`] — radix-k compositing, the authors' follow-on algorithm
-//!   that generalizes both (direct-send = one round of radix n, binary
-//!   swap = rounds of radix 2).
+//!   and the one multi-round compositor here: one round of radix `n` is
+//!   direct-send with `m = n`, rounds of radix 2 are the classic binary
+//!   swap the paper cites (Ma et al.).
 //! * [`serial`] — gather-to-root compositing: the ground truth.
 //!
 //! All compositors produce the same image (to f32 tolerance) on the same
 //! input — the integration tests assert it — because *over* is
 //! associative and every algorithm preserves front-to-back order.
 
-pub mod binaryswap;
 pub mod completeness;
 pub mod directsend;
 pub mod late;

@@ -79,6 +79,10 @@ pub struct AnimOptions {
     pub executor: AnimExecutor,
     /// Bandwidth floor applied to every dataset read, live or
     /// prefetched — models the slow store that makes I/O worth hiding.
+    /// Paid in wall-clock time on both executors (the ranks of a
+    /// message-passing world sleep for real, they do not advance the
+    /// simulator's virtual clock), so [`AnimResult::wall`] is the clock
+    /// to compare throttled runs in.
     pub throttle: Option<IoThrottle>,
     /// Per-frame fault plans (message-passing executor only; frames
     /// run the fault-tolerant link protocol when set).

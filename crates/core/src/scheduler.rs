@@ -57,7 +57,7 @@ use std::fs::File;
 use std::io::{Read as _, Seek, SeekFrom};
 use std::ops::ControlFlow;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use rayon::prelude::*;
@@ -905,7 +905,9 @@ pub struct RankExec<'a> {
     faults: Option<&'a FrameFaults>,
     limits: Limits,
     tags: FrameTags,
-    throttle: Option<IoThrottle>,
+    /// The store's bandwidth floor and the wall instant this frame's
+    /// live reads are floored from ([`RankExec::pad_throttle`]).
+    throttle: Option<(IoThrottle, &'a OnceLock<Instant>)>,
     windows: Option<PrefetchedWindows>,
     // --- per-frame state, built up stage by stage ---
     sw: Stopwatch,
@@ -935,7 +937,7 @@ impl<'a> RankExec<'a> {
         path: &'a Path,
         faults: Option<&'a FrameFaults>,
         tags: FrameTags,
-        throttle: Option<IoThrottle>,
+        throttle: Option<(IoThrottle, &'a OnceLock<Instant>)>,
         windows: Option<PrefetchedWindows>,
         shared: &'a FrameShared,
         file: &'a FilePlan,
@@ -1118,14 +1120,17 @@ impl<'a> RankExec<'a> {
         ControlFlow::Continue(())
     }
 
-    /// Sleep out what the throttle still owes for `bytes` read since
-    /// `since`.
-    async fn pad_throttle(&mut self, bytes: u64, since: Instant) {
-        if let Some(t) = self.throttle {
-            let rem = t.remaining(bytes, since.elapsed());
-            if rem > Duration::ZERO {
-                self.comm.sleep(rem).await;
-            }
+    /// Sleep out, in wall time, what the throttle still owes for `bytes`
+    /// this rank read live since `since` — the clock a prefetch thread
+    /// pays the same floor in (`read_extents`), so a sequential and a
+    /// pipelined animation are slowed by the same store. The floor counts
+    /// from the frame's first live read, not from this rank's: the ranks
+    /// of the single-threaded event core read one after another, and
+    /// floors counted from each rank's own start would add up where the
+    /// prefetch threads' (and the thread backend's) overlap.
+    fn pad_throttle(&self, bytes: u64, since: Instant) {
+        if let Some((throttle, first_read)) = self.throttle {
+            throttle.pad(bytes, *first_read.get_or_init(|| since));
         }
     }
 
@@ -1195,7 +1200,7 @@ impl<'a> RankExec<'a> {
             }
             self.comm.span_end("io.window");
         }
-        self.pad_throttle(live_bytes, t_read).await;
+        self.pad_throttle(live_bytes, t_read);
 
         let mut out = vec![0u8; requests[rank].out_elems * ELEM_SIZE as usize];
         let (mut arrived, mut holes, mut got) = (0u64, 0u64, 0usize);
@@ -1276,7 +1281,7 @@ impl<'a> RankExec<'a> {
         let rank = self.comm.rank();
         let t_read = Instant::now();
         let (out, useful, unrecovered, failover_bytes) = self.read_runs_audited(&requests[rank]);
-        self.pad_throttle(useful, t_read).await;
+        self.pad_throttle(useful, t_read);
         self.io_quality = served_fraction(unrecovered, useful);
         self.out.io_failover_bytes = failover_bytes;
         self.out.io_unrecovered_bytes = unrecovered;
@@ -1946,6 +1951,9 @@ pub(crate) fn run_world<P: AsRef<Path> + Sync>(
     let nf = paths.len();
     let file = FilePlan::new(cfg, &shared.stored);
     let file = &file;
+    // Per frame, the wall instant of its first live read under a throttle.
+    let first_reads: Vec<OnceLock<Instant>> = (0..nf).map(|_| OnceLock::new()).collect();
+    let first_reads = &first_reads;
     let out = pvr_mpisim::World::run_opts(cfg.nprocs, opts, move |mut comm| async move {
         let mut outs = Vec::with_capacity(nf);
         // This rank's one in-flight background read: the next frame's
@@ -1962,7 +1970,7 @@ pub(crate) fn run_world<P: AsRef<Path> + Sync>(
                 paths[t].as_ref(),
                 faults.map(|f| &f[t]),
                 FrameTags::for_frame(t),
-                throttle,
+                throttle.map(|th| (th, &first_reads[t])),
                 windows,
                 shared,
                 file,

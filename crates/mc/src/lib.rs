@@ -710,8 +710,9 @@ mod tests {
     #[test]
     fn order_dependent_result_is_caught_with_replayable_schedule() {
         // Raw match order escapes as the result: every order but the
-        // baseline's diverges. The counterexample must reproduce under
-        // plain Replay after a JSON round-trip.
+        // baseline's diverges. The counterexample must reproduce after a
+        // JSON round-trip, both under plain Replay and as the prefix of a
+        // Guided run (how a partial schedule is replayed).
         let report = explore(4, fan_in(3), &McOptions::default());
         assert!(!report.verified());
         let v = report
@@ -722,18 +723,18 @@ mod tests {
         assert!(v.complete, "a completed run yields a full schedule");
 
         let schedule = Schedule::from_json(&v.schedule.to_json()).unwrap();
-        let replay = Arc::new(schedule.to_replay());
-        let replayed = World::run_opts(
-            4,
-            RunOptions::default().policy(MatchPolicy::Replay(replay)),
-            fan_in(3),
-        )
-        .unwrap();
-        assert_ne!(
-            replayed.results,
-            report.baseline.as_ref().unwrap().clone(),
-            "replaying the counterexample must reproduce the divergence"
-        );
+        for policy in [
+            MatchPolicy::Replay(Arc::new(schedule.to_replay())),
+            MatchPolicy::Guided(Arc::new(schedule.to_guided())),
+        ] {
+            let replayed =
+                World::run_opts(4, RunOptions::default().policy(policy), fan_in(3)).unwrap();
+            assert_ne!(
+                replayed.results,
+                report.baseline.as_ref().unwrap().clone(),
+                "replaying the counterexample must reproduce the divergence"
+            );
+        }
     }
 
     #[test]

@@ -37,9 +37,9 @@ impl IoThrottle {
 
     /// How much pad a read of `bytes` that already took `elapsed`
     /// still owes — the read itself counts toward the floor, so a
-    /// genuinely slow store is never padded twice. Simulated ranks
-    /// spend this as virtual time (`Comm::sleep`); real threads sleep
-    /// it off via [`IoThrottle::pad`].
+    /// genuinely slow store is never padded twice. Every reader,
+    /// simulated ranks included, sleeps it off in wall time via
+    /// [`IoThrottle::pad`].
     pub fn remaining(&self, bytes: u64, elapsed: Duration) -> Duration {
         if self.bytes_per_sec <= 0.0 {
             return Duration::ZERO;

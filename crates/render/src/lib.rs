@@ -18,14 +18,10 @@
 //! Modules: [`math`] (minimal vector algebra), [`camera`]
 //! (orthographic / perspective), [`transfer`] (RGBA transfer functions
 //! with opacity correction), [`image`] (pixel rectangles, subimages,
-//! final images, PPM export), [`raycast`] (the renderer itself), and
-//! [`isosurface`] (marching-tetrahedra extraction — the paper's
-//! future-work "other visualization algorithms", sharing the same
-//! exact block decomposition).
+//! final images, PPM export) and [`raycast`] (the renderer itself).
 
 pub mod camera;
 pub mod image;
-pub mod isosurface;
 pub mod math;
 pub mod raycast;
 pub mod transfer;

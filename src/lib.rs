@@ -13,10 +13,9 @@
 //! * [`formats`] — raw / netCDF / netCDF-64 / HDF5-like file layouts
 //! * [`volume`] — volume grids, block decomposition, synthetic data
 //! * [`render`] — ray-casting volume renderer
-//! * [`compositing`] — direct-send / binary-swap / radix-k compositing
+//! * [`compositing`] — direct-send and radix-k (binary swap = radix 2) compositing
 //! * [`core`] — the end-to-end pipeline and performance models
 //! * [`faults`] — seeded fault plans, reliable-link layer, recovery policy
-//! * [`flow`] — parallel particle tracing (the paper's future work)
 //! * [`verify`] — schedule linter, message-race detector, replay checker
 //! * [`obs`] — span tracing, metrics registry, Perfetto/Gantt/CSV export
 //!
@@ -44,7 +43,6 @@ pub use pvr_bgp as bgp;
 pub use pvr_compositing as compositing;
 pub use pvr_core as core;
 pub use pvr_faults as faults;
-pub use pvr_flow as flow;
 pub use pvr_formats as formats;
 pub use pvr_mpisim as mpisim;
 pub use pvr_obs as obs;

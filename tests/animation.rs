@@ -153,6 +153,35 @@ fn crash_during_prefetched_frame_heals_and_stays_contained() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A throttled store slows a message-passing animation in wall-clock
+/// time — the clock `AnimResult::wall` reports and a prefetch thread
+/// pays the same floor in — not in the simulator's virtual time, where
+/// a sequential animation would look free next to a pipelined one.
+#[test]
+fn throttled_mpi_sequential_animation_is_slower_in_wall_time() {
+    let cfg = test_cfg(4, 77);
+    let dir = tmp_dir("throttle");
+    let frames = 2;
+    let paths = write_animation(&dir, &cfg, frames).unwrap();
+    let opts = AnimOptions::mpi().sequential();
+    let free = run_animation(&cfg, &paths, &opts).unwrap();
+    // Four ranks share one aggregator, which reads at least the 16³
+    // f32 variable every frame.
+    let bytes_per_sec = 100_000.0;
+    let floor = frames as f64 * (16 * 16 * 16 * 4) as f64 / bytes_per_sec;
+    let slow = run_animation(&cfg, &paths, &opts.throttled(bytes_per_sec)).unwrap();
+    assert!(
+        slow.wall >= floor && slow.wall > free.wall,
+        "throttled {:.3}s, floor {floor:.3}s, unthrottled {:.3}s",
+        slow.wall,
+        free.wall
+    );
+    for (t, (a, b)) in slow.frames.iter().zip(&free.frames).enumerate() {
+        assert_same_image(&a.result.image, &b.result.image, &format!("frame {t}"));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The epoch tag table of any animation passes the same tag-discipline
 /// lint as the single-frame table, and frame 0 is exactly the legacy
 /// tag set.

@@ -5,8 +5,7 @@
 //! composited by any algorithm equals a single serial ray cast of the
 //! full volume, to floating-point tolerance.
 
-use parallel_volume_rendering::compositing::binaryswap::composite_binary_swap;
-use parallel_volume_rendering::compositing::{composite_serial, ImagePartition};
+use parallel_volume_rendering::compositing::{composite_radix_k, composite_serial, ImagePartition};
 use parallel_volume_rendering::core::pipeline::{default_view, run_frame_mpi, transfer_for};
 use parallel_volume_rendering::core::{
     drive_frame, run_frame, write_dataset, CompositorPolicy, Driver, FrameConfig, FrameError,
@@ -68,7 +67,8 @@ fn pipeline_from_disk_equals_serial_ray_cast() {
 #[test]
 fn every_compositor_produces_the_same_image() {
     // Render subimages once via the pipeline internals, then composite
-    // with direct-send (several m), binary swap, and serial gather.
+    // with direct-send (several m), binary swap (radix-k with every
+    // radix 2), and serial gather.
     let mut cfg = FrameConfig::small(24, 40, 16);
     cfg.variable = 2;
 
@@ -104,7 +104,8 @@ fn every_compositor_produces_the_same_image() {
         })
         .collect();
 
-    let (bs_img, bs_stats) = composite_binary_swap(&subs, cfg.image.0, cfg.image.1);
+    let (bs_img, bs_stats) =
+        composite_radix_k(&subs, cfg.image.0, cfg.image.1, Some(&[2, 2, 2, 2]));
     let serial_img = composite_serial(&subs, cfg.image.0, cfg.image.1);
     assert!(
         bs_img.max_abs_diff(&serial_img) < 1e-5,
@@ -114,7 +115,7 @@ fn every_compositor_produces_the_same_image() {
         bs_img.max_abs_diff(&base.image) < 1e-5,
         "binary swap vs pipeline"
     );
-    assert_eq!(bs_stats.rounds, 4); // log2(16)
+    assert_eq!(bs_stats.radices.len(), 4); // log2(16) rounds
 
     let (ds_img, _) = parallel_volume_rendering::compositing::composite_direct_send(
         &subs,
