@@ -9,6 +9,13 @@
 //! * **packet** — the 8-lane lockstep march with macrocell/LUT
 //!   empty-space skipping and the default bitwise termination gate.
 //!
+//! Each renders the block twice: under the velocity map, whose
+//! transparent plateau lets the march skip two thirds of the samples,
+//! and under `TransferFunction::hot_density`, which leaves nothing to
+//! skip — there every sample is fetched, classified and blended, so
+//! `packet_vs_reference_dense` is the per-sample cost of the lane step
+//! alone.
+//!
 //! The same rounds time the per-block preparation a frame pays before
 //! the first ray — the macrocell build (`macrocell_build_mvox_per_s`)
 //! and the packet kernel's per-render skip bake (`skip_bake_ms`).
@@ -46,6 +53,10 @@ use rayon::ThreadPoolBuilder;
 
 const BLOCK: usize = 128;
 
+/// Floor of `packet_vs_reference_dense`: the lane step alone against the
+/// reference loop, nothing skipped.
+const DENSE_FLOOR: f64 = 1.6;
+
 fn block_volume() -> Volume {
     // X velocity of the synthetic supernova — the variable and transfer
     // function of the paper's Figure 1.
@@ -55,6 +66,7 @@ fn block_volume() -> Volume {
 
 struct Kernel {
     name: &'static str,
+    tf: TransferFunction,
     opts: RenderOpts,
 }
 
@@ -117,26 +129,25 @@ fn bench_kernels(
     volume: &Volume,
     grid: &MacrocellGrid,
     cam: &Camera,
-    tf: &TransferFunction,
-    kernels: &[Kernel; 2],
+    kernels: &[Kernel; 4],
     iters: usize,
 ) -> (Vec<Measured>, Prep) {
-    let render = |k: &Kernel| render_image(volume, grid, cam, tf, &k.opts);
+    let render = |k: &Kernel| render_image(volume, grid, cam, &k.tf, &k.opts);
     let sliver = BlockDomain {
         owned: Subvolume::new([BLOCK / 2; 3], [4; 3]),
         ..BlockDomain::whole(volume.dims())
     };
+    let [reference, packet, ..] = kernels;
     let render_sliver = |opts: &RenderOpts| {
         std::hint::black_box(render_block_with_grid(
             volume,
             Some(grid),
             &sliver,
             cam,
-            tf,
+            &packet.tf,
             opts,
         ));
     };
-    let [reference, packet] = kernels;
 
     // One warm-up render of each, kept as the kernel's image/stats.
     let warm: Vec<(Image, RenderStats)> = kernels.iter().map(render).collect();
@@ -229,34 +240,42 @@ fn main() {
     let volume = block_volume();
     let cam = Camera::orthographic([BLOCK; 3], Vec3::new(0.3, -0.2, 0.93), 256, 256);
     let tf = TransferFunction::supernova_velocity();
+    let reference_opts = RenderOpts {
+        fast_path: false,
+        ..RenderOpts::exact()
+    };
+    let packet_opts = RenderOpts::default(); // 8 lanes, bitwise termination
+    let dense = TransferFunction::hot_density();
+    let kernel = |name, tf: &TransferFunction, opts| Kernel {
+        name,
+        tf: tf.clone(),
+        opts,
+    };
     let kernels = [
-        Kernel {
-            name: "reference",
-            opts: RenderOpts {
-                fast_path: false,
-                ..RenderOpts::exact()
-            },
-        },
-        Kernel {
-            name: "packet",
-            opts: RenderOpts::default(), // 8 lanes, bitwise termination
-        },
+        kernel("reference", &tf, reference_opts),
+        kernel("packet", &tf, packet_opts),
+        kernel("reference_dense", &dense, reference_opts),
+        kernel("packet_dense", &dense, packet_opts),
     ];
 
     println!("# render_bench: {BLOCK}^3 supernova block, 256^2 rays, best of {iters} interleaved");
     let grid = MacrocellGrid::build(&volume);
-    let (m, prep) = bench_kernels(&volume, &grid, &cam, &tf, &kernels, iters);
-    let (reference, packet) = (&m[0], &m[1]);
+    let (m, prep) = bench_kernels(&volume, &grid, &cam, &kernels, iters);
+    let [reference, packet, reference_dense, packet_dense] = &m[..] else {
+        unreachable!("four kernels")
+    };
 
     // Skipping and lanes alone (no termination gate), untimed.
     let (exact_img, _) = render_image(&volume, &grid, &cam, &tf, &RenderOpts::exact());
     let bit_identical_kernel = bits_equal(&reference.image, &exact_img);
     let bit_identical_packet = bits_equal(&reference.image, &packet.image);
+    let bit_identical_packet_dense = bits_equal(&reference_dense.image, &packet_dense.image);
     let samples = reference.stats.samples;
     let skip_fraction = packet.stats.skipped_samples as f64 / samples as f64;
     // The gated ratio: the packet kernel vs the only other kernel that
     // ships, both timed in this process.
     let packet_vs_reference = reference.best / packet.best.max(1e-12);
+    let packet_vs_reference_dense = reference_dense.best / packet_dense.best.max(1e-12);
     let lane_utilization = packet.stats.lane_utilization().unwrap_or(0.0);
 
     for (k, mm) in kernels.iter().zip(&m) {
@@ -268,7 +287,10 @@ fn main() {
             mm.stats.skipped_samples
         );
     }
-    println!("  packet vs reference: {packet_vs_reference:.2}x");
+    println!(
+        "  packet vs reference: {packet_vs_reference:.2}x, \
+         with nothing to skip {packet_vs_reference_dense:.2}x"
+    );
     let macrocell_build_mvox_per_s = (BLOCK * BLOCK * BLOCK) as f64 / 1e6 / prep.build;
     let skip_bake_ms = prep.bake * 1e3;
     println!(
@@ -364,6 +386,10 @@ fn main() {
         .exact("samples", samples as f64)
         .exact("bit_identical_kernel", bit_identical_kernel as u8 as f64)
         .exact("bit_identical_packet", bit_identical_packet as u8 as f64)
+        .exact(
+            "bit_identical_packet_dense",
+            bit_identical_packet_dense as u8 as f64,
+        )
         .exact("bit_identical_frame", bit_identical_frame as u8 as f64)
         .exact("packet_packets", packet.stats.packets as f64)
         .exact("packet_eval_lanes", packet.stats.packet_eval_lanes as f64)
@@ -375,6 +401,10 @@ fn main() {
         .exact(
             "packet_terminated_rays",
             packet.stats.terminated_rays as f64,
+        )
+        .exact(
+            "packet_dense_skipped_samples",
+            packet_dense.stats.skipped_samples as f64,
         )
         .exact("bounded_error_within_bound", bounded_ok as u8 as f64)
         .exact(
@@ -391,9 +421,12 @@ fn main() {
         .rel("skip_fraction", skip_fraction, 0.01)
         .rel("lane_utilization", lane_utilization, 0.02)
         .rel("packet_vs_reference", packet_vs_reference, 0.5)
+        .rel("packet_vs_reference_dense", packet_vs_reference_dense, 0.5)
         .info("iters", iters as f64)
         .info("reference_secs", reference.best)
         .info("packet_secs", packet.best)
+        .info("reference_dense_secs", reference_dense.best)
+        .info("packet_dense_secs", packet_dense.best)
         .info("reference_samples_per_sec", samples as f64 / reference.best)
         .info("packet_samples_per_sec", samples as f64 / packet.best)
         .info("macrocell_build_mvox_per_s", macrocell_build_mvox_per_s)
@@ -430,6 +463,14 @@ fn main() {
         "packet kernel (8 lanes, bitwise gate) is bit-identical to the reference loop",
         bit_identical_packet,
         "256^2 pixels compared bitwise",
+    );
+    check(
+        "with nothing to skip, the packet kernel is bit-identical to the reference loop",
+        bit_identical_packet_dense && packet_dense.stats.skipped_samples == 0,
+        &format!(
+            "256^2 pixels compared bitwise, {} samples skipped",
+            packet_dense.stats.skipped_samples
+        ),
     );
     check(
         "fast path is bit-identical end to end (packet frame vs reference frame)",
@@ -479,18 +520,28 @@ fn main() {
         packet_vs_reference >= 2.0,
         &format!("{packet_vs_reference:.2}x measured"),
     );
+    check(
+        &format!(
+            "with nothing to skip, the packet kernel beats the reference loop by {DENSE_FLOOR}x+"
+        ),
+        packet_vs_reference_dense >= DENSE_FLOOR,
+        &format!("{packet_vs_reference_dense:.2}x measured"),
+    );
 
     // Correctness gates are hard failures everywhere; the ratio floor
     // gates too (it is an in-process ratio, not a wall clock). Absolute
     // throughput and scaling are machine-dependent and only reported.
     let ok = bit_identical_kernel
         && bit_identical_packet
+        && bit_identical_packet_dense
+        && packet_dense.stats.skipped_samples == 0
         && bit_identical_frame
         && skip_fraction > 0.0
         && lane_utilization > 0.5
         && bounded_ok
         && frame_bounded_ok
         && packet_vs_reference >= 2.0
+        && packet_vs_reference_dense >= DENSE_FLOOR
         && comp.bytes < comp.dense_bytes;
     if !ok {
         std::process::exit(1);

@@ -341,7 +341,10 @@ struct PacketField {
 impl PacketField {
     /// The render's one skip field, or `None` when the transfer function
     /// leaves no macrocell transparent — a block with nothing to skip
-    /// marches with zero per-sample skip overhead.
+    /// marches with zero per-sample skip overhead. A block holding a NaN
+    /// voxel has nothing provably skippable either: the ranges ignore
+    /// NaNs, and a sample that fetches one blends NaN in the reference
+    /// loop.
     ///
     /// The dilation is probed, not assumed: the largest lane spread over
     /// a 4×4 grid of full tiles across the rect, plus a margin. A probe
@@ -353,6 +356,9 @@ impl PacketField {
     /// tiles then never fit and every pixel marches alone.
     fn bake(ctx: &KernelCtx, g: &MacrocellGrid, camera: &Camera, rect: PixelRect) -> Option<Self> {
         const MAX_PROBE_SPREAD: f64 = 2.25;
+        if g.holds_non_finite() {
+            return None;
+        }
         let lut = ctx.tf.opacity_lut();
         let empty: Vec<bool> = g
             .ranges()
@@ -1070,23 +1076,68 @@ fn first_true(mut lo: i64, mut hi_excl: i64, pred: impl Fn(i64) -> bool) -> i64 
     lo
 }
 
-/// `first_true` seeded with an analytic guess of the flip point. The
-/// guess only steers the search — correctness never depends on it: the
-/// bracket edges are validated against the predicate and the search
-/// falls back to full bisection when the guess was off. With a good
-/// guess this costs ~5 predicate evaluations instead of ~9, which
-/// matters because the march runs seven of these per lane.
-fn first_true_near(lo: i64, hi_excl: i64, guess: i64, pred: impl Fn(i64) -> bool) -> i64 {
-    let g = guess.clamp(lo, hi_excl);
-    let a = (g - 1).max(lo);
-    let b = (g + 1).min(hi_excl);
-    if a > lo && pred(a) {
-        return first_true(lo, a, pred);
+/// `ceil(v)` for `|v| < 2^51` in float operations alone (the x86-64
+/// baseline has no packed `ceil`): round to nearest through the
+/// 1.5·2⁵² magic constant, then step up where that rounded down.
+#[inline]
+fn ceil_small(v: f64) -> f64 {
+    const MAGIC: f64 = 6_755_399_441_055_744.0;
+    let r = (v + MAGIC) - MAGIC;
+    if r < v {
+        r + 1.0
+    } else {
+        r
     }
-    if b < hi_excl && !pred(b) {
-        return first_true(b + 1, hi_excl, pred);
+}
+
+/// [`first_true`] for every lane at once, seeded with an analytic guess
+/// of each lane's flip point: per lane, the first `k` in
+/// `[lo, hi_excl)` (ladder indices held exactly as `f64`) for which the
+/// monotone predicate `pred(lane, k)` holds, or `hi_excl`. The guess
+/// only steers — a monotone predicate has one flip point, whatever finds
+/// it. The predicate is evaluated at `g − 1`, `g`, `g + 1` for all
+/// lanes in branch-free lane-parallel passes, which settles every lane
+/// whose flip is `g` or `g + 1`; a lane whose guess missed is bisected
+/// alone, on the side the bracket rules out. Lanes outside `live` are
+/// not bisected and their result is meaningless.
+#[inline(always)]
+fn first_true_lanes<const W: usize>(
+    lo: &[f64; W],
+    hi_excl: &[f64; W],
+    live: &[bool; W],
+    guess: &[f64; W],
+    pred: impl Fn(usize, f64) -> bool,
+) -> [f64; W] {
+    let mut g = [0.0f64; W];
+    let mut below = [false; W];
+    let mut at = [false; W];
+    let mut next = [false; W];
+    for i in 0..W {
+        // Clamp into [lo, hi_excl] before rounding; NaN lands on lo.
+        let v = if guess[i] >= lo[i] { guess[i] } else { lo[i] };
+        let v = if v <= hi_excl[i] { v } else { hi_excl[i] };
+        g[i] = ceil_small(v);
+        // "Nothing true before g", "true at g", "true at g + 1", with
+        // the range ends standing in for evaluations outside it.
+        below[i] = (g[i] - 1.0 < lo[i]) | !pred(i, g[i] - 1.0);
+        at[i] = (g[i] >= hi_excl[i]) | pred(i, g[i]);
+        next[i] = (g[i] + 1.0 >= hi_excl[i]) | pred(i, g[i] + 1.0);
     }
-    first_true(a, b, pred)
+    let mut out = g;
+    for i in 0..W {
+        if !live[i] || (below[i] && at[i]) {
+            continue;
+        }
+        let bisect = |a: f64, b: f64| first_true(a as i64, b as i64, |k| pred(i, k as f64)) as f64;
+        out[i] = if !below[i] {
+            bisect(lo[i], g[i] - 1.0)
+        } else if next[i] {
+            g[i] + 1.0
+        } else {
+            bisect(g[i] + 2.0, hi_excl[i])
+        };
+    }
+    out
 }
 
 /// Lanes of the lockstep march.
@@ -1245,57 +1296,71 @@ impl<const W: usize> Packet<W> {
         Some(p)
     }
 
-    /// Lane `i`'s exact owned ladder interval `[a, b]` (empty when
-    /// `a > b`). Every ownership predicate — the six half-open box
-    /// tests and the `t < tg1` guard — is monotone in `k`: the ladder
-    /// position is re-derived from the ray equation each round (not
-    /// accumulated), so it advances strictly along the ray and each
-    /// predicate flips at most once. The owned `k`s therefore form one
-    /// contiguous interval. Locating its endpoints by binary search
-    /// over the *same* float expressions the reference loop evaluates
-    /// per step keeps the accounting bitwise-exact, lets lit rounds
-    /// test ownership with two integer compares, and lets a provably
-    /// empty run account a whole lane overlap in O(1).
-    fn owned_range(&self, ctx: &KernelCtx, i: usize) -> (i64, i64) {
-        let (tg0, tg1) = (self.tg0[i], self.tg1[i]);
-        let t_of = |k: i64| tg0 + (k as f64 + 0.5) * ctx.dt;
-        let lo0 = self.klo[i];
-        let hi1 = self.khi[i] + 1;
-        let mut a = lo0;
-        let g = ((tg1 - tg0) * ctx.inv_dt - 0.5).ceil().clamp(-1e18, 1e18) as i64;
-        let mut b = self.khi[i].min(first_true_near(lo0, hi1, g, |k| t_of(k) >= tg1) - 1);
+    /// Every lane's exact owned ladder interval `[a, b]` (empty when
+    /// `a > b`; meaningless for inactive lanes). Every ownership
+    /// predicate — the six half-open box tests and the `t < tg1` guard —
+    /// is monotone in `k`: the ladder position is re-derived from the ray
+    /// equation each round (not accumulated), so it advances strictly
+    /// along the ray and each predicate flips at most once. The owned
+    /// `k`s therefore form one contiguous interval. Locating its
+    /// endpoints over the *same* float expressions the reference loop
+    /// evaluates per step keeps the accounting bitwise-exact, lets lit
+    /// rounds test ownership with two integer compares, and lets a
+    /// provably empty run account a whole lane overlap in O(1). The seven
+    /// searches run lane-parallel ([`first_true_lanes`]), each seeded
+    /// with the first integer `k` past the real-arithmetic crossing —
+    /// ±1–2 of the float flip point, which the bracket absorbs.
+    fn owned_ranges(&self, ctx: &KernelCtx) -> ([i64; W], [i64; W]) {
+        let lo = self.klo.map(|k| k as f64);
+        let hi = self.khi.map(|k| (k + 1) as f64);
+        // `k` is an exact integer in f64, so this is the reference
+        // loop's `tg0 + (k as f64 + 0.5) * dt` bit for bit.
+        let t_of = |i: usize, k: f64| self.tg0[i] + (k + 0.5) * ctx.dt;
+        let guess = std::array::from_fn(|i| (self.tg1[i] - self.tg0[i]) * ctx.inv_dt - 0.5);
+        let exit = first_true_lanes(&lo, &hi, &self.act, &guess, |i, k| {
+            t_of(i, k) >= self.tg1[i]
+        });
+        let mut a = lo;
+        let mut b: [f64; W] = std::array::from_fn(|i| (hi[i] - 1.0).min(exit[i] - 1.0));
         let axes = [
-            (self.ox[i], self.dx[i], ctx.own_lo.x, ctx.own_hi.x),
-            (self.oy[i], self.dy[i], ctx.own_lo.y, ctx.own_hi.y),
-            (self.oz[i], self.dz[i], ctx.own_lo.z, ctx.own_hi.z),
+            (&self.ox, &self.dx, ctx.own_lo.x, ctx.own_hi.x),
+            (&self.oy, &self.dy, ctx.own_lo.y, ctx.own_hi.y),
+            (&self.oz, &self.dz, ctx.own_lo.z, ctx.own_hi.z),
         ];
         for (o, d, blo, bhi) in axes {
-            let p = |k: i64| o + d * t_of(k);
-            if d != 0.0 {
-                // First integer k past the real-arithmetic crossing of
-                // plane `x`; ±1-2 of the float flip point, which the
-                // bracket absorbs.
-                let kc = |x: f64| {
-                    let g = (((x - o) / d - tg0) * ctx.inv_dt - 0.5).ceil();
-                    g.clamp(-1e18, 1e18) as i64
-                };
-                if d > 0.0 {
-                    a = a.max(first_true_near(lo0, hi1, kc(blo), |k| p(k) >= blo));
-                    b = b.min(first_true_near(lo0, hi1, kc(bhi), |k| p(k) >= bhi) - 1);
+            let moving: [bool; W] = std::array::from_fn(|i| self.act[i] && d[i] != 0.0);
+            // A lane enters through the plane it faces and leaves
+            // through the other; "past a plane" is `>=` moving up, `<`
+            // moving down.
+            let planes = |i: usize| if d[i] > 0.0 { (blo, bhi) } else { (bhi, blo) };
+            let past = |i: usize, k: f64, x: f64| {
+                let p = o[i] + d[i] * t_of(i, k);
+                if d[i] > 0.0 {
+                    p >= x
                 } else {
-                    a = a.max(first_true_near(lo0, hi1, kc(bhi), |k| p(k) < bhi));
-                    b = b.min(first_true_near(lo0, hi1, kc(blo), |k| p(k) < blo) - 1);
+                    p < x
                 }
-            } else {
-                // Constant coordinate: the lane owns nothing unless it
-                // sits inside `[blo, bhi)` (NaN counts as outside).
-                let x = o + d * t_of(lo0);
-                if !(x >= blo && x < bhi) {
-                    b = i64::MIN;
+            };
+            let kc = |i: usize, x: f64| ((x - o[i]) / d[i] - self.tg0[i]) * ctx.inv_dt - 0.5;
+            let guess = std::array::from_fn(|i| kc(i, planes(i).0));
+            let enter = first_true_lanes(&lo, &hi, &moving, &guess, |i, k| past(i, k, planes(i).0));
+            let guess = std::array::from_fn(|i| kc(i, planes(i).1));
+            let leave = first_true_lanes(&lo, &hi, &moving, &guess, |i, k| past(i, k, planes(i).1));
+            for i in 0..W {
+                if moving[i] {
+                    a[i] = a[i].max(enter[i]);
+                    b[i] = b[i].min(leave[i] - 1.0);
+                } else {
+                    // Constant coordinate: the lane owns nothing unless
+                    // it sits inside `[blo, bhi)` (NaN counts as outside).
+                    let x = o[i] + d[i] * t_of(i, lo[i]);
+                    if !(x >= blo && x < bhi) {
+                        b[i] = f64::NEG_INFINITY;
+                    }
                 }
             }
         }
-        (a, b)
+        (a.map(|k| k as i64), b.map(|k| k as i64))
     }
 }
 
@@ -1363,13 +1428,8 @@ fn march_tile<const W: usize>(
     debug_assert!(field.is_none_or(|f| f.fits(&pk.spread)));
     stats.rays += pk.n_act;
     let st = ctx.st_off.map(|o| o as f64);
-    let mut koa = [i64::MAX; W];
-    let mut kob = [i64::MIN; W];
-    let mut done = [true; W];
-    for i in (0..W).filter(|&i| pk.act[i]) {
-        (koa[i], kob[i]) = pk.owned_range(ctx, i);
-        done[i] = false;
-    }
+    let (koa, kob) = pk.owned_ranges(ctx);
+    let mut done = pk.act.map(|a| !a);
     let mut sat = [false; W];
     let mut colr = [0.0f32; W];
     let mut colg = [0.0f32; W];
@@ -1780,6 +1840,38 @@ mod tests {
                     assert_eq!(a.map(f32::to_bits), b.map(f32::to_bits), "{tag}");
                 }
             }
+        }
+    }
+
+    /// A NaN voxel next to the transparent plateau: the reference loop
+    /// fetches and blends the NaN, so the march may not skip it. The
+    /// macrocell ranges ignore NaNs; before the skip proof asked
+    /// [`MacrocellGrid::holds_non_finite`], the march skipped such cells
+    /// and wrote pixels the reference loop leaves transparent.
+    #[test]
+    fn nan_voxels_render_like_the_reference_loop() {
+        let mut v = test_volume(32);
+        for (i, x) in v.data_mut().iter_mut().enumerate() {
+            if i % 997 == 0 {
+                *x = f32::NAN;
+            }
+        }
+        let cam = Camera::orthographic([32, 32, 32], Vec3::new(0.3, -0.2, 0.93), 48, 48);
+        for termination in [Termination::Off, Termination::Bitwise] {
+            let packet = RenderOpts {
+                termination,
+                ..Default::default()
+            };
+            let reference = RenderOpts {
+                fast_path: false,
+                ..packet
+            };
+            let (img0, s0) = render_serial(&v, &cam, &tf(), &reference);
+            let (img1, s1) = render_serial(&v, &cam, &tf(), &packet);
+            let tag = format!("term {termination:?}");
+            assert!(s1.packets > 0, "{tag}: packet kernel did not run");
+            assert_same_ladder(&s0, &s1, &tag);
+            assert_bits_eq(&img0, &img1, &tag);
         }
     }
 

@@ -6,12 +6,33 @@
 //! correction `α' = 1 - (1-α)^Δt` so images are step-size independent
 //! to first order.
 
+/// Entries in a transfer function's table.
+const TABLE_LEN: usize = 256;
+
+/// One interpolation bin of the table: entry `i` and the step to entry
+/// `i + 1`, so a lookup is one row fetch and one `a + d·f` per channel.
+/// A row is 32 bytes aligned to 32: one fetch never straddles a cache
+/// line.
+#[derive(Debug, Clone, Copy, Default)]
+#[repr(align(32))]
+struct Bin {
+    a: [f32; 4],
+    /// `entry[i + 1] - entry[i]`, the single f32 subtraction
+    /// [`TransferFunction::lookup`] performs, so `a + d·f` is its
+    /// `a + (b - a)·f` bit for bit.
+    d: [f32; 4],
+}
+
 /// A lookup-table transfer function over a scalar domain.
 #[derive(Debug, Clone)]
 pub struct TransferFunction {
     domain: (f32, f32),
     /// RGBA entries; alpha is opacity per unit length.
     table: Vec<[f32; 4]>,
+    /// The table's `TABLE_LEN - 1` interpolation bins for the packet
+    /// classify, padded to `TABLE_LEN` rows so a `u8` bin index needs no
+    /// bounds check (8 KB).
+    bins: Box<[Bin; TABLE_LEN]>,
     /// The table's opacity bins, derived once here rather than once per
     /// rendered block.
     lut: OpacityLut,
@@ -26,7 +47,7 @@ impl TransferFunction {
         assert!(points.len() >= 2, "need at least two control points");
         let mut pts = points.to_vec();
         pts.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let n = 256;
+        let n = TABLE_LEN;
         let mut table = Vec::with_capacity(n);
         for i in 0..n {
             let t = i as f32 / (n - 1) as f32;
@@ -47,8 +68,21 @@ impl TransferFunction {
                 c0[3] + (c1[3] - c0[3]) * f,
             ]);
         }
+        let mut bins = Box::new([Bin::default(); TABLE_LEN]);
+        for (bin, e) in bins.iter_mut().zip(table.windows(2)) {
+            let (a, b) = (e[0], e[1]);
+            *bin = Bin {
+                a,
+                d: [b[0] - a[0], b[1] - a[1], b[2] - a[2], b[3] - a[3]],
+            };
+        }
         let lut = OpacityLut::of(domain, &table);
-        TransferFunction { domain, table, lut }
+        TransferFunction {
+            domain,
+            table,
+            bins,
+            lut,
+        }
     }
 
     /// A gray ramp with linearly increasing opacity — the simplest
@@ -142,37 +176,38 @@ impl TransferFunction {
     /// Packet variant of [`TransferFunction::classify_unit_step`]:
     /// classifies `W` samples at once, returning transposed
     /// `(r, g, b, alpha)` lane arrays. Each lane is **bit-identical**
-    /// to the scalar call — the coordinate math, the two-entry table
-    /// interpolation, and the unit-step opacity collapse are the exact
-    /// same expressions in the same order; the packet form only batches
-    /// them into branch-free lane-parallel loops (the table fetches
-    /// remain per-lane gathers) so the compiler can vectorize the
-    /// arithmetic.
+    /// to the scalar call — the coordinate math and the unit-step
+    /// opacity collapse are the same expressions in the same order, and
+    /// the interpolation reads `(a, b - a)` from the precomputed bin row
+    /// instead of subtracting two entries per sample, which rounds the
+    /// same. The bin index is `x as u8` (`x` is in `[0, 255]` or NaN,
+    /// where that agrees with `lookup`'s `as usize`), so the one row
+    /// fetch per lane into the 256-row table needs no bounds check and
+    /// the interpolation vectorizes.
     #[inline]
     pub fn classify_unit_step_packet<const W: usize>(
         &self,
         vals: &[f32; W],
     ) -> ([f32; W], [f32; W], [f32; W], [f32; W]) {
         let (lo, hi) = self.domain;
-        let n1 = (self.table.len() - 1) as f32;
-        let cap = self.table.len() - 2;
-        let mut idx = [0usize; W];
+        let n1 = (TABLE_LEN - 1) as f32;
+        let cap = (TABLE_LEN - 2) as u8;
+        let mut idx = [0u8; W];
         let mut fr = [0.0f32; W];
         for i in 0..W {
             let t = ((vals[i] - lo) / (hi - lo)).clamp(0.0, 1.0);
             let x = t * n1;
-            let ii = (x as usize).min(cap);
+            let ii = (x as u8).min(cap);
             idx[i] = ii;
             fr[i] = x - ii as f32;
         }
         let mut a = [[0.0f32; W]; 4];
-        let mut b = [[0.0f32; W]; 4];
+        let mut d = [[0.0f32; W]; 4];
         for i in 0..W {
-            let ea = self.table[idx[i]];
-            let eb = self.table[idx[i] + 1];
+            let bin = &self.bins[idx[i] as usize];
             for c in 0..4 {
-                a[c][i] = ea[c];
-                b[c][i] = eb[c];
+                a[c][i] = bin.a[c];
+                d[c][i] = bin.d[c];
             }
         }
         let mut r = [0.0f32; W];
@@ -180,10 +215,10 @@ impl TransferFunction {
         let mut bl = [0.0f32; W];
         let mut al = [0.0f32; W];
         for i in 0..W {
-            r[i] = a[0][i] + (b[0][i] - a[0][i]) * fr[i];
-            g[i] = a[1][i] + (b[1][i] - a[1][i]) * fr[i];
-            bl[i] = a[2][i] + (b[2][i] - a[2][i]) * fr[i];
-            let c3 = a[3][i] + (b[3][i] - a[3][i]) * fr[i];
+            r[i] = a[0][i] + d[0][i] * fr[i];
+            g[i] = a[1][i] + d[1][i] * fr[i];
+            bl[i] = a[2][i] + d[2][i] * fr[i];
+            let c3 = a[3][i] + d[3][i] * fr[i];
             al[i] = 1.0 - (1.0 - c3.clamp(0.0, 0.999_999));
         }
         (r, g, bl, al)
@@ -365,6 +400,7 @@ mod tests {
     fn packet_classify_matches_scalar_bitwise() {
         let tfs = [
             TransferFunction::supernova_velocity(),
+            TransferFunction::hot_density(),
             TransferFunction::grayscale((-0.5, 2.0)),
             TransferFunction::from_points(
                 (0.0, 1.0),
@@ -372,23 +408,69 @@ mod tests {
             ),
         ];
         for tf in &tfs {
-            for chunk in 0..500 {
-                let mut vals = [0.0f32; 8];
-                for (i, v) in vals.iter_mut().enumerate() {
-                    let s = (chunk * 8 + i) as f32;
-                    *v = s * 0.001 - 1.5;
+            let (lo, hi) = tf.domain();
+            // A sweep across and beyond the domain; every bin edge (the
+            // value mapping to table coordinate i exactly) and its two
+            // float neighbours; signed zeros, NaN, infinities and values
+            // far outside the domain.
+            let mut vals: Vec<f32> = (0..4000).map(|s| s as f32 * 0.001 - 1.5).collect();
+            for i in 0..TABLE_LEN {
+                let edge = lo + (hi - lo) * (i as f32 / (TABLE_LEN - 1) as f32);
+                vals.extend([
+                    edge,
+                    f32::from_bits(edge.to_bits().wrapping_sub(1)),
+                    f32::from_bits(edge.to_bits() + 1),
+                ]);
+            }
+            vals.extend([
+                0.0,
+                -0.0,
+                f32::NAN,
+                -f32::NAN,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                lo - 1e6,
+                hi + 1e6,
+                f32::MAX,
+                f32::MIN,
+                f32::MIN_POSITIVE,
+            ]);
+            for chunk in vals.chunks(8) {
+                let mut lanes = [0.0f32; 8];
+                lanes[..chunk.len()].copy_from_slice(chunk);
+                let (r, g, b, a) = tf.classify_unit_step_packet::<8>(&lanes);
+                for (i, &v) in lanes.iter().enumerate() {
+                    let (rgb, al) = tf.classify_unit_step(v);
+                    assert_eq!(r[i].to_bits(), rgb[0].to_bits(), "r at {v}");
+                    assert_eq!(g[i].to_bits(), rgb[1].to_bits(), "g at {v}");
+                    assert_eq!(b[i].to_bits(), rgb[2].to_bits(), "b at {v}");
+                    assert_eq!(a[i].to_bits(), al.to_bits(), "a at {v}");
                 }
-                if chunk == 0 {
-                    vals[3] = f32::NAN;
-                    vals[5] = f32::INFINITY;
-                }
-                let (r, g, b, a) = tf.classify_unit_step_packet::<8>(&vals);
-                for i in 0..8 {
-                    let (rgb, al) = tf.classify_unit_step(vals[i]);
-                    assert_eq!(r[i].to_bits(), rgb[0].to_bits(), "r lane {i}");
-                    assert_eq!(g[i].to_bits(), rgb[1].to_bits(), "g lane {i}");
-                    assert_eq!(b[i].to_bits(), rgb[2].to_bits(), "b lane {i}");
-                    assert_eq!(a[i].to_bits(), al.to_bits(), "a lane {i} val {}", vals[i]);
+            }
+        }
+    }
+
+    /// The pair table stores `(a, b - a)` per bin, so `a + d·f` is
+    /// `lookup`'s `a + (b - a)·f` bit for bit, for every bin of every
+    /// map and fractions from 0 to 1.
+    #[test]
+    fn pair_table_interpolates_like_lookup() {
+        for tf in [
+            TransferFunction::supernova_velocity(),
+            TransferFunction::hot_density(),
+            TransferFunction::grayscale((-2.0, 3.0)),
+        ] {
+            for (i, bin) in tf.bins[..TABLE_LEN - 1].iter().enumerate() {
+                let (a, b) = (tf.table[i], tf.table[i + 1]);
+                assert_eq!(bin.a, a, "bin {i}");
+                for f in [0.0f32, -0.0, 1e-7, 0.25, 0.5, 0.999_999_9, 1.0, f32::NAN] {
+                    for c in 0..4 {
+                        assert_eq!(
+                            (bin.a[c] + bin.d[c] * f).to_bits(),
+                            (a[c] + (b[c] - a[c]) * f).to_bits(),
+                            "bin {i} channel {c} fraction {f}"
+                        );
+                    }
                 }
             }
         }

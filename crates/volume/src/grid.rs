@@ -217,6 +217,17 @@ impl Volume {
         lerp(lerp(c00, c10, fy), lerp(c01, c11, fy), fz)
     }
 
+    /// Whether the packet fetch's 32-bit lane arithmetic covers this
+    /// volume: every axis at most 2²⁴ voxels, so `dims - 1` and every
+    /// voxel index are exact in `f32` and fit `i32`, and a slab of at
+    /// most `u32::MAX` voxels, so the base offset is a sum of
+    /// `u32 × u32` products.
+    #[inline]
+    fn lanes_fit_32(&self) -> bool {
+        const EXACT: usize = 1 << 24;
+        self.dims.iter().all(|&n| n <= EXACT) && self.slab_stride <= u32::MAX as usize
+    }
+
     /// Packet variant of [`Volume::sample_trilinear`]: up to `W`
     /// gathered fetches per call, one per enabled lane, positions in
     /// structure-of-arrays form (`xs[i], ys[i], zs[i]`). Each enabled
@@ -224,11 +235,13 @@ impl Volume {
     /// [`Volume::sample_trilinear`] on that lane's position alone — the
     /// packet only batches the address computation, the eight-corner
     /// gathers, and the (lane-independent) lerp arithmetic into
-    /// branch-free lane-parallel passes the compiler can vectorize.
-    /// Disabled lanes return `0.0`; their position values may be
-    /// arbitrary (even NaN) — they are arithmetically processed with a
-    /// safe dummy base offset and the result discarded, never
-    /// dereferencing out of bounds.
+    /// branch-free lane-parallel passes the compiler vectorizes: every
+    /// test is a non-short-circuit `&`, every mask a select, and the
+    /// coordinates are truncated in 32-bit lanes. Disabled lanes return
+    /// `0.0`; their position values may be arbitrary (even NaN) — they
+    /// are replaced by `0.0` before any cast and their result is
+    /// discarded, so they read voxel 0's corners and never anything out
+    /// of bounds.
     ///
     /// When every enabled lane is interior (`0 <= p[a] < dims[a]-1`),
     /// the corners are gathered over the precomputed-stride unchecked
@@ -247,12 +260,12 @@ impl Volume {
         let mut interior = true;
         let mut any = false;
         for i in 0..W {
-            let inb = xs[i] >= 0.0
-                && xs[i] < hx
-                && ys[i] >= 0.0
-                && ys[i] < hy
-                && zs[i] >= 0.0
-                && zs[i] < hz;
+            let inb = (xs[i] >= 0.0)
+                & (xs[i] < hx)
+                & (ys[i] >= 0.0)
+                & (ys[i] < hy)
+                & (zs[i] >= 0.0)
+                & (zs[i] < hz);
             interior &= inb | !mask[i];
             any |= mask[i];
         }
@@ -260,7 +273,7 @@ impl Volume {
         if !any {
             return out;
         }
-        if !interior {
+        if !interior || !self.lanes_fit_32() {
             for i in 0..W {
                 if mask[i] {
                     out[i] = self.sample_trilinear([xs[i], ys[i], zs[i]]);
@@ -269,27 +282,42 @@ impl Volume {
             return out;
         }
         // Pass 1: per-lane base offsets and interpolation fractions,
-        // unconditionally — disabled lanes are forced to base 0 (their
-        // float coordinates may be garbage; the `as usize` saturating
-        // cast could otherwise build a wild offset).
-        let mut base = [0usize; W];
+        // unconditionally. A disabled lane's coordinates become 0.0
+        // first, so the truncation below only ever sees interior values
+        // and the lane reads from base 0.
+        let (sy, sz) = (self.row_stride, self.slab_stride);
+        let mut base = [0u64; W];
         let mut fx = [0.0f32; W];
         let mut fy = [0.0f32; W];
         let mut fz = [0.0f32; W];
         for i in 0..W {
-            let (x0, y0, z0) = (xs[i] as usize, ys[i] as usize, zs[i] as usize);
-            fx[i] = xs[i] - x0 as f32;
-            fy[i] = ys[i] - y0 as f32;
-            fz[i] = zs[i] - z0 as f32;
-            base[i] = if mask[i] {
-                z0 * self.slab_stride + y0 * self.row_stride + x0
-            } else {
-                0
+            let x = if mask[i] { xs[i] } else { 0.0 };
+            let y = if mask[i] { ys[i] } else { 0.0 };
+            let z = if mask[i] { zs[i] } else { 0.0 };
+            // SAFETY: `to_int_unchecked` needs a finite value whose
+            // truncation fits `i32`. A disabled lane is 0.0 here; an
+            // enabled lane passed the interior test, so
+            // 0 <= x < dims[0]-1 < 2^24 (`lanes_fit_32`), and likewise
+            // for y and z. NaN and ±inf fail that test.
+            let (x0, y0, z0) = unsafe {
+                (
+                    x.to_int_unchecked::<i32>(),
+                    y.to_int_unchecked::<i32>(),
+                    z.to_int_unchecked::<i32>(),
+                )
             };
+            // The same fractions as the scalar path's `p - p as usize as
+            // f32`: the truncations agree on non-negative values and
+            // every integer below 2^24 is exact in `f32`.
+            fx[i] = x - x0 as f32;
+            fy[i] = y - y0 as f32;
+            fz[i] = z - z0 as f32;
+            base[i] = z0 as u32 as u64 * sz as u32 as u64
+                + y0 as u32 as u64 * sy as u32 as u64
+                + x0 as u32 as u64;
         }
         // Pass 2: gather the eight corners, transposed (corner-major) so
         // pass 3 is a straight W-wide lerp per corner pair.
-        let (sy, sz) = (self.row_stride, self.slab_stride);
         let mut c0 = [0.0f32; W];
         let mut c1 = [0.0f32; W];
         let mut c2 = [0.0f32; W];
@@ -299,16 +327,18 @@ impl Volume {
         let mut c6 = [0.0f32; W];
         let mut c7 = [0.0f32; W];
         for i in 0..W {
-            debug_assert!(base[i] + sz + sy + 1 < self.data.len());
+            let base = base[i] as usize;
+            debug_assert!(base + sz + sy + 1 < self.data.len());
             // SAFETY: every enabled lane passed the interior test above,
             // so the bounds argument of `sample_trilinear_interior`
             // applies verbatim: the largest offset, base + slab + row +
             // 1, addresses the (x0+1, y0+1, z0+1) corner, strictly
-            // inside `data`. Disabled lanes read from base 0; because at
+            // inside `data` (the u64 products cannot wrap: each is below
+            // data.len()). Disabled lanes read from base 0; because at
             // least one enabled interior lane exists (checked above),
             // every axis has >= 2 voxels, so slab + row + 1 =
             // nx*ny + nx + 1 < 2*nx*ny <= data.len().
-            let at = |off: usize| unsafe { *self.data.get_unchecked(base[i] + off) };
+            let at = |off: usize| unsafe { *self.data.get_unchecked(base + off) };
             c0[i] = at(0);
             c1[i] = at(1);
             c2[i] = at(sy);
@@ -319,21 +349,16 @@ impl Volume {
             c7[i] = at(sz + sy + 1);
         }
         // Pass 3: the same lerp tree as the scalar interior path, in the
-        // same order, W lanes wide and branch-free.
+        // same order, W lanes wide and branch-free. Disabled lanes
+        // computed voxel 0's value; a select restores their 0.0.
         let lerp = |a: f32, b: f32, t: f32| a + (b - a) * t;
         for i in 0..W {
             let c00 = lerp(c0[i], c1[i], fx[i]);
             let c10 = lerp(c2[i], c3[i], fx[i]);
             let c01 = lerp(c4[i], c5[i], fx[i]);
             let c11 = lerp(c6[i], c7[i], fx[i]);
-            out[i] = lerp(lerp(c00, c10, fy[i]), lerp(c01, c11, fy[i]), fz[i]);
-        }
-        // Disabled lanes computed garbage above; restore their
-        // documented 0.0.
-        for i in 0..W {
-            if !mask[i] {
-                out[i] = 0.0;
-            }
+            let v = lerp(lerp(c00, c10, fy[i]), lerp(c01, c11, fy[i]), fz[i]);
+            out[i] = if mask[i] { v } else { 0.0 };
         }
         out
     }
@@ -454,6 +479,40 @@ mod tests {
         assert_eq!(v.min_max(), (-3.5, 9.0));
     }
 
+    /// Every enabled lane equals the scalar fetch bitwise, every
+    /// disabled lane is `+0.0`.
+    fn assert_packet_matches_scalar<const W: usize>(
+        v: &Volume,
+        xs: &[f32; W],
+        ys: &[f32; W],
+        zs: &[f32; W],
+        mask: &[bool; W],
+    ) {
+        let got = v.sample_trilinear_packet::<W>(xs, ys, zs, mask);
+        for i in 0..W {
+            let want = if mask[i] {
+                v.sample_trilinear([xs[i], ys[i], zs[i]])
+            } else {
+                0.0
+            };
+            assert_eq!(
+                got[i].to_bits(),
+                want.to_bits(),
+                "lane {i} pos ({}, {}, {}) mask {} dims {:?}",
+                xs[i],
+                ys[i],
+                zs[i],
+                mask[i],
+                v.dims()
+            );
+        }
+    }
+
+    /// The largest float below `x`.
+    fn ulp_below(x: f32) -> f32 {
+        f32::from_bits(x.to_bits() - 1)
+    }
+
     #[test]
     fn packet_fetch_is_bit_identical_to_scalar() {
         use crate::field::SupernovaField;
@@ -473,37 +532,93 @@ mod tests {
                 zs[i] = (s * 1.19).rem_euclid(11.0) - 1.0;
                 mask[i] = (w8 + i) % 5 != 0;
             }
-            let got = v.sample_trilinear_packet::<8>(&xs, &ys, &zs, &mask);
-            for i in 0..8 {
-                let want = if mask[i] {
-                    v.sample_trilinear([xs[i], ys[i], zs[i]])
-                } else {
-                    0.0
-                };
-                assert_eq!(
-                    got[i].to_bits(),
-                    want.to_bits(),
-                    "lane {i} pos ({}, {}, {})",
-                    xs[i],
-                    ys[i],
-                    zs[i]
-                );
-            }
+            assert_packet_matches_scalar(&v, &xs, &ys, &zs, &mask);
         }
-        // A fully-interior width-4 packet exercises the gather path,
-        // including a disabled lane carrying NaN garbage.
+        // The truncation's edge cases, every lane interior so the packet
+        // stays on the gather path: exact integers (fraction +0.0), one
+        // ulp below `dims - 1` (the largest interior coordinate,
+        // fraction just under 1) and -0.0 (interior, fraction -0.0).
+        let (hx, hy, hz) = (ulp_below(12.0), ulp_below(9.0), ulp_below(8.0));
+        let xs = [0.0, -0.0, 3.0, hx, 11.0, 0.5, hx, 6.0];
+        let ys = [0.0, 2.0, -0.0, hy, 8.0, hy, 0.0, 4.0];
+        let zs = [0.0, 1.0, 7.0, hz, -0.0, 3.0, hz, 5.0];
+        assert_packet_matches_scalar(&v, &xs, &ys, &zs, &[true; 8]);
+        // Disabled lanes carrying exactly what a truncating or unchecked
+        // cast gets wrong — NaN, ±inf, ±1e30 — beside interior lanes
+        // (the gather path) and beside a boundary lane at `dims - 1`
+        // (the demoted per-lane path).
+        let garbage = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1.0e30, -1.0e30];
+        for (g, &junk) in garbage.iter().enumerate() {
+            let mut xs = xs;
+            let mut ys = ys;
+            let mut zs = zs;
+            let mut mask = [true; 8];
+            for i in 4..8 {
+                xs[i] = junk;
+                ys[i] = garbage[(g + i) % garbage.len()];
+                zs[i] = garbage[(g + 2 * i) % garbage.len()];
+                mask[i] = false;
+            }
+            assert_packet_matches_scalar(&v, &xs, &ys, &zs, &mask);
+            xs[3] = 12.0;
+            assert_packet_matches_scalar(&v, &xs, &ys, &zs, &mask);
+        }
+        // Width 4, and a width-4 packet whose only enabled lane is
+        // interior while the rest carry garbage.
         let xs4 = [1.2, 5.5, 2.0, f32::NAN];
         let ys4 = [2.3, 4.4, 2.0, f32::NAN];
         let zs4 = [3.4, 3.3, 2.0, -1.0e30];
-        let mask4 = [true, true, true, false];
-        let got = v.sample_trilinear_packet::<4>(&xs4, &ys4, &zs4, &mask4);
-        for i in 0..3 {
-            assert_eq!(
-                got[i].to_bits(),
-                v.sample_trilinear([xs4[i], ys4[i], zs4[i]]).to_bits()
-            );
+        assert_packet_matches_scalar(&v, &xs4, &ys4, &zs4, &[true, true, true, false]);
+        assert_packet_matches_scalar(&v, &xs4, &ys4, &zs4, &[false, true, false, false]);
+    }
+
+    proptest::proptest! {
+        // Miri interprets every fetch; a handful of cases is what its
+        // CI job can afford.
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(
+            if cfg!(miri) { 4 } else { 256 }
+        ))]
+
+        #[test]
+        fn packet_fetch_matches_scalar_on_random_volumes(
+            nx in 1usize..=20, ny in 1usize..=20, nz in 1usize..=20,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = proptest::Rng::seeded(seed);
+            let dims = [nx, ny, nz];
+            let data = (0..nx * ny * nz)
+                .map(|_| rng.below(1 << 16) as f32 / 256.0 - 128.0)
+                .collect();
+            let v = Volume::from_data(dims, data);
+            for _ in 0..16 {
+                // Half the packets keep every lane interior (the gather
+                // path), half mix in boundary and outside lanes (the
+                // demoted path).
+                let interior = rng.below(2) == 0 && dims.iter().all(|&n| n >= 2);
+                let mut p = [[0.0f32; 8]; 3];
+                let mut mask = [false; 8];
+                for i in 0..8 {
+                    for (a, axis) in p.iter_mut().enumerate() {
+                        let h = (dims[a] - 1) as f32;
+                        let unit = rng.below(1 << 12) as f32 / 4096.0;
+                        axis[i] = match (interior, rng.below(4)) {
+                            (true, 0) => rng.below(dims[a] as u64 - 1) as f32,
+                            (true, 1) => ulp_below(h),
+                            (true, _) => unit * h,
+                            (false, 0) => h,
+                            (false, 1) => -0.5 * rng.below(3) as f32,
+                            (false, _) => unit * (h + 2.0) - 0.5,
+                        };
+                    }
+                    mask[i] = rng.below(4) != 0;
+                    if !mask[i] && rng.below(2) == 0 {
+                        p[0][i] = f32::NAN;
+                        p[2][i] = f32::INFINITY;
+                    }
+                }
+                assert_packet_matches_scalar(&v, &p[0], &p[1], &p[2], &mask);
+            }
         }
-        assert_eq!(got[3].to_bits(), 0.0f32.to_bits());
     }
 
     #[test]

@@ -20,7 +20,10 @@
 //! overlap with the next cell — so that for any sample position `p`
 //! with `floor(clamp(p)) = x0` inside the cell, both corners `x0` and
 //! `x1 = min(x0+1, n-1)` are covered. Clamped out-of-volume positions
-//! resolve to boundary voxels, which boundary cells cover.
+//! resolve to boundary voxels, which boundary cells cover. The ranges
+//! ignore NaN voxels, so the grid also records whether any voxel is
+//! non-finite ([`MacrocellGrid::holds_non_finite`]): no range of such a
+//! grid proves a sample transparent.
 
 use crate::grid::Volume;
 
@@ -66,6 +69,8 @@ pub struct MacrocellGrid {
     refined_cells: [usize; 3],
     /// Row-major (x fastest) `(min, max)` per refined cell.
     refined: Vec<(f32, f32)>,
+    /// Some voxel is NaN or ±∞ (see [`MacrocellGrid::holds_non_finite`]).
+    non_finite: bool,
 }
 
 impl MacrocellGrid {
@@ -101,10 +106,13 @@ impl MacrocellGrid {
         let mut refined = vec![EMPTY; rx * ry * rz];
         let mut scratch = vec![EMPTY; rx + rx * ry];
         let (row, plane) = scratch.split_at_mut(rx);
+        let mut non_finite = false;
         for z in 0..dims[2] {
             plane.fill(EMPTY);
             for y in 0..dims[1] {
                 let voxels = &vol.data()[vol.index(0, y, z)..][..dims[0]];
+                // A branch-free pass over the row while it is in L1.
+                non_finite |= voxels.iter().fold(false, |n, v| n | !v.is_finite());
                 // Whole (overlap included) cells are fixed-length windows;
                 // the last cell is whatever voxels remain.
                 let whole = voxels.windows(REFINED_SIZE + 1).step_by(REFINED_SIZE);
@@ -147,7 +155,17 @@ impl MacrocellGrid {
             minmax,
             refined_cells,
             refined,
+            non_finite,
         }
+    }
+
+    /// Whether any voxel is NaN or ±∞. The ranges ignore NaNs, but a
+    /// trilinear fetch touching one is NaN, and so is one touching an
+    /// infinity at a zero fraction (`(∞ − a)·0`) or two of opposite
+    /// sign; a NaN sample classifies to NaN, which is not a zero-opacity
+    /// no-op. No range of such a grid proves a sample transparent.
+    pub fn holds_non_finite(&self) -> bool {
+        self.non_finite
     }
 
     /// Refined cells whose inclusive voxel range holds voxel index `i`
@@ -417,6 +435,26 @@ mod tests {
         .enumerate()
         {
             assert_build_matches_brute_force(&palette_volume(dims, i as u64));
+        }
+    }
+
+    #[test]
+    fn one_non_finite_voxel_anywhere_is_recorded() {
+        let dims = [9, 5, 4];
+        let finite = ramp(dims);
+        assert!(!MacrocellGrid::build(&finite).holds_non_finite());
+        let n = finite.data().len();
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            // First, last, a row's last voxel (the x-reduction's ragged
+            // cell) and an interior one.
+            for at in [0, n - 1, dims[0] - 1, n / 2] {
+                let mut v = finite.clone();
+                v.data_mut()[at] = bad;
+                assert!(
+                    MacrocellGrid::build(&v).holds_non_finite(),
+                    "{bad} at voxel {at}"
+                );
+            }
         }
     }
 
