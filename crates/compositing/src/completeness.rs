@@ -1,14 +1,13 @@
 //! Per-tile completeness of a degraded composite.
 //!
-//! When fragments are lost or arrive past the deadline, direct-send
-//! ([`crate::directsend::composite_direct_send_traced`] with absent
-//! inputs, and the message-passing executor's [`crate::TileAssembly`])
-//! blends whatever is there and quantifies the damage instead of
-//! hanging: each compositor tile reports the fraction of its *expected*
-//! blended footprint area that actually arrived (weighted by the
-//! sender's own data quality, so an I/O-degraded renderer counts
-//! fractionally). A fully healthy run reports 1.0 everywhere — and, by
-//! construction, the image is then exactly the fault-free one.
+//! When fragments are lost or arrive past the deadline, a compositor's
+//! [`crate::TileAssembly`] blends whatever is there and quantifies the
+//! damage instead of hanging: each compositor tile reports the fraction
+//! of its *expected* blended footprint area that actually arrived
+//! (weighted by the sender's own data quality, so an I/O-degraded
+//! renderer counts fractionally). A fully healthy run reports 1.0
+//! everywhere — and, by construction, the image is then exactly the
+//! fault-free one.
 
 use pvr_render::image::PixelRect;
 
@@ -17,8 +16,8 @@ use pvr_render::image::PixelRect;
 pub struct TileCompleteness {
     /// Tile index (the partition cell).
     pub tile: usize,
-    /// The tile's pixel rectangle, when the producer knows it.
-    pub rect: Option<PixelRect>,
+    /// The tile's pixel rectangle.
+    pub rect: PixelRect,
     /// Expected blended footprint area: the sum over *all* scheduled
     /// senders of their overlap with this tile, in pixels.
     pub expected: f64,
@@ -87,19 +86,19 @@ mod tests {
             tiles: vec![
                 TileCompleteness {
                     tile: 0,
-                    rect: None,
+                    rect: PixelRect::new(0, 0, 1, 1),
                     expected: 100.0,
                     arrived: 100.0,
                 },
                 TileCompleteness {
                     tile: 1,
-                    rect: None,
+                    rect: PixelRect::new(0, 0, 1, 1),
                     expected: 300.0,
                     arrived: 150.0,
                 },
                 TileCompleteness {
                     tile: 2,
-                    rect: None,
+                    rect: PixelRect::new(0, 0, 1, 1),
                     expected: 0.0,
                     arrived: 0.0,
                 },

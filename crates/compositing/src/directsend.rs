@@ -13,7 +13,6 @@ use rayon::prelude::*;
 
 use pvr_render::image::{over, Image, PixelRect, SubImage};
 
-use crate::completeness::{CompletenessMap, TileCompleteness};
 use crate::region::ImagePartition;
 use crate::serial::visibility_order;
 use crate::sparse::PieceScan;
@@ -77,22 +76,12 @@ pub fn composite_direct_send(
     subs: &[SubImage],
     partition: ImagePartition,
 ) -> (Image, DirectSendStats) {
-    let present = vec![Some(1.0); subs.len()];
-    let tracer = pvr_obs::Tracer::disabled();
-    let (img, stats, _) = composite_direct_send_traced(subs, partition, &present, &tracer);
-    (img, stats)
+    composite_direct_send_traced(subs, partition, &pvr_obs::Tracer::disabled())
 }
 
-/// The one direct-send body: composite whatever fragments arrived.
-///
-/// `present[i]` is `Some(quality)` when renderer `i`'s fragment made it
-/// before the deadline (`quality` in [0, 1] is the sender's own data
-/// quality — degraded I/O propagates into the completeness accounting),
-/// `None` when it was lost or late. Absent fragments are skipped; the
-/// per-tile [`CompletenessMap`] reports the fraction of each tile's
-/// expected blended footprint that arrived. With every fragment present
-/// the image is bit-identical to [`composite_direct_send`] and every
-/// tile reports 1.0.
+/// The one direct-send body: each compositor blends the overlapping
+/// fragment of every subimage, in visibility order, into its tile
+/// buffer, and the tiles are pasted into the final image.
 ///
 /// Each compositor's blend becomes a `composite.tile` span on its own
 /// track (args: messages blended and wire bytes), making per-compositor
@@ -101,16 +90,10 @@ pub fn composite_direct_send(
 pub fn composite_direct_send_traced(
     subs: &[SubImage],
     partition: ImagePartition,
-    present: &[Option<f64>],
     tracer: &pvr_obs::Tracer,
-) -> (Image, DirectSendStats, CompletenessMap) {
-    assert_eq!(subs.len(), present.len());
+) -> (Image, DirectSendStats) {
     let order = visibility_order(subs);
-
-    // Each compositor independently: blend the overlapping fragment of
-    // every subimage that arrived, in visibility order, into its tile
-    // buffer.
-    let results: Vec<(SubImage, DirectSendStats, TileCompleteness)> = (0..partition.m())
+    let results: Vec<(SubImage, DirectSendStats)> = (0..partition.m())
         .into_par_iter()
         .map(|c| {
             let track = c as pvr_obs::span::TrackId;
@@ -118,19 +101,11 @@ pub fn composite_direct_send_traced(
             let tile = partition.tile(c);
             let mut buf = SubImage::transparent(tile, 0.0);
             let mut st = DirectSendStats::default();
-            let mut expected = 0.0f64;
-            let mut arrived = 0.0f64;
             for &i in &order {
                 let sub = &subs[i];
                 let Some(ov) = sub.rect.intersect(&tile) else {
                     continue;
                 };
-                let area = ov.num_pixels() as f64;
-                expected += area;
-                let Some(quality) = present[i] else {
-                    continue;
-                };
-                arrived += area * quality.clamp(0.0, 1.0);
                 let (dense, sparse) = blend_piece(&mut buf, sub, &ov).wire_bytes();
                 st.messages += 1;
                 st.dense_bytes += dense;
@@ -146,30 +121,22 @@ pub fn composite_direct_send_traced(
                 "composite.tile",
                 pvr_obs::Args::two("messages", st.messages as u64, "bytes", st.bytes),
             );
-            let tc = TileCompleteness {
-                tile: c,
-                rect: Some(tile),
-                expected,
-                arrived,
-            };
-            (buf, st, tc)
+            (buf, st)
         })
         .collect();
 
     // Gather compositor tiles into the final image.
     let mut img = Image::new(partition.width, partition.height);
     let mut stats = DirectSendStats::default();
-    let mut map = CompletenessMap::default();
-    for (buf, st, tc) in results {
+    for (buf, st) in results {
         img.paste(&buf);
         stats.messages += st.messages;
         stats.bytes += st.bytes;
         stats.dense_bytes += st.dense_bytes;
         stats.sparse_messages += st.sparse_messages;
         stats.per_compositor.push(st.messages);
-        map.tiles.push(tc);
     }
-    (img, stats, map)
+    (img, stats)
 }
 
 /// Blend received fragments into a compositor's tile buffer in the
@@ -305,44 +272,19 @@ mod tests {
     }
 
     #[test]
-    fn degraded_with_everything_present_is_bit_identical() {
+    fn tracing_records_one_span_per_tile_and_changes_nothing() {
         let subs = random_subs(13, 20, 32, 32);
         let part = ImagePartition::new(32, 32, 6);
         let (img, stats) = composite_direct_send(&subs, part);
-        let present = vec![Some(1.0); subs.len()];
-        let (img_d, stats_d, map) =
-            composite_direct_send_traced(&subs, part, &present, &Tracer::disabled());
-        assert_eq!(img.pixels(), img_d.pixels(), "must be bit-identical");
-        assert_eq!(stats, stats_d);
-        assert!(map.fully_complete());
-        assert_eq!(map.frame_fraction(), 1.0);
-        assert_eq!(map.tiles.len(), 6);
-    }
-
-    #[test]
-    fn missing_fragment_degrades_only_its_tiles() {
-        let front = solid(PixelRect::new(0, 0, 8, 4), [0.0, 0.0, 1.0, 1.0], 0.0);
-        let back = solid(PixelRect::new(0, 4, 8, 4), [1.0, 0.0, 0.0, 1.0], 9.0);
-        let part = ImagePartition::new(8, 8, 2); // tile 0 = top, tile 1 = bottom
-        let present = vec![Some(1.0), None]; // lose the bottom fragment
-        let (img, _, map) =
-            composite_direct_send_traced(&[front, back], part, &present, &Tracer::disabled());
-        assert_eq!(map.tiles[0].fraction(), 1.0);
-        assert_eq!(map.tiles[1].fraction(), 0.0);
-        assert!(map.frame_fraction() < 1.0);
-        // The surviving fragment still renders; the lost one is blank.
-        assert_eq!(img.get(0, 0), [0.0, 0.0, 1.0, 1.0]);
-        assert_eq!(img.get(0, 7), [0.0; 4]);
-    }
-
-    #[test]
-    fn sender_quality_weights_completeness() {
-        let subs = vec![solid(PixelRect::new(0, 0, 4, 4), [0.5; 4], 1.0)];
-        let part = ImagePartition::new(4, 4, 1);
-        let (_, _, map) =
-            composite_direct_send_traced(&subs, part, &[Some(0.25)], &Tracer::disabled());
-        assert!((map.frame_fraction() - 0.25).abs() < 1e-12);
-        assert!(!map.fully_complete());
+        let tracer = Tracer::wall();
+        let (img_t, stats_t) = composite_direct_send_traced(&subs, part, &tracer);
+        assert_eq!(img.pixels(), img_t.pixels(), "must be bit-identical");
+        assert_eq!(stats, stats_t);
+        let profile = tracer.finish();
+        for c in 0..6 {
+            let spans = profile.events_for(c).filter(|e| e.name == "composite.tile");
+            assert_eq!(spans.count(), 2, "tile {c}: one begin, one end");
+        }
     }
 
     #[test]

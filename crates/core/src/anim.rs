@@ -28,11 +28,12 @@
 //! the animation holds at most **2×** one time step's subvolumes (the
 //! live frame plus the next frame's buffers).
 //!
-//! Fault plans compose per frame ([`AnimFaults`]): the launcher's
-//! injector, keyed by tag epoch, routes each frame's traffic to that
-//! frame's own plan, so a crash while frame `t+1` is already prefetched
-//! degrades frame `t` only — the prefetched bytes belong to a healthy
-//! later epoch.
+//! Fault plans compose per frame ([`AnimFaults`]) on the
+//! message-passing executor: the launcher's injector, keyed by tag
+//! epoch, routes each frame's traffic to that frame's own plan, so a
+//! crash while frame `t+1` is already prefetched affects frame `t`
+//! only — the prefetched bytes belong to a healthy later epoch. The
+//! rayon executor has no rank to lose and refuses fault plans.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -47,6 +48,7 @@ use crate::config::FrameConfig;
 use crate::pipeline::{read_frame_bytes, write_dataset, FrameError, FrameResult};
 use crate::scheduler::{
     assemble_frame, execute, run_world, FrameFaults, FrameInput, FrameShared, RayonExec,
+    FAULTS_NEED_MPI,
 };
 
 /// Which executor runs the animation.
@@ -84,8 +86,9 @@ pub struct AnimOptions {
     /// simulator's virtual clock), so [`AnimResult::wall`] is the clock
     /// to compare throttled runs in.
     pub throttle: Option<IoThrottle>,
-    /// Per-frame fault plans (message-passing executor only; frames
-    /// run the fault-tolerant link protocol when set).
+    /// Per-frame fault plans (message-passing executor only — a rayon
+    /// animation with plans is refused; frames run the fault-tolerant
+    /// link protocol when set).
     pub faults: Option<AnimFaults>,
     /// Wall-clock span tracer (rayon executor only): frame spans per
     /// rank track, prefetch reads on their own track.
@@ -173,7 +176,8 @@ impl AnimOptions {
 #[derive(Debug)]
 pub struct AnimFrame {
     pub result: FrameResult,
-    /// Per-tile completeness (fault-tolerant runs only).
+    /// Per-tile completeness (message-passing runs with fault plans
+    /// only).
     pub completeness: Option<CompletenessMap>,
 }
 
@@ -245,7 +249,8 @@ pub fn write_animation(
 /// Render an animation: one frame per path, in order, bit-identical to
 /// running [`crate::scheduler::drive_frame`] on each file independently
 /// with the same executor and fault plan — the animation tests pin
-/// this. Pipelining changes wall clock, never pixels.
+/// this. Pipelining changes wall clock, never pixels. Fault plans on
+/// the rayon executor are refused, as `drive_frame` refuses them.
 pub fn run_animation(
     cfg: &FrameConfig,
     paths: &[PathBuf],
@@ -253,13 +258,10 @@ pub fn run_animation(
 ) -> Result<AnimResult, FrameError> {
     assert!(!paths.is_empty(), "animation needs at least one frame");
     match &opts.executor {
-        AnimExecutor::Rayon => {
-            assert!(
-                opts.faults.is_none(),
-                "fault plans need the message-passing executor"
-            );
-            run_rayon(cfg, paths, opts)
+        AnimExecutor::Rayon if opts.faults.is_some() => {
+            Err(FrameError::invalid_input(FAULTS_NEED_MPI))
         }
+        AnimExecutor::Rayon => run_rayon(cfg, paths, opts),
         AnimExecutor::Mpi(run_opts) => run_mpi(cfg, paths, opts, run_opts.clone()),
     }
 }
@@ -294,8 +296,8 @@ fn run_rayon(
     // One frame on the render pool; the executor mirrors its verdict
     // onto the flight recorder, one frame per tick.
     let mut run = |input: FrameInput, throttle| {
-        let exec = RayonExec::new(cfg, &shared, input, tracer, throttle, None, &opts.flight);
-        let (result, _) = render_pool.install(|| pvr_mpisim::block_on_ready(execute(exec)))?;
+        let exec = RayonExec::new(cfg, &shared, input, tracer, throttle, &opts.flight);
+        let result = render_pool.install(|| pvr_mpisim::block_on_ready(execute(exec)))?;
         frames.push(AnimFrame {
             result,
             completeness: None,

@@ -10,8 +10,10 @@
 //!   message-passing variant on `pvr-mpisim` that exchanges real pixel
 //!   fragments rank-to-rank. Wall-clock timings and images come out.
 //!   Both are configurations of the one frame API,
-//!   [`scheduler::drive_frame`] with a [`Driver`] (executor × faults ×
-//!   tracer × flight recorder); [`anim`] runs it over time steps.
+//!   [`scheduler::drive_frame`] with a [`Driver`] (executor × tracer ×
+//!   flight recorder, plus a fault plan on the message-passing
+//!   executor); [`anim`] runs it over time steps, and [`slo`] judges
+//!   every frame against its budgets.
 //! * [`perfmodel`] — **simulated execution** at paper scale (64 … 32K
 //!   cores, 1120³ … 4480³ grids): the identical schedules (I/O access
 //!   plans, direct-send message lists) are generated and priced on the
@@ -45,5 +47,5 @@ pub use roles::{bgp_io_nodes, compositor_rank, laptop_aggregators};
 pub use scheduler::{
     drive_frame, DriveOutput, Driver, FrameShared, FrameTags, StageId, EPOCH_STRIDE,
 };
-pub use slo::{stage_budgets, FrameSample, FrameSlo, SloPolicy, Verdict};
+pub use slo::{stage_budgets, FrameSlo, Verdict};
 pub use timing::FrameTiming;

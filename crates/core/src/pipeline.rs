@@ -6,14 +6,15 @@
 //!   two-phase collective read hits a real file, blocks render in
 //!   parallel, direct-send compositing reduces the subimages.
 //! * [`run_frame_mpi`] — message-passing (`pvr-mpisim`): ranks are
-//!   threads exchanging real byte messages for both the I/O scatter
-//!   phase and the compositing fragments. Produces a bit-identical
+//!   tasks on the single-threaded event core, exchanging real byte
+//!   messages for both the I/O scatter phase and the compositing
+//!   fragments. Produces a bit-identical
 //!   image to [`run_frame`] (asserted by integration tests), because
 //!   both blend the same fragments in the same visibility order.
 //!
 //! Both are one-line configurations of [`drive_frame`], the frame API
-//! in [`crate::scheduler`] (faults, tracing and the flight recorder are
-//! [`Driver`] modifiers); this module keeps the shared building blocks
+//! in [`crate::scheduler`] (tracing, the flight recorder and — on the
+//! message-passing executor — a fault plan are [`Driver`] modifiers); this module keeps the shared building blocks
 //! (dataset synthesis, the dataset reader, fragment wire format, tags).
 //! The frame's geometry lives in [`crate::scheduler::FrameShared`].
 
@@ -155,7 +156,10 @@ pub enum FrameError {
     /// watchdog stall) — with or without a fault plan this indicates a
     /// bug, and the recovery proptests assert it never happens.
     Runtime(pvr_mpisim::RunError),
-    /// The dataset could not be opened or read in full.
+    /// The dataset could not be opened or read in full — or, with kind
+    /// `InvalidInput` and an empty path, the request cannot run at all
+    /// (a message-passing frame without a dataset, a fault plan on the
+    /// data-parallel executor).
     Io {
         path: PathBuf,
         source: std::io::Error,
@@ -168,6 +172,13 @@ impl FrameError {
             path: path.to_path_buf(),
             source,
         }
+    }
+
+    /// A frame request refused before anything runs: an `InvalidInput`
+    /// error whose message names the fix.
+    pub(crate) fn invalid_input(what: &str) -> FrameError {
+        let source = std::io::Error::new(std::io::ErrorKind::InvalidInput, what);
+        FrameError::io(Path::new(""), source)
     }
 }
 
@@ -643,7 +654,8 @@ pub(crate) fn decode_late(body: &[u8]) -> (usize, usize, Option<(f64, SubImage)>
     (orphan, tile, frag)
 }
 
-/// Run one frame over real message passing (one thread per rank).
+/// Run one frame over real message passing (one task per rank on the
+/// event core).
 /// Requires a dataset file. Returns rank 0's result; the image is
 /// identical to [`run_frame`]'s. Panics, naming the file, when the
 /// dataset is missing or shorter than its layout; [`drive_frame`]

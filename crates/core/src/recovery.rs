@@ -1,6 +1,6 @@
 //! Recovery orchestration policy: who adopts an orphaned block, what a
-//! heal is allowed to cost, and how the fault-tolerant executor's
-//! deadlines scale with the frame.
+//! heal is allowed to cost, and how a fault frame's deadlines scale
+//! with the frame.
 //!
 //! Three pieces, all deterministic and replayable from `(seed, plan,
 //! config)`:
@@ -28,14 +28,13 @@
 
 use std::time::Duration;
 
-use pvr_faults::{FaultPlan, RankAction, RecoveryCounters, RecoveryPolicy, Stage};
-use pvr_formats::{Subvolume, ELEM_SIZE};
+use pvr_faults::RecoveryPolicy;
+use pvr_formats::Subvolume;
 use pvr_render::image::PixelRect;
 
 use crate::config::FrameConfig;
 use crate::perfmodel::PerfModel;
-use crate::scheduler::FrameShared;
-use crate::slo::{Incident, IncidentKind};
+use crate::slo::{HEADROOM, NOMINAL_IO_BW};
 
 /// Which rung of the degradation ladder a heal runs at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,8 +49,8 @@ pub enum HealDecision {
 }
 
 /// The per-frame recovery ledger. Charges are the perf model's
-/// *estimated* seconds ("wall on rayon, simulated on mpisim" collapses
-/// to one deterministic currency), so rung decisions replay exactly.
+/// *estimated* seconds, neither wall nor virtual time, so rung
+/// decisions replay exactly.
 #[derive(Debug, Clone, Copy)]
 pub struct RecoveryBudget {
     /// Remaining estimated seconds; `None` = unbounded.
@@ -110,7 +109,7 @@ impl RecoveryBudget {
 /// Estimated seconds to re-render each block: the calibrated perf
 /// model's render pricing applied to the block's own screen footprint
 /// and depth. Both the ladder's charges and the survivor assignment's
-/// loads; read it through [`FrameShared::heal_costs`].
+/// loads; read it through [`crate::scheduler::FrameShared::heal_costs`].
 pub(crate) fn heal_costs(
     cfg: &FrameConfig,
     footprints: &[PixelRect],
@@ -137,9 +136,7 @@ fn splitmix64(mut x: u64) -> u64 {
 
 /// Deterministic, load-aware survivor assignment: the candidate (not
 /// suspected, not the orphan itself) with the smallest estimated load,
-/// ties broken by a seeded hash of `(seed, block, candidate)`. Callers
-/// that assign several blocks in sequence add each adopted block's cost
-/// to `loads` between calls, making the assignment greedy-balanced.
+/// ties broken by a seeded hash of `(seed, block, candidate)`.
 pub fn adopter_of(
     block: usize,
     suspects: &[usize],
@@ -161,16 +158,6 @@ pub fn adopter_of(
         })
 }
 
-/// Nominal staging bandwidth used for the I/O term of the derived
-/// deadline (bytes/s). Only the *scale* matters: the policy's own
-/// deadline is always a floor, so laptop-sized frames keep their
-/// configured deadlines and paper-scale frames grow theirs.
-const NOMINAL_IO_BW: f64 = 1.0e9;
-
-/// Headroom multiplier between a predicted stage time and the deadline
-/// that aborts it.
-const DEADLINE_HEADROOM: f64 = 3.0;
-
 /// Derive the frame's receive deadlines from the calibrated perf model
 /// instead of fixed constants. The base policy acts as a floor (small
 /// test frames keep their sub-second deadlines); a
@@ -186,7 +173,7 @@ pub fn effective_policy(cfg: &FrameConfig, base: &RecoveryPolicy) -> RecoveryPol
         let model = PerfModel::default();
         let (render_s, _) = model.simulate_render(cfg);
         let io_s = cfg.variable_bytes() as f64 / NOMINAL_IO_BW;
-        let predicted = render_s.max(io_s) * DEADLINE_HEADROOM;
+        let predicted = render_s.max(io_s) * HEADROOM;
         if predicted > base.stage_deadline.as_secs_f64() {
             policy.stage_deadline = Duration::from_secs_f64(predicted);
         }
@@ -196,7 +183,7 @@ pub fn effective_policy(cfg: &FrameConfig, base: &RecoveryPolicy) -> RecoveryPol
     // is presumed dead), cap at a quarter of the stage deadline.
     let model = PerfModel::default();
     let (render_s, _) = model.simulate_render(cfg);
-    let derived = (render_s * DEADLINE_HEADROOM).max(base.suspicion.as_secs_f64());
+    let derived = (render_s * HEADROOM).max(base.suspicion.as_secs_f64());
     let cap = policy.stage_deadline.as_secs_f64() / 4.0;
     policy.suspicion = Duration::from_secs_f64(derived.min(cap).max(1e-3));
     if let Some(ms) = cfg.frame_budget_ms {
@@ -205,128 +192,10 @@ pub fn effective_policy(cfg: &FrameConfig, base: &RecoveryPolicy) -> RecoveryPol
     policy
 }
 
-/// One frame's recovery plan on the data-parallel executor. The shared
-/// address space has no links to drop, so the fault plan's rank faults
-/// are what matters — a crashed rank loses its rendered block before
-/// compositing. The same orchestration heals it as on the
-/// message-passing executor: [`adopter_of`] picks a surviving adopter,
-/// the ladder ([`RecoveryBudget`]) charges the re-render's modeled cost
-/// and picks the rung (full heal → bit-identical pixels; coarse heal →
-/// approximate pixels with the error bound recorded in
-/// `FrameTiming::error_bound`; skip → the hole shows up in the
-/// completeness map). Stragglers past the suspicion window fire a hedged
-/// duplicate whose loss to first-wins dedup is a no-op — counted, never
-/// blended. Everything here is a pure function of `(seed, plan,
-/// config)` — planned ranks, stages and counts, never wall seconds — so
-/// the frame replays and its flight dump is byte-stable.
-pub(crate) struct HealPlan {
-    pub(crate) seed: u64,
-    /// Per block: `None` while its own rank is alive, else the adopter
-    /// (the orphan itself when nobody survives) and the rung it renders
-    /// the block at.
-    blocks: Vec<Option<(usize, HealDecision)>>,
-    coarse_step_factor: f64,
-    pub(crate) counters: RecoveryCounters,
-    /// Located SLO incidents: planned crashes and suspicious straggles,
-    /// then one ladder activation per heal below the full rung.
-    pub(crate) incidents: Vec<Incident>,
-    /// Image fraction re-rendered at the coarse rung.
-    pub(crate) error_bound: f64,
-}
-
-impl HealPlan {
-    /// Where and how block `rank` renders: the trace track of the rank
-    /// doing the work, and the factor on the sampling step (`None` =
-    /// the ladder skipped the block).
-    pub(crate) fn render_at(&self, rank: usize) -> (usize, Option<f64>) {
-        match self.blocks[rank] {
-            None => (rank, Some(1.0)),
-            Some((adopter, HealDecision::Full)) => (adopter, Some(1.0)),
-            Some((adopter, HealDecision::Coarse)) => (adopter, Some(self.coarse_step_factor)),
-            Some((adopter, HealDecision::Skip)) => (adopter, None),
-        }
-    }
-
-    pub(crate) fn new(
-        cfg: &FrameConfig,
-        shared: &FrameShared,
-        plan: &FaultPlan,
-        policy: &RecoveryPolicy,
-    ) -> HealPlan {
-        const STAGES: [Stage; 3] = [Stage::Io, Stage::Render, Stage::Composite];
-        let n = cfg.nprocs;
-        // A crash at any stage loses the rank's block before compositing.
-        let lost: Vec<usize> = (0..n)
-            .filter(|&r| {
-                STAGES
-                    .iter()
-                    .any(|&s| matches!(plan.rank_fault(r, s), Some(RankAction::Crash)))
-            })
-            .collect();
-        let mut counters = RecoveryCounters {
-            crashed_ranks: lost.len() as u64,
-            ..RecoveryCounters::default()
-        };
-        let mut incidents = crate::slo::incidents_from_plan(n, plan, policy.suspicion);
-        let ladder = |rank| Incident {
-            rank,
-            stage: 1,
-            kind: IncidentKind::DegradedLadder,
-        };
-
-        // Greedy-balanced adoption: each heal bumps the adopter's load
-        // before the next assignment.
-        let mut loads = shared.heal_costs().to_vec();
-        let mut budget = RecoveryBudget::for_frame(cfg, policy);
-        let survivors: Vec<usize> = (0..n).filter(|r| !lost.contains(r)).collect();
-        let mut blocks = vec![None; n];
-        let mut error_bound = 0.0f64;
-        for &orphan in &lost {
-            let Some(adopter) = adopter_of(orphan, &lost, &survivors, plan.seed, &loads) else {
-                blocks[orphan] = Some((orphan, HealDecision::Skip));
-                incidents.push(ladder(orphan));
-                continue;
-            };
-            let est = shared.heal_costs()[orphan];
-            let rung = budget.charge(est, policy.coarse_step_factor);
-            if rung != HealDecision::Full {
-                incidents.push(ladder(orphan));
-            }
-            if rung != HealDecision::Skip {
-                counters.adopted_blocks += 1;
-                counters.recovery_bytes += shared.stored[orphan].num_elements() as u64 * ELEM_SIZE;
-                loads[adopter] += est;
-            }
-            if rung == HealDecision::Coarse {
-                counters.approx_blocks += 1;
-                error_bound += shared.footprints[orphan].num_pixels() as f64
-                    / (cfg.image.0 * cfg.image.1) as f64;
-            }
-            blocks[orphan] = Some((adopter, rung));
-        }
-        for r in 0..n {
-            for s in STAGES {
-                if let Some(RankAction::StraggleMs(ms)) = plan.rank_fault(r, s) {
-                    if Duration::from_millis(ms) >= policy.suspicion {
-                        counters.hedged_renders += 1;
-                    }
-                }
-            }
-        }
-        HealPlan {
-            seed: plan.seed,
-            blocks,
-            coarse_step_factor: policy.coarse_step_factor,
-            counters,
-            incidents,
-            error_bound: error_bound.min(1.0),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::FrameShared;
 
     #[test]
     fn ladder_steps_full_coarse_skip_deterministically() {

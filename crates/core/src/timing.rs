@@ -28,8 +28,8 @@ pub struct FrameTiming {
     /// stage end). Zero means "not recorded" — the sequential paths,
     /// where it would equal [`FrameTiming::total`].
     pub wall: f64,
-    /// What recovery did during the frame (all zero for fault-free
-    /// runs and for the non-fault-tolerant executors).
+    /// What recovery did during the frame (all zero unless the frame
+    /// ran under a fault plan).
     pub recovery: pvr_faults::RecoveryCounters,
     /// Explicit bound on the image error introduced by coarse-rung
     /// heals of the degradation ladder: the fraction of image pixels
@@ -38,10 +38,10 @@ pub struct FrameTiming {
     /// (missing content is reported via completeness, not here).
     pub error_bound: f64,
     /// The frame's SLO verdict against perfmodel-derived stage budgets
-    /// ([`crate::slo`]), with attribution of the blown budget. `None`
-    /// for paths that never evaluated (the simulated executor, crashed
-    /// per-rank timings before driver assembly).
-    pub slo: Option<pvr_obs::slo::FrameSlo>,
+    /// ([`crate::slo`]), with attribution of the blown budget. Set on
+    /// every executed frame; `None` on a rank's own timing before the
+    /// driver assembles the frame, and on modeled frames.
+    pub slo: Option<crate::slo::FrameSlo>,
 }
 
 impl FrameTiming {

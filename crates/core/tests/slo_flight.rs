@@ -1,18 +1,18 @@
 //! End-to-end SLO + flight-recorder acceptance: an injected fault
 //! plan must produce a `Violated` verdict attributed to the injection
-//! site on BOTH executors, and the anomaly dump of a manual-clock
-//! recorder must be byte-identical across runs (pinned by a golden
-//! file; regenerate with `PVR_UPDATE_GOLDEN=1`).
+//! site on the message-passing executor, where faults run, and the
+//! anomaly dump of a manual-clock recorder must be byte-identical
+//! across runs (pinned by a golden file; regenerate with
+//! `PVR_UPDATE_GOLDEN=1`).
 
 use std::path::PathBuf;
 
 use pvr_core::config::CompositorPolicy;
-use pvr_core::pipeline::{run_frame, write_dataset};
+use pvr_core::pipeline::{run_frame_mpi, write_dataset};
 use pvr_core::slo::Cause;
 use pvr_core::{drive_frame, DriveOutput, Driver, FrameConfig, Verdict};
 use pvr_faults::{FaultPlan, RankAction, RankFault, RecoveryPolicy, Stage};
-use pvr_obs::span::EventKind;
-use pvr_obs::{perfetto, FlightRecorder, Tracer};
+use pvr_obs::{perfetto, profile_from_trace, FlightRecorder};
 
 fn tmp(name: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("pvr-slo-{}", std::process::id()));
@@ -51,23 +51,18 @@ fn crash_plan() -> FaultPlan {
     }
 }
 
-/// One fault frame on `driver`'s executor under the fast test policy,
+/// One message-passing fault frame under the fast test policy,
 /// mirrored onto `flight`.
 fn fault_frame(
     cfg: &FrameConfig,
     p: &std::path::Path,
-    driver: Driver,
     plan: &FaultPlan,
     flight: &FlightRecorder,
 ) -> DriveOutput {
-    let driver = driver
+    let driver = Driver::mpi(pvr_mpisim::RunOptions::default())
         .faults(plan, &RecoveryPolicy::fast_test())
         .flight(flight);
     drive_frame(cfg, Some(p), driver).unwrap()
-}
-
-fn mpi() -> Driver {
-    Driver::mpi(pvr_mpisim::RunOptions::default())
 }
 
 fn complete(out: &DriveOutput) -> bool {
@@ -106,7 +101,7 @@ fn mpi_straggler_violates_slo_at_the_injection_site() {
     let p = tmp("mpi-straggle.raw");
     write_dataset(&p, &cfg).unwrap();
     let flight = FlightRecorder::wall(256);
-    let ft = fault_frame(&cfg, &p, mpi(), &straggle_plan(), &flight);
+    let ft = fault_frame(&cfg, &p, &straggle_plan(), &flight);
     let slo = ft.frame.timing.slo.expect("ft frames carry a verdict");
     assert_eq!(slo.verdict, Verdict::Violated);
     assert_eq!(
@@ -130,7 +125,8 @@ fn mpi_crash_is_attributed_even_though_recovery_healed_it() {
     let p = tmp("mpi-crash.raw");
     write_dataset(&p, &cfg).unwrap();
     let flight = FlightRecorder::wall(256);
-    let ft = fault_frame(&cfg, &p, mpi(), &crash_plan(), &flight);
+    let ft = fault_frame(&cfg, &p, &crash_plan(), &flight);
+    assert!(complete(&ft), "crash healed");
     let slo = ft.frame.timing.slo.expect("ft frames carry a verdict");
     assert_eq!(slo.verdict, Verdict::Violated);
     assert_eq!((slo.stage, slo.rank), (Some(1), Some(5)));
@@ -143,39 +139,12 @@ fn mpi_crash_is_attributed_even_though_recovery_healed_it() {
 }
 
 #[test]
-fn rayon_ft_matches_the_mpi_attribution_for_the_same_plans() {
-    let cfg = test_cfg();
-    let p = tmp("rayon-attr.raw");
-    write_dataset(&p, &cfg).unwrap();
-
-    // Straggler: hedged, so the wall clock never sees the 1.2 s — the
-    // located incident must still violate and attribute.
-    let off = FlightRecorder::disabled();
-    let ft = fault_frame(&cfg, &p, Driver::rayon(), &straggle_plan(), &off);
-    let slo = ft.frame.timing.slo.unwrap();
-    assert_eq!(slo.verdict, Verdict::Violated);
-    assert_eq!((slo.stage, slo.rank), (Some(2), Some(3)));
-    assert_eq!(slo.cause, Some(Cause::Straggler));
-
-    // Crash: healed bit-identically, still attributed to rank 5.
-    let flight = FlightRecorder::wall(64);
-    let ft = fault_frame(&cfg, &p, Driver::rayon(), &crash_plan(), &flight);
-    assert!(complete(&ft), "crash healed");
-    let slo = ft.frame.timing.slo.unwrap();
-    assert_eq!(slo.verdict, Verdict::Violated);
-    assert_eq!((slo.stage, slo.rank), (Some(1), Some(5)));
-    assert_eq!(slo.cause, Some(Cause::Crash));
-    assert_eq!(flight.take_dumps()[0].reason, "rank-crash");
-    std::fs::remove_file(&p).ok();
-}
-
-#[test]
 fn healthy_frames_are_not_anomalies() {
     let cfg = test_cfg();
     let p = tmp("healthy.raw");
     write_dataset(&p, &cfg).unwrap();
     let flight = FlightRecorder::wall(64);
-    let ft = fault_frame(&cfg, &p, Driver::rayon(), &FaultPlan::none(), &flight);
+    let ft = fault_frame(&cfg, &p, &FaultPlan::none(), &flight);
     let slo = ft.frame.timing.slo.unwrap();
     // No incidents on a healthy plan; the cause can only be raw time.
     assert_ne!(slo.cause, Some(Cause::Crash));
@@ -189,37 +158,30 @@ fn healthy_frames_are_not_anomalies() {
     // whole, nothing recovered.
     assert_eq!(
         ft.frame.image.pixels(),
-        run_frame(&cfg, Some(&p)).image.pixels()
+        run_frame_mpi(&cfg, &p).image.pixels()
     );
     let map = ft.completeness.as_ref().unwrap();
     assert!(map.tiles.iter().all(|t| t.fraction() == 1.0));
     assert_eq!(ft.frame.timing.recovery, Default::default());
 
-    // A faulted frame is traced like any other: the timeline validates
-    // and the adopter's track carries the orphan's re-render next to its
-    // own block.
-    let tracer = Tracer::wall();
-    let driver = Driver::rayon()
-        .faults(&crash_plan(), &RecoveryPolicy::fast_test())
-        .traced(&tracer);
+    // A faulted frame is traced like any other: the timeline validates,
+    // the crashed rank's track carries the crash, and one survivor's
+    // track carries the orphan's re-render.
+    let traced = Driver::mpi(pvr_mpisim::RunOptions::default().traced());
+    let driver = traced.faults(&crash_plan(), &RecoveryPolicy::fast_test());
     let healed = drive_frame(&cfg, Some(&p), driver).unwrap();
     assert!(complete(&healed));
-    let profile = tracer.finish();
+    let profile = profile_from_trace(healed.trace.as_ref().expect("traced run"));
     perfetto::validate(&perfetto::to_json(&profile)).expect("faulted trace validates");
-    let blocks = |track| {
-        let on_track = profile.events_for(track);
-        on_track
-            .filter(|e| e.name == "render.block" && e.kind == EventKind::Begin)
-            .count()
+    let tracks_with = |name: &str| -> Vec<u32> {
+        (0..cfg.nprocs as u32)
+            .filter(|&r| profile.events_for(r).any(|e| e.name == name))
+            .collect()
     };
-    assert_eq!(blocks(5), 0, "the crashed rank renders nothing");
-    let per_track: Vec<usize> = (0..cfg.nprocs as u32).map(blocks).collect();
-    assert_eq!(per_track.iter().sum::<usize>(), cfg.nprocs);
-    assert_eq!(
-        per_track.iter().filter(|&&n| n == 2).count(),
-        1,
-        "one adopter"
-    );
+    assert_eq!(tracks_with("rank.crash"), [5], "the crashed rank");
+    let adopters = tracks_with("recover.adopted_block");
+    assert_eq!(adopters.len(), 1, "one adopter");
+    assert_ne!(adopters[0], 5);
     std::fs::remove_file(&p).ok();
 }
 
@@ -230,7 +192,7 @@ fn manual_clock_flight_dump_is_golden() {
     write_dataset(&p, &cfg).unwrap();
     let run = || {
         let flight = FlightRecorder::manual(64);
-        fault_frame(&cfg, &p, Driver::rayon(), &straggle_plan(), &flight);
+        fault_frame(&cfg, &p, &straggle_plan(), &flight);
         let dumps = flight.take_dumps();
         assert_eq!(dumps.len(), 1);
         assert_eq!(dumps[0].reason, "slo-violation");

@@ -23,15 +23,16 @@
 //!   [`analysis::imbalance`] (the paper's Fig. 6 max/mean statistic),
 //!   and [`analysis::link_matrix`] (per-link message volume — the C1
 //!   compositing flood made visible).
-//! * [`slo::evaluate`] — per-frame SLO verdicts (`Ok`/`AtRisk`/
-//!   `Violated`) against perfmodel-derived stage budgets, with
-//!   attribution of the blown budget to a (stage, rank).
 //! * [`flight::FlightRecorder`] — the always-on bounded ring of recent
 //!   events, dumped to a replayable JSON artifact on anomaly; same
 //!   zero-alloc-when-disabled discipline as the tracer.
 //! * [`bench::Trajectory`] — the unified `BENCH_*.json` schema every
 //!   bench bin writes and the `perf_gate` bin compares under
 //!   per-metric tolerance gates.
+//!
+//! These are mechanisms. The policy that reads and records through them
+//! — the frame's SLO budgets, verdict and attribution — lives with the
+//! frame, in `pvr_core::slo`.
 //!
 //! Inside `mpisim` worlds, spans ride the existing vector-clocked
 //! trace (`Comm::span_begin` / `span_end` / `mark_instant`);
@@ -52,7 +53,6 @@ pub mod flight;
 pub mod gantt;
 pub mod metrics;
 pub mod perfetto;
-pub mod slo;
 pub mod span;
 
 pub use analysis::{
@@ -61,5 +61,4 @@ pub use analysis::{
 pub use bench::{GateCheck, Trajectory};
 pub use flight::{FlightDump, FlightRecorder};
 pub use metrics::{Registry, Snapshot};
-pub use slo::{FrameSlo, SloReport, Verdict};
 pub use span::{Args, Profile, Tracer};

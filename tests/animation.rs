@@ -17,7 +17,8 @@
 use parallel_volume_rendering::core::pipeline::{run_frame, run_frame_mpi, tags};
 use parallel_volume_rendering::core::scheduler::{FrameTags, EPOCH_STRIDE};
 use parallel_volume_rendering::core::{
-    run_animation, write_animation, AnimFaults, AnimOptions, CompositorPolicy, FrameConfig,
+    drive_frame, run_animation, write_animation, AnimFaults, AnimOptions, CompositorPolicy, Driver,
+    FrameConfig,
 };
 use parallel_volume_rendering::faults::{FaultPlan, RankAction, RankFault, RecoveryPolicy, Stage};
 use parallel_volume_rendering::render::image::Image;
@@ -150,6 +151,36 @@ fn crash_during_prefetched_frame_heals_and_stays_contained() {
             &format!("frame {t} around/at the crash"),
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Fault plans run where ranks exist. A rayon animation asked to run one
+/// returns the typed error a rayon `drive_frame` returns for the same
+/// request, before any frame runs.
+#[test]
+fn rayon_animation_refuses_fault_plans_like_drive_frame() {
+    let cfg = test_cfg(4, 9);
+    let dir = tmp_dir("rayon-faults");
+    let paths = write_animation(&dir, &cfg, 2).unwrap();
+    let faults = AnimFaults {
+        plans: vec![FaultPlan::none(); 2],
+        policy: RecoveryPolicy::fast_test(),
+    };
+    let anim = run_animation(
+        &cfg,
+        &paths,
+        &AnimOptions::rayon().with_faults(faults.clone()),
+    );
+    let frame = drive_frame(
+        &cfg,
+        Some(&paths[0]),
+        Driver::rayon().faults(&faults.plans[0], &faults.policy),
+    );
+    let (Err(anim), Err(frame)) = (anim, frame) else {
+        panic!("a rayon fault plan must be refused");
+    };
+    assert_eq!(anim.to_string(), frame.to_string());
+    assert!(anim.to_string().contains("message-passing"), "{anim}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

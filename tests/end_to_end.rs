@@ -210,11 +210,24 @@ fn unreadable_dataset_is_a_typed_io_error() {
         io_error(&cfg, &p, "truncated file");
         std::fs::remove_file(&p).ok();
     }
+    // Requests that cannot run are refused before anything runs: a
+    // message-passing frame without a dataset, and a fault plan on the
+    // data-parallel executor, which has no rank to lose.
     let cfg = FrameConfig::small(18, 26, 4);
-    assert!(matches!(
-        drive_frame(&cfg, None, mpi()),
-        Err(FrameError::Io { .. })
-    ));
+    let policy = parallel_volume_rendering::faults::RecoveryPolicy::fast_test();
+    let rayon_ft = Driver::rayon().faults(&Default::default(), &policy);
+    for (what, driver) in [
+        ("mpi without a dataset", mpi()),
+        ("rayon with faults", rayon_ft),
+    ] {
+        match drive_frame(&cfg, None, driver) {
+            Err(FrameError::Io { source, .. }) => {
+                assert_eq!(source.kind(), std::io::ErrorKind::InvalidInput, "{what}")
+            }
+            Err(e) => panic!("{what}: expected FrameError::Io, got {e}"),
+            Ok(_) => panic!("{what}: expected FrameError::Io, got a frame"),
+        }
+    }
 }
 
 #[test]

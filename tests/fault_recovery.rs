@@ -7,15 +7,18 @@
 //!   deadline, down servers with live replicas) yields a frame
 //!   bit-identical to the fault-free run, completeness exactly 1.0.
 //! * **Single permanent crashes heal**: any one non-root rank crash,
-//!   at any stage, on either executor, produces a frame bit-identical
-//!   to the fault-free run — survivors adopt the orphan block and
-//!   compositors re-open tiles for the late fragments.
+//!   at any stage, produces a frame bit-identical to the fault-free run
+//!   — survivors adopt the orphan block and compositors re-open tiles
+//!   for the late fragments.
 //! * **Permanent faults beyond the healing contract degrade, never
 //!   hang**: unrecoverable loss terminates within its deadlines with
 //!   completeness < 1.0 attributed to tiles, and replays exactly.
 //! * **No plan can hang the world**: random seeded `FaultPlan`s on
 //!   n ≤ 16 always complete — never a deadlock report, never a
 //!   watchdog stall (`FrameError::Runtime`).
+//!
+//! Faults run on the message-passing executor, the one place ranks
+//! exist to lose.
 
 use parallel_volume_rendering::compositing::completeness::CompletenessMap;
 use parallel_volume_rendering::core::pipeline::{run_frame_mpi, tags, write_dataset};
@@ -28,8 +31,8 @@ use parallel_volume_rendering::faults::{
 };
 use proptest::prelude::*;
 
-/// A fault frame: `drive_frame` + `.faults(..)`, which always reports
-/// per-tile completeness.
+/// A fault frame: `drive_frame` on the message-passing executor +
+/// `.faults(..)`, which always reports per-tile completeness.
 struct FtFrame {
     frame: FrameResult,
     completeness: CompletenessMap,
@@ -38,19 +41,15 @@ struct FtFrame {
 fn fault_frame(
     cfg: &FrameConfig,
     path: &std::path::Path,
-    driver: Driver,
     plan: &FaultPlan,
     policy: &RecoveryPolicy,
 ) -> Result<FtFrame, FrameError> {
+    let driver = Driver::mpi(parallel_volume_rendering::mpisim::RunOptions::default());
     let out = drive_frame(cfg, Some(path), driver.faults(plan, policy))?;
     Ok(FtFrame {
         frame: out.frame,
         completeness: out.completeness.expect("fault frames report completeness"),
     })
-}
-
-fn mpi_driver() -> Driver {
-    Driver::mpi(parallel_volume_rendering::mpisim::RunOptions::default())
 }
 
 fn tmp(name: &str) -> std::path::PathBuf {
@@ -96,7 +95,7 @@ fn transient_faults_heal_bit_identically() {
         }],
         ..FaultPlan::default()
     };
-    let ft = fault_frame(&cfg, &p, mpi_driver(), &plan, &RecoveryPolicy::fast_test()).unwrap();
+    let ft = fault_frame(&cfg, &p, &plan, &RecoveryPolicy::fast_test()).unwrap();
     assert_eq!(plain.image.pixels(), ft.frame.image.pixels());
     assert!(ft.completeness.fully_complete());
     assert!(ft.frame.timing.recovery.retries > 0);
@@ -123,19 +122,19 @@ fn permanent_server_loss_degrades_and_is_typed() {
     let mut policy = RecoveryPolicy::fast_test();
     policy.io_failover = false;
 
-    let ft = fault_frame(&cfg, &p, mpi_driver(), &plan, &policy).unwrap();
+    let ft = fault_frame(&cfg, &p, &plan, &policy).unwrap();
     assert!(!ft.completeness.fully_complete());
     assert!(ft.completeness.frame_fraction() < 1.0);
     assert!(ft.frame.io.unrecovered_bytes > 0);
 
-    let again = fault_frame(&cfg, &p, mpi_driver(), &plan, &policy).unwrap();
+    let again = fault_frame(&cfg, &p, &plan, &policy).unwrap();
     assert_eq!(
         again.completeness.frame_fraction(),
         ft.completeness.frame_fraction(),
         "degradation must replay exactly from (seed, plan)"
     );
     // With failover restored the same plan is fully recoverable.
-    let healed = fault_frame(&cfg, &p, mpi_driver(), &plan, &RecoveryPolicy::fast_test()).unwrap();
+    let healed = fault_frame(&cfg, &p, &plan, &RecoveryPolicy::fast_test()).unwrap();
     assert!(healed.completeness.fully_complete());
     assert!(healed.frame.io.failover_bytes > 0);
     std::fs::remove_file(&p).ok();
@@ -155,9 +154,9 @@ fn fault_plans_round_trip_through_json() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Any single non-root crash, at any stage, heals bit-identically
-    /// on both executors: the orphan block is adopted, late fragments
-    /// are re-blended, and no pixel differs from the fault-free run.
+    /// Any single non-root crash, at any stage, heals bit-identically:
+    /// the orphan block is adopted, late fragments are re-blended, and
+    /// no pixel differs from the fault-free run.
     #[test]
     fn any_single_crash_heals_bit_identically(
         seed in 0u64..1_000_000,
@@ -176,21 +175,17 @@ proptest! {
             ranks: vec![RankFault { rank, stage, action: RankAction::Crash }],
             ..FaultPlan::default()
         };
-        let policy = RecoveryPolicy::fast_test();
-        let mpi = fault_frame(&cfg, &p, mpi_driver(), &plan, &policy).unwrap();
-        let ray = fault_frame(&cfg, &p, Driver::rayon(), &plan, &policy).unwrap();
+        let ft = fault_frame(&cfg, &p, &plan, &RecoveryPolicy::fast_test()).unwrap();
         std::fs::remove_file(&p).ok();
-        for (name, ft) in [("mpi", &mpi), ("rayon", &ray)] {
-            prop_assert_eq!(
-                plain.image.pixels(),
-                ft.frame.image.pixels(),
-                "{} executor: rank {} crash at stage {} must heal without a pixel trace",
-                name, rank, stage_pick
-            );
-            prop_assert!(ft.completeness.fully_complete(), "{name} completeness");
-            prop_assert!(ft.frame.timing.recovery.adopted_blocks >= 1, "{name} adoption");
-            prop_assert_eq!(ft.frame.timing.error_bound, 0.0, "full heal has no error");
-        }
+        prop_assert_eq!(
+            plain.image.pixels(),
+            ft.frame.image.pixels(),
+            "rank {} crash at stage {} must heal without a pixel trace",
+            rank, stage_pick
+        );
+        prop_assert!(ft.completeness.fully_complete(), "completeness");
+        prop_assert!(ft.frame.timing.recovery.adopted_blocks >= 1, "adoption");
+        prop_assert_eq!(ft.frame.timing.error_bound, 0.0, "full heal has no error");
     }
 
     /// Two simultaneous non-root crashes heal or degrade — never a
@@ -219,7 +214,7 @@ proptest! {
             ],
             ..FaultPlan::default()
         };
-        let res = fault_frame(&cfg, &p, mpi_driver(), &plan, &RecoveryPolicy::fast_test());
+        let res = fault_frame(&cfg, &p, &plan, &RecoveryPolicy::fast_test());
         std::fs::remove_file(&p).ok();
         match res {
             Ok(ft) => {
@@ -248,7 +243,7 @@ proptest! {
         let p = tmp(&format!("prop-{seed}-{nprocs}.raw"));
         write_dataset(&p, &cfg).unwrap();
         let plan = FaultPlan::sample(seed, nprocs, 8);
-        let res = fault_frame(&cfg, &p, mpi_driver(), &plan, &RecoveryPolicy::fast_test());
+        let res = fault_frame(&cfg, &p, &plan, &RecoveryPolicy::fast_test());
         std::fs::remove_file(&p).ok();
         match res {
             Ok(ft) => {
