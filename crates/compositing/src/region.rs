@@ -88,11 +88,6 @@ impl ImagePartition {
         PixelRect::new(x0, y0, x1 - x0, y1 - y0)
     }
 
-    /// Bytes of compositor `c`'s region on the wire.
-    pub fn tile_bytes(&self, c: usize) -> u64 {
-        self.tile(c).num_pixels() as u64 * crate::WIRE_BYTES_PER_PIXEL
-    }
-
     /// The compositor owning pixel `(x, y)`.
     pub fn owner_of(&self, x: usize, y: usize) -> usize {
         debug_assert!(x < self.width && y < self.height);

@@ -6,23 +6,23 @@
 //! waits. Its future-work section points at overlapping time steps:
 //! while frame `t` renders and composites, frame `t+1`'s subvolumes can
 //! already be streaming off the parallel file system. [`run_animation`]
-//! does exactly that, on both executors, reusing the stage graph of
-//! [`crate::scheduler::drive_frame`] unchanged:
+//! does exactly that, on both executors, running each frame through
+//! the same code [`crate::scheduler::drive_frame`] does:
 //!
 //! * **rayon** — one background [`Prefetch`] thread reads the next
 //!   time step's file through the same two-phase plan while the current
-//!   frame runs; the frame then starts from [`FrameInput::Prefetched`]
-//!   bytes.
+//!   frame runs; the frame function then starts from the prefetched
+//!   bytes instead of reading the file.
 //! * **message passing** — *one* `pvr-mpisim` world spans the whole
 //!   animation (`scheduler::run_world`, the launcher a single
 //!   frame also goes through). Each rank walks the frames in order;
 //!   message tags move up one [`crate::scheduler::EPOCH_STRIDE`] epoch
 //!   per time step ([`crate::scheduler::FrameTags`]), so in-flight
-//!   traffic of adjacent frames can never collide. An after-`Read` hook
-//!   launches the next
-//!   frame's window prefetch (`pvr_pfs::read_extents` over the rank's
-//!   window extents) the moment the current read hands off — file reads
-//!   only, no communication, so the protocol is untouched.
+//!   traffic of adjacent frames can never collide. A hook each rank runs
+//!   after its read launches the next frame's window prefetch
+//!   (`pvr_pfs::read_extents` over the rank's window extents) the moment
+//!   the current read hands off — file reads only, no communication, so
+//!   the protocol is untouched.
 //!
 //! Memory stays bounded: at most one prefetch is in flight per rank, so
 //! the animation holds at most **2×** one time step's subvolumes (the
@@ -34,6 +34,9 @@
 //! crash while frame `t+1` is already prefetched affects frame `t`
 //! only — the prefetched bytes belong to a healthy later epoch. The
 //! rayon executor has no rank to lose and refuses fault plans.
+//!
+//! Animations keep no flight recorder: each frame's SLO verdict is in
+//! its [`FrameResult`]'s timing.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -41,14 +44,13 @@ use std::time::Instant;
 
 use pvr_compositing::completeness::CompletenessMap;
 use pvr_faults::{FaultPlan, RecoveryPolicy};
-use pvr_obs::{Args, Tracer};
+use pvr_obs::{Args, FlightRecorder, Tracer};
 use pvr_pfs::{IoThrottle, Prefetch};
 
 use crate::config::FrameConfig;
 use crate::pipeline::{read_frame_bytes, write_dataset, FrameError, FrameResult};
 use crate::scheduler::{
-    assemble_frame, execute, run_world, FrameFaults, FrameInput, FrameShared, RayonExec,
-    FAULTS_NEED_MPI,
+    assemble_frame, rayon_frame, run_world, FrameFaults, FrameInput, FrameShared, FAULTS_NEED_MPI,
 };
 
 /// Which executor runs the animation.
@@ -93,10 +95,6 @@ pub struct AnimOptions {
     /// Wall-clock span tracer (rayon executor only): frame spans per
     /// rank track, prefetch reads on their own track.
     pub tracer: Tracer,
-    /// Always-on flight recorder: each frame's SLO verdict, incidents,
-    /// and anomaly dumps are mirrored onto it (both executors). The
-    /// default disabled recorder costs nothing.
-    pub flight: pvr_obs::FlightRecorder,
     /// Worker threads for the in-frame stages (decode, render,
     /// composite) on the rayon executor; `0` means one per available
     /// core. Separate from [`AnimOptions::prefetch_threads`] so the
@@ -117,7 +115,6 @@ impl AnimOptions {
             throttle: None,
             faults: None,
             tracer: Tracer::disabled(),
-            flight: pvr_obs::FlightRecorder::disabled(),
             render_threads: 0,
             prefetch_threads: 0,
         }
@@ -152,12 +149,6 @@ impl AnimOptions {
     /// Trace the rayon executor's spans.
     pub fn traced(mut self, tracer: &Tracer) -> AnimOptions {
         self.tracer = tracer.clone();
-        self
-    }
-
-    /// Mirror per-frame verdicts and anomaly dumps onto `flight`.
-    pub fn with_flight(mut self, flight: &pvr_obs::FlightRecorder) -> AnimOptions {
-        self.flight = flight.clone();
         self
     }
 
@@ -293,11 +284,10 @@ fn run_rayon(
             .expect("prefetch pool"),
     );
     let shared = Arc::new(FrameShared::new(cfg));
-    // One frame on the render pool; the executor mirrors its verdict
-    // onto the flight recorder, one frame per tick.
+    let flight = FlightRecorder::disabled();
     let mut run = |input: FrameInput, throttle| {
-        let exec = RayonExec::new(cfg, &shared, input, tracer, throttle, &opts.flight);
-        let result = render_pool.install(|| pvr_mpisim::block_on_ready(execute(exec)))?;
+        let frame = || rayon_frame(cfg, &shared, input, tracer, throttle, &flight);
+        let result = render_pool.install(frame)?;
         frames.push(AnimFrame {
             result,
             completeness: None,
@@ -378,6 +368,7 @@ fn run_mpi(
     let t0 = Instant::now();
     let shared = FrameShared::new(cfg);
     let (throttle, pipelined) = (opts.throttle, opts.pipelined);
+    let flight = FlightRecorder::disabled();
     let out = run_world(cfg, &shared, paths, faults, run_opts, throttle, pipelined)?;
     // Assemble each frame exactly as the single-frame driver would.
     let frames = out
@@ -386,7 +377,7 @@ fn run_mpi(
         .enumerate()
         .map(|(t, col)| {
             let (result, completeness) =
-                assemble_frame(cfg, &shared, col, faults.map(|f| &f[t]), None, &opts.flight);
+                assemble_frame(cfg, &shared, col, faults.map(|f| &f[t]), None, &flight);
             AnimFrame {
                 result,
                 completeness,

@@ -44,8 +44,6 @@ pub use pipeline::{
 };
 pub use recovery::{adopter_of, effective_policy, HealDecision, RecoveryBudget};
 pub use roles::{bgp_io_nodes, compositor_rank, laptop_aggregators};
-pub use scheduler::{
-    drive_frame, DriveOutput, Driver, FrameShared, FrameTags, StageId, EPOCH_STRIDE,
-};
+pub use scheduler::{drive_frame, DriveOutput, Driver, FrameShared, FrameTags, EPOCH_STRIDE};
 pub use slo::{stage_budgets, FrameSlo, Verdict};
 pub use timing::FrameTiming;

@@ -1,14 +1,14 @@
 //! The frame scheduler: [`drive_frame`] is the one way to run a frame.
 //!
 //! The pipeline is a fixed chain of stages — read → render → composite
-//! → gather ([`StageId`]) — sequenced by [`execute`] over a
-//! [`StageExec`] that owns the stage bodies and the data handoffs.
-//! A frame is configured along independent axes, all of them on
-//! [`Driver`]:
+//! → gather — and each executor runs it as plain code. A frame is
+//! configured along independent axes, all of them on [`Driver`]:
 //!
-//! * **Executor**: data-parallel rayon ([`RayonExec`],
-//!   [`Driver::rayon`]) or per-rank message passing ([`RankExec`] inside
-//!   a `pvr-mpisim` world, [`Driver::mpi`]).
+//! * **Executor**: data-parallel rayon ([`Driver::rayon`]: one function,
+//!   `rayon_frame`, reads, renders and composites in order) or per-rank
+//!   message passing ([`Driver::mpi`]: inside a `pvr-mpisim` world each
+//!   rank's [`RankExec`] awaits its four stage bodies in order and stops
+//!   at the first one that crashes the rank).
 //! * **Faults** ([`Driver::faults`]): a `FaultPlan` and the
 //!   `RecoveryPolicy` that answers it, on the message-passing executor,
 //!   which runs its one protocol (below) over acked links and reports
@@ -80,7 +80,7 @@ use pvr_pfs::{
     StripedStore, WindowAudit,
 };
 use pvr_render::image::{Image, PixelRect, SubImage};
-use pvr_render::raycast::{footprint, render_block, BlockDomain, RenderOpts};
+use pvr_render::raycast::{footprint, render_block, BlockDomain, RenderOpts, RenderStats};
 use pvr_render::{Camera, TransferFunction};
 use pvr_volume::BlockDecomposition;
 
@@ -95,88 +95,6 @@ use crate::recovery::{adopter_of, effective_policy, heal_costs, HealDecision, Re
 use crate::roles::{compositor_rank, laptop_aggregators};
 use crate::slo::{stage_budgets, SloInput};
 use crate::timing::{FrameTiming, Stopwatch};
-
-// ---------------------------------------------------------------------
-// Stage chain
-// ---------------------------------------------------------------------
-
-/// One stage of the frame pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StageId {
-    /// Collective (or independent) read of the time step's subvolumes.
-    Read,
-    /// Local ray-casting of each rank's block.
-    Render,
-    /// Direct-send fragment exchange and per-tile blending.
-    Composite,
-    /// Tile gather to rank 0 into the final image.
-    Gather,
-}
-
-impl StageId {
-    pub const ALL: [StageId; 4] = [
-        StageId::Read,
-        StageId::Render,
-        StageId::Composite,
-        StageId::Gather,
-    ];
-
-    /// The `FaultPlan` stage a rank fault at this point belongs to.
-    /// Gather rides on the composite deadline machinery and has no
-    /// fault index of its own — plans written against the old
-    /// three-stage executor keep their meaning.
-    pub fn fault_stage(self) -> Option<Stage> {
-        match self {
-            StageId::Read => Some(Stage::Io),
-            StageId::Render => Some(Stage::Render),
-            StageId::Composite => Some(Stage::Composite),
-            StageId::Gather => None,
-        }
-    }
-}
-
-/// One frame's worth of stage execution on some executor. The scheduler
-/// owns the sequencing; the executor owns the stage bodies and the data
-/// handoffs between them.
-pub trait StageExec: Sized {
-    type Out;
-
-    /// Called once before the first stage.
-    fn begin(&mut self) {}
-
-    /// Run one stage. `Break` aborts the remaining stages (a crashed
-    /// rank); [`StageExec::finish`] still runs. Async so the
-    /// message-passing executor can await virtual-time events mid-stage;
-    /// the rayon executor's stages complete without ever suspending.
-    fn stage(&mut self, stage: StageId) -> impl std::future::Future<Output = ControlFlow<()>>;
-
-    /// Consume the executor and produce the frame's output.
-    fn finish(self) -> Self::Out;
-}
-
-/// Drive an executor through the stage chain. Futures from executors
-/// that never suspend (rayon) resolve in one poll —
-/// `pvr_mpisim::block_on_ready` runs them from sync contexts.
-pub async fn execute<E: StageExec>(exec: E) -> E::Out {
-    execute_with(exec, |_, _| {}).await
-}
-
-/// [`execute`] with a hook after each completed stage — the animation
-/// driver uses it to launch the next frame's I/O prefetch as soon as
-/// the current frame's read hands off, without owning the stage loop.
-pub async fn execute_with<E: StageExec>(
-    mut exec: E,
-    mut after: impl FnMut(&mut E, StageId),
-) -> E::Out {
-    exec.begin();
-    for s in StageId::ALL {
-        match exec.stage(s).await {
-            ControlFlow::Continue(()) => after(&mut exec, s),
-            ControlFlow::Break(()) => break,
-        }
-    }
-    exec.finish()
-}
 
 // ---------------------------------------------------------------------
 // Tag epochs
@@ -339,7 +257,7 @@ impl FaultInjector for EpochInjector {
 // ---------------------------------------------------------------------
 
 /// Where a rayon frame's volume data comes from.
-pub enum FrameInput<'a> {
+pub(crate) enum FrameInput<'a> {
     /// Sample the synthetic field procedurally (no I/O).
     Synthetic,
     /// Read the dataset file in the Read stage.
@@ -355,217 +273,132 @@ pub enum FrameInput<'a> {
     },
 }
 
-/// The data-parallel executor: logical ranks, shared address space,
-/// rayon inside each stage. One instance runs one frame.
-pub struct RayonExec<'a> {
-    cfg: &'a FrameConfig,
-    shared: &'a FrameShared,
-    tracer: &'a Tracer,
-    flight: &'a FlightRecorder,
-    input: Option<FrameInput<'a>>,
+/// One data-parallel frame: logical ranks in one address space, rayon
+/// inside each stage. Reads, renders and composites in order; direct
+/// send already pastes tiles into the final image, so there is no
+/// gather to run.
+pub(crate) fn rayon_frame(
+    cfg: &FrameConfig,
+    shared: &FrameShared,
+    input: FrameInput<'_>,
+    tracer: &Tracer,
     throttle: Option<IoThrottle>,
-    t0: Instant,
-    sw: Stopwatch,
-    timing: FrameTiming,
-    io: IoRunStats,
-    volumes: Vec<pvr_volume::Volume>,
-    subs: Vec<SubImage>,
-    render_stats: pvr_render::raycast::RenderStats,
-    composited: Option<(Image, DirectSendStats)>,
-    error: Option<FrameError>,
-}
-
-impl<'a> RayonExec<'a> {
-    pub fn new(
-        cfg: &'a FrameConfig,
-        shared: &'a FrameShared,
-        input: FrameInput<'a>,
-        tracer: &'a Tracer,
-        throttle: Option<IoThrottle>,
-        flight: &'a FlightRecorder,
-    ) -> RayonExec<'a> {
-        RayonExec {
-            cfg,
-            shared,
-            tracer,
-            flight,
-            input: Some(input),
-            throttle,
-            t0: Instant::now(),
-            sw: Stopwatch::start(),
-            timing: FrameTiming::default(),
-            io: IoRunStats::default(),
-            volumes: Vec::new(),
-            subs: Vec::new(),
-            render_stats: pvr_render::raycast::RenderStats::default(),
-            composited: None,
-            error: None,
+    flight: &FlightRecorder,
+) -> Result<FrameResult, FrameError> {
+    flight.begin_frame();
+    if tracer.enabled() {
+        for r in 0..cfg.nprocs {
+            tracer.name_track(r as u32, &format!("rank {r}"));
         }
     }
-}
+    tracer.begin_args(0, "frame", pvr_obs::Args::one("ranks", cfg.nprocs as u64));
+    let t0 = Instant::now();
+    let mut sw = Stopwatch::start();
+    let mut timing = FrameTiming::default();
 
-impl RayonExec<'_> {
-    /// Fill `volumes` and `io` from the frame's input. Returns the
-    /// seconds a background read already spent on it.
-    fn read_input(&mut self) -> Result<f64, FrameError> {
-        let (cfg, stored) = (self.cfg, &self.shared.stored);
-        let (bytes, io, io_secs) = match self.input.take().expect("input consumed once") {
-            FrameInput::Synthetic => {
-                self.volumes = synthesize_stage(cfg, stored);
-                return Ok(0.0);
-            }
-            FrameInput::File(p) => {
-                let read = read_frame_bytes(cfg, stored, p, self.tracer, self.throttle);
-                let (bytes, io) = read.map_err(|e| FrameError::io(p, e))?;
-                (bytes, io, 0.0)
-            }
-            FrameInput::Prefetched { bytes, io, io_secs } => (bytes, io, io_secs),
-        };
-        self.volumes = decode_rank_bytes(cfg, stored, &bytes);
-        self.io = io;
-        Ok(io_secs)
-    }
-}
-
-impl StageExec for RayonExec<'_> {
-    type Out = Result<FrameResult, FrameError>;
-
-    fn begin(&mut self) {
-        let cfg = self.cfg;
-        self.flight.begin_frame();
-        if self.tracer.enabled() {
-            for r in 0..cfg.nprocs {
-                self.tracer.name_track(r as u32, &format!("rank {r}"));
-            }
-        }
-        self.tracer
-            .begin_args(0, "frame", pvr_obs::Args::one("ranks", cfg.nprocs as u64));
-        self.t0 = Instant::now();
-        self.sw = Stopwatch::start();
-    }
-
-    async fn stage(&mut self, stage: StageId) -> ControlFlow<()> {
-        let cfg = self.cfg;
-        match stage {
-            StageId::Read => {
-                self.timing.starts[0] = self.t0.elapsed().as_secs_f64();
-                self.tracer.begin(0, "io");
-                let io_secs = match self.read_input() {
-                    Ok(secs) => secs,
-                    Err(e) => {
-                        self.tracer.end(0, "io");
-                        self.error = Some(e);
-                        return ControlFlow::Break(());
-                    }
-                };
-                self.tracer.end_args(
-                    0,
-                    "io",
-                    pvr_obs::Args::one("useful_bytes", self.io.useful_bytes),
-                );
-                // A prefetched frame charges the background read's real
-                // duration, not the (near-zero) in-frame decode wait.
-                self.timing.io = io_secs + self.sw.lap();
-            }
-            StageId::Render => {
-                self.timing.starts[1] = self.t0.elapsed().as_secs_f64();
-                self.tracer.begin(0, "render");
-                let (shared, tracer) = (self.shared, self.tracer);
-                let rendered: Vec<(SubImage, pvr_render::raycast::RenderStats)> = self
-                    .volumes
-                    .par_iter()
-                    .enumerate()
-                    .map(|(rank, vol)| {
-                        let dom = shared.domain(cfg, rank);
-                        tracer.begin(rank as u32, "render.block");
-                        let (sub, stats) =
-                            render_block(vol, &dom, &shared.camera, &shared.tf, &shared.ropts);
-                        tracer.end_args(
-                            rank as u32,
-                            "render.block",
-                            pvr_obs::Args::two("samples", stats.samples, "rays", stats.rays),
-                        );
-                        (sub, stats)
-                    })
-                    .collect();
-                self.timing.render = self.sw.lap();
-                for (sub, stats) in rendered {
-                    self.render_stats.merge(&stats);
-                    self.subs.push(sub);
-                }
-                let rs = &self.render_stats;
-                self.tracer.end_args(
-                    0,
-                    "render",
-                    pvr_obs::Args::three(
-                        "samples",
-                        rs.samples,
-                        "packets",
-                        rs.packets,
-                        "terminated_rays",
-                        rs.terminated_rays,
-                    ),
-                );
-                self.volumes.clear();
-            }
-            StageId::Composite => {
-                self.timing.starts[2] = self.t0.elapsed().as_secs_f64();
-                self.tracer.begin(0, "composite");
-                let out = pvr_compositing::composite_direct_send_traced(
-                    &self.subs,
-                    self.shared.partition,
-                    self.tracer,
-                );
-                self.tracer.end_args(
-                    0,
-                    "composite",
-                    pvr_obs::Args::one("messages", out.1.messages as u64),
-                );
-                self.timing.composite = self.sw.lap();
-                self.composited = Some(out);
-            }
-            // Direct-send already pastes tiles into the final image; the
-            // shared-address-space gather is that paste.
-            StageId::Gather => {}
-        }
-        ControlFlow::Continue(())
-    }
-
-    fn finish(self) -> Self::Out {
-        self.tracer.end(0, "frame");
-        if let Some(e) = self.error {
+    timing.starts[0] = t0.elapsed().as_secs_f64();
+    tracer.begin(0, "io");
+    let (volumes, io, io_secs) = match read_input(cfg, &shared.stored, input, tracer, throttle) {
+        Ok(read) => read,
+        Err(e) => {
+            tracer.end(0, "io");
+            tracer.end(0, "frame");
             return Err(e);
         }
-        let mut timing = self.timing;
-        timing.wall = self.t0.elapsed().as_secs_f64();
-        // The shared address space has no per-rank stage decomposition
-        // and no rank to lose: the frame-level stage times gate.
-        let slo = crate::slo::evaluate(&SloInput {
-            budgets: stage_budgets(self.cfg, &self.shared.schedule),
-            stage_secs: [timing.io, timing.render, timing.composite],
-            per_rank: &[],
-            incidents: &[],
-        });
-        crate::slo::record_frame_flight(self.flight, &slo, &[], &timing.recovery);
-        timing.slo = Some(slo);
-        let (image, composite) = self.composited.expect("composite stage ran");
-        let frame = FrameResult::new(image, timing, self.io, &self.render_stats, composite);
-        Ok(frame)
+    };
+    tracer.end_args(0, "io", pvr_obs::Args::one("useful_bytes", io.useful_bytes));
+    // A prefetched frame charges the background read's real duration,
+    // not the (near-zero) in-frame decode wait.
+    timing.io = io_secs + sw.lap();
+
+    timing.starts[1] = t0.elapsed().as_secs_f64();
+    tracer.begin(0, "render");
+    let rendered: Vec<(SubImage, RenderStats)> = volumes
+        .par_iter()
+        .enumerate()
+        .map(|(rank, vol)| {
+            let dom = shared.domain(cfg, rank);
+            tracer.begin(rank as u32, "render.block");
+            let (sub, stats) = render_block(vol, &dom, &shared.camera, &shared.tf, &shared.ropts);
+            tracer.end_args(
+                rank as u32,
+                "render.block",
+                pvr_obs::Args::two("samples", stats.samples, "rays", stats.rays),
+            );
+            (sub, stats)
+        })
+        .collect();
+    timing.render = sw.lap();
+    let mut render = RenderStats::default();
+    let mut subs = Vec::with_capacity(rendered.len());
+    for (sub, stats) in rendered {
+        render.merge(&stats);
+        subs.push(sub);
     }
+    tracer.end_args(
+        0,
+        "render",
+        pvr_obs::Args::three(
+            "samples",
+            render.samples,
+            "packets",
+            render.packets,
+            "terminated_rays",
+            render.terminated_rays,
+        ),
+    );
+    drop(volumes);
+
+    timing.starts[2] = t0.elapsed().as_secs_f64();
+    tracer.begin(0, "composite");
+    let (image, composite) =
+        pvr_compositing::composite_direct_send_traced(&subs, shared.partition, tracer);
+    let messages = composite.messages as u64;
+    tracer.end_args(0, "composite", pvr_obs::Args::one("messages", messages));
+    timing.composite = sw.lap();
+
+    tracer.end(0, "frame");
+    timing.wall = t0.elapsed().as_secs_f64();
+    // The shared address space has no per-rank stage decomposition and
+    // no rank to lose: the frame-level stage times gate.
+    let slo = crate::slo::evaluate(&SloInput {
+        budgets: stage_budgets(cfg, &shared.schedule),
+        stage_secs: [timing.io, timing.render, timing.composite],
+        per_rank: &[],
+        incidents: &[],
+    });
+    crate::slo::record_frame_flight(flight, &slo, &[], &timing.recovery);
+    timing.slo = Some(slo);
+    Ok(FrameResult::new(image, timing, io, &render, composite))
 }
 
-/// Decode per-rank on-disk-order byte buffers into volumes.
-fn decode_rank_bytes(
+/// A rayon frame's volumes and I/O stats from its input, plus the
+/// seconds a background read already spent on them.
+fn read_input(
     cfg: &FrameConfig,
     stored: &[Subvolume],
-    bytes: &[Vec<u8>],
-) -> Vec<pvr_volume::Volume> {
-    let layout = cfg.io.layout(cfg.grid);
-    bytes
+    input: FrameInput<'_>,
+    tracer: &Tracer,
+    throttle: Option<IoThrottle>,
+) -> Result<(Vec<pvr_volume::Volume>, IoRunStats, f64), FrameError> {
+    let (bytes, io, io_secs) = match input {
+        FrameInput::Synthetic => {
+            return Ok((synthesize_stage(cfg, stored), IoRunStats::default(), 0.0));
+        }
+        FrameInput::File(p) => {
+            let read = read_frame_bytes(cfg, stored, p, tracer, throttle);
+            let (bytes, io) = read.map_err(|e| FrameError::io(p, e))?;
+            (bytes, io, 0.0)
+        }
+        FrameInput::Prefetched { bytes, io, io_secs } => (bytes, io, io_secs),
+    };
+    let endian = cfg.io.layout(cfg.grid).endian();
+    let volumes = bytes
         .par_iter()
         .zip(stored)
-        .map(|(b, sub)| decode_volume(b, sub, layout.endian()))
-        .collect()
+        .map(|(b, sub)| decode_volume(b, sub, endian))
+        .collect();
+    Ok((volumes, io, io_secs))
 }
 
 // ---------------------------------------------------------------------
@@ -779,7 +612,7 @@ pub struct RankOut {
     pub timing: FrameTiming,
     /// This rank's render-kernel statistics (samples, skips, packets,
     /// lane utilization, early terminations, bounded-error bound).
-    pub render: pvr_render::raycast::RenderStats,
+    pub render: RenderStats,
     /// Honest wire bytes this rank sent (per fragment, the cheaper of
     /// the dense and sparse encodings).
     pub sent_bytes: u64,
@@ -858,8 +691,8 @@ struct Recovery<'a> {
 }
 
 /// One rank's frame on the message-passing executor: one body per
-/// stage, whether or not the frame carries a fault plan (module docs);
-/// the stage sequence itself lives only in [`execute`].
+/// stage, whether or not the frame carries a fault plan (module docs),
+/// run in order by `RankExec::run`.
 pub struct RankExec<'a> {
     comm: &'a mut pvr_mpisim::Comm,
     cfg: &'a FrameConfig,
@@ -876,7 +709,6 @@ pub struct RankExec<'a> {
     t0: Instant,
     /// What this rank hands back, filled in as the stages run.
     out: RankOut,
-    crashed: bool,
     /// The frame description every rank reads its slices from.
     shared: &'a FrameShared,
     file: &'a FilePlan,
@@ -931,7 +763,6 @@ impl<'a> RankExec<'a> {
             sw: Stopwatch::start(),
             t0: Instant::now(),
             out: RankOut::default(),
-            crashed: false,
             shared,
             file,
             volume: None,
@@ -1016,23 +847,21 @@ impl<'a> RankExec<'a> {
 
     /// Open a stage: its start offset, its span, and the rank fault the
     /// plan pins here. `Break` when this rank crashes; the span
-    /// bookkeeping of the abandoned frame is already done.
-    async fn stage_begin(&mut self, stage: StageId, span: &'static str) -> ControlFlow<()> {
-        self.out.timing.starts[stage as usize] = self.t0.elapsed().as_secs_f64();
+    /// bookkeeping of the abandoned frame is already done. The gather
+    /// opens no stage of its own: it rides on the composite stage's
+    /// deadlines and has no fault index.
+    async fn stage_begin(&mut self, stage: Stage, span: &'static str) -> ControlFlow<()> {
+        self.out.timing.starts[stage.index()] = self.t0.elapsed().as_secs_f64();
         self.comm.span_begin(span);
         let rank = self.comm.rank();
-        let action = stage
-            .fault_stage()
-            .and_then(|fs| self.planned(|f| f.plan.rank_fault(rank, fs)));
-        match action {
+        match self.planned(|f| f.plan.rank_fault(rank, stage)) {
             Some(RankAction::Crash) => {
-                self.comm.mark_instant("rank.crash", stage as u64);
+                self.comm.mark_instant("rank.crash", stage.index() as u64);
                 self.comm.span_end(span);
                 self.comm.span_end("frame");
-                if stage == StageId::Read {
+                if stage == Stage::Io {
                     self.out.timing.io = self.sw.lap();
                 }
-                self.crashed = true;
                 return ControlFlow::Break(());
             }
             // Straggles cost simulated seconds, not wall clock: the
@@ -1067,7 +896,7 @@ impl<'a> RankExec<'a> {
     // --- Read stage ------------------------------------------------
 
     async fn stage_read(&mut self) -> ControlFlow<()> {
-        self.stage_begin(StageId::Read, "io").await?;
+        self.stage_begin(Stage::Io, "io").await?;
         let file = self.file;
         let bytes = if let Some(sp) = &file.scatter {
             self.scatter(sp, &file.requests).await
@@ -1253,7 +1082,7 @@ impl<'a> RankExec<'a> {
     // --- Render stage ----------------------------------------------
 
     async fn stage_render(&mut self) -> ControlFlow<()> {
-        self.stage_begin(StageId::Render, "render").await?;
+        self.stage_begin(Stage::Render, "render").await?;
         let shared = self.shared;
         let dom = shared.domain(self.cfg, self.comm.rank());
         let volume = self.volume.take().expect("read stage ran");
@@ -1431,7 +1260,7 @@ impl<'a> RankExec<'a> {
     }
 
     async fn stage_composite(&mut self) -> ControlFlow<()> {
-        self.stage_begin(StageId::Composite, "composite").await?;
+        self.stage_begin(Stage::Composite, "composite").await?;
         let rank = self.comm.rank();
         let shared = self.shared;
         let partition = shared.partition;
@@ -1622,26 +1451,23 @@ impl<'a> RankExec<'a> {
     }
 }
 
-impl StageExec for RankExec<'_> {
-    type Out = RankOut;
-
-    fn begin(&mut self) {
+impl RankExec<'_> {
+    /// Run this rank's frame: read, render, composite and gather in
+    /// order, stopping at the first stage that crashes the rank.
+    /// `after_read` runs once the read has handed off — `run_world`
+    /// launches the next frame's prefetch from it.
+    async fn run(mut self, after_read: impl FnOnce(&Self)) -> RankOut {
         self.sw = Stopwatch::start();
         self.t0 = Instant::now();
         self.comm.span_begin("frame");
-    }
-
-    async fn stage(&mut self, stage: StageId) -> ControlFlow<()> {
-        match stage {
-            StageId::Read => self.stage_read().await,
-            StageId::Render => self.stage_render().await,
-            StageId::Composite => self.stage_composite().await,
-            StageId::Gather => self.stage_gather().await,
-        }
-    }
-
-    fn finish(mut self) -> RankOut {
-        if self.crashed {
+        let stages = async {
+            self.stage_read().await?;
+            after_read(&self);
+            self.stage_render().await?;
+            self.stage_composite().await?;
+            self.stage_gather().await
+        };
+        if stages.await.is_break() {
             self.out.counters.crashed_ranks += 1;
             return self.out;
         }
@@ -1784,7 +1610,7 @@ pub(crate) fn assemble_frame(
     for (rank, r) in results.iter().enumerate() {
         crate::slo::counter_incidents(rank, &r.counters, &mut incidents);
     }
-    let mut render = pvr_render::raycast::RenderStats::default();
+    let mut render = RenderStats::default();
     for r in &results {
         render.merge(&r.render);
     }
@@ -1935,20 +1761,21 @@ pub(crate) fn run_world<P: AsRef<Path> + Sync>(
                 shared,
                 file,
             );
-            let rank_out = execute_with(exec, |e, s| {
-                if pipelined && s == StageId::Read && t + 1 < nf {
-                    let extents = e.my_window_extents().to_vec();
-                    if !extents.is_empty() {
-                        let path = paths[t + 1].as_ref().to_path_buf();
-                        pending = Some(Prefetch::spawn(move || {
-                            let started = Instant::now();
-                            let bufs = read_extents(&path, &extents, throttle)?;
-                            Ok((bufs, started.elapsed().as_secs_f64()))
-                        }));
+            let rank_out = exec
+                .run(|e| {
+                    if pipelined && t + 1 < nf {
+                        let extents = e.my_window_extents().to_vec();
+                        if !extents.is_empty() {
+                            let path = paths[t + 1].as_ref().to_path_buf();
+                            pending = Some(Prefetch::spawn(move || {
+                                let started = Instant::now();
+                                let bufs = read_extents(&path, &extents, throttle)?;
+                                Ok((bufs, started.elapsed().as_secs_f64()))
+                            }));
+                        }
                     }
-                }
-            })
-            .await;
+                })
+                .await;
             // A crashed rank skips its remaining stages (and never
             // spawns a prefetch), then rejoins at the next epoch's
             // tags with a live read — only its own frame degrades.
@@ -2006,8 +1833,7 @@ pub fn drive_frame(
             let shared = FrameShared::new(cfg);
             let input = path.map_or(FrameInput::Synthetic, FrameInput::File);
             let (tracer, flight) = (&driver.tracer, &driver.flight);
-            let exec = RayonExec::new(cfg, &shared, input, tracer, None, flight);
-            let frame = pvr_mpisim::block_on_ready(execute(exec))?;
+            let frame = rayon_frame(cfg, &shared, input, tracer, None, flight)?;
             Ok(DriveOutput {
                 frame,
                 completeness: None,
@@ -2222,14 +2048,6 @@ mod tests {
         ] {
             assert!(msg.contains(needle), "{needle:?} missing from: {msg}");
         }
-    }
-
-    #[test]
-    fn fault_stage_mapping_preserves_plan_indices() {
-        assert_eq!(StageId::Read.fault_stage(), Some(Stage::Io));
-        assert_eq!(StageId::Render.fault_stage(), Some(Stage::Render));
-        assert_eq!(StageId::Composite.fault_stage(), Some(Stage::Composite));
-        assert_eq!(StageId::Gather.fault_stage(), None);
     }
 
     // --- fault frames: drive_frame + .faults(..) on the mpi executor ---

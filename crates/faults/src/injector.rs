@@ -11,7 +11,7 @@
 //! degrades to "the first `k` sends on this link".
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use pvr_mpisim::fault::{FaultInjector, SendFate};
 
@@ -36,11 +36,6 @@ impl PlanInjector {
             plan,
             sends: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// Convenience for [`pvr_mpisim::RunOptions::with_injector`].
-    pub fn arc(plan: FaultPlan) -> Arc<Self> {
-        Arc::new(Self::new(plan))
     }
 
     pub fn plan(&self) -> &FaultPlan {

@@ -31,7 +31,6 @@
 //! `Driver::faults` is the pipeline that consumes all three.
 
 pub mod injector;
-pub mod json;
 pub mod link;
 pub mod plan;
 pub mod recovery;

@@ -4,13 +4,13 @@
 //! a run: per-rank crash/straggle faults keyed to a pipeline stage,
 //! per-link message faults the transport injector enforces, and
 //! per-server storage faults the pfs layer prices and executes. Plans
-//! serialize to/from a small JSON dialect (hand-rolled here — the
-//! workspace builds with no registry access, so there is no serde), so
+//! serialize to/from a small JSON dialect (through the workspace's one
+//! JSON module, [`pvr_obs::json`]), so
 //! a failing configuration can be saved, attached to a bug report, and
 //! replayed bit-for-bit: all behaviour derives from `(seed, plan)`
 //! alone.
 
-use crate::json::{self, Json};
+use pvr_obs::json::{self, Json};
 
 /// Match a rank (or server) exactly or any.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -374,10 +374,9 @@ impl FaultPlan {
     /// Parse a plan serialized by [`FaultPlan::to_json`].
     pub fn from_json(text: &str) -> Result<FaultPlan, String> {
         let v = json::parse(text)?;
-        let obj = v.as_obj().ok_or("plan must be a JSON object")?;
-        let get = |k: &str| -> Option<&Json> { obj.iter().find(|(n, _)| n == k).map(|(_, v)| v) };
-        let seed = get("seed").and_then(Json::as_num).unwrap_or(0.0) as u64;
-
+        if v.as_obj().is_none() {
+            return Err("plan must be a JSON object".into());
+        }
         let parse_pat = |v: &Json| -> Result<Pat, String> {
             if let Some(n) = v.as_num() {
                 Ok(Pat::Is(n as usize))
@@ -387,84 +386,63 @@ impl FaultPlan {
                 Err(format!("bad pattern {v:?}"))
             }
         };
-        let field = |o: &[(String, Json)], k: &str| -> Result<Json, String> {
-            o.iter()
-                .find(|(n, _)| n == k)
-                .map(|(_, v)| v.clone())
-                .ok_or_else(|| format!("missing field {k}"))
-        };
-        let num_arg = |o: &[(String, Json)]| -> Result<f64, String> {
-            field(o, "arg")?
-                .as_num()
-                .ok_or("arg must be a number".into())
-        };
+        // A missing list is an empty one.
+        let items = |k: &str| v.get(k).and_then(Json::as_arr).unwrap_or_default();
 
         let mut plan = FaultPlan {
-            seed,
+            seed: v.get("seed").and_then(Json::as_num).unwrap_or(0.0) as u64,
             ..FaultPlan::default()
         };
-        if let Some(Json::Arr(items)) = get("ranks") {
-            for it in items {
-                let o = it.as_obj().ok_or("rank fault must be an object")?;
-                let rank = field(o, "rank")?.as_num().ok_or("rank must be a number")? as usize;
-                let stage = match field(o, "stage")?.as_str() {
-                    Some("io") => Stage::Io,
-                    Some("render") => Stage::Render,
-                    Some("composite") => Stage::Composite,
-                    other => return Err(format!("bad stage {other:?}")),
-                };
-                let action = match field(o, "action")?.as_str() {
-                    Some("crash") => RankAction::Crash,
-                    Some("straggle_ms") => RankAction::StraggleMs(num_arg(o)? as u64),
-                    other => return Err(format!("bad rank action {other:?}")),
-                };
-                plan.ranks.push(RankFault {
-                    rank,
-                    stage,
-                    action,
-                });
-            }
+        for o in items("ranks") {
+            let stage = match o.str_field("stage")? {
+                "io" => Stage::Io,
+                "render" => Stage::Render,
+                "composite" => Stage::Composite,
+                other => return Err(format!("bad stage {other:?}")),
+            };
+            let action = match o.str_field("action")? {
+                "crash" => RankAction::Crash,
+                "straggle_ms" => RankAction::StraggleMs(o.num_field("arg")? as u64),
+                other => return Err(format!("bad rank action {other:?}")),
+            };
+            plan.ranks.push(RankFault {
+                rank: o.num_field("rank")? as usize,
+                stage,
+                action,
+            });
         }
-        if let Some(Json::Arr(items)) = get("links") {
-            for it in items {
-                let o = it.as_obj().ok_or("link fault must be an object")?;
-                let src = parse_pat(&field(o, "src")?)?;
-                let dst = parse_pat(&field(o, "dst")?)?;
-                let tag = match field(o, "tag")? {
-                    Json::Str(s) if s == "any" => None,
-                    Json::Num(n) => Some(n as u32),
-                    other => return Err(format!("bad tag {other:?}")),
-                };
-                let action = match field(o, "action")?.as_str() {
-                    Some("drop_first") => LinkAction::DropFirst(num_arg(o)? as u32),
-                    Some("drop_all") => LinkAction::DropAll,
-                    Some("drop_prob") => LinkAction::DropProb(num_arg(o)?),
-                    Some("corrupt_first") => LinkAction::CorruptFirst(num_arg(o)? as u32),
-                    Some("delay_ms") => LinkAction::DelayMs(num_arg(o)? as u64),
-                    other => return Err(format!("bad link action {other:?}")),
-                };
-                plan.links.push(LinkFault {
-                    src,
-                    dst,
-                    tag,
-                    action,
-                });
-            }
+        for o in items("links") {
+            let tag = match o.field("tag")? {
+                Json::Str(s) if s == "any" => None,
+                Json::Num(n) => Some(*n as u32),
+                other => return Err(format!("bad tag {other:?}")),
+            };
+            let action = match o.str_field("action")? {
+                "drop_first" => LinkAction::DropFirst(o.num_field("arg")? as u32),
+                "drop_all" => LinkAction::DropAll,
+                "drop_prob" => LinkAction::DropProb(o.num_field("arg")?),
+                "corrupt_first" => LinkAction::CorruptFirst(o.num_field("arg")? as u32),
+                "delay_ms" => LinkAction::DelayMs(o.num_field("arg")? as u64),
+                other => return Err(format!("bad link action {other:?}")),
+            };
+            plan.links.push(LinkFault {
+                src: parse_pat(o.field("src")?)?,
+                dst: parse_pat(o.field("dst")?)?,
+                tag,
+                action,
+            });
         }
-        if let Some(Json::Arr(items)) = get("servers") {
-            for it in items {
-                let o = it.as_obj().ok_or("server fault must be an object")?;
-                let server = field(o, "server")?
-                    .as_num()
-                    .ok_or("server must be a number")? as usize;
-                let action = match field(o, "action")?.as_str() {
-                    Some("down") => ServerAction::Down,
-                    Some("bw_factor") => ServerAction::BandwidthFactor(num_arg(o)?),
-                    Some("extra_overhead_ms") => ServerAction::ExtraOverheadMs(num_arg(o)?),
-                    other => return Err(format!("bad server action {other:?}")),
-                };
-                plan.servers.push(ServerFault { server, action });
-            }
+        for o in items("servers") {
+            let action = match o.str_field("action")? {
+                "down" => ServerAction::Down,
+                "bw_factor" => ServerAction::BandwidthFactor(o.num_field("arg")?),
+                "extra_overhead_ms" => ServerAction::ExtraOverheadMs(o.num_field("arg")?),
+                other => return Err(format!("bad server action {other:?}")),
+            };
+            plan.servers.push(ServerFault {
+                server: o.num_field("server")? as usize,
+                action,
+            });
         }
         Ok(plan)
     }

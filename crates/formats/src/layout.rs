@@ -372,10 +372,6 @@ impl Hdf5LikeLayout {
         }
     }
 
-    pub fn chunk_dims(&self) -> [usize; 3] {
-        self.chunk
-    }
-
     /// Chunks per dimension (edge chunks padded).
     fn chunks_per_dim(&self) -> [usize; 3] {
         [

@@ -127,17 +127,6 @@ pub struct McStats {
     pub complete: bool,
 }
 
-impl McStats {
-    /// Fraction of the naive ordering space DPOR never had to run:
-    /// `1 - runs / naive_orderings` (0 when nothing was saved).
-    pub fn pruned_fraction(&self) -> f64 {
-        if self.naive_orderings <= 0.0 {
-            return 0.0;
-        }
-        (1.0 - self.runs as f64 / self.naive_orderings).max(0.0)
-    }
-}
-
 /// Why a trace failed.
 #[derive(Debug, Clone)]
 pub enum ViolationKind {

@@ -4,14 +4,13 @@
 //! wildcard receive to match — the same shape
 //! [`ReplayLog`](pvr_mpisim::trace::ReplayLog) records and
 //! [`GuidedSchedule`](pvr_mpisim::GuidedSchedule) forces. Violations
-//! are persisted as JSON (hand-rolled; the workspace builds with no
-//! registry access, so the small parser in `pvr-faults` is reused) so
-//! a failing exploration leaves behind a file a later session can load
-//! and replay without re-exploring anything.
+//! are persisted as JSON (through the workspace's one JSON module,
+//! [`pvr_obs::json`]) so a failing exploration leaves behind a file
+//! that can be loaded and replayed without re-exploring anything.
 
-use pvr_faults::json::{parse, Json};
 use pvr_mpisim::trace::ReplayLog;
 use pvr_mpisim::GuidedSchedule;
+use pvr_obs::json::{parse, Json};
 
 /// A wildcard-match schedule: `prefix[rank][i]` is the source rank
 /// `rank`'s `i`-th wildcard receive matches. When `complete` (see
@@ -62,28 +61,20 @@ impl Schedule {
     /// Parse what [`Schedule::to_json`] emits.
     pub fn from_json(text: &str) -> Result<Schedule, String> {
         let root = parse(text)?;
-        let obj = root.as_obj().ok_or("schedule: expected a JSON object")?;
-        let version = obj
-            .iter()
-            .find(|(k, _)| k == "version")
-            .and_then(|(_, v)| v.as_num())
-            .ok_or("schedule: missing version")?;
+        let version = root
+            .num_field("version")
+            .map_err(|e| format!("schedule: {e}"))?;
         if version != 1.0 {
             return Err(format!("schedule: unsupported version {version}"));
         }
-        let prefix_val = obj
-            .iter()
-            .find(|(k, _)| k == "prefix")
-            .map(|(_, v)| v)
-            .ok_or("schedule: missing prefix")?;
-        let Json::Arr(rows) = prefix_val else {
-            return Err("schedule: prefix must be an array".into());
-        };
+        let rows = root
+            .arr_field("prefix")
+            .map_err(|e| format!("schedule: {e}"))?;
         let mut prefix = Vec::with_capacity(rows.len());
         for (r, row) in rows.iter().enumerate() {
-            let Json::Arr(cells) = row else {
-                return Err(format!("schedule: prefix[{r}] must be an array"));
-            };
+            let cells = row
+                .as_arr()
+                .ok_or_else(|| format!("schedule: prefix[{r}] must be an array"))?;
             let mut out = Vec::with_capacity(cells.len());
             for c in cells {
                 let v = c

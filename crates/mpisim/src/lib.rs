@@ -131,7 +131,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::future::Future;
 use std::rc::Rc;
 use std::sync::Arc;
-use std::task::{Context, Poll, Waker};
+use std::task::Poll;
 use std::time::Duration;
 
 use trace::{Clock, MarkKind, ReplayLog, TraceEvent, TraceLog};
@@ -849,21 +849,6 @@ impl Comm {
         Some((src, data))
     }
 
-    /// Receive with `tag` from `src`, giving up after `timeout` (see
-    /// [`Comm::recv_any_timeout`]).
-    pub async fn recv_from_timeout(
-        &mut self,
-        src: usize,
-        tag: u32,
-        timeout: Duration,
-    ) -> Option<Vec<u8>> {
-        assert!(src < self.size, "recv from rank {src} of {}", self.size);
-        let env = self
-            .wait_match_until(Want::From(src), tag, Until::Timeout(timeout))
-            .await?;
-        Some(self.deliver(env, None))
-    }
-
     /// Non-blocking poll: take a pending message with `tag` from any
     /// source, or return `None` immediately.
     pub fn try_recv_any(&mut self, tag: u32) -> Option<(usize, Vec<u8>)> {
@@ -1118,24 +1103,6 @@ impl Comm {
             data
         } else {
             self.recv_from(root, tag).await
-        }
-    }
-
-    /// All-reduce a double with a binary op (gather-to-0 + bcast).
-    pub async fn allreduce_f64(&mut self, v: f64, op: impl Fn(f64, f64) -> f64, tag: u32) -> f64 {
-        let gathered = self.gather(0, v.to_le_bytes().to_vec(), tag).await;
-        if self.rank == 0 {
-            let all = gathered.unwrap();
-            let red = all
-                .into_iter()
-                .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte f64")))
-                .reduce(&op)
-                .unwrap();
-            self.bcast(0, red.to_le_bytes().to_vec(), tag + 1).await;
-            red
-        } else {
-            let b = self.bcast(0, Vec::new(), tag + 1).await;
-            f64::from_le_bytes(b.try_into().expect("8-byte f64"))
         }
     }
 
@@ -1433,21 +1400,6 @@ pub(crate) fn stall_report(st: &State, timeout: Duration, n: usize) -> String {
             blocked.join("; ")
         }
     )
-}
-
-/// Drive a future that must not park: used by non-simulated callers
-/// (the rayon executor, unit tests of async helpers) to run an async
-/// body to completion synchronously. Panics if the future actually
-/// parks — only event-core waits do, and those never run outside
-/// [`World::run_opts`].
-pub fn block_on_ready<T>(fut: impl Future<Output = T>) -> T {
-    let mut fut = std::pin::pin!(fut);
-    let waker = Waker::noop();
-    let mut cx = Context::from_waker(waker);
-    match fut.as_mut().poll(&mut cx) {
-        Poll::Ready(v) => v,
-        Poll::Pending => panic!("future parked outside an mpisim event loop"),
-    }
 }
 
 /// The SPMD runner.

@@ -78,17 +78,6 @@ fn bcast_delivers_everywhere() {
 }
 
 #[test]
-fn allreduce_max() {
-    let results = World::run(7, |mut comm| async move {
-        comm.allreduce_f64(comm.rank() as f64 * 1.5, f64::max, 100)
-            .await
-    });
-    for r in results {
-        assert_eq!(r, 9.0);
-    }
-}
-
-#[test]
 fn barrier_orders_phases() {
     use std::sync::atomic::{AtomicUsize, Ordering};
     static PHASE1: AtomicUsize = AtomicUsize::new(0);
@@ -639,9 +628,7 @@ mod ft_tests {
                 let got = comm.recv_from(1, 7).await;
                 got[0] as usize
             } else {
-                let _ = comm
-                    .recv_from_timeout(0, 9, Duration::from_millis(80))
-                    .await;
+                let _ = comm.recv_any_timeout(9, Duration::from_millis(80)).await;
                 comm.send(0, 7, vec![42]).await;
                 0
             }
@@ -669,10 +656,8 @@ mod ft_tests {
                     comm.send(1, 3, vec![2]).await; // delivered, seq 0
                     Vec::new()
                 } else {
-                    vec![
-                        comm.recv_from_timeout(0, 3, Duration::from_millis(200))
-                            .await,
-                    ]
+                    let got = comm.recv_any_timeout(3, Duration::from_millis(200)).await;
+                    vec![got.map(|(_, data)| data)]
                 }
             },
         )

@@ -401,14 +401,6 @@ impl LinkMatrix {
         self.bytes.iter().sum()
     }
 
-    /// The busiest link by bytes: `(from, to, bytes)`.
-    pub fn heaviest_link(&self) -> Option<(usize, usize, u64)> {
-        (0..self.n * self.n)
-            .filter(|&i| self.bytes[i] > 0)
-            .max_by_key(|&i| (self.bytes[i], std::cmp::Reverse(i)))
-            .map(|i| (i / self.n, i % self.n, self.bytes[i]))
-    }
-
     /// Messages received per rank (the fan-in the paper's C1 analysis
     /// cares about).
     pub fn in_degree(&self, to: usize) -> u64 {

@@ -7,9 +7,8 @@
 //! checker may compare it) — plus free-form [`Table`]s for the per-case
 //! detail rows that used to live in ad-hoc nested JSON. The writer is
 //! deterministic (fixed field order, stable float formatting), so a
-//! committed artifact diffs cleanly; the parser is a minimal
-//! recursive-descent JSON reader (this workspace builds offline — no
-//! serde anywhere).
+//! committed artifact diffs cleanly; the reader is the workspace's one
+//! JSON parser, [`crate::json`].
 //!
 //! Gate classes encode the measurement's nature at the point where it
 //! is produced, not in the checker:
@@ -20,6 +19,8 @@
 //!   tolerance band.
 //! * [`Gate::Info`] — wall-clock readings recorded for trend analysis
 //!   only; never gated (laptop CI machines are not benchmarking rigs).
+
+use crate::json::{self, Json, Quote};
 
 pub const SCHEMA: &str = "pvr-trajectory/v1";
 
@@ -39,7 +40,7 @@ impl Gate {
     fn render(self) -> String {
         match self {
             Gate::Exact => "exact".to_string(),
-            Gate::Rel(t) => format!("rel:{}", fmt_f64(t)),
+            Gate::Rel(t) => format!("rel:{}", Json::Num(t)),
             Gate::Info => "info".to_string(),
         }
     }
@@ -158,41 +159,34 @@ impl Trajectory {
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(1024);
         s.push_str("{\n");
-        s.push_str(&format!("  \"schema\": \"{}\",\n", esc(SCHEMA)));
-        s.push_str(&format!("  \"bench\": \"{}\",\n", esc(&self.bench)));
+        s.push_str(&format!("  \"schema\": {},\n", Quote(SCHEMA)));
+        s.push_str(&format!("  \"bench\": {},\n", Quote(&self.bench)));
         s.push_str("  \"metrics\": [\n");
         for (i, m) in self.metrics.iter().enumerate() {
             s.push_str(&format!(
-                "    {{\"key\": \"{}\", \"value\": {}, \"gate\": \"{}\"}}{}\n",
-                esc(&m.key),
-                fmt_f64(m.value),
-                esc(&m.gate.render()),
+                "    {{\"key\": {}, \"value\": {}, \"gate\": {}}}{}\n",
+                Quote(&m.key),
+                Json::Num(m.value),
+                Quote(&m.gate.render()),
                 if i + 1 < self.metrics.len() { "," } else { "" }
             ));
         }
         s.push_str("  ],\n");
         s.push_str("  \"tables\": [\n");
+        let quoted = |cells: &[String]| {
+            let cells: Vec<String> = cells.iter().map(|c| Quote(c).to_string()).collect();
+            cells.join(", ")
+        };
         for (ti, t) in self.tables.iter().enumerate() {
-            let header = t
-                .header
-                .iter()
-                .map(|h| format!("\"{}\"", esc(h)))
-                .collect::<Vec<_>>()
-                .join(", ");
             s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"header\": [{}], \"rows\": [\n",
-                esc(&t.name),
-                header
+                "    {{\"name\": {}, \"header\": [{}], \"rows\": [\n",
+                Quote(&t.name),
+                quoted(&t.header)
             ));
             for (ri, row) in t.rows.iter().enumerate() {
-                let cells = row
-                    .iter()
-                    .map(|c| format!("\"{}\"", esc(c)))
-                    .collect::<Vec<_>>()
-                    .join(", ");
                 s.push_str(&format!(
                     "      [{}]{}\n",
-                    cells,
+                    quoted(row),
                     if ri + 1 < t.rows.len() { "," } else { "" }
                 ));
             }
@@ -207,48 +201,38 @@ impl Trajectory {
 
     /// Parse a trajectory back from its JSON form.
     pub fn from_json(text: &str) -> Result<Trajectory, String> {
-        let v = Json::parse(text)?;
-        let obj = v.as_obj("trajectory")?;
-        let schema = get(obj, "schema")?.as_str("schema")?;
+        let v = json::parse(text)?;
+        let schema = v.str_field("schema")?;
         if schema != SCHEMA {
             return Err(format!("schema {schema:?}, expected {SCHEMA:?}"));
         }
-        let bench = get(obj, "bench")?.as_str("bench")?.to_string();
+        let strings = |items: &[Json], what: &str| {
+            let cell = |c: &Json| c.as_str().map(str::to_string);
+            let cells: Option<Vec<String>> = items.iter().map(cell).collect();
+            cells.ok_or_else(|| format!("{what}: expected strings"))
+        };
         let mut metrics = Vec::new();
-        for m in get(obj, "metrics")?.as_arr("metrics")? {
-            let mo = m.as_obj("metric")?;
+        for m in v.arr_field("metrics")? {
             metrics.push(Metric {
-                key: get(mo, "key")?.as_str("key")?.to_string(),
-                value: get(mo, "value")?.as_num("value")?,
-                gate: Gate::parse(get(mo, "gate")?.as_str("gate")?)?,
+                key: m.str_field("key")?.to_string(),
+                value: m.num_field("value")?,
+                gate: Gate::parse(m.str_field("gate")?)?,
             });
         }
         let mut tables = Vec::new();
-        for t in get(obj, "tables")?.as_arr("tables")? {
-            let to = t.as_obj("table")?;
-            let header = get(to, "header")?
-                .as_arr("header")?
-                .iter()
-                .map(|h| h.as_str("header cell").map(str::to_string))
-                .collect::<Result<Vec<_>, _>>()?;
-            let rows = get(to, "rows")?
-                .as_arr("rows")?
-                .iter()
-                .map(|row| {
-                    row.as_arr("row")?
-                        .iter()
-                        .map(|c| c.as_str("cell").map(str::to_string))
-                        .collect::<Result<Vec<_>, _>>()
-                })
-                .collect::<Result<Vec<_>, _>>()?;
+        for t in v.arr_field("tables")? {
+            let rows = t.arr_field("rows")?.iter().map(|row| {
+                let cells = row.as_arr().ok_or("row: expected array")?;
+                strings(cells, "row")
+            });
             tables.push(Table {
-                name: get(to, "name")?.as_str("name")?.to_string(),
-                header,
-                rows,
+                name: t.str_field("name")?.to_string(),
+                header: strings(t.arr_field("header")?, "header")?,
+                rows: rows.collect::<Result<_, String>>()?,
             });
         }
         Ok(Trajectory {
-            bench,
+            bench: v.str_field("bench")?.to_string(),
             metrics,
             tables,
         })
@@ -289,7 +273,7 @@ pub fn compare(baseline: &Trajectory, fresh: &Trajectory) -> Vec<GateCheck> {
                     Gate::Rel(t) => {
                         let scale = b.value.abs().max(f.abs());
                         let ok = (f - b.value).abs() <= t * scale;
-                        (ok, format!("tol {}", fmt_f64(t)))
+                        (ok, format!("tol {}", Json::Num(t)))
                     }
                 };
                 GateCheck {
@@ -317,222 +301,6 @@ pub fn compare(baseline: &Trajectory, fresh: &Trajectory) -> Vec<GateCheck> {
         }
     }
     out
-}
-
-/// Shortest deterministic float rendering: integers print without a
-/// fractional part (and round-trip exactly), everything else uses
-/// Rust's shortest-round-trip `{}` formatting.
-fn fmt_f64(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 9.0e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v}")
-    }
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' | '\\' => {
-                out.push('\\');
-                out.push(c);
-            }
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
-// Minimal JSON reader (subset: objects, arrays, strings, numbers,
-// true/false/null) — enough to round-trip the trajectory schema.
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn parse(text: &str) -> Result<Json, String> {
-        let b = text.as_bytes();
-        let mut i = 0usize;
-        let v = parse_value(b, &mut i)?;
-        skip_ws(b, &mut i);
-        if i != b.len() {
-            return Err(format!("trailing data at byte {i}"));
-        }
-        Ok(v)
-    }
-
-    fn as_obj(&self, what: &str) -> Result<&[(String, Json)], String> {
-        match self {
-            Json::Obj(o) => Ok(o),
-            _ => Err(format!("{what}: expected object")),
-        }
-    }
-
-    fn as_arr(&self, what: &str) -> Result<&[Json], String> {
-        match self {
-            Json::Arr(a) => Ok(a),
-            _ => Err(format!("{what}: expected array")),
-        }
-    }
-
-    fn as_str(&self, what: &str) -> Result<&str, String> {
-        match self {
-            Json::Str(s) => Ok(s),
-            _ => Err(format!("{what}: expected string")),
-        }
-    }
-
-    fn as_num(&self, what: &str) -> Result<f64, String> {
-        match self {
-            Json::Num(n) => Ok(*n),
-            _ => Err(format!("{what}: expected number")),
-        }
-    }
-}
-
-fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn skip_ws(b: &[u8], i: &mut usize) {
-    while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\n' | b'\r') {
-        *i += 1;
-    }
-}
-
-fn expect(b: &[u8], i: &mut usize, c: u8) -> Result<(), String> {
-    if *i < b.len() && b[*i] == c {
-        *i += 1;
-        Ok(())
-    } else {
-        Err(format!("expected {:?} at byte {}", c as char, i))
-    }
-}
-
-fn parse_value(b: &[u8], i: &mut usize) -> Result<Json, String> {
-    skip_ws(b, i);
-    match b.get(*i) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{') => {
-            *i += 1;
-            let mut obj = Vec::new();
-            skip_ws(b, i);
-            if b.get(*i) == Some(&b'}') {
-                *i += 1;
-                return Ok(Json::Obj(obj));
-            }
-            loop {
-                skip_ws(b, i);
-                let key = parse_string(b, i)?;
-                skip_ws(b, i);
-                expect(b, i, b':')?;
-                let val = parse_value(b, i)?;
-                obj.push((key, val));
-                skip_ws(b, i);
-                match b.get(*i) {
-                    Some(b',') => *i += 1,
-                    Some(b'}') => {
-                        *i += 1;
-                        return Ok(Json::Obj(obj));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {i}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *i += 1;
-            let mut arr = Vec::new();
-            skip_ws(b, i);
-            if b.get(*i) == Some(&b']') {
-                *i += 1;
-                return Ok(Json::Arr(arr));
-            }
-            loop {
-                arr.push(parse_value(b, i)?);
-                skip_ws(b, i);
-                match b.get(*i) {
-                    Some(b',') => *i += 1,
-                    Some(b']') => {
-                        *i += 1;
-                        return Ok(Json::Arr(arr));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {i}")),
-                }
-            }
-        }
-        Some(b'"') => parse_string(b, i).map(Json::Str),
-        Some(b't') => lit(b, i, "true", Json::Bool(true)),
-        Some(b'f') => lit(b, i, "false", Json::Bool(false)),
-        Some(b'n') => lit(b, i, "null", Json::Null),
-        Some(_) => {
-            let start = *i;
-            while *i < b.len() && matches!(b[*i], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-                *i += 1;
-            }
-            let s = std::str::from_utf8(&b[start..*i]).map_err(|e| e.to_string())?;
-            s.parse::<f64>()
-                .map(Json::Num)
-                .map_err(|e| format!("bad number {s:?} at byte {start}: {e}"))
-        }
-    }
-}
-
-fn lit(b: &[u8], i: &mut usize, word: &str, v: Json) -> Result<Json, String> {
-    if b[*i..].starts_with(word.as_bytes()) {
-        *i += word.len();
-        Ok(v)
-    } else {
-        Err(format!("bad literal at byte {i}"))
-    }
-}
-
-fn parse_string(b: &[u8], i: &mut usize) -> Result<String, String> {
-    expect(b, i, b'"')?;
-    let mut out = Vec::new();
-    while let Some(&c) = b.get(*i) {
-        *i += 1;
-        match c {
-            b'"' => return String::from_utf8(out).map_err(|e| e.to_string()),
-            b'\\' => {
-                let e = *b.get(*i).ok_or("unterminated escape")?;
-                *i += 1;
-                match e {
-                    b'"' | b'\\' | b'/' => out.push(e),
-                    b'n' => out.push(b'\n'),
-                    b't' => out.push(b'\t'),
-                    b'r' => out.push(b'\r'),
-                    b'u' => {
-                        let hex = b
-                            .get(*i..*i + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("bad \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                        *i += 4;
-                        let ch = char::from_u32(code).ok_or("bad \\u code point")?;
-                        let mut buf = [0u8; 4];
-                        out.extend_from_slice(ch.encode_utf8(&mut buf).as_bytes());
-                    }
-                    _ => return Err(format!("unknown escape \\{}", e as char)),
-                }
-            }
-            c => out.push(c),
-        }
-    }
-    Err("unterminated string".to_string())
 }
 
 #[cfg(test)]
@@ -620,23 +388,12 @@ mod tests {
     }
 
     #[test]
-    fn parser_rejects_malformed_input() {
+    fn reader_names_what_is_wrong() {
         assert!(Trajectory::from_json("").is_err());
         assert!(Trajectory::from_json("{\"schema\": \"other/v9\"}").is_err());
-        assert!(Trajectory::from_json("{\"schema\": \"pvr-trajectory/v1\"}").is_err());
-        assert!(Json::parse("{\"a\": [1, 2,]}").is_err());
-        assert!(Json::parse("{\"a\": 1} extra").is_err());
-        assert!(Json::parse("\"unterminated").is_err());
-    }
-
-    #[test]
-    fn float_formatting_is_exact_for_integers() {
-        assert_eq!(fmt_f64(31.0), "31");
-        assert_eq!(fmt_f64(0.6478), "0.6478");
-        assert_eq!(fmt_f64(-2.0), "-2");
-        let json = Json::parse("{\"v\": 4.92e8, \"b\": true, \"n\": null}").unwrap();
-        let obj = json.as_obj("x").unwrap();
-        assert_eq!(get(obj, "v").unwrap().as_num("v").unwrap(), 4.92e8);
-        assert_eq!(get(obj, "b").unwrap(), &Json::Bool(true));
+        let missing = Trajectory::from_json("{\"schema\": \"pvr-trajectory/v1\"}");
+        assert!(missing.unwrap_err().contains("missing field"));
+        assert_eq!(Gate::Rel(0.25).render(), "rel:0.25");
+        assert_eq!(Gate::parse("rel:0.25"), Ok(Gate::Rel(0.25)));
     }
 }

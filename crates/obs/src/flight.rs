@@ -29,6 +29,7 @@
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use crate::json::Quote;
 use crate::span::Args;
 
 /// What one ring entry records.
@@ -279,20 +280,12 @@ impl FlightRecorder {
 
 fn render_dump(st: &State, reason: &str, args: Args) -> String {
     let mut out = String::with_capacity(256 + st.len * 96);
-    out.push_str("{\"anomaly\":{\"reason\":\"");
-    for c in reason.chars() {
-        match c {
-            '"' | '\\' => {
-                out.push('\\');
-                out.push(c);
-            }
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
     out.push_str(&format!(
-        "\",\"frame\":{},\"recorded\":{},\"ring_dropped\":{}",
-        st.frame, st.recorded, st.dropped
+        "{{\"anomaly\":{{\"reason\":{},\"frame\":{},\"recorded\":{},\"ring_dropped\":{}",
+        Quote(reason),
+        st.frame,
+        st.recorded,
+        st.dropped
     ));
     for (k, v) in args.iter() {
         out.push_str(&format!(",\"{k}\":{v}"));
@@ -389,6 +382,19 @@ mod tests {
         // Drained: the next anomaly stores again.
         assert!(r.anomaly("b", Args::none()));
         assert_eq!(r.take_dumps().len(), 1);
+    }
+
+    #[test]
+    fn dump_reason_is_escaped() {
+        let r = FlightRecorder::manual(2);
+        r.instant(0, "e", Args::none());
+        let reason = "say \"hi\"\\\n";
+        let dump = crate::json::parse(&r.snapshot_json(reason, Args::none()).unwrap());
+        let anomaly = dump.expect("dump is JSON");
+        assert_eq!(
+            anomaly.field("anomaly").unwrap().str_field("reason"),
+            Ok(reason)
+        );
     }
 
     #[test]

@@ -29,6 +29,8 @@
 //! * [`bench::Trajectory`] — the unified `BENCH_*.json` schema every
 //!   bench bin writes and the `perf_gate` bin compares under
 //!   per-metric tolerance gates.
+//! * [`json`] — the workspace's one JSON reader ([`json::parse`]) and
+//!   the escaper and number rule every JSON writer shares.
 //!
 //! These are mechanisms. The policy that reads and records through them
 //! — the frame's SLO budgets, verdict and attribution — lives with the
@@ -51,6 +53,7 @@ pub mod bench;
 pub mod csvout;
 pub mod flight;
 pub mod gantt;
+pub mod json;
 pub mod metrics;
 pub mod perfetto;
 pub mod span;

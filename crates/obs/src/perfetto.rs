@@ -13,10 +13,12 @@
 //! on.
 //!
 //! [`validate`] is the matching structural checker used by CI's
-//! `profile-smoke` job: it re-parses the exported string with a tiny
-//! scanner and verifies the schema (required keys per phase type) and
-//! that B/E events are well-nested per track.
+//! `profile-smoke` job: it re-parses the exported string with the
+//! workspace's JSON reader ([`crate::json`]) and verifies the schema
+//! (required keys per phase type) and that B/E events are well-nested
+//! per track.
 
+use crate::json::{self, Json, Quote};
 use crate::span::{EventKind, Profile, TrackId};
 
 /// Process id used for all tracks (single simulated job).
@@ -49,9 +51,10 @@ pub fn to_json(profile: &Profile) -> String {
         out.push('\n');
     };
     for (tid, name) in &profile.tracks {
+        let name = Quote(name);
         emit(
             format!(
-                "{{\"ph\":\"M\",\"pid\":{PID},\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":\"{name}\"}}}}"
+                "{{\"ph\":\"M\",\"pid\":{PID},\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":{name}}}}}"
             ),
             &mut first,
         );
@@ -98,78 +101,40 @@ struct RawEvent {
     name: String,
 }
 
-/// Extract the string value of `"key":"..."` from one event object.
-fn str_field(obj: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = obj.find(&pat)? + pat.len();
-    let end = obj[start..].find('"')? + start;
-    Some(obj[start..end].to_string())
+/// A non-negative integer value.
+fn int(v: &Json) -> Option<u64> {
+    v.as_num()
+        .filter(|n| *n >= 0.0 && n.fract() == 0.0)
+        .map(|n| n as u64)
 }
 
-/// Extract the integer value of `"key":123` from one event object.
-fn int_field(obj: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = obj.find(&pat)? + pat.len();
-    let digits: String = obj[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    if digits.is_empty() {
-        None
-    } else {
-        digits.parse().ok()
-    }
-}
-
-fn parse_events(json: &str) -> Result<Vec<RawEvent>, SchemaError> {
-    let body_start = json
-        .find("\"traceEvents\":[")
-        .ok_or_else(|| SchemaError("missing traceEvents array".into()))?
-        + "\"traceEvents\":[".len();
-    let body_end = json
-        .rfind(']')
-        .ok_or_else(|| SchemaError("unterminated traceEvents array".into()))?;
-    let body = &json[body_start..body_end];
-    let mut events = Vec::new();
-    let mut depth = 0usize;
-    let mut obj_start = None;
-    for (i, c) in body.char_indices() {
-        match c {
-            '{' => {
-                if depth == 0 {
-                    obj_start = Some(i);
-                }
-                depth += 1;
-            }
-            '}' => {
-                depth = depth
-                    .checked_sub(1)
-                    .ok_or_else(|| SchemaError("unbalanced braces".into()))?;
-                if depth == 0 {
-                    let obj = &body[obj_start.unwrap()..=i];
-                    let ph = str_field(obj, "ph")
-                        .and_then(|s| s.chars().next())
-                        .ok_or_else(|| SchemaError(format!("event without ph: {obj}")))?;
-                    let tid = int_field(obj, "tid")
-                        .ok_or_else(|| SchemaError(format!("event without tid: {obj}")))?
-                        as TrackId;
-                    let name = str_field(obj, "name")
-                        .ok_or_else(|| SchemaError(format!("event without name: {obj}")))?;
-                    events.push(RawEvent {
-                        ph,
-                        tid,
-                        ts: int_field(obj, "ts"),
-                        name,
-                    });
-                }
-            }
-            _ => {}
-        }
-    }
-    if depth != 0 {
-        return Err(SchemaError("unbalanced braces".into()));
-    }
-    Ok(events)
+/// The top-level objects of the document's `traceEvents` array.
+fn parse_events(text: &str) -> Result<Vec<RawEvent>, SchemaError> {
+    let doc = json::parse(text).map_err(|e| SchemaError(format!("not JSON: {e}")))?;
+    let events = doc
+        .get("traceEvents")
+        .and_then(Json::as_arr)
+        .ok_or_else(|| SchemaError("missing traceEvents array".into()))?;
+    events
+        .iter()
+        .map(|e| {
+            let missing = |key: &str| SchemaError(format!("event without {key}: {e}"));
+            let ph = e
+                .get("ph")
+                .and_then(Json::as_str)
+                .and_then(|s| s.chars().next());
+            let ph = ph.ok_or_else(|| missing("ph"))?;
+            let tid = e.get("tid").and_then(int).ok_or_else(|| missing("tid"))?;
+            let name = e.get("name").and_then(Json::as_str);
+            let name = name.ok_or_else(|| missing("name"))?.to_string();
+            Ok(RawEvent {
+                ph,
+                tid: tid as TrackId,
+                ts: e.get("ts").and_then(int),
+                name,
+            })
+        })
+        .collect()
 }
 
 /// Schema-validate an exported trace: every event has the keys its
@@ -313,5 +278,29 @@ mod tests {
         let json = to_json(&p);
         assert!(json.contains("\"args\":{\"bytes\":128,\"tag\":2}"));
         validate(&json).unwrap();
+    }
+
+    #[test]
+    fn track_names_are_escaped_and_read_back() {
+        let name = "a\"b\\c";
+        let p = Profile::from_parts(vec![(0, name.into())], vec![]);
+        let text = to_json(&p);
+        let doc = json::parse(&text).expect("exported trace is JSON");
+        let events = doc.arr_field("traceEvents").unwrap();
+        let args = events[0].field("args").unwrap();
+        assert_eq!(args.str_field("name"), Ok(name));
+        assert_eq!(validate(&text), Ok(1));
+        // Names without a quote, backslash or control character export
+        // exactly as they did before escaping.
+        let plain = Profile::from_parts(vec![(3, "rank 3".into())], vec![]);
+        assert!(to_json(&plain).contains("\"args\":{\"name\":\"rank 3\"}"));
+    }
+
+    #[test]
+    fn validator_rejects_events_without_a_comma() {
+        let b = "{\"ph\":\"B\",\"pid\":1,\"tid\":0,\"ts\":0,\"name\":\"a\"}";
+        let e = "{\"ph\":\"E\",\"pid\":1,\"tid\":0,\"ts\":1,\"name\":\"a\"}";
+        assert_eq!(validate(&format!("{{\"traceEvents\":[{b},{e}]}}")), Ok(2));
+        assert!(validate(&format!("{{\"traceEvents\":[{b}{e}]}}")).is_err());
     }
 }

@@ -110,12 +110,6 @@ impl<T: Send + 'static> Prefetch<T> {
             Err(p) => std::panic::resume_unwind(p),
         }
     }
-
-    /// Whether the background read has already completed (join will
-    /// not block).
-    pub fn is_done(&self) -> bool {
-        self.handle.is_finished()
-    }
 }
 
 #[cfg(test)]

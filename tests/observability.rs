@@ -19,7 +19,10 @@ use parallel_volume_rendering::core::{
     run_frame, run_frame_mpi_profiled, write_dataset, CompositorPolicy, FrameConfig,
 };
 use parallel_volume_rendering::obs::analysis::imbalance_csv;
-use parallel_volume_rendering::obs::{critical_path, imbalance, perfetto, Tracer};
+use parallel_volume_rendering::obs::perfetto::SchemaError;
+use parallel_volume_rendering::obs::{
+    critical_path, imbalance, json, perfetto, Tracer, Trajectory,
+};
 
 fn tmp(name: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("pvr-obs-test-{}", std::process::id()));
@@ -139,4 +142,41 @@ fn profiled_mpi_frame_matches_the_golden_files() {
 
     let im = imbalance(&run.profile, &["io", "render", "composite"]);
     assert_golden("profile_8rank.imbalance.csv", &imbalance_csv(&im));
+}
+
+/// Every committed JSON artifact parses with the workspace's one JSON
+/// reader, and the schema validator returns for each trace-shaped one
+/// what it has always returned: the golden profile's 92 events, and a
+/// refusal of the flight dumps' counter (`C`) events, which the
+/// validator's phase rules do not cover.
+#[test]
+fn committed_json_artifacts_parse_and_traces_validate() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |rel: &Path| {
+        let text = std::fs::read_to_string(root.join(rel)).expect("committed artifact");
+        json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", rel.display()));
+        text
+    };
+    let golden_dump = "crates/core/tests/golden/flight_dump_straggler.json";
+    let mut dumps = vec![PathBuf::from(golden_dump)];
+    let mut benches = 0;
+    for entry in std::fs::read_dir(root.join("results")).unwrap() {
+        let name = entry.unwrap().file_name().into_string().unwrap();
+        let rel = Path::new("results").join(&name);
+        if name.starts_with("BENCH_") && name.ends_with(".json") {
+            Trajectory::from_json(&read(&rel)).unwrap_or_else(|e| panic!("{name}: {e}"));
+            benches += 1;
+        } else if name.starts_with("flight_dump_") && name.ends_with(".json") {
+            dumps.push(rel);
+        }
+    }
+    assert!(benches >= 5, "only {benches} BENCH_*.json found");
+    assert!(dumps.len() >= 4, "only {} flight dumps found", dumps.len());
+    let refused = Err(SchemaError("unknown phase type 'C'".into()));
+    for rel in &dumps {
+        let validated = perfetto::validate(&read(rel));
+        assert_eq!(validated, refused, "{}", rel.display());
+    }
+    let profile = read(Path::new("tests/golden/profile_8rank.trace.json"));
+    assert_eq!(perfetto::validate(&profile), Ok(92));
 }
