@@ -95,10 +95,12 @@ pub struct FrameResult {
     pub render_samples: u64,
     /// Samples proven zero-opacity by the macrocell/LUT fast path and
     /// skipped without evaluation (a subset of `render_samples`; 0 when
-    /// `fast_path` is off).
+    /// `fast_path` is off, and 0 from every block the kernel rule sends
+    /// to the reference loop, DESIGN §17.7).
     pub render_skipped: u64,
     /// Eight-wide ray packets marched across all ranks (0 when
-    /// `fast_path` is off; tiles marched one lane at a time do not count).
+    /// `fast_path` is off and from blocks the kernel rule sends to the
+    /// reference loop; tiles marched one lane at a time do not count).
     pub render_packets: u64,
     /// Lockstep lane-utilization counters summed over ranks: lanes that
     /// evaluated a sample / lane slots in rounds with at least one

@@ -180,16 +180,26 @@ impl Image {
         sum / (self.pixels.len() * 4) as f64
     }
 
-    /// Maximum absolute channel difference against another image.
+    /// Maximum absolute channel difference against another image. A
+    /// channel that is NaN on both sides matches; any other pair whose
+    /// difference is NaN (NaN on one side only, or `∞ - ∞`) differs by
+    /// `f64::INFINITY`, so a NaN pixel never compares as clean.
     pub fn max_abs_diff(&self, o: &Image) -> f64 {
         assert_eq!(self.size(), o.size());
-        let mut m = 0.0f32;
+        let mut m = 0.0f64;
         for (a, b) in self.pixels.iter().zip(&o.pixels) {
-            for c in 0..4 {
-                m = m.max((a[c] - b[c]).abs());
+            for (&x, &y) in a.iter().zip(b) {
+                let d = (x - y).abs();
+                m = m.max(if !d.is_nan() {
+                    d as f64
+                } else if x == y || (x.is_nan() && y.is_nan()) {
+                    0.0
+                } else {
+                    f64::INFINITY
+                });
             }
         }
-        m as f64
+        m
     }
 
     /// Write as binary PPM (P6) over a background color, un-premultiplying
@@ -276,6 +286,22 @@ mod tests {
         let img2 = Image::new(8, 8);
         assert!(img.mean_abs_diff(&img2) > 0.0);
         assert_eq!(img.max_abs_diff(&img.clone()), 0.0);
+    }
+
+    #[test]
+    fn max_abs_diff_sees_nan() {
+        let clean = Image::new(4, 4);
+        let mut nan = clean.clone();
+        nan.set(2, 1, [0.0, f32::NAN, 0.0, 0.0]);
+        assert_eq!(nan.max_abs_diff(&clean), f64::INFINITY);
+        assert_eq!(clean.max_abs_diff(&nan), f64::INFINITY);
+        assert_eq!(nan.max_abs_diff(&nan.clone()), 0.0);
+        let mut inf = clean.clone();
+        inf.set(0, 0, [f32::INFINITY; 4]);
+        assert_eq!(inf.max_abs_diff(&inf.clone()), 0.0);
+        let mut neg = clean.clone();
+        neg.set(0, 0, [f32::NEG_INFINITY; 4]);
+        assert_eq!(inf.max_abs_diff(&neg), f64::INFINITY);
     }
 
     #[test]

@@ -134,10 +134,12 @@ pub struct RenderOpts {
     /// perf-decision counters ([`RenderStats::skipped_samples`],
     /// [`RenderStats::packets`], the lane counts) tell them apart.
     ///
-    /// This is also the kernel selector: `true` with a macrocell summary
-    /// runs the 8-lane lockstep packet march; `false` (or no summary)
-    /// runs the plain per-sample reference loop, which shares no control
-    /// flow with the march and is what the tests compare it against.
+    /// This is also the kernel selector: `false` runs the plain per-sample
+    /// reference loop, which shares no control flow with the march and is
+    /// what the tests compare it against; `true` lets [`render_block`]
+    /// run the 8-lane packet march only where a pure rule of block
+    /// geometry (DESIGN §17.7) says it repays its macrocell build and skip
+    /// bake, and the reference loop, building nothing, elsewhere.
     pub fast_path: bool,
 }
 
@@ -278,11 +280,12 @@ impl RenderStats {
 /// owned region plus a one-cell ghost layer so interpolation near owned
 /// faces sees neighbour data.
 ///
-/// With [`RenderOpts::fast_path`] set (the default) this builds the
-/// block's [`MacrocellGrid`] and forwards to
-/// [`render_block_with_grid`]; callers rendering the same block across
-/// frames or views should build the grid once themselves and call that
-/// directly.
+/// This function chooses the kernel: with [`RenderOpts::fast_path`] set
+/// and the march paying for itself by a pure rule of the block's
+/// footprint, shapes and step (DESIGN §17.7), it builds the block's
+/// [`MacrocellGrid`] and marches packets; otherwise it runs the
+/// reference loop and builds nothing. The kernels are bit-identical.
+/// [`render_block_with_grid`] forces a kernel.
 pub fn render_block(
     volume: &Volume,
     dom: &BlockDomain,
@@ -290,8 +293,25 @@ pub fn render_block(
     tf: &TransferFunction,
     opts: &RenderOpts,
 ) -> (SubImage, RenderStats) {
-    let macrocells = opts.fast_path.then(|| MacrocellGrid::build(volume));
-    render_block_with_grid(volume, macrocells.as_ref(), dom, camera, tf, opts)
+    let rect = owned_footprint(dom, camera);
+    let macrocells =
+        (opts.fast_path && march_pays(rect, dom, opts.step)).then(|| MacrocellGrid::build(volume));
+    render_rect(volume, macrocells.as_ref(), dom, camera, tf, opts, rect)
+}
+
+/// Whether the packet march repays its preparation on this block, from
+/// geometry alone (DESIGN §17.7): the rect's rays, each taking the owned
+/// block's shortest axis over the step in samples, less `RAY` samples of
+/// tile set-up a ray, must cover `VOXEL` samples a stored voxel for the
+/// macrocell build and skip bake plus `BLOCK` a block. Constants fitted
+/// to a geometry sweep (max regret 1.12); `render_bench` gates it at 1.25.
+fn march_pays(rect: PixelRect, dom: &BlockDomain, step: f64) -> bool {
+    const RAY: f64 = 4.0;
+    const VOXEL: f64 = 0.25;
+    const BLOCK: f64 = 2000.0;
+    let chord = dom.owned.shape.into_iter().min().unwrap_or(0) as f64;
+    rect.num_pixels() as f64 * (chord / step - RAY)
+        >= VOXEL * dom.stored.num_elements() as f64 + BLOCK
 }
 
 /// Voxel index the clamped sample position floors to — the key into the
@@ -709,13 +729,12 @@ struct KernelCtx<'a> {
     st_off: [usize; 3],
 }
 
-/// [`render_block`] with a caller-supplied macrocell summary, so a
-/// caller rendering the same data more than once (several views, or
-/// the kernels of a benchmark) pays the O(voxels) build once. Neither
-/// frame executor is such a caller: each frame is a new time step, and
-/// both go through [`render_block`], which builds per block per frame.
-/// `macrocells` must summarize `volume`; pass `None` (or set
-/// `opts.fast_path = false`) for the reference loop.
+/// [`render_block`] with the kernel forced by the caller: the packet
+/// march over a caller-supplied macrocell summary (which must summarize
+/// `volume`), or the reference loop with `None` or `opts.fast_path =
+/// false`. Tests and benchmarks force a kernel this way, and a caller
+/// rendering the same data for several views pays one build. Both frame
+/// executors go through [`render_block`], which chooses per block.
 ///
 /// # Panics
 /// If `volume` does not have the stored region's dims, or `opts.step`
@@ -728,6 +747,28 @@ pub fn render_block_with_grid(
     tf: &TransferFunction,
     opts: &RenderOpts,
 ) -> (SubImage, RenderStats) {
+    let rect = owned_footprint(dom, camera);
+    render_rect(volume, macrocells, dom, camera, tf, opts, rect)
+}
+
+fn owned_footprint(dom: &BlockDomain, camera: &Camera) -> PixelRect {
+    footprint(
+        camera,
+        dom.owned.offset,
+        dom.owned.end(),
+        camera.image_size(),
+    )
+}
+
+fn render_rect(
+    volume: &Volume,
+    macrocells: Option<&MacrocellGrid>,
+    dom: &BlockDomain,
+    camera: &Camera,
+    tf: &TransferFunction,
+    opts: &RenderOpts,
+    rect: PixelRect,
+) -> (SubImage, RenderStats) {
     assert_eq!(
         volume.dims(),
         dom.stored.shape,
@@ -738,8 +779,6 @@ pub fn render_block_with_grid(
         "ray step must be finite and positive, got {}",
         opts.step
     );
-    let (iw, ih) = camera.image_size();
-    let rect = footprint(camera, dom.owned.offset, dom.owned.end(), (iw, ih));
     let mut sub = SubImage::transparent(rect, camera.depth(dom.centroid()));
     let mut stats = RenderStats::default();
     if rect.is_empty() {
@@ -2117,6 +2156,51 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The kernel rule's traffic (DESIGN §17.7), pinned per workload
+    /// geometry: grid, ranks, image, step; the frames' orthographic
+    /// default view and one-cell ghost. Small blocks with few samples a
+    /// ray (`io-record`, `sim-2048`, the 8-rank golden profile) get the
+    /// reference loop; the render workloads and figures keep the march.
+    #[test]
+    fn kernel_rule_traffic_per_workload() {
+        let view = Vec3::new(0.25, -0.2, -0.95);
+        for (name, n, ranks, image, step, march) in [
+            ("io-record", 128, 8, 32, 4.0, false),
+            ("sim-2048", 64, 2048, 128, 1.0, false),
+            ("golden profile", 16, 8, 24, 1.0, false),
+            ("render-sparse/dense", 96, 8, 320, 1.0, true),
+            ("anim-slowstore", 64, 8, 256, 1.0, true),
+            ("fig1_render", 160, 64, 512, 1.0, true),
+            ("fig5_overall, render_bench frame", 64, 8, 192, 1.0, true),
+        ] {
+            let decomp = BlockDecomposition::new([n; 3], ranks);
+            let cam = Camera::orthographic([n; 3], view, image, image);
+            for b in decomp.blocks() {
+                let dom = BlockDomain {
+                    grid: [n; 3],
+                    owned: b.sub,
+                    stored: decomp.with_ghost(&b, 1),
+                };
+                let rect = owned_footprint(&dom, &cam);
+                assert_eq!(march_pays(rect, &dom, step), march, "{name}: {:?}", b.sub);
+            }
+        }
+    }
+
+    /// `render_block` runs what the rule picks, and nothing is built for
+    /// the reference loop: no packets on a block the rule sends there.
+    #[test]
+    fn render_block_runs_the_rules_pick() {
+        let v = test_volume(32);
+        for (image, march) in [(6, false), (48, true)] {
+            let cam = Camera::orthographic([32; 3], Vec3::new(0.3, -0.2, 0.93), image, image);
+            let dom = BlockDomain::whole([32; 3]);
+            assert_eq!(march_pays(owned_footprint(&dom, &cam), &dom, 1.0), march);
+            let (_, s) = render_block(&v, &dom, &cam, &tf(), &RenderOpts::default());
+            assert_eq!(s.packets > 0, march, "{image}^2 image");
         }
     }
 

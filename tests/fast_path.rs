@@ -10,14 +10,21 @@
 
 use parallel_volume_rendering::compositing::PieceScan;
 use parallel_volume_rendering::core::pipeline::{
-    decode_fragment_msg, encode_fragment_msg, run_frame_mpi,
+    decode_fragment_msg, default_view, encode_fragment_msg, render_opts, run_frame_mpi,
+    transfer_for,
 };
-use parallel_volume_rendering::core::{run_frame, write_dataset, FrameConfig, IoMode};
+use parallel_volume_rendering::core::{
+    run_frame, run_frame_mpi_profiled, write_dataset, FrameConfig, IoMode,
+};
+use parallel_volume_rendering::mpisim::trace::{MarkKind, TraceEvent};
 use parallel_volume_rendering::render::raycast::{
-    render_block, BlockDomain, RenderOpts, Shading, Termination,
+    render_block, render_block_with_grid, BlockDomain, RenderOpts, RenderStats, Shading,
+    Termination,
 };
 use parallel_volume_rendering::render::{Camera, PixelRect, SubImage, TransferFunction, Vec3};
-use parallel_volume_rendering::volume::{BlockDecomposition, SupernovaField, Volume};
+use parallel_volume_rendering::volume::{
+    BlockDecomposition, MacrocellGrid, SupernovaField, Volume,
+};
 
 use proptest::prelude::*;
 use proptest::Rng;
@@ -56,6 +63,10 @@ fn random_tf(rng: &mut Rng) -> TransferFunction {
     }
 }
 
+/// Rank counts that cut a 16³–18³ grid into blocks the kernel rule
+/// marches under a 96² image.
+const MARCHING_RANKS: [usize; 5] = [2, 3, 4, 6, 8];
+
 fn assert_subs_bitwise(a: &SubImage, b: &SubImage, what: &str) {
     assert_eq!(a.rect, b.rect, "{what}: rects differ");
     for (i, (pa, pb)) in a.pixels.iter().zip(&b.pixels).enumerate() {
@@ -76,8 +87,11 @@ proptest! {
 
     /// Block renderer: for a random decomposition, ghost width, view,
     /// and transfer function, every block renders bit-identically with
-    /// the fast path on and off, and the per-block sample ladder is the
-    /// same length (skipping changes `skipped_samples`, nothing else).
+    /// the skipping packet march and the reference loop, and the
+    /// per-block sample ladder is the same length (skipping changes
+    /// `skipped_samples`, nothing else). The march is forced with an
+    /// explicit grid: most of these small blocks are ones `render_block`
+    /// would send to the reference loop.
     #[test]
     fn block_render_fast_path_is_bit_identical(seed in 0u64..1_000_000) {
         let mut rng = Rng::seeded(seed.wrapping_mul(0x9e37_79b9) | 1);
@@ -113,8 +127,9 @@ proptest! {
             let dom = BlockDomain { grid: dims, owned: b.sub, stored };
             let naive = RenderOpts { fast_path: false, ..base };
             let fast = RenderOpts { fast_path: true, ..base };
+            let grid = MacrocellGrid::build(&vol);
             let (sub_n, st_n) = render_block(&vol, &dom, &cam, &tf, &naive);
-            let (sub_f, st_f) = render_block(&vol, &dom, &cam, &tf, &fast);
+            let (sub_f, st_f) = render_block_with_grid(&vol, Some(&grid), &dom, &cam, &tf, &fast);
             prop_assert_eq!(st_n.samples, st_f.samples, "sample ladders differ");
             prop_assert_eq!(st_n.skipped_samples, 0);
             assert_subs_bitwise(&sub_n, &sub_f, &format!("seed {seed} block {:?}", b.sub.offset));
@@ -127,16 +142,20 @@ proptest! {
 
     /// Threaded executor: a whole frame (render + sparse direct-send
     /// exchange) with the fast path on equals the naive frame bitwise,
-    /// and the sparse exchange never prices above dense.
+    /// and the sparse exchange never prices above dense. The image is
+    /// large enough that the rule marches blocks of every rank count
+    /// drawn (5 and 7 ranks cut one-axis slabs too thin for the march).
     #[test]
-    fn frame_fast_path_on_off_bit_identical(seed in 0u64..10_000, nprocs in 2usize..=8) {
-        let mut cfg = FrameConfig::small(18, 30, nprocs);
+    fn frame_fast_path_on_off_bit_identical(seed in 0u64..10_000, pick in 0usize..5) {
+        let nprocs = MARCHING_RANKS[pick];
+        let mut cfg = FrameConfig::small(18, 96, nprocs);
         cfg.seed = 2000 + seed;
         cfg.variable = (seed % 5) as usize;
         cfg.shading = seed % 3 == 0;
         let fast = run_frame(&cfg, None);
         cfg.fast_path = false;
         let naive = run_frame(&cfg, None);
+        prop_assert!(fast.render_packets > 0, "the fast frame never marched");
         prop_assert_eq!(naive.render_samples, fast.render_samples);
         prop_assert_eq!(naive.render_skipped, 0);
         for (a, b) in naive.image.pixels().iter().zip(fast.image.pixels()) {
@@ -151,10 +170,12 @@ proptest! {
     /// pipeline, reading the dataset from a real file — the sparse
     /// fragment codec on the wire must also be lossless.
     #[test]
-    fn mpi_frame_fast_path_on_off_bit_identical(seed in 0u64..10_000, nprocs in 2usize..=6) {
-        let mut cfg = FrameConfig::small(16, 24, nprocs);
+    fn mpi_frame_fast_path_on_off_bit_identical(seed in 0u64..10_000, pick in 0usize..4) {
+        let nprocs = MARCHING_RANKS[pick];
+        let mut cfg = FrameConfig::small(16, 96, nprocs);
         cfg.seed = 3000 + seed;
         cfg.variable = 2;
+        cfg.shading = seed % 2 == 0;
         cfg.io = IoMode::Raw;
         let dir = std::env::temp_dir().join(format!("pvr-fastpath-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -164,6 +185,7 @@ proptest! {
         cfg.fast_path = false;
         let naive = run_frame_mpi(&cfg, &path);
         std::fs::remove_file(&path).ok();
+        prop_assert!(fast.render_packets > 0, "the fast frame never marched");
         prop_assert_eq!(naive.render_samples, fast.render_samples);
         for (a, b) in naive.image.pixels().iter().zip(fast.image.pixels()) {
             for c in 0..4 {
@@ -213,9 +235,10 @@ proptest! {
             let vol = Volume::from_field_window(&field, dims, stored.offset, stored.shape);
             let dom = BlockDomain { grid: dims, owned: b.sub, stored };
             let (sub_s, st_s) = render_block(&vol, &dom, &cam, &tf, &reference);
+            let grid = MacrocellGrid::build(&vol);
             for term in [Termination::Off, Termination::Bitwise] {
                 let popts = RenderOpts { fast_path: true, termination: term, ..reference };
-                let (sub_p, st_p) = render_block(&vol, &dom, &cam, &tf, &popts);
+                let (sub_p, st_p) = render_block_with_grid(&vol, Some(&grid), &dom, &cam, &tf, &popts);
                 prop_assert_eq!(st_s.samples, st_p.samples, "sample ladders differ");
                 prop_assert_eq!(st_s.rays, st_p.rays, "ray counts differ");
                 prop_assert_eq!(st_p.error_bound, 0.0, "lossless modes report zero error");
@@ -231,6 +254,71 @@ proptest! {
         // rays for the packet path; the shared-field march must have
         // actually engaged, or these cases test nothing.
         prop_assert!(total_packets > 0, "no packets launched across any block");
+    }
+
+    /// `render_block` with the fast path on runs one of the two kernels
+    /// whole, so it is bitwise equal to both in pixels and in the counters
+    /// every kernel agrees on (`samples`, `rays`, `terminated_rays`,
+    /// `error_bound`), whichever the rule picks. Every case renders each
+    /// block through a tiny image (rays too few for the march to pay) and
+    /// a large one, and the whole grid as one block, so both sides of the
+    /// rule are covered, with and without shading, under `Off`, `Bitwise`
+    /// and `Bounded`.
+    #[test]
+    fn render_block_equals_both_kernels_bitwise(seed in 0u64..1_000_000) {
+        let mut rng = Rng::seeded(seed.wrapping_mul(0x6c8e_9cf5) | 1);
+        let dims = [
+            16 + rng.below(25) as usize,
+            16 + rng.below(25) as usize,
+            16 + rng.below(25) as usize,
+        ];
+        let field = SupernovaField::new(6200 + seed).variable(rng.below(5) as usize);
+        let nprocs = 2 + rng.below(7) as usize;
+        let ghost = 1 + rng.below(2) as usize;
+        let view = Vec3::new(
+            uniform(&mut rng, -1.0, 1.0),
+            uniform(&mut rng, -1.0, 1.0),
+            uniform(&mut rng, 0.3, 1.0),
+        );
+        let tf = random_tf(&mut rng);
+        let opts = RenderOpts {
+            step: uniform(&mut rng, 0.6, 1.4),
+            shading: (ghost >= 2 && rng.below(2) == 0).then(Shading::default),
+            termination: match rng.below(3) {
+                0 => Termination::Off,
+                1 => Termination::Bitwise,
+                _ => Termination::Bounded { alpha: uniform(&mut rng, 0.3, 0.95) as f32 },
+            },
+            fast_path: true,
+        };
+        let ladder = |s: &RenderStats| (s.samples, s.rays, s.terminated_rays, s.error_bound.to_bits());
+        let mut picks = [0usize; 2]; // [reference, march]
+        for decomp in [BlockDecomposition::new(dims, 1), BlockDecomposition::new(dims, nprocs)] {
+            for image in [8, 64] {
+                let cam = Camera::orthographic(dims, view, image, image);
+                for b in decomp.blocks() {
+                    let stored = decomp.with_ghost(&b, ghost);
+                    let vol = Volume::from_field_window(&field, dims, stored.offset, stored.shape);
+                    let dom = BlockDomain { grid: dims, owned: b.sub, stored };
+                    let grid = MacrocellGrid::build(&vol);
+                    let (sub, st) = render_block(&vol, &dom, &cam, &tf, &opts);
+                    let (sub_r, st_r) = render_block_with_grid(&vol, None, &dom, &cam, &tf, &opts);
+                    let (sub_p, st_p) =
+                        render_block_with_grid(&vol, Some(&grid), &dom, &cam, &tf, &opts);
+                    let what = format!("seed {seed} image {image} block {:?}", b.sub.offset);
+                    assert_subs_bitwise(&sub, &sub_r, &format!("{what} vs reference"));
+                    assert_subs_bitwise(&sub, &sub_p, &format!("{what} vs packet"));
+                    prop_assert_eq!(ladder(&st), ladder(&st_r), "{} vs reference", what);
+                    prop_assert_eq!(ladder(&st), ladder(&st_p), "{} vs packet", what);
+                    // One kernel ran, whole: its perf-decision counters too.
+                    prop_assert!(st == st_r || st == st_p, "{}: mixed counters", what);
+                    if st_r != st_p {
+                        picks[usize::from(st == st_p)] += 1;
+                    }
+                }
+            }
+        }
+        prop_assert!(picks[0] > 0 && picks[1] > 0, "one side of the rule only: {:?}", picks);
     }
 
     /// Bounded termination: whatever the cut threshold, the actual
@@ -317,4 +405,53 @@ proptest! {
         // The shorter body went out: at most the dense one.
         prop_assert!(msg.len() <= 8 + 56 + 16 * w * h);
     }
+}
+
+/// Every rank of a traced message-passing frame whose blocks march marks
+/// one `render.packets` instant carrying exactly the packets its block
+/// launches through `render_block` with the frame's camera, map and
+/// options — the march path of the rank's render stage, end to end.
+#[test]
+fn mpi_ranks_mark_the_packets_they_march() {
+    let mut cfg = FrameConfig::small(16, 96, 8);
+    cfg.variable = 2;
+    let dir = std::env::temp_dir().join(format!("pvr-fastpath-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("packets-traced.raw");
+    write_dataset(&path, &cfg).unwrap();
+    let run = run_frame_mpi_profiled(&cfg, &path).unwrap();
+    std::fs::remove_file(&path).ok();
+
+    let field = SupernovaField::new(cfg.seed).variable(cfg.variable);
+    let cam = Camera::orthographic(cfg.grid, default_view(), cfg.image.0, cfg.image.1);
+    let (tf, opts) = (transfer_for(&cfg), render_opts(&cfg));
+    let decomp = BlockDecomposition::new(cfg.grid, cfg.nprocs);
+    let mut total = 0;
+    for (rank, b) in decomp.blocks().iter().enumerate() {
+        let stored = decomp.with_ghost(b, 1);
+        let vol = Volume::from_field_window(&field, cfg.grid, stored.offset, stored.shape);
+        let dom = BlockDomain {
+            grid: cfg.grid,
+            owned: b.sub,
+            stored,
+        };
+        let packets = render_block(&vol, &dom, &cam, &tf, &opts).1.packets;
+        assert!(packets > 0, "rank {rank}'s block does not march");
+        let marked: Vec<u64> = run
+            .trace
+            .events_for(rank)
+            .filter_map(|e| match e {
+                TraceEvent::Mark {
+                    label: "render.packets",
+                    kind: MarkKind::Instant,
+                    value,
+                    ..
+                } => Some(*value),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(marked, [packets], "rank {rank}'s render.packets instants");
+        total += packets;
+    }
+    assert_eq!(run.frame.render_packets, total);
 }

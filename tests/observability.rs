@@ -178,5 +178,5 @@ fn committed_json_artifacts_parse_and_traces_validate() {
         assert_eq!(validated, refused, "{}", rel.display());
     }
     let profile = read(Path::new("tests/golden/profile_8rank.trace.json"));
-    assert_eq!(perfetto::validate(&profile), Ok(92));
+    assert_eq!(perfetto::validate(&profile), Ok(84));
 }
