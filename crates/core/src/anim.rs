@@ -9,10 +9,10 @@
 //! does exactly that, on both executors, running each frame through
 //! the same code [`crate::scheduler::drive_frame`] does:
 //!
-//! * **rayon** — one background [`Prefetch`] thread reads the next
-//!   time step's file through the same two-phase plan while the current
-//!   frame runs; the frame function then starts from the prefetched
-//!   bytes instead of reading the file.
+//! * **rayon** — one background [`Prefetch`] thread reads and decodes
+//!   the next time step's file through the same reader while the
+//!   current frame runs; the frame function then starts from the
+//!   prefetched volumes instead of reading the file.
 //! * **message passing** — *one* `pvr-mpisim` world spans the whole
 //!   animation (`scheduler::run_world`, the launcher a single
 //!   frame also goes through). Each rank walks the frames in order;
@@ -48,7 +48,7 @@ use pvr_obs::{Args, FlightRecorder, Tracer};
 use pvr_pfs::{IoThrottle, Prefetch};
 
 use crate::config::FrameConfig;
-use crate::pipeline::{read_frame_bytes, write_dataset, FrameError, FrameResult};
+use crate::pipeline::{read_frame, write_dataset, FrameError, FrameResult};
 use crate::scheduler::{
     assemble_frame, rayon_frame, run_world, FrameFaults, FrameInput, FrameShared, FAULTS_NEED_MPI,
 };
@@ -76,7 +76,7 @@ pub struct AnimFaults {
 /// [`AnimOptions::mpi`] and chain the modifiers.
 #[derive(Clone)]
 pub struct AnimOptions {
-    /// Prefetch frame `t+1`'s bytes while frame `t` renders and
+    /// Prefetch frame `t+1`'s data while frame `t` renders and
     /// composites. Off = strictly sequential frames (the baseline the
     /// `anim_pipeline` bench compares against).
     pub pipelined: bool,
@@ -95,11 +95,11 @@ pub struct AnimOptions {
     /// Wall-clock span tracer (rayon executor only): frame spans per
     /// rank track, prefetch reads on their own track.
     pub tracer: Tracer,
-    /// Worker threads for the in-frame stages (decode, render,
-    /// composite) on the rayon executor; `0` means one per available
-    /// core. Separate from [`AnimOptions::prefetch_threads`] so the
-    /// background read can never steal render cores mid-frame (and
-    /// vice versa).
+    /// Worker threads for the in-frame stages (a read that was not
+    /// prefetched, render, composite) on the rayon executor; `0` means
+    /// one per available core. Separate from
+    /// [`AnimOptions::prefetch_threads`] so the background read can never
+    /// steal render cores mid-frame (and vice versa).
     pub render_threads: usize,
     /// Worker threads available to the background prefetch read on the
     /// rayon executor; `0` means one per available core.
@@ -320,25 +320,30 @@ fn run_rayon(
                 // Untraced: per-window spans would land on rank tracks
                 // whose ranks are mid-frame.
                 let (stored, off) = (&shared.stored, Tracer::disabled());
-                let out = pool.install(|| read_frame_bytes(&cfg, stored, &path, &off, throttle));
+                let out = pool.install(|| read_frame(&cfg, stored, &path, &off, throttle));
                 tracer.end(pf_track, "io.read");
-                out.map(|(bytes, io)| (bytes, io, started.elapsed().as_secs_f64()))
+                out.map(|(volumes, io)| (volumes, io, started.elapsed().as_secs_f64()))
             })
         };
 
         let mut pending = Some(spawn(0));
         for (t, path) in paths.iter().enumerate() {
-            let (bytes, io, io_secs) = pending
+            let (volumes, io, io_secs) = pending
                 .take()
                 .expect("one prefetch is always in flight")
                 .join()
                 .map_err(|e| FrameError::io(path, e))?;
             // Launch t+1's read before touching frame t: the whole frame
-            // (decode, render, composite) overlaps the next read.
+            // (render, composite) overlaps the next read and decode.
             if t + 1 < paths.len() {
                 pending = Some(spawn(t + 1));
             }
-            run(FrameInput::Prefetched { bytes, io, io_secs }, None)?;
+            let input = FrameInput::Prefetched {
+                volumes,
+                io,
+                io_secs,
+            };
+            run(input, None)?;
         }
     }
     Ok(AnimResult {

@@ -32,7 +32,7 @@ use pvr_formats::rw::write_file;
 use pvr_formats::{Subvolume, ELEM_SIZE};
 use pvr_obs::Tracer;
 use pvr_pfs::sieve::per_extent_plan;
-use pvr_pfs::twophase::{two_phase_execute_traced, RankRequest};
+use pvr_pfs::twophase::{two_phase_decode, RankRequest};
 use pvr_pfs::IoThrottle;
 use pvr_render::image::{Image, PixelRect, Rgba, SubImage};
 use pvr_render::math::Vec3;
@@ -244,9 +244,7 @@ pub(crate) fn rank_requests(
 /// volume over its stored region.
 pub(crate) fn decode_volume(bytes: &[u8], sub: &Subvolume, endian: pvr_formats::Endian) -> Volume {
     let mut data = vec![0.0f32; sub.num_elements()];
-    for (i, c) in bytes.chunks_exact(4).enumerate() {
-        data[i] = endian.decode([c[0], c[1], c[2], c[3]]);
-    }
+    endian.decode_slice(bytes, &mut data);
     Volume::from_data(sub.shape, data)
 }
 
@@ -304,40 +302,51 @@ pub(crate) fn synthesize_stage(cfg: &FrameConfig, stored: &[Subvolume]) -> Vec<V
         .collect()
 }
 
-/// Read the per-rank byte buffers of the `stored` regions (on-disk
-/// order per placed runs) without decoding them into volumes — the one dataset reader of
-/// the data-parallel executor, in the form a prefetch thread can hand to
-/// a later frame. Collective layouts go through the two-phase engine
-/// (one `io.window` span per access on `tracer`); HDF5-style layouts
-/// read independently, every rank fetching its own runs with no
-/// coordination. An optional [`IoThrottle`] floors the read at a
-/// bandwidth, making I/O genuinely expensive for pipelining experiments.
-pub(crate) fn read_frame_bytes(
+/// Read the `stored` regions of the dataset into one volume per rank —
+/// the one dataset reader of the data-parallel executor, in the form a
+/// prefetch thread can hand to a later frame. Collective layouts go
+/// through the two-phase engine, which decodes each window piece
+/// straight into its rank's volume (one `io.window` span per access on
+/// `tracer`); HDF5-style layouts read independently, every rank
+/// fetching and decoding its own runs with no coordination. An optional
+/// [`IoThrottle`] floors the read, decode included, at a bandwidth,
+/// making I/O genuinely expensive for pipelining experiments.
+pub(crate) fn read_frame(
     cfg: &FrameConfig,
     stored: &[Subvolume],
     path: &Path,
     tracer: &Tracer,
     throttle: Option<IoThrottle>,
-) -> std::io::Result<(Vec<Vec<u8>>, IoRunStats)> {
+) -> std::io::Result<(Vec<Volume>, IoRunStats)> {
     let layout = cfg.io.layout(cfg.grid);
-    let var = cfg.file_variable();
+    let (var, endian) = (cfg.file_variable(), layout.endian());
     let requests = rank_requests(layout.as_ref(), var, stored);
     let t0 = Instant::now();
 
-    let (bytes, stats, throttled_bytes) = if layout.collective() {
+    let (volumes, stats, throttled_bytes) = if layout.collective() {
         let hints = cfg.io.hints(cfg.grid);
         let naggr = laptop_aggregators(cfg.nprocs);
         let mut f = File::open(path)?;
-        let res = two_phase_execute_traced(&mut f, &requests, naggr, &hints, tracer)?;
+        let mut data: Vec<Vec<f32>> = stored
+            .iter()
+            .map(|sub| vec![0.0; sub.num_elements()])
+            .collect();
+        let (plan, exchange_bytes) =
+            two_phase_decode(&mut f, &requests, naggr, &hints, endian, &mut data, tracer)?;
         let stats = IoRunStats {
-            useful_bytes: res.plan.useful_bytes,
-            physical_bytes: res.plan.physical_bytes,
-            accesses: res.plan.accesses.len(),
-            exchange_bytes: res.exchange_bytes,
-            data_density: res.plan.data_density(),
+            useful_bytes: plan.useful_bytes,
+            physical_bytes: plan.physical_bytes,
+            accesses: plan.accesses.len(),
+            exchange_bytes,
+            data_density: plan.data_density(),
             ..Default::default()
         };
-        (res.rank_bytes, stats, stats.physical_bytes)
+        let volumes = data
+            .into_iter()
+            .zip(stored)
+            .map(|(d, sub)| Volume::from_data(sub.shape, d))
+            .collect();
+        (volumes, stats, stats.physical_bytes)
     } else {
         let per_process: Vec<Vec<pvr_formats::Extent>> = stored
             .iter()
@@ -345,20 +354,23 @@ pub(crate) fn read_frame_bytes(
             .collect();
         let plan = per_extent_plan(&per_process);
         let useful: u64 = requests.iter().map(|r| r.useful_bytes()).sum();
-        let per_rank: Vec<std::io::Result<Vec<u8>>> = requests
+        let per_rank: Vec<std::io::Result<Volume>> = requests
             .par_iter()
-            .map(|rq| {
+            .zip(stored)
+            .map(|(rq, sub)| {
                 let mut f = File::open(path)?;
-                let mut out = vec![0u8; rq.out_elems * ELEM_SIZE as usize];
+                let mut data = vec![0.0f32; sub.num_elements()];
+                let mut buf = Vec::new();
                 for run in &rq.runs {
-                    let nb = run.elems * ELEM_SIZE as usize;
+                    buf.resize(run.elems * ELEM_SIZE as usize, 0);
                     f.seek(SeekFrom::Start(run.file_offset))?;
-                    f.read_exact(&mut out[run.out_start * 4..run.out_start * 4 + nb])?;
+                    f.read_exact(&mut buf)?;
+                    endian.decode_slice(&buf, &mut data[run.out_start..run.out_start + run.elems]);
                 }
-                Ok(out)
+                Ok(Volume::from_data(sub.shape, data))
             })
             .collect();
-        let bytes = per_rank.into_iter().collect::<std::io::Result<Vec<_>>>()?;
+        let volumes = per_rank.into_iter().collect::<std::io::Result<Vec<_>>>()?;
         let stats = IoRunStats {
             useful_bytes: useful,
             physical_bytes: plan.physical_bytes,
@@ -367,12 +379,12 @@ pub(crate) fn read_frame_bytes(
             data_density: useful as f64 / plan.physical_bytes.max(1) as f64,
             ..Default::default()
         };
-        (bytes, stats, useful)
+        (volumes, stats, useful)
     };
     if let Some(t) = throttle {
         t.pad(throttled_bytes, t0);
     }
-    Ok((bytes, stats))
+    Ok((volumes, stats))
 }
 
 // ---------------------------------------------------------------------

@@ -88,7 +88,7 @@ use crate::config::FrameConfig;
 use crate::pipeline::{
     decode_adopt, decode_fragment_msg, decode_late, decode_tile, decode_volume, default_view,
     encode_adopt, encode_fragment_msg, encode_late, encode_tile, push_piece, rank_requests,
-    read_frame_bytes, render_opts, synthesize_stage, tags, transfer_for, unpack_pieces, FrameError,
+    read_frame, render_opts, synthesize_stage, tags, transfer_for, unpack_pieces, FrameError,
     FrameResult, IoRunStats, PIECE_HEADER,
 };
 use crate::recovery::{adopter_of, effective_policy, heal_costs, HealDecision, RecoveryBudget};
@@ -262,12 +262,12 @@ pub(crate) enum FrameInput<'a> {
     Synthetic,
     /// Read the dataset file in the Read stage.
     File(&'a Path),
-    /// Bytes already fetched by a prefetch thread: per-rank on-disk-order
-    /// buffers, the realized I/O stats, and how long the background read
-    /// took (charged to the frame's `io` stage time even though it was
-    /// hidden under earlier frames).
+    /// Volumes already read and decoded by a prefetch thread, the
+    /// realized I/O stats, and how long the background read took
+    /// (charged to the frame's `io` stage time even though it was hidden
+    /// under earlier frames).
     Prefetched {
-        bytes: Vec<Vec<u8>>,
+        volumes: Vec<pvr_volume::Volume>,
         io: IoRunStats,
         io_secs: f64,
     },
@@ -308,7 +308,7 @@ pub(crate) fn rayon_frame(
     };
     tracer.end_args(0, "io", pvr_obs::Args::one("useful_bytes", io.useful_bytes));
     // A prefetched frame charges the background read's real duration,
-    // not the (near-zero) in-frame decode wait.
+    // not the (near-zero) in-frame hand-off.
     timing.io = io_secs + sw.lap();
 
     timing.starts[1] = t0.elapsed().as_secs_f64();
@@ -381,24 +381,19 @@ fn read_input(
     tracer: &Tracer,
     throttle: Option<IoThrottle>,
 ) -> Result<(Vec<pvr_volume::Volume>, IoRunStats, f64), FrameError> {
-    let (bytes, io, io_secs) = match input {
-        FrameInput::Synthetic => {
-            return Ok((synthesize_stage(cfg, stored), IoRunStats::default(), 0.0));
-        }
+    match input {
+        FrameInput::Synthetic => Ok((synthesize_stage(cfg, stored), IoRunStats::default(), 0.0)),
         FrameInput::File(p) => {
-            let read = read_frame_bytes(cfg, stored, p, tracer, throttle);
-            let (bytes, io) = read.map_err(|e| FrameError::io(p, e))?;
-            (bytes, io, 0.0)
+            let read = read_frame(cfg, stored, p, tracer, throttle);
+            let (volumes, io) = read.map_err(|e| FrameError::io(p, e))?;
+            Ok((volumes, io, 0.0))
         }
-        FrameInput::Prefetched { bytes, io, io_secs } => (bytes, io, io_secs),
-    };
-    let endian = cfg.io.layout(cfg.grid).endian();
-    let volumes = bytes
-        .par_iter()
-        .zip(stored)
-        .map(|(b, sub)| decode_volume(b, sub, endian))
-        .collect();
-    Ok((volumes, io, io_secs))
+        FrameInput::Prefetched {
+            volumes,
+            io,
+            io_secs,
+        } => Ok((volumes, io, io_secs)),
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -37,6 +37,21 @@ impl Endian {
             Endian::Big => f32::from_be_bytes(b),
         }
     }
+
+    /// Decode whole 4-byte elements of `src` into `dst`, one per chunk;
+    /// stops at the shorter of the two (a trailing partial element of
+    /// `src` is ignored).
+    pub fn decode_slice(self, src: &[u8], dst: &mut [f32]) {
+        fn each(src: &[u8], dst: &mut [f32], from: impl Fn([u8; 4]) -> f32) {
+            for (d, c) in dst.iter_mut().zip(src.chunks_exact(4)) {
+                *d = from([c[0], c[1], c[2], c[3]]);
+            }
+        }
+        match self {
+            Endian::Little => each(src, dst, f32::from_le_bytes),
+            Endian::Big => each(src, dst, f32::from_be_bytes),
+        }
+    }
 }
 
 /// Magic bytes for each format's header.
@@ -345,5 +360,36 @@ mod tests {
         assert_eq!(f32::from_be_bytes([b[0], b[1], b[2], b[3]]), 1.0);
         assert_eq!(f32::from_be_bytes([b[4], b[5], b[6], b[7]]), -2.5);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn slice_decode_is_elementwise_decode() {
+        // NaNs (quiet, signalling, with payload), subnormals, ±0 and ±∞.
+        let bits = [
+            0x7fc0_0001u32,
+            0x7f80_0001,
+            0xffc1_2345,
+            0x0000_0001,
+            0x807f_ffff,
+            0x0000_0000,
+            0x8000_0000,
+            0x7f80_0000,
+            0x3f80_0000,
+        ];
+        for endian in [Endian::Little, Endian::Big] {
+            let src: Vec<u8> = bits.iter().flat_map(|b| b.to_le_bytes()).collect();
+            let mut dst = vec![0.0f32; bits.len()];
+            endian.decode_slice(&src, &mut dst);
+            for (i, c) in src.chunks_exact(4).enumerate() {
+                let want = endian.decode([c[0], c[1], c[2], c[3]]);
+                assert_eq!(dst[i].to_bits(), want.to_bits(), "{endian:?} element {i}");
+            }
+            // Stops at the shorter side: a trailing partial element of
+            // `src` is ignored, elements past `src` are left alone.
+            let mut short = vec![1.5f32; 3];
+            endian.decode_slice(&src[..6], &mut short);
+            assert_eq!(short[0].to_bits(), dst[0].to_bits());
+            assert_eq!(&short[1..], &[1.5, 1.5]);
+        }
     }
 }

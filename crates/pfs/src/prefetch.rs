@@ -39,12 +39,15 @@ impl IoThrottle {
     /// still owes — the read itself counts toward the floor, so a
     /// genuinely slow store is never padded twice. Every reader,
     /// simulated ranks included, sleeps it off in wall time via
-    /// [`IoThrottle::pad`].
+    /// [`IoThrottle::pad`]. A bandwidth that is not a positive number
+    /// sets no floor; one so small that the floor overflows a
+    /// [`Duration`] saturates at [`Duration::MAX`].
     pub fn remaining(&self, bytes: u64, elapsed: Duration) -> Duration {
-        if self.bytes_per_sec <= 0.0 {
+        if self.bytes_per_sec.is_nan() || self.bytes_per_sec <= 0.0 {
             return Duration::ZERO;
         }
-        let floor = Duration::from_secs_f64(bytes as f64 / self.bytes_per_sec);
+        let floor =
+            Duration::try_from_secs_f64(bytes as f64 / self.bytes_per_sec).unwrap_or(Duration::MAX);
         floor.saturating_sub(elapsed)
     }
 
@@ -150,6 +153,36 @@ mod tests {
         assert!(started.elapsed() >= Duration::from_millis(18));
         assert_eq!(got[0].len(), 4096);
         std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn throttle_without_a_positive_bandwidth_sets_no_floor() {
+        let elapsed = Duration::from_millis(3);
+        for bw in [f64::NAN, -f64::NAN, 0.0, -0.0, -1.0, f64::NEG_INFINITY] {
+            assert_eq!(
+                IoThrottle::new(bw).remaining(4096, elapsed),
+                Duration::ZERO,
+                "{bw}"
+            );
+        }
+        // Infinitely fast: the floor is zero, nothing is owed.
+        assert_eq!(
+            IoThrottle::new(f64::INFINITY).remaining(4096, elapsed),
+            Duration::ZERO
+        );
+    }
+
+    #[test]
+    fn throttle_floor_that_overflows_a_duration_saturates() {
+        // 4096 B / 1e-310 B/s ≈ 4e313 s, far past `Duration::MAX`.
+        let t = IoThrottle::new(1e-310);
+        assert_eq!(t.remaining(4096, Duration::ZERO), Duration::MAX);
+        assert_eq!(
+            t.remaining(4096, Duration::from_secs(5)),
+            Duration::MAX - Duration::from_secs(5)
+        );
+        // No bytes, no floor, however slow the store.
+        assert_eq!(t.remaining(0, Duration::ZERO), Duration::ZERO);
     }
 
     #[test]

@@ -9,14 +9,30 @@
 //!
 //! The planner is pure and cheap — it needs only the *aggregate* extent
 //! list, which coalesces to a handful of runs even for a 4480³ variable,
-//! so full paper-scale access patterns can be computed on a laptop.
+//! so full paper-scale access patterns can be computed on a laptop. The
+//! placed runs behind the exchange are radix-sorted by
+//! `(file_offset, rank)`, with no comparison ([`ScatterPlan::build`]).
+//!
+//! The in-process read has one window loop and two sinks. Each window
+//! is read once into a buffer whose capacity every window reuses (no
+//! zero-fill), and each of its pieces goes to a sink with its bytes:
+//! [`two_phase_execute`] copies them into per-rank byte buffers (the
+//! byte-level oracle), [`two_phase_decode`] decodes them straight into
+//! per-rank `f32` outputs. A window that begins partway into an element
+//! (a file domain boundary, or a `cb_buffer_size`, that is not a
+//! multiple of 4) splits that element between two pieces; the decoding
+//! sink holds the ≤ 3 bytes of each side until the element is whole.
+//! The message-passing executor in `pvr-core` walks the same
+//! [`ScatterPlan`] with its own window loop, because it reads under a
+//! fault audit and sends bytes over links.
 
+use std::collections::HashMap;
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom};
+use std::io::{ErrorKind, Read, Seek, SeekFrom};
 
 use pvr_formats::extent::{clip, merge_sorted, total_bytes, union_bytes, Extent};
 use pvr_formats::layout::PlacedRun;
-use pvr_formats::ELEM_SIZE;
+use pvr_formats::{Endian, ELEM_SIZE};
 
 /// MPI-IO hints controlling the collective read — the paper's tuning
 /// knobs ("adjusting such parameters as internal buffer sizes and number
@@ -234,9 +250,15 @@ impl Piece {
     }
 }
 
+/// `(file_offset, len_bytes, rank, buffer_byte)` of one placed run.
+type Run = (u64, usize, usize, usize);
+
+/// Bits of the file offset one pass of [`radix_sort_by_offset`] sorts.
+const DIGIT_BITS: u32 = 11;
+
 /// `(file_offset, len_bytes, rank, buffer_byte)` of every placed run of
-/// every request, sorted by file offset.
-fn sorted_runs(requests: &[RankRequest]) -> Vec<(u64, usize, usize, usize)> {
+/// every request, sorted by `(file_offset, rank)`.
+fn sorted_runs(requests: &[RankRequest]) -> Vec<Run> {
     let mut runs = Vec::with_capacity(requests.iter().map(|rq| rq.runs.len()).sum());
     for (rank, rq) in requests.iter().enumerate() {
         for r in &rq.runs {
@@ -248,13 +270,48 @@ fn sorted_runs(requests: &[RankRequest]) -> Vec<(u64, usize, usize, usize)> {
             ));
         }
     }
-    runs.sort_unstable_by_key(|t| t.0);
+    radix_sort_by_offset(&mut runs);
     runs
+}
+
+/// LSD radix sort of `runs` by file offset, [`DIGIT_BITS`] a pass, as
+/// many passes as the largest offset has digits. Every pass is stable
+/// and [`sorted_runs`] pushes the runs rank by rank, so equal offsets —
+/// only the ghost runs of different ranks overlap — come out in rank
+/// order: the order is `(file_offset, rank)`, with no comparison. A
+/// pass whose digit is the same for every run would move nothing and is
+/// skipped.
+fn radix_sort_by_offset(runs: &mut Vec<Run>) {
+    const MASK: u64 = (1 << DIGIT_BITS) - 1;
+    let max = runs.iter().map(|t| t.0).max().unwrap_or(0);
+    let passes = (u64::BITS - max.leading_zeros()).div_ceil(DIGIT_BITS);
+    let mut scratch = vec![(0, 0, 0, 0); runs.len()];
+    let mut slot = vec![0usize; 1 << DIGIT_BITS];
+    for pass in 0..passes {
+        let digit = |t: &Run| ((t.0 >> (pass * DIGIT_BITS)) & MASK) as usize;
+        slot.fill(0);
+        for t in runs.iter() {
+            slot[digit(t)] += 1;
+        }
+        if slot.contains(&runs.len()) {
+            continue;
+        }
+        let mut at = 0;
+        for s in slot.iter_mut() {
+            (at, *s) = (at + *s, at);
+        }
+        for t in runs.iter() {
+            let s = &mut slot[digit(t)];
+            scratch[*s] = *t;
+            *s += 1;
+        }
+        std::mem::swap(runs, &mut scratch);
+    }
 }
 
 /// The coalesced aggregate request of `runs` (sorted by file offset),
 /// without sorting them a second time.
-fn aggregate_of(runs: &[(u64, usize, usize, usize)]) -> Vec<Extent> {
+fn aggregate_of(runs: &[Run]) -> Vec<Extent> {
     let mut aggregate = Vec::from_iter(runs.iter().map(|t| Extent::new(t.0, t.1 as u64)));
     merge_sorted(&mut aggregate);
     aggregate
@@ -277,12 +334,15 @@ fn aggregate_of(runs: &[(u64, usize, usize, usize)]) -> Vec<Extent> {
 pub struct ScatterPlan {
     pub plan: IoPlan,
     /// `(file_offset, len_bytes, rank, out_byte)` of every placed run,
-    /// sorted by file offset.
+    /// sorted by `(file_offset, rank)`.
     pub runs: Vec<(u64, usize, usize, usize)>,
     /// Exchange-phase pieces each rank will receive.
     pub piece_counts: Vec<usize>,
     /// Bytes of those pieces, per rank.
     pub piece_bytes: Vec<u64>,
+    /// Bytes of the longest run: how far before a window the first run
+    /// that reaches into it can start.
+    longest_run: u64,
 }
 
 impl ScatterPlan {
@@ -305,6 +365,7 @@ impl ScatterPlan {
         let mut piece_bytes = vec![0u64; nranks];
         let sp = ScatterPlan {
             plan,
+            longest_run: runs.iter().map(|t| t.1 as u64).max().unwrap_or(0),
             runs,
             piece_counts: Vec::new(),
             piece_bytes: Vec::new(),
@@ -331,11 +392,14 @@ impl ScatterPlan {
     /// The exchange pieces of one window, in ascending-run order — the
     /// fan-out every scatter implementation walks. Runs can span
     /// adjacent windows, so each piece is the (nonempty) window∩run
-    /// overlap.
+    /// overlap. Runs can also nest (one rank's run inside another's), so
+    /// "ends before the window" is not monotone along the sorted runs;
+    /// "starts a longest run or more before it" is, and the filter drops
+    /// the few runs in between that end before the window.
     pub fn pieces_in(&self, w: Extent) -> impl Iterator<Item = Piece> + '_ {
         let start = self
             .runs
-            .partition_point(move |t| t.0 + t.1 as u64 <= w.offset);
+            .partition_point(move |t| t.0 + self.longest_run <= w.offset);
         self.runs[start..]
             .iter()
             .take_while(move |t| t.0 < w.end())
@@ -410,16 +474,73 @@ pub fn two_phase_execute_traced(
     hints: &CollectiveHints,
     tracer: &pvr_obs::Tracer,
 ) -> std::io::Result<ExecResult> {
-    let nranks = requests.len();
     let sp = ScatterPlan::build(requests, num_aggregators, hints);
-
     let mut rank_bytes: Vec<Vec<u8>> = requests
         .iter()
         .map(|rq| vec![0u8; rq.out_elems * ELEM_SIZE as usize])
         .collect();
+    let exchange_bytes = read_windows(file, &sp, tracer, |p, bytes| {
+        rank_bytes[p.rank][p.out_byte..p.out_byte + bytes.len()].copy_from_slice(bytes)
+    })?;
+    Ok(ExecResult {
+        rank_bytes,
+        plan: sp.plan,
+        exchange_bytes,
+    })
+}
 
+/// [`two_phase_execute_traced`]'s read, decoded as it is scattered:
+/// every piece goes from the window buffer straight into `out[rank]`,
+/// `requests[rank].out_elems` floats in placed-run order, decoded from
+/// `endian`. Elements no run asks for keep what `out` held. Returns the
+/// realized plan and the exchange bytes; the windows, their `io.window`
+/// spans and the bytes every element ends up with are
+/// [`two_phase_execute_traced`]'s.
+pub fn two_phase_decode(
+    file: &mut File,
+    requests: &[RankRequest],
+    num_aggregators: usize,
+    hints: &CollectiveHints,
+    endian: Endian,
+    out: &mut [Vec<f32>],
+    tracer: &pvr_obs::Tracer,
+) -> std::io::Result<(IoPlan, u64)> {
+    let fits = |(o, rq): (&Vec<f32>, &RankRequest)| o.len() == rq.out_elems;
+    assert!(
+        out.len() == requests.len() && out.iter().zip(requests).all(fits),
+        "one output of `out_elems` floats per request"
+    );
+    let sp = ScatterPlan::build(requests, num_aggregators, hints);
+    let mut sink = DecodeSink {
+        out,
+        endian,
+        split: HashMap::new(),
+    };
+    let exchange_bytes = read_windows(file, &sp, tracer, |p, bytes| sink.piece(p, bytes))?;
+    debug_assert!(
+        sink.split.is_empty(),
+        "every run byte is in exactly one piece"
+    );
+    Ok((sp.plan, exchange_bytes))
+}
+
+/// The one window loop of the collective read. Each access of `sp` is
+/// read once — inside an `io.window` span on its aggregator's track —
+/// into one buffer allocated for the largest window and reused by every
+/// window, so nothing is zero-filled or grown; a short read is
+/// `UnexpectedEof`, as `read_exact` reports it. Every piece of the window is then handed to `sink` with
+/// its bytes. Returns the bytes that went to a rank other than the
+/// window's aggregator.
+fn read_windows(
+    file: &mut File,
+    sp: &ScatterPlan,
+    tracer: &pvr_obs::Tracer,
+    mut sink: impl FnMut(&Piece, &[u8]),
+) -> std::io::Result<u64> {
+    let nranks = sp.piece_counts.len();
     let mut exchange_bytes = 0u64;
-    let mut buf: Vec<u8> = Vec::new();
+    let largest = sp.plan.accesses.iter().map(|a| a.extent.len).max();
+    let mut buf: Vec<u8> = Vec::with_capacity(largest.unwrap_or(0) as usize);
     for a in &sp.plan.accesses {
         let w = a.extent;
         let host = sp.aggregator_rank(a.aggregator, nranks);
@@ -428,24 +549,71 @@ pub fn two_phase_execute_traced(
             "io.window",
             pvr_obs::Args::two("offset", w.offset, "bytes", w.len),
         );
-        buf.resize(w.len as usize, 0);
+        buf.clear();
         file.seek(SeekFrom::Start(w.offset))?;
-        file.read_exact(&mut buf)?;
-        // Scatter the window to every run overlapping it.
+        if file.by_ref().take(w.len).read_to_end(&mut buf)? as u64 != w.len {
+            return Err(ErrorKind::UnexpectedEof.into());
+        }
         for p in sp.pieces_in(w) {
-            rank_bytes[p.rank][p.out_byte..p.out_byte + p.len()]
-                .copy_from_slice(&buf[p.src_lo..p.src_hi]);
+            sink(&p, &buf[p.src_lo..p.src_hi]);
             if p.rank != host {
                 exchange_bytes += p.len() as u64;
             }
         }
     }
+    Ok(exchange_bytes)
+}
 
-    Ok(ExecResult {
-        rank_bytes,
-        plan: sp.plan,
-        exchange_bytes,
-    })
+/// The sink of [`two_phase_decode`]. A piece's whole elements decode in
+/// place. Where a window begins partway into an element — every window
+/// of a file domain whose boundary is not 4-aligned, or of a
+/// `cb_buffer_size` that is not a multiple of 4 — the element is split
+/// between two pieces: the ≤ 3 leading and ≤ 3 trailing bytes of a piece
+/// wait in `split`, keyed by (rank, element), until all 4 have arrived.
+/// Each (rank, output byte) comes in exactly one piece, so the order of
+/// the windows does not matter.
+struct DecodeSink<'a> {
+    out: &'a mut [Vec<f32>],
+    endian: Endian,
+    /// An element's bytes so far, and how many have arrived.
+    split: HashMap<(usize, usize), ([u8; 4], usize)>,
+}
+
+impl DecodeSink<'_> {
+    fn piece(&mut self, p: &Piece, bytes: &[u8]) {
+        let (lo, hi) = (p.out_byte, p.out_byte + bytes.len());
+        let elem = ELEM_SIZE as usize;
+        // The elements that lie wholly inside the piece.
+        let (first, end) = (lo.div_ceil(elem), hi / elem);
+        if first >= end {
+            self.stash(p.rank, lo, bytes);
+            return;
+        }
+        let (head, rest) = bytes.split_at(first * elem - lo);
+        let (whole, tail) = rest.split_at((end - first) * elem);
+        self.stash(p.rank, lo, head);
+        self.endian
+            .decode_slice(whole, &mut self.out[p.rank][first..end]);
+        self.stash(p.rank, end * elem, tail);
+    }
+
+    /// Keep `bytes`, which start at output byte `at` of `rank` and hold
+    /// no whole element, and decode each element they complete.
+    fn stash(&mut self, rank: usize, mut at: usize, mut bytes: &[u8]) {
+        let elem = ELEM_SIZE as usize;
+        while !bytes.is_empty() {
+            let (e, k) = (at / elem, at % elem);
+            let n = (elem - k).min(bytes.len());
+            let part = self.split.entry((rank, e)).or_insert(([0; 4], 0));
+            part.0[k..k + n].copy_from_slice(&bytes[..n]);
+            part.1 += n;
+            if part.1 == elem {
+                self.out[rank][e] = self.endian.decode(part.0);
+                self.split.remove(&(rank, e));
+            }
+            (at, bytes) = (at + n, &bytes[n..]);
+        }
+    }
 }
 
 /// Result of executing a collective write.
@@ -480,18 +648,15 @@ pub fn two_phase_write(
     use std::io::Write;
     assert_eq!(requests.len(), rank_data.len());
     let nranks = requests.len();
-    let naggr = num_aggregators.clamp(1, nranks.max(1));
 
-    // `.3` of a run is its byte offset in the rank's source data here.
-    let sorted_runs = sorted_runs(requests);
-    let aggregate = aggregate_of(&sorted_runs);
-    let plan = two_phase_plan(&aggregate, naggr, hints);
-
-    let aggr_rank = |j: usize| j * nranks / naggr;
+    // A piece's `out_byte` is its byte offset in the rank's source data
+    // here.
+    let sp = ScatterPlan::build(requests, num_aggregators, hints);
+    let aggregate = aggregate_of(&sp.runs);
     let mut rmw_windows = 0usize;
     let mut exchange_bytes = 0u64;
     let mut buf: Vec<u8> = Vec::new();
-    for a in &plan.accesses {
+    for a in &sp.plan.accesses {
         let w = a.extent;
         buf.resize(w.len as usize, 0);
         // Hole detection: do the runs cover the whole window?
@@ -503,23 +668,12 @@ pub fn two_phase_write(
             file.read_exact(&mut buf)?;
         }
         // Gather the ranks' pieces into the window buffer.
-        let start_idx = sorted_runs.partition_point(|t| t.0 + t.1 as u64 <= w.offset);
-        for t in &sorted_runs[start_idx..] {
-            let (off, len, rank, src_byte) = *t;
-            if off >= w.end() {
-                break;
-            }
-            let lo = off.max(w.offset);
-            let hi = (off + len as u64).min(w.end());
-            if lo >= hi {
-                continue;
-            }
-            let n = (hi - lo) as usize;
-            let dst = (lo - w.offset) as usize;
-            let src = src_byte + (lo - off) as usize;
-            buf[dst..dst + n].copy_from_slice(&rank_data[rank][src..src + n]);
-            if rank != aggr_rank(a.aggregator) {
-                exchange_bytes += n as u64;
+        let host = sp.aggregator_rank(a.aggregator, nranks);
+        for p in sp.pieces_in(w) {
+            buf[p.src_lo..p.src_hi]
+                .copy_from_slice(&rank_data[p.rank][p.out_byte..p.out_byte + p.len()]);
+            if p.rank != host {
+                exchange_bytes += p.len() as u64;
             }
         }
         file.seek(SeekFrom::Start(w.offset))?;
@@ -527,7 +681,7 @@ pub fn two_phase_write(
     }
     file.flush()?;
     Ok(WriteResult {
-        plan,
+        plan: sp.plan,
         rmw_windows,
         exchange_bytes,
     })
@@ -881,6 +1035,81 @@ mod tests {
     }
 
     #[test]
+    fn element_straddling_two_domains_decodes_whole() {
+        // Rank 0 asks for 3 elements at byte 0, rank 1 for 2 at byte 12:
+        // a 20-byte span, so the two aggregators' domains meet at byte 10,
+        // inside rank 0's third element (bytes 8..12).
+        let values = [1.5f32, -2.25, f32::from_bits(0x7fc0_1234), 1e-42, -0.0];
+        let mk = |file_offset: u64, elems: usize| RankRequest {
+            runs: vec![PlacedRun {
+                file_offset,
+                elems,
+                out_start: 0,
+            }],
+            out_elems: elems,
+        };
+        let requests = vec![mk(0, 3), mk(12, 2)];
+        let aggregate = aggregate_of(&sorted_runs(&requests));
+        assert_eq!(file_domains(&aggregate, 2)[1].offset, 10);
+        let dir = std::env::temp_dir().join(format!("pvr-pfs-split-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for endian in [Endian::Little, Endian::Big] {
+            let path = dir.join(format!("split-{endian:?}.bin"));
+            let bytes: Vec<u8> = values.iter().flat_map(|v| endian.encode(*v)).collect();
+            std::fs::write(&path, &bytes).unwrap();
+            let hints = CollectiveHints {
+                cb_buffer_size: 16,
+                cb_nodes: None,
+            };
+            let sp = ScatterPlan::build(&requests, 2, &hints);
+            let cut: Vec<Piece> = sp
+                .plan
+                .accesses
+                .iter()
+                .flat_map(|a| sp.pieces_in(a.extent))
+                .filter(|p| p.rank == 0 && p.file_hi > 8)
+                .collect();
+            assert_eq!(cut.len(), 2, "the element arrives in two pieces: {cut:?}");
+            let mut out = vec![vec![0.0f32; 3], vec![0.0f32; 2]];
+            let tracer = pvr_obs::Tracer::disabled();
+            let mut f = File::open(&path).unwrap();
+            let (plan, _) =
+                two_phase_decode(&mut f, &requests, 2, &hints, endian, &mut out, &tracer).unwrap();
+            assert_eq!(plan.accesses.len(), 2);
+            let got: Vec<u32> = out.concat().iter().map(|v| v.to_bits()).collect();
+            let want: Vec<u32> = values.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "{endian:?}");
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn short_window_read_is_unexpected_eof() {
+        let dir = std::env::temp_dir().join(format!("pvr-pfs-short-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("short.bin");
+        std::fs::write(&path, vec![1u8; 100]).unwrap();
+        let requests = vec![RankRequest {
+            runs: vec![PlacedRun {
+                file_offset: 64,
+                elems: 16,
+                out_start: 0,
+            }],
+            out_elems: 16,
+        }];
+        let hints = CollectiveHints::default();
+        let mut f = File::open(&path).unwrap();
+        let e = two_phase_execute(&mut f, &requests, 1, &hints).unwrap_err();
+        assert_eq!(e.kind(), ErrorKind::UnexpectedEof);
+        let mut out = vec![vec![0.0f32; 16]];
+        let tracer = pvr_obs::Tracer::disabled();
+        let e = two_phase_decode(&mut f, &requests, 1, &hints, Endian::Big, &mut out, &tracer)
+            .unwrap_err();
+        assert_eq!(e.kind(), ErrorKind::UnexpectedEof);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn runs_spanning_window_boundaries_are_scattered_fully() {
         let dir = std::env::temp_dir().join(format!("pvr-pfs-test2-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -917,6 +1146,85 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+    use std::path::PathBuf;
+    use std::sync::OnceLock;
+
+    /// A file that covers every run `ranks_of_runs` can ask for, in which
+    /// the 4 bytes at every offset are distinct (a splitmix64 stream,
+    /// checked), and which holds NaN and subnormal elements in both byte
+    /// orders.
+    fn pattern_file() -> &'static PathBuf {
+        static FILE: OnceLock<PathBuf> = OnceLock::new();
+        FILE.get_or_init(|| {
+            let mut state = 0x5eed_u64;
+            let bytes: Vec<u8> = (0..21_200)
+                .map(|_| {
+                    state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                    let mut z = state;
+                    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                    (z ^ (z >> 31)) as u8
+                })
+                .collect();
+            let words: Vec<[u8; 4]> = bytes.windows(4).map(|w| [w[0], w[1], w[2], w[3]]).collect();
+            let distinct: std::collections::HashSet<_> = words.iter().collect();
+            assert_eq!(distinct.len(), words.len(), "pick another seed");
+            for endian in [Endian::Little, Endian::Big] {
+                let vals = || words.iter().map(|w| endian.decode(*w));
+                assert!(vals().any(f32::is_nan), "{endian:?}");
+                assert!(vals().any(f32::is_subnormal), "{endian:?}");
+            }
+            let dir = std::env::temp_dir().join(format!("pvr-pfs-prop-{}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join("pattern.bin");
+            std::fs::write(&path, &bytes).unwrap();
+            path
+        })
+    }
+
+    /// Every placed run, rank by rank, in placed-run order.
+    fn unsorted_runs(requests: &[RankRequest]) -> Vec<Run> {
+        let mut runs: Vec<Run> = Vec::new();
+        for (rank, rq) in requests.iter().enumerate() {
+            for r in &rq.runs {
+                runs.push((r.file_offset, r.elems * 4, rank, r.out_start * 4));
+            }
+        }
+        runs
+    }
+
+    /// `sorted_runs` before it stopped comparing: an unstable sort by
+    /// file offset alone — the oracle of the plan's pieces.
+    fn unstable_sorted_runs(requests: &[RankRequest]) -> Vec<Run> {
+        let mut runs = unsorted_runs(requests);
+        runs.sort_unstable_by_key(|t| t.0);
+        runs
+    }
+
+    /// Every window∩run overlap of `runs` in run order, by a scan of all
+    /// of them: the fan-out with no search to get wrong.
+    fn scanned_pieces(runs: &[Run], w: Extent) -> Vec<Piece> {
+        runs.iter()
+            .filter_map(|&(off, len, rank, out_byte)| {
+                let (lo, hi) = (off.max(w.offset), (off + len as u64).min(w.end()));
+                (lo < hi).then(|| Piece {
+                    rank,
+                    out_byte: out_byte + (lo - off) as usize,
+                    src_lo: (lo - w.offset) as usize,
+                    src_hi: (hi - w.offset) as usize,
+                    file_lo: lo,
+                    file_hi: hi,
+                })
+            })
+            .collect()
+    }
+
+    /// `pieces` with the pieces one rank has at one file offset in
+    /// output order — the only order the unstable sorts left open.
+    fn settled(mut pieces: Vec<Piece>) -> Vec<Piece> {
+        pieces.sort_by_key(|p| (p.rank, p.file_lo, p.out_byte));
+        pieces
+    }
 
     /// Up to 5 ranks of up to 7 `(file_offset, elems)` runs each: empty
     /// runs, and runs that touch or overlap within and across ranks.
@@ -977,13 +1285,20 @@ mod proptests {
 
         /// The one-pass aggregate of the sorted runs is what sorting and
         /// coalescing the same extents a second time gave, so the access
-        /// plan is the same plan.
+        /// plan is the same plan. Half the cases put every run on a
+        /// 2 000-byte grid, so that many runs share an offset.
         #[test]
         fn aggregate_of_sorted_runs_equals_coalesce(
             ranks in ranks_of_runs(),
             naggr in 1usize..8,
             cb in 1u64..8_000,
+            coarse in 0usize..2,
         ) {
+            let grain = [1, 2_000][coarse];
+            let ranks = ranks
+                .into_iter()
+                .map(|runs| runs.into_iter().map(|(off, n)| (off / grain * grain, n)).collect())
+                .collect();
             let requests = requests_of(ranks);
             let mut coalesced: Vec<Extent> = requests
                 .iter()
@@ -1004,6 +1319,87 @@ mod proptests {
                 (got.useful_bytes, got.physical_bytes, got.unique_bytes),
                 (want.useful_bytes, want.physical_bytes, want.unique_bytes)
             );
+
+            // The plan's order is `(file_offset, rank)`, fully defined:
+            // ties within a rank keep placed-run order.
+            let sp = ScatterPlan::build(&requests, naggr, &hints);
+            let mut by_key = unsorted_runs(&requests);
+            by_key.sort_by_key(|t| (t.0, t.2));
+            prop_assert_eq!(&sp.runs, &by_key);
+
+            // Pieces, and the messages grouping them, are what the
+            // comparison sort's runs gave.
+            let old = unstable_sorted_runs(&requests);
+            let (mut counts, mut bytes) = (vec![0usize; requests.len()], vec![0u64; requests.len()]);
+            for a in &sp.plan.accesses {
+                let mut sends = scanned_pieces(&old, a.extent);
+                for p in &sends {
+                    counts[p.rank] += 1;
+                    bytes[p.rank] += p.len() as u64;
+                }
+                sends.sort_unstable_by_key(|p| (p.rank, p.file_lo));
+                prop_assert_eq!(settled(sp.sends_in(a.extent)), settled(sends));
+            }
+            prop_assert_eq!(&sp.piece_counts, &counts);
+            prop_assert_eq!(&sp.piece_bytes, &bytes);
+        }
+
+        /// Every byte of every run reaches its rank in exactly one piece,
+        /// also where runs nest (a run inside another rank's longer one).
+        #[test]
+        fn every_run_byte_is_in_exactly_one_piece(
+            ranks in ranks_of_runs(),
+            naggr in 1usize..8,
+            cb in 1u64..8_000,
+        ) {
+            let requests = requests_of(ranks);
+            let hints = CollectiveHints { cb_buffer_size: cb, cb_nodes: None };
+            let sp = ScatterPlan::build(&requests, naggr, &hints);
+            let mut hits: Vec<Vec<u8>> =
+                requests.iter().map(|rq| vec![0; rq.out_elems * 4]).collect();
+            for a in &sp.plan.accesses {
+                for p in sp.pieces_in(a.extent) {
+                    hits[p.rank][p.out_byte..p.out_byte + p.len()].iter_mut().for_each(|h| *h += 1);
+                }
+            }
+            for (rq, h) in requests.iter().zip(&hits) {
+                for r in &rq.runs {
+                    prop_assert!(h[r.out_start * 4..(r.out_start + r.elems) * 4].iter().all(|&n| n == 1));
+                }
+            }
+        }
+
+        /// The decoding sink is the copying one plus `Endian::decode`, bit
+        /// for bit, in both byte orders — with buffer sizes and domain
+        /// cuts that split elements between windows.
+        #[test]
+        fn decoded_read_equals_byte_read_then_decode(
+            ranks in ranks_of_runs(),
+            naggr in 1usize..8,
+            cb in 1u64..8_000,
+        ) {
+            let requests = requests_of(ranks);
+            let hints = CollectiveHints { cb_buffer_size: cb, cb_nodes: None };
+            let mut f = File::open(pattern_file()).unwrap();
+            let res = two_phase_execute(&mut f, &requests, naggr, &hints).unwrap();
+            for endian in [Endian::Little, Endian::Big] {
+                let mut out: Vec<Vec<f32>> =
+                    requests.iter().map(|rq| vec![0.0; rq.out_elems]).collect();
+                let tracer = pvr_obs::Tracer::disabled();
+                let (plan, exchange) =
+                    two_phase_decode(&mut f, &requests, naggr, &hints, endian, &mut out, &tracer)
+                        .unwrap();
+                prop_assert_eq!(plan.accesses, res.plan.accesses.clone());
+                prop_assert_eq!(exchange, res.exchange_bytes);
+                for (got, bytes) in out.iter().zip(&res.rank_bytes) {
+                    let want: Vec<u32> = bytes
+                        .chunks_exact(4)
+                        .map(|c| endian.decode([c[0], c[1], c[2], c[3]]).to_bits())
+                        .collect();
+                    let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                    prop_assert_eq!(got, want);
+                }
+            }
         }
 
         /// Per window, the grouped sends are exactly `pieces_in`'s

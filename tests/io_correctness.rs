@@ -3,11 +3,13 @@
 //! statistics reproduce the paper's Figure 9/10 structure at full
 //! 1120³ scale (plans only; no 27 GB file needed).
 
-use parallel_volume_rendering::core::{FrameConfig, IoMode};
+use parallel_volume_rendering::core::{
+    laptop_aggregators, run_frame, run_frame_mpi, write_dataset, FrameConfig, IoMode,
+};
 use parallel_volume_rendering::formats::layout::FileLayout;
-use parallel_volume_rendering::formats::{Subvolume, ELEM_SIZE};
+use parallel_volume_rendering::formats::{coalesce, Subvolume, ELEM_SIZE};
 use parallel_volume_rendering::pfs::twophase::{
-    two_phase_execute, two_phase_plan, CollectiveHints, RankRequest,
+    file_domains, two_phase_execute, two_phase_plan, CollectiveHints, RankRequest,
 };
 use parallel_volume_rendering::volume::BlockDecomposition;
 
@@ -84,6 +86,50 @@ fn collective_read_correct_for_all_formats() {
         }
         std::fs::remove_file(&p).ok();
     }
+}
+
+/// The data-parallel read decodes window pieces straight into volumes;
+/// the message-passing read ships bytes and decodes them once they have
+/// all arrived. On a record file whose aggregator domains meet inside an
+/// element, so that windows split elements between pieces, both give
+/// the same image bit for bit.
+#[test]
+fn unaligned_file_domains_decode_like_the_rank_read() {
+    let mut cfg = FrameConfig::small(22, 32, 12);
+    cfg.io = IoMode::NetCdfUntuned;
+    cfg.variable = 2;
+    let layout = cfg.io.layout(cfg.grid);
+    let mut aggregate = layout.extents(cfg.file_variable(), &Subvolume::whole(cfg.grid));
+    coalesce(&mut aggregate);
+    // Every element of the variable starts a multiple of 4 bytes after
+    // its first one; a domain that does not is cut mid-element.
+    let first = aggregate[0].offset;
+    let domains = file_domains(&aggregate, laptop_aggregators(cfg.nprocs));
+    assert!(
+        domains
+            .iter()
+            .any(|d| !(d.offset - first).is_multiple_of(ELEM_SIZE)),
+        "no domain boundary splits an element: {domains:?}"
+    );
+
+    let d = std::env::temp_dir().join(format!("pvr-ioc-{}", std::process::id()));
+    std::fs::create_dir_all(&d).unwrap();
+    let p = d.join("unaligned.nc");
+    write_dataset(&p, &cfg).unwrap();
+    let (a, b) = (run_frame(&cfg, Some(&p)), run_frame_mpi(&cfg, &p));
+    let bits = |img: &parallel_volume_rendering::render::Image| -> Vec<u32> {
+        img.pixels()
+            .iter()
+            .flat_map(|px| px.map(f32::to_bits))
+            .collect()
+    };
+    assert!(a.render_samples > 0);
+    assert_eq!(
+        bits(&a.image),
+        bits(&b.image),
+        "executors must agree bit for bit"
+    );
+    std::fs::remove_file(&p).ok();
 }
 
 /// Paper-scale plan structure: the 1120³ netCDF single-variable read.
