@@ -1,13 +1,12 @@
 //! `bench_sim` — the discrete-event scheduler benchmark.
 //!
-//! Three measurements at n = 256 simulated ranks, comparing the
-//! single-threaded discrete-event core against the original
-//! thread-per-rank oracle (`Backend::Thread`, feature `thread-exec`):
+//! Three measurements at n = 256 simulated ranks on the single-threaded
+//! discrete-event core:
 //!
 //! 1. **End-to-end frame** (read → render → direct-send composite →
-//!    gather): the oracle check. Both backends must produce
-//!    bit-identical images, and all 256 rank tasks must be resident in
-//!    one address space at once.
+//!    gather): must be bit-identical to the data-parallel executor's
+//!    frame (`run_frame`) on the same config and file, with all 256
+//!    rank tasks resident in one address space at once.
 //! 2. **Pure exchange**: a direct-send-shaped message storm (every
 //!    rank fans a fragment out to 64 compositors, compositors drain
 //!    wildcard receives, barrier, repeat). Yields the event core's
@@ -17,18 +16,16 @@
 //!    ≥95% of the frame at scale) and with one rank's fragments dropped
 //!    by a fault injector, so compositors finish the round through a
 //!    timed receive — the `fault_sweep` workload in miniature. The
-//!    event core advances the virtual clock past the reads and the
-//!    timeout expiries for free; the thread oracle must sleep them off
-//!    in wall time (exactly what capped the old CI sweeps). The ≥5×
-//!    wall-ratio gate applies here.
+//!    reads and the timeout expiries must be charged to the virtual
+//!    clock, not slept off in wall time.
 //!
-//! The event-core frame also runs under the counting allocator of the
+//! The frame also runs under the counting allocator of the
 //! allocation-budget tests: `allocs_per_message` and `bytes_per_frame`
 //! say what the host pays per message beyond its body.
 //!
 //! Writes `results/BENCH_sim.json`. Gates (hard failures, any mode):
-//! bit-identical frames, full task residency, and event core ≥5×
-//! faster than threads on the sweep-shaped workload.
+//! a frame bit-identical to the data-parallel one, full task residency,
+//! and reads and detection waits charged to the virtual clock.
 
 #[path = "../../../../tests/support/alloc.rs"]
 mod alloc;
@@ -37,9 +34,9 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use pvr_bench::{check, write_trajectory, CsvOut};
-use pvr_core::pipeline::run_frame_mpi_sim;
+use pvr_core::pipeline::{run_frame, run_frame_mpi_sim};
 use pvr_core::{write_dataset, CompositorPolicy, FrameConfig, FrameResult};
-use pvr_mpisim::{Backend, Comm, RunOptions, SimStats, World};
+use pvr_mpisim::{Comm, RunOptions, SimStats, World};
 use pvr_obs::bench::Trajectory;
 
 const N: usize = 256;
@@ -47,7 +44,7 @@ const N: usize = 256;
 /// this scale (m = n/4).
 const M: usize = 64;
 /// Exchange rounds per timed run (amortizes world setup a little
-/// without hiding it; thread spawn cost is real executor cost).
+/// without hiding it).
 const ROUNDS: usize = 4;
 /// Simulated window-read time per round in the I/O-shaped workload.
 /// 20 ms for a few hundred KB window is ~10 MB/s effective — far
@@ -78,15 +75,13 @@ fn dataset() -> PathBuf {
     p
 }
 
-/// One timed frame on the given backend. The thread oracle reports no
-/// scheduler counters, so stats are `None` there.
-fn timed_frame(path: &Path, backend: Backend) -> (FrameResult, Option<SimStats>, f64) {
-    let opts = RunOptions::default()
-        .with_backend(backend)
-        .with_timeout(None);
+/// One timed message-passing frame.
+fn timed_frame(path: &Path) -> (FrameResult, SimStats, f64) {
+    let opts = RunOptions::default().with_timeout(None);
     let t0 = Instant::now();
-    let (frame, sim) = run_frame_mpi_sim(&config(), path, opts)
-        .unwrap_or_else(|e| panic!("{backend:?} frame failed: {e}"));
+    let (frame, sim) =
+        run_frame_mpi_sim(&config(), path, opts).unwrap_or_else(|e| panic!("frame failed: {e}"));
+    let sim = sim.expect("the event core reports scheduler stats");
     (frame, sim, t0.elapsed().as_secs_f64())
 }
 
@@ -117,7 +112,7 @@ impl pvr_mpisim::fault::FaultInjector for DropRank {
 /// dropped rank is gone, so they finish each round by waiting out a
 /// timed receive — the recovery sweeps' detection path. Every byte
 /// received is summed so the work cannot be optimized away and the
-/// backends can be compared.
+/// sums can be checked.
 fn exchange_program(
     io: Option<Duration>,
     faulted: bool,
@@ -155,96 +150,71 @@ fn exchange_program(
     }
 }
 
-/// Run the exchange on a backend; returns (wall seconds, stats).
-fn timed_exchange(
-    backend: Backend,
-    io: Option<Duration>,
-    faulted: bool,
-) -> (f64, Option<SimStats>) {
-    let mut opts = RunOptions::default()
-        .with_backend(backend)
-        .with_timeout(None);
+/// Run the exchange; returns (wall seconds, stats).
+fn timed_exchange(io: Option<Duration>, faulted: bool) -> (f64, SimStats) {
+    let mut opts = RunOptions::default().with_timeout(None);
     if faulted {
         opts = opts.with_injector(std::sync::Arc::new(DropRank));
     }
     let t0 = Instant::now();
     let out = World::run_opts(N, opts, exchange_program(io, faulted))
-        .unwrap_or_else(|e| panic!("{backend:?} exchange failed: {e}"));
+        .unwrap_or_else(|e| panic!("exchange failed: {e}"));
     let wall = t0.elapsed().as_secs_f64();
-    // Cross-backend correctness of the payload sums, while we're here.
+    // Correctness of the payload sums, while we're here.
     let expect: u64 = (0..N)
         .filter(|&r| !(faulted && r == DROPPED))
         .map(|r| (r as u64) * 64 * ROUNDS as u64)
         .sum();
     for (c, &s) in out.results.iter().enumerate().take(M) {
-        assert_eq!(s, expect, "compositor {c} sum diverged on {backend:?}");
+        assert_eq!(s, expect, "compositor {c} sum diverged");
     }
-    (wall, out.sim)
+    let sim = out.sim.expect("the event core reports scheduler stats");
+    (wall, sim)
 }
 
-fn best_of<F: FnMut() -> (f64, Option<SimStats>)>(
-    runs: usize,
-    mut f: F,
-) -> (f64, Option<SimStats>) {
-    let mut best = (f64::INFINITY, None);
-    for _ in 0..runs {
-        let (w, s) = f();
-        if w < best.0 {
-            best = (w, s);
-        }
-    }
-    best
+/// The fastest of `runs` timed exchanges.
+fn best_of(runs: usize, f: impl Fn() -> (f64, SimStats)) -> (f64, SimStats) {
+    (0..runs)
+        .map(|_| f())
+        .min_by(|a, b| a.0.total_cmp(&b.0))
+        .expect("at least one run")
 }
 
 fn main() {
     let path = dataset();
     let io = Duration::from_millis(IO_MS);
 
-    // --- The oracle check: one frame per backend, bit-compared. ------
-    let ((event_frame, event_sim, frame_event_secs), frame_allocs, frame_bytes) =
-        alloc::counting(|| timed_frame(&path, Backend::Event));
-    let frame_sim = event_sim.expect("event backend reports scheduler stats");
-    let (thread_frame, thread_sim, frame_thread_secs) = timed_frame(&path, Backend::Thread);
-    assert!(thread_sim.is_none(), "thread oracle has no event counters");
-    let identical = event_frame.image.max_abs_diff(&thread_frame.image) == 0.0;
+    // --- The frame, bit-compared with the data-parallel one. ---------
+    let ((frame, frame_sim, frame_secs), frame_allocs, frame_bytes) =
+        alloc::counting(|| timed_frame(&path));
+    let reference = run_frame(&config(), Some(&path));
+    let identical = frame.image.max_abs_diff(&reference.image) == 0.0;
 
     // --- Raw dispatch throughput: pure exchange, best of 3. ----------
-    let (ex_event_secs, ex_sim) = best_of(3, || timed_exchange(Backend::Event, None, false));
-    let ex_sim = ex_sim.expect("event backend reports scheduler stats");
-    let (ex_thread_secs, _) = best_of(3, || timed_exchange(Backend::Thread, None, false));
+    let (ex_secs, ex_sim) = best_of(3, || timed_exchange(None, false));
 
     // Scheduler events: everything the core dispatched — task polls,
     // message deliveries, timer fires.
     let events = ex_sim.polls + ex_sim.messages + ex_sim.timer_fires;
-    let events_per_sec = events as f64 / ex_event_secs.max(1e-9);
+    let events_per_sec = events as f64 / ex_secs.max(1e-9);
 
-    // --- The gated ratio: the CI sweep shape, best of 3. -------------
-    let (io_event_secs, io_sim) = best_of(3, || timed_exchange(Backend::Event, Some(io), true));
-    let io_sim = io_sim.expect("event backend reports scheduler stats");
-    let (io_thread_secs, _) = best_of(3, || timed_exchange(Backend::Thread, Some(io), true));
-    let ratio = io_thread_secs / io_event_secs.max(1e-9);
+    // --- The CI sweep shape, best of 3. ------------------------------
+    let (io_secs, io_sim) = best_of(3, || timed_exchange(Some(io), true));
     // The reads and the timeout expiries must have been charged to the
     // virtual clock: ROUNDS reads plus ROUNDS detection waits per
     // compositor, all overlapping across ranks.
     let expected_virtual = (io + Duration::from_millis(DETECT_MS)) * ROUNDS as u32;
     let virtual_ok = io_sim.virtual_time >= expected_virtual && io_sim.timer_fires >= N as u64;
 
-    let mut csv = CsvOut::create(
-        "bench_sim",
-        "workload,backend,wall_secs,events,events_per_sec",
-    );
-    csv.row(&format!("frame,event,{frame_event_secs:.6},,"));
-    csv.row(&format!("frame,thread,{frame_thread_secs:.6},,"));
+    let mut csv = CsvOut::create("bench_sim", "workload,wall_secs,events,events_per_sec");
+    csv.row(&format!("frame,{frame_secs:.6},,"));
     csv.row(&format!(
-        "exchange,event,{ex_event_secs:.6},{events},{events_per_sec:.0}"
+        "exchange,{ex_secs:.6},{events},{events_per_sec:.0}"
     ));
-    csv.row(&format!("exchange,thread,{ex_thread_secs:.6},,"));
-    csv.row(&format!("sweep_shape,event,{io_event_secs:.6},,"));
-    csv.row(&format!("sweep_shape,thread,{io_thread_secs:.6},,"));
+    csv.row(&format!("sweep_shape,{io_secs:.6},,"));
 
     // Deterministic counters gate exactly; wall-clock figures are
-    // machine-dependent and ride as info (the ≥5× ratio is gated by
-    // this bin itself, below, not by `perf_gate` across runs).
+    // machine-dependent and ride as info.
     let mut traj = Trajectory::new("sim");
     traj.exact("n", N as f64)
         .exact("peak_resident_ranks", frame_sim.peak_resident as f64)
@@ -259,18 +229,14 @@ fn main() {
             frame_allocs as f64 / frame_sim.messages as f64,
         )
         .info("bytes_per_frame", frame_bytes as f64)
-        .info("wall_exchange_event_secs", ex_event_secs)
-        .info("wall_exchange_thread_secs", ex_thread_secs)
-        .info("wall_sweep_shape_event_secs", io_event_secs)
-        .info("wall_sweep_shape_thread_secs", io_thread_secs)
-        .info("wall_frame_event_secs", frame_event_secs)
-        .info("wall_frame_thread_secs", frame_thread_secs)
-        .info("thread_wall_ratio", ratio);
+        .info("wall_exchange_event_secs", ex_secs)
+        .info("wall_sweep_shape_event_secs", io_secs)
+        .info("wall_frame_event_secs", frame_secs);
     write_trajectory(&traj);
 
     // --- Gates. -------------------------------------------------------
     check(
-        "event and thread backends render bit-identical frames",
+        "message-passing and data-parallel frames are bit-identical",
         identical,
         "n=256 frame compared pixelwise",
     );
@@ -287,14 +253,7 @@ fn main() {
             io_sim.virtual_time, io_sim.timer_fires
         ),
     );
-    check(
-        "event core is >= 5x faster than the thread oracle",
-        ratio >= 5.0,
-        &format!(
-            "{ratio:.1}x ({io_event_secs:.4}s vs {io_thread_secs:.4}s, sweep-shaped workload)"
-        ),
-    );
-    if !(identical && frame_sim.peak_resident == N && virtual_ok && ratio >= 5.0) {
+    if !(identical && frame_sim.peak_resident == N && virtual_ok) {
         std::process::exit(1);
     }
 }

@@ -110,12 +110,15 @@ pub fn write_trajectory(t: &pvr_obs::bench::Trajectory) -> PathBuf {
 mod tests {
     use super::*;
 
+    /// This process's results directory: concurrent test processes must
+    /// not write the same files.
+    fn results_dir() -> PathBuf {
+        std::env::temp_dir().join(format!("pvr-bench-test-{}", std::process::id()))
+    }
+
     #[test]
     fn csv_out_writes_file() {
-        std::env::set_var(
-            "PVR_RESULTS_DIR",
-            std::env::temp_dir().join("pvr-bench-test"),
-        );
+        std::env::set_var("PVR_RESULTS_DIR", results_dir());
         let mut c = CsvOut::create("unit", "a,b");
         c.row("1,2");
         let content = std::fs::read_to_string(out_dir().join("unit.csv")).unwrap();
@@ -124,10 +127,7 @@ mod tests {
 
     #[test]
     fn trajectories_round_trip_through_the_artifact_file() {
-        std::env::set_var(
-            "PVR_RESULTS_DIR",
-            std::env::temp_dir().join("pvr-bench-test"),
-        );
+        std::env::set_var("PVR_RESULTS_DIR", results_dir());
         use pvr_obs::bench::Trajectory;
         let mut t = Trajectory::new("unit_rt");
         t.exact("count", 42.0)

@@ -913,7 +913,7 @@ impl<'a> RankExec<'a> {
     /// from the frame's first live read, not from this rank's: the ranks
     /// of the single-threaded event core read one after another, and
     /// floors counted from each rank's own start would add up where the
-    /// prefetch threads' (and the thread backend's) overlap.
+    /// prefetch threads' overlap.
     fn pad_throttle(&self, bytes: u64, since: Instant) {
         if let Some((throttle, first_read)) = self.throttle {
             throttle.pad(bytes, *first_read.get_or_init(|| since));
@@ -1509,7 +1509,7 @@ impl Driver {
 
     /// Message passing, one simulated rank per process, under explicit
     /// runtime options — tracing, wildcard-match policy, replay,
-    /// backend, watchdog. Needs a dataset file.
+    /// watchdog. Needs a dataset file.
     pub fn mpi(opts: pvr_mpisim::RunOptions) -> Driver {
         Driver::new(Exec::Mpi(opts))
     }
@@ -1564,8 +1564,8 @@ pub struct DriveOutput {
     pub completeness: Option<CompletenessMap>,
     /// The message trace (message-passing executor with `opts.trace`).
     pub trace: Option<pvr_mpisim::trace::TraceLog>,
-    /// Event-core scheduler counters (message-passing executor on the
-    /// event backend; `None` on rayon and the thread oracle).
+    /// Event-core scheduler counters (message-passing executor; `None`
+    /// on rayon).
     pub sim: Option<pvr_mpisim::SimStats>,
 }
 

@@ -18,13 +18,11 @@
 //!   break by registration order, so runs are deterministic.
 //! * When the ready queue drains and no timers are pending, the world
 //!   is quiescent: every task is parked forever or done. With deadlock
-//!   detection on, [`check_deadlock`] renders the same wait-for-graph
-//!   report the thread backend produces; otherwise the run is declared
-//!   [`RunError::Stalled`].
-//! * A wall-clock guard (checked every few thousand polls) converts a
-//!   runaway run — e.g. an infinite virtual-time loop — into
-//!   [`RunError::Stalled`] after [`RunOptions::timeout`], replacing
-//!   the thread backend's watchdog.
+//!   detection on, [`check_deadlock`] names the wait-for cycle;
+//!   otherwise the run is declared [`RunError::Stalled`].
+//! * A wall-clock guard (checked every few thousand polls and at every
+//!   timer fire) converts a runaway run — e.g. an infinite virtual-time
+//!   loop — into [`RunError::Stalled`] after [`RunOptions::timeout`].
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -122,6 +120,32 @@ impl EventCore {
     pub(crate) fn count_message(&mut self) {
         self.messages += 1;
     }
+
+    /// Fail the world with `err`, saying so on stderr.
+    fn poison(&mut self, err: RunError) {
+        eprintln!("pvr-mpisim: {err}");
+        self.st.poison = Some(err);
+    }
+}
+
+/// The wall guard of an `n`-rank world: true once `timeout` has passed
+/// since `start`, when the world (unless already failed) is failed with
+/// a stall report.
+fn wall_expired(
+    core: &RefCell<EventCore>,
+    start: Instant,
+    timeout: Option<Duration>,
+    n: usize,
+) -> bool {
+    let Some(t) = timeout.filter(|&t| start.elapsed() >= t) else {
+        return false;
+    };
+    let mut c = core.borrow_mut();
+    if c.st.poison.is_none() {
+        let report = stall_report(&c.st, t, n);
+        c.poison(RunError::Stalled { report });
+    }
+    true
 }
 
 /// Run `n` ranks as futures on the discrete-event scheduler.
@@ -143,7 +167,7 @@ where
     // beyond their state machine until first polled).
     let mut tasks: Vec<Option<Pin<Box<Fut>>>> = Vec::with_capacity(n);
     for rank in 0..n {
-        let comm = Comm::new_event(rank, n, Rc::clone(&core), Arc::clone(&opts));
+        let comm = Comm::new(rank, n, Rc::clone(&core), Arc::clone(&opts));
         tasks.push(Some(Box::pin(f(comm))));
     }
 
@@ -185,8 +209,7 @@ where
                 Err(payload) => {
                     // The task's locals (its Comm included) were
                     // dropped by the unwind; keep the first real
-                    // payload and let the rest of the world run, as
-                    // the thread backend does.
+                    // payload and let the rest of the world run.
                     tasks[r] = None;
                     finished += 1;
                     if real_panic.is_none() {
@@ -197,17 +220,8 @@ where
             polls_since_guard += 1;
             if polls_since_guard >= WALL_GUARD_EVERY {
                 polls_since_guard = 0;
-                if let Some(t) = timeout {
-                    if start.elapsed() >= t {
-                        let mut c = core.borrow_mut();
-                        if c.st.poison.is_none() {
-                            let report = stall_report(&c.st, t, n);
-                            let err = RunError::Stalled { report };
-                            eprintln!("pvr-mpisim: {err}");
-                            c.st.poison = Some(err);
-                        }
-                        break 'world;
-                    }
+                if wall_expired(&core, start, timeout, n) {
+                    break 'world;
                 }
             }
         }
@@ -216,17 +230,8 @@ where
         }
         // Quiescent: advance virtual time.
         if core.borrow_mut().fire_next_timer() {
-            if let Some(t) = timeout {
-                if start.elapsed() >= t {
-                    let mut c = core.borrow_mut();
-                    if c.st.poison.is_none() {
-                        let report = stall_report(&c.st, t, n);
-                        let err = RunError::Stalled { report };
-                        eprintln!("pvr-mpisim: {err}");
-                        c.st.poison = Some(err);
-                    }
-                    break 'world;
-                }
+            if wall_expired(&core, start, timeout, n) {
+                break 'world;
             }
             continue;
         }
@@ -250,8 +255,7 @@ where
                 report: stall_report(&c.st, timeout.unwrap_or(start.elapsed()), n),
             }
         };
-        eprintln!("pvr-mpisim: {err}");
-        c.st.poison = Some(err);
+        c.poison(err);
         break;
     }
 

@@ -13,10 +13,9 @@
 //! (`event` module), sends and timers are events on a virtual-time
 //! queue, and blocking waits park the task until a message arrives.
 //! No OS threads, no wall-clock sleeps — which is what lets one
-//! machine run worlds at the paper's 32K-rank scale. The original
-//! thread-per-rank executor survives behind the `thread-exec` feature
-//! ([`Backend::Thread`]) as the differential oracle the event core is
-//! property-tested against.
+//! machine run worlds at the paper's 32K-rank scale. Its oracles are a
+//! recorded corpus of worlds checked against a thread-per-rank executor
+//! (`tests/golden/mpisim_corpus.txt`) and the DPOR explorer (`pvr-mc`).
 //!
 //! Two layers:
 //!
@@ -75,8 +74,6 @@
 pub mod trace;
 
 mod event;
-#[cfg(feature = "thread-exec")]
-mod thread;
 
 pub mod fault {
     //! Fault-injection hook for the transport.
@@ -125,12 +122,10 @@ pub mod fault {
 }
 
 use std::cell::RefCell;
-#[cfg(feature = "thread-exec")]
-use std::cell::{Ref, RefMut};
 use std::collections::{BTreeMap, VecDeque};
 use std::future::Future;
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, Once};
 use std::task::Poll;
 use std::time::Duration;
 
@@ -299,24 +294,9 @@ impl std::fmt::Debug for MatchPolicy {
     }
 }
 
-/// Which executor runs the ranks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// The single-threaded discrete-event core (virtual time, parked
-    /// tasks). The default.
-    #[default]
-    Event,
-    /// One OS thread per rank with blocking condvar waits — the
-    /// original executor, kept as a differential oracle (feature
-    /// `thread-exec`).
-    #[cfg(feature = "thread-exec")]
-    Thread,
-}
-
 /// Knobs for [`World::run_opts`]. [`World::run`] uses the default:
 /// `MinSource` matching, deadlock detection on, watchdog timeout from
-/// `PVR_MPISIM_TIMEOUT_SECS` (default 120 s, `0` disables), no trace,
-/// event backend.
+/// `PVR_MPISIM_TIMEOUT_SECS` (default 120 s, `0` disables), no trace.
 #[derive(Clone)]
 pub struct RunOptions {
     pub match_policy: MatchPolicy,
@@ -326,8 +306,6 @@ pub struct RunOptions {
     /// Invoked on every resolved wildcard receive (any policy); see
     /// [`ChoicePoint`].
     pub on_choice: Option<ChoiceHook>,
-    /// Which executor runs the ranks (see [`Backend`]).
-    pub backend: Backend,
     /// Fault injector consulted on every send.
     pub injector: Option<Arc<dyn fault::FaultInjector>>,
 }
@@ -340,7 +318,6 @@ impl Default for RunOptions {
             timeout: default_timeout(),
             trace: false,
             on_choice: None,
-            backend: Backend::Event,
             injector: None,
         }
     }
@@ -378,29 +355,41 @@ impl RunOptions {
         self.timeout = t;
         self
     }
-
-    /// Select the executor (see [`Backend`]).
-    pub fn with_backend(mut self, b: Backend) -> Self {
-        self.backend = b;
-        self
-    }
 }
 
 /// The watchdog timeout: `PVR_MPISIM_TIMEOUT_SECS` if set (`0`
-/// disables), else 120 s.
+/// disables), else 120 s. A value that is not a whole number of seconds
+/// also gets 120 s, and one stderr line per process naming it.
 pub fn default_timeout() -> Option<Duration> {
-    match std::env::var("PVR_MPISIM_TIMEOUT_SECS") {
-        Ok(s) => match s.trim().parse::<u64>() {
-            Ok(0) => None,
-            Ok(secs) => Some(Duration::from_secs(secs)),
-            Err(_) => Some(Duration::from_secs(120)),
-        },
-        Err(_) => Some(Duration::from_secs(120)),
+    let var = std::env::var("PVR_MPISIM_TIMEOUT_SECS").ok();
+    parse_timeout(var.as_deref()).unwrap_or_else(|bad| {
+        static WARNED: Once = Once::new();
+        WARNED.call_once(|| {
+            eprintln!(
+                "pvr-mpisim: PVR_MPISIM_TIMEOUT_SECS={bad:?} is not a whole number \
+                 of seconds; using 120 s"
+            )
+        });
+        Some(Duration::from_secs(120))
+    })
+}
+
+/// The watchdog timeout a `PVR_MPISIM_TIMEOUT_SECS` value asks for, or
+/// the value back if it is malformed.
+fn parse_timeout(var: Option<&str>) -> Result<Option<Duration>, &str> {
+    let Some(s) = var else {
+        return Ok(Some(Duration::from_secs(120)));
+    };
+    match s.trim().parse::<u64>() {
+        Ok(0) => Ok(None),
+        Ok(secs) => Ok(Some(Duration::from_secs(secs))),
+        Err(_) => Err(s),
     }
 }
 
-/// Scheduler counters of an event-core run (None on the thread
-/// backend); `bench_sim` turns these into the trajectory point.
+/// Scheduler counters of a run (always present in
+/// [`RunOutput::sim`]); `bench_sim` turns these into the trajectory
+/// point.
 #[derive(Debug, Clone, Copy)]
 pub struct SimStats {
     /// Task polls performed.
@@ -418,7 +407,7 @@ pub struct SimStats {
 }
 
 /// A successful world: per-rank results plus the trace, if recorded,
-/// plus the event-core scheduler counters.
+/// plus the scheduler counters.
 #[derive(Debug)]
 pub struct RunOutput<T> {
     pub results: Vec<T>,
@@ -428,9 +417,7 @@ pub struct RunOutput<T> {
 
 /// Global state of a rank group: message queues, blocked/done status
 /// (the deadlock detector's input), barrier bookkeeping, and the trace
-/// sink. The event core owns it single-threaded behind a `RefCell`;
-/// the thread backend puts it under one mutex so blocked/done
-/// transitions stay atomic.
+/// sink. The event core owns it single-threaded behind a `RefCell`.
 pub(crate) struct State {
     /// Accepted-but-undelivered messages, per destination.
     pub(crate) queues: Vec<VecDeque<Envelope>>,
@@ -506,10 +493,10 @@ pub(crate) fn join_clock(into: &mut Clock, from: &Clock) {
 
 /// Per-rank mutable bookkeeping, interior-mutable because `send` and
 /// `barrier` take `&self`.
-pub(crate) struct RankLocal {
+struct RankLocal {
     /// Empty when the run is untraced (clock upkeep is `O(n)` per
     /// event and only the trace observes it).
-    pub(crate) clock: Clock,
+    clock: Clock,
     /// Next sequence number per (destination, tag). Ordered maps: a
     /// rank talks to few peers per tag, and a lookup must not cost a
     /// SipHash per message.
@@ -518,22 +505,21 @@ pub(crate) struct RankLocal {
     expect_seq: BTreeMap<(usize, u32), u64>,
     /// Wildcard receives completed so far (the replay index).
     wildcards: u64,
-    pub(crate) trace: Vec<TraceEvent>,
+    trace: Vec<TraceEvent>,
 }
 
-pub(crate) enum Want {
+enum Want {
     From(usize),
     Any,
 }
 
 /// How long a receive may block.
-pub(crate) enum Until {
+enum Until {
     /// Forever: classic blocking receive, visible to the deadlock
     /// detector.
     Forever,
-    /// Up to this long; the wait is invisible to the deadlock detector
-    /// (the rank wakes by itself — virtual timer on the event core,
-    /// condvar timeout on the thread backend).
+    /// Up to this long of virtual time; the wait is invisible to the
+    /// deadlock detector (a timer wakes the rank by itself).
     Timeout(Duration),
 }
 
@@ -584,33 +570,29 @@ impl PendingSet {
     }
 }
 
-/// Which world a `Comm` belongs to: the single-threaded event core
-/// (`Rc` — the handle never crosses threads) or the thread backend's
-/// shared state.
-#[derive(Clone)]
-pub(crate) enum WorldLink {
-    Event(Rc<RefCell<event::EventCore>>),
-    #[cfg(feature = "thread-exec")]
-    Thread(Arc<thread::Shared>),
-}
-
 /// The per-rank communicator handle.
 pub struct Comm {
     rank: usize,
     size: usize,
-    world: WorldLink,
+    /// The world's event core (`Rc`: the handle never crosses threads).
+    core: Rc<RefCell<event::EventCore>>,
     opts: Arc<RunOptions>,
     pending: PendingSet,
     local: RefCell<RankLocal>,
 }
 
 impl Comm {
-    pub(crate) fn new(rank: usize, size: usize, world: WorldLink, opts: Arc<RunOptions>) -> Comm {
+    pub(crate) fn new(
+        rank: usize,
+        size: usize,
+        core: Rc<RefCell<event::EventCore>>,
+        opts: Arc<RunOptions>,
+    ) -> Comm {
         let clock = new_clock(size, opts.trace);
         Comm {
             rank,
             size,
-            world,
+            core,
             opts,
             pending: PendingSet::default(),
             local: RefCell::new(RankLocal {
@@ -623,41 +605,12 @@ impl Comm {
         }
     }
 
-    pub(crate) fn new_event(
-        rank: usize,
-        size: usize,
-        core: Rc<RefCell<event::EventCore>>,
-        opts: Arc<RunOptions>,
-    ) -> Comm {
-        Comm::new(rank, size, WorldLink::Event(core), opts)
-    }
-
     pub fn rank(&self) -> usize {
         self.rank
     }
 
     pub fn size(&self) -> usize {
         self.size
-    }
-
-    #[cfg(feature = "thread-exec")]
-    pub(crate) fn opts(&self) -> &RunOptions {
-        &self.opts
-    }
-
-    #[cfg(feature = "thread-exec")]
-    pub(crate) fn local_ref(&self) -> Ref<'_, RankLocal> {
-        self.local.borrow()
-    }
-
-    #[cfg(feature = "thread-exec")]
-    pub(crate) fn local_mut(&self) -> RefMut<'_, RankLocal> {
-        self.local.borrow_mut()
-    }
-
-    #[cfg(feature = "thread-exec")]
-    pub(crate) fn pending_push(&mut self, env: Envelope) {
-        self.pending.push(env);
     }
 
     /// Buffered send (always completes without waiting for the
@@ -693,9 +646,8 @@ impl Comm {
                 }
                 match fate {
                     fault::SendFate::Drop => return,
-                    // The sender stalls before enqueueing — in virtual
-                    // time on the event core (zero wall cost), in wall
-                    // time on the thread backend.
+                    // The sender stalls before enqueueing, in virtual
+                    // time (zero wall cost).
                     fault::SendFate::Delay(d) => self.sleep(d).await,
                     fault::SendFate::Deliver | fault::SendFate::Corrupt => {}
                 }
@@ -725,25 +677,19 @@ impl Comm {
             };
             (seq, clock)
         };
-        match self.world.clone() {
-            WorldLink::Event(core) => {
-                let mut c = core.borrow_mut();
-                c.count_message();
-                c.st.arrival += 1;
-                let arrival = c.st.arrival;
-                c.st.queues[to].push_back(Envelope {
-                    src: self.rank,
-                    tag,
-                    seq,
-                    arrival,
-                    clock,
-                    data,
-                });
-                c.wake(to);
-            }
-            #[cfg(feature = "thread-exec")]
-            WorldLink::Thread(sh) => self.thread_enqueue(&sh, to, (tag, seq, clock, data)),
-        }
+        let mut c = self.core.borrow_mut();
+        c.count_message();
+        c.st.arrival += 1;
+        let arrival = c.st.arrival;
+        c.st.queues[to].push_back(Envelope {
+            src: self.rank,
+            tag,
+            seq,
+            arrival,
+            clock,
+            data,
+        });
+        c.wake(to);
     }
 
     /// Blocking receive of a message with `tag` from `src`.
@@ -866,16 +812,9 @@ impl Comm {
 
     /// Move everything from this rank's arrival queue into `pending`.
     fn drain_incoming(&mut self) {
-        match self.world.clone() {
-            WorldLink::Event(core) => {
-                let mut c = core.borrow_mut();
-                let me = self.rank;
-                while let Some(env) = c.st.queues[me].pop_front() {
-                    self.pending.push(env);
-                }
-            }
-            #[cfg(feature = "thread-exec")]
-            WorldLink::Thread(sh) => self.thread_drain(&sh),
+        let mut c = self.core.borrow_mut();
+        while let Some(env) = c.st.queues[self.rank].pop_front() {
+            self.pending.push(env);
         }
     }
 
@@ -888,27 +827,13 @@ impl Comm {
             .expect("Until::Forever waits until a match")
     }
 
-    /// The general wait: forever or until a deadline. Returns `None`
-    /// only for the timed variant.
+    /// The general wait, forever or until a deadline: a future that
+    /// re-checks the pending set on every wake (message arrival, barrier
+    /// release, timer) and parks with its blocked status registered for
+    /// the quiescence check. Returns `None` only for the timed variant.
     async fn wait_match_until(&mut self, want: Want, tag: u32, until: Until) -> Option<Envelope> {
-        match self.world.clone() {
-            WorldLink::Event(core) => self.event_wait_match(core, want, tag, until).await,
-            #[cfg(feature = "thread-exec")]
-            WorldLink::Thread(sh) => self.thread_wait_match(&sh, want, tag, until),
-        }
-    }
-
-    /// Event-core wait: a future that re-checks the pending set on
-    /// every wake (message arrival, barrier release, timer) and parks
-    /// with its blocked status registered for the quiescence check.
-    async fn event_wait_match(
-        &mut self,
-        core: Rc<RefCell<event::EventCore>>,
-        want: Want,
-        tag: u32,
-        until: Until,
-    ) -> Option<Envelope> {
         let me = self.rank;
+        let core = Rc::clone(&self.core);
         let deadline = match until {
             Until::Forever => None,
             Until::Timeout(d) => Some(
@@ -950,7 +875,7 @@ impl Comm {
 
     /// Take a matching envelope from `pending`, honouring the match
     /// policy for wildcard receives.
-    pub(crate) fn try_take(&mut self, want: &Want, tag: u32) -> Option<Envelope> {
+    fn try_take(&mut self, want: &Want, tag: u32) -> Option<Envelope> {
         match want {
             Want::From(src) => self.pending.pop(*src, tag),
             Want::Any => {
@@ -1025,24 +950,10 @@ impl Comm {
         if self.opts.trace {
             self.local.borrow_mut().clock[me] += 1;
         }
-        let gen = match self.world.clone() {
-            WorldLink::Event(core) => self.event_barrier(core).await,
-            #[cfg(feature = "thread-exec")]
-            WorldLink::Thread(sh) => self.thread_barrier(&sh),
-        };
-        if self.opts.trace {
-            self.local.borrow_mut().trace.push(TraceEvent::Barrier {
-                rank: me,
-                generation: gen,
-            });
-        }
-    }
-
-    /// Event-core barrier: the last arriver advances the generation and
-    /// wakes everyone; earlier arrivers park until the generation
-    /// moves. Everyone joins the release clock on the way out.
-    async fn event_barrier(&self, core: Rc<RefCell<event::EventCore>>) -> u64 {
-        let me = self.rank;
+        // The last arriver advances the generation and wakes everyone;
+        // earlier arrivers park until the generation moves. Everyone
+        // joins the release clock on the way out.
+        let core = &self.core;
         let (gen, last) = {
             let mut c = core.borrow_mut();
             let (gen, last) = c.st.barrier_arrive(&self.local.borrow().clock);
@@ -1072,7 +983,12 @@ impl Comm {
             &mut self.local.borrow_mut().clock,
             &core.borrow().st.release_clock,
         );
-        gen
+        if self.opts.trace {
+            self.local.borrow_mut().trace.push(TraceEvent::Barrier {
+                rank: me,
+                generation: gen,
+            });
+        }
     }
 
     /// Gather byte buffers from all ranks to `root`; returns `Some(all)`
@@ -1106,68 +1022,49 @@ impl Comm {
         }
     }
 
-    // ---- time (virtual on the event core, wall on threads) ----
+    // ---- virtual time ----
 
-    /// Elapsed simulated time since the world started: the virtual
-    /// clock on the event core, wall time on the thread backend.
+    /// Elapsed virtual time since the world started.
     pub fn now(&self) -> Duration {
-        match &self.world {
-            WorldLink::Event(core) => Duration::from_nanos(core.borrow().now_ns),
-            #[cfg(feature = "thread-exec")]
-            WorldLink::Thread(sh) => sh.start.elapsed(),
-        }
+        Duration::from_nanos(self.core.borrow().now_ns)
     }
 
-    /// Park this rank for `d` of simulated time. On the event core the
-    /// wait is a virtual-time timer (zero wall cost); on the thread
-    /// backend it is a real sleep.
+    /// Park this rank for `d` of virtual time: a timer, zero wall cost.
     pub async fn sleep(&self, d: Duration) {
-        match self.world.clone() {
-            WorldLink::Event(core) => {
-                let me = self.rank;
-                let deadline = core
-                    .borrow()
-                    .now_ns
-                    .saturating_add(d.as_nanos().min(u64::MAX as u128) as u64);
-                let mut timer_set = false;
-                std::future::poll_fn(move |_cx| {
-                    let mut c = core.borrow_mut();
-                    if c.now_ns >= deadline {
-                        return Poll::Ready(());
-                    }
-                    if !timer_set {
-                        c.add_timer(deadline, me);
-                        timer_set = true;
-                    }
-                    Poll::Pending
-                })
-                .await
+        let me = self.rank;
+        let deadline = self
+            .core
+            .borrow()
+            .now_ns
+            .saturating_add(d.as_nanos().min(u64::MAX as u128) as u64);
+        let mut timer_set = false;
+        std::future::poll_fn(move |_cx| {
+            let mut c = self.core.borrow_mut();
+            if c.now_ns >= deadline {
+                return Poll::Ready(());
             }
-            #[cfg(feature = "thread-exec")]
-            WorldLink::Thread(_) => std::thread::sleep(d),
-        }
+            if !timer_set {
+                c.add_timer(deadline, me);
+                timer_set = true;
+            }
+            Poll::Pending
+        })
+        .await
     }
 
     /// A per-rank timestamp (seconds) for stage attribution: this
-    /// rank's accumulated compute (poll) time plus the virtual clock on
-    /// the event core; plain wall time on the thread backend.
+    /// rank's accumulated compute (poll) time plus the virtual clock.
     /// Differences of `time()` bracket both real compute and simulated
     /// waits.
     pub fn time(&self) -> f64 {
-        match &self.world {
-            WorldLink::Event(core) => {
-                let c = core.borrow();
-                let mut busy = c.busy[self.rank];
-                if let Some((r, t0)) = c.poll_epoch {
-                    if r == self.rank {
-                        busy += t0.elapsed();
-                    }
-                }
-                (busy + Duration::from_nanos(c.now_ns)).as_secs_f64()
+        let c = self.core.borrow();
+        let mut busy = c.busy[self.rank];
+        if let Some((r, t0)) = c.poll_epoch {
+            if r == self.rank {
+                busy += t0.elapsed();
             }
-            #[cfg(feature = "thread-exec")]
-            WorldLink::Thread(sh) => sh.start.elapsed().as_secs_f64(),
         }
+        (busy + Duration::from_nanos(c.now_ns)).as_secs_f64()
     }
 
     // ---- span marks (observability) ----
@@ -1228,26 +1125,15 @@ impl Comm {
 
 impl Drop for Comm {
     /// Marks the rank done (also when unwinding from a panic) and
-    /// flushes its trace. On the thread backend this also re-runs the
-    /// deadlock check (a rank exiting while peers still wait on it is
-    /// itself a deadlock); the event core's quiescence check observes
-    /// the Done status instead.
+    /// flushes its trace. The core's quiescence check observes the Done
+    /// status: a rank exiting while peers still wait on it is a
+    /// deadlock.
     fn drop(&mut self) {
-        match self.world.clone() {
-            WorldLink::Event(core) => {
-                let me = self.rank;
-                let mut c = core.borrow_mut();
-                c.st.status[me] = Status::Done;
-                c.st.done_count += 1;
-                if c.st.trace_sink.is_some() {
-                    let mut local = self.local.borrow_mut();
-                    if let Some(sink) = c.st.trace_sink.as_mut() {
-                        sink.append(&mut local.trace);
-                    }
-                }
-            }
-            #[cfg(feature = "thread-exec")]
-            WorldLink::Thread(sh) => self.thread_drop(&sh),
+        let mut c = self.core.borrow_mut();
+        c.st.status[self.rank] = Status::Done;
+        c.st.done_count += 1;
+        if let Some(sink) = c.st.trace_sink.as_mut() {
+            sink.append(&mut self.local.borrow_mut().trace);
         }
     }
 }
@@ -1266,8 +1152,7 @@ fn splitmix64(mut z: u64) -> u64 {
 /// the report naming the wait-for cycle (or, when the graph is acyclic
 /// — e.g. waiting on a rank that already exited — a per-rank wait
 /// listing). Run by the event core when the ready queue and timer
-/// heap drain, and by the thread backend whenever a rank blocks or
-/// finishes.
+/// heap drain.
 pub(crate) fn check_deadlock(st: &State) -> Option<String> {
     let n = st.status.len();
     let mut blocked = 0usize;
@@ -1384,8 +1269,8 @@ pub(crate) fn check_deadlock(st: &State) -> Option<String> {
     Some(lines.join("\n"))
 }
 
-/// The watchdog-style stall report (shared by the event core's wall
-/// guard and the thread backend's watchdog).
+/// The stall report of the event core's wall guard, and of a quiescent
+/// world that is not a deadlock.
 pub(crate) fn stall_report(st: &State, timeout: Duration, n: usize) -> String {
     let blocked: Vec<String> = (0..n)
         .filter(|&r| st.status[r] != Status::Running)
@@ -1433,11 +1318,7 @@ impl World {
         Fut: Future<Output = T>,
     {
         assert!(n >= 1);
-        match opts.backend {
-            Backend::Event => event::run_world(n, opts, &f),
-            #[cfg(feature = "thread-exec")]
-            Backend::Thread => thread::run_world(n, opts, &f),
-        }
+        event::run_world(n, opts, &f)
     }
 }
 

@@ -845,357 +845,15 @@ mod properties {
     }
 }
 
-/// Differential tests against the thread-backed oracle (feature
-/// `thread-exec`): the same program, with the wildcard choices of a
-/// recorded run replayed onto the other backend, must produce the
-/// identical per-rank trace (same sends, receives, vector clocks —
-/// hence the same happens-before relation) and identical results.
-#[cfg(feature = "thread-exec")]
-mod differential {
-    use super::*;
-    use proptest::prelude::*;
-
-    type BoxFut<T> = std::pin::Pin<Box<dyn std::future::Future<Output = T>>>;
-
-    /// A fan-in + ring exchange parameterized by a message plan:
-    /// `(src, tag, byte)` messages from non-zero ranks to rank 0
-    /// (wildcard-received in tag-major order), then a barrier, then a
-    /// deterministic ring pass.
-    fn program(
-        _n: usize,
-        plan: Arc<Vec<(usize, u32, u8)>>,
-    ) -> impl Fn(Comm) -> BoxFut<Vec<(usize, u8)>> + Send + Sync {
-        move |mut comm: Comm| {
-            let plan = Arc::clone(&plan);
-            Box::pin(async move {
-                let me = comm.rank();
-                let mut got: Vec<(usize, u8)> = Vec::new();
-                if me == 0 {
-                    for t in 1..=2u32 {
-                        let k = plan.iter().filter(|(_, tag, _)| *tag == t).count();
-                        for _ in 0..k {
-                            let (src, data) = comm.recv_any(t).await;
-                            got.push((src, data[0]));
-                        }
-                    }
-                } else {
-                    for &(src, tag, byte) in plan.iter() {
-                        if src == me {
-                            comm.send(0, tag, vec![byte]).await;
-                        }
-                    }
-                }
-                comm.barrier().await;
-                let next = (me + 1) % comm.size();
-                let prev = (me + comm.size() - 1) % comm.size();
-                comm.send(next, 7, vec![me as u8]).await;
-                let ring = comm.recv_from(prev, 7).await;
-                got.push((prev, ring[0]));
-                got
-            })
-        }
-    }
-
-    /// Record a traced run on `record_on`, then replay its wildcard
-    /// choices on `replay_on`; both traces and results must agree
-    /// exactly.
-    fn assert_backends_equivalent(
-        n: usize,
-        plan: Vec<(usize, u32, u8)>,
-        record_on: Backend,
-        replay_on: Backend,
-    ) {
-        let plan = Arc::new(plan);
-        let rec = World::run_opts(
-            n,
-            RunOptions::default().traced().with_backend(record_on),
-            program(n, Arc::clone(&plan)),
-        )
-        .unwrap();
-        let rec_trace = rec.trace.unwrap();
-        let log = Arc::new(ReplayLog::from_trace(&rec_trace));
-        let rep = World::run_opts(
-            n,
-            RunOptions::default()
-                .traced()
-                .with_backend(replay_on)
-                .policy(MatchPolicy::Replay(log)),
-            program(n, Arc::clone(&plan)),
-        )
-        .unwrap();
-        assert_eq!(rec.results, rep.results, "results diverge across backends");
-        let rep_trace = rep.trace.unwrap();
-        // The global log interleaves ranks in flush order, which is
-        // backend-specific; each rank's own event stream (with its
-        // vector clocks — the happens-before relation) must match
-        // exactly.
-        for r in 0..n {
-            let a: Vec<&TraceEvent> = rec_trace.events_for(r).collect();
-            let b: Vec<&TraceEvent> = rep_trace.events_for(r).collect();
-            assert_eq!(a, b, "rank {r} trace diverges across backends");
-        }
-        // And the canonical wildcard-match order is identical.
-        assert_eq!(
-            ReplayLog::canonical(&rec_trace).per_rank(),
-            ReplayLog::canonical(&rep_trace).per_rank(),
-        );
-    }
-
-    #[test]
-    fn event_recording_replays_identically_on_threads() {
-        let plan = vec![(1, 1, 10), (2, 1, 20), (3, 2, 30), (2, 2, 40), (1, 1, 50)];
-        assert_backends_equivalent(4, plan, Backend::Event, Backend::Thread);
-    }
-
-    #[test]
-    fn thread_recording_replays_identically_on_event_core() {
-        let plan = vec![(3, 2, 9), (1, 1, 8), (2, 1, 7), (3, 1, 6)];
-        assert_backends_equivalent(4, plan, Backend::Thread, Backend::Event);
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(12))]
-
-        /// For random plans at every n ≤ 16, the event core and the
-        /// thread oracle are trace-equivalent in both record/replay
-        /// directions (each case spawns n OS threads per thread-backed
-        /// run, which bounds how large n can reasonably go).
-        #[test]
-        fn backends_are_trace_equivalent(
-            spec in (2usize..17).prop_flat_map(|n| {
-                (
-                    Just(n),
-                    proptest::collection::vec((1..n.max(2), 1u32..3, 0u8..255), 0..10),
-                )
-            }),
-        ) {
-            let (n, plan) = spec;
-            assert_backends_equivalent(n, plan.clone(), Backend::Event, Backend::Thread);
-            assert_backends_equivalent(n, plan, Backend::Thread, Backend::Event);
-        }
-    }
-
-    mod with_faults {
-        use super::*;
-        use fault::{FaultInjector, SendFate};
-
-        /// Corrupts the first send on (1 → 0, tag 1) — deterministic
-        /// by message identity, so both backends see the same fault.
-        struct CorruptFirst;
-
-        impl FaultInjector for CorruptFirst {
-            fn on_send(
-                &self,
-                src: usize,
-                dst: usize,
-                tag: u32,
-                seq: u64,
-                data: &mut Vec<u8>,
-            ) -> SendFate {
-                if src == 1 && dst == 0 && tag == 1 && seq == 0 {
-                    if let Some(b) = data.first_mut() {
-                        *b ^= 0xff;
-                    }
-                    return SendFate::Corrupt;
-                }
-                SendFate::Deliver
-            }
-        }
-
-        /// A whole-plan injector: every send into rank 0 on the fan-in
-        /// tags gets a fate hashed from (seed, src, tag, seq) — drop,
-        /// corrupt, delay, or deliver. Fates are a pure function of the
-        /// message identity, so both backends face the identical plan.
-        /// (A drop leaves `seq` unconsumed, so once a stream's hash
-        /// says drop, the rest of that stream drops too — the test's
-        /// expected-count model reproduces exactly that.)
-        struct HashPlan {
-            seed: u64,
-        }
-
-        impl HashPlan {
-            fn fate_code(&self, src: usize, dst: usize, tag: u32, seq: u64) -> u8 {
-                if dst != 0 || tag >= 3 {
-                    return 3; // only the fan-in phase is faulted
-                }
-                let h = crate::splitmix64(
-                    self.seed
-                        ^ (src as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                        ^ ((tag as u64) << 32)
-                        ^ seq.wrapping_mul(0x85eb_ca6b),
-                );
-                (h % 4) as u8
-            }
-        }
-
-        impl FaultInjector for HashPlan {
-            fn on_send(
-                &self,
-                src: usize,
-                dst: usize,
-                tag: u32,
-                seq: u64,
-                data: &mut Vec<u8>,
-            ) -> SendFate {
-                match self.fate_code(src, dst, tag, seq) {
-                    0 => SendFate::Drop,
-                    1 => {
-                        if let Some(b) = data.first_mut() {
-                            *b ^= 0xff;
-                        }
-                        SendFate::Corrupt
-                    }
-                    2 => SendFate::Delay(Duration::from_micros(200)),
-                    _ => SendFate::Deliver,
-                }
-            }
-        }
-
-        /// How many fan-in messages rank 0 will actually see per tag
-        /// under `HashPlan{seed}` — the injector's fate function
-        /// replayed over the plan, including the dropped-seq stall.
-        fn delivered_counts(seed: u64, plan: &[(usize, u32, u8)]) -> [usize; 2] {
-            let inj = HashPlan { seed };
-            let mut delivered = [0usize; 2];
-            let mut seqs: BTreeMap<(usize, u32), u64> = BTreeMap::new();
-            for &(src, tag, _) in plan {
-                let d = seqs.entry((src, tag)).or_insert(0);
-                if inj.fate_code(src, 0, tag, *d) != 0 {
-                    *d += 1;
-                    delivered[(tag - 1) as usize] += 1;
-                }
-            }
-            delivered
-        }
-
-        /// The fan-in + ring program with explicit per-tag receive
-        /// counts (rank 0 cannot infer them from the plan once sends
-        /// can be dropped).
-        fn faulted_program(
-            plan: Arc<Vec<(usize, u32, u8)>>,
-            counts: [usize; 2],
-        ) -> impl Fn(Comm) -> BoxFut<Vec<(usize, u8)>> + Send + Sync {
-            move |mut comm: Comm| {
-                let plan = Arc::clone(&plan);
-                Box::pin(async move {
-                    let me = comm.rank();
-                    let mut got: Vec<(usize, u8)> = Vec::new();
-                    if me == 0 {
-                        for t in 1..=2u32 {
-                            for _ in 0..counts[(t - 1) as usize] {
-                                let (src, data) = comm.recv_any(t).await;
-                                got.push((src, data[0]));
-                            }
-                        }
-                    } else {
-                        for &(src, tag, byte) in plan.iter() {
-                            if src == me {
-                                comm.send(0, tag, vec![byte]).await;
-                            }
-                        }
-                    }
-                    comm.barrier().await;
-                    let next = (me + 1) % comm.size();
-                    let prev = (me + comm.size() - 1) % comm.size();
-                    comm.send(next, 7, vec![me as u8]).await;
-                    let ring = comm.recv_from(prev, 7).await;
-                    got.push((prev, ring[0]));
-                    got
-                })
-            }
-        }
-
-        /// Record a faulted run on one backend, replay it on the
-        /// other: identical results, identical per-rank traces
-        /// (vector clocks included), identical fault events.
-        fn assert_faulted_equivalent(
-            n: usize,
-            seed: u64,
-            plan: Vec<(usize, u32, u8)>,
-            record_on: Backend,
-            replay_on: Backend,
-        ) {
-            let counts = delivered_counts(seed, &plan);
-            let plan = Arc::new(plan);
-            let run = |backend: Backend, policy: MatchPolicy| {
-                World::run_opts(
-                    n,
-                    RunOptions::default()
-                        .traced()
-                        .with_backend(backend)
-                        .policy(policy)
-                        .with_injector(Arc::new(HashPlan { seed })),
-                    faulted_program(Arc::clone(&plan), counts),
-                )
-                .unwrap()
-            };
-            let rec = run(record_on, MatchPolicy::MinSource);
-            let rec_trace = rec.trace.unwrap();
-            let log = Arc::new(ReplayLog::from_trace(&rec_trace));
-            let rep = run(replay_on, MatchPolicy::Replay(log));
-            assert_eq!(rec.results, rep.results, "results diverge across backends");
-            let rep_trace = rep.trace.unwrap();
-            assert_eq!(rec_trace.fault_count(), rep_trace.fault_count());
-            for r in 0..n {
-                let a: Vec<&TraceEvent> = rec_trace.events_for(r).collect();
-                let b: Vec<&TraceEvent> = rep_trace.events_for(r).collect();
-                assert_eq!(a, b, "rank {r} trace diverges across backends");
-            }
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(12))]
-
-            /// For every seed and generated fault plan at n ≤ 16, a
-            /// faulted run is trace-equivalent across backends in both
-            /// record/replay directions — drops, corruption, and
-            /// virtual-time delays included.
-            #[test]
-            fn faulted_backends_are_trace_equivalent(
-                seed in 0u64..1_000_000,
-                spec in (2usize..17).prop_flat_map(|n| {
-                    (
-                        Just(n),
-                        proptest::collection::vec((1..n.max(2), 1u32..3, 0u8..255), 0..12),
-                    )
-                }),
-            ) {
-                let (n, plan) = spec;
-                assert_faulted_equivalent(n, seed, plan.clone(), Backend::Event, Backend::Thread);
-                assert_faulted_equivalent(n, seed, plan, Backend::Thread, Backend::Event);
-            }
-        }
-
-        #[test]
-        fn faulted_run_is_trace_equivalent_across_backends() {
-            let plan = Arc::new(vec![(1usize, 1u32, 10u8), (2, 1, 20), (1, 2, 30)]);
-            let run = |backend: Backend, policy: MatchPolicy| {
-                World::run_opts(
-                    3,
-                    RunOptions::default()
-                        .traced()
-                        .with_backend(backend)
-                        .policy(policy)
-                        .with_injector(Arc::new(CorruptFirst)),
-                    program(3, Arc::clone(&plan)),
-                )
-                .unwrap()
-            };
-            let rec = run(Backend::Event, MatchPolicy::MinSource);
-            let rec_trace = rec.trace.unwrap();
-            let log = Arc::new(ReplayLog::from_trace(&rec_trace));
-            let rep = run(Backend::Thread, MatchPolicy::Replay(log));
-            assert_eq!(rec.results, rep.results);
-            let rep_trace = rep.trace.unwrap();
-            assert_eq!(rec_trace.fault_count(), 1);
-            assert_eq!(rep_trace.fault_count(), 1);
-            for r in 0..3 {
-                let a: Vec<&TraceEvent> = rec_trace.events_for(r).collect();
-                let b: Vec<&TraceEvent> = rep_trace.events_for(r).collect();
-                assert_eq!(a, b, "rank {r} trace diverges across backends");
-            }
-        }
-    }
+/// `PVR_MPISIM_TIMEOUT_SECS`: unset is 120 s, `0` disables, whole
+/// seconds are taken, anything else comes back to be named on stderr.
+#[test]
+fn timeout_variable_parses_or_is_named() {
+    let secs = |s| Ok(Some(Duration::from_secs(s)));
+    assert_eq!(parse_timeout(None), secs(120));
+    assert_eq!(parse_timeout(Some("0")), Ok(None));
+    assert_eq!(parse_timeout(Some("30")), secs(30));
+    assert_eq!(parse_timeout(Some("30s")), Err("30s"));
 }
 
 /// The mailbox (`PendingSet`) against the three-container structure it
