@@ -139,23 +139,6 @@ pub fn composite_direct_send_traced(
     (img, stats)
 }
 
-/// Blend received fragments into a compositor's tile buffer in the
-/// canonical `(depth, renderer)` order. Every message-passing tile,
-/// with or without a fault plan, seals through this one function
-/// ([`crate::TileAssembly`]), so a frame's pixels cannot depend on
-/// message arrival order — the property the bit-identity and recovery
-/// tests pin.
-///
-/// Every fragment must already be cropped to `tile`.
-pub fn blend_fragments(tile: PixelRect, mut frags: Vec<(usize, SubImage)>) -> SubImage {
-    frags.sort_by(|a, b| a.1.depth.total_cmp(&b.1.depth).then(a.0.cmp(&b.0)));
-    let mut buf = SubImage::transparent(tile, 0.0);
-    for (_, frag) in &frags {
-        blend_piece(&mut buf, frag, &frag.rect);
-    }
-    buf
-}
-
 /// Convenience: footprint rectangles of a set of subimages (inputs to
 /// [`crate::build_schedule`] when real subimages exist).
 pub fn footprints(subs: &[SubImage]) -> Vec<PixelRect> {

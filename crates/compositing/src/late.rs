@@ -12,15 +12,20 @@
 //!   Adoption re-renders are deterministic, so either copy produces the
 //!   same pixels and the race cannot affect the image.
 //! * **re-open on late arrival** — sealing blends the fragments in the
-//!   canonical `(depth, renderer)` order of [`blend_fragments`]; a
-//!   fragment inserted after a seal invalidates the cached blend and
-//!   the next seal re-blends from scratch. Sealing early and sealing
-//!   late are therefore bit-identical, which is what lets a recovered
-//!   frame match the fault-free run exactly.
+//!   canonical `(depth, renderer)` order; a fragment inserted after a
+//!   seal invalidates the cached blend and the next seal re-blends from
+//!   scratch. Sealing early and sealing late are therefore
+//!   bit-identical, which is what lets a recovered frame match the
+//!   fault-free run exactly. Every message-passing tile, with or
+//!   without a fault plan, seals here, so a frame's pixels cannot depend
+//!   on message arrival order.
+//!
+//! Fragments stay in their wire bodies ([`WireFragment`]) and blend
+//! from there; an adopted re-render is encoded like any sent fragment.
 
 use pvr_render::image::{PixelRect, SubImage};
 
-use crate::directsend::blend_fragments;
+use crate::wire::WireFragment;
 
 /// Outcome of offering a fragment to an open tile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,7 +61,7 @@ pub struct TileAssembly<'a> {
     /// How many slots are still `Missing`.
     outstanding: usize,
     /// Arrived fragments, in arrival order: `(renderer, quality, pixels)`.
-    frags: Vec<(usize, f64, SubImage)>,
+    frags: Vec<(usize, f64, WireFragment)>,
     sealed: Option<SubImage>,
     pub duplicates: u64,
 }
@@ -93,7 +98,7 @@ impl<'a> TileAssembly<'a> {
 
     /// Offer a fragment (already cropped to the tile rect). Re-opens a
     /// sealed tile when the fragment is fresh.
-    pub fn insert(&mut self, renderer: usize, quality: f64, frag: SubImage) -> InsertOutcome {
+    pub fn insert(&mut self, renderer: usize, quality: f64, frag: WireFragment) -> InsertOutcome {
         let Some(i) = self.slot_of(renderer) else {
             return InsertOutcome::Unexpected;
         };
@@ -160,34 +165,40 @@ impl<'a> TileAssembly<'a> {
     /// the next fresh insert re-opens the tile.
     pub fn seal(&mut self) -> &SubImage {
         if self.sealed.is_none() {
-            let frags: Vec<(usize, SubImage)> =
-                self.frags.iter().map(|(r, _, f)| (*r, f.clone())).collect();
-            self.sealed = Some(blend_fragments(self.rect, frags));
+            self.sealed = Some(self.blend());
         }
         self.sealed.as_ref().expect("just sealed")
     }
 
-    /// Seal for the last time: the blend itself, with the fragments
-    /// moved into it rather than cloned.
-    pub fn into_blend(self) -> SubImage {
-        self.sealed.unwrap_or_else(|| {
-            let frags = self.frags.into_iter().map(|(r, _, f)| (r, f)).collect();
-            blend_fragments(self.rect, frags)
-        })
+    /// Seal for the last time: the blend itself.
+    pub fn into_blend(mut self) -> SubImage {
+        self.sealed.take().unwrap_or_else(|| self.blend())
+    }
+
+    /// The arrived fragments blended front to back in the canonical
+    /// `(depth, renderer)` order into a transparent tile.
+    fn blend(&self) -> SubImage {
+        let mut order: Vec<&(usize, f64, WireFragment)> = self.frags.iter().collect();
+        order.sort_by(|a, b| a.2.depth.total_cmp(&b.2.depth).then(a.0.cmp(&b.0)));
+        let mut buf = SubImage::transparent(self.rect, 0.0);
+        for (_, _, frag) in order {
+            frag.blend_into(&mut buf);
+        }
+        buf
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::encode_fragment;
 
-    fn frag(renderer: usize, rect: PixelRect, depth: f64, v: f32) -> SubImage {
+    fn frag(renderer: usize, rect: PixelRect, depth: f64, v: f32) -> WireFragment {
         let mut s = SubImage::transparent(rect, depth);
         for p in &mut s.pixels {
             *p = [v, v, v, 0.5];
         }
-        let _ = renderer;
-        s
+        WireFragment::new(encode_fragment(&[], renderer, &s, &rect).0, 0)
     }
 
     fn rect() -> PixelRect {

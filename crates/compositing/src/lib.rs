@@ -15,13 +15,16 @@
 //!   footprints alone (no pixel data), used both to drive the real
 //!   exchange and to feed the network simulator at paper scale.
 //! * [`directsend`] — the real direct-send compositor (any `m ≤ n`).
-//! * [`late`] — late-arrival tile assembly: first-wins dedup and
-//!   re-open/re-blend semantics for fragments adopted after a fault.
+//! * [`late`] — tile assembly: first-wins dedup and re-open/re-blend
+//!   semantics for fragments adopted after a fault, blending received
+//!   fragments straight from [`wire`].
 //! * [`radixk`] — radix-k compositing, the authors' follow-on algorithm
 //!   and the one multi-round compositor here: one round of radix `n` is
 //!   direct-send with `m = n`, rounds of radix 2 are the classic binary
 //!   swap the paper cites (Ma et al.).
 //! * [`serial`] — gather-to-root compositing: the ground truth.
+//! * [`wire`] — the fragment wire format: encoder, in-place reader and
+//!   the decoder kept as its oracle.
 //!
 //! All compositors produce the same image (to f32 tolerance) on the same
 //! input — the integration tests assert it — because *over* is
@@ -35,15 +38,17 @@ pub mod region;
 pub mod schedule;
 pub mod serial;
 pub mod sparse;
+pub mod wire;
 
 pub use completeness::{CompletenessMap, TileCompleteness};
-pub use directsend::{blend_fragments, composite_direct_send, composite_direct_send_traced};
+pub use directsend::{composite_direct_send, composite_direct_send_traced};
 pub use late::{InsertOutcome, TileAssembly};
 pub use radixk::composite_radix_k;
 pub use region::ImagePartition;
 pub use schedule::{build_schedule, CompositeMessage, Schedule};
 pub use serial::composite_serial;
 pub use sparse::PieceScan;
+pub use wire::WireFragment;
 
 /// Bytes per pixel on the compositing wire (RGBA8, as in the paper:
 /// a 1600² image over 256 compositors is 40 KB per region message).

@@ -15,7 +15,8 @@
 //! Both are one-line configurations of [`drive_frame`], the frame API
 //! in [`crate::scheduler`] (tracing, the flight recorder and — on the
 //! message-passing executor — a fault plan are [`Driver`] modifiers); this module keeps the shared building blocks
-//! (dataset synthesis, the dataset reader, fragment wire format, tags).
+//! (dataset synthesis, the dataset reader, the message codecs around
+//! `pvr_compositing::wire`'s fragment format, tags).
 //! The frame's geometry lives in [`crate::scheduler::FrameShared`].
 
 use std::fs::File;
@@ -26,7 +27,9 @@ use std::time::Instant;
 use rayon::prelude::*;
 
 use pvr_compositing::directsend::DirectSendStats;
-use pvr_compositing::sparse::{lit_runs, PieceScan};
+use pvr_compositing::sparse::PieceScan;
+use pvr_compositing::wire::{encode_fragment, push_words, with_header, Words};
+use pvr_compositing::WireFragment;
 use pvr_formats::layout::FileLayout;
 use pvr_formats::rw::write_file;
 use pvr_formats::{Subvolume, ELEM_SIZE};
@@ -34,7 +37,7 @@ use pvr_obs::Tracer;
 use pvr_pfs::sieve::per_extent_plan;
 use pvr_pfs::twophase::{two_phase_decode, RankRequest};
 use pvr_pfs::IoThrottle;
-use pvr_render::image::{Image, PixelRect, Rgba, SubImage};
+use pvr_render::image::{Image, PixelRect, SubImage};
 use pvr_render::math::Vec3;
 use pvr_render::raycast::{RenderOpts, RenderStats, Shading};
 use pvr_render::TransferFunction;
@@ -430,132 +433,6 @@ pub mod tags {
     ];
 }
 
-/// Fragment wire format tags: dense rows vs run-length sparse spans.
-const FRAG_DENSE: u64 = 0;
-const FRAG_SPARSE: u64 = 1;
-
-fn push_words(msg: &mut Vec<u8>, words: &[u64]) {
-    for word in words {
-        msg.extend_from_slice(&word.to_le_bytes());
-    }
-}
-
-/// A message that starts with `header`'s little-endian words, with room
-/// for `payload` more bytes. Every message of the frame protocol is
-/// such a header and a payload; [`Words`] reads the header back.
-fn with_header(header: &[u64], payload: usize) -> Vec<u8> {
-    let mut msg = Vec::with_capacity(header.len() * 8 + payload);
-    push_words(&mut msg, header);
-    msg
-}
-
-/// Reader of the header words at the front of a message body.
-struct Words<'a>(&'a [u8]);
-
-impl Words<'_> {
-    fn u64(&mut self) -> u64 {
-        let (word, rest) = self
-            .0
-            .split_first_chunk()
-            .expect("message header cut short");
-        self.0 = rest;
-        u64::from_le_bytes(*word)
-    }
-
-    fn index(&mut self) -> usize {
-        self.u64() as usize
-    }
-
-    fn f64(&mut self) -> f64 {
-        f64::from_bits(self.u64())
-    }
-}
-
-/// Encode the `piece` of `s` (a rect within `s.rect`) as a fragment
-/// behind `header`: renderer id, rect, depth, then the pixels dense or
-/// sparse (run-length spans of non-transparent pixels, see
-/// [`pvr_compositing::sparse`]), chosen per fragment by actual encoded
-/// size. One scan of the piece sizes both bodies — and is returned, so
-/// the sender prices the fragment from the same pass — and the chosen
-/// one is written straight from `s`' rows: no cropped copy, no span
-/// tree, one allocation. The sparse body round-trips bit-identically:
-/// elided pixels decode to `[0.0; 4]`, which is what they were.
-fn encode_fragment(
-    header: &[u64],
-    renderer: usize,
-    s: &SubImage,
-    piece: &PixelRect,
-) -> (Vec<u8>, PieceScan) {
-    let scan = PieceScan::of(s, piece);
-    let dense_body = scan.pixels * 16;
-    // Real encoded body sizes: per row a span count, per span a start
-    // offset + length, per kept pixel four f32s.
-    let sparse_body = scan.rows * 8 + scan.spans * 16 + scan.lit * 16;
-    let sparse = sparse_body < dense_body;
-
-    let mut out = with_header(header, 56 + dense_body.min(sparse_body));
-    push_words(
-        &mut out,
-        &[renderer, piece.x0, piece.y0, piece.w, piece.h].map(|v| v as u64),
-    );
-    let tag = if sparse { FRAG_SPARSE } else { FRAG_DENSE };
-    push_words(&mut out, &[s.depth.to_bits(), tag]);
-    let push_pixels = |out: &mut Vec<u8>, pixels: &[Rgba]| {
-        for c in pixels.iter().flatten() {
-            out.extend_from_slice(&c.to_le_bytes());
-        }
-    };
-    for row in s.rows(piece) {
-        if sparse {
-            push_words(&mut out, &[lit_runs(row).count() as u64]);
-            for (x0, run) in lit_runs(row) {
-                push_words(&mut out, &[x0 as u64, run.len() as u64]);
-                push_pixels(&mut out, run);
-            }
-        } else {
-            push_pixels(&mut out, row);
-        }
-    }
-    (out, scan)
-}
-
-fn decode_fragment(data: &[u8]) -> (usize, SubImage) {
-    let mut h = Words(data);
-    let renderer = h.index();
-    let rect = PixelRect::new(h.index(), h.index(), h.index(), h.index());
-    let (depth, tag) = (h.f64(), h.u64());
-    let pix = |q: &[u8]| -> [f32; 4] {
-        std::array::from_fn(|c| {
-            f32::from_le_bytes([q[4 * c], q[4 * c + 1], q[4 * c + 2], q[4 * c + 3]])
-        })
-    };
-    let pixels = match tag {
-        FRAG_DENSE => h.0.chunks_exact(16).map(pix).collect(),
-        FRAG_SPARSE => {
-            let mut pixels = vec![[0.0f32; 4]; rect.num_pixels()];
-            for y in 0..rect.h {
-                for _ in 0..h.index() {
-                    let (x0, len) = (h.index(), h.index());
-                    let (span, rest) = h.0.split_at(len * 16);
-                    let row = &mut pixels[y * rect.w + x0..][..len];
-                    for (p, q) in row.iter_mut().zip(span.chunks_exact(16)) {
-                        *p = pix(q);
-                    }
-                    h.0 = rest;
-                }
-            }
-            pixels
-        }
-        t => panic!("unknown fragment format tag {t}"),
-    };
-    let sub = SubImage {
-        rect,
-        pixels,
-        depth,
-    };
-    (renderer, sub)
-}
-
 // The five message kinds of the frame protocol, one encode/decode pair
 // each. Fault-free and faulted frames exchange the same bodies (a
 // fault-free one reports `hole = 0`, `quality = 1`, `arrived =
@@ -612,12 +489,18 @@ pub fn encode_fragment_msg(
     encode_fragment(&[quality.to_bits()], renderer, sub, piece)
 }
 
-/// `(quality, renderer, fragment)` of a fragment message.
+/// `(quality, fragment)` of a fragment message, the fragment read in
+/// place.
+pub(crate) fn fragment_of_msg(body: Vec<u8>) -> (f64, WireFragment) {
+    let quality = Words(&body).f64();
+    (quality, WireFragment::new(body, 8))
+}
+
+/// `(quality, renderer, fragment)` of a fragment message, decoded: the
+/// oracle of what a compositor blends from the wire.
 pub fn decode_fragment_msg(body: &[u8]) -> (f64, usize, SubImage) {
-    let mut h = Words(body);
-    let quality = h.f64();
-    let (renderer, frag) = decode_fragment(h.0);
-    (quality, renderer, frag)
+    let (quality, frag) = fragment_of_msg(body.to_vec());
+    (quality, frag.renderer, frag.decode())
 }
 
 /// Finished tile: `[tile, expected, arrived]` — its quality-weighted
@@ -627,10 +510,10 @@ pub(crate) fn encode_tile(tile: usize, expected: f64, arrived: f64, blend: &SubI
     encode_fragment(&header, tile, blend, &blend.rect).0
 }
 
-pub(crate) fn decode_tile(body: &[u8]) -> (usize, f64, f64, SubImage) {
-    let mut h = Words(body);
+pub(crate) fn decode_tile(body: Vec<u8>) -> (usize, f64, f64, WireFragment) {
+    let mut h = Words(&body);
     let (tile, expected, arrived) = (h.index(), h.f64(), h.f64());
-    (tile, expected, arrived, decode_fragment(h.0).1)
+    (tile, expected, arrived, WireFragment::new(body, 24))
 }
 
 /// Adoption request: `[orphan, tile]`.
@@ -661,11 +544,14 @@ pub(crate) fn encode_late(
     }
 }
 
-pub(crate) fn decode_late(body: &[u8]) -> (usize, usize, Option<(f64, SubImage)>) {
-    let mut h = Words(body);
+pub(crate) fn decode_late(body: Vec<u8>) -> (usize, usize, Option<(f64, WireFragment)>) {
+    let mut h = Words(&body);
     let (orphan, tile, refused) = (h.index(), h.index(), h.u64() != 0);
-    let frag = (!refused).then(|| (h.f64(), decode_fragment(h.0).1));
-    (orphan, tile, frag)
+    if refused {
+        return (orphan, tile, None);
+    }
+    let quality = h.f64();
+    (orphan, tile, Some((quality, WireFragment::new(body, 32))))
 }
 
 /// Run one frame over real message passing (one task per rank on the
@@ -748,7 +634,7 @@ mod tests {
         assert_eq!(decode_adopt(&encode_adopt(5, 2)), (5, 2));
         let refusal = encode_late(5, 2, None);
         assert_eq!(refusal.len(), 24);
-        assert!(matches!(decode_late(&refusal), (5, 2, None)));
+        assert!(matches!(decode_late(refusal), (5, 2, None)));
 
         let rect = pvr_render::image::PixelRect::new(3, 5, 6, 4);
         let mut sparse = SubImage::transparent(rect, 1.25);
@@ -771,156 +657,15 @@ mod tests {
 
             let msg = encode_tile(3, 24.0, 12.5, frag);
             assert_eq!(msg.len(), 24 + bare);
-            let (tile, expected, arrived, got) = decode_tile(&msg);
+            let (tile, expected, arrived, got) = decode_tile(msg);
             assert_eq!((tile, expected, arrived), (3, 24.0, 12.5));
-            assert!(same(&got, frag));
+            assert!(same(&got.decode(), frag));
 
             let late = encode_late(5, 2, Some((0.5, frag, rect)));
-            let (orphan, tile, got) = decode_late(&late);
+            let (orphan, tile, got) = decode_late(late);
             let (quality, got) = got.expect("a fragment, not a refusal");
             assert_eq!((orphan, tile, quality), (5, 2, 0.5));
-            assert!(same(&got, frag));
-        }
-    }
-
-    /// The fragment encoder as it was before it wrote the body in one
-    /// pass: crop the piece out, build the span tree, then serialize
-    /// whichever body is shorter. Kept as the oracle.
-    mod oracle {
-        use super::*;
-
-        struct Span {
-            x0: usize,
-            pixels: Vec<Rgba>,
-        }
-
-        /// Per row, the spans of non-transparent pixels.
-        fn sparse_rows(sub: &SubImage) -> Vec<Vec<Span>> {
-            let mut rows = Vec::with_capacity(sub.rect.h);
-            for row in sub.pixels.chunks_exact(sub.rect.w.max(1)) {
-                let mut spans: Vec<Span> = Vec::new();
-                let mut open = false;
-                for (x, &p) in row.iter().enumerate() {
-                    if p == [0.0; 4] {
-                        open = false;
-                        continue;
-                    }
-                    if !open {
-                        let pixels = Vec::new();
-                        spans.push(Span { x0: x, pixels });
-                        open = true;
-                    }
-                    spans.last_mut().unwrap().pixels.push(p);
-                }
-                rows.push(spans);
-            }
-            rows
-        }
-
-        pub fn encode_fragment(header: &[u64], renderer: usize, s: &SubImage) -> Vec<u8> {
-            let rows = sparse_rows(s);
-            let spans: usize = rows.iter().map(Vec::len).sum();
-            let payload: usize = rows.iter().flatten().map(|sp| sp.pixels.len()).sum();
-            let dense_body = s.pixels.len() * 16;
-            let sparse_body = s.rect.h * 8 + spans * 16 + payload * 16;
-
-            let mut out = with_header(header, 56 + dense_body.min(sparse_body));
-            out.extend((renderer as u64).to_le_bytes());
-            out.extend((s.rect.x0 as u64).to_le_bytes());
-            out.extend((s.rect.y0 as u64).to_le_bytes());
-            out.extend((s.rect.w as u64).to_le_bytes());
-            out.extend((s.rect.h as u64).to_le_bytes());
-            out.extend(s.depth.to_le_bytes());
-            if sparse_body < dense_body {
-                out.extend(FRAG_SPARSE.to_le_bytes());
-                for row in &rows {
-                    out.extend((row.len() as u64).to_le_bytes());
-                    for span in row {
-                        out.extend((span.x0 as u64).to_le_bytes());
-                        out.extend((span.pixels.len() as u64).to_le_bytes());
-                        for p in &span.pixels {
-                            for c in p {
-                                out.extend(c.to_le_bytes());
-                            }
-                        }
-                    }
-                }
-            } else {
-                out.extend(FRAG_DENSE.to_le_bytes());
-                for p in &s.pixels {
-                    for c in p {
-                        out.extend(c.to_le_bytes());
-                    }
-                }
-            }
-            out
-        }
-    }
-
-    /// A subimage over `rect` lit by `pattern`: 0 transparent, 1 full,
-    /// 2 checkerboard, 3 one lit column, 4 one lit row, else random at
-    /// `density` percent.
-    fn patterned(rect: PixelRect, pattern: u8, density: u64, seed: u64) -> SubImage {
-        let mut rng = proptest::Rng::seeded(seed | 1);
-        let mut sub = SubImage::transparent(rect, -1.5 + seed as f64);
-        for (i, p) in sub.pixels.iter_mut().enumerate() {
-            let (x, y) = (i % rect.w, i / rect.w);
-            let roll = rng.below(100);
-            let lit = match pattern {
-                0 => false,
-                1 => true,
-                2 => (x + y) % 2 == 0,
-                3 => x == rect.w / 2,
-                4 => y == rect.h / 2,
-                _ => roll < density,
-            };
-            if lit {
-                // Premultiplied, with exact-zero channels: a pixel is
-                // transparent only when all four are zero.
-                *p = [rng.below(1 << 20) as f32 / 1e6, 0.0, 0.0, 0.5];
-            }
-        }
-        sub
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
-
-        /// For random subimages (every lighting pattern, 1-pixel-wide
-        /// ones included) and random tile clips (touching each edge,
-        /// covering everything, missing entirely), the one-pass encoder
-        /// writes the bytes the crop-and-span-tree encoder wrote, they
-        /// decode to the crop bit for bit, and the scan that sized them
-        /// is the crop's.
-        #[test]
-        fn one_pass_encoder_writes_the_oracles_bytes(
-            shape in (0usize..6, 0usize..6, 1usize..24, 1usize..16),
-            clip in (0usize..30, 0usize..24, 1usize..30, 1usize..24),
-            pattern in 0u8..7,
-            density in 0u64..101,
-            seed in 0u64..1_000_000,
-        ) {
-            let rect = PixelRect::new(shape.0, shape.1, shape.2, shape.3);
-            let sub = patterned(rect, pattern, density, seed);
-            let clip = PixelRect::new(clip.0, clip.1, clip.2, clip.3);
-            for clip in [clip, sub.rect, PixelRect::new(0, 0, 64, 64)] {
-                let crop = sub.crop(&clip);
-                proptest::prop_assert_eq!(crop.as_ref().map(|c| c.rect), sub.rect.intersect(&clip));
-                let Some(crop) = crop else { continue };
-                let header = [seed, 7];
-                let (body, scan) = encode_fragment(&header, 11, &sub, &crop.rect);
-                proptest::prop_assert_eq!(&body, &oracle::encode_fragment(&header, 11, &crop));
-                proptest::prop_assert_eq!(body.capacity(), body.len());
-                proptest::prop_assert_eq!(scan, PieceScan::of(&crop, &crop.rect));
-                let (renderer, back) = decode_fragment(&body[16..]);
-                proptest::prop_assert_eq!(renderer, 11);
-                proptest::prop_assert_eq!(back.rect, crop.rect);
-                proptest::prop_assert_eq!(back.depth.to_bits(), crop.depth.to_bits());
-                let bits = |s: &SubImage| -> Vec<[u32; 4]> {
-                    s.pixels.iter().map(|p| p.map(f32::to_bits)).collect()
-                };
-                proptest::prop_assert_eq!(bits(&back), bits(&crop));
-            }
+            assert!(same(&got.decode(), frag));
         }
     }
 

@@ -63,9 +63,10 @@ use rayon::prelude::*;
 
 use pvr_compositing::completeness::{CompletenessMap, TileCompleteness};
 use pvr_compositing::directsend::DirectSendStats;
+use pvr_compositing::wire::encode_fragment;
 use pvr_compositing::{
     build_schedule, CompositeMessage, ImagePartition, InsertOutcome, PieceScan, Schedule,
-    TileAssembly,
+    TileAssembly, WireFragment,
 };
 use pvr_faults::{
     link, FaultPlan, InBox, OutBox, PlanInjector, RankAction, RecoveryCounters, RecoveryPolicy,
@@ -86,14 +87,14 @@ use pvr_volume::BlockDecomposition;
 
 use crate::config::FrameConfig;
 use crate::pipeline::{
-    decode_adopt, decode_fragment_msg, decode_late, decode_tile, decode_volume, default_view,
-    encode_adopt, encode_fragment_msg, encode_late, encode_tile, push_piece, rank_requests,
+    decode_adopt, decode_late, decode_tile, decode_volume, default_view, encode_adopt,
+    encode_fragment_msg, encode_late, encode_tile, fragment_of_msg, push_piece, rank_requests,
     read_frame, render_opts, synthesize_stage, tags, transfer_for, unpack_pieces, FrameError,
     FrameResult, IoRunStats, PIECE_HEADER,
 };
 use crate::recovery::{adopter_of, effective_policy, heal_costs, HealDecision, RecoveryBudget};
 use crate::roles::{compositor_rank, laptop_aggregators};
-use crate::slo::{stage_budgets, SloInput};
+use crate::slo::{budgets_for, stage_budgets, SloInput};
 use crate::timing::{FrameTiming, Stopwatch};
 
 // ---------------------------------------------------------------------
@@ -361,9 +362,10 @@ pub(crate) fn rayon_frame(
     timing.wall = t0.elapsed().as_secs_f64();
     // The shared address space has no per-rank stage decomposition and
     // no rank to lose: the frame-level stage times gate.
+    let stage_secs = [timing.io, timing.render, timing.composite];
     let slo = crate::slo::evaluate(&SloInput {
-        budgets: stage_budgets(cfg, &shared.schedule),
-        stage_secs: [timing.io, timing.render, timing.composite],
+        budgets: budgets_for(cfg, &stage_secs, &[], &[], || shared.budgets()),
+        stage_secs,
         per_rank: &[],
         incidents: &[],
     });
@@ -416,6 +418,9 @@ pub struct FrameShared {
     /// Screen footprint of each rank's owned block.
     pub(crate) footprints: Vec<PixelRect>,
     pub(crate) partition: ImagePartition,
+    /// `partition.tile(c)` of every compositor, computed once: a frame
+    /// looks one up per fragment, and each costs six integer divisions.
+    tiles: Vec<PixelRect>,
     /// The direct-send schedule, rows grouped by ascending renderer.
     pub(crate) schedule: Schedule,
     pub(crate) tf: TransferFunction,
@@ -434,6 +439,12 @@ pub struct FrameShared {
     send_start: Vec<usize>,
     /// Per tile, `(renderer, pixels)` of every row, in schedule order.
     sources: Vec<Vec<(usize, f64)>>,
+    /// The configuration this description was built from.
+    cfg: FrameConfig,
+    /// The SLO's stage budgets, priced on the first frame that asks
+    /// (the perf model walks the whole schedule) and kept for every
+    /// later step of an animation.
+    budgets: OnceLock<[f64; 3]>,
 }
 
 impl FrameShared {
@@ -475,13 +486,24 @@ impl FrameShared {
             owned,
             camera,
             footprints,
+            tiles: (0..m).map(|c| partition.tile(c)).collect(),
             partition,
             schedule,
             tf: transfer_for(cfg),
             ropts: render_opts(cfg),
             send_start,
             sources,
+            cfg: *cfg,
+            budgets: OnceLock::new(),
         }
+    }
+
+    /// [`stage_budgets`] of the configuration this description was
+    /// built from.
+    fn budgets(&self) -> [f64; 3] {
+        *self
+            .budgets
+            .get_or_init(|| stage_budgets(&self.cfg, &self.schedule))
     }
 
     /// Screen footprint of each rank's owned block.
@@ -502,6 +524,11 @@ impl FrameShared {
     /// The schedule rows `rank` sends, in schedule order.
     pub fn sends_of(&self, rank: usize) -> &[CompositeMessage] {
         &self.schedule.messages[self.send_start[rank]..self.send_start[rank + 1]]
+    }
+
+    /// The pixels compositor `c` owns.
+    pub(crate) fn tile(&self, c: usize) -> PixelRect {
+        self.tiles[c]
     }
 
     /// The tile `rank` composites, if it is a compositor.
@@ -1132,12 +1159,16 @@ impl<'a> RankExec<'a> {
     }
 
     /// Adopt `orphan`'s block myself and offer its piece of `asm`'s tile
-    /// (a refusal when the ladder is out of budget); true when it landed
-    /// as the first copy.
+    /// (a refusal when the ladder is out of budget), encoded as a sent
+    /// fragment would be; true when it landed as the first copy.
     fn adopt_into(&mut self, orphan: usize, asm: &mut TileAssembly<'_>) -> bool {
         let (sub, quality) = self.adopt_block(orphan);
-        match sub.and_then(|s| s.crop(&asm.rect())) {
-            Some(f) => asm.insert(orphan, quality, f) == InsertOutcome::Fresh,
+        let piece = sub.as_ref().and_then(|s| Some((s, s.rect.intersect(&asm.rect())?)));
+        match piece {
+            Some((s, piece)) => {
+                let frag = WireFragment::new(encode_fragment(&[], orphan, s, &piece).0, 0);
+                asm.insert(orphan, quality, frag) == InsertOutcome::Fresh
+            }
             None => {
                 asm.refuse(orphan);
                 false
@@ -1151,7 +1182,7 @@ impl<'a> RankExec<'a> {
     async fn serve_adopt(&mut self, src: usize, body: &[u8]) {
         let (orphan, c) = decode_adopt(body);
         let (sub, quality) = self.adopt_block(orphan);
-        let tile = self.shared.partition.tile(c);
+        let tile = self.shared.tile(c);
         let frag = sub
             .as_ref()
             .and_then(|s| Some((quality, s, s.rect.intersect(&tile)?)));
@@ -1162,7 +1193,7 @@ impl<'a> RankExec<'a> {
     }
 
     /// Absorb one late-arrival reply into my open tile.
-    fn accept_late(&mut self, body: &[u8], asm: &mut TileAssembly<'_>) {
+    fn accept_late(&mut self, body: Vec<u8>, asm: &mut TileAssembly<'_>) {
         let (orphan, c, frag) = decode_late(body);
         if c != asm.tile() {
             return;
@@ -1197,7 +1228,7 @@ impl<'a> RankExec<'a> {
             };
             if let Some(body) = rec.inb.accept(self.comm, src, frame).await {
                 if let Some(asm) = asm.as_deref_mut() {
-                    self.accept_late(&body, asm);
+                    self.accept_late(body, asm);
                 }
             }
         }
@@ -1258,14 +1289,13 @@ impl<'a> RankExec<'a> {
         self.stage_begin(Stage::Composite, "composite").await?;
         let rank = self.comm.rank();
         let shared = self.shared;
-        let partition = shared.partition;
         let sub = self.sub.take().expect("render stage ran");
         let (mut frag_out, mut frag_in) = self.link(self.tags.frag_ack);
         self.open_recovery();
         // One fragment per schedule row, in schedule order, the quality
         // of my input attached.
         for msg in shared.sends_of(rank) {
-            if let Some(piece) = sub.rect.intersect(&partition.tile(msg.compositor)) {
+            if let Some(piece) = sub.rect.intersect(&shared.tile(msg.compositor)) {
                 let dst = shared.compositor_ranks[msg.compositor];
                 let (body, scan) = encode_fragment_msg(self.io_quality, rank, &sub, &piece);
                 self.account_fragment(&scan);
@@ -1277,7 +1307,7 @@ impl<'a> RankExec<'a> {
         // Assemble the tile I own, if any: fragments are consumed as
         // they arrive and the tile seals order-independently.
         if let Some(c) = shared.tile_of(rank) {
-            let mut asm = TileAssembly::new(c, partition.tile(c), shared.sources_of(c));
+            let mut asm = TileAssembly::new(c, shared.tile(c), shared.sources_of(c));
             let deadline = self.after(self.limits.stage);
             let suspect_at = self.after(self.limits.suspicion);
             let mut requested: Vec<usize> = Vec::new();
@@ -1285,8 +1315,8 @@ impl<'a> RankExec<'a> {
                 self.poll_links(&mut [&mut frag_out]).await;
                 if let Some((src, frame)) = self.recv(self.tags.fragment).await {
                     if let Some(body) = frag_in.accept(self.comm, src, frame).await {
-                        let (quality, renderer, frag) = decode_fragment_msg(&body);
-                        asm.insert(renderer, quality, frag);
+                        let (quality, frag) = fragment_of_msg(body);
+                        asm.insert(frag.renderer, quality, frag);
                     }
                 }
                 self.pump_recovery(Some(&mut asm)).await;
@@ -1369,7 +1399,7 @@ impl<'a> RankExec<'a> {
     /// rebuilt locally from adopted re-renders rather than written off.
     async fn gather_tiles(&mut self, outs: &mut [&mut OutBox], tile_in: &mut InBox) {
         let (cfg, shared) = (self.cfg, self.shared);
-        let (partition, m) = (shared.partition, shared.partition.m());
+        let m = shared.partition.m();
         let expected_areas: Vec<f64> = (0..m).map(|c| shared.expected_area(c)).collect();
         let mut img = Image::new(cfg.image.0, cfg.image.1);
         let mut got: Vec<Option<(f64, f64)>> = vec![None; m];
@@ -1384,12 +1414,12 @@ impl<'a> RankExec<'a> {
             self.poll_links(outs).await;
             if let Some((src, frame)) = self.recv(self.tags.tile).await {
                 if let Some(body) = tile_in.accept(self.comm, src, frame).await {
-                    let (c, expected, arrived, tile_img) = decode_tile(&body);
+                    let (c, expected, arrived, tile_img) = decode_tile(body);
                     // First-wins: a locally rebuilt tile is already
                     // pasted and bit-identical to the real one; a late
                     // real tile is dropped.
                     if got[c].is_none() {
-                        img.paste(&tile_img);
+                        tile_img.paste_into(&mut img);
                         got[c] = Some((expected, arrived));
                         received += 1;
                     }
@@ -1403,7 +1433,7 @@ impl<'a> RankExec<'a> {
                         continue;
                     }
                     let sources = shared.sources_of(c);
-                    let mut asm = TileAssembly::new(c, partition.tile(c), sources);
+                    let mut asm = TileAssembly::new(c, shared.tile(c), sources);
                     for (r, _) in sources {
                         self.adopt_into(*r, &mut asm);
                     }
@@ -1425,7 +1455,7 @@ impl<'a> RankExec<'a> {
                 });
                 TileCompleteness {
                     tile: c,
-                    rect: partition.tile(c),
+                    rect: shared.tile(c),
                     expected,
                     arrived,
                 }
@@ -1633,9 +1663,10 @@ pub(crate) fn assemble_frame(
     // Coarse-rung heals may double-count overlapping footprints; the
     // bound stays a bound when clamped to the whole image.
     timing.error_bound = error_bound.min(1.0);
+    let stage_secs = [timing.io, timing.render, timing.composite];
     let mut slo = crate::slo::evaluate(&SloInput {
-        budgets: stage_budgets(cfg, &shared.schedule),
-        stage_secs: [timing.io, timing.render, timing.composite],
+        budgets: budgets_for(cfg, &stage_secs, &per_rank, &incidents, || shared.budgets()),
+        stage_secs,
         per_rank: &per_rank,
         incidents: &incidents,
     });
@@ -1654,7 +1685,7 @@ pub(crate) fn assemble_frame(
             let tiles = (0..m)
                 .map(|c| TileCompleteness {
                     tile: c,
-                    rect: shared.partition.tile(c),
+                    rect: shared.tile(c),
                     expected: shared.expected_area(c),
                     arrived: 0.0,
                 })

@@ -180,6 +180,28 @@ fn modeled_budgets(cfg: &FrameConfig, schedule: &Schedule) -> [f64; 3] {
     [io_est, render_est, comp_est].map(|s| s * HEADROOM)
 }
 
+/// The budgets to judge a frame by: `price()`d when the verdict can
+/// depend on them, the floors otherwise. Without a deadline override no
+/// budget is below [`BUDGET_FLOOR`], so a frame with no incidents whose
+/// every stage time, at the frame and on every rank, stays within the
+/// at-risk share of the floor is [`Verdict::Ok`] whatever the model
+/// prices — and a fast frame skips pricing its schedule.
+pub(crate) fn budgets_for(
+    cfg: &FrameConfig,
+    stage_secs: &[f64; 3],
+    per_rank: &[[f64; 3]],
+    incidents: &[Incident],
+    price: impl FnOnce() -> [f64; 3],
+) -> [f64; 3] {
+    let near_floor = |s: &f64| *s > BUDGET_FLOOR * AT_RISK_FRAC;
+    let mut times = stage_secs.iter().chain(per_rank.iter().flatten());
+    if cfg.stage_deadline_ms.is_some() || !incidents.is_empty() || times.any(near_floor) {
+        price()
+    } else {
+        [BUDGET_FLOOR; 3]
+    }
+}
+
 /// Evaluate one frame. Deterministic: a pure function of its input.
 ///
 /// Each stage is judged on the larger of its frame-level and slowest
@@ -422,6 +444,47 @@ mod tests {
         );
         assert!((slo.measured - 1.5).abs() < 1e-12);
         assert_eq!(slo.budget, 1.0);
+    }
+
+    /// Judging by the floors where `budgets_for` skips the pricing gives
+    /// every verdict the priced budgets give: stage times swept across
+    /// the at-risk share of the floor, with and without a slow rank, an
+    /// incident or a deadline override.
+    #[test]
+    fn skipping_the_pricing_never_changes_a_verdict() {
+        let mut cfg = FrameConfig::small(16, 24, 8);
+        for priced in [[0.25, 0.25, 0.25], [0.3, 1.5, 0.25], [4.0, 0.26, 0.9]] {
+            for deadline in [None, Some(150)] {
+                cfg.stage_deadline_ms = deadline;
+                let priced = deadline.map_or(priced, |ms| [ms as f64 / 1e3; 3]);
+                for t in [0.0, 0.05, 0.19, 0.2, 0.21, 0.3, 1.0] {
+                    let stage_secs = [0.01, t, 0.02];
+                    let slow = [[0.01, 0.02, 2.0 * t + 0.01]];
+                    let crash = [Incident {
+                        rank: 1,
+                        stage: 1,
+                        cause: Cause::Crash,
+                    }];
+                    for (per_rank, incidents) in [
+                        (&[][..], &[][..]),
+                        (&slow[..], &[][..]),
+                        (&[][..], &crash[..]),
+                    ] {
+                        let judge = |budgets| {
+                            evaluate(&SloInput {
+                                budgets,
+                                stage_secs,
+                                per_rank,
+                                incidents,
+                            })
+                        };
+                        let skipped =
+                            budgets_for(&cfg, &stage_secs, per_rank, incidents, || priced);
+                        assert_eq!(judge(skipped), judge(priced), "t {t}, budgets {priced:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

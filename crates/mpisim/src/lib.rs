@@ -74,6 +74,7 @@
 pub mod trace;
 
 mod event;
+mod mailbox;
 
 pub mod fault {
     //! Fault-injection hook for the transport.
@@ -122,13 +123,15 @@ pub mod fault {
 }
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::HashMap;
 use std::future::Future;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 use std::sync::{Arc, Once};
 use std::task::Poll;
 use std::time::Duration;
 
+use mailbox::PendingSet;
 use trace::{Clock, MarkKind, ReplayLog, TraceEvent, TraceLog};
 
 /// A tagged message envelope.
@@ -415,12 +418,12 @@ pub struct RunOutput<T> {
     pub sim: Option<SimStats>,
 }
 
-/// Global state of a rank group: message queues, blocked/done status
+/// Global state of a rank group: mailboxes, blocked/done status
 /// (the deadlock detector's input), barrier bookkeeping, and the trace
 /// sink. The event core owns it single-threaded behind a `RefCell`.
 pub(crate) struct State {
-    /// Accepted-but-undelivered messages, per destination.
-    pub(crate) queues: Vec<VecDeque<Envelope>>,
+    /// Sent-but-unmatched messages, per destination.
+    pub(crate) mailboxes: Vec<PendingSet>,
     pub(crate) status: Vec<Status>,
     pub(crate) barrier_gen: u64,
     pub(crate) barrier_count: usize,
@@ -442,7 +445,7 @@ pub(crate) struct State {
 impl State {
     pub(crate) fn new(n: usize, trace: bool) -> State {
         State {
-            queues: (0..n).map(|_| VecDeque::new()).collect(),
+            mailboxes: (0..n).map(|_| PendingSet::default()).collect(),
             status: vec![Status::Running; n],
             barrier_gen: 0,
             barrier_count: 0,
@@ -497,15 +500,48 @@ struct RankLocal {
     /// Empty when the run is untraced (clock upkeep is `O(n)` per
     /// event and only the trace observes it).
     clock: Clock,
-    /// Next sequence number per (destination, tag). Ordered maps: a
-    /// rank talks to few peers per tag, and a lookup must not cost a
-    /// SipHash per message.
-    send_seq: BTreeMap<(usize, u32), u64>,
+    /// Next sequence number per (destination, tag).
+    send_seq: SeqMap,
     /// Next expected sequence number per (source, tag).
-    expect_seq: BTreeMap<(usize, u32), u64>,
+    expect_seq: SeqMap,
     /// Wildcard receives completed so far (the replay index).
     wildcards: u64,
     trace: Vec<TraceEvent>,
+}
+
+/// Sequence counters per `(peer, tag)`. A rank sends and receives
+/// every message through one of these, so a lookup is a
+/// multiply-rotate hash ([`SeqHasher`]), not a SipHash or a tree walk;
+/// nothing iterates them, so their order is never observed.
+type SeqMap = HashMap<(usize, u32), u64, BuildHasherDefault<SeqHasher>>;
+
+/// The hash of [`SeqMap`]'s integer keys: each word is rotated in and
+/// multiplied by an odd constant.
+#[derive(Default)]
+struct SeqHasher(u64);
+
+impl SeqHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for SeqHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.add(b.into()));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(n.into());
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 enum Want {
@@ -523,53 +559,6 @@ enum Until {
     Timeout(Duration),
 }
 
-/// Messages delivered but not yet matched, in one map ordered by
-/// `(tag, src, seq)`: the first entry of a tag is the min-source match,
-/// the first entry of a `(tag, src)` is the next message of that stream
-/// (FIFO per key — non-overtaking order), and the sources of a tag are
-/// a range walk, so wildcard matching is `O(log n)` instead of a
-/// full-map scan — the difference between `O(n)` and `O(n²)` for a
-/// 32K-rank gather. A matched message leaves nothing behind.
-#[derive(Default)]
-struct PendingSet {
-    map: BTreeMap<(u32, usize, u64), Envelope>,
-}
-
-impl PendingSet {
-    fn push(&mut self, env: Envelope) {
-        self.map.insert((env.tag, env.src, env.seq), env);
-    }
-
-    /// The pending messages of `tag` from sources `from..`, in key order.
-    fn of_tag(&self, tag: u32, from: usize) -> impl Iterator<Item = &Envelope> + '_ {
-        let range = (tag, from, 0)..=(tag, usize::MAX, u64::MAX);
-        self.map.range(range).map(|(_, env)| env)
-    }
-
-    fn pop(&mut self, src: usize, tag: u32) -> Option<Envelope> {
-        let seq = self.of_tag(tag, src).next().filter(|e| e.src == src)?.seq;
-        self.map.remove(&(tag, src, seq))
-    }
-
-    /// Lowest source with a pending message of `tag`.
-    fn first_src(&self, tag: u32) -> Option<usize> {
-        self.of_tag(tag, 0).next().map(|e| e.src)
-    }
-
-    /// The oldest pending message of each source of `tag`, ascending by
-    /// source.
-    fn fronts(&self, tag: u32) -> impl Iterator<Item = &Envelope> + '_ {
-        let mut last = None;
-        self.of_tag(tag, 0)
-            .filter(move |e| last.replace(e.src) != Some(e.src))
-    }
-
-    /// All sources with a pending message of `tag`, ascending.
-    fn sources(&self, tag: u32) -> impl Iterator<Item = usize> + '_ {
-        self.fronts(tag).map(|e| e.src)
-    }
-}
-
 /// The per-rank communicator handle.
 pub struct Comm {
     rank: usize,
@@ -577,7 +566,6 @@ pub struct Comm {
     /// The world's event core (`Rc`: the handle never crosses threads).
     core: Rc<RefCell<event::EventCore>>,
     opts: Arc<RunOptions>,
-    pending: PendingSet,
     local: RefCell<RankLocal>,
 }
 
@@ -594,11 +582,10 @@ impl Comm {
             size,
             core,
             opts,
-            pending: PendingSet::default(),
             local: RefCell::new(RankLocal {
                 clock,
-                send_seq: BTreeMap::new(),
-                expect_seq: BTreeMap::new(),
+                send_seq: SeqMap::default(),
+                expect_seq: SeqMap::default(),
                 wildcards: 0,
                 trace: Vec::new(),
             }),
@@ -681,7 +668,7 @@ impl Comm {
         c.count_message();
         c.st.arrival += 1;
         let arrival = c.st.arrival;
-        c.st.queues[to].push_back(Envelope {
+        c.st.mailboxes[to].push(Envelope {
             src: self.rank,
             tag,
             seq,
@@ -745,13 +732,16 @@ impl Comm {
     }
 
     /// Invoke the choice-point hook for a resolved wildcard match.
-    /// `env` has already been taken from `pending`, so the candidate
+    /// `env` has already been taken from the mailbox, so the candidate
     /// set is the still-pending matching sources plus the chosen one.
     fn report_choice(&self, widx: u64, tag: u32, env: &Envelope, forced: bool) {
         let Some(hook) = &self.opts.on_choice else {
             return;
         };
-        let mut candidates: Vec<usize> = self.pending.sources(tag).collect();
+        let mut candidates: Vec<usize> = {
+            let core = self.core.borrow();
+            core.st.mailboxes[self.rank].sources(tag).collect()
+        };
         candidates.push(env.src);
         candidates.sort_unstable();
         candidates.dedup();
@@ -798,24 +788,15 @@ impl Comm {
     /// Non-blocking poll: take a pending message with `tag` from any
     /// source, or return `None` immediately.
     pub fn try_recv_any(&mut self, tag: u32) -> Option<(usize, Vec<u8>)> {
-        self.drain_incoming();
         // Same index contract as `recv_any_timeout`: an empty poll
         // consumes no wildcard ordinal.
-        let env = self.try_take(&Want::Any, tag)?;
+        let env = self.try_take(&mut self.core.borrow_mut().st, &Want::Any, tag)?;
         let widx = self.local.borrow().wildcards;
         self.local.borrow_mut().wildcards = widx + 1;
         self.report_choice(widx, tag, &env, false);
         let src = env.src;
         let data = self.deliver(env, Some(widx));
         Some((src, data))
-    }
-
-    /// Move everything from this rank's arrival queue into `pending`.
-    fn drain_incoming(&mut self) {
-        let mut c = self.core.borrow_mut();
-        while let Some(env) = c.st.queues[self.rank].pop_front() {
-            self.pending.push(env);
-        }
     }
 
     /// Park until a message matching `want`/`tag` is available, then
@@ -828,7 +809,7 @@ impl Comm {
     }
 
     /// The general wait, forever or until a deadline: a future that
-    /// re-checks the pending set on every wake (message arrival, barrier
+    /// re-checks the mailbox on every wake (message arrival, barrier
     /// release, timer) and parks with its blocked status registered for
     /// the quiescence check. Returns `None` only for the timed variant.
     async fn wait_match_until(&mut self, want: Want, tag: u32, until: Until) -> Option<Envelope> {
@@ -847,10 +828,7 @@ impl Comm {
         let comm = self;
         std::future::poll_fn(move |_cx| {
             let mut c = core.borrow_mut();
-            while let Some(env) = c.st.queues[me].pop_front() {
-                comm.pending.push(env);
-            }
-            if let Some(env) = comm.try_take(&want, tag) {
+            if let Some(env) = comm.try_take(&mut c.st, &want, tag) {
                 c.st.status[me] = Status::Running;
                 return Poll::Ready(Some(env));
             }
@@ -873,11 +851,12 @@ impl Comm {
         .await
     }
 
-    /// Take a matching envelope from `pending`, honouring the match
-    /// policy for wildcard receives.
-    fn try_take(&mut self, want: &Want, tag: u32) -> Option<Envelope> {
+    /// Take a matching envelope from my mailbox in `st`, honouring the
+    /// match policy for wildcard receives.
+    fn try_take(&self, st: &mut State, want: &Want, tag: u32) -> Option<Envelope> {
+        let pending = &mut st.mailboxes[self.rank];
         match want {
-            Want::From(src) => self.pending.pop(*src, tag),
+            Want::From(src) => pending.pop(*src, tag),
             Want::Any => {
                 let src = match &self.opts.match_policy {
                     // Blocking recv_any resolves Replay to Want::From
@@ -890,11 +869,11 @@ impl Comm {
                     // wildcard past its forced prefix lands here too:
                     // min-source keeps the continuation deterministic.
                     MatchPolicy::MinSource | MatchPolicy::Replay(_) | MatchPolicy::Guided(_) => {
-                        self.pending.first_src(tag)?
+                        pending.first_src(tag)?
                     }
-                    MatchPolicy::Arrival => self.pending.fronts(tag).min_by_key(|e| e.arrival)?.src,
+                    MatchPolicy::Arrival => pending.fronts(tag).min_by_key(|e| e.arrival)?.src,
                     MatchPolicy::Perturb(seed) => {
-                        let candidates: Vec<usize> = self.pending.sources(tag).collect();
+                        let candidates: Vec<usize> = pending.sources(tag).collect();
                         if candidates.is_empty() {
                             return None;
                         }
@@ -906,7 +885,7 @@ impl Comm {
                         candidates[(h % candidates.len() as u64) as usize]
                     }
                 };
-                self.pending.pop(src, tag)
+                pending.pop(src, tag)
             }
         }
     }
@@ -1159,12 +1138,16 @@ pub(crate) fn check_deadlock(st: &State) -> Option<String> {
     for r in 0..n {
         match st.status[r] {
             Status::Running => return None,
-            Status::RecvFrom { timed, .. } | Status::RecvAny { timed, .. } => {
+            Status::RecvFrom { timed, tag, .. } | Status::RecvAny { timed, tag } => {
                 if timed {
                     return None; // a timed wait wakes by itself
                 }
-                if !st.queues[r].is_empty() {
-                    return None; // an undelivered message will wake r
+                let mailbox = &st.mailboxes[r];
+                if match st.status[r] {
+                    Status::RecvFrom { src, .. } => mailbox.has(src, tag),
+                    _ => mailbox.first_src(tag).is_some(),
+                } {
+                    return None; // a matching message will wake r
                 }
                 blocked += 1;
             }

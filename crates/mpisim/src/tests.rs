@@ -862,12 +862,12 @@ fn timeout_variable_parses_or_is_named() {
 mod mailbox {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::{BTreeSet, HashMap};
+    use std::collections::{BTreeSet, HashMap, VecDeque};
     use std::sync::Mutex;
 
-    /// The mailbox as it was before it became one ordered map: a FIFO
-    /// per (src, tag) in a hash map, plus a sorted (tag, src) index of
-    /// the non-empty ones. Kept as the oracle.
+    /// The mailbox as a FIFO per (src, tag) in a hash map, plus a sorted
+    /// (tag, src) index of the non-empty ones — the slab's streams and
+    /// index in their plainest form. Kept as the oracle.
     #[derive(Default)]
     struct OraclePendingSet {
         map: HashMap<(usize, u32), VecDeque<Envelope>>,
@@ -920,9 +920,9 @@ mod mailbox {
         /// sequence numbers in send order, streams interleaved) and
         /// pops: after every step both mailboxes name the same first
         /// source, sources and front arrivals for every tag, and every
-        /// pop hands out the same envelope.
+        /// pop hands out the same envelope (through reused slots).
         #[test]
-        fn one_ordered_map_answers_like_the_three_containers(
+        fn slab_mailbox_answers_like_the_three_containers(
             ops in proptest::collection::vec((0u8..3, 0usize..5, 0u32..3), 1..120),
         ) {
             let (mut new, mut old) = (PendingSet::default(), OraclePendingSet::default());
@@ -942,12 +942,132 @@ mod mailbox {
                     let sources = old.sources(tag);
                     prop_assert_eq!(new.first_src(tag), sources.first().copied());
                     prop_assert_eq!(&new.sources(tag).collect::<Vec<_>>(), &sources);
+                    for src in 0..5 {
+                        prop_assert_eq!(new.has(src, tag), sources.contains(&src));
+                    }
                     let fronts: Vec<u64> = new.fronts(tag).map(|e| e.arrival).collect();
                     let arrivals: Vec<u64> =
                         sources.iter().map(|&s| old.front_arrival(s, tag)).collect();
                     prop_assert_eq!(fronts, arrivals);
                 }
             }
+        }
+    }
+
+    /// A 40-rank wildcard gather on a virtual-time schedule: rank `r`
+    /// sends its first message at `(7r mod 39) + 0.5` ms — arrivals in
+    /// an order unlike the sources' — ranks 1–4 send a second one late,
+    /// at 51.5–54.5 ms, and rank 0 takes one message every 2 ms. Every
+    /// receive finds at least one message pending, so the pending set at
+    /// each wildcard is known from the schedule alone.
+    mod late_low_sources {
+        use super::*;
+        use std::collections::BTreeMap;
+
+        const N: usize = 40;
+        const LATE: usize = 4;
+        const TAG: u32 = 5;
+
+        /// `(send time in µs, source, payload)` of every message, in
+        /// send (= arrival) order.
+        fn sends() -> Vec<(u64, usize, u8)> {
+            let mut sends: Vec<(u64, usize, u8)> = (1..N)
+                .map(|r| ((r as u64 * 7 % 39) * 1000 + 500, r, 0))
+                .collect();
+            sends.extend((1..=LATE).map(|r| (50_500 + r as u64 * 1000, r, 1)));
+            sends.sort_unstable();
+            sends
+        }
+
+        /// What rank 0 receives, `(source, payload)` in match order.
+        fn run(policy: MatchPolicy) -> Vec<(usize, Vec<u8>)> {
+            let schedule = sends();
+            let opts = RunOptions::default().policy(policy);
+            let out = World::run_opts(N, opts, move |mut comm| {
+                let mine: Vec<(u64, u8)> = schedule
+                    .iter()
+                    .filter(|s| s.1 == comm.rank())
+                    .map(|s| (s.0, s.2))
+                    .collect();
+                async move {
+                    let mut got = Vec::new();
+                    if comm.rank() == 0 {
+                        for _ in 0..N - 1 + LATE {
+                            comm.sleep(Duration::from_millis(2)).await;
+                            got.push(comm.recv_any(TAG).await);
+                        }
+                    } else {
+                        let mut now = 0;
+                        for (at, payload) in mine {
+                            comm.sleep(Duration::from_micros(at - now)).await;
+                            now = at;
+                            comm.send(0, TAG, vec![comm.rank() as u8, payload]).await;
+                        }
+                    }
+                    got
+                }
+            })
+            .unwrap();
+            out.results.into_iter().next().unwrap()
+        }
+
+        /// The same receives against an ordered map of per-source FIFOs,
+        /// `pick` choosing among the `(source, front arrival)` pairs
+        /// pending at the `i`-th wildcard.
+        fn reference(pick: impl Fn(usize, &[(usize, u64)]) -> usize) -> Vec<(usize, Vec<u8>)> {
+            let schedule = sends();
+            let mut pending: BTreeMap<usize, VecDeque<(u64, u8)>> = BTreeMap::new();
+            let mut next = 0;
+            let mut got = Vec::new();
+            for i in 0..N - 1 + LATE {
+                let now = 2000 * (i as u64 + 1);
+                while next < schedule.len() && schedule[next].0 < now {
+                    let (_, src, payload) = schedule[next];
+                    pending
+                        .entry(src)
+                        .or_default()
+                        .push_back((next as u64, payload));
+                    next += 1;
+                }
+                let fronts: Vec<(usize, u64)> =
+                    pending.iter().map(|(&src, q)| (src, q[0].0)).collect();
+                let src = pick(i, &fronts);
+                let q = pending.get_mut(&src).expect("the pick is pending");
+                let (_, payload) = q.pop_front().unwrap();
+                if q.is_empty() {
+                    pending.remove(&src);
+                }
+                got.push((src, vec![src as u8, payload]));
+            }
+            got
+        }
+
+        #[test]
+        fn every_policy_picks_what_an_ordered_map_picks() {
+            let min_source = reference(|_, f| f[0].0);
+            assert_eq!(run(MatchPolicy::MinSource), min_source);
+            // The late low sources jump the queue the moment they land.
+            let late_at = min_source.iter().position(|m| m.1[1] == 1).unwrap();
+            assert_eq!(min_source[late_at].0, 1);
+
+            let arrival = reference(|_, f| f.iter().min_by_key(|p| p.1).unwrap().0);
+            assert_eq!(run(MatchPolicy::Arrival), arrival);
+            assert_ne!(arrival, min_source);
+
+            for seed in [3, 42] {
+                let perturbed = reference(|i, f| {
+                    let h = splitmix64(seed ^ (i as u64).wrapping_mul(0x85eb_ca6b));
+                    f[(h % f.len() as u64) as usize].0
+                });
+                assert_eq!(run(MatchPolicy::Perturb(seed)), perturbed);
+            }
+
+            // Six forced picks of the highest pending source, then
+            // min-source.
+            let guided = reference(|i, f| if i < 6 { f[f.len() - 1].0 } else { f[0].0 });
+            let prefix = guided[..6].iter().map(|m| m.0).collect();
+            let sched = Arc::new(GuidedSchedule::new(vec![prefix]));
+            assert_eq!(run(MatchPolicy::Guided(sched)), guided);
         }
     }
 

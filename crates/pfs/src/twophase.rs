@@ -424,14 +424,30 @@ impl ScatterPlan {
     /// destination rank, file order kept within a destination. Every
     /// maximal run of one `rank` (`chunk_by`) is one message — what an
     /// aggregator sends that rank out of this window read. Grouped here,
-    /// as the window is sent, so planning pays nothing for it. One rank's
-    /// pieces of a window start at distinct file offsets (its placed runs
-    /// do not overlap), so `(rank, file_lo)` is a total order — the one a
-    /// stable sort by rank gives — and the sort needs no scratch buffer.
+    /// as the window is sent, so planning pays nothing for it.
+    /// `pieces_in` walks the pieces in file order, so one stable counting
+    /// pass over the window's rank range groups them — `O(pieces +
+    /// ranks spanned)`, no comparison sort.
     pub fn sends_in(&self, w: Extent) -> Vec<Piece> {
-        let mut pieces: Vec<Piece> = self.pieces_in(w).collect();
-        pieces.sort_unstable_by_key(|p| (p.rank, p.file_lo));
-        pieces
+        let pieces: Vec<Piece> = self.pieces_in(w).collect();
+        let Some(lo) = pieces.iter().map(|p| p.rank).min() else {
+            return pieces;
+        };
+        let hi = pieces.iter().map(|p| p.rank).max().unwrap_or(lo);
+        let mut at = vec![0usize; hi - lo + 1];
+        for p in &pieces {
+            at[p.rank - lo] += 1;
+        }
+        let mut sum = 0;
+        for a in at.iter_mut() {
+            (sum, *a) = (sum + *a, sum);
+        }
+        let mut sends = pieces.clone();
+        for p in pieces {
+            sends[at[p.rank - lo]] = p;
+            at[p.rank - lo] += 1;
+        }
+        sends
     }
 }
 

@@ -49,6 +49,11 @@ impl Vec3 {
         self / l
     }
 
+    /// Componentwise reciprocal.
+    pub(crate) fn recip(self) -> Vec3 {
+        Vec3::new(1.0 / self.x, 1.0 / self.y, 1.0 / self.z)
+    }
+
     pub fn get(self, axis: usize) -> f64 {
         match axis {
             0 => self.x,
@@ -110,6 +115,20 @@ impl Ray {
     /// `(t_enter, t_exit)` when the ray passes through (with
     /// `t_exit > t_enter >= t_min`).
     pub fn intersect_box(&self, lo: Vec3, hi: Vec3, t_min: f64) -> Option<(f64, f64)> {
+        self.intersect_box_inv(self.dir.recip(), lo, hi, t_min)
+    }
+
+    /// [`Ray::intersect_box`] given `inv = dir.recip()`, for callers whose
+    /// rays share a direction (an orthographic camera): three divisions
+    /// once instead of three a box. The same products, bit for bit.
+    #[inline]
+    pub(crate) fn intersect_box_inv(
+        &self,
+        inv: Vec3,
+        lo: Vec3,
+        hi: Vec3,
+        t_min: f64,
+    ) -> Option<(f64, f64)> {
         let mut t0 = t_min;
         let mut t1 = f64::INFINITY;
         for a in 0..3 {
@@ -121,7 +140,7 @@ impl Ray {
                     return None;
                 }
             } else {
-                let inv = 1.0 / d;
+                let inv = inv.get(a);
                 let (mut ta, mut tb) = ((l - o) * inv, (h - o) * inv);
                 if ta > tb {
                     std::mem::swap(&mut ta, &mut tb);

@@ -842,14 +842,20 @@ fn march_reference(
     sub: &mut SubImage,
     stats: &mut RenderStats,
 ) {
+    // The ray direction's reciprocal, recomputed only when the direction
+    // changes: once a block under an orthographic camera.
+    let (mut dir, mut inv) = (Vec3::ZERO, Vec3::ZERO);
     for py in rect.y0..rect.y1() {
         for px in rect.x0..rect.x1() {
             let ray = camera.ray(px, py);
+            if ray.dir != dir {
+                (dir, inv) = (ray.dir, ray.dir.recip());
+            }
             // Global entry defines the sample ladder shared by all blocks.
-            let Some((tg0, tg1)) = ray.intersect_box(Vec3::ZERO, ctx.grid_hi, 0.0) else {
+            let Some((tg0, tg1)) = ray.intersect_box_inv(inv, Vec3::ZERO, ctx.grid_hi, 0.0) else {
                 continue;
             };
-            let Some((tb0, tb1)) = ray.intersect_box(ctx.own_lo, ctx.own_hi, tg0) else {
+            let Some((tb0, tb1)) = ray.intersect_box_inv(inv, ctx.own_lo, ctx.own_hi, tg0) else {
                 continue;
             };
             stats.rays += 1;

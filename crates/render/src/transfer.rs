@@ -36,6 +36,10 @@ pub struct TransferFunction {
     /// The table's opacity bins, derived once here rather than once per
     /// rendered block.
     lut: OpacityLut,
+    /// The table's largest alpha and largest color-channel magnitude,
+    /// likewise derived once (see [`TransferFunction::max_table_alpha`]).
+    max_alpha: f32,
+    max_rgb: f32,
 }
 
 impl TransferFunction {
@@ -77,11 +81,21 @@ impl TransferFunction {
             };
         }
         let lut = OpacityLut::of(domain, &table);
+        debug_assert!(
+            table.iter().flatten().all(|c| !c.is_nan()),
+            "NaN table entries would silently escape the max-fold bounds"
+        );
+        let max_alpha = table.iter().fold(0.0f32, |m, c| m.max(c[3]));
+        let max_rgb = table.iter().fold(0.0f32, |m, c| {
+            m.max(c[0].abs()).max(c[1].abs()).max(c[2].abs())
+        });
         TransferFunction {
             domain,
             table,
             bins,
             lut,
+            max_alpha,
+            max_rgb,
         }
     }
 
@@ -235,25 +249,13 @@ impl TransferFunction {
     /// yields the per-sample alpha cap the bitwise termination gate
     /// saturates against.
     pub fn max_table_alpha(&self) -> f32 {
-        debug_assert!(
-            self.table.iter().all(|c| !c[3].is_nan()),
-            "NaN alpha entries would silently escape the max-fold bound"
-        );
-        self.table.iter().fold(0.0f32, |m, c| m.max(c[3]))
+        self.max_alpha
     }
 
     /// Largest color-channel magnitude any lookup can return (same
     /// interpolation argument as [`TransferFunction::max_table_alpha`]).
     pub fn max_table_rgb(&self) -> f32 {
-        debug_assert!(
-            self.table
-                .iter()
-                .all(|c| !c[0].is_nan() && !c[1].is_nan() && !c[2].is_nan()),
-            "NaN color entries would silently escape the max-fold bound"
-        );
-        self.table.iter().fold(0.0f32, |m, c| {
-            m.max(c[0].abs()).max(c[1].abs()).max(c[2].abs())
-        })
+        self.max_rgb
     }
 
     /// The opacity lookup table for conservative empty-space skipping:
@@ -578,6 +580,36 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The maxima `from_points` caches are the folds the getters used to
+    /// run on every call, for the shipped functions and for random
+    /// control points of either sign.
+    #[test]
+    fn cached_maxima_equal_the_table_fold() {
+        let fold = |tf: &TransferFunction| {
+            let alpha = tf.table.iter().fold(0.0f32, |m, c| m.max(c[3]));
+            let rgb = tf.table.iter().flat_map(|c| &c[..3]);
+            (alpha, rgb.fold(0.0f32, |m, c| m.max(c.abs())))
+        };
+        let mut rng = proptest::Rng::seeded(0x7f4a_7c15);
+        let mut unit = move || rng.below(1 << 16) as f32 / 65535.0;
+        let mut tfs = vec![
+            TransferFunction::supernova_velocity(),
+            TransferFunction::hot_density(),
+            TransferFunction::grayscale((-2.0, 3.0)),
+        ];
+        for npts in (2..10).cycle().take(200) {
+            let pts: Vec<(f32, [f32; 4])> = (0..npts)
+                .map(|_| (unit(), std::array::from_fn(|_| 4.0 * unit() - 2.0)))
+                .collect();
+            tfs.push(TransferFunction::from_points((-1.0, 1.0), &pts));
+        }
+        for tf in &tfs {
+            let (alpha, rgb) = fold(tf);
+            assert_eq!(tf.max_table_alpha().to_bits(), alpha.to_bits());
+            assert_eq!(tf.max_table_rgb().to_bits(), rgb.to_bits());
         }
     }
 

@@ -48,11 +48,13 @@ fn a_frame_allocates_in_proportion_to_its_messages() {
             allocations as f64 / planned as f64,
             bytes as f64 / 1e6
         );
-        // Measured: 2.6 a message at n = 256, 2.8 at 1024, 2.6 at 2048
-        // (103 534 allocations, 81 MB) — a body, its decoded fragment and
-        // change; the frame before this budget made 7.5, 7.3 and 6.6.
+        // Measured: 2.02 a message at n = 256, 1.97 at 1024, 2.00 at
+        // 2048 (78 765 allocations, 84 MB) — a body and change, now that
+        // compositors blend fragments from the wire; 2.6, 2.8 and 2.6
+        // while each fragment was decoded, 7.5, 7.3 and 6.6 before this
+        // budget. The bound is the highest rate plus half a message.
         assert!(
-            allocations <= 4 * planned,
+            allocations as f64 <= 2.52 * planned as f64,
             "n={n}: {allocations} allocations for {planned} messages"
         );
     }
