@@ -1163,7 +1163,9 @@ impl<'a> RankExec<'a> {
     /// fragment would be; true when it landed as the first copy.
     fn adopt_into(&mut self, orphan: usize, asm: &mut TileAssembly<'_>) -> bool {
         let (sub, quality) = self.adopt_block(orphan);
-        let piece = sub.as_ref().and_then(|s| Some((s, s.rect.intersect(&asm.rect())?)));
+        let piece = sub
+            .as_ref()
+            .and_then(|s| Some((s, s.rect.intersect(&asm.rect())?)));
         match piece {
             Some((s, piece)) => {
                 let frag = WireFragment::new(encode_fragment(&[], orphan, s, &piece).0, 0);

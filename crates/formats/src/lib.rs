@@ -33,7 +33,7 @@ pub use extent::{coalesce, total_bytes, Extent};
 pub use layout::{
     FileLayout, Hdf5LikeLayout, LayoutKind, NetCdf64Layout, NetCdfClassicLayout, RawLayout,
 };
-pub use rw::{read_subvolume, write_file, Endian};
+pub use rw::{each_element, read_subvolume, write_file, Endian};
 
 /// Size of one grid element on disk (32-bit float).
 pub const ELEM_SIZE: u64 = 4;

@@ -1,13 +1,12 @@
 //! Real file writers and readers for every layout.
 //!
 //! These materialize actual files on the local filesystem so the
-//! laptop-scale experiments exercise genuine byte-level I/O. Writers
-//! stream the file in physical order (one sequential pass); readers use
-//! the layout's placed runs, so they share the exact extent logic the
-//! collective-I/O engine uses.
+//! laptop-scale experiments exercise genuine byte-level I/O. The writer
+//! and the readers both go through the layout's placed runs, so they
+//! share the exact extent logic the collective-I/O engine uses.
 
 use std::fs::File;
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use crate::layout::{FileLayout, LayoutKind};
@@ -64,137 +63,111 @@ fn magic(kind: LayoutKind) -> &'static [u8] {
     }
 }
 
-/// Write a complete file in `layout`'s physical order, with element
-/// values supplied by `field(var, x, y, z)`. Out-of-grid padding (HDF5
-/// edge chunks) is written as zeros. Returns the number of bytes
-/// written, which always equals `layout.file_size()`.
+/// Write a complete file of `layout`, one z-slab at a time: a plane,
+/// or a layer of chunks for chunked layouts. `fill(slab, values)`
+/// supplies every variable of the slab, element-major: variable `v` of
+/// the slab's element `e` (row-major, x fastest) is
+/// `values[e * num_vars + v]`. Each variable's
+/// [`FileLayout::placed_runs`] over the slab — the runs a reader uses —
+/// land at their file offsets, file-contiguous runs in one write, in a
+/// file pre-sized to `layout.file_size()`, so out-of-grid padding (HDF5
+/// edge chunks) reads as zeros. Returns the file's size.
 pub fn write_file(
     path: &Path,
     layout: &dyn FileLayout,
-    mut field: impl FnMut(usize, usize, usize, usize) -> f32,
+    mut fill: impl FnMut(&Subvolume, &mut [f32]),
 ) -> std::io::Result<u64> {
-    let f = File::create(path)?;
-    let mut w = BufWriter::with_capacity(1 << 20, f);
-    let endian = layout.endian();
-    let grid = layout.grid();
-    let mut written = 0u64;
-
-    // Header / metadata prologue. The netCDF layouts get a genuine
-    // CDF-1 / CDF-2 header (dimensions, variables, begin offsets);
-    // other formats get their magic plus zero padding.
-    let header = layout.header_bytes();
-    if header > 0 {
-        match layout.kind() {
-            LayoutKind::NetCdfClassic | LayoutKind::NetCdf64 => {
-                use crate::netcdf_header::{encode_header, HeaderSpec, DEFAULT_VAR_NAMES};
-                let record_vars = layout.kind() == LayoutKind::NetCdfClassic;
-                let nvars = layout.num_vars();
-                let names: Vec<&str> = DEFAULT_VAR_NAMES
-                    .iter()
-                    .copied()
-                    .chain((DEFAULT_VAR_NAMES.len()..nvars).map(|_| "extra"))
-                    .take(nvars)
-                    .collect();
-                let per_var: u64 = if record_vars {
-                    (grid[0] * grid[1]) as u64 * ELEM_SIZE
-                } else {
-                    (grid[0] * grid[1] * grid[2]) as u64 * ELEM_SIZE
-                };
-                let begin = move |v: usize| header + v as u64 * per_var;
-                let spec = HeaderSpec {
-                    grid,
-                    var_names: &names,
-                    record_vars,
-                    header_size: header,
-                    var_begin: &begin,
-                };
-                w.write_all(&encode_header(&spec))?;
+    let mut file = File::create(path)?;
+    file.set_len(layout.file_size())?;
+    file.write_all(&header(layout))?;
+    let (grid, nvars, endian) = (layout.grid(), layout.num_vars(), layout.endian());
+    let depth = layout.chunk_geometry().map_or(1, |c| c[2]);
+    let (mut values, mut runs, mut bytes) = (Vec::new(), Vec::new(), Vec::new());
+    for z in (0..grid[2]).step_by(depth) {
+        let slab = Subvolume::new([0, 0, z], [grid[0], grid[1], depth.min(grid[2] - z)]);
+        values.resize(slab.num_elements() * nvars, 0.0);
+        fill(&slab, &mut values);
+        runs.clear();
+        for var in 0..nvars {
+            layout.placed_runs(var, &slab, &mut |r| runs.push((var, r)));
+        }
+        // Chunked layouts emit runs in slab order, not file order.
+        runs.sort_unstable_by_key(|(_, r)| r.file_offset);
+        let mut at = 0;
+        for &(var, r) in &runs {
+            if at + bytes.len() as u64 != r.file_offset {
+                write_at(&mut file, at, &bytes)?;
+                bytes.clear();
+                at = r.file_offset;
             }
-            _ => {
-                let m = magic(layout.kind());
-                w.write_all(m)?;
-                write_zeros(&mut w, header - m.len() as u64)?;
+            let elems = values[r.out_start * nvars + var..].iter().step_by(nvars);
+            for &v in elems.take(r.elems) {
+                bytes.extend_from_slice(&endian.encode(v));
             }
         }
-        written += header;
+        write_at(&mut file, at, &bytes)?;
+        bytes.clear();
     }
-
-    match layout.kind() {
-        LayoutKind::Raw | LayoutKind::NetCdf64 => {
-            for var in 0..layout.num_vars() {
-                for z in 0..grid[2] {
-                    for y in 0..grid[1] {
-                        for x in 0..grid[0] {
-                            w.write_all(&endian.encode(field(var, x, y, z)))?;
-                        }
-                    }
-                }
-                written += (grid[0] * grid[1] * grid[2]) as u64 * ELEM_SIZE;
-            }
-        }
-        LayoutKind::NetCdfClassic => {
-            // Records interleave: all variables' record z, then z+1, ...
-            for z in 0..grid[2] {
-                for var in 0..layout.num_vars() {
-                    for y in 0..grid[1] {
-                        for x in 0..grid[0] {
-                            w.write_all(&endian.encode(field(var, x, y, z)))?;
-                        }
-                    }
-                    written += (grid[0] * grid[1]) as u64 * ELEM_SIZE;
-                }
-            }
-        }
-        LayoutKind::Hdf5Like => {
-            // Chunk by chunk, each chunk padded to full size.
-            let c = layout
-                .chunk_geometry()
-                .expect("Hdf5Like layout must expose chunk geometry");
-            let chunk_bytes = (c[0] * c[1] * c[2]) as u64 * ELEM_SIZE;
-            let per_dim = [
-                grid[0].div_ceil(c[0]),
-                grid[1].div_ceil(c[1]),
-                grid[2].div_ceil(c[2]),
-            ];
-            for var in 0..layout.num_vars() {
-                for cz in 0..per_dim[2] {
-                    for cy in 0..per_dim[1] {
-                        for cx in 0..per_dim[0] {
-                            for lz in 0..c[2] {
-                                for ly in 0..c[1] {
-                                    for lx in 0..c[0] {
-                                        let (x, y, z) =
-                                            (cx * c[0] + lx, cy * c[1] + ly, cz * c[2] + lz);
-                                        let v = if x < grid[0] && y < grid[1] && z < grid[2] {
-                                            field(var, x, y, z)
-                                        } else {
-                                            0.0
-                                        };
-                                        w.write_all(&endian.encode(v))?;
-                                    }
-                                }
-                            }
-                            written += chunk_bytes;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    w.flush()?;
-    debug_assert_eq!(written, layout.file_size());
-    Ok(written)
+    // No run may land past the layout's end.
+    debug_assert_eq!(file.metadata()?.len(), layout.file_size());
+    Ok(layout.file_size())
 }
 
-fn write_zeros<W: Write>(w: &mut W, mut n: u64) -> std::io::Result<()> {
-    let zeros = [0u8; 4096];
-    while n > 0 {
-        let take = (n as usize).min(zeros.len());
-        w.write_all(&zeros[..take])?;
-        n -= take as u64;
+/// A [`write_file`] filler from a per-element `value(var, x, y, z)`.
+pub fn each_element(
+    num_vars: usize,
+    mut value: impl FnMut(usize, usize, usize, usize) -> f32,
+) -> impl FnMut(&Subvolume, &mut [f32]) {
+    move |slab, values| {
+        let mut out = values.iter_mut();
+        slab.for_each_row(|x0, y, z, len| {
+            for x in x0..x0 + len {
+                for (var, v) in out.by_ref().take(num_vars).enumerate() {
+                    *v = value(var, x, y, z);
+                }
+            }
+        });
+    }
+}
+
+fn write_at(file: &mut File, at: u64, bytes: &[u8]) -> std::io::Result<()> {
+    if !bytes.is_empty() {
+        file.seek(SeekFrom::Start(at))?;
+        file.write_all(bytes)?;
     }
     Ok(())
+}
+
+/// The file's prologue: a genuine CDF-1 / CDF-2 header (dimensions,
+/// variables, begin offsets) for the netCDF layouts, the format's magic
+/// for the others (the rest of the header region stays zero).
+fn header(layout: &dyn FileLayout) -> Vec<u8> {
+    use crate::netcdf_header::{encode_header, HeaderSpec, DEFAULT_VAR_NAMES};
+    let kind = layout.kind();
+    if !matches!(kind, LayoutKind::NetCdfClassic | LayoutKind::NetCdf64) {
+        return magic(kind).to_vec();
+    }
+    let (grid, nvars, header) = (layout.grid(), layout.num_vars(), layout.header_bytes());
+    let record_vars = kind == LayoutKind::NetCdfClassic;
+    let names: Vec<&str> = DEFAULT_VAR_NAMES
+        .iter()
+        .copied()
+        .chain((DEFAULT_VAR_NAMES.len()..nvars).map(|_| "extra"))
+        .take(nvars)
+        .collect();
+    let per_var: u64 = if record_vars {
+        (grid[0] * grid[1]) as u64 * ELEM_SIZE
+    } else {
+        (grid[0] * grid[1] * grid[2]) as u64 * ELEM_SIZE
+    };
+    let begin = move |v: usize| header + v as u64 * per_var;
+    encode_header(&HeaderSpec {
+        grid,
+        var_names: &names,
+        record_vars,
+        header_size: header,
+        var_begin: &begin,
+    })
 }
 
 /// Read `sub` of variable `var` from an open file into a row-major f32
@@ -240,7 +213,7 @@ mod tests {
 
     fn round_trip(layout: &dyn FileLayout, name: &str) {
         let path = tmpdir().join(name);
-        let n = write_file(&path, layout, field).unwrap();
+        let n = write_file(&path, layout, each_element(layout.num_vars(), field)).unwrap();
         assert_eq!(n, layout.file_size());
         assert_eq!(std::fs::metadata(&path).unwrap().len(), layout.file_size());
 
@@ -297,7 +270,7 @@ mod tests {
     fn netcdf_magic_is_written() {
         let l = NetCdfClassicLayout::new([4, 4, 4], 1);
         let path = tmpdir().join("magic.nc");
-        write_file(&path, &l, field).unwrap();
+        write_file(&path, &l, each_element(l.num_vars(), field)).unwrap();
         let mut f = File::open(&path).unwrap();
         let mut m = [0u8; 4];
         f.read_exact(&mut m).unwrap();
@@ -311,7 +284,7 @@ mod tests {
         use crate::netcdf_header::decode_header;
         let l = NetCdfClassicLayout::new([12, 10, 6], 5);
         let path = tmpdir().join("hdr.nc");
-        write_file(&path, &l, field).unwrap();
+        write_file(&path, &l, each_element(l.num_vars(), field)).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         let d = decode_header(&bytes[..512]).unwrap();
         assert!(d.record_vars);
@@ -339,7 +312,7 @@ mod tests {
         use crate::netcdf_header::decode_header;
         let l = NetCdf64Layout::new([8, 8, 8], 3);
         let path = tmpdir().join("hdr.nc64");
-        write_file(&path, &l, field).unwrap();
+        write_file(&path, &l, each_element(l.num_vars(), field)).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         let d = decode_header(&bytes[..1024]).unwrap();
         assert!(!d.record_vars);
@@ -352,7 +325,12 @@ mod tests {
     fn netcdf_floats_are_big_endian_on_disk() {
         let l = NetCdfClassicLayout::new([2, 1, 1], 1);
         let path = tmpdir().join("be.nc");
-        write_file(&path, &l, |_, x, _, _| if x == 0 { 1.0 } else { -2.5 }).unwrap();
+        write_file(
+            &path,
+            &l,
+            each_element(1, |_, x, _, _| if x == 0 { 1.0 } else { -2.5 }),
+        )
+        .unwrap();
         let mut f = File::open(&path).unwrap();
         f.seek(SeekFrom::Start(l.header_bytes())).unwrap();
         let mut b = [0u8; 8];

@@ -22,6 +22,14 @@ impl<F: Fn(f32, f32, f32) -> f32> ScalarField for F {
     }
 }
 
+/// The unit-cube coordinate of the centre of voxel `i` on an axis of
+/// `n` voxels: the one place a sampled grid, in memory or on disk, meets
+/// a field.
+#[inline]
+pub fn voxel_centre(i: usize, n: usize) -> f32 {
+    (i as f32 + 0.5) / n as f32
+}
+
 /// Names of the five VH-1 variables, in file order.
 pub const VAR_NAMES: [&str; 5] = [
     "pressure",
@@ -132,6 +140,20 @@ pub struct SupernovaField {
     shock_radius: f32,
 }
 
+/// What [`SupernovaField::terms`] computes once per point.
+struct Terms {
+    /// Offset from the cube's centre, and its length.
+    p: [f32; 3],
+    r: f32,
+    /// Shock radius along this direction.
+    shock_r: f32,
+    inside: bool,
+    shell: f32,
+    turb: f32,
+    /// The velocities' shell noise (zero when not asked for).
+    swirl: f32,
+}
+
 impl SupernovaField {
     pub fn new(seed: u64) -> Self {
         SupernovaField {
@@ -155,8 +177,11 @@ impl SupernovaField {
         }
     }
 
+    /// The terms the variables share at a point: one shock geometry, one
+    /// shell and one turbulence evaluation, and the velocities' shell
+    /// noise when `swirl` asks for it.
     #[inline]
-    fn geometry(&self, x: f32, y: f32, z: f32) -> (f32, f32, [f32; 3]) {
+    fn terms(&self, x: f32, y: f32, z: f32, swirl: bool) -> Terms {
         let p = [x - 0.5, y - 0.5, z - 0.5];
         let r = (p[0] * p[0] + p[1] * p[1] + p[2] * p[2]).sqrt();
         // Angular perturbation of the shock radius (SASI-like sloshing):
@@ -165,12 +190,6 @@ impl SupernovaField {
         let dir = [p[0] * inv_r, p[1] * inv_r, p[2] * inv_r];
         let wob = self.wobble.fbm(dir[0], dir[1], dir[2], 2.0);
         let shock_r = self.shock_radius * (1.0 + 0.35 * wob);
-        (r, shock_r, p)
-    }
-
-    /// Sample variable `var` (0..5) at a point of the unit cube.
-    pub fn sample_var(&self, var: usize, x: f32, y: f32, z: f32) -> f32 {
-        let (r, shock_r, p) = self.geometry(x, y, z);
         let inside = r < shock_r;
         // Shell proximity in [0, 1]: 1 on the shock surface.
         let shell = (-((r - shock_r) / 0.02).powi(2)).exp();
@@ -179,11 +198,32 @@ impl SupernovaField {
         } else {
             0.15 * self.noise.fbm(x, y, z, 6.0)
         };
+        Terms {
+            p,
+            r,
+            shock_r,
+            inside,
+            shell,
+            turb,
+            swirl: if swirl {
+                self.noise.fbm(y, z, x, 5.0)
+            } else {
+                0.0
+            },
+        }
+    }
+
+    /// Variable `var` from the shared terms.
+    #[inline]
+    fn var_from(var: usize, t: &Terms) -> f32 {
         match var {
             // Pressure: high in the core, jump at the shock.
-            0 => ((1.0 - r * 2.2).max(0.0).powi(2) + 0.6 * shell + 0.2 * turb).clamp(0.0, 1.0),
+            0 => {
+                ((1.0 - t.r * 2.2).max(0.0).powi(2) + 0.6 * t.shell + 0.2 * t.turb).clamp(0.0, 1.0)
+            }
             // Density: steep core profile plus shell pile-up.
-            1 => ((0.08 / (r + 0.05)).min(1.0) * 0.7 + 0.5 * shell + 0.15 * turb).clamp(0.0, 1.0),
+            1 => ((0.08 / (t.r + 0.05)).min(1.0) * 0.7 + 0.5 * t.shell + 0.15 * t.turb)
+                .clamp(0.0, 1.0),
             // Velocities: infall outside the shock (radial, negative),
             // turbulence inside; the X component is the paper's
             // rendered variable (Figure 1).
@@ -192,18 +232,32 @@ impl SupernovaField {
                 // Infall is strongest just outside the shock and fades
                 // with distance, so renderings highlight the shock
                 // region rather than a uniformly colored far field.
-                let radial = if inside {
+                let radial = if t.inside {
                     0.0
                 } else {
-                    -0.8 * (shock_r / r.max(1e-3)).powf(2.5)
+                    -0.8 * (t.shock_r / t.r.max(1e-3)).powf(2.5)
                 };
-                let v = radial * p[axis] / r.max(1e-3)
-                    + if inside { 0.9 * turb } else { 0.1 * turb }
-                    + 0.4 * shell * p[axis].signum() * self.noise.fbm(y, z, x, 5.0);
+                let v = radial * t.p[axis] / t.r.max(1e-3)
+                    + if t.inside { 0.9 * t.turb } else { 0.1 * t.turb }
+                    + 0.4 * t.shell * t.p[axis].signum() * t.swirl;
                 v.clamp(-1.0, 1.0)
             }
             _ => panic!("variable index {var} out of range (0..5)"),
         }
+    }
+
+    /// Sample variable `var` (0..5) at a point of the unit cube. Only
+    /// the velocities evaluate the shell noise.
+    pub fn sample_var(&self, var: usize, x: f32, y: f32, z: f32) -> f32 {
+        Self::var_from(var, &self.terms(x, y, z, (2..5).contains(&var)))
+    }
+
+    /// All five variables at a point, in [`VAR_NAMES`] order, from one
+    /// evaluation of the shared terms: bit for bit `sample_var(v, ..)`
+    /// for each `v`.
+    pub fn sample_all(&self, x: f32, y: f32, z: f32) -> [f32; 5] {
+        let t = self.terms(x, y, z, true);
+        std::array::from_fn(|var| Self::var_from(var, &t))
     }
 
     /// View of one variable as a [`ScalarField`].
@@ -355,6 +409,53 @@ mod tests {
         for i in 0..50 {
             let t = i as f32 / 50.0;
             assert_eq!(a.sample_var(2, t, 0.4, 0.6), b.sample_var(2, t, 0.4, 0.6));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn all_variables_at_once_are_each_variable_bit_for_bit(
+            seed in 0u64..u64::MAX,
+            step in 0u32..40,
+            (a, b, c) in (0u32..2000, 0u32..2000, 0u32..2000),
+            kind in 0u8..4,
+            frac in 0u32..=1000,
+        ) {
+            let f = SupernovaField::at_time(seed, step as f32);
+            let d = [a, b, c].map(|v| v as f32 / 1000.0 - 1.0);
+            let n = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt();
+            let dir = if n < 1e-3 { [1.0, 0.0, 0.0] } else { d.map(|v| v / n) };
+            let at = |r: f32| dir.map(|v| 0.5 + r * v);
+            // The shock radius depends on the direction only.
+            let [x, y, z] = at(0.3);
+            let shock = f.terms(x, y, z, false).shock_r;
+            let frac = frac as f32 / 1000.0;
+            let r = match kind {
+                // No direction: the centre and points within 1e-6 of it.
+                0 => frac * 9e-7,
+                // Across the shock shell.
+                1 => shock + (frac - 0.5) * 0.08,
+                2 => frac * 0.95 * shock,
+                _ => shock * (1.02 + frac),
+            };
+            let [x, y, z] = at(r);
+            let t = f.terms(x, y, z, false);
+            match kind {
+                0 => proptest::prop_assert!(t.r < 1e-6, "r {}", t.r),
+                2 => proptest::prop_assert!(t.inside),
+                3 => proptest::prop_assert!(!t.inside),
+                _ => {}
+            }
+            let all = f.sample_all(x, y, z);
+            for (var, v) in all.iter().enumerate() {
+                proptest::prop_assert_eq!(
+                    v.to_bits(),
+                    f.sample_var(var, x, y, z).to_bits(),
+                    "variable {} at ({}, {}, {})", var, x, y, z
+                );
+            }
         }
     }
 

@@ -2,7 +2,7 @@
 
 use rayon::prelude::*;
 
-use crate::field::ScalarField;
+use crate::field::{voxel_centre, ScalarField};
 
 /// A dense 3D scalar volume, row-major with x fastest.
 ///
@@ -59,26 +59,12 @@ impl Volume {
     /// Sample `field` over the unit cube at `dims` resolution
     /// (voxel centers), in parallel.
     pub fn from_field(field: &(impl ScalarField + Sync), dims: [usize; 3]) -> Self {
-        let [nx, ny, nz] = dims;
-        let inv = [1.0 / nx as f32, 1.0 / ny as f32, 1.0 / nz as f32];
-        let mut data = vec![0.0f32; nx * ny * nz];
-        data.par_chunks_mut(nx * ny)
-            .enumerate()
-            .for_each(|(z, slab)| {
-                let pz = (z as f32 + 0.5) * inv[2];
-                for y in 0..ny {
-                    let py = (y as f32 + 0.5) * inv[1];
-                    for x in 0..nx {
-                        let px = (x as f32 + 0.5) * inv[0];
-                        slab[y * nx + x] = field.sample(px, py, pz);
-                    }
-                }
-            });
-        Self::with_data(dims, data)
+        Self::from_field_window(field, dims, [0; 3], dims)
     }
 
     /// Sample a *window* of a larger logical grid: voxels
-    /// `offset .. offset+dims` of a `global` grid over the unit cube.
+    /// `offset .. offset+dims` of a `global` grid over the unit cube,
+    /// at the [`voxel_centre`]s a written dataset stores.
     /// This is how a rank materializes its block of a procedural field.
     pub fn from_field_window(
         field: &(impl ScalarField + Sync),
@@ -87,20 +73,15 @@ impl Volume {
         dims: [usize; 3],
     ) -> Self {
         let [nx, ny, _] = dims;
-        let inv = [
-            1.0 / global[0] as f32,
-            1.0 / global[1] as f32,
-            1.0 / global[2] as f32,
-        ];
         let mut data = vec![0.0f32; dims[0] * dims[1] * dims[2]];
         data.par_chunks_mut(nx * ny)
             .enumerate()
             .for_each(|(z, slab)| {
-                let pz = ((offset[2] + z) as f32 + 0.5) * inv[2];
+                let pz = voxel_centre(offset[2] + z, global[2]);
                 for y in 0..ny {
-                    let py = ((offset[1] + y) as f32 + 0.5) * inv[1];
+                    let py = voxel_centre(offset[1] + y, global[1]);
                     for x in 0..nx {
-                        let px = ((offset[0] + x) as f32 + 0.5) * inv[0];
+                        let px = voxel_centre(offset[0] + x, global[0]);
                         slab[y * nx + x] = field.sample(px, py, pz);
                     }
                 }

@@ -31,6 +31,6 @@ pub mod grid;
 pub mod macrocell;
 
 pub use blocks::{Block, BlockDecomposition};
-pub use field::{FbmNoise, ScalarField, SupernovaField, VAR_NAMES};
+pub use field::{voxel_centre, FbmNoise, ScalarField, SupernovaField, VAR_NAMES};
 pub use grid::Volume;
 pub use macrocell::{MacrocellGrid, MACROCELL_SIZE, REFINED_SIZE};

@@ -42,19 +42,20 @@ fn main() {
         // Write this time step (in production the simulation wrote it).
         let path = dir.join(format!("step-{step}.raw"));
         {
-            use parallel_volume_rendering::volume::SupernovaField;
+            use parallel_volume_rendering::formats::{each_element, write_file};
+            use parallel_volume_rendering::volume::{voxel_centre, SupernovaField};
             let field = SupernovaField::at_time(cfg.seed, t);
             let layout = cfg.io.layout(cfg.grid);
             let [nx, ny, nz] = cfg.grid;
-            parallel_volume_rendering::formats::write_file(&path, layout.as_ref(), |_, x, y, z| {
-                field.sample_var(
-                    2,
-                    (x as f32 + 0.5) / nx as f32,
-                    (y as f32 + 0.5) / ny as f32,
-                    (z as f32 + 0.5) / nz as f32,
-                )
-            })
-            .expect("write step");
+            let value = |_, x, y, z| {
+                let (px, py, pz) = (
+                    voxel_centre(x, nx),
+                    voxel_centre(y, ny),
+                    voxel_centre(z, nz),
+                );
+                field.sample_var(2, px, py, pz)
+            };
+            write_file(&path, layout.as_ref(), each_element(1, value)).expect("write step");
         }
 
         let r = run_frame(&cfg, Some(&path));

@@ -7,11 +7,13 @@ use parallel_volume_rendering::core::{
     laptop_aggregators, run_frame, run_frame_mpi, write_dataset, FrameConfig, IoMode,
 };
 use parallel_volume_rendering::formats::layout::FileLayout;
-use parallel_volume_rendering::formats::{coalesce, Subvolume, ELEM_SIZE};
+use parallel_volume_rendering::formats::{
+    coalesce, each_element, read_subvolume, Subvolume, ELEM_SIZE,
+};
 use parallel_volume_rendering::pfs::twophase::{
     file_domains, two_phase_execute, two_phase_plan, CollectiveHints, RankRequest,
 };
-use parallel_volume_rendering::volume::BlockDecomposition;
+use parallel_volume_rendering::volume::{voxel_centre, BlockDecomposition, SupernovaField};
 
 use proptest::prelude::*;
 
@@ -23,7 +25,8 @@ fn write_tmp(layout: &dyn FileLayout, name: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!("pvr-ioc-{}", std::process::id()));
     std::fs::create_dir_all(&d).unwrap();
     let p = d.join(name);
-    parallel_volume_rendering::formats::write_file(&p, layout, field).unwrap();
+    let fill = each_element(layout.num_vars(), field);
+    parallel_volume_rendering::formats::write_file(&p, layout, fill).unwrap();
     p
 }
 
@@ -130,6 +133,89 @@ fn unaligned_file_domains_decode_like_the_rank_read() {
         "executors must agree bit for bit"
     );
     std::fs::remove_file(&p).ok();
+}
+
+/// `write_dataset` at an odd grid (13×11×9: partial HDF5 edge chunks on
+/// every axis) for every I/O mode, as FNV-1a of the whole file. The
+/// hashes were recorded from the element-by-element writer the slab
+/// writer replaced; a file that changes by one byte fails here.
+#[test]
+fn every_io_mode_writes_the_bytes_it_always_has() {
+    let fnv = |bytes: &[u8]| {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+        })
+    };
+    let pinned = [
+        (IoMode::Raw, 0, 5_148, 0x7114_7b53_db0f_a023u64),
+        (IoMode::Raw, 2, 5_148, 0x9808_a171_6511_482a),
+        (IoMode::NetCdfUntuned, 2, 26_252, 0x5904_622f_27e1_de1d),
+        (IoMode::NetCdfTuned, 0, 26_252, 0x5904_622f_27e1_de1d),
+        (IoMode::NetCdf64, 2, 26_764, 0xbceb_d21e_aea7_af84),
+        (IoMode::Hdf5, 2, 52_224, 0x85f4_028f_3f92_2b2b),
+    ];
+    let d = std::env::temp_dir().join(format!("pvr-ioc-{}", std::process::id()));
+    std::fs::create_dir_all(&d).unwrap();
+    for (mode, variable, len, hash) in pinned {
+        let mut cfg = FrameConfig::small(13, 16, 4);
+        cfg.grid = [13, 11, 9];
+        (cfg.io, cfg.variable) = (mode, variable);
+        let p = d.join(format!("pinned.{}.{variable}", mode.name()));
+        assert_eq!(write_dataset(&p, &cfg).unwrap(), len);
+        let bytes = std::fs::read(&p).unwrap();
+        assert_eq!(bytes.len() as u64, len, "{}", mode.name());
+        assert_eq!(fnv(&bytes), hash, "{} variable {variable}", mode.name());
+        std::fs::remove_file(&p).ok();
+    }
+}
+
+/// Every variable of every I/O mode's file reads back, through
+/// `read_subvolume`, as the field sampled at its voxel centres.
+#[test]
+fn every_variable_reads_back_as_the_field_it_samples() {
+    let d = std::env::temp_dir().join(format!("pvr-ioc-{}", std::process::id()));
+    std::fs::create_dir_all(&d).unwrap();
+    for mode in IoMode::ALL {
+        let mut cfg = FrameConfig::small(13, 16, 4);
+        cfg.grid = [13, 11, 9];
+        (cfg.io, cfg.variable) = (mode, 3);
+        let [nx, ny, nz] = cfg.grid;
+        let p = d.join(format!("readback.{}", mode.name()));
+        write_dataset(&p, &cfg).unwrap();
+        let layout = mode.layout(cfg.grid);
+        let field = SupernovaField::new(cfg.seed);
+        let mut f = std::fs::File::open(&p).unwrap();
+        for var in 0..layout.num_vars() {
+            let whole = Subvolume::whole(cfg.grid);
+            let got = read_subvolume(&mut f, layout.as_ref(), var, &whole).unwrap();
+            let field_var = if mode == IoMode::Raw {
+                cfg.variable
+            } else {
+                var
+            };
+            let mut i = 0;
+            for z in 0..nz {
+                for y in 0..ny {
+                    for x in 0..nx {
+                        let (px, py, pz) = (
+                            voxel_centre(x, nx),
+                            voxel_centre(y, ny),
+                            voxel_centre(z, nz),
+                        );
+                        let want = field.sample_var(field_var, px, py, pz);
+                        assert_eq!(
+                            got[i].to_bits(),
+                            want.to_bits(),
+                            "{} variable {var} at ({x},{y},{z})",
+                            mode.name()
+                        );
+                        i += 1;
+                    }
+                }
+            }
+        }
+        std::fs::remove_file(&p).ok();
+    }
 }
 
 /// Paper-scale plan structure: the 1120³ netCDF single-variable read.
