@@ -22,6 +22,7 @@
 use std::fs::File;
 use std::io::{Read as _, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use rayon::prelude::*;
@@ -338,10 +339,12 @@ pub(crate) fn read_frame(
         let mut f = File::open(path)?;
         let mut data: Vec<Vec<f32>> = stored
             .iter()
-            .map(|sub| vec![0.0; sub.num_elements()])
+            .map(|sub| volume_buffer(sub.num_elements()))
             .collect();
         let (plan, exchange_bytes) =
             two_phase_decode(&mut f, &requests, naggr, &hints, endian, &mut data, tracer)?;
+        let largest = plan.accesses.iter().map(|a| a.extent.len).max();
+        spare_volumes().budget = largest.unwrap_or(0) as usize;
         let stats = IoRunStats {
             useful_bytes: plan.useful_bytes,
             physical_bytes: plan.physical_bytes,
@@ -362,13 +365,14 @@ pub(crate) fn read_frame(
             .map(|sub| layout.physical_extents(var, sub))
             .collect();
         let plan = per_extent_plan(&per_process);
+        spare_volumes().budget = 0;
         let useful: u64 = requests.iter().map(|r| r.useful_bytes()).sum();
         let per_rank: Vec<std::io::Result<Volume>> = requests
             .par_iter()
             .zip(stored)
             .map(|(rq, sub)| {
                 let mut f = File::open(path)?;
-                let mut data = vec![0.0f32; sub.num_elements()];
+                let mut data = volume_buffer(sub.num_elements());
                 let mut buf = Vec::new();
                 for run in &rq.runs {
                     buf.resize(run.elems * ELEM_SIZE as usize, 0);
@@ -394,6 +398,52 @@ pub(crate) fn read_frame(
         t.pad(throttled_bytes, t0);
     }
     Ok((volumes, stats))
+}
+
+/// Voxel buffers of the last data-parallel frame, kept for the next
+/// [`read_frame`] on whichever thread reads next. Without them the
+/// allocator may hand a frame's volumes back to the OS when the frame
+/// ends, and the next frame pays a page fault for every page of its
+/// volumes. They are kept only when they fit in the last collective
+/// read's largest window: the memory the window-buffered read held in
+/// every frame, which the streaming read gives back.
+struct SpareVolumes {
+    /// Bytes of the last collective read's largest window.
+    budget: usize,
+    buffers: Vec<Vec<f32>>,
+}
+
+static SPARE_VOLUMES: Mutex<SpareVolumes> = Mutex::new(SpareVolumes {
+    budget: 0,
+    buffers: Vec::new(),
+});
+
+fn spare_volumes() -> std::sync::MutexGuard<'static, SpareVolumes> {
+    // Every update leaves the buffers valid, so a poisoned lock is not
+    // a broken one.
+    SPARE_VOLUMES.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A zeroed buffer of `n` voxels, reusing a spare one when there is one.
+fn volume_buffer(n: usize) -> Vec<f32> {
+    let mut data = spare_volumes().buffers.pop().unwrap_or_default();
+    data.clear();
+    data.reserve_exact(n);
+    data.resize(n, 0.0);
+    data
+}
+
+/// Keep a finished frame's voxel buffers for the next [`read_frame`],
+/// in place of any spare ones left, if they fit in the last collective
+/// read's largest window; drop them otherwise.
+pub(crate) fn recycle_volumes(volumes: Vec<Volume>) {
+    let bytes: usize = volumes.iter().map(|v| size_of_val(v.data())).sum();
+    let mut spare = spare_volumes();
+    spare.buffers = if bytes <= spare.budget {
+        volumes.into_iter().map(Volume::into_data).collect()
+    } else {
+        Vec::new()
+    };
 }
 
 // ---------------------------------------------------------------------

@@ -53,8 +53,8 @@
 
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::{Read as _, Seek, SeekFrom};
 use std::ops::ControlFlow;
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -348,7 +348,7 @@ pub(crate) fn rayon_frame(
             render.terminated_rays,
         ),
     );
-    drop(volumes);
+    crate::pipeline::recycle_volumes(volumes);
 
     timing.starts[2] = t0.elapsed().as_secs_f64();
     tracer.begin(0, "composite");
@@ -558,7 +558,8 @@ impl FrameShared {
 /// The file half of a frame description: how the ranks of a
 /// message-passing world read their blocks out of one dataset file.
 /// Built only where ranks read through it — the data-parallel read goes
-/// through `two_phase_execute`, which plans for itself.
+/// through `pipeline::read_frame` to `two_phase_decode`, which plans for
+/// itself.
 struct FilePlan {
     /// Per-rank placed-run read requests.
     requests: Vec<RankRequest>,
@@ -954,28 +955,30 @@ impl<'a> RankExec<'a> {
         let at = Extent::new(offset, buf.len() as u64);
         let fail = |op, e| -> ! { panic!("{}", read_failure(rank, op, path, at, &e)) };
         let f = file.get_or_insert_with(|| File::open(path).unwrap_or_else(|e| fail("open", e)));
-        f.seek(SeekFrom::Start(offset))
-            .and_then(|_| f.read_exact(buf))
+        f.read_exact_at(buf, offset)
             .unwrap_or_else(|e| fail("read", e));
     }
 
-    /// One window's bytes: the prefetched buffer when the animation
-    /// driver fetched it ahead of time, a live (optionally throttled)
-    /// file read otherwise.
+    /// Put one window's bytes in `buf`, the aggregator's one window
+    /// buffer: the prefetched buffer, moved in, when the animation
+    /// driver fetched it ahead of time; otherwise a live (optionally
+    /// throttled) positional read into `buf` resized to the window, so
+    /// it allocates only past the largest window so far.
     fn window_bytes(
         &mut self,
         idx: usize,
         w: Extent,
         file: &mut Option<File>,
+        buf: &mut Vec<u8>,
         live_bytes: &mut u64,
-    ) -> Vec<u8> {
-        if let Some(buf) = self.windows.as_mut().and_then(|pw| pw.bufs.get_mut(idx)) {
-            return std::mem::take(buf);
+    ) {
+        if let Some(pre) = self.windows.as_mut().and_then(|pw| pw.bufs.get_mut(idx)) {
+            *buf = std::mem::take(pre);
+            return;
         }
-        let mut buf = vec![0u8; w.len as usize];
-        self.read_at(file, w.offset, &mut buf);
+        buf.resize(w.len as usize, 0);
+        self.read_at(file, w.offset, buf);
         *live_bytes += w.len;
-        buf
     }
 
     /// Two-phase scatter: each aggregator reads its windows — storage
@@ -990,11 +993,12 @@ impl<'a> RankExec<'a> {
         let t_read = Instant::now();
         let mut live_bytes = 0u64;
         let mut file: Option<File> = None;
+        let mut buf = Vec::new();
         for (i, w) in self.my_window_extents().iter().enumerate() {
             self.comm.span_begin_v("io.window", w.len);
             let audit = self.audit(*w);
             failover_bytes += audit.failover_bytes;
-            let mut buf = self.window_bytes(i, *w, &mut file, &mut live_bytes);
+            self.window_bytes(i, *w, &mut file, &mut buf, &mut live_bytes);
             for lost in &audit.unrecoverable {
                 buf[clip(lost, *w)].fill(0);
             }

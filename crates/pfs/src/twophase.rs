@@ -13,26 +13,30 @@
 //! placed runs behind the exchange are radix-sorted by
 //! `(file_offset, rank)`, with no comparison ([`ScatterPlan::build`]).
 //!
-//! The in-process read has one window loop and two sinks. Each window
-//! is read once into a buffer whose capacity every window reuses (no
-//! zero-fill), and each of its pieces goes to a sink with its bytes:
-//! [`two_phase_execute`] copies them into per-rank byte buffers (the
-//! byte-level oracle), [`two_phase_decode`] decodes them straight into
-//! per-rank `f32` outputs. A window that begins partway into an element
-//! (a file domain boundary, or a `cb_buffer_size`, that is not a
-//! multiple of 4) splits that element between two pieces; the decoding
-//! sink holds the ≤ 3 bytes of each side until the element is whole.
+//! The in-process read has one window loop and two sinks. The accesses
+//! are grouped by aggregator and the groups run concurrently, as ROMIO's
+//! aggregators read their own file domains: each reads its windows with
+//! positional reads in 256 KiB stripes into one reused buffer, and hands
+//! every piece∩stripe to a sink with its bytes: [`two_phase_execute`]
+//! copies them into per-rank byte buffers (the byte-level oracle),
+//! [`two_phase_decode`] decodes them straight into per-rank `f32`
+//! outputs. Each group writes only the output ranges split off for it.
+//! A window that begins partway into an element (a file domain
+//! boundary, or a `cb_buffer_size`, that is not a multiple of 4) splits
+//! that element between two pieces; the decoding sink holds the ≤ 3
+//! bytes of each side until the element is whole.
 //! The message-passing executor in `pvr-core` walks the same
 //! [`ScatterPlan`] with its own window loop, because it reads under a
 //! fault audit and sends bytes over links.
 
-use std::collections::HashMap;
 use std::fs::File;
-use std::io::{ErrorKind, Read, Seek, SeekFrom};
+use std::io::{Read, Seek, SeekFrom};
+use std::os::unix::fs::FileExt;
 
 use pvr_formats::extent::{clip, merge_sorted, total_bytes, union_bytes, Extent};
 use pvr_formats::layout::PlacedRun;
 use pvr_formats::{Endian, ELEM_SIZE};
+use rayon::prelude::*;
 
 /// MPI-IO hints controlling the collective read — the paper's tuning
 /// knobs ("adjusting such parameters as internal buffer sizes and number
@@ -211,7 +215,7 @@ pub fn two_phase_plan(
 
 /// One rank's read request: the placed runs of its subvolume (from
 /// `FileLayout::placed_runs`) and the element count of its output
-/// buffer.
+/// buffer. The runs fill disjoint ranges of the output.
 #[derive(Debug, Clone, Default)]
 pub struct RankRequest {
     pub runs: Vec<PlacedRun>,
@@ -495,9 +499,8 @@ pub fn two_phase_execute_traced(
         .iter()
         .map(|rq| vec![0u8; rq.out_elems * ELEM_SIZE as usize])
         .collect();
-    let exchange_bytes = read_windows(file, &sp, tracer, |p, bytes| {
-        rank_bytes[p.rank][p.out_byte..p.out_byte + bytes.len()].copy_from_slice(bytes)
-    })?;
+    let copy = |bytes: &[u8], out: &mut [u8]| out.copy_from_slice(bytes);
+    let exchange_bytes = read_windows(file, &sp, requests, &mut rank_bytes, copy, tracer)?;
     Ok(ExecResult {
         rank_bytes,
         plan: sp.plan,
@@ -506,7 +509,7 @@ pub fn two_phase_execute_traced(
 }
 
 /// [`two_phase_execute_traced`]'s read, decoded as it is scattered:
-/// every piece goes from the window buffer straight into `out[rank]`,
+/// every piece goes from the stripe buffer straight into `out[rank]`,
 /// `requests[rank].out_elems` floats in placed-run order, decoded from
 /// `endian`. Elements no run asks for keep what `out` held. Returns the
 /// realized plan and the exchange bytes; the windows, their `io.window`
@@ -527,78 +530,228 @@ pub fn two_phase_decode(
         "one output of `out_elems` floats per request"
     );
     let sp = ScatterPlan::build(requests, num_aggregators, hints);
-    let mut sink = DecodeSink {
-        out,
-        endian,
-        split: HashMap::new(),
-    };
-    let exchange_bytes = read_windows(file, &sp, tracer, |p, bytes| sink.piece(p, bytes))?;
-    debug_assert!(
-        sink.split.is_empty(),
-        "every run byte is in exactly one piece"
-    );
+    let decode = |bytes: &[u8], out: &mut [f32]| endian.decode_slice(bytes, out);
+    let exchange_bytes = read_windows(file, &sp, requests, out, decode, tracer)?;
     Ok((sp.plan, exchange_bytes))
 }
 
-/// The one window loop of the collective read. Each access of `sp` is
-/// read once — inside an `io.window` span on its aggregator's track —
-/// into one buffer allocated for the largest window and reused by every
-/// window, so nothing is zero-filled or grown; a short read is
-/// `UnexpectedEof`, as `read_exact` reports it. Every piece of the window is then handed to `sink` with
-/// its bytes. Returns the bytes that went to a rank other than the
-/// window's aggregator.
-fn read_windows(
-    file: &mut File,
+/// Bytes of one positional read. A window is read in stripes that end
+/// at absolute file offsets that are multiples of this (or at the
+/// window's end), each into the aggregator's one buffer of at most this
+/// size, so the buffer does not grow with `cb_buffer_size`.
+const STRIPE: u64 = 256 << 10;
+
+/// The one window loop of the collective read. The accesses of `sp` are
+/// grouped by aggregator, and the groups run on the data-parallel pool
+/// (inline at one thread), each reading its own windows with positional
+/// reads — no shared cursor — one stripe at a time, inside one
+/// `io.window` span per access on its aggregator's track. A short read
+/// is `UnexpectedEof`. Every piece∩stripe goes to its rank's output
+/// through `decode`, which turns whole on-disk elements into `T`s; each
+/// group writes only the output ranges [`tiles`] split off for it. An
+/// element split between two groups waits in both groups' stashes,
+/// which merge after the join. Returns the bytes that went to a rank
+/// other than their window's aggregator.
+fn read_windows<T, D>(
+    file: &File,
     sp: &ScatterPlan,
+    requests: &[RankRequest],
+    out: &mut [Vec<T>],
+    decode: D,
     tracer: &pvr_obs::Tracer,
-    mut sink: impl FnMut(&Piece, &[u8]),
-) -> std::io::Result<u64> {
-    let nranks = sp.piece_counts.len();
-    let mut exchange_bytes = 0u64;
-    let largest = sp.plan.accesses.iter().map(|a| a.extent.len).max();
-    let mut buf: Vec<u8> = Vec::with_capacity(largest.unwrap_or(0) as usize);
-    for a in &sp.plan.accesses {
-        let w = a.extent;
-        let host = sp.aggregator_rank(a.aggregator, nranks);
-        let _span = tracer.span_args(
-            host as pvr_obs::span::TrackId,
-            "io.window",
-            pvr_obs::Args::two("offset", w.offset, "bytes", w.len),
-        );
-        buf.clear();
-        file.seek(SeekFrom::Start(w.offset))?;
-        if file.by_ref().take(w.len).read_to_end(&mut buf)? as u64 != w.len {
-            return Err(ErrorKind::UnexpectedEof.into());
-        }
-        for p in sp.pieces_in(w) {
-            sink(&p, &buf[p.src_lo..p.src_hi]);
-            if p.rank != host {
-                exchange_bytes += p.len() as u64;
+) -> std::io::Result<u64>
+where
+    T: Send,
+    D: Fn(&[u8], &mut [T]) + Sync,
+{
+    let groups: Vec<&[Access]> = sp
+        .plan
+        .accesses
+        .chunk_by(|a, b| a.aggregator == b.aggregator)
+        .collect();
+    let ends: Vec<u64> = groups.iter().map(|g| g[g.len() - 1].extent.end()).collect();
+    let tiles = tiles(out, requests, &ends);
+    let nranks = requests.len();
+    let done: Vec<std::io::Result<(u64, Vec<Split>)>> = groups
+        .into_par_iter()
+        .zip(tiles)
+        .map(|(group, tiles)| {
+            let host = sp.aggregator_rank(group[0].aggregator, nranks);
+            let mut sink = Sink {
+                tiles,
+                decode: &decode,
+                stash: Vec::new(),
+            };
+            let largest = group.iter().map(|a| a.extent.len).max().unwrap_or(0);
+            let mut buf = vec![0u8; largest.min(STRIPE) as usize];
+            let mut exchange_bytes = 0u64;
+            for a in group {
+                let w = a.extent;
+                let _span = tracer.span_args(
+                    host as pvr_obs::span::TrackId,
+                    "io.window",
+                    pvr_obs::Args::two("offset", w.offset, "bytes", w.len),
+                );
+                let mut at = w.offset;
+                while at < w.end() {
+                    let stripe = Extent::new(at, ((at / STRIPE + 1) * STRIPE).min(w.end()) - at);
+                    let bytes = &mut buf[..stripe.len as usize];
+                    file.read_exact_at(bytes, stripe.offset)?;
+                    for p in sp.pieces_in(stripe) {
+                        sink.piece(&p, &bytes[p.src_lo..p.src_hi]);
+                        if p.rank != host {
+                            exchange_bytes += p.len() as u64;
+                        }
+                    }
+                    at = stripe.end();
+                }
             }
+            Ok((exchange_bytes, sink.stash))
+        })
+        .collect();
+
+    let (mut exchange_bytes, mut open) = (0u64, Vec::new());
+    for group in done {
+        let (bytes, stash) = group?;
+        exchange_bytes += bytes;
+        open.extend(stash);
+    }
+    // Each (rank, output byte) comes in exactly one piece, so the bytes
+    // of a split element are disjoint and OR together.
+    open.sort_by_key(|s| (s.rank, s.elem));
+    for parts in open.chunk_by(|a, b| (a.rank, a.elem) == (b.rank, b.elem)) {
+        let (rank, elem) = (parts[0].rank, parts[0].elem);
+        let mut whole = [0u8; ELEM_SIZE as usize];
+        for p in parts {
+            whole.iter_mut().zip(p.bytes).for_each(|(w, b)| *w |= b);
         }
+        debug_assert_eq!(
+            parts.iter().map(|p| p.have).sum::<usize>(),
+            size_of::<T>(),
+            "every run byte is in exactly one piece"
+        );
+        decode(&whole[..size_of::<T>()], &mut out[rank][elem..elem + 1]);
     }
     Ok(exchange_bytes)
 }
 
-/// The sink of [`two_phase_decode`]. A piece's whole elements decode in
-/// place. Where a window begins partway into an element — every window
-/// of a file domain whose boundary is not 4-aligned, or of a
-/// `cb_buffer_size` that is not a multiple of 4 — the element is split
-/// between two pieces: the ≤ 3 leading and ≤ 3 trailing bytes of a piece
-/// wait in `split`, keyed by (rank, element), until all 4 have arrived.
-/// Each (rank, output byte) comes in exactly one piece, so the order of
-/// the windows does not matter.
-struct DecodeSink<'a> {
-    out: &'a mut [Vec<f32>],
-    endian: Endian,
-    /// An element's bytes so far, and how many have arrived.
-    split: HashMap<(usize, usize), ([u8; 4], usize)>,
+/// `(out_lo, out_hi, group)`: output bytes of one rank that one
+/// aggregator group fills.
+type Segment = (usize, usize, usize);
+
+/// Split every rank's output into the ranges the aggregator groups
+/// fill, with `split_at_mut` in output order: per group, its
+/// [`Tile`]s sorted by `(rank, first)`. `ends[g]` is where group `g`'s
+/// last window ends; the groups' windows lie in disjoint, ascending file
+/// domains, so every run byte belongs to the first group ending after
+/// it. An element whose bytes two groups fill lies in no tile. Where a
+/// rank's runs ascend in the file as they do in its output — every
+/// layout here — a rank has one segment per group it reads from.
+fn tiles<'a, T>(
+    out: &'a mut [Vec<T>],
+    requests: &[RankRequest],
+    ends: &[u64],
+) -> Vec<Vec<Tile<'a, T>>> {
+    let elem = size_of::<T>();
+    let mut tiles: Vec<Vec<Tile<'a, T>>> = ends.iter().map(|_| Vec::new()).collect();
+    for (rank, (data, rq)) in out.iter_mut().zip(requests).enumerate() {
+        let (mut rest, mut at) = (data.as_mut_slice(), 0);
+        for (lo, hi, g) in segments(rq, ends) {
+            let (first, end) = (lo.div_ceil(elem), hi / elem);
+            if first >= end {
+                continue;
+            }
+            let (_, tail) = std::mem::take(&mut rest).split_at_mut(first - at);
+            let (data, tail) = tail.split_at_mut(end - first);
+            tiles[g].push(Tile { rank, first, data });
+            (rest, at) = (tail, end);
+        }
+    }
+    tiles
 }
 
-impl DecodeSink<'_> {
+/// One rank's [`Segment`]s in output order, adjacent ones of one group
+/// merged. The gap between two merged parts holds bytes no run asks
+/// for, which no group writes.
+fn segments(rq: &RankRequest, ends: &[u64]) -> Vec<Segment> {
+    let parts = || {
+        rq.runs.iter().flat_map(move |r| {
+            let (end, out) = (
+                r.file_offset + r.elems as u64 * ELEM_SIZE,
+                r.out_start * ELEM_SIZE as usize,
+            );
+            let mut at = r.file_offset;
+            std::iter::from_fn(move || {
+                (at < end).then(|| {
+                    let g = ends.partition_point(|&e| e <= at);
+                    let hi = end.min(ends[g]);
+                    let part = (
+                        out + (at - r.file_offset) as usize,
+                        out + (hi - r.file_offset) as usize,
+                        g,
+                    );
+                    at = hi;
+                    part
+                })
+            })
+        })
+    };
+    merged(parts()).unwrap_or_else(|| {
+        let mut sorted: Vec<Segment> = parts().collect();
+        sorted.sort_unstable();
+        merged(sorted.into_iter()).expect("a rank's runs fill disjoint output ranges")
+    })
+}
+
+/// `parts` with adjacent ones of one group merged, or `None` if they
+/// are not in output order.
+fn merged(parts: impl Iterator<Item = Segment>) -> Option<Vec<Segment>> {
+    let mut segs: Vec<Segment> = Vec::new();
+    for (lo, hi, g) in parts {
+        match segs.last_mut() {
+            Some(last) if last.1 > lo => return None,
+            Some(last) if last.2 == g => last.1 = hi,
+            _ => segs.push((lo, hi, g)),
+        }
+    }
+    Some(segs)
+}
+
+/// The output elements `first..first + data.len()` of `rank` that one
+/// aggregator group writes.
+struct Tile<'a, T> {
+    rank: usize,
+    first: usize,
+    data: &'a mut [T],
+}
+
+/// The ≤ 3 bytes of element `elem` of `rank` that one group has read,
+/// at their places in `bytes` (the rest zero).
+struct Split {
+    rank: usize,
+    elem: usize,
+    bytes: [u8; ELEM_SIZE as usize],
+    have: usize,
+}
+
+/// One aggregator group's writer. A piece's whole elements decode in
+/// place. Where a window or a stripe begins partway into an element —
+/// a file domain boundary, or a `cb_buffer_size`, that is not a
+/// multiple of 4 — the element is split between two pieces: the ≤ 3
+/// leading and ≤ 3 trailing bytes of a piece wait in `stash` until all
+/// the element's bytes have arrived. An element completed here lies in
+/// one of this group's tiles; one whose bytes two groups read stays in
+/// both stashes for [`read_windows`] to merge.
+struct Sink<'a, T, D> {
+    tiles: Vec<Tile<'a, T>>,
+    decode: &'a D,
+    stash: Vec<Split>,
+}
+
+impl<T, D: Fn(&[u8], &mut [T])> Sink<'_, T, D> {
     fn piece(&mut self, p: &Piece, bytes: &[u8]) {
+        let elem = size_of::<T>();
         let (lo, hi) = (p.out_byte, p.out_byte + bytes.len());
-        let elem = ELEM_SIZE as usize;
         // The elements that lie wholly inside the piece.
         let (first, end) = (lo.div_ceil(elem), hi / elem);
         if first >= end {
@@ -608,24 +761,48 @@ impl DecodeSink<'_> {
         let (head, rest) = bytes.split_at(first * elem - lo);
         let (whole, tail) = rest.split_at((end - first) * elem);
         self.stash(p.rank, lo, head);
-        self.endian
-            .decode_slice(whole, &mut self.out[p.rank][first..end]);
+        (self.decode)(whole, self.tile(p.rank, first, end));
         self.stash(p.rank, end * elem, tail);
+    }
+
+    /// Output elements `first..end` of `rank`, which one tile holds.
+    fn tile(&mut self, rank: usize, first: usize, end: usize) -> &mut [T] {
+        let i = self
+            .tiles
+            .partition_point(|t| (t.rank, t.first) <= (rank, first));
+        let t = &mut self.tiles[i - 1];
+        &mut t.data[first - t.first..end - t.first]
     }
 
     /// Keep `bytes`, which start at output byte `at` of `rank` and hold
     /// no whole element, and decode each element they complete.
     fn stash(&mut self, rank: usize, mut at: usize, mut bytes: &[u8]) {
-        let elem = ELEM_SIZE as usize;
+        let elem = size_of::<T>();
         while !bytes.is_empty() {
             let (e, k) = (at / elem, at % elem);
             let n = (elem - k).min(bytes.len());
-            let part = self.split.entry((rank, e)).or_insert(([0; 4], 0));
-            part.0[k..k + n].copy_from_slice(&bytes[..n]);
-            part.1 += n;
-            if part.1 == elem {
-                self.out[rank][e] = self.endian.decode(part.0);
-                self.split.remove(&(rank, e));
+            let i = match self
+                .stash
+                .iter()
+                .rposition(|s| (s.rank, s.elem) == (rank, e))
+            {
+                Some(i) => i,
+                None => {
+                    self.stash.push(Split {
+                        rank,
+                        elem: e,
+                        bytes: [0; ELEM_SIZE as usize],
+                        have: 0,
+                    });
+                    self.stash.len() - 1
+                }
+            };
+            let part = &mut self.stash[i];
+            part.bytes[k..k + n].copy_from_slice(&bytes[..n]);
+            part.have += n;
+            if part.have == elem {
+                let whole = self.stash.swap_remove(i).bytes;
+                (self.decode)(&whole[..elem], self.tile(rank, e, e + 1));
             }
             (at, bytes) = (at + n, &bytes[n..]);
         }
@@ -706,6 +883,7 @@ pub fn two_phase_write(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::ErrorKind;
 
     fn ext(o: u64, l: u64) -> Extent {
         Extent::new(o, l)
@@ -1122,6 +1300,57 @@ mod tests {
         let e = two_phase_decode(&mut f, &requests, 1, &hints, Endian::Big, &mut out, &tracer)
             .unwrap_err();
         assert_eq!(e.kind(), ErrorKind::UnexpectedEof);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn runs_listed_out_of_output_order_land_where_they_are_placed() {
+        // Rank 0 lists its runs against output order, and they come from
+        // both aggregators' domains, so its tiles come from the sorted
+        // fallback of `segments`.
+        let dir = std::env::temp_dir().join(format!("pvr-pfs-order-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("order.bin");
+        let data: Vec<u8> = (0..8192u32).map(|i| (i % 241) as u8).collect();
+        std::fs::write(&path, &data).unwrap();
+        let mk = |file_offset: u64, elems: usize, out_start: usize| PlacedRun {
+            file_offset,
+            elems,
+            out_start,
+        };
+        let requests = vec![
+            RankRequest {
+                runs: vec![mk(1000, 500, 300), mk(6000, 300, 0), mk(3002, 200, 800)],
+                out_elems: 1000,
+            },
+            RankRequest {
+                runs: vec![mk(2600, 100, 0)],
+                out_elems: 100,
+            },
+        ];
+        let hints = CollectiveHints {
+            cb_buffer_size: 1001,
+            cb_nodes: None,
+        };
+        let mut f = File::open(&path).unwrap();
+        let res = two_phase_execute(&mut f, &requests, 2, &hints).unwrap();
+        for (r, rq) in requests.iter().enumerate() {
+            for run in &rq.runs {
+                let (at, n) = (run.file_offset as usize, run.elems * 4);
+                let got = &res.rank_bytes[r][run.out_start * 4..run.out_start * 4 + n];
+                assert_eq!(got, &data[at..at + n], "rank {r} run {run:?}");
+            }
+        }
+        let mut out = vec![vec![0.0f32; 1000], vec![0.0f32; 100]];
+        let tracer = pvr_obs::Tracer::disabled();
+        two_phase_decode(&mut f, &requests, 2, &hints, Endian::Big, &mut out, &tracer).unwrap();
+        for (got, bytes) in out.iter().zip(&res.rank_bytes) {
+            let want: Vec<u32> = bytes
+                .chunks_exact(4)
+                .map(|c| Endian::Big.decode([c[0], c[1], c[2], c[3]]).to_bits())
+                .collect();
+            assert_eq!(got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want);
+        }
         std::fs::remove_file(&path).ok();
     }
 

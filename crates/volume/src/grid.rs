@@ -97,6 +97,12 @@ impl Volume {
         &self.data
     }
 
+    /// The voxels, the volume given up, so that their buffer can be
+    /// reused.
+    pub fn into_data(self) -> Vec<f32> {
+        self.data
+    }
+
     pub fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
     }

@@ -55,7 +55,7 @@ fn main() {
     let a = run_frame(&cfg, Some(&path));
     println!("  {}", a.timing);
 
-    println!("running message-passing executor ({ranks} rank threads)...");
+    println!("running message-passing executor ({ranks} ranks on one event loop)...");
     let b = if let Some(out) = profile_arg() {
         let run = run_frame_mpi_profiled(&cfg, &path).expect("profiled frame");
         let json = perfetto::to_json(&run.profile);

@@ -293,17 +293,19 @@ fn paper_scale_hdf5_overhead() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random decomposition + random hints still deliver correct bytes.
+    /// Random decomposition + random hints still deliver correct bytes,
+    /// on a pool of any of 1–4 threads.
     #[test]
     fn random_hints_never_corrupt_data(
         nblocks in 1usize..8,
         naggr in 1usize..6,
         cb_kb in 1u64..64,
         var in 0usize..3,
+        threads in 1usize..5,
     ) {
         let grid = [16usize, 12, 10];
         let layout = IoMode::NetCdfUntuned.layout(grid);
-        let p = write_tmp(layout.as_ref(), &format!("prop-{nblocks}-{naggr}-{cb_kb}-{var}.nc"));
+        let p = write_tmp(layout.as_ref(), &format!("prop-{nblocks}-{naggr}-{cb_kb}-{var}-{threads}.nc"));
         let decomp = BlockDecomposition::new(grid, nblocks);
         let requests: Vec<RankRequest> = decomp
             .blocks()
@@ -317,7 +319,8 @@ proptest! {
             .collect();
         let mut f = std::fs::File::open(&p).unwrap();
         let hints = CollectiveHints { cb_buffer_size: cb_kb * 1024, cb_nodes: None };
-        let res = two_phase_execute(&mut f, &requests, naggr, &hints).unwrap();
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+        let res = pool.install(|| two_phase_execute(&mut f, &requests, naggr, &hints)).unwrap();
         for (rank, b) in decomp.blocks().iter().enumerate() {
             let sub = decomp.with_ghost(b, 1);
             let endian = layout.endian();

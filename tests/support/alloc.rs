@@ -18,6 +18,9 @@ thread_local! {
     /// allocator can reach it at any point of a thread's life without
     /// allocating.
     static COUNTED: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    /// The largest single `alloc`, `alloc_zeroed` or `realloc` on this
+    /// thread, in bytes, since [`largest`] last reset it.
+    static LARGEST: Cell<u64> = const { Cell::new(0) };
 }
 
 fn count(size: usize) {
@@ -25,6 +28,7 @@ fn count(size: usize) {
         let (calls, bytes) = c.get();
         c.set((calls + 1, bytes + size as u64));
     });
+    LARGEST.with(|l| l.set(l.get().max(size as u64)));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -62,9 +66,21 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// What `f` allocated on this thread: its result, the allocator calls
 /// and the bytes they asked for.
+#[allow(dead_code)]
 pub fn counting<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
     let before = COUNTED.get();
     let out = f();
     let after = COUNTED.get();
     (out, after.0 - before.0, after.1 - before.1)
+}
+
+/// What `f` returned and the largest single allocation it asked for on
+/// this thread, in bytes.
+#[allow(dead_code)]
+pub fn largest<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = LARGEST.replace(0);
+    let out = f();
+    let largest = LARGEST.get();
+    LARGEST.set(before.max(largest));
+    (out, largest)
 }
