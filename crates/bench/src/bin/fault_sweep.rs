@@ -18,65 +18,17 @@
 //! servers). `--ci` runs the assertion suite with fixed seeds and exits
 //! nonzero on any violated invariant — the `fault-sweep` CI job.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Instant;
 
-use pvr_bench::{fault_frame as run, FaultFrame};
-use pvr_core::pipeline::{run_frame_mpi, tags, write_dataset};
+use pvr_bench::{fault_frame as run, gate, sweep_cfg, sweep_dataset, transient_plan, FaultFrame};
+use pvr_core::pipeline::run_frame_mpi;
 use pvr_core::{CompositorPolicy, FrameConfig, FrameError};
 use pvr_faults::{
-    FaultPlan, LinkAction, LinkFault, Pat, RankAction, RankFault, RecoveryPolicy, ServerAction,
-    ServerFault, Stage,
+    FaultPlan, RankAction, RankFault, RecoveryPolicy, ServerAction, ServerFault, Stage,
 };
 use pvr_obs::bench::Trajectory;
 use pvr_obs::FlightRecorder;
-
-fn test_cfg() -> FrameConfig {
-    let mut cfg = FrameConfig::small(16, 24, 8);
-    cfg.variable = 2;
-    cfg.policy = CompositorPolicy::Fixed(4);
-    cfg
-}
-
-fn dataset(cfg: &FrameConfig) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("pvr-fault-sweep-{}", std::process::id()));
-    std::fs::create_dir_all(&d).unwrap();
-    let p = d.join("sweep.raw");
-    write_dataset(&p, cfg).unwrap();
-    p
-}
-
-/// A composable transient plan: drop the first `depth` attempts of
-/// every fragment send from rank 1 and every scatter into rank 2, and
-/// make `stragglers` renderers sleep 20 ms.
-fn transient_plan(seed: u64, depth: u32, stragglers: usize) -> FaultPlan {
-    let mut plan = FaultPlan {
-        seed,
-        ..FaultPlan::default()
-    };
-    if depth > 0 {
-        plan.links.push(LinkFault {
-            src: Pat::Is(1),
-            dst: Pat::Any,
-            tag: Some(tags::FRAGMENT),
-            action: LinkAction::DropFirst(depth),
-        });
-        plan.links.push(LinkFault {
-            src: Pat::Any,
-            dst: Pat::Is(2),
-            tag: Some(tags::IO_SCATTER),
-            action: LinkAction::DropFirst(depth),
-        });
-    }
-    for s in 0..stragglers {
-        plan.ranks.push(RankFault {
-            rank: 3 + s,
-            stage: Stage::Render,
-            action: RankAction::StraggleMs(20),
-        });
-    }
-    plan
-}
 
 fn sweep(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy) {
     println!("# fault sweep: n=8, 16^3 grid, 24^2 image, 4 compositors");
@@ -87,13 +39,7 @@ fn sweep(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy) {
     for depth in [0u32, 1, 2] {
         for stragglers in [0usize, 1, 2] {
             for down in [0usize, 1] {
-                let mut plan = transient_plan(11, depth, stragglers);
-                for s in 0..down {
-                    plan.servers.push(ServerFault {
-                        server: s,
-                        action: ServerAction::Down,
-                    });
-                }
+                let plan = transient_plan(11, depth, stragglers, down);
                 let t0 = Instant::now();
                 match run(cfg, path, &plan, policy, &FlightRecorder::disabled()) {
                     Ok(ft) => {
@@ -114,12 +60,6 @@ fn sweep(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy) {
             }
         }
     }
-}
-
-/// One CI check: print PASS/FAIL, return pass.
-fn check(name: &str, ok: bool, detail: String) -> bool {
-    println!("{} {name}: {detail}", if ok { "PASS" } else { "FAIL" });
-    ok
 }
 
 /// Per-scenario outcome feeding `results/BENCH_faults.json`.
@@ -243,13 +183,13 @@ fn ci(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy) -> bool {
     let baseline = run_frame_mpi(cfg, path);
 
     // 1. Transient faults: bit-identical frame, exact completeness 1.0.
-    let plan = transient_plan(5, 2, 1);
+    let plan = transient_plan(5, 2, 1, 0);
     match timed(cfg, path, &plan, policy, &flight) {
         (Ok(ft), wall) => {
             record(&reg, "transient", &ft);
             outcomes.push(outcome_of("transient", true, &ft, wall));
             let rec = ft.frame.timing.recovery;
-            all &= check(
+            all &= gate(
                 "transient-bit-identical",
                 baseline.image.pixels() == ft.frame.image.pixels()
                     && ft.completeness.frame_fraction() == 1.0
@@ -263,7 +203,7 @@ fn ci(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy) -> bool {
                 ),
             );
         }
-        (Err(e), _) => all &= check("transient-bit-identical", false, e.to_string()),
+        (Err(e), _) => all &= gate("transient-bit-identical", false, e.to_string()),
     }
 
     // 2. Replica failover hides an entire down server.
@@ -279,7 +219,7 @@ fn ci(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy) -> bool {
         (Ok(ft), wall) => {
             record(&reg, "failover", &ft);
             outcomes.push(outcome_of("failover", true, &ft, wall));
-            all &= check(
+            all &= gate(
                 "failover-hides-down-server",
                 baseline.image.pixels() == ft.frame.image.pixels()
                     && ft.completeness.frame_fraction() == 1.0
@@ -292,7 +232,7 @@ fn ci(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy) -> bool {
                 ),
             );
         }
-        (Err(e), _) => all &= check("failover-hides-down-server", false, e.to_string()),
+        (Err(e), _) => all &= gate("failover-hides-down-server", false, e.to_string()),
     }
 
     // 3. Permanent loss (failover disabled) terminates with
@@ -306,7 +246,7 @@ fn ci(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy) -> bool {
             record(&reg, "permanent", &a);
             outcomes.push(outcome_of("permanent-loss", false, &a, wall1));
             let fa = a.completeness.frame_fraction();
-            all &= check(
+            all &= gate(
                 "permanent-loss-degrades",
                 fa < 1.0 && a.frame.io.unrecovered_bytes > 0,
                 format!(
@@ -314,7 +254,7 @@ fn ci(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy) -> bool {
                     a.frame.io.unrecovered_bytes
                 ),
             );
-            all &= check(
+            all &= gate(
                 "permanent-loss-reproduces",
                 a.frame.image.pixels() == b.frame.image.pixels()
                     && fa == b.completeness.frame_fraction(),
@@ -330,7 +270,7 @@ fn ci(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy) -> bool {
                 a.err().map(|e| e.to_string()),
                 b.err().map(|e| e.to_string())
             );
-            all &= check("permanent-loss-degrades", false, msg);
+            all &= gate("permanent-loss-degrades", false, msg);
         }
     }
 
@@ -350,7 +290,7 @@ fn ci(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy) -> bool {
             record(&reg, "crash", &ft);
             outcomes.push(outcome_of("crash-heal", true, &ft, wall));
             let rec = ft.frame.timing.recovery;
-            all &= check(
+            all &= gate(
                 "crash-heals-bit-identically",
                 baseline.image.pixels() == ft.frame.image.pixels()
                     && ft.completeness.fully_complete()
@@ -365,7 +305,7 @@ fn ci(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy) -> bool {
                 ),
             );
         }
-        (Err(e), _) => all &= check("crash-heals-bit-identically", false, e.to_string()),
+        (Err(e), _) => all &= gate("crash-heals-bit-identically", false, e.to_string()),
     }
 
     // 4b. A straggler is hedged: the frame is bit-identical and does
@@ -384,7 +324,7 @@ fn ci(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy) -> bool {
             record(&reg, "straggler", &ft);
             outcomes.push(outcome_of("straggler-hedge", true, &ft, wall));
             let rec = ft.frame.timing.recovery;
-            all &= check(
+            all &= gate(
                 "straggler-hedged",
                 baseline.image.pixels() == ft.frame.image.pixels()
                     && ft.completeness.fully_complete()
@@ -398,13 +338,13 @@ fn ci(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy) -> bool {
                 ),
             );
         }
-        (Err(e), _) => all &= check("straggler-hedged", false, e.to_string()),
+        (Err(e), _) => all &= gate("straggler-hedged", false, e.to_string()),
     }
 
     // 5. Plans replay through their JSON serialization unchanged.
-    let plan = transient_plan(21, 1, 1);
+    let plan = transient_plan(21, 1, 1, 0);
     let round = FaultPlan::from_json(&plan.to_json());
-    all &= check(
+    all &= gate(
         "plan-json-roundtrip",
         round.as_ref() == Ok(&plan),
         format!("{} bytes of JSON", plan.to_json().len()),
@@ -422,13 +362,13 @@ fn ci(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy) -> bool {
     // paper-shaped 4:1 renderer:compositor reduction instead.
     scale_cfg.policy = CompositorPolicy::Fixed(256);
     let scale_baseline = run_frame_mpi(&scale_cfg, path);
-    let plan = transient_plan(5, 2, 1);
+    let plan = transient_plan(5, 2, 1, 0);
     match timed(&scale_cfg, path, &plan, policy, &flight) {
         (Ok(ft), wall) => {
             record(&reg, "transient-1024", &ft);
             outcomes.push(outcome_of("transient-1024", true, &ft, wall));
             let rec = ft.frame.timing.recovery;
-            all &= check(
+            all &= gate(
                 "transient-heals-at-n1024",
                 scale_baseline.image.pixels() == ft.frame.image.pixels()
                     && ft.completeness.frame_fraction() == 1.0
@@ -440,7 +380,7 @@ fn ci(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy) -> bool {
                 ),
             );
         }
-        (Err(e), _) => all &= check("transient-heals-at-n1024", false, e.to_string()),
+        (Err(e), _) => all &= gate("transient-heals-at-n1024", false, e.to_string()),
     }
     let plan = FaultPlan {
         seed: 9,
@@ -456,7 +396,7 @@ fn ci(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy) -> bool {
             record(&reg, "crash-1024", &ft);
             outcomes.push(outcome_of("crash-heal-1024", true, &ft, wall));
             let rec = ft.frame.timing.recovery;
-            all &= check(
+            all &= gate(
                 "crash-heals-at-n1024",
                 scale_baseline.image.pixels() == ft.frame.image.pixels()
                     && ft.completeness.fully_complete()
@@ -469,7 +409,7 @@ fn ci(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy) -> bool {
                 ),
             );
         }
-        (Err(e), _) => all &= check("crash-heals-at-n1024", false, e.to_string()),
+        (Err(e), _) => all &= gate("crash-heals-at-n1024", false, e.to_string()),
     }
 
     // Metrics snapshot of every scenario, teed to results/ for the CI
@@ -488,7 +428,7 @@ fn ci(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy) -> bool {
             d.json.as_bytes(),
         );
     }
-    all &= check(
+    all &= gate(
         "anomalous-scenarios-dumped-the-flight-ring",
         !dumps.is_empty(),
         format!("{} anomaly dump(s)", dumps.len()),
@@ -501,7 +441,7 @@ fn ci(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy) -> bool {
         .iter()
         .filter(|o| o.heal_expected && !o.healed)
         .count();
-    all &= check(
+    all &= gate(
         "zero-unhealed-expected",
         unhealed == 0,
         format!("{unhealed} heal-expected scenario(s) left unhealed"),
@@ -512,8 +452,8 @@ fn ci(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy) -> bool {
 
 fn main() {
     let ci_mode = std::env::args().any(|a| a == "--ci");
-    let cfg = test_cfg();
-    let path = dataset(&cfg);
+    let cfg = sweep_cfg();
+    let path = sweep_dataset(&cfg, "fault-sweep");
     let policy = RecoveryPolicy::fast_test();
 
     let ok = if ci_mode {

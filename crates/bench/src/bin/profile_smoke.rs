@@ -18,32 +18,14 @@
 //! Gantt, and CSVs for the critical path, imbalance, link matrix, and
 //! metrics snapshot.
 
-use std::path::PathBuf;
-
-use pvr_bench::{check, emit_csv, write_artifact};
-use pvr_core::pipeline::write_dataset;
-use pvr_core::{run_frame_mpi_profiled, CompositorPolicy, FrameConfig};
+use pvr_bench::{check, emit_csv, sweep_cfg, sweep_dataset, write_artifact};
+use pvr_core::{run_frame_mpi_profiled, CompositorPolicy};
 use pvr_obs::analysis::imbalance_csv;
 use pvr_obs::{critical_path, gantt, imbalance, link_matrix, perfetto, Registry};
 
-fn test_cfg() -> FrameConfig {
-    let mut cfg = FrameConfig::small(16, 24, 8);
-    cfg.variable = 2;
-    cfg.policy = CompositorPolicy::Fixed(4);
-    cfg
-}
-
-fn dataset(cfg: &FrameConfig) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("pvr-profile-smoke-{}", std::process::id()));
-    std::fs::create_dir_all(&d).unwrap();
-    let p = d.join("smoke.raw");
-    write_dataset(&p, cfg).unwrap();
-    p
-}
-
 fn main() {
-    let cfg = test_cfg();
-    let path = dataset(&cfg);
+    let cfg = sweep_cfg();
+    let path = sweep_dataset(&cfg, "profile-smoke");
     let mut all = true;
     let mut chk = |name: &str, ok: bool, detail: &str| {
         all &= ok;

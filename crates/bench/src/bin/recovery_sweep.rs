@@ -23,53 +23,16 @@
 //! bytes, p95 frame wall over the crash matrix) for the CI artifact.
 //! Exits nonzero on any violated gate.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Instant;
 
-use pvr_bench::FaultFrame;
-use pvr_core::pipeline::{run_frame_mpi, tags, write_dataset};
-use pvr_core::{CompositorPolicy, FrameConfig, FrameError, FrameShared};
-use pvr_faults::{
-    FaultPlan, LinkAction, LinkFault, Pat, RankAction, RankFault, RecoveryPolicy, ServerAction,
-    ServerFault, Stage,
-};
+use pvr_bench::{fault_frame, gate, sweep_cfg, sweep_dataset, transient_plan};
+use pvr_core::pipeline::run_frame_mpi;
+use pvr_core::{FrameConfig, FrameShared};
+use pvr_faults::{FaultPlan, RankAction, RankFault, RecoveryPolicy, Stage};
 use pvr_obs::bench::Trajectory;
+use pvr_obs::FlightRecorder;
 use pvr_render::image::Image;
-
-fn test_cfg() -> FrameConfig {
-    let mut cfg = FrameConfig::small(16, 24, 8);
-    cfg.variable = 2;
-    cfg.policy = CompositorPolicy::Fixed(4);
-    cfg
-}
-
-fn dataset(cfg: &FrameConfig) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("pvr-recovery-sweep-{}", std::process::id()));
-    std::fs::create_dir_all(&d).unwrap();
-    let p = d.join("sweep.raw");
-    write_dataset(&p, cfg).unwrap();
-    p
-}
-
-fn run_frame_mpi_ft(
-    cfg: &FrameConfig,
-    path: &Path,
-    plan: &FaultPlan,
-    policy: &RecoveryPolicy,
-) -> Result<FaultFrame, FrameError> {
-    pvr_bench::fault_frame(
-        cfg,
-        path,
-        plan,
-        policy,
-        &pvr_obs::FlightRecorder::disabled(),
-    )
-}
-
-fn check(name: &str, ok: bool, detail: String) -> bool {
-    println!("{} {name}: {detail}", if ok { "PASS" } else { "FAIL" });
-    ok
-}
 
 fn stage_name(s: Stage) -> &'static str {
     match s {
@@ -111,7 +74,7 @@ fn crash_matrix(
                 ..FaultPlan::default()
             };
             let t0 = Instant::now();
-            let cell = match run_frame_mpi_ft(cfg, path, &plan, policy) {
+            let cell = match fault_frame(cfg, path, &plan, policy, &FlightRecorder::disabled()) {
                 Ok(ft) => {
                     let rec = ft.frame.timing.recovery;
                     let healed = baseline.pixels() == ft.frame.image.pixels()
@@ -161,39 +124,9 @@ fn transient_grid(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy, base:
     for depth in [0u32, 1, 2] {
         for stragglers in [0usize, 1, 2] {
             for down in [0usize, 1] {
-                let mut plan = FaultPlan {
-                    seed: 11,
-                    ..FaultPlan::default()
-                };
-                if depth > 0 {
-                    plan.links.push(LinkFault {
-                        src: Pat::Is(1),
-                        dst: Pat::Any,
-                        tag: Some(tags::FRAGMENT),
-                        action: LinkAction::DropFirst(depth),
-                    });
-                    plan.links.push(LinkFault {
-                        src: Pat::Any,
-                        dst: Pat::Is(2),
-                        tag: Some(tags::IO_SCATTER),
-                        action: LinkAction::DropFirst(depth),
-                    });
-                }
-                for s in 0..stragglers {
-                    plan.ranks.push(RankFault {
-                        rank: 3 + s,
-                        stage: Stage::Render,
-                        action: RankAction::StraggleMs(20),
-                    });
-                }
-                for s in 0..down {
-                    plan.servers.push(ServerFault {
-                        server: s,
-                        action: ServerAction::Down,
-                    });
-                }
+                let plan = transient_plan(11, depth, stragglers, down);
                 cases += 1;
-                match run_frame_mpi_ft(cfg, path, &plan, policy) {
+                match fault_frame(cfg, path, &plan, policy, &FlightRecorder::disabled()) {
                     Ok(ft)
                         if base.pixels() == ft.frame.image.pixels()
                             && ft.completeness.fully_complete() => {}
@@ -202,7 +135,7 @@ fn transient_grid(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy, base:
             }
         }
     }
-    check(
+    gate(
         "zero-unhealed-transients",
         unhealed == 0,
         format!("{unhealed}/{cases} transient cells left unhealed"),
@@ -223,10 +156,10 @@ fn straggle_bounded(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy, bas
             }],
             ..FaultPlan::default()
         };
-        match run_frame_mpi_ft(cfg, path, &plan, policy) {
+        match fault_frame(cfg, path, &plan, policy, &FlightRecorder::disabled()) {
             Ok(ft) => {
                 let rec = ft.frame.timing.recovery;
-                ok &= check(
+                ok &= gate(
                     &format!("straggle-bounded-{}", stage_name(stage)),
                     base.pixels() == ft.frame.image.pixels()
                         && ft.completeness.fully_complete()
@@ -239,7 +172,7 @@ fn straggle_bounded(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy, bas
                 );
             }
             Err(e) => {
-                ok &= check(
+                ok &= gate(
                     &format!("straggle-bounded-{}", stage_name(stage)),
                     false,
                     e.to_string(),
@@ -267,10 +200,10 @@ fn ladder_accounting(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy) ->
 
     let mut coarse = *policy;
     coarse.frame_budget = Some(est * 0.5);
-    match run_frame_mpi_ft(cfg, path, &plan, &coarse) {
+    match fault_frame(cfg, path, &plan, &coarse, &FlightRecorder::disabled()) {
         Ok(ft) => {
             let rec = ft.frame.timing.recovery;
-            ok &= check(
+            ok &= gate(
                 "ladder-coarse-heals-with-error-bound",
                 ft.completeness.fully_complete()
                     && rec.approx_blocks >= 1
@@ -281,14 +214,14 @@ fn ladder_accounting(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy) ->
                 ),
             );
         }
-        Err(e) => ok &= check("ladder-coarse-heals-with-error-bound", false, e.to_string()),
+        Err(e) => ok &= gate("ladder-coarse-heals-with-error-bound", false, e.to_string()),
     }
 
     let mut exhausted = *policy;
     exhausted.frame_budget = Some(est * 0.1);
-    match run_frame_mpi_ft(cfg, path, &plan, &exhausted) {
+    match fault_frame(cfg, path, &plan, &exhausted, &FlightRecorder::disabled()) {
         Ok(ft) => {
-            ok &= check(
+            ok &= gate(
                 "ladder-exhausted-degrades-explicitly",
                 !ft.completeness.fully_complete()
                     && ft.frame.timing.recovery.approx_blocks == 0
@@ -296,7 +229,7 @@ fn ladder_accounting(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy) ->
                 format!("completeness {:.4}", ft.completeness.frame_fraction()),
             );
         }
-        Err(e) => ok &= check("ladder-exhausted-degrades-explicitly", false, e.to_string()),
+        Err(e) => ok &= gate("ladder-exhausted-degrades-explicitly", false, e.to_string()),
     }
     ok
 }
@@ -357,13 +290,13 @@ fn recovery_trajectory(cells: &[MatrixCell]) -> Trajectory {
 
 fn main() {
     let t0 = Instant::now();
-    let cfg = test_cfg();
-    let path = dataset(&cfg);
+    let cfg = sweep_cfg();
+    let path = sweep_dataset(&cfg, "recovery-sweep");
     let policy = RecoveryPolicy::fast_test();
     let baseline = run_frame_mpi(&cfg, &path);
 
     let (matrix_ok, cells) = crash_matrix(&cfg, &path, &policy, &baseline.image);
-    let mut all = check(
+    let mut all = gate(
         "crash-matrix-heals",
         matrix_ok,
         format!(

@@ -26,6 +26,77 @@ pub fn out_dir() -> PathBuf {
     p
 }
 
+/// The laptop-scale frame the fault binaries (`fault_sweep`,
+/// `recovery_sweep`, `profile_smoke`) run: 8 ranks, 16³ grid, 24²
+/// image, X velocity, 4 compositors.
+pub fn sweep_cfg() -> pvr_core::FrameConfig {
+    let mut cfg = pvr_core::FrameConfig::small(16, 24, 8);
+    cfg.variable = 2;
+    cfg.policy = pvr_core::CompositorPolicy::Fixed(4);
+    cfg
+}
+
+/// Write `cfg`'s dataset under a directory of this process's own
+/// (`pvr-<bin>-<pid>` in the temp dir) and return its path.
+pub fn sweep_dataset(cfg: &pvr_core::FrameConfig, bin: &str) -> PathBuf {
+    let d = std::env::temp_dir().join(format!("pvr-{bin}-{}", std::process::id()));
+    std::fs::create_dir_all(&d).unwrap();
+    let p = d.join("sweep.raw");
+    pvr_core::pipeline::write_dataset(&p, cfg).unwrap();
+    p
+}
+
+/// A composable transient plan, survivable by construction: drop the
+/// first `depth` attempts of every fragment send from rank 1 and every
+/// scatter into rank 2, make `stragglers` renderers (from rank 3 on)
+/// sleep 20 ms, and take the first `down` storage servers down.
+pub fn transient_plan(
+    seed: u64,
+    depth: u32,
+    stragglers: usize,
+    down: usize,
+) -> pvr_faults::FaultPlan {
+    use pvr_core::pipeline::tags;
+    use pvr_faults::{
+        LinkAction, LinkFault, Pat, RankAction, RankFault, ServerAction, ServerFault, Stage,
+    };
+    let mut plan = pvr_faults::FaultPlan {
+        seed,
+        ..Default::default()
+    };
+    if depth > 0 {
+        plan.links.push(LinkFault {
+            src: Pat::Is(1),
+            dst: Pat::Any,
+            tag: Some(tags::FRAGMENT),
+            action: LinkAction::DropFirst(depth),
+        });
+        plan.links.push(LinkFault {
+            src: Pat::Any,
+            dst: Pat::Is(2),
+            tag: Some(tags::IO_SCATTER),
+            action: LinkAction::DropFirst(depth),
+        });
+    }
+    plan.ranks.extend((0..stragglers).map(|s| RankFault {
+        rank: 3 + s,
+        stage: Stage::Render,
+        action: RankAction::StraggleMs(20),
+    }));
+    plan.servers.extend((0..down).map(|server| ServerFault {
+        server,
+        action: ServerAction::Down,
+    }));
+    plan
+}
+
+/// One gate of a CI suite: print `PASS name: detail` or `FAIL …` and
+/// return whether it passed.
+pub fn gate(name: &str, ok: bool, detail: String) -> bool {
+    println!("{} {name}: {detail}", if ok { "PASS" } else { "FAIL" });
+    ok
+}
+
 /// One fault frame of the sweep binaries, with the completeness map a
 /// fault frame always reports already unwrapped.
 pub struct FaultFrame {

@@ -1,13 +1,13 @@
 //! Stateless model checking of `pvr-mpisim` programs with dynamic
 //! partial-order reduction (DPOR).
 //!
-//! The randomized probes in `pvr-verify` (`MatchPolicy::Perturb`,
-//! single-swap replays) sample wildcard-match interleavings; they prove
-//! nothing about the orders they never draw. This crate turns the probe
-//! into a *sound verdict at small n*: every inequivalent way the
-//! program's wildcard receives could have matched its sends is
-//! enumerated, and every enumerated trace is checked for result
-//! bit-identity, deadlock-freedom, and message conservation.
+//! The workspace's one interleaving checker. `MatchPolicy::Perturb`
+//! and swapped replays sample wildcard-match orders and prove nothing
+//! about the orders they never draw; this crate gives a *sound verdict
+//! at small n*: every inequivalent way the program's wildcard receives
+//! could have matched its sends is enumerated, and every enumerated
+//! trace is checked for result bit-identity, deadlock-freedom, and
+//! message conservation.
 //!
 //! ## How exploration works
 //!
@@ -17,7 +17,7 @@
 //! schedulings with the same match function are Mazurkiewicz-equivalent
 //! for our invariants — per-rank results are functions of the messages
 //! each rank consumed, in the order it consumed them. So the explorer
-//! enumerates match functions, never raw thread schedules:
+//! enumerates match functions, never the event core's poll orders:
 //!
 //! 1. **Run** the program under [`MatchPolicy::Guided`] with some
 //!    forced prefix (initially empty ⇒ plain min-source), tracing on.
@@ -49,10 +49,11 @@
 //!
 //! Exploration is exhaustive over *blocking* wildcard receives of a
 //! deterministic program. Timed/poll receives (`recv_any_timeout`,
-//! `try_recv_any`) resolve by wall clock and are not choice points;
-//! programs built on them (the ft pipeline's deadlined receives) must
-//! be model-checked through a blocking model of their protocol, which
-//! is what `verify_mc`'s ack/retransmit model does.
+//! `try_recv_any`) are not choice points: they resolve by virtual time
+//! and take the lowest pending source. Programs built on them (the ft
+//! pipeline's deadlined receives) are model-checked through a blocking
+//! model of their protocol, which is what `verify_mc`'s ack/retransmit
+//! model does.
 
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -60,7 +61,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pvr_mpisim::trace::{clock_leq, Clock, ReplayLog, TraceEvent, TraceLog};
-use pvr_mpisim::{Comm, GuidedSchedule, MatchPolicy, RunError, RunOptions, World};
+use pvr_mpisim::{Comm, MatchPolicy, RunError, RunOptions, World};
 
 mod schedule;
 pub use schedule::Schedule;
@@ -412,9 +413,9 @@ where
             break;
         }
         stats.runs += 1;
-        let sched = Arc::new(GuidedSchedule::new(prefix.clone()));
+        let log = Arc::new(ReplayLog::from_choices(prefix.clone()));
         let run_opts = RunOptions::default()
-            .policy(MatchPolicy::Guided(sched))
+            .policy(MatchPolicy::Guided(log))
             .traced();
         let outcome = catch_unwind(AssertUnwindSafe(|| World::run_opts(n, run_opts, &program)));
         let out = match outcome {
@@ -712,9 +713,10 @@ mod tests {
         assert!(v.complete, "a completed run yields a full schedule");
 
         let schedule = Schedule::from_json(&v.schedule.to_json()).unwrap();
+        let log = Arc::new(schedule.to_replay());
         for policy in [
-            MatchPolicy::Replay(Arc::new(schedule.to_replay())),
-            MatchPolicy::Guided(Arc::new(schedule.to_guided())),
+            MatchPolicy::Replay(Arc::clone(&log)),
+            MatchPolicy::Guided(log),
         ] {
             let replayed =
                 World::run_opts(4, RunOptions::default().policy(policy), fan_in(3)).unwrap();

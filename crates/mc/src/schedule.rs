@@ -1,15 +1,14 @@
 //! Persistent counterexample schedules.
 //!
 //! A schedule is the per-rank list of sources the explorer forced each
-//! wildcard receive to match — the same shape
-//! [`ReplayLog`](pvr_mpisim::trace::ReplayLog) records and
-//! [`GuidedSchedule`](pvr_mpisim::GuidedSchedule) forces. Violations
+//! wildcard receive to match — the shape of the
+//! [`ReplayLog`](pvr_mpisim::trace::ReplayLog) that `MatchPolicy::Replay`
+//! and `MatchPolicy::Guided` force. Violations
 //! are persisted as JSON (through the workspace's one JSON module,
 //! [`pvr_obs::json`]) so a failing exploration leaves behind a file
 //! that can be loaded and replayed without re-exploring anything.
 
 use pvr_mpisim::trace::ReplayLog;
-use pvr_mpisim::GuidedSchedule;
 use pvr_obs::json::{parse, Json};
 
 /// A wildcard-match schedule: `prefix[rank][i]` is the source rank
@@ -28,17 +27,12 @@ impl Schedule {
         Schedule { prefix }
     }
 
-    /// As a replay log (for `MatchPolicy::Replay`; panics at runtime if
-    /// the program needs more wildcards than the schedule covers —
-    /// only use on complete schedules).
+    /// As the log both forcing policies take: `MatchPolicy::Replay`
+    /// panics if the program needs more wildcards than the schedule
+    /// covers (use it on complete schedules); `MatchPolicy::Guided`
+    /// continues past the prefix with min-source.
     pub fn to_replay(&self) -> ReplayLog {
         ReplayLog::from_choices(self.prefix.clone())
-    }
-
-    /// As a guided schedule (for `MatchPolicy::Guided`; always safe —
-    /// wildcards past the prefix fall back to min-source).
-    pub fn to_guided(&self) -> GuidedSchedule {
-        GuidedSchedule::new(self.prefix.clone())
     }
 
     /// Serialize: `{"version":1,"prefix":[[...],...]}`.

@@ -27,13 +27,13 @@
 //! ## Verification hooks
 //!
 //! Because this runtime exists to *validate* communication schedules,
-//! it is instrumented for the `pvr-verify` tooling:
+//! it is instrumented for the DPOR explorer (`pvr-mc`) and the tests:
 //!
 //! * **Vector clocks.** Under [`RunOptions::trace`] every rank
 //!   maintains a vector clock: sends carry a snapshot, receives and
 //!   barriers join it, and the run yields a [`trace::TraceLog`] whose
-//!   clocks let a post-hoc checker find *message races*: wildcard
-//!   (`recv_any`) matches whose candidate sends were concurrent. An
+//!   clocks tell which sends a wildcard (`recv_any`) match could have
+//!   consumed instead (the explorer's backtrack points). An
 //!   untraced run has no clocks at all — every clock in the world (the
 //!   ranks', the envelopes', the barrier's two) is an empty vector that
 //!   is never written, cloned or allocated, so a send, a receive and a
@@ -221,41 +221,13 @@ pub enum MatchPolicy {
     /// i.e. the execution diverged structurally from the recording.
     Replay(Arc<ReplayLog>),
     /// Force a *prefix* of each rank's wildcard receives to match the
-    /// scheduled sources, then fall back to deterministic `MinSource`
-    /// for the rest. This generalizes `Replay`: a replay log pins every
-    /// wildcard of a complete recorded run, while a guided schedule
-    /// pins only the choices a model checker wants to flip and lets the
-    /// continuation run deterministically. The DPOR explorer
-    /// (`pvr-mc`) enumerates interleavings by re-running a program
-    /// under systematically varied guided prefixes.
-    Guided(Arc<GuidedSchedule>),
-}
-
-/// A partial wildcard-match schedule for [`MatchPolicy::Guided`]:
-/// `prefix[rank]` lists the sources rank `rank`'s first
-/// `prefix[rank].len()` wildcard receives must match, in wildcard-index
-/// order. Wildcards past the prefix (and ranks past `prefix.len()`)
-/// use the deterministic `MinSource` choice, so a guided run is a pure
-/// function of its schedule.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct GuidedSchedule {
-    pub prefix: Vec<Vec<usize>>,
-}
-
-impl GuidedSchedule {
-    pub fn new(prefix: Vec<Vec<usize>>) -> Self {
-        GuidedSchedule { prefix }
-    }
-
-    /// Forced source for `rank`'s `idx`-th wildcard, if scheduled.
-    pub fn forced(&self, rank: usize, idx: u64) -> Option<usize> {
-        self.prefix.get(rank)?.get(idx as usize).copied()
-    }
-
-    /// Total forced choices across all ranks.
-    pub fn total_len(&self) -> usize {
-        self.prefix.iter().map(Vec::len).sum()
-    }
+    /// log's sources, then fall back to deterministic `MinSource` for
+    /// the rest (and for ranks the log does not cover), so a guided run
+    /// is a pure function of its log. Under a log that covers every
+    /// wildcard it is `Replay` without the exhaustion check. The DPOR
+    /// explorer (`pvr-mc`) enumerates interleavings by re-running a
+    /// program under systematically varied guided prefixes.
+    Guided(Arc<ReplayLog>),
 }
 
 /// One resolved wildcard match, reported to the
@@ -290,8 +262,8 @@ impl std::fmt::Debug for MatchPolicy {
             MatchPolicy::Replay(log) => {
                 write!(f, "Replay({} recorded wildcard matches)", log.total_len())
             }
-            MatchPolicy::Guided(sched) => {
-                write!(f, "Guided({} forced wildcard matches)", sched.total_len())
+            MatchPolicy::Guided(log) => {
+                write!(f, "Guided({} forced wildcard matches)", log.total_len())
             }
         }
     }
@@ -513,6 +485,14 @@ struct RankLocal {
 /// every message through one of these, so a lookup is a
 /// multiply-rotate hash ([`SeqHasher`]), not a SipHash or a tree walk;
 /// nothing iterates them, so their order is never observed.
+///
+/// Measured keys per rank (send / expect map, median and max): 9 and
+/// 522 / 10 and 1 033 on the 2048-rank ledger frame, 6 and 2 061 / 4
+/// and 2 051 at 32K ranks. The 2048-rank frame sends 39 346 messages;
+/// a standalone loop of that many send/expect lookup pairs takes
+/// 2.7–6.5 ms longer with std's SipHash (2–5 % of the frame, 2-vCPU
+/// x86-64 VM), and 10 alternating ledger pairs put its `frame_s` 9.8 %
+/// higher in the median, inside the runs' spread.
 type SeqMap = HashMap<(usize, u32), u64, BuildHasherDefault<SeqHasher>>;
 
 /// The hash of [`SeqMap`]'s integer keys: each word is rotated in and
@@ -698,34 +678,40 @@ impl Comm {
     /// interleavings, or `Replay` to pin the order of a recorded run.
     pub async fn recv_any(&mut self, tag: u32) -> (usize, Vec<u8>) {
         let widx = self.local.borrow().wildcards;
-        let (want, forced) = match &self.opts.match_policy {
-            MatchPolicy::Replay(log) => {
-                let src = log.choice(self.rank, widx).unwrap_or_else(|| {
-                    panic!(
-                        "replay log exhausted at rank {} wildcard #{widx}: \
-                         execution diverged from the recording",
-                        self.rank
-                    )
-                });
-                (Want::From(src), true)
-            }
-            // A guided schedule pins only a prefix; past it the policy
+        let forced = match &self.opts.match_policy {
+            MatchPolicy::Replay(log) => Some(log.choice(self.rank, widx).unwrap_or_else(|| {
+                panic!(
+                    "replay log exhausted at rank {} wildcard #{widx}: \
+                     execution diverged from the recording",
+                    self.rank
+                )
+            })),
+            // A guided log pins only a prefix; past it the policy
             // degrades to the deterministic MinSource choice (handled
-            // in `try_take`), so the run is a pure function of the
-            // schedule.
-            MatchPolicy::Guided(sched) => match sched.forced(self.rank, widx) {
-                Some(src) => (Want::From(src), true),
-                None => (Want::Any, false),
-            },
-            _ => (Want::Any, false),
+            // in `try_take`), so the run is a pure function of the log.
+            MatchPolicy::Guided(log) => log.choice(self.rank, widx),
+            _ => None,
         };
+        if let Some(src) = forced {
+            // A log is data (a JSON counterexample, say): a source
+            // outside the world would otherwise wait forever and reach
+            // the deadlock report as an out-of-range rank.
+            assert!(
+                src < self.size,
+                "rank {} wildcard #{widx}: the log forces source {src}, \
+                 outside the {}-rank world",
+                self.rank,
+                self.size
+            );
+        }
+        let want = forced.map_or(Want::Any, Want::From);
         let env = self.wait_match(want, tag).await;
         // Contract: the wildcard index advances only once a match is
         // in hand (see `recv_any_timeout`), and exactly once per
         // wildcard receive, so replay logs and guided schedules index
         // the same receives on every run.
         self.local.borrow_mut().wildcards = widx + 1;
-        self.report_choice(widx, tag, &env, forced);
+        self.report_choice(widx, tag, &env, forced.is_some());
         let src = env.src;
         let data = self.deliver(env, Some(widx));
         (src, data)

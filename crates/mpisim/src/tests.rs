@@ -400,7 +400,7 @@ fn replay_swapped_forces_injected_order() {
 
 #[test]
 fn guided_prefix_forces_then_falls_back_to_min_source() {
-    let sched = Arc::new(GuidedSchedule::new(vec![vec![3, 1]]));
+    let sched = Arc::new(ReplayLog::from_choices(vec![vec![3, 1]]));
     let (order, _) = fan_in_order(RunOptions::default().policy(MatchPolicy::Guided(sched)));
     // First two wildcards forced to 3 then 1; the rest min-source.
     assert_eq!(order, vec![3, 1, 2, 4]);
@@ -409,7 +409,7 @@ fn guided_prefix_forces_then_falls_back_to_min_source() {
 #[test]
 fn guided_empty_schedule_is_min_source() {
     let (base, _) = fan_in_order(RunOptions::default());
-    let sched = Arc::new(GuidedSchedule::default());
+    let sched = Arc::new(ReplayLog::default());
     let (order, _) = fan_in_order(RunOptions::default().policy(MatchPolicy::Guided(sched)));
     assert_eq!(order, base);
 }
@@ -419,7 +419,7 @@ fn guided_run_matches_replay_of_full_schedule() {
     // A guided schedule covering every wildcard behaves exactly
     // like Replay of the same choices — Guided generalizes Replay.
     let choices = vec![vec![4, 2, 3, 1]];
-    let guided = Arc::new(GuidedSchedule::new(choices.clone()));
+    let guided = Arc::new(ReplayLog::from_choices(choices.clone()));
     let (g, _) = fan_in_order(RunOptions::default().policy(MatchPolicy::Guided(guided)));
     let replay = Arc::new(ReplayLog::from_choices(choices.clone()));
     let (r, _) = fan_in_order(RunOptions::default().policy(MatchPolicy::Replay(replay)));
@@ -432,7 +432,7 @@ fn choice_hook_sees_every_wildcard_with_candidates() {
     use std::sync::Mutex;
     let seen: Arc<Mutex<Vec<ChoicePoint>>> = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&seen);
-    let sched = Arc::new(GuidedSchedule::new(vec![vec![4]]));
+    let sched = Arc::new(ReplayLog::from_choices(vec![vec![4]]));
     let opts = RunOptions::default()
         .policy(MatchPolicy::Guided(sched))
         .on_choice(Arc::new(move |cp: &ChoicePoint| {
@@ -483,6 +483,42 @@ fn replay_exhaustion_names_rank_and_wildcard_ordinal() {
         msg.contains("replay log exhausted at rank 0 wildcard #1"),
         "panic message must name rank and wildcard ordinal, got: {msg}"
     );
+}
+
+#[test]
+fn forced_source_outside_the_world_names_rank_wildcard_and_size() {
+    // Regression: a log (a JSON counterexample, say) that forces a
+    // source the world does not have used to wait on it and panic in
+    // the deadlock report with an index out of bounds.
+    let log = Arc::new(ReplayLog::from_choices(vec![vec![5]]));
+    for policy in [
+        MatchPolicy::Replay(Arc::clone(&log)),
+        MatchPolicy::Guided(Arc::clone(&log)),
+    ] {
+        let name = format!("{policy:?}");
+        let caught = std::panic::catch_unwind(|| {
+            World::run_opts(
+                2,
+                RunOptions::default().policy(policy),
+                |mut comm| async move {
+                    if comm.rank() == 0 {
+                        let _ = comm.recv_any(1).await;
+                    } else {
+                        comm.send(0, 1, vec![0]).await;
+                    }
+                },
+            )
+        });
+        let payload = caught.unwrap_err();
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(
+            msg.contains("rank 0 wildcard #0: the log forces source 5, outside the 2-rank world"),
+            "{name}: panic must name rank, wildcard, source and world size, got: {msg}"
+        );
+    }
 }
 
 #[test]
@@ -667,7 +703,15 @@ mod ft_tests {
         assert_eq!(out.results[1][0].as_deref(), Some(&[2u8][..]));
         let log = out.trace.unwrap();
         assert_eq!(log.fault_count(), 1);
-        assert_eq!(log.faulted_links(), vec![(0, 1, 3)]);
+        assert!(log.events.iter().any(|e| matches!(
+            e,
+            TraceEvent::Fault {
+                from: 0,
+                to: 1,
+                tag: 3,
+                ..
+            }
+        )));
     }
 
     #[test]
@@ -1066,7 +1110,7 @@ mod mailbox {
             // min-source.
             let guided = reference(|i, f| if i < 6 { f[f.len() - 1].0 } else { f[0].0 });
             let prefix = guided[..6].iter().map(|m| m.0).collect();
-            let sched = Arc::new(GuidedSchedule::new(vec![prefix]));
+            let sched = Arc::new(ReplayLog::from_choices(vec![prefix]));
             assert_eq!(run(MatchPolicy::Guided(sched)), guided);
         }
     }
@@ -1136,7 +1180,7 @@ mod mailbox {
         assert_eq!(gather_picks(MatchPolicy::Replay(log)), perturbed);
 
         // A forced prefix, then min-source over what it left.
-        let guided = Arc::new(GuidedSchedule::new(vec![vec![5, 3, 9, 5]]));
+        let guided = Arc::new(ReplayLog::from_choices(vec![vec![5, 3, 9, 5]]));
         let rest = [1, 1, 2, 2, 3, 4, 4, 6, 6, 7, 7, 8, 8, 9];
         let tail: Vec<usize> = (10..16).flat_map(twice).collect();
         let picks = [vec![5, 3, 9, 5], rest.to_vec(), tail, by_rank].concat();

@@ -11,12 +11,11 @@
 //!
 //! Three consumers exist:
 //!
-//! * `pvr-verify`'s race detector, which uses the vector clocks to find
-//!   wildcard receives whose candidate sends were concurrent (a message
-//!   race: a different interleaving could have matched a different
-//!   sender).
+//! * `pvr-mc`'s DPOR explorer, which uses the vector clocks to find the
+//!   sends a wildcard receive could have matched instead.
 //! * [`ReplayLog`], which extracts the wildcard-match order so a run
-//!   can be replayed deterministically (or deliberately perturbed) via
+//!   can be replayed deterministically (or deliberately perturbed, at
+//!   a pair [`swappable_wildcards`] finds) via
 //!   [`MatchPolicy::Replay`](crate::MatchPolicy).
 //! * `pvr-obs`, which converts marks into a per-rank span timeline
 //!   (using the clock-component sum as a deterministic logical
@@ -105,9 +104,7 @@ pub enum TraceEvent {
     },
     /// An injected fault at a send (recorded by the sender). For a
     /// dropped send no matching `Send`/`Recv` event exists; for delayed
-    /// or corrupted sends the `Send` event follows as usual. The race
-    /// detector uses these to classify wildcard races on faulted links
-    /// as injected rather than genuine.
+    /// or corrupted sends the `Send` event follows as usual.
     Fault {
         from: usize,
         to: usize,
@@ -156,17 +153,13 @@ impl TraceEvent {
     }
 }
 
-/// Per-rank lookup tables over a [`TraceLog`], built once on first use
-/// (the race detector used to re-scan the whole event vector per
-/// query).
+/// Per-rank lookup tables over a [`TraceLog`], built once on first use.
 #[derive(Debug, Default)]
 struct TraceIndex {
     /// Per rank: indices of its `Recv` events, in program order.
     recvs: Vec<Vec<usize>>,
     /// Per rank: indices of all its events, in program order.
     by_rank: Vec<Vec<usize>>,
-    /// Distinct (from, to, tag) links with an injected fault, sorted.
-    faulted: Vec<(usize, usize, u32)>,
     fault_count: usize,
     wildcard_count: usize,
 }
@@ -192,15 +185,10 @@ impl TraceIndex {
                         ix.wildcard_count += 1;
                     }
                 }
-                TraceEvent::Fault { from, to, tag, .. } => {
-                    ix.fault_count += 1;
-                    ix.faulted.push((*from, *to, *tag));
-                }
+                TraceEvent::Fault { .. } => ix.fault_count += 1,
                 _ => {}
             }
         }
-        ix.faulted.sort_unstable();
-        ix.faulted.dedup();
         ix
     }
 }
@@ -259,12 +247,6 @@ impl TraceLog {
             .map(Vec::as_slice)
             .unwrap_or(&[]);
         idx.iter().map(move |&i| &self.events[i])
-    }
-
-    /// The distinct (from, to, tag) links that saw an injected fault,
-    /// sorted ascending (safe to `binary_search`).
-    pub fn faulted_links(&self) -> &[(usize, usize, u32)] {
-        &self.index().faulted
     }
 
     /// Total number of injected-fault events in the log.
@@ -405,6 +387,42 @@ impl ReplayLog {
     }
 }
 
+/// Adjacent wildcard matches that can be *feasibly* swapped in a
+/// replay: consecutive wildcard indices at one receiver, same tag,
+/// different sources, concurrent send clocks. Swapping a causally
+/// ordered pair would force an order no execution can produce (the
+/// later send may not exist until the earlier message is consumed), so
+/// only these pairs are fit for [`ReplayLog::swapped`].
+///
+/// Returns `(receiver, first wildcard index)` pairs.
+pub fn swappable_wildcards(log: &TraceLog) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    for receiver in 0..log.n {
+        let mut matches: Vec<(u64, u32, usize, &Clock)> = Vec::new();
+        for e in log.recvs_for(receiver) {
+            if let TraceEvent::Recv {
+                src,
+                tag,
+                wildcard: Some(w),
+                send_clock,
+                ..
+            } = e
+            {
+                matches.push((*w, *tag, *src, send_clock));
+            }
+        }
+        matches.sort_by_key(|&(w, ..)| w);
+        for win in matches.windows(2) {
+            let (w0, t0, s0, c0) = win[0];
+            let (w1, t1, s1, c1) = win[1];
+            if w1 == w0 + 1 && t0 == t1 && s0 != s1 && clock_concurrent(c0, c1) {
+                out.push((receiver, w0 as usize));
+            }
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -468,6 +486,33 @@ mod tests {
         .swapped(0, 0)
         .is_none());
         assert!(log.swapped(1, 2).is_none());
+    }
+
+    #[test]
+    fn only_concurrent_adjacent_matches_are_swappable() {
+        let recv = |src, tag, w, send_clock: Clock| TraceEvent::Recv {
+            rank: 0,
+            src,
+            tag,
+            seq: 0,
+            bytes: 0,
+            wildcard: Some(w),
+            send_clock,
+            recv_clock: vec![],
+        };
+        let log = TraceLog::new(
+            4,
+            vec![
+                // #0/#1: concurrent sends from 1 and 2 — swappable.
+                recv(1, 5, 0, vec![0, 1, 0, 0]),
+                recv(2, 5, 1, vec![0, 0, 1, 0]),
+                // #1/#2: 3's send happens after 2's — not swappable.
+                recv(3, 5, 2, vec![0, 0, 1, 1]),
+                // #2/#3: concurrent, but the tags differ.
+                recv(1, 6, 3, vec![0, 2, 0, 0]),
+            ],
+        );
+        assert_eq!(swappable_wildcards(&log), vec![(0, 0)]);
     }
 
     #[test]
@@ -544,7 +589,6 @@ mod tests {
         assert_eq!(log.recvs_for(0).count(), 0);
         assert_eq!(log.events_for(0).count(), 2); // Send + Mark
         assert_eq!(log.events_for(1).count(), 3); // Recv + 2 Faults
-        assert_eq!(log.faulted_links(), vec![(1, 0, 9)]);
         assert_eq!(log.fault_count(), 2);
         assert_eq!(log.wildcard_count(), 1);
         // Out-of-range ranks yield empty iterators, not panics.

@@ -1,53 +1,31 @@
-//! # pvr-verify — schedule linter, race detector, and replay checker
+//! # pvr-verify — the schedule linter
 //!
 //! The compositing stack ships pixels through hand-built message
 //! schedules (direct-send with limited compositors, binary swap,
-//! radix-k) executed over `pvr-mpisim`'s wildcard receives. Each layer
-//! is easy to get subtly wrong — a dropped overlap message blanks a
-//! tile, a duplicated one double-blends, a wildcard race reorders
-//! blending, a mis-posted receive hangs the world. This crate makes
-//! those failure classes checkable:
+//! radix-k). A dropped overlap message blanks a tile and a duplicated
+//! one double-blends; [`lint`] checks a schedule statically for those
+//! faults: conservation (the image partition tiles exactly; every
+//! renderer-footprint ∩ compositor-span overlap appears exactly once,
+//! exactly sized), bounded per-compositor fan-in (the paper's
+//! `O(n^{1/3})` direct-send scaling, generalized to `m ≤ n`), radix-k
+//! round structure, and stage-tag discipline. [`lint::Mutation`]
+//! injects faults to prove each rule fires.
 //!
-//! * [`lint`] — **static schedule linter**: conservation (the image
-//!   partition tiles exactly; every renderer-footprint ∩
-//!   compositor-span overlap appears exactly once, exactly sized),
-//!   bounded per-compositor fan-in (the paper's `O(n^{1/3})`
-//!   direct-send scaling, generalized to `m ≤ n`), radix-k round
-//!   structure, and stage-tag discipline. [`lint::Mutation`] injects
-//!   faults to prove each rule fires.
-//! * [`race`] — **message-race detection** over the vector-clocked
-//!   traces a `pvr-mpisim` world records: wildcard matches whose
-//!   candidate sends were concurrent, plus an offline non-overtaking
-//!   audit.
-//! * [`replay`] — **record/replay order-independence checking**: record
-//!   a baseline run's wildcard-match order, re-run under arrival-order,
-//!   seeded-perturbation, and swapped-replay policies, and require
-//!   identical results (for frames: bit-identical images).
-//! * [`exhaustive`] — **exhaustive model checking** at small n:
-//!   [`explore_exhaustive`] drives `pvr-mc`'s DPOR explorer over
-//!   *every* inequivalent wildcard-match interleaving, superseding the
-//!   sampled [`race`]/[`replay`] probes wherever enumeration is
-//!   feasible (the `verify_mc` sweep covers n ≤ 8).
+//! Wildcard-match orders are checked elsewhere: exhaustively at small n
+//! by `pvr-mc`'s DPOR explorer, and on real frames by
+//! `tests/verify_tooling.rs` under perturbed and swapped-replay
+//! policies.
 //!
 //! The `verify_schedules` binary (in `pvr-bench`) sweeps the linter
 //! over paper-scale (n, m) configurations with real raycast footprints;
 //! the unit tests here sweep synthetic lattices.
 
-pub mod exhaustive;
 pub mod lint;
-pub mod race;
-pub mod replay;
 
-pub use exhaustive::{explore_exhaustive, ExhaustiveReport};
 pub use lint::{
     lint_direct_send, lint_direct_send_with_faults, lint_radix_k, lint_tags, LintOptions,
     LintReport, Mutation, Rule, Violation,
 };
-pub use race::{
-    check_non_overtaking, classify_races, swappable_wildcards, wildcard_races, ClassifiedRaces,
-    RacePair,
-};
-pub use replay::{probe_order_independence, OrderProbe, OrderReport};
 
 use pvr_render::image::PixelRect;
 
@@ -307,262 +285,6 @@ mod tests {
             .violations
             .iter()
             .any(|v| v.rule == Rule::TagDiscipline));
-    }
-
-    mod races {
-        use super::*;
-        use pvr_mpisim::{RunOptions, World};
-
-        #[test]
-        fn concurrent_fan_in_is_reported_as_racy() {
-            // 4 senders post to rank 0 with no ordering between them:
-            // every wildcard pair from distinct sources races.
-            let out = World::run_opts(5, RunOptions::default().traced(), |mut comm| async move {
-                if comm.rank() == 0 {
-                    for _ in 0..4 {
-                        let _ = comm.recv_any(7).await;
-                    }
-                } else {
-                    comm.send(0, 7, vec![comm.rank() as u8]).await;
-                }
-            })
-            .unwrap();
-            let races = wildcard_races(&out.trace.unwrap());
-            assert!(!races.is_empty(), "concurrent senders must race");
-            assert!(races.iter().all(|r| r.receiver == 0 && r.tag == 7));
-        }
-
-        #[test]
-        fn causally_ordered_sends_do_not_race() {
-            // A token ring serializes the sends into rank 0's wildcard
-            // stream: each send happens-after the previous receive.
-            let out = World::run_opts(4, RunOptions::default().traced(), |mut comm| async move {
-                let rank = comm.rank();
-                if rank == 0 {
-                    comm.send(1, 1, vec![]).await;
-                    for _ in 0..3 {
-                        let _ = comm.recv_any(2).await;
-                    }
-                } else {
-                    let _ = comm.recv_from(rank - 1, 1).await;
-                    comm.send(0, 2, vec![rank as u8]).await;
-                    // Pass the token only after my send is posted, so
-                    // sends into rank 0 are causally chained.
-                    if rank + 1 < comm.size() {
-                        comm.send(rank + 1, 1, vec![]).await;
-                    }
-                }
-            })
-            .unwrap();
-            let log = out.trace.unwrap();
-            let races = wildcard_races(&log);
-            assert!(
-                races.is_empty(),
-                "causally chained sends must not race: {races:?}"
-            );
-            assert!(check_non_overtaking(&log).is_empty());
-        }
-
-        /// One-shot injector: drops the first send on one (src, dst,
-        /// tag) link, delivers everything else. Implemented inline so
-        /// pvr-verify stays independent of pvr-faults (the verifier
-        /// must audit *any* injector, not just the planned one).
-        struct DropFirstOn {
-            src: usize,
-            dst: usize,
-            tag: u32,
-            hits: std::sync::atomic::AtomicU32,
-        }
-
-        impl pvr_mpisim::fault::FaultInjector for DropFirstOn {
-            fn on_send(
-                &self,
-                src: usize,
-                dst: usize,
-                tag: u32,
-                _seq: u64,
-                _data: &mut Vec<u8>,
-            ) -> pvr_mpisim::fault::SendFate {
-                use std::sync::atomic::Ordering;
-                if (src, dst, tag) == (self.src, self.dst, self.tag)
-                    && self.hits.fetch_add(1, Ordering::Relaxed) == 0
-                {
-                    pvr_mpisim::fault::SendFate::Drop
-                } else {
-                    pvr_mpisim::fault::SendFate::Deliver
-                }
-            }
-        }
-
-        /// Regression: wildcard races caused by an injected drop (the
-        /// "retransmission" racing the surrounding fan-in) must land in
-        /// `ClassifiedRaces::injected`, not be reported as genuine
-        /// protocol races.
-        #[test]
-        fn injected_drops_classify_as_injected_not_genuine() {
-            let inj = std::sync::Arc::new(DropFirstOn {
-                src: 1,
-                dst: 0,
-                tag: 7,
-                hits: std::sync::atomic::AtomicU32::new(0),
-            });
-            let out = World::run_opts(
-                5,
-                RunOptions::default().traced().with_injector(inj),
-                |mut comm| async move {
-                    if comm.rank() == 0 {
-                        // 4 senders x 2 sends, minus the one dropped.
-                        for _ in 0..7 {
-                            let _ = comm.recv_any(7).await;
-                        }
-                    } else {
-                        // Send twice so the faulted link still delivers
-                        // a message that races the healthy traffic.
-                        comm.send(0, 7, vec![comm.rank() as u8, 0]).await;
-                        comm.send(0, 7, vec![comm.rank() as u8, 1]).await;
-                    }
-                },
-            )
-            .unwrap();
-            let log = out.trace.unwrap();
-            assert_eq!(
-                log.faulted_links(),
-                vec![(1, 0, 7)],
-                "the drop must be recorded as a fault event on its link"
-            );
-            let classified = classify_races(&log);
-            assert!(
-                !classified.injected.is_empty(),
-                "sends on the dropped link race the fan-in and must be flagged injected"
-            );
-            assert!(
-                classified
-                    .injected
-                    .iter()
-                    .all(|r| r.first.0 == 1 || r.second.0 == 1),
-                "only races touching the faulted link may be excused: {:?}",
-                classified.injected
-            );
-            assert!(
-                !classified.genuine.is_empty(),
-                "healthy senders still race each other"
-            );
-            assert!(
-                classified
-                    .genuine
-                    .iter()
-                    .all(|r| r.first.0 != 1 && r.second.0 != 1),
-                "no race on the faulted link may be reported genuine: {:?}",
-                classified.genuine
-            );
-        }
-
-        /// With no injector, every race is genuine and none injected.
-        #[test]
-        fn clean_runs_classify_all_races_as_genuine() {
-            let out = World::run_opts(4, RunOptions::default().traced(), |mut comm| async move {
-                if comm.rank() == 0 {
-                    for _ in 0..3 {
-                        let _ = comm.recv_any(9).await;
-                    }
-                } else {
-                    comm.send(0, 9, vec![comm.rank() as u8]).await;
-                }
-            })
-            .unwrap();
-            let log = out.trace.unwrap();
-            assert!(log.faulted_links().is_empty());
-            let classified = classify_races(&log);
-            assert!(classified.injected.is_empty());
-            assert_eq!(classified.genuine.len(), wildcard_races(&log).len());
-        }
-
-        #[test]
-        fn non_overtaking_audit_is_clean_on_heavy_traffic() {
-            let out = World::run_opts(4, RunOptions::default().traced(), |mut comm| async move {
-                let rank = comm.rank();
-                for i in 0..20u8 {
-                    comm.send((rank + 1) % 4, 3, vec![i]).await;
-                }
-                for _ in 0..20 {
-                    let _ = comm.recv_from((rank + 3) % 4, 3).await;
-                }
-            })
-            .unwrap();
-            assert!(check_non_overtaking(&out.trace.unwrap()).is_empty());
-        }
-    }
-
-    mod order {
-        use super::*;
-
-        /// Sum of received values: independent of wildcard order.
-        #[test]
-        fn commutative_protocol_passes_probe() {
-            let report = probe_order_independence(
-                5,
-                |mut comm| async move {
-                    if comm.rank() == 0 {
-                        let mut sum = 0u64;
-                        for _ in 0..4 {
-                            sum += comm.recv_any(1).await.1[0] as u64;
-                        }
-                        sum
-                    } else {
-                        comm.send(0, 1, vec![comm.rank() as u8]).await;
-                        0
-                    }
-                },
-                &OrderProbe::default(),
-            )
-            .unwrap();
-            assert!(
-                report.order_independent(),
-                "divergences: {:?}",
-                report.divergences
-            );
-            assert!(
-                !report.races.is_empty(),
-                "probe should have races to exercise"
-            );
-            assert!(report.variants_run >= 5);
-        }
-
-        /// Left-fold subtraction: depends on wildcard order; the probe
-        /// must catch the injected out-of-order match.
-        #[test]
-        fn order_dependent_protocol_is_caught() {
-            let report = probe_order_independence(
-                5,
-                |mut comm| async move {
-                    if comm.rank() == 0 {
-                        let mut acc: i64 = 100;
-                        for _ in 0..4 {
-                            acc = acc * 2 - comm.recv_any(1).await.1[0] as i64;
-                        }
-                        acc
-                    } else {
-                        comm.send(0, 1, vec![comm.rank() as u8]).await;
-                        0
-                    }
-                },
-                &OrderProbe::default(),
-            )
-            .unwrap();
-            assert!(
-                !report.order_independent(),
-                "an order-dependent fold must diverge under perturbation"
-            );
-            // The surgical injected swap alone must be enough.
-            assert!(
-                report
-                    .divergences
-                    .iter()
-                    .any(|d| d.policy.contains("swapped")),
-                "swapped-replay injection not caught: {:?}",
-                report.divergences
-            );
-        }
     }
 
     mod sweep_helpers {

@@ -8,7 +8,7 @@
 //! Re-exports every workspace crate under one roof:
 //!
 //! * [`bgp`] — Blue Gene/P machine model + flow-level network simulator
-//! * [`mpisim`] — message-passing abstraction (threaded + simulated)
+//! * [`mpisim`] — message-passing runtime (ranks as tasks on a discrete-event core)
 //! * [`pfs`] — parallel file system and ROMIO-style collective I/O
 //! * [`formats`] — raw / netCDF / netCDF-64 / HDF5-like file layouts
 //! * [`volume`] — volume grids, block decomposition, synthetic data
@@ -16,7 +16,7 @@
 //! * [`compositing`] — direct-send and radix-k (binary swap = radix 2) compositing
 //! * [`core`] — the end-to-end pipeline and performance models
 //! * [`faults`] — seeded fault plans, reliable-link layer, recovery policy
-//! * [`verify`] — schedule linter, message-race detector, replay checker
+//! * [`verify`] — static schedule linter
 //! * [`obs`] — span tracing, metrics registry, Perfetto/Gantt/CSV export
 //!
 //! See `README.md` for a quickstart and `DESIGN.md` for the system

@@ -1,7 +1,7 @@
 //! End-to-end checks of the verification layer against the real
-//! pipeline: deadlocks become reports (not hangs), frames are
-//! bit-identical under perturbed and replayed wildcard-match orders,
-//! and recorded frame traces pass the offline race/ordering audits.
+//! pipeline: deadlocks become reports (not hangs), and frames are
+//! bit-identical under perturbed, replayed and guided wildcard-match
+//! orders.
 
 mod support;
 
@@ -10,9 +10,8 @@ use std::sync::Arc;
 use parallel_volume_rendering::core::{
     drive_frame, write_dataset, Driver, FrameConfig, FrameResult, IoMode,
 };
-use parallel_volume_rendering::mpisim::trace::{ReplayLog, TraceLog};
+use parallel_volume_rendering::mpisim::trace::{swappable_wildcards, ReplayLog, TraceLog};
 use parallel_volume_rendering::mpisim::{MatchPolicy, RunError, RunOptions, World};
-use parallel_volume_rendering::verify;
 
 fn frame_cfg() -> FrameConfig {
     let mut cfg = FrameConfig::small(16, 24, 8);
@@ -100,12 +99,11 @@ fn recorded_frame_replays_bit_identically_with_injected_swaps() {
     let trace = trace.expect("traced run yields a trace");
 
     // The frame's fragment fan-in uses wildcard receives; the trace
-    // must record them, and the offline ordering audit must be clean.
+    // must record them.
     assert!(
         trace.wildcard_count() > 0,
         "frame should exercise wildcard receives"
     );
-    assert!(verify::check_non_overtaking(&trace).is_empty());
 
     // Replay the recorded order exactly, then with injected
     // out-of-order wildcard matches: the image must never change
@@ -122,7 +120,7 @@ fn recorded_frame_replays_bit_identically_with_injected_swaps() {
     );
 
     let mut swaps = 0;
-    for (rank, i) in verify::swappable_wildcards(&trace).into_iter().take(3) {
+    for (rank, i) in swappable_wildcards(&trace).into_iter().take(3) {
         let swapped = log.swapped(rank, i).expect("racing pair must be swappable");
         let (frame, _) = mpi_frame(
             &cfg,
@@ -142,38 +140,34 @@ fn recorded_frame_replays_bit_identically_with_injected_swaps() {
 }
 
 #[test]
-fn injected_order_dependence_is_caught_by_the_probe() {
-    // Sanity-check the probe against the pipeline's own message shape:
-    // a fan-in that *concatenates* (order-dependent) must be flagged,
-    // while the same fan-in that *sorts by sender* (what the
-    // compositors do with fragments) must pass.
-    let fan_in = |sorted: bool| {
-        move |mut comm: parallel_volume_rendering::mpisim::Comm| async move {
-            if comm.rank() == 0 {
-                let mut got: Vec<(usize, Vec<u8>)> = Vec::with_capacity(3);
-                for _ in 0..3 {
-                    got.push(comm.recv_any(4).await);
-                }
-                if sorted {
-                    got.sort_by_key(|(src, _)| *src);
-                }
-                got.into_iter().flat_map(|(_, d)| d).collect::<Vec<u8>>()
-            } else {
-                comm.send(0, 4, vec![comm.rank() as u8; comm.rank()]).await;
-                Vec::new()
-            }
-        }
+fn guided_and_replay_agree_on_a_complete_log_of_the_frame() {
+    // A log covering every wildcard of the run leaves `Guided` nothing
+    // to decide past its prefix, so it must force exactly what `Replay`
+    // forces: the same image and the same per-rank event streams,
+    // clocks included. The explorer's counterexamples and the profiled
+    // frame's canonical replay both rest on this.
+    let cfg = frame_cfg();
+    assert_eq!(cfg.nprocs, 8);
+    let path = frame_dataset(&cfg);
+    let (_, trace) = mpi_frame(&cfg, &path, RunOptions::default().traced());
+    let log = Arc::new(ReplayLog::canonical(
+        &trace.expect("traced run yields a trace"),
+    ));
+    assert!(log.total_len() > 0, "the frame has wildcard receives");
+
+    let run = |policy| {
+        let (frame, trace) = mpi_frame(&cfg, &path, RunOptions::default().policy(policy).traced());
+        (frame.image, trace.expect("traced run yields a trace"))
     };
-    let probe = verify::OrderProbe::default();
-    let bad = verify::probe_order_independence(4, fan_in(false), &probe).unwrap();
-    assert!(
-        !bad.order_independent(),
-        "unsorted fan-in must be order-dependent"
-    );
-    let good = verify::probe_order_independence(4, fan_in(true), &probe).unwrap();
-    assert!(
-        good.order_independent(),
-        "sorted fan-in diverged: {:?}",
-        good.divergences
-    );
+    let (replay_image, replay_trace) = run(MatchPolicy::Replay(Arc::clone(&log)));
+    let (guided_image, guided_trace) = run(MatchPolicy::Guided(log));
+    assert_eq!(guided_image, replay_image, "images differ");
+    for rank in 0..cfg.nprocs {
+        assert!(
+            guided_trace
+                .events_for(rank)
+                .eq(replay_trace.events_for(rank)),
+            "rank {rank}: event streams differ"
+        );
+    }
 }
