@@ -21,7 +21,9 @@
 //!
 //! The frame also runs under the counting allocator of the
 //! allocation-budget tests: `allocs_per_message` and `bytes_per_frame`
-//! say what the host pays per message beyond its body.
+//! say what the host pays per message beyond its body, and
+//! `peak_live_bytes_per_rank` and `task_bytes` (the boxed future of one
+//! rank) what a simulated rank keeps resident.
 //!
 //! Writes `results/BENCH_sim.json`. Gates (hard failures, any mode):
 //! a frame bit-identical to the data-parallel one, full task residency,
@@ -185,8 +187,8 @@ fn main() {
     let io = Duration::from_millis(IO_MS);
 
     // --- The frame, bit-compared with the data-parallel one. ---------
-    let ((frame, frame_sim, frame_secs), frame_allocs, frame_bytes) =
-        alloc::counting(|| timed_frame(&path));
+    let (((frame, frame_sim, frame_secs), frame_allocs, frame_bytes), frame_live) =
+        alloc::peak_live(|| alloc::counting(|| timed_frame(&path)));
     let reference = run_frame(&config(), Some(&path));
     let identical = frame.image.max_abs_diff(&reference.image) == 0.0;
 
@@ -229,6 +231,8 @@ fn main() {
             frame_allocs as f64 / frame_sim.messages as f64,
         )
         .info("bytes_per_frame", frame_bytes as f64)
+        .info("peak_live_bytes_per_rank", (frame_live / N as u64) as f64)
+        .info("task_bytes", frame_sim.task_bytes as f64)
         .info("wall_exchange_event_secs", ex_secs)
         .info("wall_sweep_shape_event_secs", io_secs)
         .info("wall_frame_event_secs", frame_secs);

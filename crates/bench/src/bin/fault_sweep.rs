@@ -21,7 +21,9 @@
 use std::path::Path;
 use std::time::Instant;
 
-use pvr_bench::{fault_frame as run, gate, sweep_cfg, sweep_dataset, transient_plan, FaultFrame};
+use pvr_bench::{
+    fault_frame as run, gate, p95_wall_ms, sweep_cfg, sweep_dataset, transient_plan, FaultFrame,
+};
 use pvr_core::pipeline::run_frame_mpi;
 use pvr_core::{CompositorPolicy, FrameConfig, FrameError};
 use pvr_faults::{
@@ -87,13 +89,7 @@ fn bench_faults_trajectory(outcomes: &[Outcome]) -> Trajectory {
         healed as f64 / expected.len() as f64
     };
     let bytes: u64 = outcomes.iter().map(|o| o.recovery_bytes).sum();
-    let mut walls: Vec<f64> = outcomes.iter().map(|o| o.wall_ms).collect();
-    walls.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let p95 = if walls.is_empty() {
-        0.0
-    } else {
-        walls[((walls.len() as f64 * 0.95).ceil() as usize - 1).min(walls.len() - 1)]
-    };
+    let p95 = p95_wall_ms(outcomes.iter().map(|o| o.wall_ms));
     let mut t = Trajectory::new("faults");
     t.exact("frames", outcomes.len() as f64)
         .exact("heal_expected_frames", expected.len() as f64)

@@ -26,7 +26,7 @@
 use std::path::Path;
 use std::time::Instant;
 
-use pvr_bench::{fault_frame, gate, sweep_cfg, sweep_dataset, transient_plan};
+use pvr_bench::{fault_frame, gate, p95_wall_ms, sweep_cfg, sweep_dataset, transient_plan};
 use pvr_core::pipeline::run_frame_mpi;
 use pvr_core::{FrameConfig, FrameShared};
 use pvr_faults::{FaultPlan, RankAction, RankFault, RecoveryPolicy, Stage};
@@ -241,13 +241,7 @@ fn ladder_accounting(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy) ->
 fn recovery_trajectory(cells: &[MatrixCell]) -> Trajectory {
     let healed = cells.iter().filter(|c| c.healed).count();
     let bytes: u64 = cells.iter().map(|c| c.recovery_bytes).sum();
-    let mut walls: Vec<f64> = cells.iter().map(|c| c.wall_ms).collect();
-    walls.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let p95 = if walls.is_empty() {
-        0.0
-    } else {
-        walls[((walls.len() as f64 * 0.95).ceil() as usize - 1).min(walls.len() - 1)]
-    };
+    let p95 = p95_wall_ms(cells.iter().map(|c| c.wall_ms));
     let mut t = Trajectory::new("recovery");
     t.exact("crash_cells", cells.len() as f64)
         .exact("healed_cells", healed as f64)

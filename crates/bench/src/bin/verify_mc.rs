@@ -412,7 +412,7 @@ fn main() {
                     "mc_counterexample_{}_{i}.json",
                     cfg.label.replace(['=', ',', '[', ']', ' '], "_")
                 );
-                write_artifact(&name, v.schedule.to_json().as_bytes());
+                write_artifact(&name, pvr_mc::schedule::to_json(&v.schedule).as_bytes());
             }
         }
         if !cfg.report.stats.complete {

@@ -97,6 +97,15 @@ pub fn gate(name: &str, ok: bool, detail: String) -> bool {
     ok
 }
 
+/// The 95th percentile (nearest rank) of the sweep binaries' frame
+/// walls; 0 for no frames.
+pub fn p95_wall_ms(walls: impl IntoIterator<Item = f64>) -> f64 {
+    let mut walls: Vec<f64> = walls.into_iter().collect();
+    walls.sort_by(f64::total_cmp);
+    let rank = (walls.len() as f64 * 0.95).ceil() as usize;
+    walls.get(rank.saturating_sub(1)).copied().unwrap_or(0.0)
+}
+
 /// One fault frame of the sweep binaries, with the completeness map a
 /// fault frame always reports already unwrapped.
 pub struct FaultFrame {

@@ -238,16 +238,19 @@ pub(crate) fn rank_requests(
 ) -> Vec<RankRequest> {
     stored
         .iter()
-        .map(|sub| {
-            // One run per row of the block, unless chunking splits rows.
-            let mut runs = Vec::with_capacity(sub.shape[1] * sub.shape[2]);
-            layout.placed_runs(var, sub, &mut |r| runs.push(r));
-            RankRequest {
-                runs,
-                out_elems: sub.num_elements(),
-            }
-        })
+        .map(|sub| rank_request(layout, var, sub))
         .collect()
+}
+
+/// The placed-run read request of one rank's stored block `sub`.
+pub(crate) fn rank_request(layout: &dyn FileLayout, var: usize, sub: &Subvolume) -> RankRequest {
+    // One run per row of the block, unless chunking splits rows.
+    let mut runs = Vec::with_capacity(sub.shape[1] * sub.shape[2]);
+    layout.placed_runs(var, sub, &mut |r| runs.push(r));
+    RankRequest {
+        runs,
+        out_elems: sub.num_elements(),
+    }
 }
 
 /// Decode a rank's raw bytes (on-disk order per placed runs) into a
@@ -331,6 +334,12 @@ pub(crate) fn read_frame(
     let layout = cfg.io.layout(cfg.grid);
     let (var, endian) = (cfg.file_variable(), layout.endian());
     let requests = rank_requests(layout.as_ref(), var, stored);
+    // Both reads below write every element of a rank's buffer exactly
+    // once, which is what lets `volume_buffer` skip the zero fill.
+    assert!(
+        requests.iter().all(runs_tile),
+        "a rank's placed runs do not tile its block in output order"
+    );
     let t0 = Instant::now();
 
     let (volumes, stats, throttled_bytes) = if layout.collective() {
@@ -424,9 +433,31 @@ fn spare_volumes() -> std::sync::MutexGuard<'static, SpareVolumes> {
     SPARE_VOLUMES.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A zeroed buffer of `n` voxels, reusing a spare one when there is one.
+/// Whether `rq`'s runs tile its output `[0, out_elems)` in order, each
+/// starting where the one before it ended — as every layout places
+/// them — so that every element is in exactly one run. Checked without
+/// allocating: a sorted copy of the runs here left 3 of 10 ledger runs
+/// of `render-sparse` with a peak RSS 3 MB higher.
+fn runs_tile(rq: &RankRequest) -> bool {
+    let end = rq
+        .runs
+        .iter()
+        .try_fold(0, |at, r| (r.out_start == at).then_some(at + r.elems));
+    end == Some(rq.out_elems)
+}
+
+/// A buffer of `n` voxels for a read that writes all of them
+/// ([`runs_tile`]): a spare one of that length as it is, unfilled, when
+/// there is one; otherwise a zeroed one in a spare's capacity.
 fn volume_buffer(n: usize) -> Vec<f32> {
-    let mut data = spare_volumes().buffers.pop().unwrap_or_default();
+    let spare = {
+        let mut spare = spare_volumes();
+        match spare.buffers.iter().rposition(|b| b.len() == n) {
+            Some(i) => return spare.buffers.swap_remove(i),
+            None => spare.buffers.pop(),
+        }
+    };
+    let mut data = spare.unwrap_or_default();
     data.clear();
     data.reserve_exact(n);
     data.resize(n, 0.0);

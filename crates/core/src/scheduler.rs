@@ -73,6 +73,7 @@ use pvr_faults::{
     Stage,
 };
 use pvr_formats::extent::Extent;
+use pvr_formats::layout::FileLayout;
 use pvr_formats::{Endian, Subvolume, ELEM_SIZE};
 use pvr_mpisim::fault::{FaultInjector, SendFate};
 use pvr_obs::{FlightRecorder, Tracer};
@@ -88,9 +89,9 @@ use pvr_volume::BlockDecomposition;
 use crate::config::FrameConfig;
 use crate::pipeline::{
     decode_adopt, decode_late, decode_tile, decode_volume, default_view, encode_adopt,
-    encode_fragment_msg, encode_late, encode_tile, fragment_of_msg, push_piece, rank_requests,
-    read_frame, render_opts, synthesize_stage, tags, transfer_for, unpack_pieces, FrameError,
-    FrameResult, IoRunStats, PIECE_HEADER,
+    encode_fragment_msg, encode_late, encode_tile, fragment_of_msg, push_piece, rank_request,
+    rank_requests, read_frame, render_opts, synthesize_stage, tags, transfer_for, unpack_pieces,
+    FrameError, FrameResult, IoRunStats, PIECE_HEADER,
 };
 use crate::recovery::{adopter_of, effective_policy, heal_costs, HealDecision, RecoveryBudget};
 use crate::roles::{compositor_rank, laptop_aggregators};
@@ -561,9 +562,14 @@ impl FrameShared {
 /// through `pipeline::read_frame` to `two_phase_decode`, which plans for
 /// itself.
 struct FilePlan {
-    /// Per-rank placed-run read requests.
-    requests: Vec<RankRequest>,
-    /// Two-phase scatter plan (collective layouts only).
+    /// The file's layout and the variable the frame reads: a rank's
+    /// placed runs are rebuilt from them where a rank reads its own
+    /// block ([`FilePlan::request`]), so no per-rank copy of them lives
+    /// through the frame.
+    layout: Box<dyn FileLayout>,
+    var: usize,
+    /// Two-phase scatter plan (collective layouts only), which holds
+    /// every rank's runs once.
     scatter: Option<ScatterPlan>,
     endian: Endian,
     /// Per rank, the extents of the window accesses it hosts as an
@@ -575,8 +581,9 @@ impl FilePlan {
     fn new(cfg: &FrameConfig, stored: &[Subvolume]) -> FilePlan {
         let n = cfg.nprocs;
         let layout = cfg.io.layout(cfg.grid);
-        let requests = rank_requests(layout.as_ref(), cfg.file_variable(), stored);
+        let var = cfg.file_variable();
         let scatter = layout.collective().then(|| {
+            let requests = rank_requests(layout.as_ref(), var, stored);
             let naggr = laptop_aggregators(n);
             ScatterPlan::build(&requests, naggr, &cfg.io.hints(cfg.grid))
         });
@@ -587,11 +594,18 @@ impl FilePlan {
             }
         }
         FilePlan {
-            requests,
-            scatter,
             endian: layout.endian(),
+            layout,
+            var,
+            scatter,
             windows,
         }
+    }
+
+    /// The placed-run read request of the rank whose stored block is
+    /// `sub`.
+    fn request(&self, sub: &Subvolume) -> RankRequest {
+        rank_request(self.layout.as_ref(), self.var, sub)
     }
 }
 
@@ -632,7 +646,7 @@ pub struct PrefetchedWindows {
 pub struct RankOut {
     pub image: Option<Image>,
     pub completeness: Option<CompletenessMap>,
-    pub timing: FrameTiming,
+    pub timing: RankTiming,
     /// This rank's render-kernel statistics (samples, skips, packets,
     /// lane utilization, early terminations, bounded-error bound).
     pub render: RenderStats,
@@ -648,9 +662,32 @@ pub struct RankOut {
     pub sent_messages: usize,
     /// `(tile, fragments received)` when this rank composited a tile.
     pub tile_messages: Option<(usize, usize)>,
+    /// What healing cost this rank; `None` until recovery did something
+    /// here, which takes a fault plan.
+    pub recovery: Option<Box<RankRecovery>>,
+}
+
+/// One rank's stage clock: the [`FrameTiming`] fields a rank measures
+/// itself (recovery counters and the SLO verdict belong to the frame,
+/// and only the driver fills them).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RankTiming {
+    pub io: f64,
+    pub render: f64,
+    pub composite: f64,
+    pub starts: [f64; 3],
+    pub wall: f64,
+}
+
+/// What healing cost one rank.
+#[derive(Debug, Default)]
+pub struct RankRecovery {
     pub counters: RecoveryCounters,
     pub io_failover_bytes: u64,
     pub io_unrecovered_bytes: u64,
+    /// Image fraction of this rank's coarse-rung heals
+    /// ([`FrameTiming::error_bound`]).
+    pub error_bound: f64,
 }
 
 /// Fraction of `of` requested bytes that arrived intact when `lost`
@@ -743,7 +780,8 @@ pub struct RankExec<'a> {
     frag_out: Option<OutBox>,
     /// My finished tile as its wire message, awaiting the gather.
     tile_msg: Option<Vec<u8>>,
-    rec: Option<Recovery<'a>>,
+    /// Boxed: only a faulted frame opens it.
+    rec: Option<Box<Recovery<'a>>>,
 }
 
 impl<'a> RankExec<'a> {
@@ -858,14 +896,37 @@ impl<'a> RankExec<'a> {
         let (rank, rec_ack) = (self.comm.rank(), self.tags.rec_ack);
         self.rec = self.faults.map(|faults| {
             let (out, inb) = link::pair(rank, rec_ack, Some(faults.policy.link_policy()));
-            Recovery {
+            Box::new(Recovery {
                 faults,
                 out,
                 inb,
                 budget: RecoveryBudget::for_frame(self.cfg, &faults.policy),
                 adopted: HashMap::new(),
-            }
+            })
         });
+    }
+
+    /// This rank's recovery ledger, opened on first use.
+    fn healing(&mut self) -> &mut RankRecovery {
+        self.out.recovery.get_or_insert_default()
+    }
+
+    /// Add `counters` to the ledger; all-zero counters (every
+    /// pass-through link's) open nothing.
+    fn count(&mut self, counters: RecoveryCounters) {
+        if counters != RecoveryCounters::default() {
+            self.healing().counters.merge(&counters);
+        }
+    }
+
+    /// Record what the read of this rank's block failed over and lost
+    /// for good; nothing when both are zero.
+    fn record_io(&mut self, failover_bytes: u64, unrecovered_bytes: u64) {
+        if failover_bytes > 0 || unrecovered_bytes > 0 {
+            let rec = self.healing();
+            rec.io_failover_bytes = failover_bytes;
+            rec.io_unrecovered_bytes = unrecovered_bytes;
+        }
     }
 
     /// Open a stage: its start offset, its span, and the rank fault the
@@ -901,8 +962,11 @@ impl<'a> RankExec<'a> {
     fn audit(&mut self, read: Extent) -> WindowAudit {
         let audit = self
             .planned(|f| window_fault_audit(&f.store, &f.servers, &f.policy.io_recovery(), read));
-        self.out.counters.io_retries += audit.retries;
-        self.out.counters.io_failovers += audit.failovers;
+        self.count(RecoveryCounters {
+            io_retries: audit.retries,
+            io_failovers: audit.failovers,
+            ..RecoveryCounters::default()
+        });
         audit
     }
 
@@ -921,12 +985,12 @@ impl<'a> RankExec<'a> {
     async fn stage_read(&mut self) -> ControlFlow<()> {
         self.stage_begin(Stage::Io, "io").await?;
         let file = self.file;
-        let bytes = if let Some(sp) = &file.scatter {
-            self.scatter(sp, &file.requests).await
-        } else {
-            self.read_independent(&file.requests).await
-        };
         let stored = &self.shared.stored[self.comm.rank()];
+        let bytes = if let Some(sp) = &file.scatter {
+            self.scatter(sp, stored).await
+        } else {
+            self.read_independent(&file.request(stored)).await
+        };
         self.volume = Some(decode_volume(&bytes, stored, file.endian));
         // Background-read seconds of a prefetched frame (0 when live).
         let prefetch_secs = self.windows.as_ref().map_or(0.0, |w| w.io_secs);
@@ -986,7 +1050,7 @@ impl<'a> RankExec<'a> {
     /// piece's header — and sends every rank one message per window, all
     /// its pieces of it; then every rank receives until its pieces are
     /// complete or the stage deadline.
-    async fn scatter(&mut self, sp: &ScatterPlan, requests: &[RankRequest]) -> Vec<u8> {
+    async fn scatter(&mut self, sp: &ScatterPlan, stored: &Subvolume) -> Vec<u8> {
         let rank = self.comm.rank();
         let (mut io_out, mut io_in) = self.link(self.tags.io_ack);
         let mut failover_bytes = 0u64;
@@ -1019,7 +1083,7 @@ impl<'a> RankExec<'a> {
         }
         self.pad_throttle(live_bytes, t_read);
 
-        let mut out = vec![0u8; requests[rank].out_elems * ELEM_SIZE as usize];
+        let mut out = vec![0u8; stored.num_elements() * ELEM_SIZE as usize];
         let (mut arrived, mut holes, mut got) = (0u64, 0u64, 0usize);
         let deadline = self.after(self.limits.stage);
         let suspect_at = self.after(self.limits.suspicion);
@@ -1040,27 +1104,27 @@ impl<'a> RankExec<'a> {
             // storage-failover audit the aggregators use — bit-identical
             // bytes, a full stage deadline earlier.
             if got < sp.piece_counts[rank] && self.past(suspect_at) {
-                let (bytes, useful, unrec, fo) = self.read_runs_audited(&requests[rank]);
+                let (bytes, useful, unrec, fo) = self.read_runs_audited(&self.file.request(stored));
                 out = bytes;
                 arrived = useful;
                 holes = unrec;
                 failover_bytes += fo;
-                self.out.counters.selfheal_bytes += useful;
-                self.out.counters.recovery_bytes += useful;
+                let counters = &mut self.healing().counters;
+                counters.selfheal_bytes += useful;
+                counters.recovery_bytes += useful;
                 self.comm.mark_instant("recover.io_selfheal", useful);
                 break;
             }
         }
         let drain_deadline = self.after(self.limits.drain);
         io_out.drain(self.comm, drain_deadline).await;
-        self.out.counters.merge(&io_out.counters);
-        self.out.counters.merge(&io_in.counters);
+        self.count(io_out.counters());
+        self.count(io_in.counters());
 
         let expected = sp.piece_bytes[rank];
         let lost = expected.saturating_sub(arrived) + holes;
         self.io_quality = served_fraction(lost, expected);
-        self.out.io_failover_bytes = failover_bytes;
-        self.out.io_unrecovered_bytes = lost;
+        self.record_io(failover_bytes, lost);
         out
     }
 
@@ -1094,14 +1158,12 @@ impl<'a> RankExec<'a> {
 
     /// Independent (HDF5-like) path: every rank reads its own runs
     /// directly.
-    async fn read_independent(&mut self, requests: &[RankRequest]) -> Vec<u8> {
-        let rank = self.comm.rank();
+    async fn read_independent(&mut self, request: &RankRequest) -> Vec<u8> {
         let t_read = Instant::now();
-        let (out, useful, unrecovered, failover_bytes) = self.read_runs_audited(&requests[rank]);
+        let (out, useful, unrecovered, failover_bytes) = self.read_runs_audited(request);
         self.pad_throttle(useful, t_read);
         self.io_quality = served_fraction(unrecovered, useful);
-        self.out.io_failover_bytes = failover_bytes;
-        self.out.io_unrecovered_bytes = unrecovered;
+        self.record_io(failover_bytes, unrecovered);
         out
     }
 
@@ -1139,19 +1201,21 @@ impl<'a> RankExec<'a> {
         let rung = rec.budget.charge(shared.heal_costs()[orphan], coarse_step);
         let mut ab = (None, 0.0);
         if rung != HealDecision::Skip {
-            let (bytes, useful, unrecovered, _) = self.read_runs_audited(&file.requests[orphan]);
-            self.out.counters.recovery_bytes += useful;
+            let request = file.request(&shared.stored[orphan]);
+            let (bytes, useful, unrecovered, _) = self.read_runs_audited(&request);
+            self.healing().counters.recovery_bytes += useful;
             let vol = decode_volume(&bytes, &shared.stored[orphan], file.endian);
             let dom = shared.domain(cfg, orphan);
             let mut ropts = shared.ropts;
             if rung == HealDecision::Coarse {
                 ropts.step *= coarse_step;
-                self.out.counters.approx_blocks += 1;
-                self.out.timing.error_bound += shared.footprints[orphan].num_pixels() as f64
+                let rec = self.healing();
+                rec.counters.approx_blocks += 1;
+                rec.error_bound += shared.footprints[orphan].num_pixels() as f64
                     / (cfg.image.0 as f64 * cfg.image.1 as f64);
             }
             let (sub, _) = render_block(&vol, &dom, &shared.camera, &shared.tf, &ropts);
-            self.out.counters.adopted_blocks += 1;
+            self.healing().counters.adopted_blocks += 1;
             self.comm
                 .mark_instant("recover.adopted_block", orphan as u64);
             ab = (Some(sub), served_fraction(unrecovered, useful));
@@ -1209,7 +1273,7 @@ impl<'a> RankExec<'a> {
             return;
         };
         if asm.insert(orphan, quality, frag) == InsertOutcome::Fresh {
-            self.out.counters.late_fragments += 1;
+            self.healing().counters.late_fragments += 1;
             self.comm
                 .mark_instant("recover.late_fragment", orphan as u64);
         }
@@ -1261,12 +1325,12 @@ impl<'a> RankExec<'a> {
         ) else {
             return;
         };
-        self.out.counters.hedged_renders += 1;
+        self.healing().counters.hedged_renders += 1;
         self.comm
             .mark_instant("recover.adopt_request", orphan as u64);
         if a == self.comm.rank() {
             if self.adopt_into(orphan, asm) {
-                self.out.counters.late_fragments += 1;
+                self.healing().counters.late_fragments += 1;
             }
         } else if let Some(rec) = self.rec.as_mut() {
             let request = encode_adopt(orphan, tile);
@@ -1346,7 +1410,7 @@ impl<'a> RankExec<'a> {
             // would have.
             self.tile_msg = Some(encode_tile(c, expected, arrived, &asm.into_blend()));
         }
-        self.out.counters.merge(&frag_in.counters);
+        self.count(frag_in.counters());
         self.frag_out = Some(frag_out);
         ControlFlow::Continue(())
     }
@@ -1388,13 +1452,13 @@ impl<'a> RankExec<'a> {
         let drain_deadline = self.after(self.limits.drain);
         for out in [&mut frag_out, &mut tile_out] {
             out.drain(self.comm, drain_deadline).await;
-            self.out.counters.merge(&out.counters);
+            self.count(out.counters());
         }
-        self.out.counters.merge(&tile_in.counters);
+        self.count(tile_in.counters());
         if let Some(mut rec) = self.rec.take() {
             rec.out.drain(self.comm, drain_deadline).await;
-            self.out.counters.merge(&rec.out.counters);
-            self.out.counters.merge(&rec.inb.counters);
+            self.count(rec.out.counters());
+            self.count(rec.inb.counters());
         }
         self.out.timing.composite = self.stage_end("composite").await;
         ControlFlow::Continue(())
@@ -1446,16 +1510,17 @@ impl<'a> RankExec<'a> {
                     got[c] = Some((asm.expected_area(), asm.arrived_area()));
                     img.paste(&asm.into_blend());
                     received += 1;
-                    self.out.counters.adopted_tiles += 1;
+                    self.healing().counters.adopted_tiles += 1;
                     self.comm.mark_instant("recover.tile_rebuilt", c as u64);
                 }
             }
         }
+        let mut degraded = 0;
         let tiles = (0..m)
             .map(|c| {
                 let (expected, arrived) = got[c].unwrap_or_else(|| {
                     if expected_areas[c] > 0.0 {
-                        self.out.counters.degraded_tiles += 1;
+                        degraded += 1;
                     }
                     (expected_areas[c], 0.0)
                 });
@@ -1467,9 +1532,9 @@ impl<'a> RankExec<'a> {
                 }
             })
             .collect();
-        if self.out.counters.degraded_tiles > 0 {
-            self.comm
-                .mark_instant("composite.degraded_tiles", self.out.counters.degraded_tiles);
+        if degraded > 0 {
+            self.healing().counters.degraded_tiles += degraded;
+            self.comm.mark_instant("composite.degraded_tiles", degraded);
         }
         self.out.image = Some(img);
         self.out.completeness = Some(CompletenessMap { tiles });
@@ -1486,25 +1551,26 @@ impl RankExec<'_> {
     /// Run this rank's frame: read, render, composite and gather in
     /// order, stopping at the first stage that crashes the rank.
     /// `after_read` runs once the read has handed off — `run_world`
-    /// launches the next frame's prefetch from it.
-    async fn run(mut self, after_read: impl FnOnce(&Self)) -> RankOut {
+    /// launches the next frame's prefetch from it. Borrows the rank: a
+    /// future that took it by value would lay its state out twice.
+    async fn run(&mut self, after_read: impl FnOnce(&Self)) -> RankOut {
         self.sw = Stopwatch::start();
         self.t0 = Instant::now();
         self.comm.span_begin("frame");
         let stages = async {
             self.stage_read().await?;
-            after_read(&self);
+            after_read(self);
             self.stage_render().await?;
             self.stage_composite().await?;
             self.stage_gather().await
         };
         if stages.await.is_break() {
-            self.out.counters.crashed_ranks += 1;
-            return self.out;
+            self.healing().counters.crashed_ranks += 1;
+        } else {
+            self.comm.span_end("frame");
+            self.out.timing.wall = self.t0.elapsed().as_secs_f64();
         }
-        self.comm.span_end("frame");
-        self.out.timing.wall = self.t0.elapsed().as_secs_f64();
-        self.out
+        std::mem::take(&mut self.out)
     }
 }
 
@@ -1639,7 +1705,9 @@ pub(crate) fn assemble_frame(
         .map(|r| [r.timing.io, r.timing.render, r.timing.composite])
         .collect();
     for (rank, r) in results.iter().enumerate() {
-        crate::slo::counter_incidents(rank, &r.counters, &mut incidents);
+        if let Some(rec) = &r.recovery {
+            crate::slo::counter_incidents(rank, &rec.counters, &mut incidents);
+        }
     }
     let mut render = RenderStats::default();
     for r in &results {
@@ -1657,18 +1725,26 @@ pub(crate) fn assemble_frame(
     let mut failover_bytes = 0u64;
     let mut unrecovered_bytes = 0u64;
     let mut error_bound = 0.0f64;
-    for r in &results {
-        recovery.merge(&r.counters);
-        failover_bytes += r.io_failover_bytes;
-        unrecovered_bytes += r.io_unrecovered_bytes;
-        error_bound += r.timing.error_bound;
+    for rec in results.iter().filter_map(|r| r.recovery.as_deref()) {
+        recovery.merge(&rec.counters);
+        failover_bytes += rec.io_failover_bytes;
+        unrecovered_bytes += rec.io_unrecovered_bytes;
+        error_bound += rec.error_bound;
     }
     let root = results.remove(0);
-    let mut timing = root.timing;
-    timing.recovery = recovery;
-    // Coarse-rung heals may double-count overlapping footprints; the
-    // bound stays a bound when clamped to the whole image.
-    timing.error_bound = error_bound.min(1.0);
+    let t = root.timing;
+    let mut timing = FrameTiming {
+        io: t.io,
+        render: t.render,
+        composite: t.composite,
+        starts: t.starts,
+        wall: t.wall,
+        recovery,
+        // Coarse-rung heals may double-count overlapping footprints;
+        // the bound stays a bound when clamped to the whole image.
+        error_bound: error_bound.min(1.0),
+        slo: None,
+    };
     let stage_secs = [timing.io, timing.render, timing.composite];
     let mut slo = crate::slo::evaluate(&SloInput {
         budgets: budgets_for(cfg, &stage_secs, &per_rank, &incidents, || shared.budgets()),
@@ -1782,7 +1858,7 @@ pub(crate) fn run_world<P: AsRef<Path> + Sync>(
                 .take()
                 .and_then(|pf| pf.join().ok())
                 .map(|(bufs, io_secs)| PrefetchedWindows { bufs, io_secs });
-            let exec = RankExec::new(
+            let mut exec = RankExec::new(
                 &mut comm,
                 cfg,
                 paths[t].as_ref(),

@@ -32,7 +32,9 @@
 //! arming a timer, and [`OutBox::pending`] stays 0; [`InBox::accept`]
 //! hands the received bytes back untouched — no ack is sent and no
 //! `(src, msg_id)` is remembered. The choice is made once, in the
-//! constructor; callers run one code path over either kind of link.
+//! constructor: a pass-through half is one empty word, its acked state
+//! (retry queue, dedup set, counters) never allocated, and callers run
+//! one code path over either kind of link.
 
 use std::collections::HashSet;
 use std::time::Duration;
@@ -126,13 +128,33 @@ struct Pending {
 /// Sender half: frames payloads, retransmits unacked frames with
 /// exponential backoff, gives up after `max_retries`.
 pub struct OutBox {
-    /// `None` makes this a pass-through sender (module docs).
-    policy: Option<LinkPolicy>,
+    /// `None` makes this a pass-through sender (module docs), one word:
+    /// a fault-free frame holds several links per rank at once.
+    acked: Option<Box<AckedOut>>,
+}
+
+/// What an acked sender keeps.
+struct AckedOut {
+    policy: LinkPolicy,
     /// Tag acks for this outbox arrive on.
     ack_tag: u32,
     next_id: u64,
     outstanding: Vec<Pending>,
-    pub counters: RecoveryCounters,
+    counters: RecoveryCounters,
+}
+
+impl AckedOut {
+    /// Take the ack `frame` from `src` (a malformed one is counted).
+    fn take_ack(&mut self, src: usize, frame: &[u8]) {
+        let Some((kind, msg_id, _, _)) = decode_frame(frame) else {
+            self.counters.corrupt_dropped += 1;
+            return;
+        };
+        if kind == KIND_ACK {
+            self.outstanding
+                .retain(|p| !(p.msg_id == msg_id && p.to == src));
+        }
+    }
 }
 
 impl OutBox {
@@ -142,75 +164,80 @@ impl OutBox {
     /// Without a `policy` the sender is a pass-through.
     pub fn new(rank: usize, ack_tag: u32, policy: Option<LinkPolicy>) -> Self {
         OutBox {
-            policy,
-            ack_tag,
-            next_id: (rank as u64) << 40,
-            outstanding: Vec::new(),
-            counters: RecoveryCounters::default(),
+            acked: policy.map(|policy| {
+                Box::new(AckedOut {
+                    policy,
+                    ack_tag,
+                    next_id: (rank as u64) << 40,
+                    outstanding: Vec::new(),
+                    counters: RecoveryCounters::default(),
+                })
+            }),
         }
+    }
+
+    /// What this sender's retransmissions cost; all zero on a
+    /// pass-through link.
+    pub fn counters(&self) -> RecoveryCounters {
+        self.acked
+            .as_ref()
+            .map_or_else(Default::default, |a| a.counters)
     }
 
     /// Frame and send `body` to `to` on `tag`, keeping it for
     /// retransmission until acked.
     pub async fn send(&mut self, comm: &Comm, to: usize, tag: u32, body: Vec<u8>) {
-        let Some(policy) = self.policy else {
+        let Some(a) = self.acked.as_deref_mut() else {
             return comm.send(to, tag, body).await;
         };
-        let msg_id = self.next_id;
-        self.next_id += 1;
+        let msg_id = a.next_id;
+        a.next_id += 1;
         comm.send(to, tag, encode_frame(KIND_DATA, msg_id, 0, &body))
             .await;
-        self.outstanding.push(Pending {
+        a.outstanding.push(Pending {
             to,
             tag,
             msg_id,
             attempt: 0,
             body,
-            wait: policy.ack_timeout,
-            next_retry: comm.now() + policy.ack_timeout,
+            wait: a.policy.ack_timeout,
+            next_retry: comm.now() + a.policy.ack_timeout,
         });
     }
 
     /// Messages still awaiting an ack.
     pub fn pending(&self) -> usize {
-        self.outstanding.len()
+        self.acked.as_ref().map_or(0, |a| a.outstanding.len())
     }
 
     /// Drain arrived acks and retransmit overdue frames. Call this
     /// inside every receive loop so sends make progress while the rank
     /// is busy receiving.
     pub async fn poll(&mut self, comm: &mut Comm) {
-        let Some(policy) = self.policy else {
+        let Some(a) = self.acked.as_deref_mut() else {
             return;
         };
-        while let Some((src, frame)) = comm.try_recv_any(self.ack_tag) {
-            let Some((kind, msg_id, _, _)) = decode_frame(&frame) else {
-                self.counters.corrupt_dropped += 1;
-                continue;
-            };
-            if kind == KIND_ACK {
-                self.outstanding
-                    .retain(|p| !(p.msg_id == msg_id && p.to == src));
-            }
+        while let Some((src, frame)) = comm.try_recv_any(a.ack_tag) {
+            a.take_ack(src, &frame);
         }
         let now = comm.now();
         let mut i = 0;
-        while i < self.outstanding.len() {
-            if now < self.outstanding[i].next_retry {
+        while i < a.outstanding.len() {
+            if now < a.outstanding[i].next_retry {
                 i += 1;
                 continue;
             }
-            if self.outstanding[i].attempt >= policy.max_retries {
-                self.counters.timeouts += 1;
-                comm.mark_instant("link.timeout", self.outstanding[i].msg_id);
-                self.outstanding.swap_remove(i);
+            if a.outstanding[i].attempt >= a.policy.max_retries {
+                a.counters.timeouts += 1;
+                comm.mark_instant("link.timeout", a.outstanding[i].msg_id);
+                a.outstanding.swap_remove(i);
                 continue;
             }
-            let p = &mut self.outstanding[i];
+            let p = &mut a.outstanding[i];
             p.attempt += 1;
-            p.wait = Duration::from_secs_f64(p.wait.as_secs_f64() * policy.backoff.max(1.0));
+            p.wait = Duration::from_secs_f64(p.wait.as_secs_f64() * a.policy.backoff.max(1.0));
             p.next_retry = now + p.wait;
-            self.counters.retries += 1;
+            a.counters.retries += 1;
             comm.mark_instant("link.retransmit", p.msg_id);
             let frame = encode_frame(KIND_DATA, p.msg_id, p.attempt, &p.body);
             let (to, tag) = (p.to, p.tag);
@@ -224,35 +251,29 @@ impl OutBox {
     /// timeout. Returns the number of messages confirmed delivered is
     /// not knowable (acks can be lost), so callers read the counters.
     pub async fn drain(&mut self, comm: &mut Comm, deadline: Duration) {
-        let Some(policy) = self.policy else {
+        if self.acked.is_none() {
             return;
-        };
+        }
         loop {
             self.poll(comm).await;
-            if self.outstanding.is_empty() {
+            let a = self.acked.as_deref_mut().expect("an acked link");
+            if a.outstanding.is_empty() {
                 return;
             }
             let now = comm.now();
             if now >= deadline {
-                self.counters.timeouts += self.outstanding.len() as u64;
-                for p in &self.outstanding {
+                a.counters.timeouts += a.outstanding.len() as u64;
+                for p in &a.outstanding {
                     comm.mark_instant("link.timeout", p.msg_id);
                 }
-                self.outstanding.clear();
+                a.outstanding.clear();
                 return;
             }
             // Sleep-free wait: block on the ack tag itself so a late ack
             // wakes us immediately.
-            let step = policy.poll.min(deadline - now);
-            if let Some((src, frame)) = comm.recv_any_timeout(self.ack_tag, step).await {
-                if let Some((kind, msg_id, _, _)) = decode_frame(&frame) {
-                    if kind == KIND_ACK {
-                        self.outstanding
-                            .retain(|p| !(p.msg_id == msg_id && p.to == src));
-                    }
-                } else {
-                    self.counters.corrupt_dropped += 1;
-                }
+            let step = a.policy.poll.min(deadline - now);
+            if let Some((src, frame)) = comm.recv_any_timeout(a.ack_tag, step).await {
+                a.take_ack(src, &frame);
             }
         }
     }
@@ -260,20 +281,36 @@ impl OutBox {
 
 /// Receiver half: verifies, acks, and dedupes incoming frames.
 pub struct InBox {
-    /// Tag the acks go out on; `None` makes this a pass-through
-    /// receiver (module docs).
-    ack_tag: Option<u32>,
+    /// `None` makes this a pass-through receiver (module docs).
+    acked: Option<Box<AckedIn>>,
+}
+
+/// What an acked receiver keeps.
+struct AckedIn {
+    /// Tag the acks go out on.
+    ack_tag: u32,
     seen: HashSet<(usize, u64)>,
-    pub counters: RecoveryCounters,
+    counters: RecoveryCounters,
 }
 
 impl InBox {
     pub fn new(ack_tag: Option<u32>) -> Self {
         InBox {
-            ack_tag,
-            seen: HashSet::new(),
-            counters: RecoveryCounters::default(),
+            acked: ack_tag.map(|ack_tag| {
+                Box::new(AckedIn {
+                    ack_tag,
+                    seen: HashSet::new(),
+                    counters: RecoveryCounters::default(),
+                })
+            }),
         }
+    }
+
+    /// What this receiver dropped; all zero on a pass-through link.
+    pub fn counters(&self) -> RecoveryCounters {
+        self.acked
+            .as_ref()
+            .map_or_else(Default::default, |a| a.counters)
     }
 
     /// Process one raw frame received from `src`. Returns the body for
@@ -281,25 +318,25 @@ impl InBox {
     /// the sender must retransmit) and duplicates (acked again, since
     /// the previous ack may have been lost).
     pub async fn accept(&mut self, comm: &Comm, src: usize, mut frame: Vec<u8>) -> Option<Vec<u8>> {
-        let Some(ack_tag) = self.ack_tag else {
+        let Some(a) = self.acked.as_deref_mut() else {
             return Some(frame);
         };
         let Some((kind, msg_id, attempt, _)) = decode_frame(&frame) else {
-            self.counters.corrupt_dropped += 1;
+            a.counters.corrupt_dropped += 1;
             comm.mark_instant("link.corrupt", src as u64);
             return None;
         };
         if kind != KIND_DATA {
             return None;
         }
-        comm.send(src, ack_tag, encode_frame(KIND_ACK, msg_id, attempt, &[]))
+        comm.send(src, a.ack_tag, encode_frame(KIND_ACK, msg_id, attempt, &[]))
             .await;
-        if self.seen.insert((src, msg_id)) {
+        if a.seen.insert((src, msg_id)) {
             // The body, shifted down over the header in place.
             frame.drain(..HEADER_LEN);
             Some(frame)
         } else {
-            self.counters.duplicate_dropped += 1;
+            a.counters.duplicate_dropped += 1;
             None
         }
     }
@@ -395,9 +432,9 @@ mod tests {
                 }
                 let deadline = comm.now() + Duration::from_secs(5);
                 ob.drain(&mut comm, deadline).await;
-                assert_eq!(ob.counters.timeouts, 0, "all messages must get through");
-                assert!(ob.counters.retries >= 8, "each message needed 2 retries");
-                (ob.counters, Vec::new())
+                assert_eq!(ob.counters().timeouts, 0, "all messages must get through");
+                assert!(ob.counters().retries >= 8, "each message needed 2 retries");
+                (ob.counters(), Vec::new())
             } else {
                 let mut ib = InBox::new(Some(ACK));
                 let mut got = Vec::new();
@@ -416,7 +453,7 @@ mod tests {
                 while let Some((src, frame)) = comm.try_recv_any(DATA) {
                     ib.accept(&comm, src, frame).await;
                 }
-                (ib.counters, got)
+                (ib.counters(), got)
             }
         })
         .unwrap();
@@ -450,7 +487,7 @@ mod tests {
                 ob.send(&comm, 1, DATA, vec![42]).await;
                 let deadline = comm.now() + Duration::from_millis(400);
                 ob.drain(&mut comm, deadline).await;
-                ob.counters
+                ob.counters()
             } else {
                 let mut ib = InBox::new(Some(ACK));
                 let mut counters = RecoveryCounters::default();
@@ -459,7 +496,7 @@ mod tests {
                 {
                     ib.accept(&comm, src, frame).await;
                 }
-                counters.merge(&ib.counters);
+                counters.merge(&ib.counters());
                 counters
             }
         })
@@ -504,8 +541,8 @@ mod tests {
                 ob.send(&comm, 1, DATA, vec![7; 32]).await;
                 let deadline = comm.now() + Duration::from_secs(5);
                 ob.drain(&mut comm, deadline).await;
-                assert_eq!(ob.counters.timeouts, 0);
-                (ob.counters, None)
+                assert_eq!(ob.counters().timeouts, 0);
+                (ob.counters(), None)
             } else {
                 let mut ib = InBox::new(Some(ACK));
                 let deadline = comm.now() + Duration::from_secs(5);
@@ -520,7 +557,7 @@ mod tests {
                 while let Some((src, frame)) = comm.try_recv_any(DATA) {
                     ib.accept(&comm, src, frame).await;
                 }
-                (ib.counters, body)
+                (ib.counters(), body)
             }
         })
         .unwrap();
@@ -568,12 +605,12 @@ mod tests {
                 // fire a timer.
                 ob.poll(&mut comm).await;
                 ob.drain(&mut comm, Duration::MAX).await;
-                assert_eq!(ob.counters, RecoveryCounters::default());
+                assert_eq!(ob.counters(), RecoveryCounters::default());
                 None
             } else {
                 let (src, frame) = comm.recv_any(DATA).await;
                 let body = ib.accept(&comm, src, frame).await;
-                assert_eq!(ib.counters, RecoveryCounters::default());
+                assert_eq!(ib.counters(), RecoveryCounters::default());
                 body
             }
         })
@@ -582,35 +619,5 @@ mod tests {
         assert_eq!(*tap.data.lock().unwrap(), vec![vec![9u8, 8, 7]]);
         assert_eq!(tap.acks.load(Ordering::Relaxed), 0, "no ack is ever sent");
         assert_eq!(out.sim.expect("event core").timer_fires, 0);
-    }
-}
-#[cfg(test)]
-mod sizes {
-    use super::*;
-    #[test]
-    fn print_sizes() {
-        fn sz<F: std::future::Future>(_: &F) -> usize {
-            std::mem::size_of::<F>()
-        }
-        let out = pvr_mpisim::World::run_opts(
-            1,
-            pvr_mpisim::RunOptions::default(),
-            |mut comm| async move {
-                let (mut ob, mut ib) = pair(0, 1, None);
-                let a = sz(&ib.accept(&comm, 0, Vec::new()));
-                let s = sz(&ob.send(&comm, 0, 1, Vec::new()));
-                let c = sz(&comm.send(0, 1, Vec::new()));
-                let r = sz(&comm.recv_any(1));
-                let rt = sz(&comm.recv_any_timeout(1, Duration::ZERO));
-                let p = sz(&ob.poll(&mut comm));
-                let d = sz(&ob.drain(&mut comm, Duration::ZERO));
-                (a, s, c, r, rt, p, d)
-            },
-        )
-        .unwrap();
-        eprintln!(
-            "accept, ob.send, comm.send, recv_any, recv_any_timeout, poll, drain = {:?}",
-            out.results[0]
-        );
     }
 }

@@ -41,9 +41,10 @@
 //! functions of the match function alone, so checking one
 //! representative per class checks the class.
 //!
-//! On a violation the offending schedule is returned (and can be
-//! persisted as JSON via [`Schedule`]) for deterministic replay through
-//! `MatchPolicy::Replay`/`Guided` — no re-exploration needed to debug.
+//! On a violation the offending schedule is returned as a `ReplayLog`
+//! (persisted as JSON by [`schedule::to_json`]) for deterministic
+//! replay through `MatchPolicy::Replay`/`Guided` — no re-exploration
+//! needed to debug.
 //!
 //! ## What this is not
 //!
@@ -63,8 +64,7 @@ use std::time::{Duration, Instant};
 use pvr_mpisim::trace::{clock_leq, Clock, ReplayLog, TraceEvent, TraceLog};
 use pvr_mpisim::{Comm, MatchPolicy, RunError, RunOptions, World};
 
-mod schedule;
-pub use schedule::Schedule;
+pub mod schedule;
 
 /// Exploration knobs.
 #[derive(Clone)]
@@ -163,7 +163,7 @@ impl std::fmt::Display for ViolationKind {
 pub struct Violation {
     pub kind: ViolationKind,
     /// Replay this to reproduce the failure deterministically.
-    pub schedule: Schedule,
+    pub schedule: ReplayLog,
     /// True when `schedule` covers every wildcard of the failing run
     /// (replayable via `MatchPolicy::Replay`); false when the run died
     /// before completing (deadlock/panic) — replay those via
@@ -178,7 +178,7 @@ impl std::fmt::Display for Violation {
             f,
             "{} [schedule: {}{}]",
             self.kind,
-            self.schedule.to_json(),
+            schedule::to_json(&self.schedule),
             if self.complete { "" } else { " (prefix)" }
         )
     }
@@ -413,9 +413,9 @@ where
             break;
         }
         stats.runs += 1;
-        let log = Arc::new(ReplayLog::from_choices(prefix.clone()));
+        let log = Arc::new(ReplayLog::from_choices(prefix));
         let run_opts = RunOptions::default()
-            .policy(MatchPolicy::Guided(log))
+            .policy(MatchPolicy::Guided(Arc::clone(&log)))
             .traced();
         let outcome = catch_unwind(AssertUnwindSafe(|| World::run_opts(n, run_opts, &program)));
         let out = match outcome {
@@ -427,7 +427,7 @@ where
                     .unwrap_or_else(|| "non-string panic".into());
                 violations.push(Violation {
                     kind: ViolationKind::Panic { message },
-                    schedule: Schedule::new(prefix),
+                    schedule: Arc::unwrap_or_clone(log),
                     complete: false,
                 });
                 if opts.stop_on_violation {
@@ -446,7 +446,7 @@ where
                 };
                 violations.push(Violation {
                     kind,
-                    schedule: Schedule::new(prefix),
+                    schedule: Arc::unwrap_or_clone(log),
                     complete: false,
                 });
                 if opts.stop_on_violation {
@@ -461,7 +461,7 @@ where
         let full = ReplayLog::from_trace(&trace).per_rank().to_vec();
         debug_assert!(
             full.iter()
-                .zip(&prefix)
+                .zip(log.per_rank())
                 .all(|(f, p)| f.len() >= p.len() && f[..p.len()] == p[..]),
             "guided run did not honour its forced prefix — does the \
              program use timed receives as choice points?"
@@ -492,7 +492,7 @@ where
                         .collect();
                     violations.push(Violation {
                         kind: ViolationKind::Divergence { ranks },
-                        schedule: Schedule::new(full.clone()),
+                        schedule: ReplayLog::from_choices(full.clone()),
                         complete: true,
                     });
                     if opts.stop_on_violation {
@@ -505,7 +505,7 @@ where
             if let Err(message) = check_conservation(&trace) {
                 violations.push(Violation {
                     kind: ViolationKind::Invariant { message },
-                    schedule: Schedule::new(full.clone()),
+                    schedule: ReplayLog::from_choices(full.clone()),
                     complete: true,
                 });
                 if opts.stop_on_violation {
@@ -712,8 +712,7 @@ mod tests {
             .expect("a divergence violation");
         assert!(v.complete, "a completed run yields a full schedule");
 
-        let schedule = Schedule::from_json(&v.schedule.to_json()).unwrap();
-        let log = Arc::new(schedule.to_replay());
+        let log = Arc::new(schedule::from_json(&schedule::to_json(&v.schedule)).unwrap());
         for policy in [
             MatchPolicy::Replay(Arc::clone(&log)),
             MatchPolicy::Guided(log),
@@ -753,7 +752,7 @@ mod tests {
             .find(|v| matches!(v.kind, ViolationKind::Deadlock { .. }))
             .expect("the src==2-first schedule must deadlock");
         // The prefix pins rank 0's first wildcard to source 2.
-        assert_eq!(v.schedule.prefix[0][0], 2);
+        assert_eq!(v.schedule.per_rank()[0][0], 2);
         assert!(!v.complete);
     }
 

@@ -158,6 +158,8 @@ where
     F: Fn(Comm) -> Fut,
     Fut: std::future::Future<Output = T>,
 {
+    // Ranks travel as `u32` in envelopes and sequence maps.
+    assert!(u32::try_from(n).is_ok(), "a world of {n} ranks");
     let timeout = opts.timeout;
     let deadlock_detection = opts.deadlock_detection;
     let opts = Arc::new(opts);
@@ -280,6 +282,7 @@ where
         timer_fires: c.timer_fires,
         virtual_time: Duration::from_nanos(c.now_ns),
         peak_resident: n,
+        task_bytes: std::mem::size_of::<Fut>(),
         wall: start.elapsed(),
     });
     Ok(RunOutput {

@@ -134,18 +134,25 @@ use std::time::Duration;
 use mailbox::PendingSet;
 use trace::{Clock, MarkKind, ReplayLog, TraceEvent, TraceLog};
 
-/// A tagged message envelope.
+/// A tagged message envelope: 48 bytes, a world's ranks fit in `u32`
+/// (`run_world` asserts it). A traced send's vector clock waits in
+/// [`State::send_clocks`] instead, so an untraced envelope carries no
+/// clock field at all.
 #[derive(Debug)]
 pub(crate) struct Envelope {
-    src: usize,
+    src: u32,
     tag: u32,
     /// Per-(src, dst, tag) sequence number, asserted on delivery.
     seq: u64,
     /// Global arrival stamp (order the runtime accepted the send).
     arrival: u64,
-    /// Sender's vector clock at the send (empty when untraced).
-    clock: Clock,
     data: Vec<u8>,
+}
+
+impl Envelope {
+    fn src(&self) -> usize {
+        self.src as usize
+    }
 }
 
 /// What a rank is doing, as seen by the deadlock detector.
@@ -377,6 +384,9 @@ pub struct SimStats {
     pub virtual_time: Duration,
     /// Peak resident rank tasks (all tasks are created up front).
     pub peak_resident: usize,
+    /// Bytes of one rank task: the boxed future each resident rank
+    /// holds for the whole run.
+    pub task_bytes: usize,
     /// Wall time of the whole run.
     pub wall: Duration,
 }
@@ -412,6 +422,9 @@ pub(crate) struct State {
     pub(crate) arrival: u64,
     pub(crate) done_count: usize,
     pub(crate) trace_sink: Option<Vec<TraceEvent>>,
+    /// The sender's vector clock of every traced message not yet
+    /// delivered, by arrival stamp. Empty in an untraced world.
+    pub(crate) send_clocks: HashMap<u64, Clock>,
 }
 
 impl State {
@@ -427,6 +440,7 @@ impl State {
             arrival: 0,
             done_count: 0,
             trace_sink: if trace { Some(Vec::new()) } else { None },
+            send_clocks: HashMap::new(),
         }
     }
 
@@ -481,10 +495,13 @@ struct RankLocal {
     trace: Vec<TraceEvent>,
 }
 
-/// Sequence counters per `(peer, tag)`. A rank sends and receives
-/// every message through one of these, so a lookup is a
-/// multiply-rotate hash ([`SeqHasher`]), not a SipHash or a tree walk;
-/// nothing iterates them, so their order is never observed.
+/// Sequence counters per `(peer, tag)`: 12-byte entries, a `u32` peer
+/// and tag and the stream's next `u32` sequence number (a stream of
+/// 2^32 messages panics; the 32K-rank frame sends 360 804 messages in
+/// all). A rank sends and receives every message through one of these,
+/// so a lookup is a multiply-rotate hash ([`SeqHasher`]), not a SipHash
+/// or a tree walk; nothing iterates them, so their order is never
+/// observed.
 ///
 /// Measured keys per rank (send / expect map, median and max): 9 and
 /// 522 / 10 and 1 033 on the 2048-rank ledger frame, 6 and 2 061 / 4
@@ -493,9 +510,18 @@ struct RankLocal {
 /// 2.7–6.5 ms longer with std's SipHash (2–5 % of the frame, 2-vCPU
 /// x86-64 VM), and 10 alternating ledger pairs put its `frame_s` 9.8 %
 /// higher in the median, inside the runs' spread.
-type SeqMap = HashMap<(usize, u32), u64, BuildHasherDefault<SeqHasher>>;
+type SeqMap = HashMap<(u32, u32), u32, BuildHasherDefault<SeqHasher>>;
 
-/// The hash of [`SeqMap`]'s integer keys: each word is rotated in and
+/// The next number of a sequence counter, which moves one past it.
+fn next_seq(counter: &mut u32) -> u64 {
+    let seq = *counter;
+    *counter = seq
+        .checked_add(1)
+        .expect("fewer than 2^32 messages a stream");
+    seq.into()
+}
+
+/// The hash of [`SeqMap`]'s keys: each `u32` is rotated in and
 /// multiplied by an odd constant.
 #[derive(Default)]
 struct SeqHasher(u64);
@@ -513,10 +539,6 @@ impl Hasher for SeqHasher {
 
     fn write_u32(&mut self, n: u32) {
         self.add(n.into());
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
     }
 
     fn finish(&self) -> u64 {
@@ -591,7 +613,12 @@ impl Comm {
                 // send leaves the delivered stream's numbering intact.
                 let would_be_seq = {
                     let local = self.local.borrow();
-                    local.send_seq.get(&(to, tag)).copied().unwrap_or(0)
+                    local
+                        .send_seq
+                        .get(&(to as u32, tag))
+                        .copied()
+                        .unwrap_or(0)
+                        .into()
                 };
                 let fate = inj.on_send(self.rank, to, tag, would_be_seq, &mut data);
                 let kind = match fate {
@@ -624,10 +651,8 @@ impl Comm {
         let (seq, clock) = {
             let mut local = self.local.borrow_mut();
             let me = self.rank;
-            let seq_ref = local.send_seq.entry((to, tag)).or_insert(0);
-            let seq = *seq_ref;
-            *seq_ref += 1;
-            let clock = if self.opts.trace {
+            let seq = next_seq(local.send_seq.entry((to as u32, tag)).or_insert(0));
+            let clock = self.opts.trace.then(|| {
                 local.clock[me] += 1;
                 let clock = local.clock.clone();
                 local.trace.push(TraceEvent::Send {
@@ -639,21 +664,21 @@ impl Comm {
                     clock: clock.clone(),
                 });
                 clock
-            } else {
-                Clock::new()
-            };
+            });
             (seq, clock)
         };
         let mut c = self.core.borrow_mut();
         c.count_message();
         c.st.arrival += 1;
         let arrival = c.st.arrival;
+        if let Some(clock) = clock {
+            c.st.send_clocks.insert(arrival, clock);
+        }
         c.st.mailboxes[to].push(Envelope {
-            src: self.rank,
+            src: self.rank as u32,
             tag,
             seq,
             arrival,
-            clock,
             data,
         });
         c.wake(to);
@@ -712,7 +737,7 @@ impl Comm {
         // the same receives on every run.
         self.local.borrow_mut().wildcards = widx + 1;
         self.report_choice(widx, tag, &env, forced.is_some());
-        let src = env.src;
+        let src = env.src();
         let data = self.deliver(env, Some(widx));
         (src, data)
     }
@@ -728,7 +753,7 @@ impl Comm {
             let core = self.core.borrow();
             core.st.mailboxes[self.rank].sources(tag).collect()
         };
-        candidates.push(env.src);
+        candidates.push(env.src());
         candidates.sort_unstable();
         candidates.dedup();
         hook(&ChoicePoint {
@@ -736,7 +761,7 @@ impl Comm {
             index: widx,
             tag,
             candidates,
-            chosen: env.src,
+            chosen: env.src(),
             forced,
         });
     }
@@ -766,7 +791,7 @@ impl Comm {
         let widx = self.local.borrow().wildcards;
         self.local.borrow_mut().wildcards = widx + 1;
         self.report_choice(widx, tag, &env, false);
-        let src = env.src;
+        let src = env.src();
         let data = self.deliver(env, Some(widx));
         Some((src, data))
     }
@@ -780,7 +805,7 @@ impl Comm {
         let widx = self.local.borrow().wildcards;
         self.local.borrow_mut().wildcards = widx + 1;
         self.report_choice(widx, tag, &env, false);
-        let src = env.src;
+        let src = env.src();
         let data = self.deliver(env, Some(widx));
         Some((src, data))
     }
@@ -857,7 +882,7 @@ impl Comm {
                     MatchPolicy::MinSource | MatchPolicy::Replay(_) | MatchPolicy::Guided(_) => {
                         pending.first_src(tag)?
                     }
-                    MatchPolicy::Arrival => pending.fronts(tag).min_by_key(|e| e.arrival)?.src,
+                    MatchPolicy::Arrival => pending.fronts(tag).min_by_key(|e| e.arrival)?.src(),
                     MatchPolicy::Perturb(seed) => {
                         let candidates: Vec<usize> = pending.sources(tag).collect();
                         if candidates.is_empty() {
@@ -883,24 +908,30 @@ impl Comm {
         let mut local = self.local.borrow_mut();
         let expect = local.expect_seq.entry((env.src, env.tag)).or_insert(0);
         assert_eq!(
-            env.seq, *expect,
+            env.seq,
+            u64::from(*expect),
             "non-overtaking violated: rank {me} matched seq {} from (src {}, tag {}) \
              but expected seq {expect}",
-            env.seq, env.src, env.tag
+            env.seq,
+            env.src,
+            env.tag
         );
-        *expect += 1;
+        next_seq(expect);
         if self.opts.trace {
-            join_clock(&mut local.clock, &env.clock);
+            let send_clock = (self.core.borrow_mut().st.send_clocks)
+                .remove(&env.arrival)
+                .expect("a traced send files its clock");
+            join_clock(&mut local.clock, &send_clock);
             local.clock[me] += 1;
             let recv_clock = local.clock.clone();
             local.trace.push(TraceEvent::Recv {
                 rank: me,
-                src: env.src,
+                src: env.src(),
                 tag: env.tag,
                 seq: env.seq,
                 bytes: env.data.len() as u64,
                 wildcard,
-                send_clock: env.clock,
+                send_clock,
                 recv_clock,
             });
         }

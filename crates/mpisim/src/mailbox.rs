@@ -5,7 +5,10 @@
 //! receive matches out of it. Envelopes live in a slab whose vacant
 //! slots are chained and reused, so a message is moved once on the way
 //! in and once on the way out, and a mailbox allocates only when it
-//! grows past its high-water mark. The ordered index holds one small
+//! grows past its high-water mark. A slot is 56 bytes: the 48-byte
+//! envelope (`u32` source and tag, sequence number, arrival stamp,
+//! payload; a traced send's clock waits beside the world, not in the
+//! slot) and the next slot's index. The ordered index holds one small
 //! entry per `(tag, src)` stream with something pending — the stream's
 //! first and last slot, its messages linked through the slots in send
 //! order (non-overtaking order). The first stream of a tag is the
@@ -41,7 +44,7 @@ pub(crate) struct PendingSet {
     /// First vacant slot.
     vacant: u32,
     /// The streams with a message pending, ordered by `(tag, src)`.
-    streams: BTreeMap<(u32, usize), Fifo>,
+    streams: BTreeMap<(u32, u32), Fifo>,
 }
 
 impl Default for PendingSet {
@@ -84,7 +87,7 @@ impl PendingSet {
 
     /// The oldest pending message from `src` with `tag`.
     pub(crate) fn pop(&mut self, src: usize, tag: u32) -> Option<Envelope> {
-        let Entry::Occupied(mut e) = self.streams.entry((tag, src)) else {
+        let Entry::Occupied(mut e) = self.streams.entry((tag, src as u32)) else {
             return None;
         };
         let fifo = *e.get();
@@ -102,8 +105,8 @@ impl PendingSet {
 
     /// The streams of `tag`, ascending by source.
     fn streams_of(&self, tag: u32) -> impl Iterator<Item = (usize, Fifo)> + '_ {
-        let range = self.streams.range((tag, 0)..=(tag, usize::MAX));
-        range.map(|(&(_, src), &fifo)| (src, fifo))
+        let range = self.streams.range((tag, 0)..=(tag, u32::MAX));
+        range.map(|(&(_, src), &fifo)| (src as usize, fifo))
     }
 
     /// Lowest source with a pending message of `tag`.
@@ -113,7 +116,7 @@ impl PendingSet {
 
     /// Whether a message from `src` with `tag` is pending.
     pub(crate) fn has(&self, src: usize, tag: u32) -> bool {
-        self.streams.contains_key(&(tag, src))
+        self.streams.contains_key(&(tag, src as u32))
     }
 
     /// The oldest pending message of each source of `tag`, ascending by

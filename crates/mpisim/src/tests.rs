@@ -920,9 +920,9 @@ mod mailbox {
 
     impl OraclePendingSet {
         fn push(&mut self, env: Envelope) {
-            let q = self.map.entry((env.src, env.tag)).or_default();
+            let q = self.map.entry((env.src(), env.tag)).or_default();
             if q.is_empty() {
-                self.index.insert((env.tag, env.src));
+                self.index.insert((env.tag, env.src()));
             }
             q.push_back(env);
         }
@@ -948,11 +948,10 @@ mod mailbox {
 
     fn envelope(src: usize, tag: u32, seq: u64, arrival: u64) -> Envelope {
         Envelope {
-            src,
+            src: src as u32,
             tag,
             seq,
             arrival,
-            clock: Clock::new(),
             data: vec![src as u8, tag as u8, seq as u8],
         }
     }

@@ -40,5 +40,5 @@ pub use prefetch::{read_extents, IoThrottle, Prefetch};
 pub use server::{StoreReport, StripedStore};
 pub use twophase::{
     two_phase_execute, two_phase_plan, two_phase_write, CollectiveHints, IoPlan, Piece,
-    RankRequest, ScatterPlan,
+    RankRequest, ScatterPlan, ScatterRun,
 };

@@ -254,24 +254,46 @@ impl Piece {
     }
 }
 
-/// `(file_offset, len_bytes, rank, buffer_byte)` of one placed run.
-type Run = (u64, usize, usize, usize);
+/// One placed run as the scatter plan keeps it: 24 bytes, where a
+/// `(u64, usize, usize, usize)` tuple took 32.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ScatterRun {
+    pub file_offset: u64,
+    /// Byte offset of the run in its rank's output buffer.
+    pub out_byte: usize,
+    /// Elements of the run (fewer than 2^32: `sorted_runs` checks).
+    pub elems: u32,
+    /// The rank whose output the run fills.
+    pub rank: u32,
+}
+
+impl ScatterRun {
+    /// Bytes of the run.
+    pub fn bytes(&self) -> u64 {
+        u64::from(self.elems) * ELEM_SIZE
+    }
+
+    /// The file byte one past the run.
+    fn end(&self) -> u64 {
+        self.file_offset + self.bytes()
+    }
+}
 
 /// Bits of the file offset one pass of [`radix_sort_by_offset`] sorts.
 const DIGIT_BITS: u32 = 11;
 
-/// `(file_offset, len_bytes, rank, buffer_byte)` of every placed run of
-/// every request, sorted by `(file_offset, rank)`.
-fn sorted_runs(requests: &[RankRequest]) -> Vec<Run> {
+/// Every placed run of every request, sorted by `(file_offset, rank)`.
+fn sorted_runs(requests: &[RankRequest]) -> Vec<ScatterRun> {
     let mut runs = Vec::with_capacity(requests.iter().map(|rq| rq.runs.len()).sum());
     for (rank, rq) in requests.iter().enumerate() {
+        let rank = u32::try_from(rank).expect("fewer than 2^32 ranks");
         for r in &rq.runs {
-            runs.push((
-                r.file_offset,
-                r.elems * ELEM_SIZE as usize,
+            runs.push(ScatterRun {
+                file_offset: r.file_offset,
+                out_byte: r.out_start * ELEM_SIZE as usize,
+                elems: u32::try_from(r.elems).expect("a run of fewer than 2^32 elements"),
                 rank,
-                r.out_start * ELEM_SIZE as usize,
-            ));
+            });
         }
     }
     radix_sort_by_offset(&mut runs);
@@ -285,14 +307,14 @@ fn sorted_runs(requests: &[RankRequest]) -> Vec<Run> {
 /// order: the order is `(file_offset, rank)`, with no comparison. A
 /// pass whose digit is the same for every run would move nothing and is
 /// skipped.
-fn radix_sort_by_offset(runs: &mut Vec<Run>) {
+fn radix_sort_by_offset(runs: &mut Vec<ScatterRun>) {
     const MASK: u64 = (1 << DIGIT_BITS) - 1;
-    let max = runs.iter().map(|t| t.0).max().unwrap_or(0);
+    let max = runs.iter().map(|t| t.file_offset).max().unwrap_or(0);
     let passes = (u64::BITS - max.leading_zeros()).div_ceil(DIGIT_BITS);
-    let mut scratch = vec![(0, 0, 0, 0); runs.len()];
+    let mut scratch = vec![ScatterRun::default(); runs.len()];
     let mut slot = vec![0usize; 1 << DIGIT_BITS];
     for pass in 0..passes {
-        let digit = |t: &Run| ((t.0 >> (pass * DIGIT_BITS)) & MASK) as usize;
+        let digit = |t: &ScatterRun| ((t.file_offset >> (pass * DIGIT_BITS)) & MASK) as usize;
         slot.fill(0);
         for t in runs.iter() {
             slot[digit(t)] += 1;
@@ -315,8 +337,8 @@ fn radix_sort_by_offset(runs: &mut Vec<Run>) {
 
 /// The coalesced aggregate request of `runs` (sorted by file offset),
 /// without sorting them a second time.
-fn aggregate_of(runs: &[Run]) -> Vec<Extent> {
-    let mut aggregate = Vec::from_iter(runs.iter().map(|t| Extent::new(t.0, t.1 as u64)));
+fn aggregate_of(runs: &[ScatterRun]) -> Vec<Extent> {
+    let mut aggregate = Vec::from_iter(runs.iter().map(|t| Extent::new(t.file_offset, t.bytes())));
     merge_sorted(&mut aggregate);
     aggregate
 }
@@ -337,9 +359,9 @@ fn aggregate_of(runs: &[Run]) -> Vec<Extent> {
 #[derive(Debug, Clone)]
 pub struct ScatterPlan {
     pub plan: IoPlan,
-    /// `(file_offset, len_bytes, rank, out_byte)` of every placed run,
-    /// sorted by `(file_offset, rank)`.
-    pub runs: Vec<(u64, usize, usize, usize)>,
+    /// Every placed run, sorted by `(file_offset, rank)`: the read plan
+    /// of a message-passing frame, held once.
+    pub runs: Vec<ScatterRun>,
     /// Exchange-phase pieces each rank will receive.
     pub piece_counts: Vec<usize>,
     /// Bytes of those pieces, per rank.
@@ -369,7 +391,7 @@ impl ScatterPlan {
         let mut piece_bytes = vec![0u64; nranks];
         let sp = ScatterPlan {
             plan,
-            longest_run: runs.iter().map(|t| t.1 as u64).max().unwrap_or(0),
+            longest_run: runs.iter().map(ScatterRun::bytes).max().unwrap_or(0),
             runs,
             piece_counts: Vec::new(),
             piece_bytes: Vec::new(),
@@ -403,19 +425,20 @@ impl ScatterPlan {
     pub fn pieces_in(&self, w: Extent) -> impl Iterator<Item = Piece> + '_ {
         let start = self
             .runs
-            .partition_point(move |t| t.0 + self.longest_run <= w.offset);
+            .partition_point(move |t| t.file_offset + self.longest_run <= w.offset);
         self.runs[start..]
             .iter()
-            .take_while(move |t| t.0 < w.end())
-            .filter_map(move |&(off, len, rank, out_byte)| {
+            .take_while(move |t| t.file_offset < w.end())
+            .filter_map(move |t| {
+                let off = t.file_offset;
                 let lo = off.max(w.offset);
-                let hi = (off + len as u64).min(w.end());
+                let hi = t.end().min(w.end());
                 if lo >= hi {
                     return None;
                 }
                 Some(Piece {
-                    rank,
-                    out_byte: out_byte + (lo - off) as usize,
+                    rank: t.rank as usize,
+                    out_byte: t.out_byte + (lo - off) as usize,
                     src_lo: (lo - w.offset) as usize,
                     src_hi: (hi - w.offset) as usize,
                     file_lo: lo,
@@ -1428,11 +1451,16 @@ mod proptests {
     }
 
     /// Every placed run, rank by rank, in placed-run order.
-    fn unsorted_runs(requests: &[RankRequest]) -> Vec<Run> {
-        let mut runs: Vec<Run> = Vec::new();
+    fn unsorted_runs(requests: &[RankRequest]) -> Vec<ScatterRun> {
+        let mut runs: Vec<ScatterRun> = Vec::new();
         for (rank, rq) in requests.iter().enumerate() {
             for r in &rq.runs {
-                runs.push((r.file_offset, r.elems * 4, rank, r.out_start * 4));
+                runs.push(ScatterRun {
+                    file_offset: r.file_offset,
+                    out_byte: r.out_start * 4,
+                    elems: r.elems as u32,
+                    rank: rank as u32,
+                });
             }
         }
         runs
@@ -1440,21 +1468,22 @@ mod proptests {
 
     /// `sorted_runs` before it stopped comparing: an unstable sort by
     /// file offset alone — the oracle of the plan's pieces.
-    fn unstable_sorted_runs(requests: &[RankRequest]) -> Vec<Run> {
+    fn unstable_sorted_runs(requests: &[RankRequest]) -> Vec<ScatterRun> {
         let mut runs = unsorted_runs(requests);
-        runs.sort_unstable_by_key(|t| t.0);
+        runs.sort_unstable_by_key(|t| t.file_offset);
         runs
     }
 
     /// Every window∩run overlap of `runs` in run order, by a scan of all
     /// of them: the fan-out with no search to get wrong.
-    fn scanned_pieces(runs: &[Run], w: Extent) -> Vec<Piece> {
+    fn scanned_pieces(runs: &[ScatterRun], w: Extent) -> Vec<Piece> {
         runs.iter()
-            .filter_map(|&(off, len, rank, out_byte)| {
-                let (lo, hi) = (off.max(w.offset), (off + len as u64).min(w.end()));
+            .filter_map(|t| {
+                let off = t.file_offset;
+                let (lo, hi) = (off.max(w.offset), t.end().min(w.end()));
                 (lo < hi).then(|| Piece {
-                    rank,
-                    out_byte: out_byte + (lo - off) as usize,
+                    rank: t.rank as usize,
+                    out_byte: t.out_byte + (lo - off) as usize,
                     src_lo: (lo - w.offset) as usize,
                     src_hi: (hi - w.offset) as usize,
                     file_lo: lo,
@@ -1569,7 +1598,7 @@ mod proptests {
             // ties within a rank keep placed-run order.
             let sp = ScatterPlan::build(&requests, naggr, &hints);
             let mut by_key = unsorted_runs(&requests);
-            by_key.sort_by_key(|t| (t.0, t.2));
+            by_key.sort_by_key(|t| (t.file_offset, t.rank));
             prop_assert_eq!(&sp.runs, &by_key);
 
             // Pieces, and the messages grouping them, are what the

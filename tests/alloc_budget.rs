@@ -3,7 +3,9 @@
 //! a per-rank or per-rank² surcharge (the untraced barrier once cloned an
 //! `n`-word clock per rank; the mailbox once paid a deque, a hash insert
 //! and a tree insert per message; a fragment once cost a cropped copy and
-//! a span tree on top of its body).
+//! a span tree on top of its body). And what it holds at once, per rank:
+//! how many ranks one host can execute is set by what each simulated
+//! rank keeps resident.
 //!
 //! One test: the frames run one after another on the test's thread,
 //! which is the thread the counting allocator reads.
@@ -31,22 +33,33 @@ fn a_frame_allocates_in_proportion_to_its_messages() {
     });
     // The ledger's own world size joins in optimized builds (slow in
     // debug, and `sim_scale` runs it there anyway).
-    let sizes: &[usize] = if cfg!(debug_assertions) {
-        &[256, 1024]
+    // `(n, bound on the live peak per rank in bytes)`. Measured: 25 146,
+    // 12 207 and 9 334 B; 35 895, 20 581 and 16 493 B while every rank
+    // held its state three times in a 5 768 B task, fault-only state in
+    // every link, and its own copy of the read plan. The bounds are the
+    // measurements plus 10 %.
+    let sizes: &[(usize, u64)] = if cfg!(debug_assertions) {
+        &[(256, 27_700), (1024, 13_500)]
     } else {
-        &[256, 1024, 2048]
+        &[(256, 27_700), (1024, 13_500), (2048, 10_300)]
     };
-    for &n in sizes {
+    for &(n, live_per_rank) in sizes {
         let cfg = cfg_at(n);
         let planned = planned_messages(&cfg) as u64;
         let opts = RunOptions::default().with_timeout(None);
-        let (out, allocations, bytes) = alloc::counting(|| run_frame_mpi_sim(&cfg, &path, opts));
+        let ((out, allocations, bytes), peak) =
+            alloc::peak_live(|| alloc::counting(|| run_frame_mpi_sim(&cfg, &path, opts)));
         let (_, sim) = out.unwrap_or_else(|e| panic!("n={n} frame failed: {e}"));
-        assert_eq!(sim.expect("event backend").messages, planned);
+        let sim = sim.expect("event backend");
+        assert_eq!(sim.messages, planned);
         println!(
-            "n={n}: {planned} messages, {allocations} allocations ({:.2} a message), {:.1} MB",
+            "n={n}: {planned} messages, {allocations} allocations ({:.2} a message), {:.1} MB; \
+             live peak {:.1} MB ({} B a rank), rank task {} B",
             allocations as f64 / planned as f64,
-            bytes as f64 / 1e6
+            bytes as f64 / 1e6,
+            peak as f64 / 1e6,
+            peak / n as u64,
+            sim.task_bytes
         );
         // Measured: 2.02 a message at n = 256, 1.97 at 1024, 2.00 at
         // 2048 (78 765 allocations, 84 MB) — a body and change, now that
@@ -56,6 +69,18 @@ fn a_frame_allocates_in_proportion_to_its_messages() {
         assert!(
             allocations as f64 <= 2.52 * planned as f64,
             "n={n}: {allocations} allocations for {planned} messages"
+        );
+        assert!(
+            peak <= live_per_rank * n as u64,
+            "n={n}: {peak} bytes live at the peak, {} a rank",
+            peak / n as u64
+        );
+        // The rank task, measured: 2 088 B (5 768 B while it held the
+        // rank's state three times).
+        assert!(
+            sim.task_bytes <= 2_560,
+            "n={n}: a {} B rank task",
+            sim.task_bytes
         );
     }
 }

@@ -171,6 +171,38 @@ fn decoded_volumes_are_bit_identical_at_every_thread_count() {
     assert!(unaligned, "no file domain boundary splits an element");
 }
 
+/// A recycled voxel buffer goes to the next read unfilled, so the read
+/// must write every element: over every collective layout, buffers full
+/// of NaN decode bit-identically to zeroed ones.
+#[test]
+fn a_recycled_buffer_full_of_nan_decodes_bit_identically() {
+    let grid = [72usize, 64, 56];
+    for mode in IoMode::ALL {
+        let layout = mode.layout(grid);
+        if !layout.collective() {
+            continue;
+        }
+        let var = if mode == IoMode::Raw { 0 } else { 3 };
+        let path = dataset(layout.as_ref(), &format!("grid.{}", mode.name()));
+        let requests = requests(layout.as_ref(), grid, 12, var);
+        let hints = mode.hints(grid);
+        let decode = |fill: f32| {
+            let mut out: Vec<Vec<f32>> =
+                requests.iter().map(|rq| vec![fill; rq.out_elems]).collect();
+            let mut f = std::fs::File::open(&path).unwrap();
+            let (naggr, endian, tracer) = (5, layout.endian(), Tracer::disabled());
+            two_phase_decode(&mut f, &requests, naggr, &hints, endian, &mut out, &tracer).unwrap();
+            out
+        };
+        assert_eq!(
+            bits(&decode(f32::NAN)),
+            bits(&decode(0.0)),
+            "{}",
+            mode.name()
+        );
+    }
+}
+
 /// The ledger's `io-record` frame: 128³, five interleaved record
 /// variables, default hints, 8 ranks reading variable 2.
 fn io_record() -> (FrameConfig, PathBuf) {

@@ -10,12 +10,14 @@
 //! frame and scheduler invariants at every size.
 //!
 //! The n = 4096 test is the CI gate; in optimized builds it also bounds
-//! how what a frame allocates grows with the world. The full
+//! how what a frame allocates, and what it holds at once, grow with the
+//! world. The full
 //! 32,768-rank frame (the paper's largest configuration) runs the same
 //! checks but takes minutes in debug builds, so it is `#[ignore]`d; run
 //! it with `cargo test --release --test sim_scale -- --ignored
-//! --nocapture` — it prints its wall time, messages, allocations and
-//! bytes, and holds the wall to a stated budget in a release build.
+//! --nocapture` — it prints its wall time, the bytes it held live at its
+//! peak, its messages, allocations and bytes allocated, and holds the
+//! wall to a stated budget in a release build.
 
 #[path = "support/alloc.rs"]
 mod alloc;
@@ -45,10 +47,12 @@ fn dataset() -> PathBuf {
 }
 
 /// What one frame asked of the allocator (the event core runs every
-/// rank on the calling thread, which is the one counted).
+/// rank on the calling thread, which is the one counted): calls, bytes,
+/// and the most bytes live at once.
 struct Allocated {
     calls: u64,
     bytes: u64,
+    peak_live: u64,
 }
 
 fn counted_frame_at(n: usize) -> (FrameResult, SimStats, Allocated) {
@@ -57,10 +61,16 @@ fn counted_frame_at(n: usize) -> (FrameResult, SimStats, Allocated) {
     // Large worlds legitimately exceed the default 120 s watchdog in
     // debug builds; the harness timeout is the backstop here.
     let opts = RunOptions::default().with_timeout(None);
-    let (out, calls, bytes) = alloc::counting(|| run_frame_mpi_sim(&cfg, &path, opts));
+    let ((out, calls, bytes), peak_live) =
+        alloc::peak_live(|| alloc::counting(|| run_frame_mpi_sim(&cfg, &path, opts)));
     let (frame, sim) = out.unwrap_or_else(|e| panic!("n={n} frame failed: {e}"));
     let sim = sim.expect("event backend reports scheduler stats");
-    (frame, sim, Allocated { calls, bytes })
+    let allocated = Allocated {
+        calls,
+        bytes,
+        peak_live,
+    };
+    (frame, sim, allocated)
 }
 
 fn frame_at(n: usize) -> (FrameResult, SimStats) {
@@ -133,8 +143,13 @@ fn sim_scale_4096_is_the_ci_gate() {
     // Doubling the ranks over a fixed volume may not more than double
     // what a frame allocates: nothing in it may cost ranks² (an untraced
     // barrier once cloned an n-word clock per rank: 222 → 584 MB, 2.63×).
-    // Measured: 81 → 122 MB, 1.50×. Optimized builds only — the CI job's
+    // Measured: 68 → 92 MB, 1.35×. Optimized builds only — the CI job's
     // — so the debug tier pays for one large frame, not two.
+    // What a frame holds at once grows slower still: per rank it is a
+    // task future, a mailbox and a few sequence entries, and the
+    // volume's bytes are split, not copied. Measured: 19.1 → 30.4 MB
+    // live at the peak, 1.59× (33.8 → 55.5 MB, 1.64×, while every rank
+    // held its state three times and the read plan twice).
     if !cfg!(debug_assertions) {
         let (_, _, at_2048) = counted_frame_at(2048);
         assert!(
@@ -143,13 +158,20 @@ fn sim_scale_4096_is_the_ci_gate() {
             at_4096.bytes,
             at_2048.bytes
         );
+        assert!(
+            at_4096.peak_live as f64 <= 1.75 * at_2048.peak_live as f64,
+            "a 4096-rank frame holds {} bytes at its peak, a 2048-rank one {}",
+            at_4096.peak_live,
+            at_2048.peak_live
+        );
     }
 }
 
 /// Wall budget of the 32K-rank frame in a release build. On record
-/// (2-vCPU box, release): 1.3–1.4 s, and 2.1–2.3 s before an executed
-/// frame stopped paying per rank² — room for a slower, loaded runner,
-/// none for a return of anything quadratic.
+/// (2-vCPU box, release): 1.3 s with 199 MB live at the peak (1.6 s and
+/// 376 MB while each rank held its state three times), and 2.1–2.3 s
+/// before an executed frame stopped paying per rank² — room for a
+/// slower, loaded runner, none for a return of anything quadratic.
 const RELEASE_BUDGET_32K: std::time::Duration = std::time::Duration::from_secs(10);
 
 /// The paper's largest world. Ignored by default (minutes in debug,
@@ -165,7 +187,9 @@ fn sim_scale_32768_renders_the_paper_scale() {
     let planned = planned_messages(&cfg_at(32768)) as u64;
     assert_eq!((sim.messages, sim.timer_fires), (planned, 0));
     println!(
-        "32K-rank frame: {wall:?} wall, {planned} messages, {} allocations, {:.1} MB allocated",
+        "32K-rank frame: {wall:?} wall, {:.1} MB live at the peak; {planned} messages, \
+         {} allocations, {:.1} MB allocated",
+        allocated.peak_live as f64 / 1e6,
         allocated.calls,
         allocated.bytes as f64 / 1e6
     );
