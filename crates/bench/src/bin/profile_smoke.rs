@@ -20,8 +20,9 @@
 
 use pvr_bench::{check, emit_csv, sweep_cfg, sweep_dataset, write_artifact};
 use pvr_core::{run_frame_mpi_profiled, CompositorPolicy};
+use pvr_mpisim::analysis::{critical_path, link_matrix};
 use pvr_obs::analysis::imbalance_csv;
-use pvr_obs::{critical_path, gantt, imbalance, link_matrix, perfetto, Registry};
+use pvr_obs::{gantt, imbalance, perfetto, Registry};
 
 fn main() {
     let cfg = sweep_cfg();

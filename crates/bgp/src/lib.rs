@@ -63,8 +63,6 @@ pub mod consts {
     /// Blue Gene, effective all-to-all bandwidth collapses once message
     /// size drops toward a few hundred bytes.
     pub const MSG_OVERHEAD: f64 = 3.0e-6;
-    /// Nodes in one rack (two midplanes of 512).
-    pub const NODES_PER_RACK: usize = 1024;
 }
 
 #[cfg(test)]
@@ -76,6 +74,5 @@ mod tests {
         // 3.4 Gb/s expressed in bytes/s.
         assert!((TORUS_LINK_BW - 3.4e9 / 8.0).abs() < 1.0);
         assert!((TREE_LINK_BW - 6.8e9 / 8.0).abs() < 1.0);
-        assert_eq!(NODES_PER_RACK % NODES_PER_IO_NODE, 0);
     }
 }

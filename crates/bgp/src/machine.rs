@@ -105,11 +105,6 @@ impl Machine {
         rank / self.config.mode.ranks_per_node()
     }
 
-    /// Core index (0..ranks_per_node) of `rank` within its node.
-    pub fn core_of_rank(&self, rank: usize) -> usize {
-        rank % self.config.mode.ranks_per_node()
-    }
-
     /// Number of I/O nodes serving this partition (one per 64 compute
     /// nodes, minimum one).
     pub fn num_io_nodes(&self) -> usize {
@@ -127,18 +122,6 @@ impl Machine {
             })
             .collect()
     }
-
-    /// Pset index of a compute node.
-    pub fn pset_of_node(&self, node: usize) -> usize {
-        node / consts::NODES_PER_IO_NODE.min(self.nodes)
-    }
-
-    /// Fraction of the full 40-rack Argonne machine this partition uses
-    /// (the paper notes its I/O rates partly reflect using only ~23% of
-    /// the system).
-    pub fn machine_fraction(&self) -> f64 {
-        self.nodes as f64 / (40.0 * consts::NODES_PER_RACK as f64)
-    }
 }
 
 #[cfg(test)]
@@ -152,7 +135,6 @@ mod tests {
         assert_eq!(m.node_of_rank(0), 0);
         assert_eq!(m.node_of_rank(3), 0);
         assert_eq!(m.node_of_rank(4), 1);
-        assert_eq!(m.core_of_rank(5), 1);
     }
 
     #[test]
@@ -164,8 +146,6 @@ mod tests {
         assert_eq!(psets.len(), 128);
         let total: usize = psets.iter().map(|p| p.nodes.len()).sum();
         assert_eq!(total, 8192);
-        assert_eq!(m.pset_of_node(0), 0);
-        assert_eq!(m.pset_of_node(64), 1);
     }
 
     #[test]
@@ -181,12 +161,5 @@ mod tests {
         let m = Machine::new(MachineConfig::vn(100));
         assert_eq!(m.num_nodes(), 32); // ceil(100/4)=25 -> 32
         assert_eq!(m.num_ranks(), 100);
-    }
-
-    #[test]
-    fn machine_fraction_at_32k() {
-        let m = Machine::new(MachineConfig::vn(32768));
-        let f = m.machine_fraction();
-        assert!((f - 0.2).abs() < 0.01, "fraction {f}");
     }
 }

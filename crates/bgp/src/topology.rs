@@ -215,29 +215,6 @@ impl Torus {
         }
         debug_assert_eq!(cur, dstc);
     }
-
-    /// Average minimal hop distance over a random sample of node pairs
-    /// (deterministic sample; used for latency calibration and tests).
-    pub fn mean_hops_sampled(&self, samples: usize) -> f64 {
-        let n = self.num_nodes();
-        if n <= 1 {
-            return 0.0;
-        }
-        let mut total = 0usize;
-        let mut count = 0usize;
-        // Low-discrepancy-ish deterministic pair sampling.
-        let mut a = 0usize;
-        let mut b = n / 2 + 1;
-        for _ in 0..samples {
-            a = (a + 7919) % n;
-            b = (b + 104729) % n;
-            if a != b {
-                total += self.hops(self.coord(a), self.coord(b));
-                count += 1;
-            }
-        }
-        total as f64 / count.max(1) as f64
-    }
 }
 
 #[cfg(test)]
@@ -327,13 +304,5 @@ mod tests {
             };
             assert_eq!(t.neighbor(n, back), c);
         }
-    }
-
-    #[test]
-    fn mean_hops_reasonable() {
-        // For an n-ring, mean one-dimensional distance ~ n/4.
-        let t = Torus::new(8, 8, 8);
-        let mean = t.mean_hops_sampled(4096);
-        assert!(mean > 4.0 && mean < 8.0, "mean hops {mean}");
     }
 }

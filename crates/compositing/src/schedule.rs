@@ -45,12 +45,6 @@ impl Schedule {
         self.messages.iter().map(|m| m.wire_bytes()).sum()
     }
 
-    /// Mean messages received per compositor — the paper's `O(n^{1/3})`
-    /// per-recipient factor.
-    pub fn mean_messages_per_compositor(&self) -> f64 {
-        self.messages.len() as f64 / self.partition.m() as f64
-    }
-
     /// Nominal per-message size the paper plots in Figure 4:
     /// `image_bytes / m`.
     pub fn nominal_message_bytes(&self) -> u64 {
@@ -121,7 +115,7 @@ mod tests {
             let fps = lattice_footprints(b, image);
             let part = ImagePartition::new(image, image, n);
             let s = build_schedule(&fps, part);
-            let per = s.mean_messages_per_compositor();
+            let per = s.num_messages() as f64 / part.m() as f64;
             let nroot = (n as f64).cbrt();
             assert!(
                 per >= nroot * 0.9 && per <= nroot * 3.0,

@@ -676,11 +676,13 @@ pub struct ProfiledFrame {
 }
 
 /// Run one traced frame twice: pass 1 records the actual wildcard match
-/// order, pass 2 replays its canonicalized form. The second trace is
-/// therefore a deterministic function of the configuration alone —
-/// thread scheduling perturbs pass 1 but the canonical replay log maps
-/// every schedule in the same equivalence class to one representative,
-/// so exporters downstream are byte-for-byte reproducible.
+/// order, pass 2 replays its canonicalized form. The event core is
+/// single-threaded and its default match policy deterministic, so pass 1
+/// already repeats from run to run; what the canonical replay adds is an
+/// order that does not move when an unrelated change reorders arrivals.
+/// The canonical log maps every schedule in the same equivalence class
+/// to one representative, so the exporters downstream (and the goldens
+/// they are checked against) stay byte-for-byte the same.
 pub fn run_frame_mpi_profiled(cfg: &FrameConfig, path: &Path) -> Result<ProfiledFrame, FrameError> {
     use pvr_mpisim::{trace::ReplayLog, MatchPolicy, RunOptions};
     let traced = |opts: RunOptions| {
@@ -690,7 +692,7 @@ pub fn run_frame_mpi_profiled(cfg: &FrameConfig, path: &Path) -> Result<Profiled
     let (_, recorded) = traced(RunOptions::default())?;
     let replay = std::sync::Arc::new(ReplayLog::canonical(&recorded));
     let (frame, trace) = traced(RunOptions::default().policy(MatchPolicy::Replay(replay)))?;
-    let profile = pvr_obs::profile_from_trace(&trace);
+    let profile = pvr_mpisim::analysis::profile_from_trace(&trace);
     Ok(ProfiledFrame {
         frame,
         trace,

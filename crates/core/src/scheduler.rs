@@ -108,7 +108,12 @@ pub const EPOCH_STRIDE: u32 = 16;
 
 /// The message tags of one time step's frame. Frame 0 is exactly the
 /// legacy [`crate::pipeline::tags`] constants, so single-frame runs —
-/// including the byte-golden profiled trace — are untouched.
+/// including the byte-golden profiled trace — are untouched. An epoch
+/// tag maps back to its time step and frame-0 stage with
+/// [`FrameTags::frame_of`] and [`FrameTags::base_of`] (an animation's
+/// fault injector routes each send to its frame's plan that way), and
+/// [`FrameTags::table`] lists every tag of the first frames for the
+/// tag-discipline lint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameTags {
     pub io_scatter: u32,
@@ -153,32 +158,6 @@ impl FrameTags {
         ((tag - 1) / EPOCH_STRIDE) as usize
     }
 
-    /// Human name of any epoch tag (`"frame2/fragment"`), or `None`
-    /// for tags outside the stage-tag discipline. The model checker's
-    /// choice points carry raw `u32` tags; this is how its reports
-    /// translate them back into pipeline stages.
-    pub fn name_of(tag: u32) -> Option<String> {
-        if tag == 0 {
-            return None;
-        }
-        let base = FrameTags::base_of(tag);
-        let name = tags::ALL.iter().find(|(t, _)| *t == base)?.1;
-        Some(format!("frame{}/{}", FrameTags::frame_of(tag), name))
-    }
-
-    /// The tags of this frame that wildcard receives match on — the
-    /// data stages, where receive order is scheduler-dependent and
-    /// model checking has something to decide. Ack tags are excluded:
-    /// acks are received per-source (`recv_from`) or drained after the
-    /// stage completes, so they open no choice points.
-    pub fn wildcard_streams(&self) -> [(u32, &'static str); 3] {
-        [
-            (self.io_scatter, "io-scatter"),
-            (self.fragment, "fragment"),
-            (self.tile, "tile"),
-        ]
-    }
-
     /// The full tag table of an animation's first `frames` time steps,
     /// for tag-discipline lint over the multi-frame tag space.
     pub fn table(frames: usize) -> Vec<(u32, String)> {
@@ -200,15 +179,12 @@ impl FrameTags {
 /// The striped-store description every fault frame audits its reads
 /// against, matched to laptop-scale test files: 8 servers with 64 KiB
 /// stripes, so even a few-megabyte dataset spreads across every server
-/// and per-server faults have distinct footprints. (The default
-/// [`StripedStore`] models ANL's 4 MiB stripes, which would put an
-/// entire small test file on server 0.)
+/// and per-server faults have distinct footprints. (ANL's 4 MiB
+/// stripes would put an entire small test file on server 0.)
 fn laptop_store() -> StripedStore {
     StripedStore {
         servers: 8,
         stripe_unit: 64 << 10,
-        server_bw: 370.0e6,
-        request_overhead: 0.5e-3,
     }
 }
 
@@ -641,11 +617,20 @@ pub struct PrefetchedWindows {
     pub io_secs: f64,
 }
 
+/// Rank 0's gathered frame: the final image and its per-tile
+/// completeness.
+#[derive(Debug)]
+pub struct Gathered {
+    pub image: Image,
+    pub completeness: CompletenessMap,
+}
+
 /// What each rank hands back to the driver.
 #[derive(Debug, Default)]
 pub struct RankOut {
-    pub image: Option<Image>,
-    pub completeness: Option<CompletenessMap>,
+    /// Filled by rank 0's gather alone; boxed so that no other rank
+    /// carries room for it.
+    pub gathered: Option<Box<Gathered>>,
     pub timing: RankTiming,
     /// This rank's render-kernel statistics (samples, skips, packets,
     /// lane utilization, early terminations, bounded-error bound).
@@ -1536,8 +1521,10 @@ impl<'a> RankExec<'a> {
             self.healing().counters.degraded_tiles += degraded;
             self.comm.mark_instant("composite.degraded_tiles", degraded);
         }
-        self.out.image = Some(img);
-        self.out.completeness = Some(CompletenessMap { tiles });
+        self.out.gathered = Some(Box::new(Gathered {
+            image: img,
+            completeness: CompletenessMap { tiles },
+        }));
         // Frame complete: release the lingering compositors.
         if let Some(rec) = self.rec.as_mut() {
             for &h in &shared.compositor_ranks[1..] {
@@ -1761,9 +1748,9 @@ pub(crate) fn assemble_frame(
 
     // A crashed rank 0 cannot deliver an image: the frame degrades to
     // an empty image with zero completeness on every populated tile.
-    let (image, completeness) = match (root.image, root.completeness) {
-        (Some(img), Some(map)) => (img, map),
-        _ => {
+    let (image, completeness) = match root.gathered {
+        Some(g) => (g.image, g.completeness),
+        None => {
             let tiles = (0..m)
                 .map(|c| TileCompleteness {
                     tile: c,
@@ -2025,27 +2012,13 @@ mod tests {
         assert!(table.iter().any(|(_, n)| n == "frame3/tile"));
     }
 
+    /// Every rank's output lives until the world ends, once in the
+    /// rank's task and once in the world's results: the image and the
+    /// completeness map only rank 0 fills (64 B unboxed) are one boxed
+    /// pointer.
     #[test]
-    fn epoch_tags_name_back_to_pipeline_stages() {
-        let t = FrameTags::for_frame(2);
-        assert_eq!(FrameTags::name_of(t.fragment).unwrap(), "frame2/fragment");
-        assert_eq!(FrameTags::name_of(t.tile_ack).unwrap(), "frame2/tile-ack");
-        assert_eq!(
-            FrameTags::name_of(tags::IO_SCATTER).unwrap(),
-            "frame0/io-scatter"
-        );
-        assert_eq!(FrameTags::name_of(0), None);
-        assert_eq!(FrameTags::name_of(t.adopt).unwrap(), "frame2/adopt");
-        assert_eq!(FrameTags::name_of(t.done).unwrap(), "frame2/done");
-        // 11..=16 are unassigned slots of epoch 0.
-        assert_eq!(FrameTags::name_of(11), None);
-
-        let streams = t.wildcard_streams();
-        assert_eq!(streams.len(), 3);
-        assert!(streams.iter().all(|(tag, _)| {
-            let b = FrameTags::base_of(*tag);
-            b == tags::IO_SCATTER || b == tags::FRAGMENT || b == tags::TILE
-        }));
+    fn rank_out_holds_rank_0_only_state_behind_one_pointer() {
+        assert_eq!(std::mem::size_of::<RankOut>(), 192);
     }
 
     proptest::proptest! {

@@ -279,7 +279,7 @@ pub fn evaluate(input: &SloInput) -> FrameSlo {
 /// critical path (its dominant rank) when time and incidents could not.
 pub(crate) fn refine_with_critical_path(slo: &mut FrameSlo, trace: &pvr_mpisim::trace::TraceLog) {
     if slo.verdict != Verdict::Ok && slo.rank.is_none() {
-        slo.rank = pvr_obs::critical_path(trace)
+        slo.rank = pvr_mpisim::analysis::critical_path(trace)
             .dominant_rank()
             .map(|(r, _)| r);
     }

@@ -84,16 +84,6 @@ impl FrameTiming {
     pub fn composite_percent(&self) -> f64 {
         100.0 * self.composite / self.total().max(1e-12)
     }
-
-    /// A Table-II style row: total, %I/O, %composite.
-    pub fn table_row(&self) -> String {
-        format!(
-            "{:9.2}  {:5.1}  {:5.1}",
-            self.total(),
-            self.io_percent(),
-            self.composite_percent()
-        )
-    }
 }
 
 impl std::fmt::Display for FrameTiming {
@@ -144,18 +134,6 @@ mod tests {
         assert!((sum - 100.0).abs() < 1e-9);
         assert!((t.total() - 51.3).abs() < 1e-12);
         assert!((t.vis_only() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn table_row_formats() {
-        let t = FrameTiming {
-            io: 49.35,
-            render: 1.0,
-            composite: 1.0,
-            ..Default::default()
-        };
-        let row = t.table_row();
-        assert!(row.contains("51.35"));
     }
 
     #[test]

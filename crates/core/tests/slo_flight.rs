@@ -12,7 +12,8 @@ use pvr_core::pipeline::{run_frame_mpi, write_dataset};
 use pvr_core::slo::Cause;
 use pvr_core::{drive_frame, DriveOutput, Driver, FrameConfig, Verdict};
 use pvr_faults::{FaultPlan, RankAction, RankFault, RecoveryPolicy, Stage};
-use pvr_obs::{perfetto, profile_from_trace, FlightRecorder};
+use pvr_mpisim::analysis::profile_from_trace;
+use pvr_obs::{perfetto, FlightRecorder};
 
 fn tmp(name: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("pvr-slo-{}", std::process::id()));

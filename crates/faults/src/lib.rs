@@ -24,7 +24,7 @@
 //!   record of what recovery did.
 //!
 //! The storage-side counterparts (`ServerFaults`, `IoRecovery`, stripe
-//! failover, degraded pricing) live in `pvr_pfs::fault`; the
+//! failover) live in `pvr_pfs::fault`; the
 //! image-side counterpart (per-tile `CompletenessMap`) lives in
 //! `pvr_compositing::completeness`. This crate is the control plane
 //! that ties them to one plan, and `pvr_core::drive_frame` with

@@ -171,11 +171,6 @@ impl RecoveryCounters {
         self.recovery_bytes += other.recovery_bytes;
         self.approx_blocks += other.approx_blocks;
     }
-
-    /// True when recovery never had to intervene.
-    pub fn is_clean(&self) -> bool {
-        *self == RecoveryCounters::default()
-    }
 }
 
 #[cfg(test)]
@@ -206,8 +201,6 @@ mod tests {
         assert_eq!(a.adopted_blocks, 2);
         assert_eq!(a.hedged_renders, 1);
         assert_eq!(a.selfheal_bytes, 64);
-        assert!(!a.is_clean());
-        assert!(RecoveryCounters::default().is_clean());
     }
 
     #[test]

@@ -458,7 +458,7 @@ where
         };
 
         let trace = out.trace.expect("guided runs are traced");
-        let full = ReplayLog::from_trace(&trace).per_rank().to_vec();
+        let full = ReplayLog::from_trace(&trace).into_per_rank();
         debug_assert!(
             full.iter()
                 .zip(log.per_rank())
@@ -466,7 +466,7 @@ where
             "guided run did not honour its forced prefix — does the \
              program use timed receives as choice points?"
         );
-        if !seen_traces.insert(full.clone()) {
+        if seen_traces.contains(&full) {
             // Same match function as an earlier run: identical
             // execution, identical proposals. Nothing new.
             stats.redundant_runs += 1;
@@ -529,6 +529,7 @@ where
                 }
             }
         }
+        seen_traces.insert(full);
     }
 
     stats.wall = t0.elapsed();

@@ -161,7 +161,6 @@ where
     // Ranks travel as `u32` in envelopes and sequence maps.
     assert!(u32::try_from(n).is_ok(), "a world of {n} ranks");
     let timeout = opts.timeout;
-    let deadlock_detection = opts.deadlock_detection;
     let opts = Arc::new(opts);
     let core = Rc::new(RefCell::new(EventCore::new(n, opts.trace)));
 
@@ -242,20 +241,14 @@ where
         if c.st.poison.is_some() {
             break;
         }
-        let err = if deadlock_detection {
-            match check_deadlock(&c.st) {
-                Some(report) => RunError::Deadlock { report },
-                // Unreachable by construction (a parked task always
-                // registers either a blocked status or a timer), but
-                // never hang: report the stall.
-                None => RunError::Stalled {
-                    report: stall_report(&c.st, timeout.unwrap_or(start.elapsed()), n),
-                },
-            }
-        } else {
-            RunError::Stalled {
+        let err = match check_deadlock(&c.st) {
+            Some(report) => RunError::Deadlock { report },
+            // Unreachable by construction (a parked task always
+            // registers either a blocked status or a timer), but never
+            // hang: report the stall.
+            None => RunError::Stalled {
                 report: stall_report(&c.st, timeout.unwrap_or(start.elapsed()), n),
-            }
+            },
         };
         c.poison(err);
         break;

@@ -24,6 +24,10 @@
 //! * [`Comm`] — the per-rank communicator. Communication methods are
 //!   `async`; rank programs are written as `|mut comm| async move { … }`.
 //!
+//! A traced run's [`trace::TraceLog`] is read by [`analysis`]: its span
+//! profile (as a `pvr_obs::Profile`), its critical path and its
+//! per-link message volume.
+//!
 //! ## Verification hooks
 //!
 //! Because this runtime exists to *validate* communication schedules,
@@ -71,6 +75,7 @@
 //! virtual clock; [`Comm::time`] folds a task's measured compute time
 //! into the virtual timeline for stage attribution.
 
+pub mod analysis;
 pub mod trace;
 
 mod event;
@@ -183,8 +188,8 @@ pub enum RunError {
     /// All ranks were blocked or done with no message able to wake
     /// anyone; the report names the wait-for cycle.
     Deadlock { report: String },
-    /// The watchdog timeout expired before the world completed, or the
-    /// world went quiescent with deadlock detection disabled.
+    /// The watchdog timeout expired before the world completed (a
+    /// timer livelock never goes quiescent, so it ends here).
     Stalled { report: String },
 }
 
@@ -277,12 +282,11 @@ impl std::fmt::Debug for MatchPolicy {
 }
 
 /// Knobs for [`World::run_opts`]. [`World::run`] uses the default:
-/// `MinSource` matching, deadlock detection on, watchdog timeout from
+/// `MinSource` matching, watchdog timeout from
 /// `PVR_MPISIM_TIMEOUT_SECS` (default 120 s, `0` disables), no trace.
 #[derive(Clone)]
 pub struct RunOptions {
     pub match_policy: MatchPolicy,
-    pub deadlock_detection: bool,
     pub timeout: Option<Duration>,
     pub trace: bool,
     /// Invoked on every resolved wildcard receive (any policy); see
@@ -296,7 +300,6 @@ impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
             match_policy: MatchPolicy::MinSource,
-            deadlock_detection: true,
             timeout: default_timeout(),
             trace: false,
             on_choice: None,
@@ -325,11 +328,6 @@ impl RunOptions {
     /// Install a wildcard choice-point callback (see [`ChoicePoint`]).
     pub fn on_choice(mut self, hook: ChoiceHook) -> Self {
         self.on_choice = Some(hook);
-        self
-    }
-
-    pub fn no_deadlock_detection(mut self) -> Self {
-        self.deadlock_detection = false;
         self
     }
 

@@ -233,13 +233,15 @@ fn default_run_panics_with_report_on_deadlock() {
 }
 
 #[test]
-fn watchdog_reports_stall_without_deadlock_detection() {
-    let opts = RunOptions::default()
-        .no_deadlock_detection()
-        .with_timeout(Some(Duration::from_millis(200)));
-    let err = World::run_opts(2, opts, |mut comm| async move {
-        let peer = 1 - comm.rank();
-        let _ = comm.recv_from(peer, 5).await;
+fn watchdog_reports_a_timer_livelock_as_stalled() {
+    // Every rank always has a timer pending, so the world is never
+    // quiescent and deadlock detection never fires: only the wall-clock
+    // watchdog can end it.
+    let opts = RunOptions::default().with_timeout(Some(Duration::from_millis(200)));
+    let err = World::run_opts(2, opts, |comm| async move {
+        loop {
+            comm.sleep(Duration::from_millis(1)).await;
+        }
     })
     .unwrap_err();
     assert!(matches!(err, RunError::Stalled { .. }));

@@ -286,6 +286,11 @@ impl ReplayLog {
         &self.choices
     }
 
+    /// The per-rank choice vectors, by value.
+    pub fn into_per_rank(self) -> Vec<Vec<usize>> {
+        self.choices
+    }
+
     /// Extract the wildcard-match order from a trace.
     pub fn from_trace(log: &TraceLog) -> Self {
         ReplayLog {
@@ -361,11 +366,6 @@ impl ReplayLog {
     /// recorded.
     pub fn choice(&self, rank: usize, idx: u64) -> Option<usize> {
         self.choices.get(rank)?.get(idx as usize).copied()
-    }
-
-    /// Number of recorded wildcard matches for `rank`.
-    pub fn len_for(&self, rank: usize) -> usize {
-        self.choices.get(rank).map_or(0, Vec::len)
     }
 
     /// Total recorded wildcard matches across all ranks.
@@ -467,7 +467,7 @@ mod tests {
         assert_eq!(replay.choice(1, 0), Some(3));
         assert_eq!(replay.choice(1, 1), Some(7));
         assert_eq!(replay.choice(1, 2), None);
-        assert_eq!(replay.len_for(0), 0);
+        assert_eq!(replay.choice(0, 0), None);
     }
 
     #[test]

@@ -238,15 +238,11 @@ impl FlightRecorder {
         self.with_state(|_, st| st.dropped).unwrap_or(0)
     }
 
-    /// Serialize the current ring window (oldest first) plus an
-    /// `anomaly` header to Perfetto `traceEvents` JSON. `None` when
-    /// disabled. This is the only allocating path of the recorder.
-    pub fn snapshot_json(&self, reason: &str, args: Args) -> Option<String> {
-        self.with_state(|_, st| render_dump(st, reason, args))
-    }
-
     /// Fire an anomaly: snapshot the ring into a [`FlightDump`] held
-    /// for [`FlightRecorder::take_dumps`]. At most [`MAX_DUMPS`] are
+    /// for [`FlightRecorder::take_dumps`] — the current ring window
+    /// (oldest first) plus an `anomaly` header, as Perfetto
+    /// `traceEvents` JSON. This is the only allocating path of the
+    /// recorder. At most [`MAX_DUMPS`] are
     /// retained between drains; overflow is counted. Returns whether a
     /// dump was stored.
     pub fn anomaly(&self, reason: &str, args: Args) -> bool {
@@ -322,6 +318,12 @@ fn render_dump(st: &State, reason: &str, args: Args) -> String {
 mod tests {
     use super::*;
 
+    /// Fire one anomaly and return its dump's JSON.
+    fn dump(r: &FlightRecorder, reason: &str, args: Args) -> String {
+        assert!(r.anomaly(reason, args));
+        r.take_dumps().pop().unwrap().json
+    }
+
     #[test]
     fn disabled_recorder_is_inert() {
         let r = FlightRecorder::disabled();
@@ -334,7 +336,6 @@ mod tests {
         assert_eq!(r.events_recorded(), 0);
         assert!(!r.anomaly("nope", Args::none()));
         assert!(r.take_dumps().is_empty());
-        assert_eq!(r.snapshot_json("nope", Args::none()), None);
     }
 
     #[test]
@@ -346,7 +347,7 @@ mod tests {
         assert_eq!(r.len(), 4);
         assert_eq!(r.events_recorded(), 6);
         assert_eq!(r.dropped(), 2);
-        let json = r.snapshot_json("check", Args::none()).unwrap();
+        let json = dump(&r, "check", Args::none());
         // Oldest surviving event is #2 (ts 2, value 2); #0/#1 are gone.
         assert!(json.contains("\"ts\":2"));
         assert!(!json.contains("\"ts\":0,"));
@@ -361,8 +362,7 @@ mod tests {
             r.instant(0, "frame.start", Args::one("ranks", 8));
             r.fault(3, "rank.straggle", Args::two("rank", 3, "ms", 1200));
             r.metric(0, "composite.bytes", 4096);
-            r.snapshot_json("slo-violation", Args::two("stage", 2, "rank", 3))
-                .unwrap()
+            dump(&r, "slo-violation", Args::two("stage", 2, "rank", 3))
         };
         assert_eq!(run(), run());
     }
@@ -389,8 +389,7 @@ mod tests {
         let r = FlightRecorder::manual(2);
         r.instant(0, "e", Args::none());
         let reason = "say \"hi\"\\\n";
-        let dump = crate::json::parse(&r.snapshot_json(reason, Args::none()).unwrap());
-        let anomaly = dump.expect("dump is JSON");
+        let anomaly = crate::json::parse(&dump(&r, reason, Args::none())).expect("dump is JSON");
         assert_eq!(
             anomaly.field("anomaly").unwrap().str_field("reason"),
             Ok(reason)
@@ -403,7 +402,7 @@ mod tests {
         r.instant(0, "before", Args::none());
         assert_eq!(r.begin_frame(), 1);
         r.instant(0, "after", Args::none());
-        let json = r.snapshot_json("x", Args::none()).unwrap();
+        let json = dump(&r, "x", Args::none());
         assert!(json.contains("\"args\":{\"frame\":0}"));
         assert!(json.contains("\"args\":{\"frame\":1}"));
     }

@@ -18,11 +18,11 @@
 //!   JSON — open in <https://ui.perfetto.dev>), [`gantt::render`]
 //!   (plain-text per-rank timeline), [`csvout::pivot_csv`] (the shared
 //!   CSV table the figure binaries emit).
-//! * Analysis: [`analysis::critical_path`] through the send/recv
-//!   happens-before graph of an `mpisim` trace,
-//!   [`analysis::imbalance`] (the paper's Fig. 6 max/mean statistic),
-//!   and [`analysis::link_matrix`] (per-link message volume — the C1
-//!   compositing flood made visible).
+//! * Analysis of a [`span::Profile`]: [`analysis::imbalance`] (the
+//!   paper's Fig. 6 max/mean statistic) and [`analysis::span_overlap`]
+//!   (how much I/O a prefetch hid under compute). The passes that read
+//!   a message trace — its critical path, per-link volume and span
+//!   profile — live beside the trace, in `pvr_mpisim::analysis`.
 //! * [`flight::FlightRecorder`] — the always-on bounded ring of recent
 //!   events, dumped to a replayable JSON artifact on anomaly; same
 //!   zero-alloc-when-disabled discipline as the tracer.
@@ -37,11 +37,12 @@
 //! frame, in `pvr_core::slo`.
 //!
 //! Inside `mpisim` worlds, spans ride the existing vector-clocked
-//! trace (`Comm::span_begin` / `span_end` / `mark_instant`);
-//! [`analysis::profile_from_trace`] converts that log into a
+//! trace (`Comm::span_begin` / `span_end` / `mark_instant`), and
+//! `pvr_mpisim::analysis::profile_from_trace` converts that log into a
 //! [`span::Profile`] with deterministic logical timestamps. In the
 //! real (rayon) pipeline, a wall-clock [`span::Tracer`] is threaded
-//! through instead.
+//! through instead. This crate depends on no other crate of the
+//! workspace, so every layer can report through it.
 //!
 //! **Naming.** Every metric, span, flight event, and comm mark uses
 //! lower-case `<subsystem>.<event>` (`render.skip`, `rank.crash`,
@@ -58,9 +59,7 @@ pub mod metrics;
 pub mod perfetto;
 pub mod span;
 
-pub use analysis::{
-    critical_path, imbalance, link_matrix, profile_from_trace, span_overlap, Overlap,
-};
+pub use analysis::{imbalance, span_overlap, Overlap};
 pub use bench::{GateCheck, Trajectory};
 pub use flight::{FlightDump, FlightRecorder};
 pub use metrics::{Registry, Snapshot};

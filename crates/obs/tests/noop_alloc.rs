@@ -1,120 +1,56 @@
 //! The disabled tracer must cost nothing: zero heap allocations per
-//! recorded event, both for the standalone `Tracer` and for the
-//! `Comm` span marks with tracing off.
+//! recorded event, for the standalone `Tracer` and `FlightRecorder`;
+//! and the enabled flight recorder allocates only at construction.
+//! (The same contract for `Comm` span marks in an untraced world is
+//! pinned beside the runtime, in pvr-mpisim's `tests/barrier_alloc.rs`.)
 //!
-//! This file holds exactly one test: the counting allocator is global
-//! to the test binary, so a concurrently running sibling test would
-//! pollute the measurement window.
-//!
-//! The miri CI job runs this binary too (the counting allocator is one
-//! of the repo's two unsafe sites); the mpisim half of the test is
-//! compiled out under miri — it spawns scoped OS threads and waits on
-//! condvars, which miri executes orders of magnitude too slowly for
-//! CI, and the allocator contract under test is identical in the
-//! single-threaded half.
+//! The counting allocator is the workspace's shared one
+//! (`tests/support/alloc.rs`): its counts are per thread, so sibling
+//! tests running beside this one cannot pollute the window. The miri CI
+//! job runs this binary to check that allocator.
 
-#![deny(unsafe_op_in_unsafe_fn)]
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // GlobalAlloc's contract requires a non-zero-sized layout.
-        debug_assert!(layout.size() > 0, "alloc called with zero-size layout");
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: forwarded verbatim to the system allocator with the
-        // caller's layout; our own precondition is exactly
-        // GlobalAlloc's (non-zero size, valid alignment,
-        // debug-asserted above), so the delegation adds no new
-        // requirements.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        debug_assert!(!ptr.is_null(), "dealloc called with null pointer");
-        // SAFETY: `ptr` was returned by `self.alloc`, which delegates
-        // to `System`, and the caller passes the same layout it was
-        // allocated with (GlobalAlloc's contract) — exactly what
-        // `System.dealloc` requires.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocs() -> u64 {
-    ALLOCS.load(Ordering::SeqCst)
-}
+#[path = "../../../tests/support/alloc.rs"]
+mod alloc;
 
 #[test]
 fn disabled_tracing_allocates_nothing_per_event() {
     // Standalone no-op tracer and flight recorder.
     let t = pvr_obs::Tracer::disabled();
     let fr = pvr_obs::FlightRecorder::disabled();
-    let before = allocs();
-    for i in 0..1000u64 {
-        t.begin(0, "stage");
-        t.instant(0, "marker", pvr_obs::Args::one("v", i));
-        {
-            let _guard = t.span(1, "guarded");
+    let ((), calls, _) = alloc::counting(|| {
+        for i in 0..1000u64 {
+            t.begin(0, "stage");
+            t.instant(0, "marker", pvr_obs::Args::one("v", i));
+            {
+                let _guard = t.span(1, "guarded");
+            }
+            t.end(0, "stage");
+            fr.begin_frame();
+            fr.instant(0, "frame.verdict", pvr_obs::Args::one("v", i));
+            fr.metric(0, "composite.bytes", i);
+            fr.fault(1, "rank.crash", pvr_obs::Args::two("rank", i, "stage", 1));
         }
-        t.end(0, "stage");
-        fr.begin_frame();
-        fr.instant(0, "frame.verdict", pvr_obs::Args::one("v", i));
-        fr.metric(0, "composite.bytes", i);
-        fr.fault(1, "rank.crash", pvr_obs::Args::two("rank", i, "stage", 1));
-    }
-    let after = allocs();
-    assert_eq!(after - before, 0, "disabled Tracer must not touch the heap");
+    });
+    assert_eq!(calls, 0, "disabled Tracer must not touch the heap");
     assert_eq!(t.events_recorded(), 0);
     assert_eq!(fr.events_recorded(), 0);
+}
 
-    // The *enabled* flight recorder allocates only at construction:
-    // recording into the preallocated ring is an indexed store.
+#[test]
+fn enabled_flight_recorder_allocates_only_at_construction() {
+    // Recording into the preallocated ring is an indexed store.
     let fr = pvr_obs::FlightRecorder::manual(64);
-    let before = allocs();
-    for i in 0..1000u64 {
-        fr.instant(0, "frame.verdict", pvr_obs::Args::one("v", i));
-        fr.metric(0, "composite.bytes", i);
-        fr.fault(1, "rank.straggle", pvr_obs::Args::two("rank", i, "ms", 20));
-    }
-    let after = allocs();
+    let ((), calls, _) = alloc::counting(|| {
+        for i in 0..1000u64 {
+            fr.instant(0, "frame.verdict", pvr_obs::Args::one("v", i));
+            fr.metric(0, "composite.bytes", i);
+            fr.fault(1, "rank.straggle", pvr_obs::Args::two("rank", i, "ms", 20));
+        }
+    });
     assert_eq!(
-        after - before,
-        0,
+        calls, 0,
         "enabled FlightRecorder must not allocate per event"
     );
     assert_eq!(fr.events_recorded(), 3000);
     assert_eq!(fr.len(), 64);
-
-    // Comm span marks in an untraced world (RunOptions::trace = false).
-    // Single rank, no watchdog thread, so nothing else allocates while
-    // the window is open. Compiled out under miri: the world spawns
-    // scoped threads, far too slow for the interpreter.
-    #[cfg(not(miri))]
-    {
-        let opts = pvr_mpisim::RunOptions::default().with_timeout(None);
-        let counts = pvr_mpisim::World::run_opts(1, opts, |comm| async move {
-            let before = allocs();
-            for i in 0..1000u64 {
-                comm.span_begin("frame");
-                comm.span_begin_v("io", i);
-                comm.mark_instant("retransmit", i);
-                comm.span_end("io");
-                comm.span_end("frame");
-            }
-            allocs() - before
-        })
-        .unwrap();
-        assert_eq!(
-            counts.results[0], 0,
-            "untraced Comm span marks must not touch the heap"
-        );
-    }
 }

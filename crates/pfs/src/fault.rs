@@ -12,18 +12,16 @@
 //!   exponential backoff, then stripe-replica failover (read the replica
 //!   server when the primary stays down), with the extra traffic
 //!   accounted rather than hidden.
-//! * [`window_fault_audit`] — the shared per-window verdict both the
-//!   priced path ([`StripedStore::service_faulty`]) and the executing
+//! * [`window_fault_audit`] — the per-window verdict the executing
 //!   path (the fault-tolerant scatter of `pvr-core`'s message-passing
-//!   executor) derive their behaviour from, so the model and the byte
-//!   path cannot drift apart.
+//!   executor) derives its behaviour from.
 //!
 //! Everything here advances a *virtual* clock (seconds in the returned
 //! accounting); nothing sleeps.
 
 use pvr_formats::extent::{coalesce, Extent};
 
-use crate::server::{StoreReport, StripedStore};
+use crate::server::StripedStore;
 
 /// Per-server fault state for a [`StripedStore`].
 #[derive(Debug, Clone, PartialEq)]
@@ -58,7 +56,8 @@ impl ServerFaults {
     }
 
     /// Mark one server down (extends the vectors if needed).
-    pub fn set_down(&mut self, server: usize) {
+    #[cfg(test)]
+    fn set_down(&mut self, server: usize) {
         if server >= self.down.len() {
             let n = server + 1;
             self.down.resize(n, false);
@@ -191,110 +190,6 @@ pub fn window_fault_audit(
     audit
 }
 
-/// [`StoreReport`] of a degraded service run, plus the recovery
-/// accounting.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultyStoreReport {
-    /// The per-server load report with failover traffic in place (a
-    /// replica's bytes count against the replica server).
-    pub base: StoreReport,
-    pub retries: u64,
-    pub failover_requests: u64,
-    pub failover_bytes: u64,
-    /// Bytes neither retries nor replicas could serve.
-    pub unserved_bytes: u64,
-    /// Serial retry/backoff delay included in the makespan, seconds.
-    pub retry_delay_s: f64,
-}
-
-impl StripedStore {
-    /// Service an access list against a faulted store under a recovery
-    /// policy. Down primaries cost the retry ladder, then their pieces
-    /// either move to the replica server (whose degraded bandwidth and
-    /// overhead then price them) or go unserved. Degraded servers
-    /// (`bw_factor`, `extra_overhead`) serve their load slower.
-    pub fn service_faulty(
-        &self,
-        accesses: &[Extent],
-        faults: &ServerFaults,
-        rec: &IoRecovery,
-    ) -> FaultyStoreReport {
-        let mut server_bytes = vec![0u64; self.servers];
-        let mut server_requests = vec![0usize; self.servers];
-        let mut retries = 0u64;
-        let mut failover_requests = 0u64;
-        let mut failover_bytes = 0u64;
-        let mut unserved_bytes = 0u64;
-        let mut retry_delay_s = 0.0f64;
-
-        for &e in accesses {
-            if e.is_empty() {
-                continue;
-            }
-            let audit = window_fault_audit(self, faults, rec, e);
-            retries += audit.retries;
-            retry_delay_s += audit.delay_s;
-            failover_requests += audit.failovers;
-            failover_bytes += audit.failover_bytes;
-            unserved_bytes += audit.unrecovered_bytes();
-
-            // Distribute the access stripe-by-stripe to the server that
-            // actually serves each piece (primary, replica, or nobody).
-            let first = e.offset / self.stripe_unit;
-            let last = (e.end() - 1) / self.stripe_unit;
-            let mut touched = vec![false; self.servers];
-            for stripe in first..=last {
-                let primary = (stripe % self.servers as u64) as usize;
-                let s_lo = stripe * self.stripe_unit;
-                let lo = e.offset.max(s_lo);
-                let hi = e.end().min(s_lo + self.stripe_unit);
-                let srv = if !faults.is_down(primary) {
-                    primary
-                } else {
-                    let replica = replica_of(self, primary, rec);
-                    if rec.failover && !faults.is_down(replica) {
-                        replica
-                    } else {
-                        continue; // unserved; already accounted
-                    }
-                };
-                server_bytes[srv] += hi - lo;
-                if !touched[srv] {
-                    touched[srv] = true;
-                    server_requests[srv] += 1;
-                }
-            }
-        }
-
-        let total_bytes: u64 = server_bytes.iter().sum();
-        let makespan = server_bytes
-            .iter()
-            .zip(&server_requests)
-            .enumerate()
-            .map(|(s, (&b, &r))| {
-                let bw = self.server_bw * faults.bw_factor.get(s).copied().unwrap_or(1.0).max(1e-6);
-                let ov =
-                    self.request_overhead + faults.extra_overhead.get(s).copied().unwrap_or(0.0);
-                b as f64 / bw + r as f64 * ov
-            })
-            .fold(0.0f64, f64::max)
-            + retry_delay_s;
-        FaultyStoreReport {
-            base: StoreReport {
-                makespan,
-                server_bytes,
-                server_requests,
-                total_bytes,
-            },
-            retries,
-            failover_requests,
-            failover_bytes,
-            unserved_bytes,
-            retry_delay_s,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,20 +198,19 @@ mod tests {
         StripedStore {
             servers,
             stripe_unit: stripe,
-            server_bw: 100.0e6,
-            request_overhead: 1e-3,
         }
     }
 
     #[test]
-    fn healthy_store_matches_plain_service() {
+    fn healthy_store_loses_nothing() {
         let s = store(4, 1000);
-        let accesses: Vec<Extent> = (0..6).map(|i| Extent::new(i * 1500, 900)).collect();
-        let plain = s.service(&accesses);
-        let ft = s.service_faulty(&accesses, &ServerFaults::none(4), &IoRecovery::default());
-        assert_eq!(ft.base, plain);
-        assert_eq!(ft.retries, 0);
-        assert_eq!(ft.unserved_bytes, 0);
+        let audit = window_fault_audit(
+            &s,
+            &ServerFaults::none(4),
+            &IoRecovery::default(),
+            Extent::new(0, 8000),
+        );
+        assert_eq!(audit, WindowAudit::default());
     }
 
     #[test]
@@ -325,26 +219,12 @@ mod tests {
         let mut faults = ServerFaults::none(4);
         faults.set_down(0);
         let rec = IoRecovery::default();
-        // One full-stride access touches every server once.
-        let ft = s.service_faulty(&[Extent::new(0, 4000)], &faults, &rec);
-        assert_eq!(ft.unserved_bytes, 0);
-        assert_eq!(ft.failover_bytes, 1000);
-        assert!(ft.retries >= u64::from(rec.max_retries));
-        // Server 0's stripe landed on server 1 (its replica).
-        assert_eq!(ft.base.server_bytes[0], 0);
-        assert_eq!(ft.base.server_bytes[1], 2000);
-        assert!(ft.base.makespan > s.service(&[Extent::new(0, 4000)]).makespan);
-    }
-
-    #[test]
-    fn no_failover_loses_the_down_servers_bytes() {
-        let s = store(4, 1000);
-        let mut faults = ServerFaults::none(4);
-        faults.set_down(2);
-        let ft = s.service_faulty(&[Extent::new(0, 8000)], &faults, &IoRecovery::none());
-        assert_eq!(ft.unserved_bytes, 2000);
-        assert_eq!(ft.failover_bytes, 0);
-        assert_eq!(ft.base.total_bytes, 6000);
+        // One full-stride window touches every server once.
+        let audit = window_fault_audit(&s, &faults, &rec, Extent::new(0, 4000));
+        assert_eq!(audit.unrecovered_bytes(), 0);
+        assert_eq!((audit.failovers, audit.failover_bytes), (1, 1000));
+        assert_eq!(audit.retries, u64::from(rec.max_retries));
+        assert_eq!(audit.delay_s, rec.ladder_delay());
     }
 
     #[test]
@@ -353,23 +233,10 @@ mod tests {
         let mut faults = ServerFaults::none(4);
         faults.set_down(1);
         faults.set_down(2); // replica of 1 at offset 1
-        let rec = IoRecovery::default();
-        let ft = s.service_faulty(&[Extent::new(0, 4000)], &faults, &rec);
-        assert_eq!(ft.unserved_bytes, 1000);
+        let audit = window_fault_audit(&s, &faults, &IoRecovery::default(), Extent::new(0, 4000));
+        assert_eq!(audit.unrecoverable, vec![Extent::new(1000, 1000)]);
         // Server 2's own stripe still failed over to 3.
-        assert_eq!(ft.failover_bytes, 1000);
-    }
-
-    #[test]
-    fn degraded_bandwidth_slows_the_makespan() {
-        let s = store(4, 1000);
-        let mut faults = ServerFaults::none(4);
-        faults.bw_factor[3] = 0.1;
-        faults.extra_overhead[3] = 5e-3;
-        let healthy = s.service(&[Extent::new(0, 8000)]).makespan;
-        let ft = s.service_faulty(&[Extent::new(0, 8000)], &faults, &IoRecovery::default());
-        assert!(ft.base.makespan > healthy * 2.0);
-        assert_eq!(ft.unserved_bytes, 0);
+        assert_eq!(audit.failover_bytes, 1000);
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //!   is read). The engine runs in two modes: *plan* (pure, any scale —
 //!   produces the access list and statistics) and *execute* (actually
 //!   reads a local file and scatters bytes to per-rank buffers).
-//! * [`sieve`] — independent (non-collective) reads with data sieving,
-//!   used for the HDF5-like chunked path, which in that era fell back to
-//!   per-process chunk fetches.
+//! * [`sieve`] — independent (non-collective) reads for the HDF5-like
+//!   chunked path, which in that era fell back to per-process chunk
+//!   fetches: one access per chunk run, no data sieving.
 //! * [`iolog`] + [`model`] — access logging (counts, sizes, data
 //!   density, Figure-9-style access maps) and the calibrated storage
 //!   timing model (SAN servers behind per-pset I/O nodes).
@@ -33,11 +33,11 @@ pub mod server;
 pub mod sieve;
 pub mod twophase;
 
-pub use fault::{window_fault_audit, FaultyStoreReport, IoRecovery, ServerFaults, WindowAudit};
+pub use fault::{window_fault_audit, IoRecovery, ServerFaults, WindowAudit};
 pub use iolog::{AccessMap, IoStats};
 pub use model::StorageModel;
 pub use prefetch::{read_extents, IoThrottle, Prefetch};
-pub use server::{StoreReport, StripedStore};
+pub use server::StripedStore;
 pub use twophase::{
     two_phase_execute, two_phase_plan, two_phase_write, CollectiveHints, IoPlan, Piece,
     RankRequest, ScatterPlan, ScatterRun,

@@ -1,249 +1,18 @@
-//! Striped file-server storage simulation.
+//! The stripe layout of a PVFS-like file-server set.
 //!
-//! The closed-form [`crate::model::StorageModel`] prices I/O with
-//! calibrated constants; this module is its first-principles
-//! counterpart: the ANL storage fabric as an explicit set of file
-//! servers (the paper: 17 SAN racks x 8 servers = 136 servers, 4.3 PB),
-//! a PVFS-style round-robin stripe distribution, and per-server FIFO
-//! service (seek/request overhead + streaming). An access list maps to
-//! per-server byte loads; the phase completes when the busiest server
-//! drains.
-//!
-//! Used by the ablation benches to ask the questions the paper's
-//! Section VI raises ("we are continuing to study the I/O signature,
-//! that is, the striping pattern across I/O servers"): how performance
-//! moves with stripe size, server count, and access pattern.
+//! The ANL storage fabric the paper ran against is an explicit set of
+//! file servers (17 SAN racks x 8 servers = 136 servers, 4.3 PB) over
+//! which a file is spread in round-robin stripes. [`StripedStore`] is
+//! that layout: which server holds a byte is what the storage fault
+//! model ([`crate::fault`]) needs to decide which reads a down server
+//! takes with it.
 
-use pvr_formats::extent::Extent;
-
-/// A PVFS-like striped store.
+/// A PVFS-like striped store: stripe `i` of a file lives on server
+/// `i % servers`.
 #[derive(Debug, Clone, Copy)]
 pub struct StripedStore {
     /// Number of file servers (ANL BG/P: 17 SANs x 8 = 136).
     pub servers: usize,
     /// Stripe unit in bytes (PVFS default 64 KiB; ANL ran larger).
     pub stripe_unit: u64,
-    /// Per-server streaming bandwidth, bytes/s.
-    pub server_bw: f64,
-    /// Per-request overhead at a server (positioning + request
-    /// processing), seconds.
-    pub request_overhead: f64,
-}
-
-impl Default for StripedStore {
-    fn default() -> Self {
-        StripedStore {
-            servers: 136,
-            stripe_unit: 4 << 20,
-            // 136 servers x ~370 MB/s streaming ~ the paper's measured
-            // ~50 GB/s aggregate peak.
-            server_bw: 370.0e6,
-            request_overhead: 0.5e-3,
-        }
-    }
-}
-
-/// Per-phase result of servicing an access list.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StoreReport {
-    /// Seconds until the busiest server finishes.
-    pub makespan: f64,
-    /// Bytes serviced by each server.
-    pub server_bytes: Vec<u64>,
-    /// Requests serviced by each server.
-    pub server_requests: Vec<usize>,
-    /// Total bytes.
-    pub total_bytes: u64,
-}
-
-impl StoreReport {
-    /// Load imbalance: busiest server's bytes over the mean.
-    pub fn imbalance(&self) -> f64 {
-        let max = self.server_bytes.iter().copied().max().unwrap_or(0) as f64;
-        let mean = self.total_bytes as f64 / self.server_bytes.len() as f64;
-        if mean == 0.0 {
-            1.0
-        } else {
-            max / mean
-        }
-    }
-
-    /// Servers that saw any traffic.
-    pub fn servers_touched(&self) -> usize {
-        self.server_bytes.iter().filter(|&&b| b > 0).count()
-    }
-
-    /// Aggregate delivered bandwidth.
-    pub fn bandwidth(&self) -> f64 {
-        if self.makespan <= 0.0 {
-            f64::INFINITY
-        } else {
-            self.total_bytes as f64 / self.makespan
-        }
-    }
-}
-
-impl StripedStore {
-    /// The server holding a byte offset (round-robin by stripe).
-    pub fn server_of(&self, offset: u64) -> usize {
-        ((offset / self.stripe_unit) % self.servers as u64) as usize
-    }
-
-    /// Split one access into its per-server (server, bytes, requests)
-    /// pieces. Contiguous stripes on the same server within one access
-    /// count as one request (PVFS coalesces a client's contiguous
-    /// stripe set into one request per server).
-    fn distribute(&self, e: Extent, bytes: &mut [u64], requests: &mut [usize]) {
-        if e.is_empty() {
-            return;
-        }
-        let first = e.offset / self.stripe_unit;
-        let last = (e.end() - 1) / self.stripe_unit;
-        let mut touched = vec![false; self.servers];
-        for stripe in first..=last {
-            let s_lo = stripe * self.stripe_unit;
-            let s_hi = s_lo + self.stripe_unit;
-            let lo = e.offset.max(s_lo);
-            let hi = e.end().min(s_hi);
-            let srv = (stripe % self.servers as u64) as usize;
-            bytes[srv] += hi - lo;
-            if !touched[srv] {
-                touched[srv] = true;
-                requests[srv] += 1;
-            }
-        }
-    }
-
-    /// Service a whole access list.
-    pub fn service(&self, accesses: &[Extent]) -> StoreReport {
-        let mut server_bytes = vec![0u64; self.servers];
-        let mut server_requests = vec![0usize; self.servers];
-        for &e in accesses {
-            self.distribute(e, &mut server_bytes, &mut server_requests);
-        }
-        let total_bytes: u64 = server_bytes.iter().sum();
-        let makespan = server_bytes
-            .iter()
-            .zip(&server_requests)
-            .map(|(&b, &r)| b as f64 / self.server_bw + r as f64 * self.request_overhead)
-            .fold(0.0f64, f64::max);
-        StoreReport {
-            makespan,
-            server_bytes,
-            server_requests,
-            total_bytes,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn store(servers: usize, stripe: u64) -> StripedStore {
-        StripedStore {
-            servers,
-            stripe_unit: stripe,
-            server_bw: 100.0e6,
-            request_overhead: 1e-3,
-        }
-    }
-
-    #[test]
-    fn round_robin_placement() {
-        let s = store(4, 1000);
-        assert_eq!(s.server_of(0), 0);
-        assert_eq!(s.server_of(999), 0);
-        assert_eq!(s.server_of(1000), 1);
-        assert_eq!(s.server_of(4000), 0);
-    }
-
-    #[test]
-    fn large_access_spreads_evenly() {
-        let s = store(4, 1000);
-        let r = s.service(&[Extent::new(0, 8000)]);
-        assert_eq!(r.server_bytes, vec![2000; 4]);
-        assert_eq!(r.servers_touched(), 4);
-        assert!((r.imbalance() - 1.0).abs() < 1e-9);
-        // One coalesced request per server.
-        assert_eq!(r.server_requests, vec![1; 4]);
-    }
-
-    #[test]
-    fn misaligned_access_splits_at_stripe_boundaries() {
-        let s = store(4, 1000);
-        let r = s.service(&[Extent::new(500, 1000)]);
-        assert_eq!(r.server_bytes[0], 500);
-        assert_eq!(r.server_bytes[1], 500);
-        assert_eq!(r.total_bytes, 1000);
-    }
-
-    #[test]
-    fn strided_pattern_can_hammer_one_server() {
-        // Accesses that stride by servers*stripe all land on server 0 —
-        // the pathological "I/O signature" the paper studies.
-        let s = store(4, 1000);
-        let accesses: Vec<Extent> = (0..8).map(|i| Extent::new(i * 4000, 500)).collect();
-        let r = s.service(&accesses);
-        assert_eq!(r.servers_touched(), 1);
-        assert!(r.imbalance() >= 4.0 - 1e-9);
-        // Same bytes, spread pattern: 4x faster.
-        let spread: Vec<Extent> = (0..8).map(|i| Extent::new(i * 1000, 500)).collect();
-        let r2 = s.service(&spread);
-        assert!(r2.makespan < r.makespan / 2.0);
-    }
-
-    #[test]
-    fn makespan_includes_request_overhead() {
-        let s = store(2, 1 << 20);
-        // 1000 tiny requests to server 0: overhead dominates.
-        let accesses: Vec<Extent> = (0..1000)
-            .map(|i| Extent::new(i * 2 * (1 << 20), 64))
-            .collect();
-        let r = s.service(&accesses);
-        assert!(r.makespan >= 1.0, "makespan {}", r.makespan);
-    }
-
-    #[test]
-    fn default_store_matches_paper_aggregate_peak() {
-        let s = StripedStore::default();
-        let peak = s.servers as f64 * s.server_bw;
-        assert!((peak - 50.3e9).abs() < 1e9, "aggregate {peak}");
-    }
-
-    #[test]
-    fn empty_access_list() {
-        let r = StripedStore::default().service(&[]);
-        assert_eq!(r.total_bytes, 0);
-        assert_eq!(r.makespan, 0.0);
-    }
-
-    /// Cross-validation with the calibrated closed-form model: at the
-    /// paper's operating point the *servers* are never the binding
-    /// constraint — the application reaches ~1 GB/s against a ~50 GB/s
-    /// fabric (the paper attributes the gap to using 23% of the machine
-    /// and noncontiguous access). The striped-store service time must
-    /// therefore come out well below the closed-form app-level time.
-    #[test]
-    fn servers_are_not_the_binding_constraint() {
-        use crate::model::StorageModel;
-        let store = StripedStore::default();
-        // The 1120^3 raw read as ~16 MiB collective windows.
-        let bytes = 1120u64 * 1120 * 1120 * 4;
-        let window = 16u64 << 20;
-        let accesses: Vec<Extent> = (0..bytes / window)
-            .map(|i| Extent::new(i * window, window))
-            .collect();
-        let server_side = store.service(&accesses);
-        let model = StorageModel::default();
-        let app_side = model.read_time(bytes, accesses.len(), 16, 128);
-        assert!(
-            server_side.makespan < app_side / 5.0,
-            "server {:.2}s vs app-level {:.2}s",
-            server_side.makespan,
-            app_side
-        );
-        // And the striped store spreads this pattern over every server.
-        assert_eq!(server_side.servers_touched(), store.servers);
-    }
 }

@@ -1,98 +1,32 @@
-//! Independent (non-collective) reads with data sieving.
+//! Independent (non-collective) reads: the HDF5-like chunked path.
 //!
-//! ROMIO's independent path reads a strided request by sliding a
-//! sieving buffer over the request span: within each buffer window it
-//! issues one contiguous read from the first to the last needed byte,
-//! accepting the holes in between. Used here for the HDF5-like chunked
-//! path, where each process fetches the chunks its block overlaps
-//! without inter-process coordination.
+//! Each process fetches the chunk runs its block overlaps, one access
+//! per run, without inter-process coordination and without ROMIO-style
+//! data sieving: the library never reads the gaps between chunk rows.
 
-use pvr_formats::extent::{clip, total_bytes, union_bytes, Extent};
+use pvr_formats::extent::Extent;
 
-/// Plan the physical reads for one process's extent list (sorted,
-/// disjoint) under data sieving with the given buffer size.
-///
-/// Unlike the collective two-phase engine, sieving reads only from the
-/// first to the last needed byte within each window — but the holes
-/// between needed extents inside a window are still read.
-pub fn sieve_plan(extents: &[Extent], buffer_size: u64) -> Vec<Extent> {
-    let buf = buffer_size.max(1);
-    let mut out = Vec::new();
-    if extents.is_empty() {
-        return out;
-    }
-    let st = extents[0].offset;
-    let end = extents.last().unwrap().end();
-    let mut pos = st;
-    while pos < end {
-        let size = buf.min(end - pos);
-        let window = Extent::new(pos, size);
-        let needed = clip(extents, window);
-        if let (Some(first), Some(last)) = (needed.first(), needed.last()) {
-            out.push(Extent::new(first.offset, last.end() - first.offset));
-        }
-        pos += size;
-    }
-    out
-}
-
-/// Summary of an independent sieved read.
+/// The accesses of an independent read and the bytes they move.
 #[derive(Debug, Clone)]
 pub struct SievePlan {
     pub accesses: Vec<Extent>,
-    pub useful_bytes: u64,
     pub physical_bytes: u64,
 }
 
-impl SievePlan {
-    pub fn data_density(&self) -> f64 {
-        if self.physical_bytes == 0 {
-            1.0
-        } else {
-            self.useful_bytes as f64 / self.physical_bytes as f64
-        }
-    }
-}
-
-/// Plan the reads for a set of independent processes, each with its own
-/// extent list. Physical bytes are summed across processes (re-reads of
-/// shared chunks by neighbouring processes are counted, as they are in
-/// the paper's logs).
-pub fn independent_plan(per_process: &[Vec<Extent>], buffer_size: u64) -> SievePlan {
-    let mut accesses = Vec::new();
-    let mut useful = 0u64;
-    for exts in per_process {
-        useful += total_bytes(exts);
-        accesses.extend(sieve_plan(exts, buffer_size));
-    }
-    let physical = accesses.iter().map(|e| e.len).sum();
-    SievePlan {
-        accesses,
-        useful_bytes: useful,
-        physical_bytes: physical,
-    }
-}
-
-/// Unique bytes touched by a sieve plan (for access-map rendering).
-pub fn unique_bytes(plan: &SievePlan) -> u64 {
-    union_bytes(&plan.accesses)
-}
-
-/// One access per (already coalesced) extent, no sieving — the HDF5
-/// chunked-read behaviour: the library fetches each chunk run
-/// individually and never reads the gaps between chunk rows.
-/// `useful_bytes` is set to the physical total; callers that know the
-/// logically requested bytes compute density themselves.
+/// One access per (already coalesced) extent of every process. Physical
+/// bytes are summed across processes: re-reads of shared chunks by
+/// neighbouring processes are counted, as they are in the paper's logs.
+/// Callers that know the logically requested bytes compute density
+/// themselves.
 pub fn per_extent_plan(per_process: &[Vec<Extent>]) -> SievePlan {
     let mut accesses = Vec::new();
     for exts in per_process {
         accesses.extend(exts.iter().copied());
     }
-    let physical: u64 = accesses.iter().map(|e| e.len).sum();
+    let physical_bytes = accesses.iter().map(|e| e.len).sum();
     SievePlan {
         accesses,
-        useful_bytes: physical,
-        physical_bytes: physical,
+        physical_bytes,
     }
 }
 
@@ -100,81 +34,11 @@ pub fn per_extent_plan(per_process: &[Vec<Extent>]) -> SievePlan {
 mod tests {
     use super::*;
 
-    fn ext(o: u64, l: u64) -> Extent {
-        Extent::new(o, l)
-    }
-
     #[test]
-    fn contiguous_extent_single_access_per_window() {
-        let plan = sieve_plan(&[ext(100, 10_000)], 4096);
-        assert_eq!(plan.len(), 3);
-        let phys: u64 = plan.iter().map(|e| e.len).sum();
-        assert_eq!(phys, 10_000);
-    }
-
-    #[test]
-    fn holes_inside_window_are_read() {
-        // Two 100-byte extents 800 bytes apart, window big enough for both.
-        let plan = sieve_plan(&[ext(0, 100), ext(900, 100)], 4096);
-        assert_eq!(plan, vec![ext(0, 1000)]);
-    }
-
-    #[test]
-    fn holes_across_windows_are_skipped() {
-        // Same extents, tiny window: two separate reads, no hole read.
-        let plan = sieve_plan(&[ext(0, 100), ext(900, 100)], 128);
-        let phys: u64 = plan.iter().map(|e| e.len).sum();
-        assert_eq!(phys, 200);
-    }
-
-    #[test]
-    fn independent_plan_counts_shared_rereads() {
-        // Two processes both read the same chunk: physical counts it twice.
-        let p = independent_plan(&[vec![ext(0, 1000)], vec![ext(0, 1000)]], 4096);
-        assert_eq!(p.useful_bytes, 2000);
-        assert_eq!(p.physical_bytes, 2000);
-        assert_eq!(unique_bytes(&p), 1000);
-    }
-
-    #[test]
-    fn density_at_most_one_for_disjoint_requests() {
-        let p = independent_plan(&[vec![ext(0, 500), ext(2000, 500)]], 8192);
-        assert!(p.data_density() < 1.0); // hole between them was read
-        let p2 = independent_plan(&[vec![ext(0, 500), ext(2000, 500)]], 256);
-        assert!((p2.data_density() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_request() {
-        let p = independent_plan(&[vec![]], 4096);
-        assert_eq!(p.physical_bytes, 0);
-        assert!((p.data_density() - 1.0).abs() < 1e-12);
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        #[test]
-        fn sieve_covers_request(
-            starts in proptest::collection::vec((0u64..100_000, 1u64..2_000), 1..32),
-            buf in 1u64..20_000,
-        ) {
-            let mut exts: Vec<Extent> = starts.into_iter().map(|(o, l)| Extent::new(o, l)).collect();
-            pvr_formats::extent::coalesce(&mut exts);
-            let plan = sieve_plan(&exts, buf);
-            for e in &exts {
-                let covered: u64 = plan.iter().filter_map(|a| a.intersect(e)).map(|x| x.len).sum();
-                prop_assert!(covered >= e.len, "extent {:?} not covered", e);
-            }
-            // Accesses never start before the request or end after it.
-            prop_assert!(plan[0].offset >= exts[0].offset);
-            prop_assert!(plan.last().unwrap().end() <= exts.last().unwrap().end());
-        }
+    fn shared_chunks_are_read_once_per_process() {
+        let chunk = Extent::new(0, 1000);
+        let p = per_extent_plan(&[vec![chunk, Extent::new(4000, 500)], vec![chunk], vec![]]);
+        assert_eq!(p.accesses.len(), 3);
+        assert_eq!(p.physical_bytes, 2500);
     }
 }

@@ -500,30 +500,14 @@ pub fn two_phase_execute(
     num_aggregators: usize,
     hints: &CollectiveHints,
 ) -> std::io::Result<ExecResult> {
-    let tracer = pvr_obs::Tracer::disabled();
-    two_phase_execute_traced(file, requests, num_aggregators, hints, &tracer)
-}
-
-/// [`two_phase_execute`] with span tracing: each physical window access
-/// becomes an `io.window` span on the track of the aggregator rank that
-/// issues it (args: file offset and bytes read), so the per-access
-/// signature of the collective read — the paper's Figure 9 — shows up
-/// directly on the timeline. A disabled tracer makes this identical to
-/// the plain call.
-pub fn two_phase_execute_traced(
-    file: &mut File,
-    requests: &[RankRequest],
-    num_aggregators: usize,
-    hints: &CollectiveHints,
-    tracer: &pvr_obs::Tracer,
-) -> std::io::Result<ExecResult> {
     let sp = ScatterPlan::build(requests, num_aggregators, hints);
     let mut rank_bytes: Vec<Vec<u8>> = requests
         .iter()
         .map(|rq| vec![0u8; rq.out_elems * ELEM_SIZE as usize])
         .collect();
     let copy = |bytes: &[u8], out: &mut [u8]| out.copy_from_slice(bytes);
-    let exchange_bytes = read_windows(file, &sp, requests, &mut rank_bytes, copy, tracer)?;
+    let tracer = pvr_obs::Tracer::disabled();
+    let exchange_bytes = read_windows(file, &sp, requests, &mut rank_bytes, copy, &tracer)?;
     Ok(ExecResult {
         rank_bytes,
         plan: sp.plan,
@@ -531,13 +515,18 @@ pub fn two_phase_execute_traced(
     })
 }
 
-/// [`two_phase_execute_traced`]'s read, decoded as it is scattered:
-/// every piece goes from the stripe buffer straight into `out[rank]`,
+/// [`two_phase_execute`]'s read, decoded as it is scattered: every
+/// piece goes from the stripe buffer straight into `out[rank]`,
 /// `requests[rank].out_elems` floats in placed-run order, decoded from
 /// `endian`. Elements no run asks for keep what `out` held. Returns the
-/// realized plan and the exchange bytes; the windows, their `io.window`
-/// spans and the bytes every element ends up with are
-/// [`two_phase_execute_traced`]'s.
+/// realized plan and the exchange bytes; the windows and the bytes every
+/// element ends up with are [`two_phase_execute`]'s.
+///
+/// With an enabled `tracer`, each physical window access becomes an
+/// `io.window` span on the track of the aggregator rank that issues it
+/// (args: file offset and bytes read), so the per-access signature of
+/// the collective read — the paper's Figure 9 — shows up directly on
+/// the timeline. A disabled tracer records nothing.
 pub fn two_phase_decode(
     file: &mut File,
     requests: &[RankRequest],
@@ -1197,7 +1186,7 @@ mod tests {
     }
 
     #[test]
-    fn traced_execute_emits_one_window_span_per_access() {
+    fn traced_decode_emits_one_window_span_per_access() {
         let dir = std::env::temp_dir().join(format!("pvr-pfs-tr-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("traced.bin");
@@ -1222,7 +1211,8 @@ mod tests {
         ];
         let tracer = pvr_obs::Tracer::wall();
         let mut f = File::open(&path).unwrap();
-        let res = two_phase_execute_traced(
+        let mut out = vec![vec![0f32; 1024]; 2];
+        let (plan, _) = two_phase_decode(
             &mut f,
             &requests,
             2,
@@ -1230,6 +1220,8 @@ mod tests {
                 cb_buffer_size: 4096,
                 cb_nodes: None,
             },
+            Endian::Little,
+            &mut out,
             &tracer,
         )
         .unwrap();
@@ -1239,7 +1231,7 @@ mod tests {
             .iter()
             .filter(|e| e.name == "io.window" && e.kind == pvr_obs::span::EventKind::Begin)
             .count();
-        assert_eq!(begins, res.plan.accesses.len());
+        assert_eq!(begins, plan.accesses.len());
         // Every span carries the window's byte count.
         let total: u64 = profile
             .events
@@ -1247,7 +1239,7 @@ mod tests {
             .filter(|e| e.name == "io.window" && e.kind == pvr_obs::span::EventKind::Begin)
             .map(|e| e.args.iter().find(|(k, _)| *k == "bytes").unwrap().1)
             .sum();
-        assert_eq!(total, res.plan.physical_bytes);
+        assert_eq!(total, plan.physical_bytes);
         std::fs::remove_file(&path).ok();
     }
 

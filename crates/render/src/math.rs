@@ -23,10 +23,6 @@ impl Vec3 {
         Vec3 { x, y, z }
     }
 
-    pub fn splat(v: f64) -> Self {
-        Vec3 { x: v, y: v, z: v }
-    }
-
     pub fn dot(self, o: Vec3) -> f64 {
         self.x * o.x + self.y * o.y + self.z * o.z
     }
@@ -179,7 +175,9 @@ mod tests {
             origin: Vec3::new(-1.0, 0.5, 0.5),
             dir: Vec3::new(1.0, 0.0, 0.0),
         };
-        let (t0, t1) = r.intersect_box(Vec3::ZERO, Vec3::splat(1.0), 0.0).unwrap();
+        let (t0, t1) = r
+            .intersect_box(Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0), 0.0)
+            .unwrap();
         assert!((t0 - 1.0).abs() < 1e-12);
         assert!((t1 - 2.0).abs() < 1e-12);
     }
@@ -190,7 +188,9 @@ mod tests {
             origin: Vec3::new(-1.0, 2.0, 0.5),
             dir: Vec3::new(1.0, 0.0, 0.0),
         };
-        assert!(r.intersect_box(Vec3::ZERO, Vec3::splat(1.0), 0.0).is_none());
+        assert!(r
+            .intersect_box(Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0), 0.0)
+            .is_none());
     }
 
     #[test]
@@ -199,7 +199,9 @@ mod tests {
             origin: Vec3::new(-1.0, -1.0, -1.0),
             dir: Vec3::new(1.0, 1.0, 1.0).normalized(),
         };
-        let (t0, t1) = r.intersect_box(Vec3::ZERO, Vec3::splat(2.0), 0.0).unwrap();
+        let (t0, t1) = r
+            .intersect_box(Vec3::ZERO, Vec3::new(2.0, 2.0, 2.0), 0.0)
+            .unwrap();
         assert!(t1 > t0 && t0 > 0.0);
         let p = r.at(t0);
         assert!(p.x.abs() < 1e-9 && p.y.abs() < 1e-9 && p.z.abs() < 1e-9);
@@ -208,10 +210,12 @@ mod tests {
     #[test]
     fn ray_from_inside_box() {
         let r = Ray {
-            origin: Vec3::splat(0.5),
+            origin: Vec3::new(0.5, 0.5, 0.5),
             dir: Vec3::new(0.0, 0.0, 1.0),
         };
-        let (t0, t1) = r.intersect_box(Vec3::ZERO, Vec3::splat(1.0), 0.0).unwrap();
+        let (t0, t1) = r
+            .intersect_box(Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0), 0.0)
+            .unwrap();
         assert_eq!(t0, 0.0);
         assert!((t1 - 0.5).abs() < 1e-12);
     }

@@ -121,14 +121,6 @@ impl BlockDecomposition {
         (0..self.num_blocks()).map(|i| self.block(i)).collect()
     }
 
-    /// Block ids assigned to `rank` out of `nranks` (round-robin; with
-    /// `nblocks == nranks`, rank *i* owns exactly block *i*).
-    pub fn blocks_for_rank(&self, rank: usize, nranks: usize) -> Vec<usize> {
-        (0..self.num_blocks())
-            .filter(|b| b % nranks == rank)
-            .collect()
-    }
-
     /// The block's subvolume extended by `ghost` voxels on every side,
     /// clamped to the grid — the region a rank actually reads so that
     /// boundary samples interpolate correctly.
@@ -184,22 +176,6 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s), "some voxels uncovered");
-    }
-
-    #[test]
-    fn round_robin_assignment_covers_all_blocks() {
-        let d = BlockDecomposition::new([64, 64, 64], 12);
-        let nranks = 5;
-        let mut all: Vec<usize> = (0..nranks)
-            .flat_map(|r| d.blocks_for_rank(r, nranks))
-            .collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..12).collect::<Vec<_>>());
-        // One block per rank when counts match.
-        let d1 = BlockDecomposition::new([64, 64, 64], 8);
-        for r in 0..8 {
-            assert_eq!(d1.blocks_for_rank(r, 8), vec![r]);
-        }
     }
 
     #[test]

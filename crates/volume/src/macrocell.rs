@@ -231,15 +231,11 @@ impl MacrocellGrid {
         self.cells
     }
 
-    pub fn num_cells(&self) -> usize {
-        self.minmax.len()
-    }
-
     /// Cell coordinates of the cell holding voxel `(x, y, z)` — the
     /// cell whose range covers the trilinear support of any sample
     /// position that floors (after clamping) to that voxel.
-    #[inline]
-    pub fn cell_of_voxel(&self, x: usize, y: usize, z: usize) -> [usize; 3] {
+    #[cfg(test)]
+    fn cell_of_voxel(&self, x: usize, y: usize, z: usize) -> [usize; 3] {
         [
             (x / MACROCELL_SIZE).min(self.cells[0] - 1),
             (y / MACROCELL_SIZE).min(self.cells[1] - 1),
@@ -248,21 +244,14 @@ impl MacrocellGrid {
     }
 
     /// Row-major index of cell `c` (x fastest).
-    #[inline]
-    pub fn index_of_cell(&self, c: [usize; 3]) -> usize {
+    #[cfg(test)]
+    fn index_of_cell(&self, c: [usize; 3]) -> usize {
         (c[2] * self.cells[1] + c[1]) * self.cells[0] + c[0]
     }
 
-    /// Index of the cell holding voxel `(x, y, z)`; see
-    /// [`MacrocellGrid::cell_of_voxel`].
-    #[inline]
-    pub fn cell_index_of_voxel(&self, x: usize, y: usize, z: usize) -> usize {
-        self.index_of_cell(self.cell_of_voxel(x, y, z))
-    }
-
     /// `(min, max)` of cell `i` (row-major, x fastest).
-    #[inline]
-    pub fn min_max(&self, i: usize) -> (f32, f32) {
+    #[cfg(test)]
+    fn min_max(&self, i: usize) -> (f32, f32) {
         self.minmax[i]
     }
 
@@ -319,7 +308,7 @@ mod tests {
         let g = MacrocellGrid::build(&v);
         assert_eq!(g.cells(), [3, 2, 2]);
         // Cell 0 along x covers voxels 0..=8 (values 0..=8).
-        let (lo, hi) = g.min_max(g.cell_index_of_voxel(0, 0, 0));
+        let (lo, hi) = g.min_max(g.index_of_cell(g.cell_of_voxel(0, 0, 0)));
         assert_eq!(lo, 0.0);
         assert_eq!(hi, 8.0 + 10.0 * 8.0 + 100.0 * 8.0);
     }
@@ -343,7 +332,7 @@ mod tests {
                     let vx = (p[0].clamp(0.0, (dims[0] - 1) as f32)) as usize;
                     let vy = (p[1].clamp(0.0, (dims[1] - 1) as f32)) as usize;
                     let vz = (p[2].clamp(0.0, (dims[2] - 1) as f32)) as usize;
-                    let (lo, hi) = g.min_max(g.cell_index_of_voxel(vx, vy, vz));
+                    let (lo, hi) = g.min_max(g.index_of_cell(g.cell_of_voxel(vx, vy, vz)));
                     assert!(s >= lo && s <= hi, "p={p:?} s={s} range=({lo},{hi})");
                 }
             }
@@ -484,7 +473,7 @@ mod tests {
     fn single_voxel_volume() {
         let v = Volume::from_data([1, 1, 1], vec![4.5]);
         let g = MacrocellGrid::build(&v);
-        assert_eq!(g.num_cells(), 1);
+        assert_eq!(g.ranges().len(), 1);
         assert_eq!(g.min_max(0), (4.5, 4.5));
     }
 }

@@ -19,7 +19,8 @@ use parallel_volume_rendering::core::pipeline::{run_frame_mpi, run_frame_mpi_pro
 use parallel_volume_rendering::core::{
     run_frame, write_dataset, CompositorPolicy, FrameConfig, IoMode,
 };
-use parallel_volume_rendering::obs::{critical_path, imbalance, perfetto};
+use parallel_volume_rendering::mpisim::analysis::critical_path;
+use parallel_volume_rendering::obs::{imbalance, perfetto};
 
 fn arg(i: usize, default: usize) -> usize {
     std::env::args()

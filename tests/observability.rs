@@ -18,11 +18,10 @@ use parallel_volume_rendering::core::pipeline::run_frame_traced;
 use parallel_volume_rendering::core::{
     run_frame, run_frame_mpi_profiled, write_dataset, CompositorPolicy, FrameConfig,
 };
+use parallel_volume_rendering::mpisim::analysis::critical_path;
 use parallel_volume_rendering::obs::analysis::imbalance_csv;
 use parallel_volume_rendering::obs::perfetto::SchemaError;
-use parallel_volume_rendering::obs::{
-    critical_path, imbalance, json, perfetto, Tracer, Trajectory,
-};
+use parallel_volume_rendering::obs::{imbalance, json, perfetto, Tracer, Trajectory};
 
 fn tmp(name: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("pvr-obs-test-{}", std::process::id()));

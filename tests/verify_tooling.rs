@@ -56,12 +56,17 @@ fn recv_cycle_is_reported_with_the_cycle_named() {
 
 #[test]
 fn stall_without_detection_is_reported_not_hung() {
-    let opts = RunOptions::default()
-        .no_deadlock_detection()
-        .with_timeout(Some(std::time::Duration::from_millis(200)));
+    // Rank 1 keeps a timer pending forever, so the world never goes
+    // quiescent and no deadlock can be declared: the wall-clock watchdog
+    // must end the run and name the rank still waiting.
+    let opts = RunOptions::default().with_timeout(Some(std::time::Duration::from_millis(200)));
     let err = World::run_opts(2, opts, |mut comm| async move {
         if comm.rank() == 0 {
             let _ = comm.recv_from(1, 9).await; // never sent
+        } else {
+            loop {
+                comm.sleep(std::time::Duration::from_millis(1)).await;
+            }
         }
     })
     .unwrap_err();
