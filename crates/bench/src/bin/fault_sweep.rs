@@ -14,9 +14,10 @@
 //! * **Everything replays** — re-running the same `(seed, FaultPlan)`
 //!   reproduces the image and the completeness map exactly.
 //!
-//! Default mode prints a sweep table (drop depth × stragglers × down
-//! servers). `--ci` runs the assertion suite with fixed seeds and exits
-//! nonzero on any violated invariant — the `fault-sweep` CI job.
+//! It runs the assertion suite with fixed seeds and exits nonzero on
+//! any violated invariant — the `fault-sweep` CI job:
+//! `cargo run --release -p pvr-bench --bin fault_sweep`. The drop depth
+//! × stragglers × down-server grid is `recovery_sweep`'s, gated there.
 
 use std::path::Path;
 use std::time::Instant;
@@ -31,38 +32,6 @@ use pvr_faults::{
 };
 use pvr_obs::bench::Trajectory;
 use pvr_obs::FlightRecorder;
-
-fn sweep(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy) {
-    println!("# fault sweep: n=8, 16^3 grid, 24^2 image, 4 compositors");
-    println!(
-        "{:>5} {:>10} {:>12} {:>9} {:>8} {:>9} {:>9}",
-        "drops", "straggler", "servers_down", "time_ms", "compl", "retries", "timeouts"
-    );
-    for depth in [0u32, 1, 2] {
-        for stragglers in [0usize, 1, 2] {
-            for down in [0usize, 1] {
-                let plan = transient_plan(11, depth, stragglers, down);
-                let t0 = Instant::now();
-                match run(cfg, path, &plan, policy, &FlightRecorder::disabled()) {
-                    Ok(ft) => {
-                        let rec = ft.frame.timing.recovery;
-                        println!(
-                            "{:>5} {:>10} {:>12} {:>9.1} {:>8.4} {:>9} {:>9}",
-                            depth,
-                            stragglers,
-                            down,
-                            t0.elapsed().as_secs_f64() * 1e3,
-                            ft.completeness.frame_fraction(),
-                            rec.retries + rec.io_retries,
-                            rec.timeouts
-                        );
-                    }
-                    Err(e) => println!("{depth:>5} {stragglers:>10} {down:>12} FAILED: {e}"),
-                }
-            }
-        }
-    }
-}
 
 /// Per-scenario outcome feeding `results/BENCH_faults.json`.
 struct Outcome {
@@ -167,7 +136,7 @@ fn outcome_of(case: &'static str, heal_expected: bool, ft: &FaultFrame, wall_ms:
     }
 }
 
-fn ci(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy) -> bool {
+fn suite(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy) -> bool {
     let mut all = true;
     let reg = pvr_obs::Registry::new();
     let mut outcomes: Vec<Outcome> = Vec::new();
@@ -447,25 +416,15 @@ fn ci(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy) -> bool {
 }
 
 fn main() {
-    let ci_mode = std::env::args().any(|a| a == "--ci");
     let cfg = sweep_cfg();
     let path = sweep_dataset(&cfg, "fault-sweep");
-    let policy = RecoveryPolicy::fast_test();
-
-    let ok = if ci_mode {
-        let t0 = Instant::now();
-        let ok = ci(&cfg, &path, &policy);
-        println!(
-            "fault-sweep CI suite: {} in {:.1}s",
-            if ok { "all checks passed" } else { "FAILURES" },
-            t0.elapsed().as_secs_f64()
-        );
-        ok
-    } else {
-        sweep(&cfg, &path, &policy);
-        true
-    };
-
+    let t0 = Instant::now();
+    let ok = suite(&cfg, &path, &RecoveryPolicy::fast_test());
+    println!(
+        "fault-sweep CI suite: {} in {:.1}s",
+        if ok { "all checks passed" } else { "FAILURES" },
+        t0.elapsed().as_secs_f64()
+    );
     std::fs::remove_file(&path).ok();
     if !ok {
         std::process::exit(1);

@@ -10,8 +10,8 @@
 //!   accept the late fragments, a dead compositor's tile is rebuilt at
 //!   the root. Completeness is exactly 1.0 and `adopted_blocks > 0`.
 //! * **Zero unhealed transients** — the drop-depth × straggler × down-
-//!   server grid of `fault_sweep` must heal every cell bit-identically
-//!   (all faults there are survivable by construction).
+//!   server grid must heal every cell bit-identically (all faults
+//!   there are survivable by construction).
 //! * **Stragglers are hedged** — a 1.2 s straggle at any stage does not
 //!   show up in the frame wall: suspicion fires a speculative duplicate
 //!   render and first-wins dedup discards the loser.
@@ -117,7 +117,8 @@ fn crash_matrix(
     (ok, cells)
 }
 
-/// The transient grid of `fault_sweep`, gated: every cell heals.
+/// The drop-depth × straggler × down-server grid, gated: every cell
+/// heals.
 fn transient_grid(cfg: &FrameConfig, path: &Path, policy: &RecoveryPolicy, base: &Image) -> bool {
     let mut unhealed = 0usize;
     let mut cases = 0usize;

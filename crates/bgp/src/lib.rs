@@ -7,9 +7,9 @@
 //!
 //! * [`topology`] — the 3D torus interconnect: node coordinates, link
 //!   identifiers and deterministic dimension-ordered (DOR) routing.
-//! * [`machine`] — the machine configuration: racks, psets (one I/O node
-//!   per 64 compute nodes), core-to-node mapping, and the published BG/P
-//!   performance constants.
+//! * [`machine`] — the machine configuration: partition size, I/O-node
+//!   count (one per 64-node pset), core-to-node mapping, and the
+//!   published BG/P performance constants.
 //! * [`flowsim`] — a discrete-event, flow-level network simulator with
 //!   max-min fair bandwidth sharing per link and a LogP-style
 //!   per-message CPU overhead model. Small-message bandwidth collapse
@@ -32,7 +32,7 @@ pub mod machine;
 pub mod topology;
 
 pub use flowsim::{FlowSim, FlowSpec, SimReport};
-pub use machine::{Machine, MachineConfig, Pset};
+pub use machine::{Machine, MachineConfig};
 pub use topology::{NodeCoord, Torus};
 
 /// Published Blue Gene/P performance constants used throughout the

@@ -49,17 +49,8 @@ impl MachineConfig {
     }
 }
 
-/// A pset: the group of compute nodes served by one I/O node.
-#[derive(Debug, Clone)]
-pub struct Pset {
-    /// Index of this pset within the partition.
-    pub index: usize,
-    /// Compute node ids (dense partition-local ids) in this pset.
-    pub nodes: Vec<usize>,
-}
-
 /// A job partition of the Blue Gene/P: a torus of compute nodes, the
-/// rank map, and the pset / I/O-node structure.
+/// rank map, and the I/O-node count.
 #[derive(Debug, Clone)]
 pub struct Machine {
     torus: Torus,
@@ -110,18 +101,6 @@ impl Machine {
     pub fn num_io_nodes(&self) -> usize {
         self.nodes.div_ceil(consts::NODES_PER_IO_NODE).max(1)
     }
-
-    /// The pset structure: each I/O node serves a contiguous block of
-    /// compute nodes.
-    pub fn psets(&self) -> Vec<Pset> {
-        let per = consts::NODES_PER_IO_NODE.min(self.nodes);
-        (0..self.num_io_nodes())
-            .map(|i| Pset {
-                index: i,
-                nodes: (i * per..((i + 1) * per).min(self.nodes)).collect(),
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -142,10 +121,6 @@ mod tests {
         let m = Machine::new(MachineConfig::vn(32768));
         assert_eq!(m.num_nodes(), 8192);
         assert_eq!(m.num_io_nodes(), 128);
-        let psets = m.psets();
-        assert_eq!(psets.len(), 128);
-        let total: usize = psets.iter().map(|p| p.nodes.len()).sum();
-        assert_eq!(total, 8192);
     }
 
     #[test]
@@ -153,7 +128,6 @@ mod tests {
         let m = Machine::new(MachineConfig::vn(64));
         assert_eq!(m.num_nodes(), 16);
         assert_eq!(m.num_io_nodes(), 1);
-        assert_eq!(m.psets().len(), 1);
     }
 
     #[test]

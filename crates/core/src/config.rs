@@ -106,7 +106,9 @@ impl CompositorPolicy {
     }
 }
 
-/// One frame's configuration.
+/// One frame's configuration: what is read, rendered and composited.
+/// How a faulted frame recovers (deadlines, retries, the recovery
+/// budget) is set in [`pvr_faults::RecoveryPolicy`] alone.
 #[derive(Debug, Clone, Copy)]
 pub struct FrameConfig {
     /// Global grid (e.g. 1120³ scaled down for laptop runs).
@@ -140,15 +142,6 @@ pub struct FrameConfig {
     /// counts; `Bounded` trades a reported per-frame error bound for
     /// speed.
     pub termination: Termination,
-    /// Override the fault-tolerant executor's per-stage receive
-    /// deadline (milliseconds). `None` derives it from the calibrated
-    /// perf model with the [`pvr_faults::RecoveryPolicy`] value as a
-    /// floor — see `core::recovery::effective_policy`.
-    pub stage_deadline_ms: Option<u64>,
-    /// Override the per-frame recovery budget of the degradation
-    /// ladder (estimated milliseconds). `None` defers to the policy
-    /// (unbounded by default).
-    pub frame_budget_ms: Option<u64>,
 }
 
 impl FrameConfig {
@@ -166,8 +159,6 @@ impl FrameConfig {
             shading: false,
             fast_path: true,
             termination: Termination::Bitwise,
-            stage_deadline_ms: None,
-            frame_budget_ms: None,
         }
     }
 
@@ -185,8 +176,6 @@ impl FrameConfig {
             shading: false,
             fast_path: true,
             termination: Termination::Bitwise,
-            stage_deadline_ms: None,
-            frame_budget_ms: None,
         }
     }
 

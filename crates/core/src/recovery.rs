@@ -23,8 +23,7 @@
 //! * **Derived deadlines** ([`effective_policy`]) — receive deadlines
 //!   and the failure-suspicion threshold scale with the perf model's
 //!   predicted stage times instead of hard-coded constants, with the
-//!   caller's [`RecoveryPolicy`] as a floor and `FrameConfig` overrides
-//!   winning outright.
+//!   caller's [`RecoveryPolicy`] as a floor.
 
 use std::time::Duration;
 
@@ -60,21 +59,13 @@ pub struct RecoveryBudget {
 }
 
 impl RecoveryBudget {
+    /// A ledger of `total` estimated seconds (`None` = unbounded): a
+    /// frame runs with its policy's [`RecoveryPolicy::frame_budget`].
     pub fn new(total: Option<f64>) -> RecoveryBudget {
         RecoveryBudget {
             remaining: total,
             spent: 0.0,
         }
-    }
-
-    /// The budget a frame runs with: the config override (milliseconds)
-    /// wins, then the policy, then unbounded.
-    pub fn for_frame(cfg: &FrameConfig, policy: &RecoveryPolicy) -> RecoveryBudget {
-        let total = cfg
-            .frame_budget_ms
-            .map(|ms| ms as f64 / 1e3)
-            .or(policy.frame_budget);
-        RecoveryBudget::new(total)
     }
 
     pub fn remaining(&self) -> Option<f64> {
@@ -160,35 +151,24 @@ pub fn adopter_of(
 
 /// Derive the frame's receive deadlines from the calibrated perf model
 /// instead of fixed constants. The base policy acts as a floor (small
-/// test frames keep their sub-second deadlines); a
-/// [`FrameConfig::stage_deadline_ms`] override wins outright. The
-/// suspicion threshold scales with the same prediction but is clamped
-/// to stay well inside the stage deadline, so adoption always has room
-/// to run before the stage gives up.
+/// test frames keep their sub-second deadlines). The suspicion
+/// threshold scales with the same prediction but is clamped to stay
+/// well inside the stage deadline, so adoption always has room to run
+/// before the stage gives up.
 pub fn effective_policy(cfg: &FrameConfig, base: &RecoveryPolicy) -> RecoveryPolicy {
     let mut policy = *base;
-    if let Some(ms) = cfg.stage_deadline_ms {
-        policy.stage_deadline = Duration::from_millis(ms);
-    } else {
-        let model = PerfModel::default();
-        let (render_s, _) = model.simulate_render(cfg);
-        let io_s = cfg.variable_bytes() as f64 / NOMINAL_IO_BW;
-        let predicted = render_s.max(io_s) * HEADROOM;
-        if predicted > base.stage_deadline.as_secs_f64() {
-            policy.stage_deadline = Duration::from_secs_f64(predicted);
-        }
+    let (render_s, _) = PerfModel::default().simulate_render(cfg);
+    let io_s = cfg.variable_bytes() as f64 / NOMINAL_IO_BW;
+    let predicted = render_s.max(io_s) * HEADROOM;
+    if predicted > base.stage_deadline.as_secs_f64() {
+        policy.stage_deadline = Duration::from_secs_f64(predicted);
     }
     // Suspicion: floor at the base value, scale with the render
     // prediction (a peer slower than several times the predicted stage
     // is presumed dead), cap at a quarter of the stage deadline.
-    let model = PerfModel::default();
-    let (render_s, _) = model.simulate_render(cfg);
     let derived = (render_s * HEADROOM).max(base.suspicion.as_secs_f64());
     let cap = policy.stage_deadline.as_secs_f64() / 4.0;
     policy.suspicion = Duration::from_secs_f64(derived.min(cap).max(1e-3));
-    if let Some(ms) = cfg.frame_budget_ms {
-        policy.frame_budget = Some(ms as f64 / 1e3);
-    }
     policy
 }
 
@@ -213,25 +193,6 @@ mod tests {
         let mut b2 = RecoveryBudget::new(Some(1.3));
         assert_eq!(b2.charge(1.0, factor), HealDecision::Full);
         assert_eq!(b2.charge(1.0, factor), HealDecision::Coarse);
-    }
-
-    #[test]
-    fn budget_resolution_prefers_config_override() {
-        let mut cfg = FrameConfig::small(16, 24, 8);
-        let mut policy = RecoveryPolicy::fast_test();
-        assert!(RecoveryBudget::for_frame(&cfg, &policy)
-            .remaining()
-            .is_none());
-        policy.frame_budget = Some(2.0);
-        assert_eq!(
-            RecoveryBudget::for_frame(&cfg, &policy).remaining(),
-            Some(2.0)
-        );
-        cfg.frame_budget_ms = Some(500);
-        assert_eq!(
-            RecoveryBudget::for_frame(&cfg, &policy).remaining(),
-            Some(0.5)
-        );
     }
 
     #[test]
@@ -288,14 +249,11 @@ mod tests {
         let p = effective_policy(&paper, &base);
         assert!(p.stage_deadline > base.stage_deadline);
         assert!(p.suspicion <= p.stage_deadline / 4 + Duration::from_millis(1));
-        // Explicit override wins outright.
-        let mut over = paper;
-        over.stage_deadline_ms = Some(250);
-        let p = effective_policy(&over, &base);
-        assert_eq!(p.stage_deadline, Duration::from_millis(250));
-        // Budget override flows into the policy.
-        let mut budgeted = small;
-        budgeted.frame_budget_ms = Some(100);
-        assert_eq!(effective_policy(&budgeted, &base).frame_budget, Some(0.1));
+        // The recovery budget is the policy's, untouched.
+        let budgeted = RecoveryPolicy {
+            frame_budget: Some(0.1),
+            ..base
+        };
+        assert_eq!(effective_policy(&paper, &budgeted).frame_budget, Some(0.1));
     }
 }

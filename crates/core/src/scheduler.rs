@@ -341,7 +341,7 @@ pub(crate) fn rayon_frame(
     // no rank to lose: the frame-level stage times gate.
     let stage_secs = [timing.io, timing.render, timing.composite];
     let slo = crate::slo::evaluate(&SloInput {
-        budgets: budgets_for(cfg, &stage_secs, &[], &[], || shared.budgets()),
+        budgets: budgets_for(&stage_secs, &[], &[], || shared.budgets()),
         stage_secs,
         per_rank: &[],
         incidents: &[],
@@ -885,7 +885,7 @@ impl<'a> RankExec<'a> {
                 faults,
                 out,
                 inb,
-                budget: RecoveryBudget::for_frame(self.cfg, &faults.policy),
+                budget: RecoveryBudget::new(faults.policy.frame_budget),
                 adopted: HashMap::new(),
             })
         });
@@ -945,8 +945,8 @@ impl<'a> RankExec<'a> {
     /// The storage-fault verdict on one read, its retries and failovers
     /// counted.
     fn audit(&mut self, read: Extent) -> WindowAudit {
-        let audit = self
-            .planned(|f| window_fault_audit(&f.store, &f.servers, &f.policy.io_recovery(), read));
+        let audit =
+            self.planned(|f| window_fault_audit(&f.store, &f.servers, f.policy.io_failover, read));
         self.count(RecoveryCounters {
             io_retries: audit.retries,
             io_failovers: audit.failovers,
@@ -1734,7 +1734,7 @@ pub(crate) fn assemble_frame(
     };
     let stage_secs = [timing.io, timing.render, timing.composite];
     let mut slo = crate::slo::evaluate(&SloInput {
-        budgets: budgets_for(cfg, &stage_secs, &per_rank, &incidents, || shared.budgets()),
+        budgets: budgets_for(&stage_secs, &per_rank, &incidents, || shared.budgets()),
         stage_secs,
         per_rank: &per_rank,
         incidents: &incidents,
@@ -2439,7 +2439,7 @@ mod tests {
                 .runs
                 .iter()
                 .map(|r| Extent::new(r.file_offset, r.elems as u64 * ELEM_SIZE))
-                .map(|run| window_fault_audit(&f.store, &f.servers, &f.policy.io_recovery(), run))
+                .map(|run| window_fault_audit(&f.store, &f.servers, f.policy.io_failover, run))
                 .map(|audit| audit.unrecovered_bytes())
                 .sum();
             lost_total += lost;

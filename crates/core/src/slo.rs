@@ -13,8 +13,7 @@
 //!   ([`crate::recovery::effective_policy`]): the modeled I/O, render,
 //!   and composite seconds (the composite term prices the frame's own
 //!   schedule, handed in) times the shared headroom, floored at 250 ms
-//!   so laptop-scale frames are judged against sane sub-second budgets,
-//!   and a [`FrameConfig::stage_deadline_ms`] override winning outright.
+//!   so laptop-scale frames are judged against sane sub-second budgets.
 //! * [`evaluate`] is a pure function of the budgets, the measured stage
 //!   seconds and the located [`Incident`]s (crashes, stragglers past
 //!   suspicion, ladder activations, I/O failovers): a deterministic
@@ -159,14 +158,10 @@ pub struct SloInput<'a> {
 }
 
 /// Per-stage budgets in seconds, plan order: modeled stage seconds ×
-/// the headroom the recovery deadlines use, floored per stage; a
-/// [`FrameConfig::stage_deadline_ms`] override wins outright.
+/// the headroom the recovery deadlines use, floored per stage.
 /// `schedule` is the frame's direct-send schedule
 /// ([`crate::scheduler::FrameShared::schedule`]).
 pub fn stage_budgets(cfg: &FrameConfig, schedule: &Schedule) -> [f64; 3] {
-    if let Some(ms) = cfg.stage_deadline_ms {
-        return [ms as f64 / 1e3; 3];
-    }
     modeled_budgets(cfg, schedule).map(|b| b.max(BUDGET_FLOOR))
 }
 
@@ -181,13 +176,12 @@ fn modeled_budgets(cfg: &FrameConfig, schedule: &Schedule) -> [f64; 3] {
 }
 
 /// The budgets to judge a frame by: `price()`d when the verdict can
-/// depend on them, the floors otherwise. Without a deadline override no
-/// budget is below [`BUDGET_FLOOR`], so a frame with no incidents whose
-/// every stage time, at the frame and on every rank, stays within the
-/// at-risk share of the floor is [`Verdict::Ok`] whatever the model
-/// prices — and a fast frame skips pricing its schedule.
+/// depend on them, the floors otherwise. No budget is below
+/// [`BUDGET_FLOOR`], so a frame with no incidents whose every stage
+/// time, at the frame and on every rank, stays within the at-risk share
+/// of the floor is [`Verdict::Ok`] whatever the model prices — and a
+/// fast frame skips pricing its schedule.
 pub(crate) fn budgets_for(
-    cfg: &FrameConfig,
     stage_secs: &[f64; 3],
     per_rank: &[[f64; 3]],
     incidents: &[Incident],
@@ -195,7 +189,7 @@ pub(crate) fn budgets_for(
 ) -> [f64; 3] {
     let near_floor = |s: &f64| *s > BUDGET_FLOOR * AT_RISK_FRAC;
     let mut times = stage_secs.iter().chain(per_rank.iter().flatten());
-    if cfg.stage_deadline_ms.is_some() || !incidents.is_empty() || times.any(near_floor) {
+    if !incidents.is_empty() || times.any(near_floor) {
         price()
     } else {
         [BUDGET_FLOOR; 3]
@@ -448,40 +442,34 @@ mod tests {
 
     /// Judging by the floors where `budgets_for` skips the pricing gives
     /// every verdict the priced budgets give: stage times swept across
-    /// the at-risk share of the floor, with and without a slow rank, an
-    /// incident or a deadline override.
+    /// the at-risk share of the floor, with and without a slow rank or
+    /// an incident.
     #[test]
     fn skipping_the_pricing_never_changes_a_verdict() {
-        let mut cfg = FrameConfig::small(16, 24, 8);
         for priced in [[0.25, 0.25, 0.25], [0.3, 1.5, 0.25], [4.0, 0.26, 0.9]] {
-            for deadline in [None, Some(150)] {
-                cfg.stage_deadline_ms = deadline;
-                let priced = deadline.map_or(priced, |ms| [ms as f64 / 1e3; 3]);
-                for t in [0.0, 0.05, 0.19, 0.2, 0.21, 0.3, 1.0] {
-                    let stage_secs = [0.01, t, 0.02];
-                    let slow = [[0.01, 0.02, 2.0 * t + 0.01]];
-                    let crash = [Incident {
-                        rank: 1,
-                        stage: 1,
-                        cause: Cause::Crash,
-                    }];
-                    for (per_rank, incidents) in [
-                        (&[][..], &[][..]),
-                        (&slow[..], &[][..]),
-                        (&[][..], &crash[..]),
-                    ] {
-                        let judge = |budgets| {
-                            evaluate(&SloInput {
-                                budgets,
-                                stage_secs,
-                                per_rank,
-                                incidents,
-                            })
-                        };
-                        let skipped =
-                            budgets_for(&cfg, &stage_secs, per_rank, incidents, || priced);
-                        assert_eq!(judge(skipped), judge(priced), "t {t}, budgets {priced:?}");
-                    }
+            for t in [0.0, 0.05, 0.19, 0.2, 0.21, 0.3, 1.0] {
+                let stage_secs = [0.01, t, 0.02];
+                let slow = [[0.01, 0.02, 2.0 * t + 0.01]];
+                let crash = [Incident {
+                    rank: 1,
+                    stage: 1,
+                    cause: Cause::Crash,
+                }];
+                for (per_rank, incidents) in [
+                    (&[][..], &[][..]),
+                    (&slow[..], &[][..]),
+                    (&[][..], &crash[..]),
+                ] {
+                    let judge = |budgets| {
+                        evaluate(&SloInput {
+                            budgets,
+                            stage_secs,
+                            per_rank,
+                            incidents,
+                        })
+                    };
+                    let skipped = budgets_for(&stage_secs, per_rank, incidents, || priced);
+                    assert_eq!(judge(skipped), judge(priced), "t {t}, budgets {priced:?}");
                 }
             }
         }
@@ -561,11 +549,6 @@ mod tests {
         let b = budgets(&FrameConfig::paper_1120(4096));
         assert!(b[0] > 1.0, "io budget {}", b[0]);
         assert!(b[1] > 0.25, "render budget {}", b[1]);
-
-        // The config deadline override wins outright.
-        let mut cfg = FrameConfig::small(16, 24, 8);
-        cfg.stage_deadline_ms = Some(2000);
-        assert_eq!(budgets(&cfg), [2.0; 3]);
     }
 
     /// The `sim-2048` frame's budgets before the floor, pinned to the

@@ -8,9 +8,9 @@
 //! * **[`FaultPlan`]** (`plan`) — a seeded, JSON-serializable
 //!   declaration of everything that goes wrong in a run: per-rank
 //!   crash/straggle faults keyed to a pipeline stage, per-link message
-//!   drop/delay/corruption rules, per-storage-server outages and
-//!   degradations. Every behaviour derives from `(seed, plan)` alone,
-//!   so a failing configuration replays bit-for-bit.
+//!   drop/delay/corruption rules, and down storage servers. Every
+//!   behaviour derives from `(seed, plan)` alone, so a failing
+//!   configuration replays bit-for-bit.
 //! * **[`PlanInjector`]** (`injector`) — lowers the plan's link rules
 //!   onto the simulator's transport hook
 //!   ([`pvr_mpisim::fault::FaultInjector`]).
@@ -23,9 +23,9 @@
 //!   deadline/retry knobs of a fault-tolerant frame and the additive
 //!   record of what recovery did.
 //!
-//! The storage-side counterparts (`ServerFaults`, `IoRecovery`, stripe
-//! failover) live in `pvr_pfs::fault`; the
-//! image-side counterpart (per-tile `CompletenessMap`) lives in
+//! The storage-side counterparts (`ServerFaults`, stripe failover)
+//! live in `pvr_pfs::fault`; the image-side counterpart (per-tile
+//! `CompletenessMap`) lives in
 //! `pvr_compositing::completeness`. This crate is the control plane
 //! that ties them to one plan, and `pvr_core::drive_frame` with
 //! `Driver::faults` is the pipeline that consumes all three.

@@ -3,10 +3,11 @@
 //! A [`FaultPlan`] is the single source of truth for what goes wrong in
 //! a run: per-rank crash/straggle faults keyed to a pipeline stage,
 //! per-link message faults the transport injector enforces, and
-//! per-server storage faults the pfs layer prices and executes. Plans
-//! serialize to/from a small JSON dialect (through the workspace's one
-//! JSON module, [`pvr_obs::json`]), so
-//! a failing configuration can be saved, attached to a bug report, and
+//! down storage servers the frame's reads audit against
+//! (`pvr_pfs::fault`). Every fault a plan can name changes what an
+//! executed frame does. Plans serialize to/from a small JSON dialect
+//! (through the workspace's one JSON module, [`pvr_obs::json`]), so a
+//! failing configuration can be saved, attached to a bug report, and
 //! replayed bit-for-bit: all behaviour derives from `(seed, plan)`
 //! alone.
 
@@ -108,17 +109,18 @@ pub struct RankFault {
     pub action: RankAction,
 }
 
-/// What a faulted pfs server does.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// What a faulted pfs server does: it is down for the whole run, and
+/// every stripe piece it holds fails over to its replica or is lost.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServerAction {
     Down,
-    /// Streaming bandwidth multiplied by this factor.
-    BandwidthFactor(f64),
-    /// Extra per-request overhead, milliseconds.
-    ExtraOverheadMs(f64),
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Server actions earlier plans could name that no executed frame
+/// acted on; [`FaultPlan::from_json`] rejects them by name.
+const REMOVED_SERVER_ACTIONS: [&str; 2] = ["bw_factor", "extra_overhead_ms"];
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerFault {
     pub server: usize,
     pub action: ServerAction,
@@ -189,15 +191,9 @@ impl FaultPlan {
     pub fn server_faults(&self, nservers: usize) -> pvr_pfs::ServerFaults {
         let mut sf = pvr_pfs::ServerFaults::none(nservers);
         for f in &self.servers {
-            if f.server >= nservers {
-                continue;
-            }
-            match f.action {
-                ServerAction::Down => sf.down[f.server] = true,
-                ServerAction::BandwidthFactor(x) => sf.bw_factor[f.server] = x.clamp(1e-3, 1.0),
-                ServerAction::ExtraOverheadMs(ms) => {
-                    sf.extra_overhead[f.server] = ms.max(0.0) * 1e-3
-                }
+            let ServerAction::Down = f.action;
+            if let Some(down) = sf.down.get_mut(f.server) {
+                *down = true;
             }
         }
         sf
@@ -264,16 +260,13 @@ impl FaultPlan {
                 action,
             });
         }
-        // 0–2 server faults.
+        // 0–2 down servers.
         if nservers > 0 {
             for _ in 0..next(3) {
-                let server = next(nservers as u64) as usize;
-                let action = match next(3) {
-                    0 => ServerAction::Down,
-                    1 => ServerAction::BandwidthFactor(0.1 + next(80) as f64 / 100.0),
-                    _ => ServerAction::ExtraOverheadMs(next(5) as f64),
-                };
-                plan.servers.push(ServerFault { server, action });
+                plan.servers.push(ServerFault {
+                    server: next(nservers as u64) as usize,
+                    action: ServerAction::Down,
+                });
             }
         }
         plan
@@ -347,19 +340,11 @@ impl FaultPlan {
             .servers
             .iter()
             .map(|f| {
-                let (act, arg) = match f.action {
-                    ServerAction::Down => ("down", None),
-                    ServerAction::BandwidthFactor(x) => ("bw_factor", Some(x)),
-                    ServerAction::ExtraOverheadMs(ms) => ("extra_overhead_ms", Some(ms)),
-                };
-                let mut o = vec![
+                let ServerAction::Down = f.action;
+                Json::Obj(vec![
                     ("server".into(), Json::Num(f.server as f64)),
-                    ("action".into(), Json::Str(act.into())),
-                ];
-                if let Some(a) = arg {
-                    o.push(("arg".into(), Json::Num(a)));
-                }
-                Json::Obj(o)
+                    ("action".into(), Json::Str("down".into())),
+                ])
             })
             .collect();
         Json::Obj(vec![
@@ -435,8 +420,12 @@ impl FaultPlan {
         for o in items("servers") {
             let action = match o.str_field("action")? {
                 "down" => ServerAction::Down,
-                "bw_factor" => ServerAction::BandwidthFactor(o.num_field("arg")?),
-                "extra_overhead_ms" => ServerAction::ExtraOverheadMs(o.num_field("arg")?),
+                removed if REMOVED_SERVER_ACTIONS.contains(&removed) => {
+                    return Err(format!(
+                        "server action {removed:?} is no longer supported: \
+                         a server fault is \"down\" (no frame acted on a degraded server)"
+                    ))
+                }
                 other => return Err(format!("bad server action {other:?}")),
             };
             plan.servers.push(ServerFault {
@@ -494,11 +483,7 @@ mod tests {
                 },
                 ServerFault {
                     server: 2,
-                    action: ServerAction::BandwidthFactor(0.25),
-                },
-                ServerFault {
-                    server: 3,
-                    action: ServerAction::ExtraOverheadMs(2.0),
+                    action: ServerAction::Down,
                 },
             ],
         }
@@ -533,13 +518,10 @@ mod tests {
     fn server_faults_lower_onto_pfs() {
         let plan = full_plan();
         let sf = plan.server_faults(4);
-        assert!(sf.down[0]);
-        assert!(!sf.down[1]);
-        assert_eq!(sf.bw_factor[2], 0.25);
-        assert!((sf.extra_overhead[3] - 2e-3).abs() < 1e-15);
+        assert_eq!(sf.down, [true, false, true, false]);
         // Out-of-range faults are ignored.
         let small = plan.server_faults(2);
-        assert!(small.down[0]);
+        assert_eq!(small.down, [true, false]);
     }
 
     #[test]
@@ -559,5 +541,45 @@ mod tests {
         }
         // Different seeds eventually differ.
         assert!((0..32).any(|s| FaultPlan::sample(s, 8, 4) != FaultPlan::sample(s + 32, 8, 4)));
+    }
+
+    #[test]
+    fn removed_server_actions_are_rejected_by_name() {
+        for name in REMOVED_SERVER_ACTIONS {
+            let text = format!(r#"{{"servers":[{{"server":1,"action":"{name}","arg":0.5}}]}}"#);
+            let err = FaultPlan::from_json(&text).unwrap_err();
+            assert!(err.contains(name), "{err}");
+        }
+    }
+
+    /// Every server fault `sample` draws acts: the audit of a window
+    /// over one stripe of the faulted server differs from the healthy
+    /// store's, with failover on and off.
+    #[test]
+    fn every_sampled_server_fault_changes_the_audit_of_its_stripe() {
+        use pvr_formats::extent::Extent;
+        use pvr_pfs::{window_fault_audit, ServerFaults, StripedStore};
+        let store = StripedStore {
+            servers: 8,
+            stripe_unit: 1 << 10,
+        };
+        let healthy = ServerFaults::none(store.servers);
+        let mut drawn = 0;
+        for seed in 0..256u64 {
+            let plan = FaultPlan::sample(seed, 8, store.servers);
+            let faults = plan.server_faults(store.servers);
+            for f in &plan.servers {
+                let stripe = Extent::new(f.server as u64 * store.stripe_unit, store.stripe_unit);
+                for failover in [true, false] {
+                    assert_ne!(
+                        window_fault_audit(&store, &faults, failover, stripe),
+                        window_fault_audit(&store, &healthy, failover, stripe),
+                        "seed {seed}: {f:?} does not act (failover {failover})"
+                    );
+                }
+                drawn += 1;
+            }
+        }
+        assert!(drawn > 100, "{drawn} server faults drawn");
     }
 }

@@ -4,12 +4,17 @@ use std::time::Duration;
 
 use crate::link::LinkPolicy;
 
-/// Tunable recovery behaviour for a fault-tolerant frame.
+/// Tunable recovery behaviour for a fault-tolerant frame: the one
+/// place a frame's deadlines, retry budgets and recovery budget are
+/// set.
 ///
 /// Everything is a deadline or a bounded retry: no unbounded wait exists
 /// anywhere in the recovery path, which is how a run under an arbitrary
 /// [`crate::FaultPlan`] is guaranteed to terminate (with a degraded
 /// frame in the worst case) rather than trip the simulator watchdog.
+/// Storage retries and the replica placement are fixed
+/// (`pvr_pfs::fault::{MAX_RETRIES, REPLICA_OFFSET}`); only failover is
+/// a choice.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryPolicy {
     /// Receive-poll granularity inside deadline loops.
@@ -22,20 +27,15 @@ pub struct RecoveryPolicy {
     pub max_retries: u32,
     /// Wall-clock budget for each pipeline stage (I/O scatter, fragment
     /// exchange, tile gather). When it expires the receiver proceeds
-    /// with whatever arrived.
+    /// with whatever arrived. A floor: `pvr_core::effective_policy`
+    /// raises it for frames the perf model predicts to be slower.
     pub stage_deadline: Duration,
     /// Post-stage grace period for draining outstanding acks.
     pub drain: Duration,
-    /// Storage: read a stripe from its replica when the primary is down.
+    /// Storage: read a stripe piece from its replica when the primary
+    /// server is down (`pvr_pfs::fault::window_fault_audit`); off, the
+    /// piece's bytes are lost.
     pub io_failover: bool,
-    /// Storage: replica placement offset (stripe `s` also lives on
-    /// server `(primary + offset) % servers`).
-    pub io_replica_offset: usize,
-    /// Storage: retries against a down primary before failing over.
-    pub io_max_retries: u32,
-    /// Storage: base of the exponential retry backoff, seconds (virtual
-    /// time — priced, never slept).
-    pub io_backoff_s: f64,
     /// How long a receiver waits on a missing peer before treating it
     /// as failed and starting recovery (orphan-block adoption, scatter
     /// self-heal, tile rebuild). Must sit well below `stage_deadline`
@@ -64,9 +64,6 @@ impl Default for RecoveryPolicy {
             stage_deadline: Duration::from_secs(5),
             drain: Duration::from_millis(250),
             io_failover: true,
-            io_replica_offset: 1,
-            io_max_retries: 4,
-            io_backoff_s: 1e-3,
             suspicion: Duration::from_secs(1),
             frame_budget: None,
             coarse_step_factor: 4.0,
@@ -101,16 +98,6 @@ impl RecoveryPolicy {
             poll: self.poll,
         }
     }
-
-    /// The storage-layer slice of this policy.
-    pub fn io_recovery(&self) -> pvr_pfs::IoRecovery {
-        pvr_pfs::IoRecovery {
-            failover: self.io_failover,
-            replica_offset: self.io_replica_offset,
-            max_retries: self.io_max_retries,
-            backoff_s: self.io_backoff_s,
-        }
-    }
 }
 
 /// What recovery actually did during a frame. Additive across ranks and
@@ -127,7 +114,7 @@ pub struct RecoveryCounters {
     pub duplicate_dropped: u64,
     /// Storage requests served from a replica.
     pub io_failovers: u64,
-    /// Storage retries against faulted servers (priced, virtual).
+    /// Storage retries against down servers.
     pub io_retries: u64,
     /// Final-image tiles that missed their deadline entirely.
     pub degraded_tiles: u64,
@@ -209,9 +196,7 @@ mod tests {
         let lp = p.link_policy();
         assert_eq!(lp.ack_timeout, p.ack_timeout);
         assert_eq!(lp.max_retries, p.max_retries);
-        let io = p.io_recovery();
-        assert!(io.failover);
-        assert_eq!(io.replica_offset, 1);
+        assert!(p.io_failover);
         // fast_test keeps retry budgets able to beat small DropFirst counts.
         assert!(RecoveryPolicy::fast_test().max_retries >= 4);
         // Suspicion must leave the recovery path room before the stage

@@ -242,29 +242,6 @@ pub enum MatchPolicy {
     Guided(Arc<ReplayLog>),
 }
 
-/// One resolved wildcard match, reported to the
-/// [`RunOptions::on_choice`] callback: which rank's which wildcard
-/// receive, the tag, the sources with a matching message pending at
-/// match time (`candidates`, ascending, always containing `chosen`),
-/// and whether a `Replay`/`Guided` policy forced the choice. The DPOR
-/// explorer uses this stream for its branching statistics; anything
-/// heavier (happens-before, backtrack sets) is derived from the trace.
-#[derive(Debug, Clone)]
-pub struct ChoicePoint {
-    pub rank: usize,
-    /// The rank-local wildcard ordinal (same numbering as
-    /// [`trace::ReplayLog`]).
-    pub index: u64,
-    pub tag: u32,
-    pub candidates: Vec<usize>,
-    pub chosen: usize,
-    pub forced: bool,
-}
-
-/// Callback invoked on every resolved wildcard receive (see
-/// [`ChoicePoint`]). Runs on the receiving rank's task.
-pub type ChoiceHook = Arc<dyn Fn(&ChoicePoint) + Send + Sync>;
-
 impl std::fmt::Debug for MatchPolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -289,9 +266,6 @@ pub struct RunOptions {
     pub match_policy: MatchPolicy,
     pub timeout: Option<Duration>,
     pub trace: bool,
-    /// Invoked on every resolved wildcard receive (any policy); see
-    /// [`ChoicePoint`].
-    pub on_choice: Option<ChoiceHook>,
     /// Fault injector consulted on every send.
     pub injector: Option<Arc<dyn fault::FaultInjector>>,
 }
@@ -302,7 +276,6 @@ impl Default for RunOptions {
             match_policy: MatchPolicy::MinSource,
             timeout: default_timeout(),
             trace: false,
-            on_choice: None,
             injector: None,
         }
     }
@@ -322,12 +295,6 @@ impl RunOptions {
 
     pub fn traced(mut self) -> Self {
         self.trace = true;
-        self
-    }
-
-    /// Install a wildcard choice-point callback (see [`ChoicePoint`]).
-    pub fn on_choice(mut self, hook: ChoiceHook) -> Self {
-        self.on_choice = Some(hook);
         self
     }
 
@@ -734,34 +701,9 @@ impl Comm {
         // wildcard receive, so replay logs and guided schedules index
         // the same receives on every run.
         self.local.borrow_mut().wildcards = widx + 1;
-        self.report_choice(widx, tag, &env, forced.is_some());
         let src = env.src();
         let data = self.deliver(env, Some(widx));
         (src, data)
-    }
-
-    /// Invoke the choice-point hook for a resolved wildcard match.
-    /// `env` has already been taken from the mailbox, so the candidate
-    /// set is the still-pending matching sources plus the chosen one.
-    fn report_choice(&self, widx: u64, tag: u32, env: &Envelope, forced: bool) {
-        let Some(hook) = &self.opts.on_choice else {
-            return;
-        };
-        let mut candidates: Vec<usize> = {
-            let core = self.core.borrow();
-            core.st.mailboxes[self.rank].sources(tag).collect()
-        };
-        candidates.push(env.src());
-        candidates.sort_unstable();
-        candidates.dedup();
-        hook(&ChoicePoint {
-            rank: self.rank,
-            index: widx,
-            tag,
-            candidates,
-            chosen: env.src(),
-            forced,
-        });
     }
 
     /// Receive with `tag` from any source, giving up after `timeout`.
@@ -788,7 +730,6 @@ impl Comm {
             .await?;
         let widx = self.local.borrow().wildcards;
         self.local.borrow_mut().wildcards = widx + 1;
-        self.report_choice(widx, tag, &env, false);
         let src = env.src();
         let data = self.deliver(env, Some(widx));
         Some((src, data))
@@ -802,7 +743,6 @@ impl Comm {
         let env = self.try_take(&mut self.core.borrow_mut().st, &Want::Any, tag)?;
         let widx = self.local.borrow().wildcards;
         self.local.borrow_mut().wildcards = widx + 1;
-        self.report_choice(widx, tag, &env, false);
         let src = env.src();
         let data = self.deliver(env, Some(widx));
         Some((src, data))

@@ -430,32 +430,6 @@ fn guided_run_matches_replay_of_full_schedule() {
 }
 
 #[test]
-fn choice_hook_sees_every_wildcard_with_candidates() {
-    use std::sync::Mutex;
-    let seen: Arc<Mutex<Vec<ChoicePoint>>> = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&seen);
-    let sched = Arc::new(ReplayLog::from_choices(vec![vec![4]]));
-    let opts = RunOptions::default()
-        .policy(MatchPolicy::Guided(sched))
-        .on_choice(Arc::new(move |cp: &ChoicePoint| {
-            sink.lock().unwrap().push(cp.clone());
-        }));
-    let (order, _) = fan_in_order(opts);
-    assert_eq!(order, vec![4, 1, 2, 3]);
-    let mut cps = seen.lock().unwrap().clone();
-    cps.sort_by_key(|cp| cp.index);
-    assert_eq!(cps.len(), 4, "one choice point per wildcard receive");
-    assert!(cps.iter().all(|cp| cp.rank == 0 && cp.tag == 1));
-    assert_eq!(cps[0].chosen, 4);
-    assert!(cps[0].forced, "scheduled prefix choices report forced");
-    // The confirmation handshake guarantees all four sends were
-    // pending when the first wildcard matched.
-    assert_eq!(cps[0].candidates, vec![1, 2, 3, 4]);
-    assert!(cps[1..].iter().all(|cp| !cp.forced));
-    assert_eq!(cps[3].candidates, vec![cps[3].chosen]);
-}
-
-#[test]
 fn replay_exhaustion_names_rank_and_wildcard_ordinal() {
     // Regression: structural divergence from a recording must be
     // reported as "rank R wildcard #N", not as a hang or an
@@ -909,7 +883,6 @@ mod mailbox {
     use super::*;
     use proptest::prelude::*;
     use std::collections::{BTreeSet, HashMap, VecDeque};
-    use std::sync::Mutex;
 
     /// The mailbox as a FIFO per (src, tag) in a hash map, plus a sorted
     /// (tag, src) index of the non-empty ones — the slab's streams and
@@ -1121,17 +1094,9 @@ mod mailbox {
     /// arriving in an order unlike the rank order) are all pending
     /// before the first wildcard.
     fn gather_picks(policy: MatchPolicy) -> Vec<usize> {
-        let picks = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&picks);
-        let opts =
-            RunOptions::default()
-                .policy(policy)
-                .on_choice(Arc::new(move |cp: &ChoicePoint| {
-                    assert_eq!(cp.rank, 0);
-                    sink.lock().unwrap().push(cp.chosen);
-                }));
+        let opts = RunOptions::default().policy(policy).traced();
         let ms = Duration::from_millis;
-        World::run_opts(16, opts, move |mut comm| async move {
+        let out = World::run_opts(16, opts, move |mut comm| async move {
             let r = comm.rank();
             if r == 0 {
                 comm.sleep(ms(100)).await;
@@ -1150,8 +1115,12 @@ mod mailbox {
             }
         })
         .unwrap();
-        let picks = picks.lock().unwrap().clone();
-        picks
+        let mut matched = ReplayLog::from_trace(&out.trace.expect("traced")).into_per_rank();
+        assert!(
+            matched[1..].iter().all(Vec::is_empty),
+            "only rank 0 matches"
+        );
+        matched.swap_remove(0)
     }
 
     /// Recorded on the three-container mailbox (the commit before the

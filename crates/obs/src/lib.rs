@@ -11,9 +11,9 @@
 //!   timestamps with wall-clock microseconds ([`span::Tracer::wall`])
 //!   or caller-supplied simulated/logical time
 //!   ([`span::Tracer::manual`]).
-//! * [`metrics::Registry`] — named counters, gauges, and fixed-bucket
-//!   histograms with deterministic snapshot ordering, so CI can
-//!   golden-test a run's numbers byte-for-byte.
+//! * [`metrics::Registry`] — named counters and gauges with
+//!   deterministic snapshot ordering, so CI can golden-test a run's
+//!   numbers byte-for-byte.
 //! * Exporters: [`perfetto::to_json`] (Chrome/Perfetto `trace_event`
 //!   JSON — open in <https://ui.perfetto.dev>), [`gantt::render`]
 //!   (plain-text per-rank timeline), [`csvout::pivot_csv`] (the shared

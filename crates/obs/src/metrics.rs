@@ -1,5 +1,5 @@
-//! The metrics registry: named counters, gauges, and fixed-bucket
-//! histograms with deterministic snapshot ordering.
+//! The metrics registry: named counters and gauges with deterministic
+//! snapshot ordering.
 //!
 //! Metrics are keyed by `(name, label)` where both are plain strings —
 //! `label` typically encodes the rank or link (`"rank=3"`,
@@ -17,98 +17,10 @@ use std::sync::Mutex;
 /// Key of one series: metric name plus an optional label.
 pub type Key = (String, String);
 
-/// A fixed-bucket histogram: counts of samples `< bound` per bound,
-/// plus an overflow bucket, a total count, and a sum.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    /// Ascending upper bounds (exclusive) of the buckets.
-    pub bounds: Vec<u64>,
-    /// `counts[i]` = samples with `bounds[i-1] <= x < bounds[i]`;
-    /// `counts[bounds.len()]` is the overflow bucket.
-    pub counts: Vec<u64>,
-    pub total: u64,
-    pub sum: u64,
-}
-
-impl Histogram {
-    fn new(bounds: &[u64]) -> Histogram {
-        debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]));
-        Histogram {
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len() + 1],
-            total: 0,
-            sum: 0,
-        }
-    }
-
-    fn observe(&mut self, value: u64) {
-        let idx = self.bounds.partition_point(|&b| b <= value);
-        self.counts[idx] += 1;
-        self.total += 1;
-        self.sum += value;
-    }
-
-    /// Mean sample value, rounded down (0 when empty).
-    pub fn mean(&self) -> u64 {
-        self.sum.checked_div(self.total).unwrap_or(0)
-    }
-
-    /// Upper-bound estimate of the `q`-quantile (`0.0..=1.0`): the
-    /// bound of the first bucket at which the cumulative count reaches
-    /// `ceil(q * total)`. Samples in the overflow bucket have no upper
-    /// bound, so a quantile landing there reports `u64::MAX`. 0 when
-    /// the histogram is empty.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.total == 0 {
-            return 0;
-        }
-        let rank = ((q * self.total as f64).ceil() as u64).clamp(1, self.total);
-        let mut cum = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            cum += c;
-            if cum >= rank {
-                return self.bounds.get(i).copied().unwrap_or(u64::MAX);
-            }
-        }
-        u64::MAX
-    }
-
-    /// Median upper-bound estimate ([`Histogram::quantile`] at 0.5).
-    pub fn p50(&self) -> u64 {
-        self.quantile(0.50)
-    }
-
-    /// 95th-percentile upper-bound estimate.
-    pub fn p95(&self) -> u64 {
-        self.quantile(0.95)
-    }
-
-    /// 99th-percentile upper-bound estimate.
-    pub fn p99(&self) -> u64 {
-        self.quantile(0.99)
-    }
-}
-
-/// Powers-of-two bucket bounds from `lo` to `hi` inclusive — the
-/// conventional shape for message/access size distributions.
-pub fn pow2_bounds(lo: u64, hi: u64) -> Vec<u64> {
-    let mut out = Vec::new();
-    let mut b = lo.max(1);
-    while b <= hi {
-        out.push(b);
-        b = b.saturating_mul(2);
-        if b == out[out.len() - 1] {
-            break;
-        }
-    }
-    out
-}
-
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Value {
     Counter(u64),
     Gauge(i64),
-    Histogram(Histogram),
 }
 
 /// One entry of a [`Snapshot`].
@@ -116,19 +28,10 @@ enum Value {
 pub struct MetricRow {
     pub name: String,
     pub label: String,
-    /// `"counter"`, `"gauge"`, or `"histogram"`.
+    /// `"counter"` or `"gauge"`.
     pub kind: &'static str,
-    /// Counter value, gauge value (as i64 cast), or histogram total.
+    /// Counter value or gauge value (as i64 cast).
     pub value: i64,
-    /// Histogram sum (0 for scalars).
-    pub sum: u64,
-    /// Histogram quantile upper-bound estimates ([`Histogram::p50`]
-    /// etc.; 0 for scalars).
-    pub p50: u64,
-    pub p95: u64,
-    pub p99: u64,
-    /// Histogram `bound:count` cells, ascending; empty for scalars.
-    pub buckets: Vec<(u64, u64)>,
 }
 
 /// A deterministic, ordered snapshot of a registry.
@@ -138,37 +41,20 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Render as CSV (`name,label,kind,value,sum,p50,p95,p99,buckets`),
-    /// one row per series, ordered — the format `fault_sweep --ci` and
-    /// the golden tests consume. The quantile cells are populated for
-    /// histograms only (empty for scalars).
+    /// Render as CSV (`name,label,kind,value`), one row per series,
+    /// ordered — the format `fault_sweep` and the golden tests consume.
+    /// A field holding a comma, quote or line break is quoted (RFC
+    /// 4180), so every row has the header's four fields whatever the
+    /// labels hold (`model=adoption,n=3,m=-`, say).
     pub fn to_csv(&self) -> String {
-        let mut out = String::from("name,label,kind,value,sum,p50,p95,p99,buckets\n");
+        let mut out = String::from("name,label,kind,value\n");
         for r in &self.rows {
-            let buckets = r
-                .buckets
-                .iter()
-                .map(|(b, c)| format!("{b}:{c}"))
-                .collect::<Vec<_>>()
-                .join(";");
-            let q = |v: u64| {
-                if r.kind == "histogram" {
-                    v.to_string()
-                } else {
-                    String::new()
-                }
-            };
             out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{}\n",
-                r.name,
-                r.label,
+                "{},{},{},{}\n",
+                csv_field(&r.name),
+                csv_field(&r.label),
                 r.kind,
-                r.value,
-                r.sum,
-                q(r.p50),
-                q(r.p95),
-                q(r.p99),
-                buckets
+                r.value
             ));
         }
         out
@@ -189,24 +75,7 @@ impl Snapshot {
             } else {
                 format!("{}{{{}}}", r.name, r.label)
             };
-            match r.kind {
-                "histogram" => {
-                    out.push_str(&format!(
-                        "{series:<width$}  n={} sum={} mean={} p50={} p95={} p99={}\n",
-                        r.value,
-                        r.sum,
-                        if r.value > 0 {
-                            r.sum / r.value as u64
-                        } else {
-                            0
-                        },
-                        r.p50,
-                        r.p95,
-                        r.p99
-                    ));
-                }
-                _ => out.push_str(&format!("{series:<width$}  {}\n", r.value)),
-            }
+            out.push_str(&format!("{series:<width$}  {}\n", r.value));
         }
         out
     }
@@ -217,6 +86,16 @@ impl Snapshot {
             .iter()
             .find(|r| r.name == name && r.label == label)
             .map(|r| r.value)
+    }
+}
+
+/// One CSV field: as is, or quoted with inner quotes doubled when it
+/// holds a comma, quote or line break (RFC 4180).
+fn csv_field(s: &str) -> std::borrow::Cow<'_, str> {
+    if s.contains([',', '"', '\n', '\r']) {
+        format!("\"{}\"", s.replace('"', "\"\"")).into()
+    } else {
+        s.into()
     }
 }
 
@@ -266,21 +145,6 @@ impl Registry {
         });
     }
 
-    /// Record `value` into the histogram `(name, label)`; the histogram
-    /// is created with `bounds` on first use (later calls keep the
-    /// original bounds).
-    pub fn histogram_observe(&self, name: &str, label: &str, bounds: &[u64], value: u64) {
-        self.with(|m| {
-            let e = m
-                .entry((name.to_string(), label.to_string()))
-                .or_insert_with(|| Value::Histogram(Histogram::new(bounds)));
-            match e {
-                Value::Histogram(h) => h.observe(value),
-                _ => panic!("metric {name}{{{label}}} is not a histogram"),
-            }
-        });
-    }
-
     /// Current value of a counter (None if absent or not a counter).
     pub fn counter_value(&self, name: &str, label: &str) -> Option<u64> {
         self.with(|m| match m.get(&(name.to_string(), label.to_string())) {
@@ -300,39 +164,12 @@ impl Registry {
                         label: label.clone(),
                         kind: "counter",
                         value: *c as i64,
-                        sum: 0,
-                        p50: 0,
-                        p95: 0,
-                        p99: 0,
-                        buckets: Vec::new(),
                     },
                     Value::Gauge(g) => MetricRow {
                         name: name.clone(),
                         label: label.clone(),
                         kind: "gauge",
                         value: *g,
-                        sum: 0,
-                        p50: 0,
-                        p95: 0,
-                        p99: 0,
-                        buckets: Vec::new(),
-                    },
-                    Value::Histogram(h) => MetricRow {
-                        name: name.clone(),
-                        label: label.clone(),
-                        kind: "histogram",
-                        value: h.total as i64,
-                        sum: h.sum,
-                        p50: h.p50(),
-                        p95: h.p95(),
-                        p99: h.p99(),
-                        buckets: h
-                            .bounds
-                            .iter()
-                            .copied()
-                            .chain(std::iter::once(u64::MAX))
-                            .zip(h.counts.iter().copied())
-                            .collect(),
                     },
                 })
                 .collect();
@@ -356,49 +193,6 @@ mod tests {
         assert_eq!(s.get("msgs", "rank=1"), Some(5));
         assert_eq!(s.get("depth", ""), Some(-4));
         assert_eq!(s.get("absent", ""), None);
-    }
-
-    #[test]
-    fn histogram_buckets_and_mean() {
-        let r = Registry::new();
-        let bounds = [4, 16, 64];
-        for v in [1, 3, 4, 20, 100] {
-            r.histogram_observe("sizes", "", &bounds, v);
-        }
-        let s = r.snapshot();
-        let row = &s.rows[0];
-        assert_eq!(row.kind, "histogram");
-        assert_eq!(row.value, 5);
-        assert_eq!(row.sum, 128);
-        // buckets: <4 → 2, <16 → 1, <64 → 1, overflow → 1
-        let counts: Vec<u64> = row.buckets.iter().map(|(_, c)| *c).collect();
-        assert_eq!(counts, vec![2, 1, 1, 1]);
-    }
-
-    #[test]
-    fn histogram_quantiles() {
-        let r = Registry::new();
-        let bounds = [4, 16, 64];
-        for v in [1, 3, 4, 20, 100] {
-            r.histogram_observe("sizes", "", &bounds, v);
-        }
-        // Cumulative: <4 → 2, <16 → 3, <64 → 4, overflow → 5.
-        let row = &r.snapshot().rows[0];
-        assert_eq!(row.p50, 16); // rank ceil(2.5)=3 lands in <16
-        assert_eq!(row.p95, u64::MAX); // rank 5 lands in overflow
-        assert_eq!(row.p99, u64::MAX);
-
-        let h = Histogram {
-            bounds: vec![10, 100],
-            counts: vec![90, 9, 0],
-            total: 99,
-            sum: 0,
-        };
-        assert_eq!(h.p50(), 10);
-        assert_eq!(h.p95(), 100);
-        assert_eq!(h.quantile(1.0), 100);
-        assert_eq!(h.quantile(0.0), 10); // rank clamps to 1
-        assert_eq!(Histogram::new(&[1, 2]).p99(), 0); // empty
     }
 
     #[test]
@@ -429,10 +223,23 @@ mod tests {
         );
     }
 
-    #[test]
-    fn pow2_bounds_span_range() {
-        assert_eq!(pow2_bounds(1, 16), vec![1, 2, 4, 8, 16]);
-        assert_eq!(pow2_bounds(8, 64), vec![8, 16, 32, 64]);
+    /// Split one CSV line into fields, RFC 4180 quoting undone.
+    fn parse_csv_line(line: &str) -> Vec<String> {
+        let (mut fields, mut cur, mut quoted) = (Vec::new(), String::new(), false);
+        let mut chars = line.chars().peekable();
+        while let Some(c) = chars.next() {
+            match c {
+                '"' if quoted && chars.peek() == Some(&'"') => {
+                    cur.push('"');
+                    chars.next();
+                }
+                '"' => quoted = !quoted,
+                ',' if !quoted => fields.push(std::mem::take(&mut cur)),
+                _ => cur.push(c),
+            }
+        }
+        fields.push(cur);
+        fields
     }
 
     #[test]
@@ -440,10 +247,20 @@ mod tests {
         let r = Registry::new();
         r.counter_add("retx", "link=0->1", 7);
         let csv = r.snapshot().to_csv();
-        assert!(csv.starts_with("name,label,kind,value,sum,p50,p95,p99,buckets\n"));
-        assert!(csv.contains("retx,link=0->1,counter,7,0,,,,\n"));
-        r.histogram_observe("lat", "", &[8, 32], 5);
+        assert_eq!(csv, "name,label,kind,value\nretx,link=0->1,counter,7\n");
+    }
+
+    #[test]
+    fn csv_rows_keep_the_header_width_when_labels_hold_commas() {
+        let r = Registry::new();
+        r.counter_add("mc.traces", "model=adoption,n=3,m=-", 9);
+        r.gauge_set("odd", "say \"hi\", twice", -1);
         let csv = r.snapshot().to_csv();
-        assert!(csv.contains("lat,,histogram,1,5,8,8,8,8:1;32:0;18446744073709551615:0\n"));
+        let mut lines = csv.lines();
+        let width = parse_csv_line(lines.next().unwrap()).len();
+        let rows: Vec<Vec<String>> = lines.map(parse_csv_line).collect();
+        assert!(rows.iter().all(|row| row.len() == width), "{csv}");
+        assert_eq!(rows[0][1], "model=adoption,n=3,m=-");
+        assert_eq!(rows[1][1], "say \"hi\", twice");
     }
 }

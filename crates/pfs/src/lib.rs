@@ -33,7 +33,7 @@ pub mod server;
 pub mod sieve;
 pub mod twophase;
 
-pub use fault::{window_fault_audit, IoRecovery, ServerFaults, WindowAudit};
+pub use fault::{window_fault_audit, ServerFaults, WindowAudit};
 pub use iolog::{AccessMap, IoStats};
 pub use model::StorageModel;
 pub use prefetch::{read_extents, IoThrottle, Prefetch};
