@@ -18,6 +18,11 @@
 //!    timed receive — the `fault_sweep` workload in miniature. The
 //!    reads and the timeout expiries must be charged to the virtual
 //!    clock, not slept off in wall time.
+//! 4. **The read plan** of the ledger's 2048-rank frame, built in file
+//!    order from the block lattice (`ScatterPlan::from_lattice`, what a
+//!    frame builds) and sorted from per-rank request lists
+//!    (`ScatterPlan::build`, the general path; requests included). The
+//!    two plans' runs must be equal.
 //!
 //! The frame also runs under the counting allocator of the
 //! allocation-budget tests: `allocs_per_message` and `bytes_per_frame`
@@ -37,9 +42,11 @@ use std::time::{Duration, Instant};
 
 use pvr_bench::{check, write_trajectory, CsvOut};
 use pvr_core::pipeline::{run_frame, run_frame_mpi_sim};
-use pvr_core::{write_dataset, CompositorPolicy, FrameConfig, FrameResult};
+use pvr_core::{laptop_aggregators, write_dataset, CompositorPolicy, FrameConfig, FrameResult};
 use pvr_mpisim::{Comm, RunOptions, SimStats, World};
 use pvr_obs::bench::Trajectory;
+use pvr_pfs::{RankRequest, ScatterPlan, StoredLattice};
+use pvr_volume::BlockDecomposition;
 
 const N: usize = 256;
 /// Compositor count of the exchange — the paper's improved policy at
@@ -175,11 +182,53 @@ fn timed_exchange(io: Option<Duration>, faulted: bool) -> (f64, SimStats) {
 }
 
 /// The fastest of `runs` timed exchanges.
-fn best_of(runs: usize, f: impl Fn() -> (f64, SimStats)) -> (f64, SimStats) {
+fn best_of<T>(runs: usize, f: impl Fn() -> (f64, T)) -> (f64, T) {
     (0..runs)
         .map(|_| f())
         .min_by(|a, b| a.0.total_cmp(&b.0))
         .expect("at least one run")
+}
+
+/// Seconds of the best of five builds of the `sim-2048` frame's read
+/// plan: from the lattice, and sorted from the ranks' requests.
+fn timed_plans() -> (f64, f64) {
+    let mut cfg = FrameConfig::small(64, 128, 2048);
+    cfg.policy = CompositorPolicy::Improved;
+    let decomp = BlockDecomposition::new(cfg.grid, cfg.nprocs);
+    let ghost = if cfg.shading { 2 } else { 1 };
+    let (layout, var) = (cfg.io.layout(cfg.grid), cfg.file_variable());
+    let (naggr, hints) = (laptop_aggregators(cfg.nprocs), cfg.io.hints(cfg.grid));
+    let timed = |plan: &dyn Fn() -> ScatterPlan| {
+        let t0 = Instant::now();
+        let sp = plan();
+        (t0.elapsed().as_secs_f64(), sp)
+    };
+    let (lattice_secs, lattice) = best_of(5, || {
+        timed(&|| {
+            let lattice = StoredLattice::new(decomp.stored_intervals(ghost));
+            ScatterPlan::from_lattice(layout.as_ref(), var, &lattice, naggr, &hints)
+        })
+    });
+    let (sorted_secs, sorted) = best_of(5, || {
+        timed(&|| {
+            let request = |sub: pvr_formats::Subvolume| {
+                let mut runs = Vec::with_capacity(sub.shape[1] * sub.shape[2]);
+                layout.placed_runs(var, &sub, &mut |r| runs.push(r));
+                RankRequest {
+                    runs,
+                    out_elems: sub.num_elements(),
+                }
+            };
+            let blocks = decomp.blocks();
+            let requests: Vec<RankRequest> = blocks
+                .iter()
+                .map(|b| request(decomp.with_ghost(b, ghost)))
+                .collect();
+            ScatterPlan::build(&requests, naggr, &hints)
+        })
+    });
+    assert_eq!(lattice.runs, sorted.runs, "the two read plans differ");
+    (lattice_secs, sorted_secs)
 }
 
 fn main() {
@@ -208,19 +257,27 @@ fn main() {
     let expected_virtual = (io + Duration::from_millis(DETECT_MS)) * ROUNDS as u32;
     let virtual_ok = io_sim.virtual_time >= expected_virtual && io_sim.timer_fires >= N as u64;
 
+    // --- The 2048-rank read plan, both ways, best of 5. ---------------
+    let (plan_lattice_secs, plan_sorted_secs) = timed_plans();
+
     let mut csv = CsvOut::create("bench_sim", "workload,wall_secs,events,events_per_sec");
     csv.row(&format!("frame,{frame_secs:.6},,"));
     csv.row(&format!(
         "exchange,{ex_secs:.6},{events},{events_per_sec:.0}"
     ));
     csv.row(&format!("sweep_shape,{io_secs:.6},,"));
+    csv.row(&format!("plan_lattice_2048,{plan_lattice_secs:.6},,"));
+    csv.row(&format!("plan_sorted_2048,{plan_sorted_secs:.6},,"));
 
     // Deterministic counters gate exactly; wall-clock figures are
     // machine-dependent and ride as info.
     let mut traj = Trajectory::new("sim");
     traj.exact("n", N as f64)
         .exact("peak_resident_ranks", frame_sim.peak_resident as f64)
-        .exact("backends_bit_identical", identical as u8 as f64)
+        .exact(
+            "mpi_and_data_parallel_bit_identical",
+            identical as u8 as f64,
+        )
         .exact("exchange_messages", ex_sim.messages as f64)
         .exact("frame_messages", frame_sim.messages as f64)
         .exact("io_virtual_time_charged", virtual_ok as u8 as f64)
@@ -235,7 +292,9 @@ fn main() {
         .info("task_bytes", frame_sim.task_bytes as f64)
         .info("wall_exchange_event_secs", ex_secs)
         .info("wall_sweep_shape_event_secs", io_secs)
-        .info("wall_frame_event_secs", frame_secs);
+        .info("wall_frame_event_secs", frame_secs)
+        .info("wall_plan_lattice_2048_secs", plan_lattice_secs)
+        .info("wall_plan_sorted_2048_secs", plan_sorted_secs);
     write_trajectory(&traj);
 
     // --- Gates. -------------------------------------------------------

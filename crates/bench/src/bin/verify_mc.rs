@@ -51,6 +51,7 @@ use pvr_mpisim::Comm;
 /// heterogeneous async programs through one object-safe type.
 type BoxFut<T> = std::pin::Pin<Box<dyn std::future::Future<Output = T>>>;
 use pvr_obs::bench::Trajectory;
+use pvr_obs::csvout::csv_field;
 use pvr_obs::Registry;
 
 /// Ack/retransmit model tags (outside the frame-tag epochs; the link
@@ -335,10 +336,13 @@ fn main() {
             };
             let report = explore(n, &program, &opts);
             let s = &report.stats;
-            let (_, m_str) = label.split_once(",m=").unwrap_or(("", "-"));
+            // A label is `model=<name>,n=<n>,m=<m>`, and a radix-k name
+            // holds commas of its own (`radix[3, 2]`).
+            let (model, _) = label.rsplit_once(",n=").unwrap_or((&label, ""));
+            let (_, m_str) = label.rsplit_once(",m=").unwrap_or(("", "-"));
             csv.row(&format!(
                 "{},{n},{m_str},{},{},{},{},{},{},{},{},{:.3e},{},{},{}",
-                label.split(',').next().unwrap_or(&label),
+                csv_field(model),
                 s.traces,
                 s.runs,
                 s.redundant_runs,

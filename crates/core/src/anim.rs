@@ -319,8 +319,8 @@ fn run_rayon(
                 tracer.begin_args(pf_track, "io.read", Args::one("frame", t as u64));
                 // Untraced: per-window spans would land on rank tracks
                 // whose ranks are mid-frame.
-                let (stored, off) = (&shared.stored, Tracer::disabled());
-                let out = pool.install(|| read_frame(&cfg, stored, &path, &off, throttle));
+                let off = Tracer::disabled();
+                let out = pool.install(|| read_frame(&cfg, &shared, &path, &off, throttle));
                 tracer.end(pf_track, "io.read");
                 out.map(|(volumes, io)| (volumes, io, started.elapsed().as_secs_f64()))
             })

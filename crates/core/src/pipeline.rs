@@ -31,12 +31,12 @@ use pvr_compositing::directsend::DirectSendStats;
 use pvr_compositing::sparse::PieceScan;
 use pvr_compositing::wire::{encode_fragment, push_words, with_header, Words};
 use pvr_compositing::WireFragment;
-use pvr_formats::layout::FileLayout;
+use pvr_formats::layout::{FileLayout, PlacedRun};
 use pvr_formats::rw::write_file;
 use pvr_formats::{Subvolume, ELEM_SIZE};
 use pvr_obs::Tracer;
 use pvr_pfs::sieve::per_extent_plan;
-use pvr_pfs::twophase::{two_phase_decode, RankRequest};
+use pvr_pfs::twophase::{decode_scatter, RankRequest, ScatterPlan};
 use pvr_pfs::IoThrottle;
 use pvr_render::image::{Image, PixelRect, SubImage};
 use pvr_render::math::Vec3;
@@ -45,7 +45,7 @@ use pvr_render::TransferFunction;
 use pvr_volume::{voxel_centre, SupernovaField, Volume};
 
 use crate::config::{FrameConfig, IoMode};
-use crate::scheduler::{drive_frame, Driver};
+use crate::scheduler::{drive_frame, Driver, FrameShared};
 use crate::timing::FrameTiming;
 
 /// The default viewing direction for all experiments: a mildly oblique
@@ -246,7 +246,7 @@ pub(crate) fn rank_requests(
 pub(crate) fn rank_request(layout: &dyn FileLayout, var: usize, sub: &Subvolume) -> RankRequest {
     // One run per row of the block, unless chunking splits rows.
     let mut runs = Vec::with_capacity(sub.shape[1] * sub.shape[2]);
-    layout.placed_runs(var, sub, &mut |r| runs.push(r));
+    tiled_runs(layout, var, sub, &mut |r| runs.push(r));
     RankRequest {
         runs,
         out_elems: sub.num_elements(),
@@ -315,43 +315,45 @@ pub(crate) fn synthesize_stage(cfg: &FrameConfig, stored: &[Subvolume]) -> Vec<V
         .collect()
 }
 
-/// Read the `stored` regions of the dataset into one volume per rank —
-/// the one dataset reader of the data-parallel executor, in the form a
-/// prefetch thread can hand to a later frame. Collective layouts go
-/// through the two-phase engine, which decodes each window piece
-/// straight into its rank's volume (one `io.window` span per access on
-/// `tracer`); HDF5-style layouts read independently, every rank
-/// fetching and decoding its own runs with no coordination. An optional
-/// [`IoThrottle`] floors the read, decode included, at a bandwidth,
-/// making I/O genuinely expensive for pipelining experiments.
+/// Read the stored regions of `shared`'s blocks out of the dataset into
+/// one volume per rank — the one dataset reader of the data-parallel
+/// executor, in the form a prefetch thread can hand to a later frame.
+/// Collective layouts go through the two-phase engine under the
+/// lattice's plan, built in file order with no request list, which
+/// decodes each window piece straight into its rank's volume (one
+/// `io.window` span per access on `tracer`); HDF5-style layouts read
+/// independently, every rank fetching and decoding its own runs with no
+/// coordination. An optional [`IoThrottle`] floors the read, decode
+/// included, at a bandwidth, making I/O genuinely expensive for
+/// pipelining experiments.
 pub(crate) fn read_frame(
     cfg: &FrameConfig,
-    stored: &[Subvolume],
+    shared: &FrameShared,
     path: &Path,
     tracer: &Tracer,
     throttle: Option<IoThrottle>,
 ) -> std::io::Result<(Vec<Volume>, IoRunStats)> {
     let layout = cfg.io.layout(cfg.grid);
-    let (var, endian) = (cfg.file_variable(), layout.endian());
-    let requests = rank_requests(layout.as_ref(), var, stored);
-    // Both reads below write every element of a rank's buffer exactly
-    // once, which is what lets `volume_buffer` skip the zero fill.
-    assert!(
-        requests.iter().all(runs_tile),
-        "a rank's placed runs do not tile its block in output order"
-    );
+    let (var, endian, stored) = (cfg.file_variable(), layout.endian(), &shared.stored);
     let t0 = Instant::now();
 
+    // Both reads below write every element of a rank's buffer exactly
+    // once ([`tiled_runs`]), which is what lets `volume_buffer` skip the
+    // zero fill.
     let (volumes, stats, throttled_bytes) = if layout.collective() {
         let hints = cfg.io.hints(cfg.grid);
         let naggr = laptop_aggregators(cfg.nprocs);
-        let mut f = File::open(path)?;
+        let sp = ScatterPlan::from_lattice(layout.as_ref(), var, &shared.lattice, naggr, &hints);
+        let f = File::open(path)?;
         let mut data: Vec<Vec<f32>> = stored
             .iter()
             .map(|sub| volume_buffer(sub.num_elements()))
             .collect();
-        let (plan, exchange_bytes) =
-            two_phase_decode(&mut f, &requests, naggr, &hints, endian, &mut data, tracer)?;
+        let runs_of = |rank: usize, f: &mut dyn FnMut(PlacedRun)| {
+            tiled_runs(layout.as_ref(), var, &stored[rank], f)
+        };
+        let exchange_bytes = decode_scatter(&f, &sp, &runs_of, endian, &mut data, tracer)?;
+        let plan = sp.plan;
         let largest = plan.accesses.iter().map(|a| a.extent.len).max();
         spare_volumes().budget = largest.unwrap_or(0) as usize;
         let stats = IoRunStats {
@@ -369,6 +371,7 @@ pub(crate) fn read_frame(
             .collect();
         (volumes, stats, stats.physical_bytes)
     } else {
+        let requests = rank_requests(layout.as_ref(), var, stored);
         let per_process: Vec<Vec<pvr_formats::Extent>> = stored
             .iter()
             .map(|sub| layout.physical_extents(var, sub))
@@ -433,21 +436,25 @@ fn spare_volumes() -> std::sync::MutexGuard<'static, SpareVolumes> {
     SPARE_VOLUMES.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Whether `rq`'s runs tile its output `[0, out_elems)` in order, each
-/// starting where the one before it ended — as every layout places
-/// them — so that every element is in exactly one run. Checked without
-/// allocating: a sorted copy of the runs here left 3 of 10 ledger runs
-/// of `render-sparse` with a peak RSS 3 MB higher.
-fn runs_tile(rq: &RankRequest) -> bool {
-    let end = rq
-        .runs
-        .iter()
-        .try_fold(0, |at, r| (r.out_start == at).then_some(at + r.elems));
-    end == Some(rq.out_elems)
+/// Visit the placed runs of block `sub`, checking as they go by that
+/// they tile its output `[0, n)` in order, each starting where the one
+/// before it ended — as every layout places them — so that every
+/// element is in exactly one run. Checked without allocating: a sorted
+/// copy of the runs here left 3 of 10 ledger runs of `render-sparse`
+/// with a peak RSS 3 MB higher.
+fn tiled_runs(layout: &dyn FileLayout, var: usize, sub: &Subvolume, f: &mut dyn FnMut(PlacedRun)) {
+    const UNTILED: &str = "a rank's placed runs do not tile its block in output order";
+    let mut at = 0;
+    layout.placed_runs(var, sub, &mut |r| {
+        assert_eq!(r.out_start, at, "{UNTILED}");
+        at += r.elems;
+        f(r);
+    });
+    assert_eq!(at, sub.num_elements(), "{UNTILED}");
 }
 
 /// A buffer of `n` voxels for a read that writes all of them
-/// ([`runs_tile`]): a spare one of that length as it is, unfilled, when
+/// ([`tiled_runs`]): a spare one of that length as it is, unfilled, when
 /// there is one; otherwise a zeroed one in a spare's capacity.
 fn volume_buffer(n: usize) -> Vec<f32> {
     let spare = {
@@ -704,6 +711,7 @@ pub fn run_frame_mpi_profiled(cfg: &FrameConfig, path: &Path) -> Result<Profiled
 mod tests {
     use super::*;
     use crate::config::CompositorPolicy;
+    use pvr_pfs::twophase::two_phase_decode;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let d = std::env::temp_dir().join(format!("pvr-core-{}", std::process::id()));
@@ -834,6 +842,59 @@ mod tests {
                     assert!(d < 1e-6, "{}: diff {d}", mode.name());
                 }
             }
+            std::fs::remove_file(&p).ok();
+        }
+    }
+
+    /// `read_frame` reads a collective layout under the lattice's plan,
+    /// with no request list; its volumes and counts are
+    /// `two_phase_decode`'s over the ranks' requests, bit for bit, with
+    /// one and two ghost layers.
+    #[test]
+    fn read_frame_decodes_like_two_phase_decode() {
+        for (mode, shading) in [
+            (IoMode::Raw, false),
+            (IoMode::NetCdfUntuned, true),
+            (IoMode::NetCdfTuned, false),
+            (IoMode::NetCdf64, true),
+        ] {
+            let mut cfg = FrameConfig::small(20, 16, 12);
+            (cfg.io, cfg.shading, cfg.variable) = (mode, shading, 3);
+            let p = tmp(&format!("lattice.{}", mode.name()));
+            write_dataset(&p, &cfg).unwrap();
+            let shared = FrameShared::new(&cfg);
+            let tracer = Tracer::disabled();
+            let (volumes, io) = read_frame(&cfg, &shared, &p, &tracer, None).unwrap();
+
+            let layout = cfg.io.layout(cfg.grid);
+            let requests = rank_requests(layout.as_ref(), cfg.file_variable(), &shared.stored);
+            let mut want: Vec<Vec<f32>> = requests.iter().map(|r| vec![0.0; r.out_elems]).collect();
+            let (naggr, hints) = (laptop_aggregators(cfg.nprocs), cfg.io.hints(cfg.grid));
+            let mut f = File::open(&p).unwrap();
+            let endian = layout.endian();
+            let (plan, exchange) =
+                two_phase_decode(&mut f, &requests, naggr, &hints, endian, &mut want, &tracer)
+                    .unwrap();
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for (got, want) in volumes.iter().zip(&want) {
+                assert_eq!(bits(got.data()), bits(want), "{}", mode.name());
+            }
+            assert_eq!(
+                (
+                    io.accesses,
+                    io.physical_bytes,
+                    io.useful_bytes,
+                    io.exchange_bytes
+                ),
+                (
+                    plan.accesses.len(),
+                    plan.physical_bytes,
+                    plan.useful_bytes,
+                    exchange
+                ),
+                "{}",
+                mode.name()
+            );
             std::fs::remove_file(&p).ok();
         }
     }

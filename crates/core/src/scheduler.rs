@@ -79,7 +79,7 @@ use pvr_mpisim::fault::{FaultInjector, SendFate};
 use pvr_obs::{FlightRecorder, Tracer};
 use pvr_pfs::{
     read_extents, window_fault_audit, IoThrottle, Prefetch, RankRequest, ScatterPlan, ServerFaults,
-    StripedStore, WindowAudit,
+    StoredLattice, StripedStore, WindowAudit,
 };
 use pvr_render::image::{Image, PixelRect, SubImage};
 use pvr_render::raycast::{footprint, render_block, BlockDomain, RenderOpts, RenderStats};
@@ -90,8 +90,8 @@ use crate::config::FrameConfig;
 use crate::pipeline::{
     decode_adopt, decode_late, decode_tile, decode_volume, default_view, encode_adopt,
     encode_fragment_msg, encode_late, encode_tile, fragment_of_msg, push_piece, rank_request,
-    rank_requests, read_frame, render_opts, synthesize_stage, tags, transfer_for, unpack_pieces,
-    FrameError, FrameResult, IoRunStats, PIECE_HEADER,
+    read_frame, render_opts, synthesize_stage, tags, transfer_for, unpack_pieces, FrameError,
+    FrameResult, IoRunStats, PIECE_HEADER,
 };
 use crate::recovery::{adopter_of, effective_policy, heal_costs, HealDecision, RecoveryBudget};
 use crate::roles::{compositor_rank, laptop_aggregators};
@@ -276,7 +276,7 @@ pub(crate) fn rayon_frame(
 
     timing.starts[0] = t0.elapsed().as_secs_f64();
     tracer.begin(0, "io");
-    let (volumes, io, io_secs) = match read_input(cfg, &shared.stored, input, tracer, throttle) {
+    let (volumes, io, io_secs) = match read_input(cfg, shared, input, tracer, throttle) {
         Ok(read) => read,
         Err(e) => {
             tracer.end(0, "io");
@@ -355,15 +355,19 @@ pub(crate) fn rayon_frame(
 /// seconds a background read already spent on them.
 fn read_input(
     cfg: &FrameConfig,
-    stored: &[Subvolume],
+    shared: &FrameShared,
     input: FrameInput<'_>,
     tracer: &Tracer,
     throttle: Option<IoThrottle>,
 ) -> Result<(Vec<pvr_volume::Volume>, IoRunStats, f64), FrameError> {
     match input {
-        FrameInput::Synthetic => Ok((synthesize_stage(cfg, stored), IoRunStats::default(), 0.0)),
+        FrameInput::Synthetic => Ok((
+            synthesize_stage(cfg, &shared.stored),
+            IoRunStats::default(),
+            0.0,
+        )),
         FrameInput::File(p) => {
-            let read = read_frame(cfg, stored, p, tracer, throttle);
+            let read = read_frame(cfg, shared, p, tracer, throttle);
             let (volumes, io) = read.map_err(|e| FrameError::io(p, e))?;
             Ok((volumes, io, 0.0))
         }
@@ -390,6 +394,9 @@ fn read_input(
 pub struct FrameShared {
     /// Stored (ghost-extended) and owned region per rank.
     pub(crate) stored: Vec<Subvolume>,
+    /// The stored regions as the block lattice they form: what a
+    /// collective read is planned from, in file order.
+    pub(crate) lattice: StoredLattice,
     pub(crate) owned: Vec<Subvolume>,
     pub(crate) camera: Camera,
     /// Screen footprint of each rank's owned block.
@@ -432,8 +439,12 @@ impl FrameShared {
         // Gradient shading probes one cell around each sample, so it needs
         // a second ghost layer for exact serial equivalence.
         let ghost = if cfg.shading { 2 } else { 1 };
-        let stored = blocks.iter().map(|b| decomp.with_ghost(b, ghost)).collect();
+        let lattice = StoredLattice::new(decomp.stored_intervals(ghost));
+        let stored: Vec<Subvolume> = (0..n).map(|r| lattice.block(r)).collect();
         let owned: Vec<Subvolume> = blocks.iter().map(|b| b.sub).collect();
+        debug_assert!(blocks
+            .iter()
+            .all(|b| decomp.with_ghost(b, ghost) == stored[b.id]));
         let camera = Camera::orthographic(cfg.grid, default_view(), cfg.image.0, cfg.image.1);
         let footprints: Vec<PixelRect> = owned
             .iter()
@@ -460,6 +471,7 @@ impl FrameShared {
             heal_costs: heal_costs(cfg, &footprints, &owned),
             compositor_ranks: (0..m).map(|c| compositor_rank(c, n, m)).collect(),
             stored,
+            lattice,
             owned,
             camera,
             footprints,
@@ -534,9 +546,8 @@ impl FrameShared {
 
 /// The file half of a frame description: how the ranks of a
 /// message-passing world read their blocks out of one dataset file.
-/// Built only where ranks read through it — the data-parallel read goes
-/// through `pipeline::read_frame` to `two_phase_decode`, which plans for
-/// itself.
+/// Built only where ranks read through it — the data-parallel read,
+/// `pipeline::read_frame`, plans its own from the same lattice.
 struct FilePlan {
     /// The file's layout and the variable the frame reads: a rank's
     /// placed runs are rebuilt from them where a rank reads its own
@@ -545,7 +556,7 @@ struct FilePlan {
     layout: Box<dyn FileLayout>,
     var: usize,
     /// Two-phase scatter plan (collective layouts only), which holds
-    /// every rank's runs once.
+    /// every rank's runs once, built from the lattice in file order.
     scatter: Option<ScatterPlan>,
     endian: Endian,
     /// Per rank, the extents of the window accesses it hosts as an
@@ -554,14 +565,13 @@ struct FilePlan {
 }
 
 impl FilePlan {
-    fn new(cfg: &FrameConfig, stored: &[Subvolume]) -> FilePlan {
+    fn new(cfg: &FrameConfig, shared: &FrameShared) -> FilePlan {
         let n = cfg.nprocs;
         let layout = cfg.io.layout(cfg.grid);
         let var = cfg.file_variable();
         let scatter = layout.collective().then(|| {
-            let requests = rank_requests(layout.as_ref(), var, stored);
-            let naggr = laptop_aggregators(n);
-            ScatterPlan::build(&requests, naggr, &cfg.io.hints(cfg.grid))
+            let (lattice, hints) = (&shared.lattice, cfg.io.hints(cfg.grid));
+            ScatterPlan::from_lattice(layout.as_ref(), var, lattice, laptop_aggregators(n), &hints)
         });
         let mut windows = vec![Vec::new(); n];
         if let Some(sp) = &scatter {
@@ -592,7 +602,7 @@ impl FilePlan {
 /// and `tests/sim_scale.rs`.
 pub fn planned_messages(cfg: &FrameConfig) -> usize {
     let shared = FrameShared::new(cfg);
-    let file = FilePlan::new(cfg, &shared.stored);
+    let file = FilePlan::new(cfg, &shared);
     let mut messages = shared.schedule.num_messages() + cfg.compositors();
     if let Some(sp) = &file.scatter {
         for a in &sp.plan.accesses {
@@ -1830,7 +1840,7 @@ pub(crate) fn run_world<P: AsRef<Path> + Sync>(
         }));
     }
     let nf = paths.len();
-    let file = FilePlan::new(cfg, &shared.stored);
+    let file = FilePlan::new(cfg, shared);
     let file = &file;
     // Per frame, the wall instant of its first live read under a throttle.
     let first_reads: Vec<OnceLock<Instant>> = (0..nf).map(|_| OnceLock::new()).collect();
@@ -1971,7 +1981,7 @@ pub fn drive_frame(
 mod tests {
     use super::*;
     use crate::config::CompositorPolicy;
-    use crate::pipeline::{run_frame_mpi, write_dataset};
+    use crate::pipeline::{rank_requests, run_frame_mpi, write_dataset};
     use pvr_faults::{LinkAction, LinkFault, Pat, RankFault};
 
     #[test]

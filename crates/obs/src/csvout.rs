@@ -11,6 +11,16 @@
 
 use crate::metrics::Snapshot;
 
+/// One CSV field: as is, or quoted with inner quotes doubled when it
+/// holds a comma, quote or line break (RFC 4180).
+pub fn csv_field(s: &str) -> std::borrow::Cow<'_, str> {
+    if s.contains([',', '"', '\n', '\r']) {
+        format!("\"{}\"", s.replace('"', "\"\"")).into()
+    } else {
+        s.into()
+    }
+}
+
 /// Format `value / 10^scale` with exactly `scale` decimal places
 /// (`format_scaled(5900, 3)` → `"5.900"`, `format_scaled(-5, 1)` →
 /// `"-0.5"`).

@@ -14,6 +14,8 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
+use crate::csvout::csv_field;
+
 /// Key of one series: metric name plus an optional label.
 pub type Key = (String, String);
 
@@ -86,16 +88,6 @@ impl Snapshot {
             .iter()
             .find(|r| r.name == name && r.label == label)
             .map(|r| r.value)
-    }
-}
-
-/// One CSV field: as is, or quoted with inner quotes doubled when it
-/// holds a comma, quote or line break (RFC 4180).
-fn csv_field(s: &str) -> std::borrow::Cow<'_, str> {
-    if s.contains([',', '"', '\n', '\r']) {
-        format!("\"{}\"", s.replace('"', "\"\"")).into()
-    } else {
-        s.into()
     }
 }
 

@@ -14,6 +14,10 @@
 //!   is read). The engine runs in two modes: *plan* (pure, any scale —
 //!   produces the access list and statistics) and *execute* (actually
 //!   reads a local file and scatters bytes to per-rank buffers).
+//!   [`ScatterPlan::build`] plans the exchange of any request list by
+//!   sorting its runs; it is the general path and the oracle of
+//!   [`lattice`], which plans a regular block lattice's read by walking
+//!   the file's rows, with no request list and no sort.
 //! * [`sieve`] — independent (non-collective) reads for the HDF5-like
 //!   chunked path, which in that era fell back to per-process chunk
 //!   fetches: one access per chunk run, no data sieving.
@@ -27,6 +31,7 @@
 
 pub mod fault;
 pub mod iolog;
+pub mod lattice;
 pub mod model;
 pub mod prefetch;
 pub mod server;
@@ -35,10 +40,11 @@ pub mod twophase;
 
 pub use fault::{window_fault_audit, ServerFaults, WindowAudit};
 pub use iolog::{AccessMap, IoStats};
+pub use lattice::StoredLattice;
 pub use model::StorageModel;
 pub use prefetch::{read_extents, IoThrottle, Prefetch};
 pub use server::StripedStore;
 pub use twophase::{
-    two_phase_execute, two_phase_plan, two_phase_write, CollectiveHints, IoPlan, Piece,
-    RankRequest, ScatterPlan, ScatterRun,
+    decode_scatter, two_phase_execute, two_phase_plan, two_phase_write, CollectiveHints, IoPlan,
+    Piece, RankRequest, RunsOf, ScatterPlan, ScatterRun,
 };

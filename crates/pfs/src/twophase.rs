@@ -10,8 +10,12 @@
 //! The planner is pure and cheap — it needs only the *aggregate* extent
 //! list, which coalesces to a handful of runs even for a 4480³ variable,
 //! so full paper-scale access patterns can be computed on a laptop. The
-//! placed runs behind the exchange are radix-sorted by
-//! `(file_offset, rank)`, with no comparison ([`ScatterPlan::build`]).
+//! placed runs behind the exchange are in `(file_offset, rank)` order.
+//! [`ScatterPlan::build`] is the general path: it radix-sorts any
+//! request list's runs into that order, with no comparison, and is the
+//! oracle of [`ScatterPlan::from_lattice`], which a frame uses: a block
+//! lattice's runs, emitted in file order as the rows are walked, with
+//! no request list and no sort ([`crate::lattice`]).
 //!
 //! The in-process read has one window loop and two sinks. The accesses
 //! are grouped by aggregator and the groups run concurrently, as ROMIO's
@@ -19,12 +23,13 @@
 //! positional reads in 256 KiB stripes into one reused buffer, and hands
 //! every piece∩stripe to a sink with its bytes: [`two_phase_execute`]
 //! copies them into per-rank byte buffers (the byte-level oracle),
-//! [`two_phase_decode`] decodes them straight into per-rank `f32`
-//! outputs. Each group writes only the output ranges split off for it.
-//! A window that begins partway into an element (a file domain
-//! boundary, or a `cb_buffer_size`, that is not a multiple of 4) splits
-//! that element between two pieces; the decoding sink holds the ≤ 3
-//! bytes of each side until the element is whole.
+//! [`two_phase_decode`] and [`decode_scatter`] decode them straight
+//! into per-rank `f32` outputs. Each group writes only the output
+//! ranges split off for it. A window that begins partway into an
+//! element (a file domain boundary, or a `cb_buffer_size`, that is not
+//! a multiple of 4) splits that element between two pieces; the
+//! decoding sink holds the ≤ 3 bytes of each side until the element is
+//! whole.
 //! The message-passing executor in `pvr-core` walks the same
 //! [`ScatterPlan`] with its own window loop, because it reads under a
 //! fault audit and sends bytes over links.
@@ -344,10 +349,10 @@ fn aggregate_of(runs: &[ScatterRun]) -> Vec<Extent> {
 }
 
 /// The shared scatter geometry of a collective read, derived
-/// identically by every participant from the request list alone: the
-/// window access plan, all ranks' placed runs sorted by file offset,
-/// and the fault-independent per-rank piece expectations of the
-/// exchange phase.
+/// identically by every participant from the request list (or the block
+/// lattice) alone: the window access plan, all ranks' placed runs
+/// sorted by file offset, and the fault-independent per-rank piece
+/// expectations of the exchange phase.
 ///
 /// Every real executor — the in-process scatter below, the
 /// message-passing scatter in `pvr-core`'s frame scheduler (with or
@@ -375,17 +380,32 @@ impl ScatterPlan {
     /// Plan the scatter of a collective read: sort the placed runs,
     /// coalesce them into the aggregate request, lay the window
     /// accesses, and precompute each rank's expected piece count and
-    /// bytes.
+    /// bytes. The general path, for any requests; a regular block
+    /// lattice's plan is [`ScatterPlan::from_lattice`]'s, equal to this
+    /// one's and built without a request list or a sort.
     pub fn build(
         requests: &[RankRequest],
         num_aggregators: usize,
         hints: &CollectiveHints,
     ) -> ScatterPlan {
-        let nranks = requests.len();
-        let naggr = num_aggregators.clamp(1, nranks.max(1));
-
         let runs = sorted_runs(requests);
-        let plan = two_phase_plan(&aggregate_of(&runs), naggr, hints);
+        let aggregate = aggregate_of(&runs);
+        ScatterPlan::from_sorted(runs, &aggregate, requests.len(), num_aggregators, hints)
+    }
+
+    /// The plan of `runs` — every placed run of `nranks` ranks, sorted
+    /// by `(file_offset, rank)` — whose coalesced aggregate request is
+    /// `aggregate`: lay the window accesses and count each rank's
+    /// expected pieces.
+    pub(crate) fn from_sorted(
+        runs: Vec<ScatterRun>,
+        aggregate: &[Extent],
+        nranks: usize,
+        num_aggregators: usize,
+        hints: &CollectiveHints,
+    ) -> ScatterPlan {
+        let naggr = num_aggregators.clamp(1, nranks.max(1));
+        let plan = two_phase_plan(aggregate, naggr, hints);
 
         let mut piece_counts = vec![0usize; nranks];
         let mut piece_bytes = vec![0u64; nranks];
@@ -507,7 +527,8 @@ pub fn two_phase_execute(
         .collect();
     let copy = |bytes: &[u8], out: &mut [u8]| out.copy_from_slice(bytes);
     let tracer = pvr_obs::Tracer::disabled();
-    let exchange_bytes = read_windows(file, &sp, requests, &mut rank_bytes, copy, &tracer)?;
+    let runs_of = request_runs(requests);
+    let exchange_bytes = read_windows(file, &sp, &runs_of, &mut rank_bytes, copy, &tracer)?;
     Ok(ExecResult {
         rank_bytes,
         plan: sp.plan,
@@ -542,9 +563,36 @@ pub fn two_phase_decode(
         "one output of `out_elems` floats per request"
     );
     let sp = ScatterPlan::build(requests, num_aggregators, hints);
-    let decode = |bytes: &[u8], out: &mut [f32]| endian.decode_slice(bytes, out);
-    let exchange_bytes = read_windows(file, &sp, requests, out, decode, tracer)?;
+    let exchange_bytes = decode_scatter(file, &sp, &request_runs(requests), endian, out, tracer)?;
     Ok((sp.plan, exchange_bytes))
+}
+
+/// Visits the placed runs of one rank: `runs_of(rank, f)` calls `f` on
+/// each of them, in the order its request lists them.
+pub type RunsOf<'a> = dyn Fn(usize, &mut dyn FnMut(PlacedRun)) + 'a;
+
+/// The [`RunsOf`] of a request list.
+fn request_runs(requests: &[RankRequest]) -> impl Fn(usize, &mut dyn FnMut(PlacedRun)) + '_ {
+    |rank, f| requests[rank].runs.iter().for_each(|&r| f(r))
+}
+
+/// The read of [`two_phase_decode`] under a plan built beforehand — a
+/// lattice's ([`ScatterPlan::from_lattice`]), with no request list.
+/// `out[rank]` is rank `rank`'s output, and `runs_of` visits its placed
+/// runs: they split the output among the aggregator groups, and are
+/// visited once a rank, before the first read. Returns the exchange
+/// bytes.
+pub fn decode_scatter(
+    file: &File,
+    sp: &ScatterPlan,
+    runs_of: &RunsOf<'_>,
+    endian: Endian,
+    out: &mut [Vec<f32>],
+    tracer: &pvr_obs::Tracer,
+) -> std::io::Result<u64> {
+    assert_eq!(out.len(), sp.piece_counts.len(), "one output per rank");
+    let decode = |bytes: &[u8], out: &mut [f32]| endian.decode_slice(bytes, out);
+    read_windows(file, sp, runs_of, out, decode, tracer)
 }
 
 /// Bytes of one positional read. A window is read in stripes that end
@@ -560,14 +608,14 @@ const STRIPE: u64 = 256 << 10;
 /// `io.window` span per access on its aggregator's track. A short read
 /// is `UnexpectedEof`. Every piece∩stripe goes to its rank's output
 /// through `decode`, which turns whole on-disk elements into `T`s; each
-/// group writes only the output ranges [`tiles`] split off for it. An
-/// element split between two groups waits in both groups' stashes,
-/// which merge after the join. Returns the bytes that went to a rank
-/// other than their window's aggregator.
+/// group writes only the output ranges [`tiles`] split off for it from
+/// the runs `runs_of` visits. An element split between two groups waits
+/// in both groups' stashes, which merge after the join. Returns the
+/// bytes that went to a rank other than their window's aggregator.
 fn read_windows<T, D>(
     file: &File,
     sp: &ScatterPlan,
-    requests: &[RankRequest],
+    runs_of: &RunsOf<'_>,
     out: &mut [Vec<T>],
     decode: D,
     tracer: &pvr_obs::Tracer,
@@ -582,8 +630,8 @@ where
         .chunk_by(|a, b| a.aggregator == b.aggregator)
         .collect();
     let ends: Vec<u64> = groups.iter().map(|g| g[g.len() - 1].extent.end()).collect();
-    let tiles = tiles(out, requests, &ends);
-    let nranks = requests.len();
+    let nranks = out.len();
+    let tiles = tiles(out, runs_of, &ends);
     let done: Vec<std::io::Result<(u64, Vec<Split>)>> = groups
         .into_par_iter()
         .zip(tiles)
@@ -661,14 +709,16 @@ type Segment = (usize, usize, usize);
 /// layout here — a rank has one segment per group it reads from.
 fn tiles<'a, T>(
     out: &'a mut [Vec<T>],
-    requests: &[RankRequest],
+    runs_of: &RunsOf<'_>,
     ends: &[u64],
 ) -> Vec<Vec<Tile<'a, T>>> {
     let elem = size_of::<T>();
     let mut tiles: Vec<Vec<Tile<'a, T>>> = ends.iter().map(|_| Vec::new()).collect();
-    for (rank, (data, rq)) in out.iter_mut().zip(requests).enumerate() {
+    let mut segs = Vec::new();
+    for (rank, data) in out.iter_mut().enumerate() {
+        segments(runs_of, rank, ends, &mut segs);
         let (mut rest, mut at) = (data.as_mut_slice(), 0);
-        for (lo, hi, g) in segments(rq, ends) {
+        for &(lo, hi, g) in &segs {
             let (first, end) = (lo.div_ceil(elem), hi / elem);
             if first >= end {
                 continue;
@@ -682,51 +732,58 @@ fn tiles<'a, T>(
     tiles
 }
 
-/// One rank's [`Segment`]s in output order, adjacent ones of one group
-/// merged. The gap between two merged parts holds bytes no run asks
-/// for, which no group writes.
-fn segments(rq: &RankRequest, ends: &[u64]) -> Vec<Segment> {
-    let parts = || {
-        rq.runs.iter().flat_map(move |r| {
-            let (end, out) = (
-                r.file_offset + r.elems as u64 * ELEM_SIZE,
-                r.out_start * ELEM_SIZE as usize,
-            );
-            let mut at = r.file_offset;
-            std::iter::from_fn(move || {
-                (at < end).then(|| {
-                    let g = ends.partition_point(|&e| e <= at);
-                    let hi = end.min(ends[g]);
-                    let part = (
-                        out + (at - r.file_offset) as usize,
-                        out + (hi - r.file_offset) as usize,
-                        g,
-                    );
-                    at = hi;
-                    part
-                })
-            })
-        })
-    };
-    merged(parts()).unwrap_or_else(|| {
-        let mut sorted: Vec<Segment> = parts().collect();
+/// `rank`'s [`Segment`]s in output order, adjacent ones of one group
+/// merged, into `segs`. The gap between two merged parts holds bytes no
+/// run asks for, which no group writes. Runs that come out of output
+/// order are visited a second time, into a sorted list.
+fn segments(runs_of: &RunsOf<'_>, rank: usize, ends: &[u64], segs: &mut Vec<Segment>) {
+    segs.clear();
+    let mut ordered = true;
+    runs_of(rank, &mut |r| {
+        parts(r, ends, &mut |part| ordered &= merge(segs, part))
+    });
+    if !ordered {
+        let mut sorted: Vec<Segment> = Vec::new();
+        runs_of(rank, &mut |r| parts(r, ends, &mut |part| sorted.push(part)));
         sorted.sort_unstable();
-        merged(sorted.into_iter()).expect("a rank's runs fill disjoint output ranges")
-    })
-}
-
-/// `parts` with adjacent ones of one group merged, or `None` if they
-/// are not in output order.
-fn merged(parts: impl Iterator<Item = Segment>) -> Option<Vec<Segment>> {
-    let mut segs: Vec<Segment> = Vec::new();
-    for (lo, hi, g) in parts {
-        match segs.last_mut() {
-            Some(last) if last.1 > lo => return None,
-            Some(last) if last.2 == g => last.1 = hi,
-            _ => segs.push((lo, hi, g)),
+        segs.clear();
+        for part in sorted {
+            assert!(
+                merge(segs, part),
+                "a rank's runs fill disjoint output ranges"
+            );
         }
     }
-    Some(segs)
+}
+
+/// The parts of run `r` each aggregator group fills, in file order.
+fn parts(r: PlacedRun, ends: &[u64], f: &mut dyn FnMut(Segment)) {
+    let (end, out) = (
+        r.file_offset + r.elems as u64 * ELEM_SIZE,
+        r.out_start * ELEM_SIZE as usize,
+    );
+    let mut at = r.file_offset;
+    while at < end {
+        let g = ends.partition_point(|&e| e <= at);
+        let hi = end.min(ends[g]);
+        f((
+            out + (at - r.file_offset) as usize,
+            out + (hi - r.file_offset) as usize,
+            g,
+        ));
+        at = hi;
+    }
+}
+
+/// Append `part` to `segs`, merged into the last segment when it is
+/// the same group's; `false` if it starts before the last one ends.
+fn merge(segs: &mut Vec<Segment>, (lo, hi, g): Segment) -> bool {
+    match segs.last_mut() {
+        Some(last) if last.1 > lo => return false,
+        Some(last) if last.2 == g => last.1 = hi,
+        _ => segs.push((lo, hi, g)),
+    }
+    true
 }
 
 /// The output elements `first..first + data.len()` of `rank` that one

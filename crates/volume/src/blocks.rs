@@ -6,6 +6,8 @@
 //! to the grid aspect and assign block `i` to rank `i` (round-robin when
 //! there are more blocks than ranks).
 
+use std::ops::Range;
+
 use pvr_formats::Subvolume;
 
 /// One block of the decomposition.
@@ -135,6 +137,24 @@ impl BlockDecomposition {
         }
         Subvolume::new(offset, shape)
     }
+
+    /// The blocks grown by `ghost` ([`Self::with_ghost`]), given per
+    /// axis: along axis `a`, the interval of every block coordinate, in
+    /// order. Block `(bx, by, bz)` stores `x[bx] × y[by] × z[bz]`, since
+    /// a block's extent along an axis depends on its coordinate on that
+    /// axis alone.
+    pub fn stored_intervals(&self, ghost: usize) -> [Vec<Range<usize>>; 3] {
+        let c = self.counts;
+        let strides = [1, c[0], c[0] * c[1]];
+        [0, 1, 2].map(|a| {
+            (0..c[a])
+                .map(|i| {
+                    let stored = self.with_ghost(&self.block(i * strides[a]), ghost);
+                    stored.offset[a]..stored.offset[a] + stored.shape[a]
+                })
+                .collect()
+        })
+    }
 }
 
 #[cfg(test)]
@@ -189,6 +209,21 @@ mod tests {
         let g7 = d.with_ghost(&b7, 1);
         assert_eq!(g7.offset, [7, 7, 7]);
         assert_eq!(g7.end(), [16, 16, 16]);
+    }
+
+    #[test]
+    fn stored_intervals_give_every_ghosted_block() {
+        let d = BlockDecomposition::new([37, 23, 11], 24);
+        for ghost in [0, 1, 2] {
+            let axes = d.stored_intervals(ghost);
+            for b in d.blocks() {
+                let g = d.with_ghost(&b, ghost);
+                for a in 0..3 {
+                    let r = &axes[a][b.coords[a]];
+                    assert_eq!((r.start, r.len()), (g.offset[a], g.shape[a]));
+                }
+            }
+        }
     }
 
     #[test]

@@ -43,6 +43,16 @@ fn a_frame_allocates_in_proportion_to_its_messages() {
     } else {
         &[(256, 27_700), (1024, 13_500), (2048, 10_300)]
     };
+    // The frame description and the read plan of the ledger's 2048-rank
+    // frame hold, measured, 4 703 684 B at their peak; 9 983 300 B while
+    // the read plan was sorted from per-rank request lists. The bound is
+    // the measurement plus 10 %.
+    let (_, plan_peak) = alloc::peak_live(|| planned_messages(&cfg_at(2048)));
+    println!("n=2048: planning holds {plan_peak} B live at its peak");
+    assert!(
+        plan_peak <= 5_174_000,
+        "n=2048: planning holds {plan_peak} B live at its peak"
+    );
     for &(n, live_per_rank) in sizes {
         let cfg = cfg_at(n);
         let planned = planned_messages(&cfg) as u64;

@@ -15,14 +15,19 @@ use parallel_volume_rendering::core::{
     laptop_aggregators, run_frame, run_frame_traced, FrameConfig, IoMode,
 };
 use parallel_volume_rendering::formats::extent::coalesce;
-use parallel_volume_rendering::formats::layout::FileLayout;
-use parallel_volume_rendering::formats::{each_element, write_file, Subvolume, ELEM_SIZE};
+use parallel_volume_rendering::formats::layout::{FileLayout, PlacedRun};
+use parallel_volume_rendering::formats::{
+    each_element, write_file, NetCdf64Layout, NetCdfClassicLayout, RawLayout, Subvolume, ELEM_SIZE,
+};
 use parallel_volume_rendering::obs::span::EventKind;
 use parallel_volume_rendering::obs::Tracer;
 use parallel_volume_rendering::pfs::twophase::{
-    file_domains, two_phase_decode, two_phase_execute, CollectiveHints, RankRequest, ScatterPlan,
+    decode_scatter, file_domains, two_phase_decode, two_phase_execute, CollectiveHints,
+    RankRequest, ScatterPlan,
 };
+use parallel_volume_rendering::pfs::StoredLattice;
 use parallel_volume_rendering::volume::BlockDecomposition;
+use proptest::prelude::*;
 
 /// The read's stripe: windows shorter than, equal to and longer than
 /// this are all exercised.
@@ -56,12 +61,22 @@ fn requests(
     nblocks: usize,
     var: usize,
 ) -> Vec<RankRequest> {
-    let decomp = BlockDecomposition::new(grid, nblocks);
+    ghosted_requests(layout, &BlockDecomposition::new(grid, nblocks), 1, var)
+}
+
+/// One request per block of `decomp` grown by `ghost`, for variable
+/// `var`.
+fn ghosted_requests(
+    layout: &dyn FileLayout,
+    decomp: &BlockDecomposition,
+    ghost: usize,
+    var: usize,
+) -> Vec<RankRequest> {
     decomp
         .blocks()
         .iter()
         .map(|b| {
-            let sub = decomp.with_ghost(b, 1);
+            let sub = decomp.with_ghost(b, ghost);
             let mut runs = Vec::new();
             layout.placed_runs(var, &sub, &mut |r| runs.push(r));
             RankRequest {
@@ -252,6 +267,33 @@ fn a_collective_frame_allocates_nothing_larger_than_a_rank_volume() {
     );
 }
 
+/// An `io-record` frame holds little beyond its voxel buffers, which
+/// the frame before it left for it: the read plan is one run list,
+/// built in file order, with no per-rank request lists and no sort
+/// scratch beside it. Measured at one thread, as the lowest of four
+/// frames (another test's frame may take the spare buffers between
+/// two of them): 1 092 820 B, where requests, sorted runs and the
+/// sort's scratch held 2 468 788 B. The bound is the measurement plus
+/// 10 %.
+#[test]
+fn an_io_record_frame_holds_little_beyond_its_volumes() {
+    let (cfg, path) = io_record();
+    let peak = on_threads(1, || {
+        let mut lowest = u64::MAX;
+        for _ in 0..4 {
+            let (frame, peak) = alloc::peak_live(|| run_frame(&cfg, Some(&path)));
+            assert!(frame.render_samples > 0);
+            lowest = lowest.min(peak);
+        }
+        lowest
+    });
+    println!("io-record live peak above its volumes: {peak} B");
+    assert!(peak <= FRAME_LIVE_PEAK, "{peak} B live at the peak");
+}
+
+/// [`an_io_record_frame_holds_little_beyond_its_volumes`]'s bound.
+const FRAME_LIVE_PEAK: u64 = 1_202_000;
+
 /// What the `io-record` read does is exactly what it did before it
 /// streamed: the counts below were recorded from the window-buffer
 /// read. One `io.window` span per access, each on its aggregator's
@@ -299,3 +341,133 @@ const PINNED_ACCESSES: usize = 4;
 const PINNED_PHYSICAL: u64 = 41_418_752;
 const PINNED_USEFUL: u64 = 8_388_608;
 const PINNED_EXCHANGE: u64 = 6_624_800;
+
+/// The three collective layouts of a five-variable `grid`, each with
+/// the variable read from it.
+fn collective_layouts(grid: [usize; 3]) -> [(Box<dyn FileLayout>, usize); 3] {
+    [
+        (Box::new(RawLayout::new(grid)), 0),
+        (Box::new(NetCdfClassicLayout::new(grid, 5)), 3),
+        (Box::new(NetCdf64Layout::new(grid, 5)), 2),
+    ]
+}
+
+/// The lattice plan of `n` blocks of `grid` grown by `ghost` equals
+/// `ScatterPlan::build`'s over the blocks' rank requests — runs,
+/// accesses, expected pieces and every window's sends — in every
+/// collective layout, and the lattice read decodes what
+/// `two_phase_decode` does, bit for bit. Returns whether two x-blocks
+/// of the lattice store from the same voxel.
+fn check_lattice_plan(grid: [usize; 3], n: usize, ghost: usize, naggr: usize, cb: u64) -> bool {
+    let decomp = BlockDecomposition::new(grid, n);
+    let lattice = StoredLattice::new(decomp.stored_intervals(ghost));
+    let hints = CollectiveHints {
+        cb_buffer_size: cb,
+        cb_nodes: None,
+    };
+    for (layout, var) in collective_layouts(grid) {
+        let layout = layout.as_ref();
+        let case = format!(
+            "{} grid {grid:?} n={n} ghost={ghost} naggr={naggr} cb={cb}",
+            layout.kind().name()
+        );
+        let requests = ghosted_requests(layout, &decomp, ghost, var);
+        let want = ScatterPlan::build(&requests, naggr, &hints);
+        let got = ScatterPlan::from_lattice(layout, var, &lattice, naggr, &hints);
+        assert_eq!(got.runs, want.runs, "{case}: runs");
+        assert_eq!(got.plan.accesses, want.plan.accesses, "{case}: accesses");
+        let sums = |p: &ScatterPlan| {
+            (
+                p.plan.useful_bytes,
+                p.plan.physical_bytes,
+                p.plan.unique_bytes,
+            )
+        };
+        assert_eq!(sums(&got), sums(&want), "{case}: plan bytes");
+        assert_eq!(got.piece_counts, want.piece_counts, "{case}: piece counts");
+        assert_eq!(got.piece_bytes, want.piece_bytes, "{case}: piece bytes");
+        for a in &want.plan.accesses {
+            assert_eq!(got.sends_in(a.extent), want.sends_in(a.extent), "{case}");
+        }
+
+        let name = format!(
+            "lattice.{}.{}x{}x{}",
+            layout.kind().name(),
+            grid[0],
+            grid[1],
+            grid[2]
+        );
+        let path = dataset(layout, &name);
+        let fresh =
+            || -> Vec<Vec<f32>> { requests.iter().map(|rq| vec![0.0; rq.out_elems]).collect() };
+        let (endian, tracer) = (layout.endian(), Tracer::disabled());
+        let mut oracle = fresh();
+        let mut f = std::fs::File::open(&path).unwrap();
+        two_phase_decode(
+            &mut f,
+            &requests,
+            naggr,
+            &hints,
+            endian,
+            &mut oracle,
+            &tracer,
+        )
+        .unwrap();
+        let mut out = fresh();
+        let runs_of = |rank: usize, f: &mut dyn FnMut(PlacedRun)| {
+            layout.placed_runs(var, &lattice.block(rank), f)
+        };
+        decode_scatter(&f, &got, &runs_of, endian, &mut out, &tracer).unwrap();
+        assert_eq!(bits(&out), bits(&oracle), "{case}: decoded volumes");
+    }
+    let xs: Vec<usize> = (0..decomp.counts()[0])
+        .map(|bx| lattice.block(bx).offset[0])
+        .collect();
+    xs.windows(2).any(|w| w[0] == w[1])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Over random grids, 7-smooth block counts (which every grid of at
+    /// least 8 voxels a side decomposes into), ghosts of 1 and 2,
+    /// aggregator counts and buffer sizes that split runs and elements.
+    #[test]
+    fn the_lattice_plan_is_the_sorted_plan(
+        grid in (8usize..25, 8usize..25, 8usize..25),
+        n in 0usize..SMOOTH.len(),
+        ghost in 1usize..3,
+        naggr in 1usize..6,
+        cb in 50u64..20_000,
+    ) {
+        check_lattice_plan([grid.0, grid.1, grid.2], SMOOTH[n], ghost, naggr, cb);
+    }
+}
+
+/// Block counts with no prime factor above 7.
+const SMOOTH: [usize; 19] = [
+    1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 14, 16, 18, 24, 27, 32, 36, 48, 64,
+];
+
+/// Lattices whose clamped ghosts give two x-blocks the same stored
+/// start — blocks one voxel wide under ghost 1, two wide under ghost 2,
+/// along x alone and mixed with y and z blocks — plan and read as the
+/// sort does.
+#[test]
+fn clamped_ghosts_that_tie_plan_like_the_sort() {
+    let cases = [
+        ([8, 2, 2], 8, 1),
+        ([16, 3, 3], 8, 2),
+        ([6, 2, 2], 24, 1),
+        ([12, 9, 5], 36, 2),
+        ([10, 4, 6], 20, 2),
+    ];
+    for (grid, n, ghost) in cases {
+        for (naggr, cb) in [(1, 64), (3, 997), (4, 16 << 20)] {
+            assert!(
+                check_lattice_plan(grid, n, ghost, naggr, cb),
+                "grid {grid:?} n={n} ghost={ghost}: no two x-blocks tie"
+            );
+        }
+    }
+}
