@@ -321,7 +321,7 @@ fn main() {
 
     let mut csv = CsvOut::create(
         "verify_mc",
-        "model,n,m,traces,runs,redundant,choice_points,backtracks,sleep_prunes,candidate_prunes,peak_frontier,naive,wall_ms,complete,violations",
+        "model,n,m,traces,runs,redundant,choice_points,backtracks,sleep_prunes,candidate_prunes,peak_frontier,naive,complete,violations",
     );
     let mut results: Vec<ConfigResult> = Vec::new();
     let mut failures = 0usize;
@@ -341,7 +341,7 @@ fn main() {
             let (model, _) = label.rsplit_once(",n=").unwrap_or((&label, ""));
             let (_, m_str) = label.rsplit_once(",m=").unwrap_or(("", "-"));
             csv.row(&format!(
-                "{},{n},{m_str},{},{},{},{},{},{},{},{},{:.3e},{},{},{}",
+                "{},{n},{m_str},{},{},{},{},{},{},{},{},{:.3e},{},{}",
                 csv_field(model),
                 s.traces,
                 s.runs,
@@ -352,7 +352,6 @@ fn main() {
                 s.candidate_prunes,
                 s.peak_frontier,
                 s.naive_orderings,
-                s.wall.as_millis(),
                 s.complete,
                 report.violations.len(),
             ));

@@ -459,10 +459,10 @@ impl<'a> FlowSim<'a> {
 /// [`admit`](Self::admit) / [`retire`](Self::retire), and every list
 /// keeps its capacity. One [`solve`](Self::solve) costs the links that
 /// carry active weight, plus `rounds × live links` (a link is live while
-/// it still carries an unfrozen flow), plus the flow lists of the links
-/// that saturate — never a pass over all of the torus' links. The round
-/// sweeps are the cost (DESIGN.md §18: 13.2 M live-link visits per pass
-/// against a 1.0 M-entry freeze walk on the ledger's `model-512` frame).
+/// it still carries an unfrozen flow; it leaves the compact live set when
+/// that weight empties), plus the flow lists of the links that saturate.
+/// The round sweeps are the cost: two passes over contiguous lanes, no
+/// gathers (DESIGN.md §18: 13.2 M live-link visits per pass on `model-512`).
 ///
 /// **Same seconds as a fill built from nothing** (the `#[cfg(test)]`
 /// oracle `reference_water_fill` is that fill, and the proptest
@@ -471,9 +471,10 @@ impl<'a> FlowSim<'a> {
 /// * Weights are message counts — integers far below 2⁵³ — so every
 ///   `+=`/`-=` on `active_weight` and `w` is exact in any order;
 ///   `active_weight[l]` always equals the sum over the active flows
-///   crossing `l`, and `w[l]` the sum over the unfrozen ones.
-/// * The set of links with `w > 0` in a round does not depend on the
-///   order links are visited in, so `delta` — a `min` over that set of
+///   crossing `l`, and `w[pos[l]]` the sum over the unfrozen ones, so a
+///   link's `w` reaches exactly `0.0` when its last unfrozen flow freezes.
+/// * The live set in a round does not depend on its order, which
+///   swap-removal shuffles, so `delta` — a `min` over that set of
 ///   positive finite quotients, order-free — is the same, and every
 ///   link's `rem` goes through the same sequence
 ///   `link_bw − δ₁w₁ − δ₂w₂ − …`.
@@ -504,16 +505,17 @@ struct Fill {
     active_weight: Vec<f64>,
     /// Whether the link is in `loaded`.
     listed: Vec<bool>,
-    /// Remaining capacity in the current solve.
-    rem: Vec<f64>,
-    /// Weight of the still-unfrozen flows in the current solve.
-    w: Vec<f64>,
+    /// The link's slot in `live` / `rem` / `w` while it is live.
+    pos: Vec<u32>,
 
     /// Links that may carry active weight: pushed by `admit` on first
     /// use, dropped by the next `solve` that finds the weight back at 0.
     loaded: Vec<u32>,
-    /// Links with `w > 0` in the current solve.
+    /// The live set of the current solve — links with `w > 0` — as three
+    /// parallel lanes: link id, remaining capacity, unfrozen weight.
     live: Vec<u32>,
+    rem: Vec<f64>,
+    w: Vec<f64>,
     /// Links that saturated in the current round.
     saturated: Vec<u32>,
 }
@@ -546,10 +548,11 @@ impl Fill {
             epoch: 0,
             active_weight: vec![0.0; num_links],
             listed: vec![false; num_links],
-            rem: vec![0.0; num_links],
-            w: vec![0.0; num_links],
+            pos: vec![0; num_links],
             loaded: Vec::new(),
             live: Vec::new(),
+            rem: Vec::new(),
+            w: Vec::new(),
             saturated: Vec::new(),
         }
     }
@@ -592,12 +595,15 @@ impl Fill {
 
         // Start from the maintained weights; forget links that emptied.
         self.live.clear();
+        self.rem.clear();
+        self.w.clear();
         self.loaded.retain(|&l| {
             let weight = self.active_weight[l as usize];
             if weight > 0.0 {
-                self.w[l as usize] = weight;
-                self.rem[l as usize] = self.link_bw;
+                self.pos[l as usize] = self.live.len() as u32;
                 self.live.push(l);
+                self.rem.push(self.link_bw);
+                self.w.push(weight);
             } else {
                 self.listed[l as usize] = false;
             }
@@ -607,23 +613,8 @@ impl Fill {
         let mut unfrozen = active.len();
         let mut fill = 0.0f64;
         while unfrozen > 0 {
-            // Smallest per-weight headroom over links with unfrozen
-            // flows; links that lost their last one leave the list.
-            // Compare-and-select, not `f64::min`: the same value for
-            // every input (`delta` is never NaN, and a NaN headroom is
-            // passed over by both), without `min`'s NaN handling in the
-            // loop-carried dependency — the sweep runs a third faster.
-            let mut delta = f64::INFINITY;
-            self.live.retain(|&l| {
-                let w = self.w[l as usize];
-                if w > 0.0 {
-                    let headroom = self.rem[l as usize] / w;
-                    if headroom < delta {
-                        delta = headroom;
-                    }
-                }
-                w > 0.0
-            });
+            // Smallest per-weight headroom over the live links.
+            let delta = min_headroom(&self.rem, &self.w);
             if !delta.is_finite() {
                 // No constraining link left; remaining flows are only
                 // limited by links that already saturated (degenerate) —
@@ -641,9 +632,8 @@ impl Fill {
             // freeze — freezing mutates weights, which must only affect
             // the next round.
             self.saturated.clear();
-            for &l in &self.live {
-                let rem = &mut self.rem[l as usize];
-                *rem -= delta * self.w[l as usize];
+            for ((rem, &w), &l) in self.rem.iter_mut().zip(&self.w).zip(&self.live) {
+                *rem -= delta * w;
                 if *rem <= sat_eps {
                     self.saturated.push(l);
                 }
@@ -661,12 +651,52 @@ impl Fill {
                     let fl = &mut flows[f];
                     fl.rate = fill * fl.weight;
                     for &pl in fl.path(path_arena) {
-                        self.w[pl as usize] -= fl.weight;
+                        // An unfrozen flow's links all carry its weight,
+                        // so they are still live.
+                        let slot = self.pos[pl as usize] as usize;
+                        debug_assert_eq!(self.live[slot], pl);
+                        self.w[slot] -= fl.weight;
+                        if self.w[slot] == 0.0 {
+                            // Its last unfrozen flow froze: the link
+                            // leaves the live set.
+                            self.live.swap_remove(slot);
+                            self.rem.swap_remove(slot);
+                            self.w.swap_remove(slot);
+                            if let Some(&moved) = self.live.get(slot) {
+                                self.pos[moved as usize] = slot as u32;
+                            }
+                        }
                     }
                 }
             }
         }
     }
+}
+
+/// `min(rem[i] / w[i])` over the live lanes, `INFINITY` when there are
+/// none. Four independent compare-and-select accumulators, not
+/// `f64::min`: the same value for every input (no quotient is NaN: `w > 0`
+/// and `rem` finite), without `min`'s NaN handling in a loop-carried
+/// dependency, and the divisions issue packed.
+fn min_headroom(rem: &[f64], w: &[f64]) -> f64 {
+    let (rem4, w4) = (rem.chunks_exact(4), w.chunks_exact(4));
+    let tail = rem4.remainder().iter().zip(w4.remainder());
+    let mut lanes = [f64::INFINITY; 4];
+    for (r, w) in rem4.zip(w4) {
+        for k in 0..4 {
+            let headroom = r[k] / w[k];
+            if headroom < lanes[k] {
+                lanes[k] = headroom;
+            }
+        }
+    }
+    let mut delta = f64::INFINITY;
+    for headroom in lanes.into_iter().chain(tail.map(|(r, w)| r / w)) {
+        if headroom < delta {
+            delta = headroom;
+        }
+    }
+    delta
 }
 
 /// The fluid loop and water-fill as they were before the run-scoped
@@ -1159,6 +1189,63 @@ mod tests {
             fill.retire(f, fl, &arena);
         }
         assert!(fill.is_drained());
+    }
+
+    /// A hand-built phase for the live set's removal path, which the
+    /// random tori reach only by chance. On the x ring, link 1→2 carries
+    /// weight 3 (a weight-2 flow 1→2 and the flow 0→2) and saturates
+    /// first: freezing 0→2 empties it from slot 0 — the swap moves link
+    /// 0→1 there — and only lowers 0→1, which still carries 0→1. A
+    /// mirror group on the y ring empties in the same round, while a
+    /// lone four-hop flow's links drain on, and late starts bring link
+    /// 1→2 back after it emptied.
+    #[test]
+    fn emptied_links_leave_the_live_set_bitwise() {
+        let t = torus8();
+        let sim = FlowSim::new(&t);
+        let at = |src, dst, start| FlowSpec {
+            start,
+            ..FlowSpec::new(src, dst, 42_500_000)
+        };
+        let specs = [
+            at(1, 2, 0.0),
+            at(1, 2, 0.0),
+            at(0, 2, 0.0),
+            at(0, 1, 0.0),
+            at(16, 24, 0.0),
+            at(16, 24, 0.0),
+            at(8, 24, 0.0),
+            at(8, 16, 0.0),
+            at(32, 36, 0.0),
+            at(1, 2, 0.05),
+            at(1, 2, 0.5),
+        ];
+        let r = sim.run(&specs);
+        let (net, completion) = reference::run(&sim, &specs);
+        assert_eq!(r.net_makespan.to_bits(), net.to_bits());
+        for (i, (a, b)) in r.completion.iter().zip(&completion).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "completion[{i}]: {a} vs {b}");
+        }
+
+        // The first solve's rates: thirds on the saturated links, the
+        // rest of 0→1 for the flow left on it, the lone flow at full rate.
+        let mut scratch = vec![0.0; specs.len()];
+        let (mut flows, arena, _) = sim.aggregate(&specs, &mut scratch);
+        let mut fill = Fill::new(sim.params().link_bw, t.num_links(), &flows, &arena);
+        let first: Vec<usize> = (0..flows.len())
+            .filter(|&f| flows[f].start == 0.0)
+            .collect();
+        for &f in &first {
+            fill.admit(f, &flows[f], &arena);
+        }
+        fill.solve(&mut flows, &arena, &first);
+        let bw = sim.params().link_bw;
+        let rates: Vec<f64> = first.iter().map(|&f| flows[f].rate / bw).collect();
+        let expected = [2, 1, 2, 2, 1, 2, 3].map(|thirds| thirds as f64 / 3.0);
+        for (got, want) in rates.iter().zip(expected) {
+            assert!((got - want).abs() < 1e-9, "rates {rates:?}");
+        }
+        assert!(fill.live.is_empty());
     }
 }
 

@@ -443,6 +443,19 @@ mod tests {
         assert_eq!(r.composite.fluid_seconds.to_bits(), 0x3f5f0bee040e3bbd);
     }
 
+    /// The largest phase `price_phase` hands to the exact solver: 9 752
+    /// messages, just under its 10 000-message switch, on 256 nodes —
+    /// past the tori the flowsim proptest draws.
+    #[test]
+    fn original_1024_fluid_seconds_are_pinned() {
+        let model = PerfModel::default();
+        let mut cfg = FrameConfig::paper_1120(1024);
+        cfg.policy = CompositorPolicy::Original;
+        let c = model.simulate_composite(&cfg, &model.schedule_for(&cfg));
+        assert_eq!(c.messages, 9_752);
+        assert_eq!(c.fluid_seconds.to_bits(), 0x3f5493119272e253);
+    }
+
     #[test]
     fn render_scales_linearly() {
         let m = PerfModel::default();
