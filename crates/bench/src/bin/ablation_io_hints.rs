@@ -51,7 +51,6 @@ fn main() {
             naggr,
             &CollectiveHints {
                 cb_buffer_size: *cb,
-                cb_nodes: None,
             },
         );
         let t = storage.read_time(plan.physical_bytes, plan.accesses.len(), io_nodes, naggr);
@@ -100,7 +99,6 @@ fn main() {
                 naggr,
                 &CollectiveHints {
                     cb_buffer_size: stride,
-                    cb_nodes: None,
                 },
             );
             big.data_density() < 0.3

@@ -24,6 +24,10 @@
 //!   the current read hands off — file reads only, no communication, so
 //!   the protocol is untouched.
 //!
+//! The time steps share a layout and a decomposition, so an animation
+//! plans its read once, on either executor: one `FilePlan` serves every
+//! frame, and the rayon prefetch thread shares it in an [`Arc`].
+//!
 //! Memory stays bounded: at most one prefetch is in flight per rank, so
 //! the animation holds at most **2×** one time step's subvolumes (the
 //! live frame plus the next frame's buffers).
@@ -48,7 +52,7 @@ use pvr_obs::{Args, FlightRecorder, Tracer};
 use pvr_pfs::{IoThrottle, Prefetch};
 
 use crate::config::FrameConfig;
-use crate::pipeline::{read_frame, write_dataset, FrameError, FrameResult};
+use crate::pipeline::{write_dataset, FilePlan, FrameError, FrameResult};
 use crate::scheduler::{
     assemble_frame, rayon_frame, run_world, FrameFaults, FrameInput, FrameShared, FAULTS_NEED_MPI,
 };
@@ -284,6 +288,7 @@ fn run_rayon(
             .expect("prefetch pool"),
     );
     let shared = Arc::new(FrameShared::new(cfg));
+    let file = Arc::new(FilePlan::new(cfg, &shared));
     let flight = FlightRecorder::disabled();
     let mut run = |input: FrameInput, throttle| {
         let frame = || rayon_frame(cfg, &shared, input, tracer, throttle, &flight);
@@ -297,7 +302,7 @@ fn run_rayon(
 
     if !opts.pipelined {
         for p in paths {
-            run(FrameInput::File(p), opts.throttle)?;
+            run(FrameInput::File(p, Arc::clone(&file)), opts.throttle)?;
         }
     } else {
         // The prefetch thread gets its own trace track, one past the
@@ -308,21 +313,21 @@ fn run_rayon(
             tracer.name_track(pf_track, "prefetch");
         }
         let spawn = |t: usize| {
-            let cfg = *cfg;
             let path = paths[t].clone();
             let throttle = opts.throttle;
             let tracer = tracer.clone();
             let pool = Arc::clone(&prefetch_pool);
             let shared = Arc::clone(&shared);
+            let file = Arc::clone(&file);
             Prefetch::spawn(move || {
                 let started = Instant::now();
                 tracer.begin_args(pf_track, "io.read", Args::one("frame", t as u64));
                 // Untraced: per-window spans would land on rank tracks
                 // whose ranks are mid-frame.
                 let off = Tracer::disabled();
-                let out = pool.install(|| read_frame(&cfg, &shared, &path, &off, throttle));
+                let out = pool.install(|| file.read(&shared, &path, &off, throttle));
                 tracer.end(pf_track, "io.read");
-                out.map(|(volumes, io)| (volumes, io, started.elapsed().as_secs_f64()))
+                out.map(|volumes| (volumes, file.io, started.elapsed().as_secs_f64()))
             })
         };
 
@@ -372,17 +377,25 @@ fn run_mpi(
 
     let t0 = Instant::now();
     let shared = FrameShared::new(cfg);
+    let file = FilePlan::new(cfg, &shared);
     let (throttle, pipelined) = (opts.throttle, opts.pipelined);
     let flight = FlightRecorder::disabled();
-    let out = run_world(cfg, &shared, paths, faults, run_opts, throttle, pipelined)?;
+    let out = run_world(&shared, &file, paths, faults, run_opts, throttle, pipelined)?;
     // Assemble each frame exactly as the single-frame driver would.
     let frames = out
         .frames
         .into_iter()
         .enumerate()
         .map(|(t, col)| {
-            let (result, completeness) =
-                assemble_frame(cfg, &shared, col, faults.map(|f| &f[t]), None, &flight);
+            let (result, completeness) = assemble_frame(
+                cfg,
+                &shared,
+                file.io,
+                col,
+                faults.map(|f| &f[t]),
+                None,
+                &flight,
+            );
             AnimFrame {
                 result,
                 completeness,

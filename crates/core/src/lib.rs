@@ -13,7 +13,10 @@
 //!   [`scheduler::drive_frame`] with a [`Driver`] (executor × tracer ×
 //!   flight recorder, plus a fault plan on the message-passing
 //!   executor); [`anim`] runs it over time steps, and [`slo`] judges
-//!   every frame against its budgets.
+//!   every frame against its budgets. A frame's read is planned once,
+//!   by the pipeline's file plan (layout, hints, aggregators, scatter
+//!   plan, I/O statistics), and both executors read and report through
+//!   it; an animation plans once for all its time steps.
 //! * [`perfmodel`] — **simulated execution** at paper scale (64 … 32K
 //!   cores, 1120³ … 4480³ grids): the identical schedules (I/O access
 //!   plans, direct-send message lists) are generated and priced on the

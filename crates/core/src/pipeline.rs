@@ -15,12 +15,14 @@
 //! Both are one-line configurations of [`drive_frame`], the frame API
 //! in [`crate::scheduler`] (tracing, the flight recorder and — on the
 //! message-passing executor — a fault plan are [`Driver`] modifiers); this module keeps the shared building blocks
-//! (dataset synthesis, the dataset reader, the message codecs around
-//! `pvr_compositing::wire`'s fragment format, tags).
+//! (dataset synthesis, the message codecs around
+//! `pvr_compositing::wire`'s fragment format, tags) and `FilePlan`, the
+//! one plan of a frame's read: both executors read through it, and
+//! both report its I/O statistics.
 //! The frame's geometry lives in [`crate::scheduler::FrameShared`].
 
 use std::fs::File;
-use std::io::{Read as _, Seek, SeekFrom};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
@@ -31,12 +33,13 @@ use pvr_compositing::directsend::DirectSendStats;
 use pvr_compositing::sparse::PieceScan;
 use pvr_compositing::wire::{encode_fragment, push_words, with_header, Words};
 use pvr_compositing::WireFragment;
+use pvr_formats::extent::Extent;
 use pvr_formats::layout::{FileLayout, PlacedRun};
 use pvr_formats::rw::write_file;
-use pvr_formats::{Subvolume, ELEM_SIZE};
+use pvr_formats::{Endian, Subvolume, ELEM_SIZE};
 use pvr_obs::Tracer;
 use pvr_pfs::sieve::per_extent_plan;
-use pvr_pfs::twophase::{decode_scatter, RankRequest, ScatterPlan};
+use pvr_pfs::twophase::{decode_scatter, Access, ScatterPlan};
 use pvr_pfs::IoThrottle;
 use pvr_render::image::{Image, PixelRect, SubImage};
 use pvr_render::math::Vec3;
@@ -231,39 +234,13 @@ pub fn write_dataset(path: &Path, cfg: &FrameConfig) -> std::io::Result<u64> {
     })
 }
 
-pub(crate) fn rank_requests(
-    layout: &dyn FileLayout,
-    var: usize,
-    stored: &[Subvolume],
-) -> Vec<RankRequest> {
-    stored
-        .iter()
-        .map(|sub| rank_request(layout, var, sub))
-        .collect()
-}
-
-/// The placed-run read request of one rank's stored block `sub`.
-pub(crate) fn rank_request(layout: &dyn FileLayout, var: usize, sub: &Subvolume) -> RankRequest {
-    // One run per row of the block, unless chunking splits rows.
-    let mut runs = Vec::with_capacity(sub.shape[1] * sub.shape[2]);
-    tiled_runs(layout, var, sub, &mut |r| runs.push(r));
-    RankRequest {
-        runs,
-        out_elems: sub.num_elements(),
-    }
-}
-
 /// Decode a rank's raw bytes (on-disk order per placed runs) into a
 /// volume over its stored region.
-pub(crate) fn decode_volume(bytes: &[u8], sub: &Subvolume, endian: pvr_formats::Endian) -> Volume {
+pub(crate) fn decode_volume(bytes: &[u8], sub: &Subvolume, endian: Endian) -> Volume {
     let mut data = vec![0.0f32; sub.num_elements()];
     endian.decode_slice(bytes, &mut data);
     Volume::from_data(sub.shape, data)
 }
-
-/// Aggregator count used by the laptop-scale runs (re-exported from
-/// [`crate::roles`], the single home of role-placement formulas).
-pub use crate::roles::laptop_aggregators;
 
 /// Run one frame for real (rayon executor). When `path` is `None`, the
 /// I/O stage synthesizes block data procedurally instead of reading a
@@ -315,105 +292,184 @@ pub(crate) fn synthesize_stage(cfg: &FrameConfig, stored: &[Subvolume]) -> Vec<V
         .collect()
 }
 
-/// Read the stored regions of `shared`'s blocks out of the dataset into
-/// one volume per rank — the one dataset reader of the data-parallel
-/// executor, in the form a prefetch thread can hand to a later frame.
-/// Collective layouts go through the two-phase engine under the
-/// lattice's plan, built in file order with no request list, which
-/// decodes each window piece straight into its rank's volume (one
-/// `io.window` span per access on `tracer`); HDF5-style layouts read
-/// independently, every rank fetching and decoding its own runs with no
-/// coordination. An optional [`IoThrottle`] floors the read, decode
-/// included, at a bandwidth, making I/O genuinely expensive for
-/// pipelining experiments.
-pub(crate) fn read_frame(
-    cfg: &FrameConfig,
-    shared: &FrameShared,
-    path: &Path,
-    tracer: &Tracer,
-    throttle: Option<IoThrottle>,
-) -> std::io::Result<(Vec<Volume>, IoRunStats)> {
-    let layout = cfg.io.layout(cfg.grid);
-    let (var, endian, stored) = (cfg.file_variable(), layout.endian(), &shared.stored);
-    let t0 = Instant::now();
+/// How a frame's ranks read their blocks out of one dataset file: the
+/// one place in this crate where a [`FrameConfig`] becomes a read. It
+/// decides the layout, the variable, the byte order, the collective
+/// hints and the aggregator count ([`FrameConfig::aggregators`]), and
+/// holds the plan those give and what that plan reads. Built once per
+/// file-backed frame by [`drive_frame`] and once per animation by
+/// [`crate::anim::run_animation`], on both executors; the data-parallel
+/// read ([`FilePlan::read`], also the animation's prefetch), the
+/// message-passing scatter, a rank's independent read and every re-read
+/// of a block go through it, and both executors report its
+/// [`FilePlan::io`].
+pub(crate) struct FilePlan {
+    /// The file's layout and the variable the frame reads: a rank's
+    /// placed runs are visited from them where a block is read
+    /// ([`FilePlan::runs`]), so no per-rank copy of them is kept.
+    layout: Box<dyn FileLayout>,
+    var: usize,
+    pub(crate) endian: Endian,
+    /// Two-phase scatter plan (collective layouts only), which holds
+    /// every rank's runs once, built from the lattice in file order.
+    pub(crate) scatter: Option<ScatterPlan>,
+    /// What the planned read moves: useful and physical bytes, accesses,
+    /// data density and exchange bytes. The fault counters are zero; a
+    /// faulted frame adds its own.
+    pub(crate) io: IoRunStats,
+}
 
-    // Both reads below write every element of a rank's buffer exactly
-    // once ([`tiled_runs`]), which is what lets `volume_buffer` skip the
-    // zero fill.
-    let (volumes, stats, throttled_bytes) = if layout.collective() {
-        let hints = cfg.io.hints(cfg.grid);
-        let naggr = laptop_aggregators(cfg.nprocs);
-        let sp = ScatterPlan::from_lattice(layout.as_ref(), var, &shared.lattice, naggr, &hints);
-        let f = File::open(path)?;
-        let mut data: Vec<Vec<f32>> = stored
-            .iter()
-            .map(|sub| volume_buffer(sub.num_elements()))
-            .collect();
-        let runs_of = |rank: usize, f: &mut dyn FnMut(PlacedRun)| {
-            tiled_runs(layout.as_ref(), var, &stored[rank], f)
+impl FilePlan {
+    pub(crate) fn new(cfg: &FrameConfig, shared: &FrameShared) -> FilePlan {
+        let layout = cfg.io.layout(cfg.grid);
+        let var = cfg.file_variable();
+        let (scatter, io) = if layout.collective() {
+            let (lattice, hints) = (&shared.lattice, cfg.io.hints(cfg.grid));
+            let sp =
+                ScatterPlan::from_lattice(layout.as_ref(), var, lattice, cfg.aggregators(), &hints);
+            let io = IoRunStats {
+                useful_bytes: sp.plan.useful_bytes,
+                physical_bytes: sp.plan.physical_bytes,
+                accesses: sp.plan.accesses.len(),
+                exchange_bytes: sp.exchange_bytes,
+                data_density: sp.plan.data_density(),
+                ..IoRunStats::default()
+            };
+            (Some(sp), io)
+        } else {
+            // Independent reads: every rank fetches its own chunk runs,
+            // and its runs tile its block ([`FilePlan::runs`]).
+            let per_process: Vec<Vec<Extent>> = shared
+                .stored
+                .iter()
+                .map(|sub| layout.physical_extents(var, sub))
+                .collect();
+            let plan = per_extent_plan(&per_process);
+            let elems: usize = shared.stored.iter().map(Subvolume::num_elements).sum();
+            let useful = elems as u64 * ELEM_SIZE;
+            let io = IoRunStats {
+                useful_bytes: useful,
+                physical_bytes: plan.physical_bytes,
+                accesses: plan.accesses.len(),
+                data_density: useful as f64 / plan.physical_bytes.max(1) as f64,
+                ..IoRunStats::default()
+            };
+            (None, io)
         };
-        let exchange_bytes = decode_scatter(&f, &sp, &runs_of, endian, &mut data, tracer)?;
-        let plan = sp.plan;
-        let largest = plan.accesses.iter().map(|a| a.extent.len).max();
-        spare_volumes().budget = largest.unwrap_or(0) as usize;
-        let stats = IoRunStats {
-            useful_bytes: plan.useful_bytes,
-            physical_bytes: plan.physical_bytes,
-            accesses: plan.accesses.len(),
-            exchange_bytes,
-            data_density: plan.data_density(),
-            ..Default::default()
-        };
-        let volumes = data
-            .into_iter()
-            .zip(stored)
-            .map(|(d, sub)| Volume::from_data(sub.shape, d))
-            .collect();
-        (volumes, stats, stats.physical_bytes)
-    } else {
-        let requests = rank_requests(layout.as_ref(), var, stored);
-        let per_process: Vec<Vec<pvr_formats::Extent>> = stored
-            .iter()
-            .map(|sub| layout.physical_extents(var, sub))
-            .collect();
-        let plan = per_extent_plan(&per_process);
-        spare_volumes().budget = 0;
-        let useful: u64 = requests.iter().map(|r| r.useful_bytes()).sum();
-        let per_rank: Vec<std::io::Result<Volume>> = requests
-            .par_iter()
-            .zip(stored)
-            .map(|(rq, sub)| {
-                let mut f = File::open(path)?;
-                let mut data = volume_buffer(sub.num_elements());
-                let mut buf = Vec::new();
-                for run in &rq.runs {
-                    buf.resize(run.elems * ELEM_SIZE as usize, 0);
-                    f.seek(SeekFrom::Start(run.file_offset))?;
-                    f.read_exact(&mut buf)?;
-                    endian.decode_slice(&buf, &mut data[run.out_start..run.out_start + run.elems]);
-                }
-                Ok(Volume::from_data(sub.shape, data))
-            })
-            .collect();
-        let volumes = per_rank.into_iter().collect::<std::io::Result<Vec<_>>>()?;
-        let stats = IoRunStats {
-            useful_bytes: useful,
-            physical_bytes: plan.physical_bytes,
-            accesses: plan.accesses.len(),
-            exchange_bytes: 0,
-            data_density: useful as f64 / plan.physical_bytes.max(1) as f64,
-            ..Default::default()
-        };
-        (volumes, stats, useful)
-    };
-    if let Some(t) = throttle {
-        t.pad(throttled_bytes, t0);
+        FilePlan {
+            endian: layout.endian(),
+            layout,
+            var,
+            scatter,
+            io,
+        }
     }
-    Ok((volumes, stats))
+
+    /// The window accesses rank `rank` of `nranks` hosts as an
+    /// aggregator, in plan order: none for a rank that hosts no
+    /// aggregator, and none under independent reads. The plan lists its
+    /// accesses aggregator by aggregator, and aggregator `j` sits on rank
+    /// `j · nranks / naggr`, one rank each, in ascending order.
+    pub(crate) fn windows(&self, rank: usize, nranks: usize) -> &[Access] {
+        let Some(sp) = &self.scatter else {
+            return &[];
+        };
+        let host = |a: &Access| sp.aggregator_rank(a.aggregator, nranks);
+        let accesses = &sp.plan.accesses;
+        let lo = accesses.partition_point(|a| host(a) < rank);
+        let len = accesses[lo..].partition_point(|a| host(a) == rank);
+        &accesses[lo..lo + len]
+    }
+
+    /// Visit the placed runs of block `sub`, checking as they go by that
+    /// they tile its output `[0, n)` in order, each starting where the
+    /// one before it ended — as every layout places them — so that every
+    /// element is in exactly one run. Checked without allocating: a
+    /// sorted copy of the runs here left 3 of 10 ledger runs of
+    /// `render-sparse` with a peak RSS 3 MB higher.
+    pub(crate) fn runs(&self, sub: &Subvolume, f: &mut dyn FnMut(PlacedRun)) {
+        const UNTILED: &str = "a rank's placed runs do not tile its block in output order";
+        let mut at = 0;
+        self.layout.placed_runs(self.var, sub, &mut |r| {
+            assert_eq!(r.out_start, at, "{UNTILED}");
+            at += r.elems;
+            f(r);
+        });
+        assert_eq!(at, sub.num_elements(), "{UNTILED}");
+    }
+
+    /// Read the stored regions of `shared`'s blocks out of the dataset at
+    /// `path` into one volume per rank — the data-parallel executor's
+    /// one dataset reader, in the form a prefetch thread can hand to a
+    /// later frame. Collective layouts go through the two-phase engine
+    /// under the scatter plan, which decodes each window piece straight
+    /// into its rank's volume (one `io.window` span per access on
+    /// `tracer`); HDF5-style layouts read independently, every rank
+    /// fetching and decoding its own runs with no coordination. An
+    /// optional [`IoThrottle`] floors the read, decode included, at a
+    /// bandwidth, making I/O genuinely expensive for pipelining
+    /// experiments.
+    pub(crate) fn read(
+        &self,
+        shared: &FrameShared,
+        path: &Path,
+        tracer: &Tracer,
+        throttle: Option<IoThrottle>,
+    ) -> std::io::Result<Vec<Volume>> {
+        let (stored, endian) = (&shared.stored, self.endian);
+        let t0 = Instant::now();
+
+        // Both reads below write every element of a rank's buffer exactly
+        // once ([`FilePlan::runs`]), which is what lets `volume_buffer`
+        // skip the zero fill.
+        let (volumes, throttled_bytes) = if let Some(sp) = &self.scatter {
+            let f = File::open(path)?;
+            let mut data: Vec<Vec<f32>> = stored
+                .iter()
+                .map(|sub| volume_buffer(sub.num_elements()))
+                .collect();
+            let runs_of = |rank: usize, f: &mut dyn FnMut(PlacedRun)| self.runs(&stored[rank], f);
+            decode_scatter(&f, sp, &runs_of, endian, &mut data, tracer)?;
+            let largest = sp.plan.accesses.iter().map(|a| a.extent.len).max();
+            spare_volumes().budget = largest.unwrap_or(0) as usize;
+            let volumes = data
+                .into_iter()
+                .zip(stored)
+                .map(|(d, sub)| Volume::from_data(sub.shape, d))
+                .collect();
+            (volumes, self.io.physical_bytes)
+        } else {
+            spare_volumes().budget = 0;
+            let per_rank: Vec<std::io::Result<Volume>> = stored
+                .par_iter()
+                .map(|sub| {
+                    let f = File::open(path)?;
+                    let mut data = volume_buffer(sub.num_elements());
+                    let (mut buf, mut read) = (Vec::new(), Ok(()));
+                    self.runs(sub, &mut |run| {
+                        if read.is_ok() {
+                            buf.resize(run.elems * ELEM_SIZE as usize, 0);
+                            let out = &mut data[run.out_start..run.out_start + run.elems];
+                            read = f
+                                .read_exact_at(&mut buf, run.file_offset)
+                                .map(|()| endian.decode_slice(&buf, out));
+                        }
+                    });
+                    read.map(|()| Volume::from_data(sub.shape, data))
+                })
+                .collect();
+            let volumes = per_rank.into_iter().collect::<std::io::Result<_>>()?;
+            (volumes, self.io.useful_bytes)
+        };
+        if let Some(t) = throttle {
+            t.pad(throttled_bytes, t0);
+        }
+        Ok(volumes)
+    }
 }
 
 /// Voxel buffers of the last data-parallel frame, kept for the next
-/// [`read_frame`] on whichever thread reads next. Without them the
+/// [`FilePlan::read`] on whichever thread reads next. Without them the
 /// allocator may hand a frame's volumes back to the OS when the frame
 /// ends, and the next frame pays a page fault for every page of its
 /// volumes. They are kept only when they fit in the last collective
@@ -436,25 +492,8 @@ fn spare_volumes() -> std::sync::MutexGuard<'static, SpareVolumes> {
     SPARE_VOLUMES.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Visit the placed runs of block `sub`, checking as they go by that
-/// they tile its output `[0, n)` in order, each starting where the one
-/// before it ended — as every layout places them — so that every
-/// element is in exactly one run. Checked without allocating: a sorted
-/// copy of the runs here left 3 of 10 ledger runs of `render-sparse`
-/// with a peak RSS 3 MB higher.
-fn tiled_runs(layout: &dyn FileLayout, var: usize, sub: &Subvolume, f: &mut dyn FnMut(PlacedRun)) {
-    const UNTILED: &str = "a rank's placed runs do not tile its block in output order";
-    let mut at = 0;
-    layout.placed_runs(var, sub, &mut |r| {
-        assert_eq!(r.out_start, at, "{UNTILED}");
-        at += r.elems;
-        f(r);
-    });
-    assert_eq!(at, sub.num_elements(), "{UNTILED}");
-}
-
 /// A buffer of `n` voxels for a read that writes all of them
-/// ([`tiled_runs`]): a spare one of that length as it is, unfilled, when
+/// ([`FilePlan::runs`]): a spare one of that length as it is, unfilled, when
 /// there is one; otherwise a zeroed one in a spare's capacity.
 fn volume_buffer(n: usize) -> Vec<f32> {
     let spare = {
@@ -471,7 +510,7 @@ fn volume_buffer(n: usize) -> Vec<f32> {
     data
 }
 
-/// Keep a finished frame's voxel buffers for the next [`read_frame`],
+/// Keep a finished frame's voxel buffers for the next [`FilePlan::read`],
 /// in place of any spare ones left, if they fit in the last collective
 /// read's largest window; drop them otherwise.
 pub(crate) fn recycle_volumes(volumes: Vec<Volume>) {
@@ -711,7 +750,7 @@ pub fn run_frame_mpi_profiled(cfg: &FrameConfig, path: &Path) -> Result<Profiled
 mod tests {
     use super::*;
     use crate::config::CompositorPolicy;
-    use pvr_pfs::twophase::two_phase_decode;
+    use pvr_pfs::twophase::RankRequest;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let d = std::env::temp_dir().join(format!("pvr-core-{}", std::process::id()));
@@ -846,12 +885,12 @@ mod tests {
         }
     }
 
-    /// `read_frame` reads a collective layout under the lattice's plan,
-    /// with no request list; its volumes and counts are
-    /// `two_phase_decode`'s over the ranks' requests, bit for bit, with
-    /// one and two ghost layers.
+    /// `FilePlan` reads a collective layout under the lattice's plan,
+    /// with no request list; its volumes and statistics are those of
+    /// `ScatterPlan::build` over the ranks' requests, decoded by
+    /// `decode_scatter`, bit for bit, with one and two ghost layers.
     #[test]
-    fn read_frame_decodes_like_two_phase_decode() {
+    fn file_plan_reads_like_the_sorted_plan() {
         for (mode, shading) in [
             (IoMode::Raw, false),
             (IoMode::NetCdfUntuned, true),
@@ -864,21 +903,31 @@ mod tests {
             write_dataset(&p, &cfg).unwrap();
             let shared = FrameShared::new(&cfg);
             let tracer = Tracer::disabled();
-            let (volumes, io) = read_frame(&cfg, &shared, &p, &tracer, None).unwrap();
+            let file = FilePlan::new(&cfg, &shared);
+            let volumes = file.read(&shared, &p, &tracer, None).unwrap();
 
-            let layout = cfg.io.layout(cfg.grid);
-            let requests = rank_requests(layout.as_ref(), cfg.file_variable(), &shared.stored);
+            let requests: Vec<RankRequest> = shared
+                .stored
+                .iter()
+                .map(|sub| {
+                    let mut runs = Vec::new();
+                    file.runs(sub, &mut |r| runs.push(r));
+                    let out_elems = sub.num_elements();
+                    RankRequest { runs, out_elems }
+                })
+                .collect();
             let mut want: Vec<Vec<f32>> = requests.iter().map(|r| vec![0.0; r.out_elems]).collect();
-            let (naggr, hints) = (laptop_aggregators(cfg.nprocs), cfg.io.hints(cfg.grid));
-            let mut f = File::open(&p).unwrap();
-            let endian = layout.endian();
-            let (plan, exchange) =
-                two_phase_decode(&mut f, &requests, naggr, &hints, endian, &mut want, &tracer)
-                    .unwrap();
+            let sp = ScatterPlan::build(&requests, cfg.aggregators(), &cfg.io.hints(cfg.grid));
+            let runs_of = |rank: usize, f: &mut dyn FnMut(PlacedRun)| {
+                requests[rank].runs.iter().for_each(|&r| f(r))
+            };
+            let f = File::open(&p).unwrap();
+            decode_scatter(&f, &sp, &runs_of, file.endian, &mut want, &tracer).unwrap();
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             for (got, want) in volumes.iter().zip(&want) {
                 assert_eq!(bits(got.data()), bits(want), "{}", mode.name());
             }
+            let io = file.io;
             assert_eq!(
                 (
                     io.accesses,
@@ -887,10 +936,10 @@ mod tests {
                     io.exchange_bytes
                 ),
                 (
-                    plan.accesses.len(),
-                    plan.physical_bytes,
-                    plan.useful_bytes,
-                    exchange
+                    sp.plan.accesses.len(),
+                    sp.plan.physical_bytes,
+                    sp.plan.useful_bytes,
+                    sp.exchange_bytes
                 ),
                 "{}",
                 mode.name()

@@ -73,12 +73,12 @@ use pvr_faults::{
     Stage,
 };
 use pvr_formats::extent::Extent;
-use pvr_formats::layout::FileLayout;
-use pvr_formats::{Endian, Subvolume, ELEM_SIZE};
+use pvr_formats::{Subvolume, ELEM_SIZE};
 use pvr_mpisim::fault::{FaultInjector, SendFate};
 use pvr_obs::{FlightRecorder, Tracer};
+use pvr_pfs::twophase::Access;
 use pvr_pfs::{
-    read_extents, window_fault_audit, IoThrottle, Prefetch, RankRequest, ScatterPlan, ServerFaults,
+    read_extents, window_fault_audit, IoThrottle, Prefetch, ScatterPlan, ServerFaults,
     StoredLattice, StripedStore, WindowAudit,
 };
 use pvr_render::image::{Image, PixelRect, SubImage};
@@ -89,12 +89,12 @@ use pvr_volume::BlockDecomposition;
 use crate::config::FrameConfig;
 use crate::pipeline::{
     decode_adopt, decode_late, decode_tile, decode_volume, default_view, encode_adopt,
-    encode_fragment_msg, encode_late, encode_tile, fragment_of_msg, push_piece, rank_request,
-    read_frame, render_opts, synthesize_stage, tags, transfer_for, unpack_pieces, FrameError,
-    FrameResult, IoRunStats, PIECE_HEADER,
+    encode_fragment_msg, encode_late, encode_tile, fragment_of_msg, push_piece, render_opts,
+    synthesize_stage, tags, transfer_for, unpack_pieces, FilePlan, FrameError, FrameResult,
+    IoRunStats, PIECE_HEADER,
 };
 use crate::recovery::{adopter_of, effective_policy, heal_costs, HealDecision, RecoveryBudget};
-use crate::roles::{compositor_rank, laptop_aggregators};
+use crate::roles::compositor_rank;
 use crate::slo::{budgets_for, stage_budgets, SloInput};
 use crate::timing::{FrameTiming, Stopwatch};
 
@@ -238,8 +238,9 @@ impl FaultInjector for EpochInjector {
 pub(crate) enum FrameInput<'a> {
     /// Sample the synthetic field procedurally (no I/O).
     Synthetic,
-    /// Read the dataset file in the Read stage.
-    File(&'a Path),
+    /// Read the dataset file in the Read stage under its plan, which the
+    /// frame drops when the read returns unless an animation holds it.
+    File(&'a Path, Arc<FilePlan>),
     /// Volumes already read and decoded by a prefetch thread, the
     /// realized I/O stats, and how long the background read took
     /// (charged to the frame's `io` stage time even though it was hidden
@@ -366,10 +367,9 @@ fn read_input(
             IoRunStats::default(),
             0.0,
         )),
-        FrameInput::File(p) => {
-            let read = read_frame(cfg, shared, p, tracer, throttle);
-            let (volumes, io) = read.map_err(|e| FrameError::io(p, e))?;
-            Ok((volumes, io, 0.0))
+        FrameInput::File(p, file) => {
+            let volumes = file.read(shared, p, tracer, throttle);
+            Ok((volumes.map_err(|e| FrameError::io(p, e))?, file.io, 0.0))
         }
         FrameInput::Prefetched {
             volumes,
@@ -541,57 +541,6 @@ impl FrameShared {
             owned: self.owned[rank],
             stored: self.stored[rank],
         }
-    }
-}
-
-/// The file half of a frame description: how the ranks of a
-/// message-passing world read their blocks out of one dataset file.
-/// Built only where ranks read through it — the data-parallel read,
-/// `pipeline::read_frame`, plans its own from the same lattice.
-struct FilePlan {
-    /// The file's layout and the variable the frame reads: a rank's
-    /// placed runs are rebuilt from them where a rank reads its own
-    /// block ([`FilePlan::request`]), so no per-rank copy of them lives
-    /// through the frame.
-    layout: Box<dyn FileLayout>,
-    var: usize,
-    /// Two-phase scatter plan (collective layouts only), which holds
-    /// every rank's runs once, built from the lattice in file order.
-    scatter: Option<ScatterPlan>,
-    endian: Endian,
-    /// Per rank, the extents of the window accesses it hosts as an
-    /// aggregator, in plan order.
-    windows: Vec<Vec<Extent>>,
-}
-
-impl FilePlan {
-    fn new(cfg: &FrameConfig, shared: &FrameShared) -> FilePlan {
-        let n = cfg.nprocs;
-        let layout = cfg.io.layout(cfg.grid);
-        let var = cfg.file_variable();
-        let scatter = layout.collective().then(|| {
-            let (lattice, hints) = (&shared.lattice, cfg.io.hints(cfg.grid));
-            ScatterPlan::from_lattice(layout.as_ref(), var, lattice, laptop_aggregators(n), &hints)
-        });
-        let mut windows = vec![Vec::new(); n];
-        if let Some(sp) = &scatter {
-            for a in &sp.plan.accesses {
-                windows[sp.aggregator_rank(a.aggregator, n)].push(a.extent);
-            }
-        }
-        FilePlan {
-            endian: layout.endian(),
-            layout,
-            var,
-            scatter,
-            windows,
-        }
-    }
-
-    /// The placed-run read request of the rank whose stored block is
-    /// `sub`.
-    fn request(&self, sub: &Subvolume) -> RankRequest {
-        rank_request(self.layout.as_ref(), self.var, sub)
     }
 }
 
@@ -830,12 +779,12 @@ impl<'a> RankExec<'a> {
         }
     }
 
-    /// File extents of the window accesses this rank hosts as an
-    /// aggregator — what a prefetch thread should read for the next
-    /// frame (the scatter geometry is frame-invariant). Empty for
-    /// non-aggregators and independent I/O.
-    fn my_window_extents(&self) -> &'a [Extent] {
-        &self.file.windows[self.comm.rank()]
+    /// The window accesses this rank hosts as an aggregator — what a
+    /// prefetch thread should read for the next frame (the scatter
+    /// geometry is frame-invariant). Empty for non-aggregators and
+    /// independent I/O.
+    fn my_windows(&self) -> &'a [Access] {
+        self.file.windows(self.comm.rank(), self.comm.size())
     }
 
     // --- What a fault plan changes: the decision points -------------
@@ -984,7 +933,7 @@ impl<'a> RankExec<'a> {
         let bytes = if let Some(sp) = &file.scatter {
             self.scatter(sp, stored).await
         } else {
-            self.read_independent(&file.request(stored)).await
+            self.read_independent(stored).await
         };
         self.volume = Some(decode_volume(&bytes, stored, file.endian));
         // Background-read seconds of a prefetched frame (0 when live).
@@ -1053,7 +1002,7 @@ impl<'a> RankExec<'a> {
         let mut live_bytes = 0u64;
         let mut file: Option<File> = None;
         let mut buf = Vec::new();
-        for (i, w) in self.my_window_extents().iter().enumerate() {
+        for (i, w) in self.my_windows().iter().map(|a| &a.extent).enumerate() {
             self.comm.span_begin_v("io.window", w.len);
             let audit = self.audit(*w);
             failover_bytes += audit.failover_bytes;
@@ -1099,7 +1048,7 @@ impl<'a> RankExec<'a> {
             // storage-failover audit the aggregators use — bit-identical
             // bytes, a full stage deadline earlier.
             if got < sp.piece_counts[rank] && self.past(suspect_at) {
-                let (bytes, useful, unrec, fo) = self.read_runs_audited(&self.file.request(stored));
+                let (bytes, useful, unrec, fo) = self.read_runs_audited(stored);
                 out = bytes;
                 arrived = useful;
                 holes = unrec;
@@ -1123,20 +1072,21 @@ impl<'a> RankExec<'a> {
         out
     }
 
-    /// Read one rank's runs straight from the file, auditing storage
-    /// faults and zero-filling unrecoverable ranges. Returns the
+    /// Read the runs of block `sub` straight from the file, auditing
+    /// storage faults and zero-filling unrecoverable ranges. Returns the
     /// subvolume byte buffer plus `(useful, unrecovered, failover)` byte
     /// counts. Shared between independent I/O, the scatter self-heal,
     /// and orphan-block adoption — all three produce bit-identical bytes
     /// to a fault-free scatter.
-    fn read_runs_audited(&mut self, req: &RankRequest) -> (Vec<u8>, u64, u64, u64) {
+    fn read_runs_audited(&mut self, sub: &Subvolume) -> (Vec<u8>, u64, u64, u64) {
         let elem = ELEM_SIZE as usize;
-        let mut out = vec![0u8; req.out_elems * elem];
-        let (mut useful, mut unrecovered, mut failover_bytes) = (0u64, 0u64, 0u64);
+        let mut out = vec![0u8; sub.num_elements() * elem];
+        let (mut unrecovered, mut failover_bytes) = (0u64, 0u64);
         let mut file: Option<File> = None;
-        for run in &req.runs {
+        let plan = self.file;
+        // The runs tile the block, so every byte of `out` is useful.
+        plan.runs(sub, &mut |run| {
             let nb = run.elems * elem;
-            useful += nb as u64;
             let on_disk = Extent::new(run.file_offset, nb as u64);
             let audit = self.audit(on_disk);
             failover_bytes += audit.failover_bytes;
@@ -1147,15 +1097,16 @@ impl<'a> RankExec<'a> {
                 unrecovered += hole.len() as u64;
                 dst[hole].fill(0);
             }
-        }
+        });
+        let useful = out.len() as u64;
         (out, useful, unrecovered, failover_bytes)
     }
 
-    /// Independent (HDF5-like) path: every rank reads its own runs
-    /// directly.
-    async fn read_independent(&mut self, request: &RankRequest) -> Vec<u8> {
+    /// Independent (HDF5-like) path: every rank reads the runs of its
+    /// block `sub` directly.
+    async fn read_independent(&mut self, sub: &Subvolume) -> Vec<u8> {
         let t_read = Instant::now();
-        let (out, useful, unrecovered, failover_bytes) = self.read_runs_audited(request);
+        let (out, useful, unrecovered, failover_bytes) = self.read_runs_audited(sub);
         self.pad_throttle(useful, t_read);
         self.io_quality = served_fraction(unrecovered, useful);
         self.record_io(failover_bytes, unrecovered);
@@ -1196,8 +1147,7 @@ impl<'a> RankExec<'a> {
         let rung = rec.budget.charge(shared.heal_costs()[orphan], coarse_step);
         let mut ab = (None, 0.0);
         if rung != HealDecision::Skip {
-            let request = file.request(&shared.stored[orphan]);
-            let (bytes, useful, unrecovered, _) = self.read_runs_audited(&request);
+            let (bytes, useful, unrecovered, _) = self.read_runs_audited(&shared.stored[orphan]);
             self.healing().counters.recovery_bytes += useful;
             let vol = decode_volume(&bytes, &shared.stored[orphan], file.endian);
             let dom = shared.domain(cfg, orphan);
@@ -1669,7 +1619,8 @@ pub struct DriveOutput {
 }
 
 /// Assemble one frame's driver-side result from the per-rank outputs
-/// and mirror its verdict onto `flight`: merged recovery counters,
+/// and mirror its verdict onto `flight`: the read plan's I/O statistics
+/// `io` with the ranks' fault counters added, merged recovery counters,
 /// completeness (a crashed rank 0 degrades the frame to an empty image)
 /// and the per-rank counter incidents (ladder activations, I/O
 /// failovers) come out of every frame; a fault plan adds its located
@@ -1681,6 +1632,7 @@ pub struct DriveOutput {
 pub(crate) fn assemble_frame(
     cfg: &FrameConfig,
     shared: &FrameShared,
+    io: IoRunStats,
     mut results: Vec<RankOut>,
     faults: Option<&FrameFaults>,
     trace: Option<&pvr_mpisim::trace::TraceLog>,
@@ -1777,7 +1729,7 @@ pub(crate) fn assemble_frame(
         retries: recovery.io_retries,
         failover_bytes,
         unrecovered_bytes,
-        ..IoRunStats::default()
+        ..io
     };
     let composite = DirectSendStats {
         messages,
@@ -1816,21 +1768,23 @@ fn check_datasets<P: AsRef<Path>>(cfg: &FrameConfig, paths: &[P]) -> Result<(), 
 }
 
 /// Launch one message-passing world and walk every rank through the
-/// frames of `paths` in order — a single frame is an animation of
-/// length one. Frame `t` runs in tag epoch `t`, under `faults[t]` when
+/// frames of `paths` in order, each read under `file` and configured as
+/// `shared` was built — a single frame is an animation of length one.
+/// Frame `t` runs in tag epoch `t`, under `faults[t]` when
 /// the world is faulted (its plans' link faults injected per epoch);
 /// with `pipelined`, each aggregator starts reading frame `t + 1`'s
 /// windows the moment frame `t`'s read hands off (file reads only, no
 /// communication).
 pub(crate) fn run_world<P: AsRef<Path> + Sync>(
-    cfg: &FrameConfig,
     shared: &FrameShared,
+    file: &FilePlan,
     paths: &[P],
     faults: Option<&[FrameFaults]>,
     mut opts: pvr_mpisim::RunOptions,
     throttle: Option<IoThrottle>,
     pipelined: bool,
 ) -> Result<WorldOutput, FrameError> {
+    let cfg = &shared.cfg;
     check_datasets(cfg, paths)?;
     // Decision point (g): the transport plays the plans' link faults.
     if let Some(faults) = faults {
@@ -1840,8 +1794,6 @@ pub(crate) fn run_world<P: AsRef<Path> + Sync>(
         }));
     }
     let nf = paths.len();
-    let file = FilePlan::new(cfg, shared);
-    let file = &file;
     // Per frame, the wall instant of its first live read under a throttle.
     let first_reads: Vec<OnceLock<Instant>> = (0..nf).map(|_| OnceLock::new()).collect();
     let first_reads = &first_reads;
@@ -1869,7 +1821,8 @@ pub(crate) fn run_world<P: AsRef<Path> + Sync>(
             let rank_out = exec
                 .run(|e| {
                     if pipelined && t + 1 < nf {
-                        let extents = e.my_window_extents().to_vec();
+                        let extents: Vec<Extent> =
+                            e.my_windows().iter().map(|a| a.extent).collect();
                         if !extents.is_empty() {
                             let path = paths[t + 1].as_ref().to_path_buf();
                             pending = Some(Prefetch::spawn(move || {
@@ -1936,7 +1889,10 @@ pub fn drive_frame(
                 return Err(FrameError::invalid_input(FAULTS_NEED_MPI));
             }
             let shared = FrameShared::new(cfg);
-            let input = path.map_or(FrameInput::Synthetic, FrameInput::File);
+            let input = match path {
+                Some(p) => FrameInput::File(p, Arc::new(FilePlan::new(cfg, &shared))),
+                None => FrameInput::Synthetic,
+            };
             let (tracer, flight) = (&driver.tracer, &driver.flight);
             let frame = rayon_frame(cfg, &shared, input, tracer, None, flight)?;
             Ok(DriveOutput {
@@ -1952,16 +1908,18 @@ pub fn drive_frame(
                 return Err(FrameError::invalid_input(what));
             };
             let shared = FrameShared::new(cfg);
+            let file = FilePlan::new(cfg, &shared);
             let faults = driver
                 .faults
                 .map(|(plan, policy)| FrameFaults::new(plan, effective_policy(cfg, &policy)));
             let world_faults = faults.as_ref().map(std::slice::from_ref);
-            let mut out = run_world(cfg, &shared, &[path], world_faults, opts, None, false)?;
+            let mut out = run_world(&shared, &file, &[path], world_faults, opts, None, false)?;
             let results = out.frames.pop().expect("one path, one frame");
             let trace = out.trace.as_ref();
             let (frame, completeness) = assemble_frame(
                 cfg,
                 &shared,
+                file.io,
                 results,
                 faults.as_ref(),
                 trace,
@@ -1981,7 +1939,7 @@ pub fn drive_frame(
 mod tests {
     use super::*;
     use crate::config::CompositorPolicy;
-    use crate::pipeline::{rank_requests, run_frame_mpi, write_dataset};
+    use crate::pipeline::{run_frame_mpi, write_dataset};
     use pvr_faults::{LinkAction, LinkFault, Pat, RankFault};
 
     #[test]
@@ -2440,20 +2398,18 @@ mod tests {
         };
         let ft = mpi_ft(&cfg, &p, &plan, &policy);
         let shared = FrameShared::new(&cfg);
-        let layout = cfg.io.layout(cfg.grid);
-        let requests = rank_requests(layout.as_ref(), cfg.file_variable(), &shared.stored);
+        let file = FilePlan::new(&cfg, &shared);
         let f = FrameFaults::new(plan, policy);
         let (mut lost_total, mut served) = (0, Vec::new());
-        for rq in &requests {
-            let lost: u64 = rq
-                .runs
-                .iter()
-                .map(|r| Extent::new(r.file_offset, r.elems as u64 * ELEM_SIZE))
-                .map(|run| window_fault_audit(&f.store, &f.servers, f.policy.io_failover, run))
-                .map(|audit| audit.unrecovered_bytes())
-                .sum();
+        for sub in &shared.stored {
+            let mut lost = 0;
+            file.runs(sub, &mut |r| {
+                let run = Extent::new(r.file_offset, r.elems as u64 * ELEM_SIZE);
+                let audit = window_fault_audit(&f.store, &f.servers, f.policy.io_failover, run);
+                lost += audit.unrecovered_bytes();
+            });
             lost_total += lost;
-            served.push(served_fraction(lost, rq.useful_bytes()));
+            served.push(served_fraction(lost, sub.num_elements() as u64 * ELEM_SIZE));
         }
         // Server 0 holds the low-z half of the file.
         assert!(served.iter().any(|&q| q < 0.5) && served.iter().any(|&q| q > 0.5));

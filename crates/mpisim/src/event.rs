@@ -56,11 +56,6 @@ pub(crate) struct EventCore {
     timer_seq: u64,
     /// The virtual clock, advanced only by firing timers.
     pub(crate) now_ns: u64,
-    /// Wall time each task has spent being polled (user compute).
-    pub(crate) busy: Vec<Duration>,
-    /// Set while a task is being polled: (rank, poll start), so
-    /// `Comm::time` can include the in-progress poll's elapsed time.
-    pub(crate) poll_epoch: Option<(usize, Instant)>,
     /// Counters for `SimStats`.
     polls: u64,
     messages: u64,
@@ -76,8 +71,6 @@ impl EventCore {
             timers: BinaryHeap::new(),
             timer_seq: 0,
             now_ns: 0,
-            busy: vec![Duration::ZERO; n],
-            poll_epoch: None,
             polls: 0,
             messages: 0,
             timer_fires: 0,
@@ -188,18 +181,8 @@ where
             let Some(fut) = tasks[r].as_mut() else {
                 continue; // stale wake of a finished task
             };
-            {
-                let mut c = core.borrow_mut();
-                c.polls += 1;
-                c.poll_epoch = Some((r, Instant::now()));
-            }
+            core.borrow_mut().polls += 1;
             let polled = catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx)));
-            {
-                let mut c = core.borrow_mut();
-                if let Some((_, t0)) = c.poll_epoch.take() {
-                    c.busy[r] += t0.elapsed();
-                }
-            }
             match polled {
                 Ok(Poll::Pending) => {}
                 Ok(Poll::Ready(v)) => {

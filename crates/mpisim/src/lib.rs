@@ -3,10 +3,12 @@
 //! The paper's renderer is an MPI program. Rust MPI bindings being
 //! immature (and no cluster being available), this crate provides the
 //! message-passing substrate the pipeline runs on: `n` simulated ranks,
-//! point-to-point send/recv with tag matching, barriers, and the
-//! handful of collectives the volume renderer needs. The semantics
-//! follow MPI where it matters (non-overtaking delivery per
-//! (source, tag) pair, blocking receives, collective completion).
+//! point-to-point send/recv with tag matching, and barriers. The
+//! pipeline's collectives — the two-phase scatter, direct-send
+//! compositing, the gather of finished tiles — are point-to-point
+//! messages, as an MPI program sends them. The semantics follow MPI
+//! where it matters (non-overtaking delivery per (source, tag) pair,
+//! blocking receives, barrier completion).
 //!
 //! Ranks are **resumable tasks on a discrete-event core**: each rank's
 //! program is an async function polled by a single-threaded scheduler
@@ -72,8 +74,7 @@
 //! advances only when every runnable task has parked and the earliest
 //! timer fires, so a simulated 5-second fault delay costs zero wall
 //! time. Timed receives ([`Comm::recv_any_timeout`]) expire on the
-//! virtual clock; [`Comm::time`] folds a task's measured compute time
-//! into the virtual timeline for stage attribution.
+//! virtual clock.
 
 pub mod analysis;
 pub mod trace;
@@ -925,37 +926,6 @@ impl Comm {
         }
     }
 
-    /// Gather byte buffers from all ranks to `root`; returns `Some(all)`
-    /// at the root (indexed by rank), `None` elsewhere.
-    pub async fn gather(&mut self, root: usize, data: Vec<u8>, tag: u32) -> Option<Vec<Vec<u8>>> {
-        if self.rank == root {
-            let mut all: Vec<Vec<u8>> = vec![Vec::new(); self.size];
-            all[root] = data;
-            for _ in 0..self.size - 1 {
-                let (src, d) = self.recv_any(tag).await;
-                all[src] = d;
-            }
-            Some(all)
-        } else {
-            self.send(root, tag, data).await;
-            None
-        }
-    }
-
-    /// Broadcast from `root` (tree-less reference implementation).
-    pub async fn bcast(&mut self, root: usize, data: Vec<u8>, tag: u32) -> Vec<u8> {
-        if self.rank == root {
-            for r in 0..self.size {
-                if r != root {
-                    self.send(r, tag, data.clone()).await;
-                }
-            }
-            data
-        } else {
-            self.recv_from(root, tag).await
-        }
-    }
-
     // ---- virtual time ----
 
     /// Elapsed virtual time since the world started.
@@ -984,21 +954,6 @@ impl Comm {
             Poll::Pending
         })
         .await
-    }
-
-    /// A per-rank timestamp (seconds) for stage attribution: this
-    /// rank's accumulated compute (poll) time plus the virtual clock.
-    /// Differences of `time()` bracket both real compute and simulated
-    /// waits.
-    pub fn time(&self) -> f64 {
-        let c = self.core.borrow();
-        let mut busy = c.busy[self.rank];
-        if let Some((r, t0)) = c.poll_epoch {
-            if r == self.rank {
-                busy += t0.elapsed();
-            }
-        }
-        (busy + Duration::from_nanos(c.now_ns)).as_secs_f64()
     }
 
     // ---- span marks (observability) ----

@@ -49,35 +49,6 @@ fn non_overtaking_same_tag() {
 }
 
 #[test]
-fn gather_collects_in_rank_order() {
-    let results = World::run(5, |mut comm| async move {
-        let data = vec![comm.rank() as u8; comm.rank() + 1];
-        comm.gather(2, data, 7).await
-    });
-    let at_root = results[2].as_ref().unwrap();
-    for (r, d) in at_root.iter().enumerate() {
-        assert_eq!(d.len(), r + 1);
-        assert!(d.iter().all(|&b| b == r as u8));
-    }
-    assert!(results[0].is_none());
-}
-
-#[test]
-fn bcast_delivers_everywhere() {
-    let results = World::run(6, |mut comm| async move {
-        let payload = if comm.rank() == 3 {
-            b"hello".to_vec()
-        } else {
-            Vec::new()
-        };
-        comm.bcast(3, payload, 9).await
-    });
-    for r in results {
-        assert_eq!(r, b"hello");
-    }
-}
-
-#[test]
 fn barrier_orders_phases() {
     use std::sync::atomic::{AtomicUsize, Ordering};
     static PHASE1: AtomicUsize = AtomicUsize::new(0);
@@ -95,8 +66,8 @@ fn single_rank_world() {
     let results = World::run(1, |mut comm| async move {
         assert_eq!(comm.size(), 1);
         comm.barrier().await;
-        let all = comm.gather(0, vec![42], 1).await.unwrap();
-        all[0][0] as usize
+        comm.send(0, 1, vec![42]).await;
+        comm.recv_from(0, 1).await[0] as usize
     });
     assert_eq!(results, vec![42]);
 }
@@ -836,30 +807,6 @@ mod properties {
                     .map(|(_, v)| *v)
                     .collect();
                 prop_assert_eq!(sent, recvd, "stream for tag {} reordered", t);
-            }
-        }
-
-        /// gather followed by bcast round-trips every rank's payload
-        /// at random world sizes and roots.
-        #[test]
-        fn gather_bcast_roundtrip(
-            spec in (1usize..9).prop_flat_map(|n| (proptest::prelude::Just(n), 0usize..n)),
-        ) {
-            let (n, root) = spec;
-            let results = World::run(n, move |mut comm| async move {
-                let payload = vec![comm.rank() as u8; comm.rank() + 1];
-                let gathered = comm.gather(root, payload, 4).await;
-                // Root re-broadcasts the concatenation; everyone
-                // must agree on it.
-                let concat = gathered
-                    .map(|all| all.concat())
-                    .unwrap_or_default();
-                comm.bcast(root, concat, 6).await
-            });
-            let expected: Vec<u8> =
-                (0..n).flat_map(|r| std::iter::repeat_n(r as u8, r + 1)).collect();
-            for r in &results {
-                prop_assert_eq!(r, &expected);
             }
         }
     }

@@ -17,7 +17,10 @@
 //!   [`ScatterPlan::build`] plans the exchange of any request list by
 //!   sorting its runs; it is the general path and the oracle of
 //!   [`lattice`], which plans a regular block lattice's read by walking
-//!   the file's rows, with no request list and no sort.
+//!   the file's rows, with no request list and no sort. A plan carries
+//!   the whole read's statistics — accesses, physical and useful bytes,
+//!   and the bytes its exchange moves between ranks — so every executor
+//!   reports the same numbers for the same plan.
 //! * [`sieve`] — independent (non-collective) reads for the HDF5-like
 //!   chunked path, which in that era fell back to per-process chunk
 //!   fetches: one access per chunk run, no data sieving.

@@ -23,16 +23,18 @@
 //! positional reads in 256 KiB stripes into one reused buffer, and hands
 //! every piece∩stripe to a sink with its bytes: [`two_phase_execute`]
 //! copies them into per-rank byte buffers (the byte-level oracle),
-//! [`two_phase_decode`] and [`decode_scatter`] decode them straight
-//! into per-rank `f32` outputs. Each group writes only the output
-//! ranges split off for it. A window that begins partway into an
+//! [`decode_scatter`] decodes them straight into per-rank `f32`
+//! outputs. Each group writes only the output ranges split off for it.
+//! A window that begins partway into an
 //! element (a file domain boundary, or a `cb_buffer_size`, that is not
 //! a multiple of 4) splits that element between two pieces; the
 //! decoding sink holds the ≤ 3 bytes of each side until the element is
 //! whole.
 //! The message-passing executor in `pvr-core` walks the same
 //! [`ScatterPlan`] with its own window loop, because it reads under a
-//! fault audit and sends bytes over links.
+//! fault audit and sends bytes over links. The bytes the exchange moves
+//! between ranks are a property of the plan
+//! ([`ScatterPlan::exchange_bytes`]), not counted by either loop.
 
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
@@ -52,17 +54,12 @@ pub struct CollectiveHints {
     /// reads per window. ROMIO's default is 16 MiB; the paper's tuned
     /// runs set it to the netCDF record size.
     pub cb_buffer_size: u64,
-    /// `cb_nodes`: number of aggregator ranks. `None` selects the
-    /// BG/P-style default chosen by the caller (typically a few per
-    /// pset).
-    pub cb_nodes: Option<usize>,
 }
 
 impl Default for CollectiveHints {
     fn default() -> Self {
         CollectiveHints {
             cb_buffer_size: 16 << 20,
-            cb_nodes: None,
         }
     }
 }
@@ -73,7 +70,6 @@ impl CollectiveHints {
     pub fn tuned(record_bytes: u64) -> Self {
         CollectiveHints {
             cb_buffer_size: record_bytes,
-            cb_nodes: None,
         }
     }
 }
@@ -227,12 +223,6 @@ pub struct RankRequest {
     pub out_elems: usize,
 }
 
-impl RankRequest {
-    pub fn useful_bytes(&self) -> u64 {
-        self.runs.iter().map(|r| r.elems as u64 * ELEM_SIZE).sum()
-    }
-}
-
 /// One window∩run overlap of the exchange phase: the bytes aggregator
 /// `j` hands to `rank` out of one window read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -371,6 +361,9 @@ pub struct ScatterPlan {
     pub piece_counts: Vec<usize>,
     /// Bytes of those pieces, per rank.
     pub piece_bytes: Vec<u64>,
+    /// Bytes of the pieces whose rank is not their window's aggregator
+    /// host: what the exchange phase moves between ranks.
+    pub exchange_bytes: u64,
     /// Bytes of the longest run: how far before a window the first run
     /// that reaches into it can start.
     longest_run: u64,
@@ -395,8 +388,8 @@ impl ScatterPlan {
 
     /// The plan of `runs` — every placed run of `nranks` ranks, sorted
     /// by `(file_offset, rank)` — whose coalesced aggregate request is
-    /// `aggregate`: lay the window accesses and count each rank's
-    /// expected pieces.
+    /// `aggregate`: lay the window accesses, count each rank's expected
+    /// pieces and the bytes the exchange moves.
     pub(crate) fn from_sorted(
         runs: Vec<ScatterRun>,
         aggregate: &[Extent],
@@ -415,16 +408,23 @@ impl ScatterPlan {
             runs,
             piece_counts: Vec::new(),
             piece_bytes: Vec::new(),
+            exchange_bytes: 0,
         };
+        let mut exchange_bytes = 0;
         for a in &sp.plan.accesses {
+            let host = sp.aggregator_rank(a.aggregator, nranks);
             for p in sp.pieces_in(a.extent) {
                 piece_counts[p.rank] += 1;
                 piece_bytes[p.rank] += p.len() as u64;
+                if p.rank != host {
+                    exchange_bytes += p.len() as u64;
+                }
             }
         }
         ScatterPlan {
             piece_counts,
             piece_bytes,
+            exchange_bytes,
             ..sp
         }
     }
@@ -528,43 +528,12 @@ pub fn two_phase_execute(
     let copy = |bytes: &[u8], out: &mut [u8]| out.copy_from_slice(bytes);
     let tracer = pvr_obs::Tracer::disabled();
     let runs_of = request_runs(requests);
-    let exchange_bytes = read_windows(file, &sp, &runs_of, &mut rank_bytes, copy, &tracer)?;
+    read_windows(file, &sp, &runs_of, &mut rank_bytes, copy, &tracer)?;
     Ok(ExecResult {
         rank_bytes,
+        exchange_bytes: sp.exchange_bytes,
         plan: sp.plan,
-        exchange_bytes,
     })
-}
-
-/// [`two_phase_execute`]'s read, decoded as it is scattered: every
-/// piece goes from the stripe buffer straight into `out[rank]`,
-/// `requests[rank].out_elems` floats in placed-run order, decoded from
-/// `endian`. Elements no run asks for keep what `out` held. Returns the
-/// realized plan and the exchange bytes; the windows and the bytes every
-/// element ends up with are [`two_phase_execute`]'s.
-///
-/// With an enabled `tracer`, each physical window access becomes an
-/// `io.window` span on the track of the aggregator rank that issues it
-/// (args: file offset and bytes read), so the per-access signature of
-/// the collective read — the paper's Figure 9 — shows up directly on
-/// the timeline. A disabled tracer records nothing.
-pub fn two_phase_decode(
-    file: &mut File,
-    requests: &[RankRequest],
-    num_aggregators: usize,
-    hints: &CollectiveHints,
-    endian: Endian,
-    out: &mut [Vec<f32>],
-    tracer: &pvr_obs::Tracer,
-) -> std::io::Result<(IoPlan, u64)> {
-    let fits = |(o, rq): (&Vec<f32>, &RankRequest)| o.len() == rq.out_elems;
-    assert!(
-        out.len() == requests.len() && out.iter().zip(requests).all(fits),
-        "one output of `out_elems` floats per request"
-    );
-    let sp = ScatterPlan::build(requests, num_aggregators, hints);
-    let exchange_bytes = decode_scatter(file, &sp, &request_runs(requests), endian, out, tracer)?;
-    Ok((sp.plan, exchange_bytes))
 }
 
 /// Visits the placed runs of one rank: `runs_of(rank, f)` calls `f` on
@@ -576,12 +545,21 @@ fn request_runs(requests: &[RankRequest]) -> impl Fn(usize, &mut dyn FnMut(Place
     |rank, f| requests[rank].runs.iter().for_each(|&r| f(r))
 }
 
-/// The read of [`two_phase_decode`] under a plan built beforehand — a
-/// lattice's ([`ScatterPlan::from_lattice`]), with no request list.
-/// `out[rank]` is rank `rank`'s output, and `runs_of` visits its placed
-/// runs: they split the output among the aggregator groups, and are
-/// visited once a rank, before the first read. Returns the exchange
-/// bytes.
+/// [`two_phase_execute`]'s read under a plan built beforehand — a
+/// lattice's ([`ScatterPlan::from_lattice`]) or a request list's
+/// ([`ScatterPlan::build`]) — decoded as it is scattered: every piece
+/// goes from the stripe buffer straight into `out[rank]`, decoded from
+/// `endian`. `runs_of` visits rank `rank`'s placed runs: they split its
+/// output among the aggregator groups, and are visited once a rank,
+/// before the first read. Elements no run asks for keep what `out`
+/// held; the windows and the bytes every element ends up with are
+/// [`two_phase_execute`]'s.
+///
+/// With an enabled `tracer`, each physical window access becomes an
+/// `io.window` span on the track of the aggregator rank that issues it
+/// (args: file offset and bytes read), so the per-access signature of
+/// the collective read — the paper's Figure 9 — shows up directly on
+/// the timeline. A disabled tracer records nothing.
 pub fn decode_scatter(
     file: &File,
     sp: &ScatterPlan,
@@ -589,7 +567,7 @@ pub fn decode_scatter(
     endian: Endian,
     out: &mut [Vec<f32>],
     tracer: &pvr_obs::Tracer,
-) -> std::io::Result<u64> {
+) -> std::io::Result<()> {
     assert_eq!(out.len(), sp.piece_counts.len(), "one output per rank");
     let decode = |bytes: &[u8], out: &mut [f32]| endian.decode_slice(bytes, out);
     read_windows(file, sp, runs_of, out, decode, tracer)
@@ -610,8 +588,7 @@ const STRIPE: u64 = 256 << 10;
 /// through `decode`, which turns whole on-disk elements into `T`s; each
 /// group writes only the output ranges [`tiles`] split off for it from
 /// the runs `runs_of` visits. An element split between two groups waits
-/// in both groups' stashes, which merge after the join. Returns the
-/// bytes that went to a rank other than their window's aggregator.
+/// in both groups' stashes, which merge after the join.
 fn read_windows<T, D>(
     file: &File,
     sp: &ScatterPlan,
@@ -619,7 +596,7 @@ fn read_windows<T, D>(
     out: &mut [Vec<T>],
     decode: D,
     tracer: &pvr_obs::Tracer,
-) -> std::io::Result<u64>
+) -> std::io::Result<()>
 where
     T: Send,
     D: Fn(&[u8], &mut [T]) + Sync,
@@ -632,7 +609,7 @@ where
     let ends: Vec<u64> = groups.iter().map(|g| g[g.len() - 1].extent.end()).collect();
     let nranks = out.len();
     let tiles = tiles(out, runs_of, &ends);
-    let done: Vec<std::io::Result<(u64, Vec<Split>)>> = groups
+    let done: Vec<std::io::Result<Vec<Split>>> = groups
         .into_par_iter()
         .zip(tiles)
         .map(|(group, tiles)| {
@@ -644,7 +621,6 @@ where
             };
             let largest = group.iter().map(|a| a.extent.len).max().unwrap_or(0);
             let mut buf = vec![0u8; largest.min(STRIPE) as usize];
-            let mut exchange_bytes = 0u64;
             for a in group {
                 let w = a.extent;
                 let _span = tracer.span_args(
@@ -659,22 +635,17 @@ where
                     file.read_exact_at(bytes, stripe.offset)?;
                     for p in sp.pieces_in(stripe) {
                         sink.piece(&p, &bytes[p.src_lo..p.src_hi]);
-                        if p.rank != host {
-                            exchange_bytes += p.len() as u64;
-                        }
                     }
                     at = stripe.end();
                 }
             }
-            Ok((exchange_bytes, sink.stash))
+            Ok(sink.stash)
         })
         .collect();
 
-    let (mut exchange_bytes, mut open) = (0u64, Vec::new());
-    for group in done {
-        let (bytes, stash) = group?;
-        exchange_bytes += bytes;
-        open.extend(stash);
+    let mut open = Vec::new();
+    for stash in done {
+        open.extend(stash?);
     }
     // Each (rank, output byte) comes in exactly one piece, so the bytes
     // of a split element are disjoint and OR together.
@@ -692,7 +663,7 @@ where
         );
         decode(&whole[..size_of::<T>()], &mut out[rank][elem..elem + 1]);
     }
-    Ok(exchange_bytes)
+    Ok(())
 }
 
 /// `(out_lo, out_hi, group)`: output bytes of one rank that one
@@ -909,14 +880,12 @@ pub fn two_phase_write(
 ) -> std::io::Result<WriteResult> {
     use std::io::Write;
     assert_eq!(requests.len(), rank_data.len());
-    let nranks = requests.len();
 
     // A piece's `out_byte` is its byte offset in the rank's source data
     // here.
     let sp = ScatterPlan::build(requests, num_aggregators, hints);
     let aggregate = aggregate_of(&sp.runs);
     let mut rmw_windows = 0usize;
-    let mut exchange_bytes = 0u64;
     let mut buf: Vec<u8> = Vec::new();
     for a in &sp.plan.accesses {
         let w = a.extent;
@@ -930,22 +899,18 @@ pub fn two_phase_write(
             file.read_exact(&mut buf)?;
         }
         // Gather the ranks' pieces into the window buffer.
-        let host = sp.aggregator_rank(a.aggregator, nranks);
         for p in sp.pieces_in(w) {
             buf[p.src_lo..p.src_hi]
                 .copy_from_slice(&rank_data[p.rank][p.out_byte..p.out_byte + p.len()]);
-            if p.rank != host {
-                exchange_bytes += p.len() as u64;
-            }
         }
         file.seek(SeekFrom::Start(w.offset))?;
         file.write_all(&buf)?;
     }
     file.flush()?;
     Ok(WriteResult {
-        plan: sp.plan,
         rmw_windows,
-        exchange_bytes,
+        exchange_bytes: sp.exchange_bytes,
+        plan: sp.plan,
     })
 }
 
@@ -1040,7 +1005,6 @@ mod tests {
                 naggr,
                 &CollectiveHints {
                     cb_buffer_size: 4096,
-                    cb_nodes: None,
                 },
             );
             // Every useful byte is inside some access.
@@ -1100,7 +1064,6 @@ mod tests {
             2,
             &CollectiveHints {
                 cb_buffer_size: 8192,
-                cb_nodes: None,
             },
         )
         .unwrap();
@@ -1113,7 +1076,10 @@ mod tests {
                 assert_eq!(got, want, "rank {r} run {run:?}");
             }
         }
-        assert!(res.exchange_bytes > 0);
+        // Ranks 0 and 2 host the two file domains, [0, 30008) and
+        // [30008, 60016): rank 3's 100 bytes and rank 1's 64 come out of
+        // rank 0's, and rank 2 reads only its own.
+        assert_eq!(res.exchange_bytes, 164);
         assert!(res.plan.physical_bytes >= res.plan.useful_bytes);
         std::fs::remove_file(&path).ok();
     }
@@ -1167,7 +1133,6 @@ mod tests {
             2,
             &CollectiveHints {
                 cb_buffer_size: 8192,
-                cb_nodes: None,
             },
         )
         .unwrap();
@@ -1189,7 +1154,9 @@ mod tests {
         assert!(res.rmw_windows > 0);
         assert_eq!(file[100], 0xEE, "hole clobbered");
         assert_eq!(file[5000], 0xEE, "hole clobbered past run");
-        assert!(res.exchange_bytes > 0);
+        // Ranks 0 and 1 host [0, 30008) and [30008, 60016): rank 1's
+        // 64 bytes go to rank 0, rank 2's 16 to rank 1.
+        assert_eq!(res.exchange_bytes, 80);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1231,7 +1198,6 @@ mod tests {
             2,
             &CollectiveHints {
                 cb_buffer_size: 1024,
-                cb_nodes: None,
             },
         )
         .unwrap();
@@ -1267,21 +1233,18 @@ mod tests {
             },
         ];
         let tracer = pvr_obs::Tracer::wall();
-        let mut f = File::open(&path).unwrap();
+        let f = File::open(&path).unwrap();
         let mut out = vec![vec![0f32; 1024]; 2];
-        let (plan, _) = two_phase_decode(
-            &mut f,
+        let sp = ScatterPlan::build(
             &requests,
             2,
             &CollectiveHints {
                 cb_buffer_size: 4096,
-                cb_nodes: None,
             },
-            Endian::Little,
-            &mut out,
-            &tracer,
-        )
-        .unwrap();
+        );
+        let runs_of = request_runs(&requests);
+        decode_scatter(&f, &sp, &runs_of, Endian::Little, &mut out, &tracer).unwrap();
+        let plan = sp.plan;
         let profile = tracer.finish();
         let begins = profile
             .events
@@ -1323,10 +1286,7 @@ mod tests {
             let path = dir.join(format!("split-{endian:?}.bin"));
             let bytes: Vec<u8> = values.iter().flat_map(|v| endian.encode(*v)).collect();
             std::fs::write(&path, &bytes).unwrap();
-            let hints = CollectiveHints {
-                cb_buffer_size: 16,
-                cb_nodes: None,
-            };
+            let hints = CollectiveHints { cb_buffer_size: 16 };
             let sp = ScatterPlan::build(&requests, 2, &hints);
             let cut: Vec<Piece> = sp
                 .plan
@@ -1338,10 +1298,10 @@ mod tests {
             assert_eq!(cut.len(), 2, "the element arrives in two pieces: {cut:?}");
             let mut out = vec![vec![0.0f32; 3], vec![0.0f32; 2]];
             let tracer = pvr_obs::Tracer::disabled();
-            let mut f = File::open(&path).unwrap();
-            let (plan, _) =
-                two_phase_decode(&mut f, &requests, 2, &hints, endian, &mut out, &tracer).unwrap();
-            assert_eq!(plan.accesses.len(), 2);
+            let f = File::open(&path).unwrap();
+            let runs_of = request_runs(&requests);
+            decode_scatter(&f, &sp, &runs_of, endian, &mut out, &tracer).unwrap();
+            assert_eq!(sp.plan.accesses.len(), 2);
             let got: Vec<u32> = out.concat().iter().map(|v| v.to_bits()).collect();
             let want: Vec<u32> = values.iter().map(|v| v.to_bits()).collect();
             assert_eq!(got, want, "{endian:?}");
@@ -1369,8 +1329,9 @@ mod tests {
         assert_eq!(e.kind(), ErrorKind::UnexpectedEof);
         let mut out = vec![vec![0.0f32; 16]];
         let tracer = pvr_obs::Tracer::disabled();
-        let e = two_phase_decode(&mut f, &requests, 1, &hints, Endian::Big, &mut out, &tracer)
-            .unwrap_err();
+        let sp = ScatterPlan::build(&requests, 1, &hints);
+        let runs_of = request_runs(&requests);
+        let e = decode_scatter(&f, &sp, &runs_of, Endian::Big, &mut out, &tracer).unwrap_err();
         assert_eq!(e.kind(), ErrorKind::UnexpectedEof);
         std::fs::remove_file(&path).ok();
     }
@@ -1402,7 +1363,6 @@ mod tests {
         ];
         let hints = CollectiveHints {
             cb_buffer_size: 1001,
-            cb_nodes: None,
         };
         let mut f = File::open(&path).unwrap();
         let res = two_phase_execute(&mut f, &requests, 2, &hints).unwrap();
@@ -1415,7 +1375,9 @@ mod tests {
         }
         let mut out = vec![vec![0.0f32; 1000], vec![0.0f32; 100]];
         let tracer = pvr_obs::Tracer::disabled();
-        two_phase_decode(&mut f, &requests, 2, &hints, Endian::Big, &mut out, &tracer).unwrap();
+        let sp = ScatterPlan::build(&requests, 2, &hints);
+        let runs_of = request_runs(&requests);
+        decode_scatter(&f, &sp, &runs_of, Endian::Big, &mut out, &tracer).unwrap();
         for (got, bytes) in out.iter().zip(&res.rank_bytes) {
             let want: Vec<u32> = bytes
                 .chunks_exact(4)
@@ -1450,7 +1412,6 @@ mod tests {
             3,
             &CollectiveHints {
                 cb_buffer_size: 1024,
-                cb_nodes: None,
             },
         )
         .unwrap();
@@ -1591,7 +1552,7 @@ mod proptests {
         ) {
             let mut agg: Vec<Extent> = starts.into_iter().map(|(o, l)| Extent::new(o, l)).collect();
             pvr_formats::extent::coalesce(&mut agg);
-            let plan = two_phase_plan(&agg, naggr, &CollectiveHints { cb_buffer_size: cb, cb_nodes: None });
+            let plan = two_phase_plan(&agg, naggr, &CollectiveHints { cb_buffer_size: cb });
             let acc: Vec<Extent> = plan.accesses.iter().map(|a| a.extent).collect();
             for e in &agg {
                 let covered: u64 = acc.iter().filter_map(|a| a.intersect(e)).map(|x| x.len).sum();
@@ -1631,7 +1592,7 @@ mod proptests {
             pvr_formats::extent::coalesce(&mut coalesced);
             prop_assert_eq!(&aggregate_of(&sorted_runs(&requests)), &coalesced);
 
-            let hints = CollectiveHints { cb_buffer_size: cb, cb_nodes: None };
+            let hints = CollectiveHints { cb_buffer_size: cb };
             let naggr = naggr.min(requests.len());
             let (got, want) = (
                 ScatterPlan::build(&requests, naggr, &hints).plan,
@@ -1654,17 +1615,23 @@ mod proptests {
             // comparison sort's runs gave.
             let old = unstable_sorted_runs(&requests);
             let (mut counts, mut bytes) = (vec![0usize; requests.len()], vec![0u64; requests.len()]);
+            let mut exchange = 0u64;
             for a in &sp.plan.accesses {
+                let host = sp.aggregator_rank(a.aggregator, requests.len());
                 let mut sends = scanned_pieces(&old, a.extent);
                 for p in &sends {
                     counts[p.rank] += 1;
                     bytes[p.rank] += p.len() as u64;
+                    if p.rank != host {
+                        exchange += p.len() as u64;
+                    }
                 }
                 sends.sort_unstable_by_key(|p| (p.rank, p.file_lo));
                 prop_assert_eq!(settled(sp.sends_in(a.extent)), settled(sends));
             }
             prop_assert_eq!(&sp.piece_counts, &counts);
             prop_assert_eq!(&sp.piece_bytes, &bytes);
+            prop_assert_eq!(sp.exchange_bytes, exchange);
         }
 
         /// Every byte of every run reaches its rank in exactly one piece,
@@ -1676,7 +1643,7 @@ mod proptests {
             cb in 1u64..8_000,
         ) {
             let requests = requests_of(ranks);
-            let hints = CollectiveHints { cb_buffer_size: cb, cb_nodes: None };
+            let hints = CollectiveHints { cb_buffer_size: cb };
             let sp = ScatterPlan::build(&requests, naggr, &hints);
             let mut hits: Vec<Vec<u8>> =
                 requests.iter().map(|rq| vec![0; rq.out_elems * 4]).collect();
@@ -1702,18 +1669,18 @@ mod proptests {
             cb in 1u64..8_000,
         ) {
             let requests = requests_of(ranks);
-            let hints = CollectiveHints { cb_buffer_size: cb, cb_nodes: None };
+            let hints = CollectiveHints { cb_buffer_size: cb };
             let mut f = File::open(pattern_file()).unwrap();
             let res = two_phase_execute(&mut f, &requests, naggr, &hints).unwrap();
+            let sp = ScatterPlan::build(&requests, naggr, &hints);
+            prop_assert_eq!(&sp.plan.accesses, &res.plan.accesses);
+            prop_assert_eq!(sp.exchange_bytes, res.exchange_bytes);
             for endian in [Endian::Little, Endian::Big] {
                 let mut out: Vec<Vec<f32>> =
                     requests.iter().map(|rq| vec![0.0; rq.out_elems]).collect();
                 let tracer = pvr_obs::Tracer::disabled();
-                let (plan, exchange) =
-                    two_phase_decode(&mut f, &requests, naggr, &hints, endian, &mut out, &tracer)
-                        .unwrap();
-                prop_assert_eq!(plan.accesses, res.plan.accesses.clone());
-                prop_assert_eq!(exchange, res.exchange_bytes);
+                let runs_of = request_runs(&requests);
+                decode_scatter(&f, &sp, &runs_of, endian, &mut out, &tracer).unwrap();
                 for (got, bytes) in out.iter().zip(&res.rank_bytes) {
                     let want: Vec<u32> = bytes
                         .chunks_exact(4)
@@ -1735,7 +1702,7 @@ mod proptests {
             cb in 1u64..8_000,
         ) {
             let requests = requests_of(ranks);
-            let hints = CollectiveHints { cb_buffer_size: cb, cb_nodes: None };
+            let hints = CollectiveHints { cb_buffer_size: cb };
             let sp = ScatterPlan::build(&requests, naggr, &hints);
             let mut counts = vec![0usize; requests.len()];
             for a in &sp.plan.accesses {

@@ -22,8 +22,7 @@ use parallel_volume_rendering::formats::{
 use parallel_volume_rendering::obs::span::EventKind;
 use parallel_volume_rendering::obs::Tracer;
 use parallel_volume_rendering::pfs::twophase::{
-    decode_scatter, file_domains, two_phase_decode, two_phase_execute, CollectiveHints,
-    RankRequest, ScatterPlan,
+    decode_scatter, file_domains, two_phase_execute, CollectiveHints, RankRequest, ScatterPlan,
 };
 use parallel_volume_rendering::pfs::StoredLattice;
 use parallel_volume_rendering::volume::BlockDecomposition;
@@ -87,6 +86,11 @@ fn ghosted_requests(
         .collect()
 }
 
+/// The placed runs of `requests[rank]`, as `decode_scatter` visits them.
+fn request_runs(requests: &[RankRequest]) -> impl Fn(usize, &mut dyn FnMut(PlacedRun)) + '_ {
+    |rank, f| requests[rank].runs.iter().for_each(|&r| f(r))
+}
+
 fn bits(volumes: &[Vec<f32>]) -> Vec<Vec<u32>> {
     volumes
         .iter()
@@ -99,8 +103,8 @@ fn bits(volumes: &[Vec<f32>]) -> Vec<Vec<u32>> {
 /// over aggregator counts whose file domains meet inside an element:
 /// the decoded volumes are `two_phase_execute`'s bytes decoded with
 /// `Endian::decode_slice`, and each rank's runs read one by one, bit for
-/// bit at 1, 2 and 4 threads. The plan and the exchange bytes do not
-/// move with the thread count either.
+/// bit at 1, 2 and 4 threads. `two_phase_execute` reads under the same
+/// plan and reports its exchange bytes.
 #[test]
 fn decoded_volumes_are_bit_identical_at_every_thread_count() {
     let grid = [72usize, 64, 56];
@@ -140,10 +144,7 @@ fn decoded_volumes_are_bit_identical_at_every_thread_count() {
                 .iter()
                 .any(|d| !(d.offset - first).is_multiple_of(ELEM_SIZE));
             for cb in [100_001, STRIPE, 16 << 20] {
-                let hints = CollectiveHints {
-                    cb_buffer_size: cb,
-                    cb_nodes: None,
-                };
+                let hints = CollectiveHints { cb_buffer_size: cb };
                 let sp = ScatterPlan::build(&requests, naggr, &hints);
                 for a in &sp.plan.accesses {
                     lengths[(a.extent.len.cmp(&STRIPE) as i8 + 1) as usize] = true;
@@ -152,6 +153,8 @@ fn decoded_volumes_are_bit_identical_at_every_thread_count() {
                 let mut f = std::fs::File::open(&path).unwrap();
                 let res =
                     on_threads(1, || two_phase_execute(&mut f, &requests, naggr, &hints)).unwrap();
+                assert_eq!(sp.plan.accesses, res.plan.accesses, "{case}");
+                assert_eq!(sp.exchange_bytes, res.exchange_bytes, "{case}");
                 let oracle: Vec<Vec<f32>> = res
                     .rank_bytes
                     .iter()
@@ -165,15 +168,11 @@ fn decoded_volumes_are_bit_identical_at_every_thread_count() {
                 for threads in [1, 2, 4] {
                     let mut out: Vec<Vec<f32>> =
                         requests.iter().map(|rq| vec![0.0; rq.out_elems]).collect();
-                    let tracer = Tracer::disabled();
-                    let (plan, exchange) = on_threads(threads, || {
-                        two_phase_decode(
-                            &mut f, &requests, naggr, &hints, endian, &mut out, &tracer,
-                        )
+                    let (runs_of, tracer) = (request_runs(&requests), Tracer::disabled());
+                    on_threads(threads, || {
+                        decode_scatter(&f, &sp, &runs_of, endian, &mut out, &tracer)
                     })
                     .unwrap();
-                    assert_eq!(plan.accesses, res.plan.accesses, "{case} at {threads}");
-                    assert_eq!(exchange, res.exchange_bytes, "{case} at {threads}");
                     assert_eq!(bits(&out), bits(&want), "{case} at {threads} threads");
                 }
             }
@@ -200,13 +199,13 @@ fn a_recycled_buffer_full_of_nan_decodes_bit_identically() {
         let var = if mode == IoMode::Raw { 0 } else { 3 };
         let path = dataset(layout.as_ref(), &format!("grid.{}", mode.name()));
         let requests = requests(layout.as_ref(), grid, 12, var);
-        let hints = mode.hints(grid);
+        let sp = ScatterPlan::build(&requests, 5, &mode.hints(grid));
         let decode = |fill: f32| {
             let mut out: Vec<Vec<f32>> =
                 requests.iter().map(|rq| vec![fill; rq.out_elems]).collect();
-            let mut f = std::fs::File::open(&path).unwrap();
-            let (naggr, endian, tracer) = (5, layout.endian(), Tracer::disabled());
-            two_phase_decode(&mut f, &requests, naggr, &hints, endian, &mut out, &tracer).unwrap();
+            let f = std::fs::File::open(&path).unwrap();
+            let (runs_of, tracer) = (request_runs(&requests), Tracer::disabled());
+            decode_scatter(&f, &sp, &runs_of, layout.endian(), &mut out, &tracer).unwrap();
             out
         };
         assert_eq!(
@@ -354,17 +353,14 @@ fn collective_layouts(grid: [usize; 3]) -> [(Box<dyn FileLayout>, usize); 3] {
 
 /// The lattice plan of `n` blocks of `grid` grown by `ghost` equals
 /// `ScatterPlan::build`'s over the blocks' rank requests — runs,
-/// accesses, expected pieces and every window's sends — in every
-/// collective layout, and the lattice read decodes what
-/// `two_phase_decode` does, bit for bit. Returns whether two x-blocks
+/// accesses, expected pieces, exchange bytes and every window's sends — in every
+/// collective layout, and the lattice read decodes what the sorted
+/// plan's does, bit for bit. Returns whether two x-blocks
 /// of the lattice store from the same voxel.
 fn check_lattice_plan(grid: [usize; 3], n: usize, ghost: usize, naggr: usize, cb: u64) -> bool {
     let decomp = BlockDecomposition::new(grid, n);
     let lattice = StoredLattice::new(decomp.stored_intervals(ghost));
-    let hints = CollectiveHints {
-        cb_buffer_size: cb,
-        cb_nodes: None,
-    };
+    let hints = CollectiveHints { cb_buffer_size: cb };
     for (layout, var) in collective_layouts(grid) {
         let layout = layout.as_ref();
         let case = format!(
@@ -386,6 +382,10 @@ fn check_lattice_plan(grid: [usize; 3], n: usize, ghost: usize, naggr: usize, cb
         assert_eq!(sums(&got), sums(&want), "{case}: plan bytes");
         assert_eq!(got.piece_counts, want.piece_counts, "{case}: piece counts");
         assert_eq!(got.piece_bytes, want.piece_bytes, "{case}: piece bytes");
+        assert_eq!(
+            got.exchange_bytes, want.exchange_bytes,
+            "{case}: exchange bytes"
+        );
         for a in &want.plan.accesses {
             assert_eq!(got.sends_in(a.extent), want.sends_in(a.extent), "{case}");
         }
@@ -402,12 +402,11 @@ fn check_lattice_plan(grid: [usize; 3], n: usize, ghost: usize, naggr: usize, cb
             || -> Vec<Vec<f32>> { requests.iter().map(|rq| vec![0.0; rq.out_elems]).collect() };
         let (endian, tracer) = (layout.endian(), Tracer::disabled());
         let mut oracle = fresh();
-        let mut f = std::fs::File::open(&path).unwrap();
-        two_phase_decode(
-            &mut f,
-            &requests,
-            naggr,
-            &hints,
+        let f = std::fs::File::open(&path).unwrap();
+        decode_scatter(
+            &f,
+            &want,
+            &request_runs(&requests),
             endian,
             &mut oracle,
             &tracer,

@@ -3,6 +3,7 @@
 //! statistics reproduce the paper's Figure 9/10 structure at full
 //! 1120³ scale (plans only; no 27 GB file needed).
 
+use parallel_volume_rendering::core::pipeline::IoRunStats;
 use parallel_volume_rendering::core::{
     laptop_aggregators, run_frame, run_frame_mpi, write_dataset, FrameConfig, IoMode,
 };
@@ -133,6 +134,50 @@ fn unaligned_file_domains_decode_like_the_rank_read() {
         "executors must agree bit for bit"
     );
     std::fs::remove_file(&p).ok();
+}
+
+/// Both executors read under one plan and report its statistics: on a
+/// 32³ grid of 8 ranks reading variable 2, for every I/O mode, the
+/// message-passing frame's `IoRunStats` equal the data-parallel frame's
+/// field by field. Three modes' counts are pinned as (useful bytes,
+/// physical bytes, accesses, exchange bytes), with the density their
+/// ratio.
+#[test]
+fn both_executors_report_the_same_io_stats() {
+    let mut cfg = FrameConfig::small(32, 32, 8);
+    cfg.variable = 2;
+    let pinned = [
+        (IoMode::Raw, (131_072, 131_072, 2, 120_224)),
+        (IoMode::NetCdfUntuned, (131_072, 622_592, 2, 120_224)),
+        (IoMode::Hdf5, (157_216, 256_000, 200, 0)),
+    ];
+    let fields = |io: IoRunStats| {
+        let counts = (io.useful_bytes, io.physical_bytes, io.accesses);
+        let faults = (io.retries, io.failover_bytes, io.unrecovered_bytes);
+        (counts, io.exchange_bytes, io.data_density.to_bits(), faults)
+    };
+    let d = std::env::temp_dir().join(format!("pvr-ioc-{}", std::process::id()));
+    std::fs::create_dir_all(&d).unwrap();
+    for mode in IoMode::ALL {
+        cfg.io = mode;
+        let p = d.join(format!("parity.{}", mode.name()));
+        write_dataset(&p, &cfg).unwrap();
+        let (rayon, mpi) = (run_frame(&cfg, Some(&p)).io, run_frame_mpi(&cfg, &p).io);
+        assert_eq!(fields(mpi), fields(rayon), "{}", mode.name());
+        assert!(rayon.useful_bytes > 0, "{}", mode.name());
+        if let Some((_, want)) = pinned.iter().find(|(m, _)| *m == mode) {
+            let got = (
+                rayon.useful_bytes,
+                rayon.physical_bytes,
+                rayon.accesses,
+                rayon.exchange_bytes,
+            );
+            assert_eq!(got, *want, "{}", mode.name());
+            let density = rayon.useful_bytes as f64 / rayon.physical_bytes as f64;
+            assert_eq!(rayon.data_density, density, "{}", mode.name());
+        }
+        std::fs::remove_file(&p).ok();
+    }
 }
 
 /// `write_dataset` at an odd grid (13×11×9: partial HDF5 edge chunks on
@@ -318,7 +363,7 @@ proptest! {
             })
             .collect();
         let mut f = std::fs::File::open(&p).unwrap();
-        let hints = CollectiveHints { cb_buffer_size: cb_kb * 1024, cb_nodes: None };
+        let hints = CollectiveHints { cb_buffer_size: cb_kb * 1024 };
         let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
         let res = pool.install(|| two_phase_execute(&mut f, &requests, naggr, &hints)).unwrap();
         for (rank, b) in decomp.blocks().iter().enumerate() {
