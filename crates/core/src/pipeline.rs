@@ -206,8 +206,9 @@ impl std::error::Error for FrameError {}
 
 /// Materialize the synthetic supernova dataset at `cfg.grid` resolution
 /// in the on-disk format of `cfg.io`. Each slab is filled on the ambient
-/// rayon pool, every variable of a voxel from one evaluation of the
-/// field's shared terms. Returns bytes written.
+/// rayon pool a row at a time ([`SupernovaField::sample_row`]), every
+/// variable of a voxel from one evaluation of the field's shared terms.
+/// Returns bytes written.
 pub fn write_dataset(path: &Path, cfg: &FrameConfig) -> std::io::Result<u64> {
     let layout = cfg.io.layout(cfg.grid);
     let field = SupernovaField::new(cfg.seed);
@@ -223,13 +224,7 @@ pub fn write_dataset(path: &Path, cfg: &FrameConfig) -> std::io::Result<u64> {
             .for_each(|(row, out)| {
                 let py = voxel_centre(row % ny, ny);
                 let pz = voxel_centre(slab.offset[2] + row / ny, nz);
-                for (x, v) in out.chunks_exact_mut(nvars).enumerate() {
-                    let px = voxel_centre(x, nx);
-                    match only {
-                        Some(var) => v[0] = field.sample_var(var, px, py, pz),
-                        None => v.copy_from_slice(&field.sample_all(px, py, pz)),
-                    }
-                }
+                field.sample_row(only, 0, nx, py, pz, out);
             });
     })
 }

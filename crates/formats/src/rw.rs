@@ -101,8 +101,10 @@ pub fn write_file(
                 at = r.file_offset;
             }
             let elems = values[r.out_start * nvars + var..].iter().step_by(nvars);
-            for &v in elems.take(r.elems) {
-                bytes.extend_from_slice(&endian.encode(v));
+            let end = bytes.len();
+            bytes.resize(end + r.elems * ELEM_SIZE as usize, 0);
+            for (b, &v) in bytes[end..].chunks_exact_mut(ELEM_SIZE as usize).zip(elems) {
+                b.copy_from_slice(&endian.encode(v));
             }
         }
         write_at(&mut file, at, &bytes)?;

@@ -78,12 +78,9 @@ impl Volume {
             .enumerate()
             .for_each(|(z, slab)| {
                 let pz = voxel_centre(offset[2] + z, global[2]);
-                for y in 0..ny {
+                for (y, row) in slab.chunks_exact_mut(nx).enumerate() {
                     let py = voxel_centre(offset[1] + y, global[1]);
-                    for x in 0..nx {
-                        let px = voxel_centre(offset[0] + x, global[0]);
-                        slab[y * nx + x] = field.sample(px, py, pz);
-                    }
+                    field.sample_row(offset[0], global[0], py, pz, row);
                 }
             });
         Self::with_data(dims, data)

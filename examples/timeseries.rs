@@ -42,20 +42,19 @@ fn main() {
         // Write this time step (in production the simulation wrote it).
         let path = dir.join(format!("step-{step}.raw"));
         {
-            use parallel_volume_rendering::formats::{each_element, write_file};
-            use parallel_volume_rendering::volume::{voxel_centre, SupernovaField};
-            let field = SupernovaField::at_time(cfg.seed, t);
+            use parallel_volume_rendering::formats::{write_file, Subvolume};
+            use parallel_volume_rendering::volume::{voxel_centre, ScalarField, SupernovaField};
+            let field = SupernovaField::at_time(cfg.seed, t).variable(2);
             let layout = cfg.io.layout(cfg.grid);
             let [nx, ny, nz] = cfg.grid;
-            let value = |_, x, y, z| {
-                let (px, py, pz) = (
-                    voxel_centre(x, nx),
-                    voxel_centre(y, ny),
-                    voxel_centre(z, nz),
-                );
-                field.sample_var(2, px, py, pz)
+            // One z-plane a slab, synthesized a row at a time.
+            let fill = |slab: &Subvolume, values: &mut [f32]| {
+                let z = voxel_centre(slab.offset[2], nz);
+                for (y, row) in values.chunks_exact_mut(nx).enumerate() {
+                    field.sample_row(0, nx, voxel_centre(y, ny), z, row);
+                }
             };
-            write_file(&path, layout.as_ref(), each_element(1, value)).expect("write step");
+            write_file(&path, layout.as_ref(), fill).expect("write step");
         }
 
         let r = run_frame(&cfg, Some(&path));
